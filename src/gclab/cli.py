@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
-from .env import ConfigError, build_grid_env, load_env
+from .env import ConfigError, build_grid_env, load_env, parse_walls
 from .harness import (
     aggregate_summary,
     config_hash,
@@ -48,12 +48,7 @@ def _env_from_args(args):
         return load_env(args.env_file)
     if args.width is None or args.height is None:
         raise ConfigError("provide --width/--height or --env-file")
-    walls = set()
-    if args.walls:
-        for token in args.walls.split(";"):
-            x, y = token.split(",")
-            walls.add((int(x), int(y)))
-    return build_grid_env(args.width, args.height, walls)
+    return build_grid_env(args.width, args.height, parse_walls(args.walls))
 
 
 def _add_learner_flags(parser):

@@ -9,6 +9,7 @@ explicit transition table, either in code or from a plain-text file.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -58,6 +59,25 @@ class GraphEnv:
             self.state_coords = np.asarray(self.state_coords, dtype=np.int64)
             if self.state_coords.shape != (self.num_states, 2):
                 raise ConfigError("state_coords must have shape (num_states, 2)")
+
+
+def parse_walls(spec) -> set[tuple[int, int]]:
+    """Wall cells from ``'x,y;x,y'`` text or a list of ``[x, y]`` pairs.
+
+    Raises ConfigError naming the first malformed cell.
+    """
+    tokens = [t for t in spec.split(";") if t.strip()] if isinstance(spec, str) else spec
+    if not isinstance(tokens, (list, tuple)):
+        raise ConfigError(f"walls must be 'x,y;x,y' or a list of [x, y] pairs, got {spec!r}")
+    walls = set()
+    for token in tokens:
+        parts = token.split(",") if isinstance(token, str) else token
+        try:
+            x, y = (int(p) if isinstance(p, str) else operator.index(p) for p in parts)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad wall cell {token!r}: expected two integers x,y") from None
+        walls.add((x, y))
+    return walls
 
 
 def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = ()) -> GraphEnv:

@@ -29,7 +29,7 @@ from .dataset import (
     sample_triplet_batch,
     save_dataset,
 )
-from .env import ConfigError, GraphEnv, build_grid_env, load_env
+from .env import ConfigError, GraphEnv, build_grid_env, load_env, parse_walls
 from .learners import (
     LOGIT_SPACE_METHODS,
     LearnerConfig,
@@ -271,7 +271,7 @@ def spearman_to_oracle(q: ValueTable, dist: DistanceTable) -> float:
     d = dist.d
     starts, goals = np.nonzero(d != UNREACHABLE)
     actions = greedy_action_batch(q, starts, goals)
-    implied = q.implied_distances()[starts, actions, goals]
+    implied = q.implied_distances((starts, actions, goals))
     rho = spearmanr(implied, d[starts, goals]).statistic
     return float(rho) if np.isfinite(rho) else 0.0
 
@@ -402,7 +402,7 @@ def validate_experiment_config(config: dict) -> dict:
 
 def build_env_from_spec(env_spec: dict) -> GraphEnv:
     if env_spec["kind"] == "grid":
-        walls = {tuple(cell) for cell in env_spec.get("walls", [])}
+        walls = parse_walls(env_spec.get("walls", []))
         return build_grid_env(env_spec["width"], env_spec["height"], walls)
     return load_env(env_spec["path"])
 

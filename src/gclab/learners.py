@@ -72,14 +72,24 @@ class ValueTable:
         return cls(params, gamma, space)
 
     def values(self) -> np.ndarray:
-        return expit(self.params) if self.space == "logit" else self.params
+        """The whole table as values: a full S*A*S pass, meant for analysis."""
+        return self.values_at(...)
+
+    def values_at(self, idx) -> np.ndarray:
+        """Values at ``params[idx]`` only: gather first, then the sigmoid.
+
+        Bit-identical to ``values()[idx]`` (the sigmoid is elementwise) at a
+        cost that grows with the number of entries read, not with the table.
+        """
+        return expit(self.params[idx]) if self.space == "logit" else self.params[idx]
 
     def copy(self) -> "ValueTable":
         return ValueTable(self.params.copy(), self.gamma, self.space)
 
-    def implied_distances(self) -> np.ndarray:
-        """log_gamma Q, clamped below at 0 (values above 1 read as distance 0)."""
-        v = np.maximum(self.values(), 1e-300)
+    def implied_distances(self, idx) -> np.ndarray:
+        """log_gamma Q at ``params[idx]``, clamped below at 0 (values above 1
+        read as distance 0)."""
+        v = np.maximum(self.values_at(idx), 1e-300)
         return np.maximum(np.log(v) / np.log(self.gamma), 0.0)
 
 
@@ -247,8 +257,13 @@ def run_transitive_fixed_point(
 
 
 def _apply_logit_updates(table: ValueTable, idx, grads, lr: float) -> None:
+    """Scatter-add the steps, then clip the touched entries only.
+
+    Untouched entries need no clip: training tables start inside the clamp
+    (``ValueTable.create``) and only entries named by some ``idx`` move.
+    """
     np.add.at(table.params, idx, -lr * grads)
-    np.clip(table.params, -LOGIT_CLAMP, LOGIT_CLAMP, out=table.params)
+    table.params[idx] = np.clip(table.params[idx], -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
 def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
@@ -261,11 +276,12 @@ def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     """
     g = cfg.gamma
     pred = expit(q.params[batch["s_i"], batch["a_i"], batch["s_j"]])
-    tgt = q_target.values()
     gap_ik = batch["gap_ik"]
     gap_kj = batch["gap_kj"]
-    f1 = np.where(gap_ik <= 1, np.power(g, gap_ik), tgt[batch["s_i"], batch["a_i"], batch["s_k"]])
-    f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), tgt[batch["s_k"], batch["a_k"], batch["s_j"]])
+    half_ik = q_target.values_at((batch["s_i"], batch["a_i"], batch["s_k"]))
+    half_kj = q_target.values_at((batch["s_k"], batch["a_k"], batch["s_j"]))
+    f1 = np.where(gap_ik <= 1, np.power(g, gap_ik), half_ik)
+    f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), half_kj)
     target = f1 * f2
 
     w = reweight_factor(pred, g, cfg.lambda_reweight)
@@ -301,7 +317,7 @@ def td_n_compute_targets(q_target: ValueTable, batch: dict, cfg: LearnerConfig) 
     bootstrap factor is replaced by 1, so the boundary target is exactly
     gamma^(j-i).
     """
-    boot = q_target.values()[batch["s_b"], batch["a_b"], batch["g"]]
+    boot = q_target.values_at((batch["s_b"], batch["a_b"], batch["g"]))
     boot = np.where(batch["clipped"], 1.0, boot)
     return np.power(cfg.gamma, batch["n_eff"]) * boot
 
@@ -342,7 +358,7 @@ def gciql_update_step(
     """
     s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
     vs = v[s, goal]
-    qbar = q_target.values()[s, a, goal]
+    qbar = q_target.values_at((s, a, goal))
     loss_v, grad_v = asymmetric_loss(vs, qbar, cfg.kappa, kind="squared")
 
     qv = q.params[s, a, goal]
@@ -369,7 +385,6 @@ def sgt_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     g_rand = batch["g_rand"]
     w_states, w_actions = batch["w_states"], batch["w_actions"]
     lr = cfg.learning_rate
-    tgt = q_target.values()
 
     pred0 = expit(q.params[s, a, s])
     loss0, grad0 = _bce_logit_terms(pred0, 1.0)
@@ -385,7 +400,9 @@ def sgt_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     lossr, gradr = _bce_logit_terms(predr, np.power(cfg.gamma, cfg.P_random_distance))
 
     predg = expit(q.params[s, a, goal])
-    cand = tgt[s[:, None], a[:, None], w_states] * tgt[w_states, w_actions, goal[:, None]]
+    cand = q_target.values_at((s[:, None], a[:, None], w_states)) * q_target.values_at(
+        (w_states, w_actions, goal[:, None])
+    )
     tri_target = cand.max(axis=1)
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
@@ -423,7 +440,6 @@ def coe_update_step(
     if cfg.beta_goal_reg > 0 and coords is None:
         raise ConfigError("coe with beta_goal_reg > 0 requires grid coordinates")
     lr = cfg.learning_rate
-    tgt = q_target.values()
 
     edge = (s2 != s).astype(np.float64)
     pred1 = expit(q.params[s, a, s2])
@@ -432,7 +448,7 @@ def coe_update_step(
 
     w = generator[s, a, goal]
     a_w = policy_fn(w, goal)
-    tri_target = tgt[s, a, w] * tgt[w, a_w, goal]
+    tri_target = q_target.values_at((s, a, w)) * q_target.values_at((w, a_w, goal))
     predg = expit(q.params[s, a, goal])
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
@@ -444,7 +460,9 @@ def coe_update_step(
     options = np.concatenate([w[:, None], cand], axis=1)  # (B, M+1)
     flat_goals = np.repeat(goal, options.shape[1]).reshape(options.shape)
     opt_actions = policy_fn(options.ravel(), flat_goals.ravel()).reshape(options.shape)
-    scores = tgt[s[:, None], a[:, None], options] * tgt[options, opt_actions, flat_goals]
+    scores = q_target.values_at((s[:, None], a[:, None], options)) * q_target.values_at(
+        (options, opt_actions, flat_goals)
+    )
     if cfg.beta_goal_reg > 0:
         delta = coords[options] - coords[g_rand][:, None, :]
         scores = scores - cfg.beta_goal_reg * np.sum(delta * delta, axis=-1)

@@ -28,8 +28,12 @@ class BehaviorPolicy:
 
     @property
     def probs(self) -> np.ndarray:
-        smoothed = self.counts + 1.0
-        return smoothed / smoothed.sum(axis=1, keepdims=True)
+        return self.row_probs(slice(None))
+
+    def row_probs(self, s) -> np.ndarray:
+        """Smoothed action probabilities of state row(s) ``s`` only."""
+        smoothed = self.counts[s] + 1.0
+        return smoothed / smoothed.sum(axis=-1, keepdims=True)
 
 
 def estimate_behavior_policy(ds: TrajectoryDataset, env: GraphEnv) -> BehaviorPolicy:
@@ -43,11 +47,11 @@ def estimate_behavior_policy(ds: TrajectoryDataset, env: GraphEnv) -> BehaviorPo
 
 def greedy_action(q: ValueTable, s: int, g: int) -> int:
     """argmax_a Q(s, a, g); lowest index wins ties (numpy argmax semantics)."""
-    return int(np.argmax(q.values()[s, :, g]))
+    return int(np.argmax(q.values_at((s, slice(None), g))))
 
 
 def greedy_action_batch(q: ValueTable, states: np.ndarray, goals: np.ndarray) -> np.ndarray:
-    return q.values()[states, :, goals].argmax(axis=1)
+    return q.values_at((states, slice(None), goals)).argmax(axis=1)
 
 
 def rejection_sample_action(
@@ -62,8 +66,9 @@ def rejection_sample_action(
     at s, return the Q-argmax among the drawn set (ties -> lowest index)."""
     if N < 1:
         raise ConfigError(f"rejection sampling needs N >= 1, got {N}")
-    draws = rng.choice(beh.probs.shape[1], size=N, p=beh.probs[s])
-    drawn = np.zeros(beh.probs.shape[1], dtype=bool)
+    probs = beh.row_probs(s)
+    draws = rng.choice(probs.size, size=N, p=probs)
+    drawn = np.zeros(probs.size, dtype=bool)
     drawn[draws] = True
-    scores = np.where(drawn, q.values()[s, :, g], -np.inf)
+    scores = np.where(drawn, q.values_at((s, slice(None), g)), -np.inf)
     return int(np.argmax(scores))

@@ -104,3 +104,38 @@ def test_env_file_flag(tmp_path):
     assert code == 0
     header = ds_path.read_text().splitlines()[0]
     assert header == "5,4"
+
+
+@pytest.mark.parametrize("walls", ["1", "a,b", "1,2,3", "1,1;2"])
+def test_gen_bad_walls_exit_code(tmp_path, capsys, walls):
+    code = run_cli(
+        "gen", "--width", "4", "--height", "4", "--walls", walls, "--num-traj", "2",
+        "--T", "4", "--seed", "0", "--out", str(tmp_path / "ds.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad wall cell" in err
+
+
+def test_gen_walls_flag(tmp_path, capsys):
+    code = run_cli(
+        "gen", "--width", "3", "--height", "3", "--walls", "1,1; 0,2", "--num-traj", "2",
+        "--T", "4", "--seed", "0", "--out", str(tmp_path / "ds.csv"),
+    )
+    assert code == 0
+    assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("walls", [[[1]], [["a", "b"]], [[1, 1.5]], [1, 2], 7])
+def test_sweep_bad_walls_exit_code(tmp_path, capsys, walls):
+    config = {
+        "out_dir": str(tmp_path / "exp"),
+        "env": {"kind": "grid", "width": 4, "height": 4, "walls": walls},
+        "dataset": {"num_traj": 2, "T": 4, "seed": 0},
+        "methods": ["mc"],
+        "seeds": [0],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert "wall" in capsys.readouterr().err

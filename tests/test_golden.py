@@ -1,0 +1,109 @@
+"""Golden bit-identity hashes for every learner and both policy extractions.
+
+Each entry is the sha256 of one run's output bytes on a 5x5 grid with fixed
+seeds: the trained ``params`` plus its loss log, the greedy and rejection
+``evaluate_policy`` rows, and ``spearman_to_oracle``. A change that is meant
+to be behaviour-preserving (a faster read path, say) must leave every hash
+as it is. A change that alters numbers on purpose updates the hashes and
+says so in CHANGES.md.
+
+The bytes depend on the float64 kernels of numpy and scipy, so the hashes
+are pinned to the library versions and machine they were captured with;
+elsewhere the test skips. Recapture with
+``python -c "import tests.test_golden as t; t.print_digests()"``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import platform
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy
+
+from gclab.dataset import collect_dataset
+from gclab.env import build_grid_env
+from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
+from gclab.learners import LearnerConfig
+from gclab.oracle import all_pairs_distances
+from gclab.policy import estimate_behavior_policy
+
+CAPTURED_ON = ("2.4.6", "1.17.1", "x86_64")
+
+EXPECTED = {
+    "train.trl": "5f981a9b82349224aed7e61740a916a17d5a603223f1d9dea14e5d91298afe19",
+    "train.mc": "8b002fac32b0bd631ac1bf2a3b2110c291e1b8410931eeb6a53b258fe609beb5",
+    "train.td_n": "a76b3c1ac7f4efd6d53c1546ac518e117b958c96a3f068f59c331d1c4dc8f5bc",
+    "train.gciql": "b57323b57602a9448d27160c3c71a3f009b9b2ed234993c6c4914baded0b6fc1",
+    "train.sgt": "c06ce0495fd0f86f017ede40ece63c183bd5ba8edc514fea01f3153e4e9e5705",
+    "train.coe": "81a55deb33d2d7b376837c80514066f8873505ff1cdb651a3fe4c3d78117d0ea",
+    "train.trl_saturated": "608d3e22dbc27da0fbeb8e000d974900ff9817c6df6562a7359c14a813315c63",
+    "eval.greedy.trl": "31afc14a2b487e5e8b067cedcdc0be27390b891e4824e0693ac9fbf8d6b06bde",
+    "eval.rejection.trl": "cf1e0268278d76e9330d124df395adacf4f98d55e6f54baa62db494d694564ba",
+    "eval.greedy.gciql": "b192b437d3b45bee57f6a0568e5f27fb444fa1c377ffbdf019e11cafa3563f0d",
+    "eval.rejection.gciql": "90155dd8e28064a796d6ad31b5618cbac43e2f569b44649f310d1735457f8fe0",
+    "spearman.sgt": "820d29f7d274934b90e3a10be2ff31de9d4189136223b337ffa213cd73e949dd",
+    "spearman.coe": "6ee6b070e6135d95b576cab9b1a175d596e364d9f720a33108404c3d7bd67b9b",
+}
+
+BASE = LearnerConfig(
+    learning_rate=0.5, kappa=0.9, tau_target=0.01, batch_size=64, steps=40, seed=1
+)
+RUNS = {
+    "trl": replace(BASE, method="trl"),
+    "mc": replace(BASE, method="mc"),
+    "td_n": replace(BASE, method="td_n", n_step=3),
+    "gciql": replace(BASE, method="gciql"),
+    "sgt": replace(BASE, method="sgt", M_subgoals=4),
+    "coe": replace(BASE, method="coe", M_subgoals=4),
+    # A huge step drives touched logits into the +-LOGIT_CLAMP saturation.
+    "trl_saturated": replace(BASE, method="trl", learning_rate=200.0),
+}
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def golden_digests() -> dict[str, str]:
+    env = build_grid_env(5, 5)
+    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
+    dist = all_pairs_distances(env)
+    beh = estimate_behavior_policy(ds, env)
+    tasks = select_tasks(env, dist, 5)
+    budgets = [2 * int(dist.d[s, g]) for s, g in tasks]
+
+    out, tables = {}, {}
+    for name, cfg in RUNS.items():
+        q, log = train_run(env, ds, cfg, log_every=10)
+        tables[name] = q
+        out[f"train.{name}"] = _sha(q.params.tobytes(), log)
+    for name in ("trl", "gciql"):
+        for extraction in ("greedy", "rejection"):
+            report = evaluate_policy(
+                env, tables[name], beh, tasks, 3, budgets, extraction=extraction,
+                rng=np.random.default_rng([1, 2025]), rejection_n=2, dist=dist,
+            )
+            out[f"eval.{extraction}.{name}"] = _sha(report.tasks, report.spearman_to_oracle)
+    for name in ("sgt", "coe"):
+        out[f"spearman.{name}"] = _sha(spearman_to_oracle(tables[name], dist))
+    return out
+
+
+def print_digests() -> None:
+    print(f"CAPTURED_ON = {(np.__version__, scipy.__version__, platform.machine())!r}")
+    for key, digest in golden_digests().items():
+        print(f'    "{key}": "{digest}",')
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__, platform.machine()) != CAPTURED_ON,
+    reason=f"golden hashes were captured with numpy/scipy/machine {CAPTURED_ON}",
+)
+def test_golden_hashes_unchanged():
+    assert golden_digests() == EXPECTED

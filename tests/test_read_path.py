@@ -1,0 +1,99 @@
+"""The sparse read path: learners and policies gather table entries through
+``ValueTable.values_at`` and never take the full-table ``values()`` pass."""
+
+import numpy as np
+import pytest
+
+from gclab.dataset import collect_dataset
+from gclab.env import build_grid_env
+from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
+from gclab.learners import LOGIT_CLAMP, LearnerConfig, ValueTable, _apply_logit_updates
+from gclab.oracle import all_pairs_distances
+from gclab.policy import BehaviorPolicy, estimate_behavior_policy
+
+STOCHASTIC_METHODS = ("trl", "mc", "td_n", "gciql", "sgt", "coe")
+
+
+def random_table(space, seed=0, shape=(7, 4, 7)):
+    rng = np.random.default_rng(seed)
+    if space == "logit":
+        params = rng.uniform(-LOGIT_CLAMP, LOGIT_CLAMP, size=shape)
+    else:
+        params = rng.uniform(-0.5, 1.5, size=shape)
+    return ValueTable(params, 0.9, space=space), rng
+
+
+@pytest.mark.parametrize("space", ["logit", "value"])
+def test_values_at_equals_full_table_gather(space):
+    q, rng = random_table(space)
+    s = rng.integers(0, 7, size=50)
+    a = rng.integers(0, 4, size=50)
+    g = rng.integers(0, 7, size=50)
+    w = rng.integers(0, 7, size=(50, 3))
+    full = q.values()
+    for idx in [
+        (3, slice(None), 5),
+        (s, slice(None), g),
+        (s, a, g),
+        (s[:, None], a[:, None], w),
+        (w, rng.integers(0, 4, size=(50, 3)), g[:, None]),
+        ...,
+    ]:
+        got, want = q.values_at(idx), full[idx]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_apply_logit_updates_clips_touched_entries_only():
+    q, rng = random_table("logit", seed=2)
+    q.params = np.clip(q.params, -5.0, 5.0)
+    before = q.params.copy()
+    n = 200
+    idx = (rng.integers(0, 7, size=n), rng.integers(0, 4, size=n), rng.integers(0, 7, size=n))
+    idx = tuple(np.concatenate([i, i[:40]]) for i in idx)  # duplicates sum in np.add.at
+    grads = rng.choice([-1.0, 1.0], size=idx[0].size) * rng.uniform(1.0, 10.0, size=idx[0].size)
+
+    reference = before.copy()
+    np.add.at(reference, idx, -1e3 * grads)
+    np.clip(reference, -LOGIT_CLAMP, LOGIT_CLAMP, out=reference)
+
+    _apply_logit_updates(q, idx, grads, 1e3)
+    assert q.params.tobytes() == reference.tobytes()
+    assert (q.params == LOGIT_CLAMP).any() and (q.params == -LOGIT_CLAMP).any()
+    untouched = np.ones(q.params.shape, dtype=bool)
+    untouched[idx] = False
+    assert untouched.any()
+    assert q.params[untouched].tobytes() == before[untouched].tobytes()
+
+
+def test_row_probs_match_full_probs():
+    counts = np.random.default_rng(3).integers(0, 50, size=(9, 4))
+    counts[2] = 0
+    beh = BehaviorPolicy(counts)
+    full = beh.probs
+    for s in range(9):
+        assert beh.row_probs(s).tobytes() == full[s].tobytes()
+
+
+def test_training_and_eval_never_read_the_full_table(monkeypatch):
+    env = build_grid_env(4, 4)
+    ds = collect_dataset(env, num_traj=10, T=12, seed=0)
+    dist = all_pairs_distances(env)
+    beh = estimate_behavior_policy(ds, env)
+    tasks = select_tasks(env, dist, 3)
+
+    def forbidden(self):
+        raise AssertionError("full-table ValueTable.values() pass")
+
+    monkeypatch.setattr(ValueTable, "values", forbidden)
+    for method in STOCHASTIC_METHODS:
+        cfg = LearnerConfig(
+            method=method, learning_rate=0.5, batch_size=16, steps=5, n_step=2, M_subgoals=3
+        )
+        q, _ = train_run(env, ds, cfg)
+        for extraction in ("greedy", "rejection"):
+            report = evaluate_policy(
+                env, q, beh, tasks, 2, 8, extraction=extraction, rejection_n=4, dist=dist
+            )
+            assert len(report.tasks) == len(tasks)
+        assert np.isfinite(spearman_to_oracle(q, dist))
