@@ -18,6 +18,7 @@ B(n) <= ln n / ln(4/3).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,27 +53,33 @@ def expected_recursions(n_max: int) -> RecursionTable:
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    b = [0.0] * (n_max + 1)
-    prefix = [0.0] * (n_max + 1)  # prefix[m] = sum_{t <= m} b[t]
+    # Flat float64 storage, 8 bytes an entry. The bytes of b rest on the
+    # float operations below and their order, not on the container.
+    b = array("d", bytes(8 * (n_max + 1)))
+    prefix = array("d", bytes(8 * (n_max + 1)))  # prefix[m] = sum_{t <= m} b[t]
     comp = 0.0  # Kahan compensation for the running prefix sum
     monotone = True
+    b_last = 0.0  # b[n - 1]
+    p_last = 0.0  # prefix[n - 1]
     for n in range(2, n_max + 1):
         if monotone:
-            lo = n // 2 + 1
-            upper = prefix[n - 1] - prefix[lo - 1]
+            upper = p_last - prefix[n // 2]
             total = 2.0 * upper + (b[n // 2] if n % 2 == 0 else 0.0)
         else:
             total = sum(max(b[k], b[n - k]) for k in range(1, n))
-        b[n] = 1.0 + total / (n - 1)
-        if monotone and b[n] < b[n - 1]:
+        bn = 1.0 + total / (n - 1)
+        b[n] = bn
+        if monotone and bn < b_last:
             monotone = False
         if n >= _KAHAN_THRESHOLD:
-            y = b[n] - comp
-            t = prefix[n - 1] + y
-            comp = (t - prefix[n - 1]) - y
-            prefix[n] = t
+            y = bn - comp
+            t = p_last + y
+            comp = (t - p_last) - y
+            p_last = t
         else:
-            prefix[n] = prefix[n - 1] + b[n]
+            p_last = p_last + bn
+        prefix[n] = p_last
+        b_last = bn
     # b[1] = 0 seeds prefix[1] = 0 implicitly; fill for completeness.
     return RecursionTable(np.array(b), monotone)
 

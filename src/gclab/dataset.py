@@ -197,24 +197,44 @@ def save_dataset(ds: TrajectoryDataset, path: str) -> None:
             fh.write(",".join(map(str, ds.actions[n].tolist())) + "\n")
 
 
+def _parse_row(path: str, n: int, field: str, line: str, length: int) -> np.ndarray:
+    try:
+        row = np.array([int(tok) for tok in line.split(",")], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{path}: trajectory {n} {field} row is not int64 integers") from None
+    if len(row) != length:
+        raise ConfigError(
+            f"{path}: trajectory {n} {field} row has {len(row)} entries, expected {length}"
+        )
+    return row
+
+
 def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
-    """Read a dataset saved by :func:`save_dataset`; validates against env if given."""
+    """Read a dataset saved by :func:`save_dataset`; validates against env if given.
+
+    Rows are checked against the header as they are read, so a bad header
+    is a config error before anything is sized from it.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         try:
             num_traj, T = (int(tok) for tok in header.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad dataset header in {path}: {header!r}") from exc
-        states = np.empty((num_traj, T + 1), dtype=np.int64)
-        actions = np.empty((num_traj, T), dtype=np.int64)
+        for field, value in (("num_traj", num_traj), ("T", T)):
+            if value < 1:
+                raise ConfigError(f"{path}: header field {field} must be >= 1, got {value}")
+        states, actions = [], []
         for n in range(num_traj):
             srow = fh.readline().strip()
             arow = fh.readline().strip()
             if not srow or not arow:
-                raise ConfigError(f"{path}: truncated at trajectory {n}")
-            states[n] = [int(tok) for tok in srow.split(",")]
-            actions[n] = [int(tok) for tok in arow.split(",")]
-    ds = TrajectoryDataset(states, actions)
+                raise ConfigError(
+                    f"{path}: truncated at trajectory {n} (header num_traj={num_traj})"
+                )
+            states.append(_parse_row(path, n, "states", srow, T + 1))
+            actions.append(_parse_row(path, n, "actions", arow, T))
+    ds = TrajectoryDataset(np.stack(states), np.stack(actions))
     if env is not None:
         ds.validate_against(env)
     return ds

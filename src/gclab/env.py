@@ -170,7 +170,10 @@ def load_env(path: str) -> GraphEnv:
         )
     rows = []
     for s, line in enumerate(lines[1:]):
-        row = [int(tok) for tok in line.split()]
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ConfigError(f"{path}: row {s} is not integers: {line!r}") from None
         if len(row) != num_actions:
             raise ConfigError(f"{path}: row {s} has {len(row)} entries, expected {num_actions}")
         rows.append(row)

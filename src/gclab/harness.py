@@ -140,9 +140,11 @@ def _subgoal_candidates(ds: TrajectoryDataset, cfg: LearnerConfig, rng, with_act
 
 def _exact_train(env: GraphEnv, cfg: LearnerConfig, log: list) -> ValueTable:
     v = transitive_base_table(env, cfg.gamma)
+    prev = None
     sweep = 0
     while True:
-        v, delta = exact_transitive_sweep(v, env)
+        new, delta = exact_transitive_sweep(v, env, prev)
+        prev, v = v, new
         log.append(
             {
                 "step": sweep,

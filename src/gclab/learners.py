@@ -212,7 +212,23 @@ def transitive_base_table(env: GraphEnv, gamma: float) -> np.ndarray:
     return v
 
 
-def exact_transitive_sweep(v: np.ndarray, env: GraphEnv) -> tuple[np.ndarray, float]:
+# Above this fraction of changed entries a sweep forms every product: one
+# dense row of products at a time beats gathering the changed factors.
+_DENSE_FRACTION = 0.3
+
+
+def _max_products_into(out: np.ndarray, v: np.ndarray, changed: np.ndarray | None) -> None:
+    """out[s] = max(out[s], max_w v[s, w] * v[w]) over the w changed in row s
+    of ``changed`` (every w when ``changed`` is None)."""
+    rows = range(v.shape[0]) if changed is None else np.flatnonzero(changed.any(axis=1))
+    for s in rows:
+        cols = slice(None) if changed is None else np.flatnonzero(changed[s])
+        np.maximum(out[s], (v[s, cols][:, None] * v[cols]).max(axis=0), out=out[s])
+
+
+def exact_transitive_sweep(
+    v: np.ndarray, env: GraphEnv, prev: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """One Jacobi sweep of the max-product backup.
 
     Every entry of the result reads only the input table:
@@ -220,12 +236,25 @@ def exact_transitive_sweep(v: np.ndarray, env: GraphEnv) -> tuple[np.ndarray, fl
     (diagonal and one-step edges) dominate any product through a third
     state, so they stay pinned. Returns the new table and the largest
     absolute change.
+
+    ``prev`` is the table the previous sweep read, so that ``v`` is that
+    sweep's result; None stands for an all-zero table, which is valid for
+    any non-negative ``v``. A product whose factors both equal their
+    ``prev`` entries was already formed by the previous sweep and lies at
+    or below ``v[s, g]``, so only products with a changed factor are
+    formed: the (s, w) side row by row, the (w, g) side column by column
+    (as rows of the transpose). Max is exact, so the result and the change
+    are bit-identical to forming every product, at a cost that grows with
+    the number of changed entries; above ``_DENSE_FRACTION`` changed, every
+    product is formed.
     """
-    n = env.num_states
-    new = np.empty_like(v)
-    for s in range(n):
-        new[s] = (v[s][:, None] * v).max(axis=0)
-    np.maximum(new, v, out=new)  # monotone: never below the previous value
+    changed = v != (0.0 if prev is None else prev)
+    new = v.copy()
+    if changed.mean() > _DENSE_FRACTION:
+        _max_products_into(new, v, None)
+    else:
+        _max_products_into(new, v, changed)
+        _max_products_into(new.T, np.ascontiguousarray(v.T), np.ascontiguousarray(changed.T))
     return new, float(np.abs(new - v).max())
 
 
@@ -242,10 +271,12 @@ def run_transitive_fixed_point(
     at most swap ulp-equivalent product trees for the same distance.
     """
     v = transitive_base_table(env, gamma)
+    prev = None
     limit = max_sweeps if max_sweeps is not None else env.num_states + 2
     changed = 0
     for _ in range(limit):
-        v, delta = exact_transitive_sweep(v, env)
+        new, delta = exact_transitive_sweep(v, env, prev)
+        prev, v = v, new
         if delta <= tol:
             return v, changed
         changed += 1
@@ -499,15 +530,28 @@ def save_table(table: ValueTable, path: str) -> None:
         fh.write(np.ascontiguousarray(table.params).tobytes())
 
 
+_SPACE_FLAGS = {0: "logit", 1: "value"}
+
+
 def load_table(path: str) -> ValueTable:
+    """Read a table saved by :func:`save_table`; the header is checked
+    before anything is sized from it."""
     with open(path, "rb") as fh:
-        header = np.frombuffer(fh.read(4 * 8), dtype=np.int64)
-        if header.size != 4:
+        head = fh.read(5 * 8)
+        if len(head) != 5 * 8:
             raise ConfigError(f"{path}: truncated value-table header")
-        s, a, g, flag = (int(x) for x in header)
-        gamma = float(np.frombuffer(fh.read(8), dtype=np.float64)[0])
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    if data.size != s * a * g:
-        raise ConfigError(f"{path}: expected {s * a * g} entries, found {data.size}")
-    space = "logit" if flag == 0 else "value"
-    return ValueTable(data.reshape(s, a, g).copy(), gamma, space)
+        s, a, g, flag = (int(x) for x in np.frombuffer(head[:32], dtype=np.int64))
+        for field, dim in (("states", s), ("actions", a), ("goals", g)):
+            if dim < 1:
+                raise ConfigError(f"{path}: header field {field} must be >= 1, got {dim}")
+        if flag not in _SPACE_FLAGS:
+            raise ConfigError(f"{path}: header field space flag must be 0 or 1, got {flag}")
+        body = fh.read()
+    if len(body) != 8 * s * a * g:
+        raise ConfigError(
+            f"{path}: expected {s * a * g} float64 entries ({8 * s * a * g} bytes), "
+            f"found {len(body)} bytes"
+        )
+    gamma = float(np.frombuffer(head[32:], dtype=np.float64)[0])
+    data = np.frombuffer(body, dtype=np.float64).reshape(s, a, g).copy()
+    return ValueTable(data, gamma, _SPACE_FLAGS[flag])

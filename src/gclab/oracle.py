@@ -7,10 +7,11 @@ finite number), so the value-table conversion maps them to exactly 0.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .env import ConfigError, GraphEnv, adjacency_matrix
 
@@ -43,42 +44,15 @@ class OptimalValueTable:
 
 
 def all_pairs_distances(env: GraphEnv) -> DistanceTable:
-    """BFS from every source over the one-step reachability relation.
+    """Unit-weight shortest paths from every source over the one-step
+    reachability relation (scipy's csgraph, which runs the searches in C).
 
     Self-loop transitions do not contribute edges, so d[s, s] = 0 always
     and no distance-1 self pairs appear.
     """
-    n = env.num_states
-    adj = adjacency_matrix(env)
-    neighbors = [np.flatnonzero(adj[s]) for s in range(n)]
-    d = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    for src in range(n):
-        d[src, src] = 0
-        queue = deque([src])
-        row = d[src]
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in neighbors[u]:
-                if row[v] == UNREACHABLE:
-                    row[v] = du + 1
-                    queue.append(v)
-    return DistanceTable(d)
-
-
-def floyd_warshall_distances(env: GraphEnv) -> DistanceTable:
-    """All-pairs shortest paths by Floyd-Warshall; agrees with BFS (tested)."""
-    n = env.num_states
-    inf = np.iinfo(np.int64).max // 4  # internal only; converted back to the sentinel
-    d = np.full((n, n), inf, dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    adj = adjacency_matrix(env)
-    d[adj] = 1
-    np.fill_diagonal(d, 0)
-    for w in range(n):
-        d = np.minimum(d, d[:, w : w + 1] + d[w : w + 1, :])
-    d[d >= inf] = UNREACHABLE
-    return DistanceTable(d)
+    d = shortest_path(csr_matrix(adjacency_matrix(env)), method="D", unweighted=True)
+    d[np.isinf(d)] = UNREACHABLE
+    return DistanceTable(d.astype(np.int64))
 
 
 def optimal_value_table(dist: DistanceTable, gamma: float) -> OptimalValueTable:

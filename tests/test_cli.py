@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gclab.cli import main
@@ -106,6 +107,18 @@ def test_env_file_flag(tmp_path):
     assert header == "5,4"
 
 
+def test_env_file_bad_row_exit_code(tmp_path, capsys):
+    env_path = tmp_path / "env.txt"
+    env_path.write_text("3 1\n1\nx\n2\n")
+    code = run_cli(
+        "gen", "--env-file", str(env_path), "--num-traj", "5", "--T", "4",
+        "--seed", "1", "--out", str(tmp_path / "ds.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(env_path) in err and "row 1" in err
+
+
 @pytest.mark.parametrize("walls", ["1", "a,b", "1,2,3", "1,1;2"])
 def test_gen_bad_walls_exit_code(tmp_path, capsys, walls):
     code = run_cli(
@@ -139,3 +152,46 @@ def test_sweep_bad_walls_exit_code(tmp_path, capsys, walls):
     cfg_path.write_text(json.dumps(config))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert "wall" in capsys.readouterr().err
+
+
+def _gen_dataset(tmp_path):
+    ds_path = tmp_path / "ds.csv"
+    assert run_cli("gen", "--width", "3", "--height", "1", "--num-traj", "2", "--T", "4",
+                   "--seed", "0", "--out", str(ds_path)) == 0
+    return ds_path
+
+
+@pytest.mark.parametrize(
+    "header, field",
+    [("1000000000000,4", "num_traj"), ("-1,4", "num_traj"), ("2,-1", "T"),
+     ("2,1000000000000", "states")],
+)
+def test_train_bad_dataset_header_exit_code(tmp_path, capsys, header, field):
+    ds_path = _gen_dataset(tmp_path)
+    lines = ds_path.read_text().splitlines()
+    ds_path.write_text("\n".join([header] + lines[1:]) + "\n")
+    code = run_cli(
+        "train", "--width", "3", "--height", "1", "--dataset", str(ds_path),
+        "--method", "mc", "--steps", "1", "--seed", "0", "--out-dir", str(tmp_path / "r"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(ds_path) in err and field in err
+
+
+@pytest.mark.parametrize(
+    "header, field",
+    [((3, 4, 3, 7), "space flag"), ((-1, 4, 3, 0), "states"), ((3, -4, -3, 1), "actions")],
+)
+def test_eval_bad_table_header_exit_code(tmp_path, capsys, header, field):
+    ds_path = _gen_dataset(tmp_path)
+    table_path = tmp_path / "table.bin"
+    body = np.array(header, dtype=np.int64).tobytes() + np.float64(0.9).tobytes()
+    table_path.write_bytes(body + np.zeros(36).tobytes())
+    code = run_cli(
+        "eval", "--width", "3", "--height", "1", "--table", str(table_path),
+        "--dataset", str(ds_path), "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(table_path) in err and field in err

@@ -2,10 +2,13 @@
 
 Each entry is the sha256 of one run's output bytes on a 5x5 grid with fixed
 seeds: the trained ``params`` plus its loss log, the greedy and rejection
-``evaluate_policy`` rows, and ``spearman_to_oracle``. A change that is meant
-to be behaviour-preserving (a faster read path, say) must leave every hash
-as it is. A change that alters numbers on purpose updates the hashes and
-says so in CHANGES.md.
+``evaluate_policy`` rows, and ``spearman_to_oracle``. The exact path is
+pinned on graphs with unreachable pairs (a walled 8x8 grid split in two, a
+one-way chain and a random directed graph): the ``exact`` method's params
+plus loss log, and the oracle distances. ``expected_recursions`` is pinned
+past its Kahan switch. A change that is meant to be behaviour-preserving (a
+faster read path, say) must leave every hash as it is. A change that alters
+numbers on purpose updates the hashes and says so in CHANGES.md.
 
 The bytes depend on the float64 kernels of numpy and scipy, so the hashes
 are pinned to the library versions and machine they were captured with;
@@ -24,7 +27,8 @@ import pytest
 import scipy
 
 from gclab.dataset import collect_dataset
-from gclab.env import build_grid_env
+from gclab.analysis import expected_recursions
+from gclab.env import GraphEnv, build_grid_env, random_graph_env
 from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
 from gclab.learners import LearnerConfig
 from gclab.oracle import all_pairs_distances
@@ -46,6 +50,13 @@ EXPECTED = {
     "eval.rejection.gciql": "90155dd8e28064a796d6ad31b5618cbac43e2f569b44649f310d1735457f8fe0",
     "spearman.sgt": "820d29f7d274934b90e3a10be2ff31de9d4189136223b337ffa213cd73e949dd",
     "spearman.coe": "6ee6b070e6135d95b576cab9b1a175d596e364d9f720a33108404c3d7bd67b9b",
+    "exact.train.grid8_walled": "2ab1d733667fa45ce9f192b61c4b665a66530d3c893d72584bbaac472801a34d",
+    "exact.train.one_way": "c3edf0f197962c007e6bd6e2082aa725c2b28c6e203c8d6057a8d255fb22c78d",
+    "exact.train.random_directed": "c03aff489cb4fe6483e3a2b7c8721532702064aa6d2522f9abb12ce79c586aa0",
+    "exact.dist.grid8_walled": "52f909ff38722ddd521cf86ca477ff0754e0e03316b313376d0429b3dabf3129",
+    "exact.dist.one_way": "c168271f97679925a9b212402e107e55bb2bc475099f51e578004c009dfe7d16",
+    "exact.dist.random_directed": "982606acf20899832c3b3ea181c64da6a68830ea58f4196ca87865191012804d",
+    "recursion.b_200000": "508835a3460847070ca9fd4454cf0b1afdc07ed52e2236b467ca84f97ddb1adb",
 }
 
 BASE = LearnerConfig(
@@ -61,6 +72,19 @@ RUNS = {
     # A huge step drives touched logits into the +-LOGIT_CLAMP saturation.
     "trl_saturated": replace(BASE, method="trl", learning_rate=200.0),
 }
+
+
+def _exact_envs() -> dict:
+    """Graphs whose distance tables include unreachable pairs."""
+    # A fully walled column x = 3 splits the grid into two components.
+    walls = {(3, y) for y in range(8)} | {(5, 2), (6, 5)}
+    n = 12
+    one_way = GraphEnv(n, 2, np.stack([np.minimum(np.arange(n) + 1, n - 1), np.arange(n)], 1))
+    return {
+        "grid8_walled": build_grid_env(8, 8, walls),
+        "one_way": one_way,
+        "random_directed": random_graph_env(40, 2, seed=3),
+    }
 
 
 def _sha(*parts) -> str:
@@ -92,6 +116,11 @@ def golden_digests() -> dict[str, str]:
             out[f"eval.{extraction}.{name}"] = _sha(report.tasks, report.spearman_to_oracle)
     for name in ("sgt", "coe"):
         out[f"spearman.{name}"] = _sha(spearman_to_oracle(tables[name], dist))
+    for name, exact_env in _exact_envs().items():
+        q, log = train_run(exact_env, None, replace(BASE, method="exact", gamma=0.95))
+        out[f"exact.train.{name}"] = _sha(q.params.tobytes(), log)
+        out[f"exact.dist.{name}"] = _sha(all_pairs_distances(exact_env).d.tobytes())
+    out["recursion.b_200000"] = _sha(expected_recursions(200_000).b.tobytes())
     return out
 
 

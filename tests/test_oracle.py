@@ -4,13 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclab.env import ConfigError, GraphEnv, adjacency_matrix, build_grid_env, random_graph_env
-from gclab.oracle import (
-    UNREACHABLE,
-    all_pairs_distances,
-    floyd_warshall_distances,
-    optimal_value_table,
-    oracle_q_table,
-)
+from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
+
+
+def floyd_warshall_distances(env):
+    """Independent oracle: all-pairs shortest paths by Floyd-Warshall."""
+    n = env.num_states
+    inf = np.iinfo(np.int64).max // 4  # internal only; converted back to the sentinel
+    d = np.full((n, n), inf, dtype=np.int64)
+    d[adjacency_matrix(env)] = 1
+    np.fill_diagonal(d, 0)
+    for w in range(n):
+        d = np.minimum(d, d[:, w : w + 1] + d[w : w + 1, :])
+    d[d >= inf] = UNREACHABLE
+    return d
 
 
 def matrix_power_distances(env):
@@ -61,13 +68,20 @@ def test_bfs_matches_floyd_warshall_and_matrix_powers():
     envs = [
         build_grid_env(5, 5),
         build_grid_env(4, 4, walls={(1, 1), (2, 2)}),
+        build_grid_env(5, 4, walls={(2, y) for y in range(4)}),  # two components
         one_way_corridor(6),
     ] + [random_graph_env(30, 3, seed) for seed in range(5)]
+    # Sparse random directed graphs: many pairs are unreachable.
+    envs += [random_graph_env(40, 1, seed) for seed in range(5)]
+    envs += [random_graph_env(60, 2, seed) for seed in range(5)]
+    unreachable = 0
     for env in envs:
-        bfs = all_pairs_distances(env).d
-        fw = floyd_warshall_distances(env).d
-        np.testing.assert_array_equal(bfs, fw)
-        np.testing.assert_array_equal(bfs, matrix_power_distances(env))
+        d = all_pairs_distances(env).d
+        assert d.dtype == np.int64
+        np.testing.assert_array_equal(d, floyd_warshall_distances(env))
+        np.testing.assert_array_equal(d, matrix_power_distances(env))
+        unreachable += int((d == UNREACHABLE).sum())
+    assert unreachable > 0
 
 
 def test_value_table_values():
