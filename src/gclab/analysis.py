@@ -158,14 +158,19 @@ def recursion_report_rows(
 ) -> list[dict]:
     """Rows for the analysis CSV: n, B_n, bound, C_n, sim_mean, sim_stderr.
 
-    Reported n values are 1..16, powers of two, and n_max itself; simulation
-    columns are filled only for the requested sizes.
+    Reported n values are 1..16, powers of two, n_max itself and every
+    simulated size; simulation columns are filled only for the simulated
+    sizes, which must lie in 1..n_max.
     """
+    for n in sim_sizes:
+        if not 1 <= n <= n_max:
+            raise ConfigError(f"simulation size {n} is outside 1..n_max ({n_max})")
     table = expected_recursions(n_max)
     ns = sorted(
         {n for n in range(1, min(16, n_max) + 1)}
         | {1 << p for p in range(0, 21) if (1 << p) <= n_max}
         | {n_max}
+        | set(sim_sizes)
     )
     sims = {n: simulate_recursions(n, trials, seed + idx) for idx, n in enumerate(sim_sizes)}
     rows = []

@@ -22,6 +22,7 @@ from .dataset import collect_dataset, load_dataset, save_dataset
 from .env import ConfigError, build_grid_env, load_env, parse_walls
 from .harness import (
     aggregate_summary,
+    check_eval_settings,
     config_hash,
     evaluate_policy,
     run_experiment,
@@ -112,6 +113,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_eval_settings(
+        num_tasks=args.num_tasks,
+        episodes=args.episodes,
+        max_steps_factor=args.max_steps_factor,
+        rejection_n=args.rejection_n,
+        min_task_distance=args.min_task_distance,
+    )
     env = _env_from_args(args)
     q = load_table(args.table)
     ds = load_dataset(args.dataset, env=env)

@@ -17,7 +17,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import analysis as analysis_mod
 from .dataset import (
@@ -267,6 +266,30 @@ def _rollout(env, q, beh, start, goal, max_steps, extraction, rejection_n, rng) 
     return False
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; a run of tied entries shares the mean of its
+    positions. Every rank is a half-integer, exact in float64, so the sort
+    algorithm (stable or not) cannot change a bit of the result."""
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    counts = np.diff(starts, append=x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def spearman_rho(a, b) -> float:
+    """Spearman rank correlation of paired samples: the statistic of
+    ``scipy.stats.spearmanr(a, b)``, bit for bit, without its p-value. NaN
+    (and no warning) for fewer than two pairs, a constant input or a NaN."""
+    ab = np.column_stack((a, b))  # one dtype for both, as spearmanr stacks them
+    if ab.shape[0] < 2 or (ab[0] == ab).all(axis=0).any() or np.isnan(ab).any():
+        return float("nan")
+    ranked = np.column_stack((_average_ranks(ab[:, 0]), _average_ranks(ab[:, 1])))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def spearman_to_oracle(q: ValueTable, dist: DistanceTable) -> float:
     """Rank correlation between greedy-action implied distances and true
     distances over all reachable pairs."""
@@ -274,8 +297,8 @@ def spearman_to_oracle(q: ValueTable, dist: DistanceTable) -> float:
     starts, goals = np.nonzero(d != UNREACHABLE)
     actions = greedy_action_batch(q, starts, goals)
     implied = q.implied_distances((starts, actions, goals))
-    rho = spearmanr(implied, d[starts, goals]).statistic
-    return float(rho) if np.isfinite(rho) else 0.0
+    rho = spearman_rho(implied, d[starts, goals])
+    return rho if np.isfinite(rho) else 0.0
 
 
 def evaluate_policy(
@@ -293,8 +316,7 @@ def evaluate_policy(
 ) -> EvalReport:
     """Roll out the extracted policy; success means hitting the exact goal
     within the step budget. max_steps may be one int or one per task."""
-    if extraction not in ("greedy", "rejection"):
-        raise ConfigError(f"unknown extraction {extraction!r}")
+    check_eval_settings(episodes=episodes, extraction=extraction, rejection_n=rejection_n)
     if extraction == "rejection" and beh is None:
         raise ConfigError("rejection sampling requires a behavior policy")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -347,6 +369,34 @@ _EVAL_DEFAULTS = {
     "rejection_n": 32,
     "min_task_distance": 1,
 }
+# Smallest allowed value of each integer eval setting.
+_EVAL_MINIMUMS = {
+    "num_tasks": 1,
+    "episodes": 1,
+    "max_steps_factor": 1,
+    "rejection_n": 1,
+    "min_task_distance": 0,
+}
+
+
+def check_eval_settings(**settings) -> None:
+    """Raise ConfigError naming ``eval.<key>`` for the first bad setting
+    among those given (keys as in the sweep config's ``eval`` object)."""
+    for key, value in settings.items():
+        if key == "extraction":
+            if value not in ("greedy", "rejection"):
+                raise ConfigError(
+                    f"config key 'eval.extraction' must be 'greedy' or 'rejection', got {value!r}"
+                )
+        elif (
+            isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or value < _EVAL_MINIMUMS[key]
+        ):
+            raise ConfigError(
+                f"config key 'eval.{key}' must be an integer >= {_EVAL_MINIMUMS[key]}, "
+                f"got {value!r}"
+            )
 
 
 def validate_experiment_config(config: dict) -> dict:
@@ -387,12 +437,17 @@ def validate_experiment_config(config: dict) -> dict:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("config key 'seeds' must be a non-empty list")
 
+    eval_spec = config.get("eval", {})
+    if not isinstance(eval_spec, dict):
+        raise ConfigError("config key 'eval' must be an object")
+
     normalized = dict(config)
     normalized.setdefault("learner", {})
-    normalized["eval"] = {**_EVAL_DEFAULTS, **config.get("eval", {})}
+    normalized["eval"] = {**_EVAL_DEFAULTS, **eval_spec}
     for key in normalized["eval"]:
         if key not in _EVAL_DEFAULTS:
             raise ConfigError(f"unknown config key 'eval.{key}'")
+    check_eval_settings(**normalized["eval"])
     normalized.setdefault("log_every", 1000)
     try:
         base = LearnerConfig(**normalized["learner"])
@@ -562,11 +617,13 @@ def run_experiment(config_or_path) -> int:
     """Execute a (method x seed) matrix; returns 0, or 1 if any run failed
     validation. Partial results stay on disk."""
     if isinstance(config_or_path, str):
-        with open(config_or_path) as fh:
-            try:
+        try:
+            with open(config_or_path) as fh:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {config_or_path}: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
         config = config_or_path
     config = validate_experiment_config(config)

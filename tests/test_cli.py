@@ -195,3 +195,71 @@ def test_eval_bad_table_header_exit_code(tmp_path, capsys, header, field):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(table_path) in err and field in err
+
+
+def _sweep_config(tmp_path, **eval_spec):
+    return {
+        "out_dir": str(tmp_path / "exp"),
+        "env": {"kind": "grid", "width": 4, "height": 1},
+        "dataset": {"num_traj": 4, "T": 8, "seed": 0},
+        "methods": ["mc"],
+        "seeds": [0],
+        "learner": {"steps": 10, "batch_size": 8},
+        "eval": eval_spec,
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("episodes", 0), ("num_tasks", 0), ("num_tasks", -1), ("max_steps_factor", 0),
+     ("rejection_n", 0), ("min_task_distance", -1), ("episodes", 2.5),
+     ("extraction", "softmax")],
+)
+def test_sweep_bad_eval_setting_exit_code(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_sweep_config(tmp_path, **{key: value})))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert f"eval.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()  # rejected before any training
+
+
+@pytest.mark.parametrize(
+    "flag, key", [("--episodes", "episodes"), ("--num-tasks", "num_tasks"),
+                  ("--max-steps-factor", "max_steps_factor"), ("--rejection-n", "rejection_n")],
+)
+def test_eval_bad_setting_exit_code(tmp_path, capsys, flag, key):
+    ds_path = _gen_dataset(tmp_path)
+    code = run_cli(
+        "eval", "--width", "3", "--height", "1", "--table", str(tmp_path / "none.bin"),
+        "--dataset", str(ds_path), flag, "0", "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    assert f"eval.{key}" in capsys.readouterr().err
+
+
+def test_sweep_missing_config_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "missing.json"
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg_path) in err
+
+
+def test_recursion_reports_every_sim_size(tmp_path):
+    out = tmp_path / "rec.csv"
+    code = run_cli(
+        "recursion", "--n-max", "1000", "--sim", "100", "--trials", "500", "--out", str(out),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    sim_cells = {int(row[0]): row[4:] for row in rows}
+    assert all(sim_cells[100])  # sim_mean and sim_stderr filled
+    assert all(cells == ["", ""] for n, cells in sim_cells.items() if n != 100)
+
+
+def test_recursion_sim_size_above_n_max_exit_code(tmp_path, capsys):
+    code = run_cli(
+        "recursion", "--n-max", "64", "--sim", "100", "--out", str(tmp_path / "rec.csv"),
+    )
+    assert code == 2
+    assert "100" in capsys.readouterr().err
+    assert not (tmp_path / "rec.csv").exists()

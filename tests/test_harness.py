@@ -235,6 +235,9 @@ def test_malformed_configs_name_the_key(tmp_path):
     bad = dict(base, eval={"episodes": 3, "bogus": 1})
     with pytest.raises(ConfigError, match="eval.bogus"):
         run_experiment(bad)
+    bad = dict(base, eval=[1])
+    with pytest.raises(ConfigError, match="'eval'"):
+        run_experiment(bad)
 
 
 def test_validate_config_defaults():

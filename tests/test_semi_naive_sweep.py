@@ -3,7 +3,13 @@
 import numpy as np
 
 from gclab.env import GraphEnv, build_grid_env, random_graph_env
-from gclab.learners import _DENSE_FRACTION, exact_transitive_sweep, transitive_base_table
+from gclab.learners import (
+    _DENSE_FRACTION,
+    _TILE_ROWS,
+    _TILE_W,
+    exact_transitive_sweep,
+    transitive_base_table,
+)
 
 
 def dense_sweep(v):
@@ -73,3 +79,17 @@ def test_semi_naive_matches_dense_reference_on_perturbed_tables():
         rows, cols = rng.integers(0, n, size=(2, 6))
         prev[rows, cols] = np.minimum(1.0, prev[rows, cols] + 0.3)
         _check_run(env, dense_sweep(prev)[0], prev)
+
+
+def test_dense_tiles_cover_ragged_edges():
+    """The dense branch works tile by tile; sizes that are no multiple of
+    either tile side (and one smaller than a tile) leave ragged edge tiles."""
+    rng = np.random.default_rng(1)
+    for n in (3, 2 * _TILE_W + _TILE_ROWS + 1):
+        assert n % _TILE_ROWS and n % _TILE_W
+        env = GraphEnv(n, 1, np.zeros((n, 1)))  # the sweep reads only the table
+        v = rng.random((n, n)) * 0.9
+        assert (v != 0.0).mean() > _DENSE_FRACTION  # prev=None: every entry changed
+        new, delta = exact_transitive_sweep(v, env)
+        ref, ref_delta = dense_sweep(v)
+        assert new.tobytes() == ref.tobytes() and delta == ref_delta
