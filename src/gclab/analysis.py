@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,11 +151,15 @@ def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
     return mean, stderr
 
 
+def check_sim_sizes(n_max: int, sim_sizes: Sequence[int]) -> None:
+    """Raise ConfigError unless every simulated size lies in 1..n_max."""
+    for n in sim_sizes:
+        if not 1 <= n <= n_max:
+            raise ConfigError(f"simulation size {n} is outside 1..n_max ({n_max})")
+
+
 def recursion_report_rows(
-    n_max: int,
-    sim_sizes: tuple[int, ...] = (),
-    trials: int = 10_000,
-    seed: int = 0,
+    n_max: int, sim_sizes: Sequence[int], trials: int, seed: int
 ) -> list[dict]:
     """Rows for the analysis CSV: n, B_n, bound, C_n, sim_mean, sim_stderr.
 
@@ -162,9 +167,7 @@ def recursion_report_rows(
     simulated size; simulation columns are filled only for the simulated
     sizes, which must lie in 1..n_max.
     """
-    for n in sim_sizes:
-        if not 1 <= n <= n_max:
-            raise ConfigError(f"simulation size {n} is outside 1..n_max ({n_max})")
+    check_sim_sizes(n_max, sim_sizes)
     table = expected_recursions(n_max)
     ns = sorted(
         {n for n in range(1, min(16, n_max) + 1)}

@@ -13,20 +13,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from .analysis import recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
 from .env import ConfigError, build_grid_env, load_env, parse_walls
 from .harness import (
+    _EVAL_DEFAULTS,
+    LOG_EVERY,
     aggregate_summary,
     check_eval_settings,
     config_hash,
-    evaluate_policy,
+    evaluate_run,
     run_experiment,
-    select_tasks,
     train_run,
     write_eval_csv,
     write_loss_log,
@@ -52,37 +51,17 @@ def _env_from_args(args):
     return build_grid_env(args.width, args.height, parse_walls(args.walls))
 
 
-def _add_learner_flags(parser):
-    parser.add_argument("--method", required=True)
-    parser.add_argument("--gamma", type=float, default=0.99)
-    parser.add_argument("--kappa", type=float, default=0.7)
-    parser.add_argument("--lambda-reweight", type=float, default=0.0)
-    parser.add_argument("--learning-rate", type=float, default=3e-4)
-    parser.add_argument("--tau-target", type=float, default=0.005)
-    parser.add_argument("--batch-size", type=int, default=256)
-    parser.add_argument("--steps", type=int, default=200_000)
-    parser.add_argument("--n-step", type=int, default=1)
-    parser.add_argument("--M-subgoals", type=int, default=8)
-    parser.add_argument("--P-random-distance", type=int, default=500)
-    parser.add_argument("--beta-goal-reg", type=float, default=1.0)
+# LearnerConfig defaults settable from `gclab train`; the relabel ratios are
+# set in sweep configs only.
+_LEARNER_DEFAULTS = {f.name: f.default for f in fields(LearnerConfig) if f.name != "ratios"}
 
 
-def _learner_config(args) -> LearnerConfig:
-    return LearnerConfig(
-        method=args.method,
-        gamma=args.gamma,
-        kappa=args.kappa,
-        lambda_reweight=args.lambda_reweight,
-        learning_rate=args.learning_rate,
-        tau_target=args.tau_target,
-        batch_size=args.batch_size,
-        steps=args.steps,
-        n_step=args.n_step,
-        M_subgoals=args.M_subgoals,
-        P_random_distance=args.P_random_distance,
-        beta_goal_reg=args.beta_goal_reg,
-        seed=args.seed,
-    )
+def _add_flags(parser, defaults: dict, required=()) -> None:
+    """One flag per setting, --name with dashes for underscores, typed and
+    defaulted by the setting's default."""
+    for name, default in defaults.items():
+        kwargs = {"required": True} if name in required else {"default": default}
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), **kwargs)
 
 
 def cmd_gen(args) -> int:
@@ -96,7 +75,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     env = _env_from_args(args)
     ds = load_dataset(args.dataset, env=env)
-    cfg = _learner_config(args)
+    cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
     q, log = train_run(env, ds, cfg, log_every=args.log_every)
     os.makedirs(args.out_dir, exist_ok=True)
     write_loss_log(os.path.join(args.out_dir, "loss.csv"), log)
@@ -108,37 +87,18 @@ def cmd_train(args) -> int:
     }
     with open(os.path.join(args.out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    print(f"trained {cfg.method} for {cfg.steps} steps -> {args.out_dir}")
+    print(f"trained {cfg.method} ({len(log)} loss rows) -> {args.out_dir}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    check_eval_settings(
-        num_tasks=args.num_tasks,
-        episodes=args.episodes,
-        max_steps_factor=args.max_steps_factor,
-        rejection_n=args.rejection_n,
-        min_task_distance=args.min_task_distance,
-    )
+    eval_spec = {name: getattr(args, name) for name in _EVAL_DEFAULTS}
+    check_eval_settings(**eval_spec)
     env = _env_from_args(args)
     q = load_table(args.table)
     ds = load_dataset(args.dataset, env=env)
     beh = estimate_behavior_policy(ds, env)
-    dist = all_pairs_distances(env)
-    tasks = select_tasks(env, dist, args.num_tasks, args.min_task_distance)
-    budgets = [max(1, args.max_steps_factor * int(dist.d[s, g])) for s, g in tasks]
-    report = evaluate_policy(
-        env,
-        q,
-        beh,
-        tasks,
-        args.episodes,
-        budgets,
-        extraction=args.extraction,
-        rng=np.random.default_rng([args.seed, 2025]),
-        rejection_n=args.rejection_n,
-        dist=dist,
-    )
+    report = evaluate_run(env, q, beh, all_pairs_distances(env), eval_spec, args.seed)
     write_eval_csv(args.out, report)
     print(f"wrote {args.out} (spearman={report.spearman_to_oracle:.4f})")
     return 0
@@ -149,9 +109,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recursion(args) -> int:
-    rows = recursion_report_rows(
-        args.n_max, sim_sizes=tuple(args.sim), trials=args.trials, seed=args.seed
-    )
+    rows = recursion_report_rows(args.n_max, args.sim, args.trials, args.seed)
     write_recursion_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -177,10 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a single value table")
     _add_env_flags(p)
-    _add_learner_flags(p)
+    _add_flags(p, _LEARNER_DEFAULTS, required=("method", "seed"))
     p.add_argument("--dataset", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--log-every", type=int, default=1000)
+    p.add_argument("--log-every", type=int, default=LOG_EVERY)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_train)
 
@@ -188,13 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--table", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--num-tasks", type=int, default=5)
-    p.add_argument("--episodes", type=int, default=15)
-    p.add_argument("--max-steps-factor", type=int, default=4)
-    p.add_argument("--min-task-distance", type=int, default=1)
-    p.add_argument("--extraction", choices=["greedy", "rejection"], default="greedy")
-    p.add_argument("--rejection-n", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, _EVAL_DEFAULTS)
+    p.add_argument("--seed", type=int, default=LearnerConfig.seed, help="the trained run's seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
 

@@ -127,12 +127,6 @@ def sample_triplet_batch(ds: TrajectoryDataset, size: int, rng: np.random.Genera
     return traj, i, j, k
 
 
-def sample_triplet(ds: TrajectoryDataset, rng: np.random.Generator):
-    """Single (traj, i, j, k) triplet; see :func:`sample_triplet_batch`."""
-    traj, i, j, k = sample_triplet_batch(ds, 1, rng)
-    return int(traj[0]), int(i[0]), int(j[0]), int(k[0])
-
-
 def sample_relabeled_goal_batch(
     ds: TrajectoryDataset,
     traj: np.ndarray,
@@ -171,16 +165,6 @@ def sample_relabeled_goal_batch(
     if rand_mask.any():
         goals[rand_mask] = ds.states.ravel()[flat[rand_mask]]
     return goals
-
-
-def sample_relabeled_goal(
-    ds: TrajectoryDataset, traj: int, t: int, ratios: RelabelRatios, rng: np.random.Generator
-) -> int:
-    """Single relabeled goal for trajectory ``traj`` at timestep ``t``."""
-    goals = sample_relabeled_goal_batch(
-        ds, np.array([traj]), np.array([t]), ratios, rng
-    )
-    return int(goals[0])
 
 
 def sample_flat_states(ds: TrajectoryDataset, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,38 +19,26 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analysis as analysis_mod
-from .dataset import (
-    TrajectoryDataset,
-    collect_dataset,
-    sample_flat_states,
-    sample_index_pairs,
-    sample_relabeled_goal_batch,
-    sample_triplet_batch,
-    save_dataset,
-)
+from .dataset import TrajectoryDataset, collect_dataset, save_dataset
 from .env import ConfigError, GraphEnv, build_grid_env, load_env, parse_walls
 from .learners import (
-    LOGIT_SPACE_METHODS,
+    METHODS,
     LearnerConfig,
     ValueTable,
-    coe_update_step,
-    exact_transitive_sweep,
-    gciql_update_step,
-    mc_update_step,
     save_table,
-    sgt_update_step,
     target_sync,
-    td_n_update_step,
-    transitive_base_table,
-    trl_update_step,
+    transitive_sweeps,
 )
-from .oracle import UNREACHABLE, DistanceTable, all_pairs_distances
+from .oracle import UNREACHABLE, DistanceTable, all_pairs_distances, q_table_from_values
 from .policy import (
     BehaviorPolicy,
     estimate_behavior_policy,
     greedy_action_batch,
     rejection_sample_action,
 )
+
+# Loss-log period of a stochastic run, in steps.
+LOG_EVERY = 1000
 
 
 @dataclass
@@ -68,163 +56,46 @@ def config_hash(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batch assembly
-
-
-def _trl_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj, i, j, k = sample_triplet_batch(ds, cfg.batch_size, rng)
-    return {
-        "s_i": ds.states[traj, i],
-        "a_i": ds.actions[traj, i],
-        "s_j": ds.states[traj, j],
-        "s_k": ds.states[traj, k],
-        "a_k": ds.actions[traj, k],
-        "gap_ik": k - i,
-        "gap_kj": j - k,
-    }
-
-
-def _mc_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
-    i, j = sample_index_pairs(ds.horizon, cfg.batch_size, rng, allow_equal=True)
-    return {
-        "s_i": ds.states[traj, i],
-        "a_i": ds.actions[traj, i],
-        "s_j": ds.states[traj, j],
-        "gap": j - i,
-    }
-
-
-def _td_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
-    i, j = sample_index_pairs(ds.horizon, cfg.batch_size, rng)
-    gap = j - i
-    n_eff = np.minimum(cfg.n_step, gap)
-    b = i + n_eff
-    return {
-        "s_i": ds.states[traj, i],
-        "a_i": ds.actions[traj, i],
-        "g": ds.states[traj, j],
-        "s_b": ds.states[traj, b],
-        "a_b": ds.actions[traj, b],
-        "n_eff": n_eff,
-        "clipped": cfg.n_step > gap,
-    }
-
-
-def _transition_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
-    t = rng.integers(0, ds.horizon, size=cfg.batch_size)
-    goals = sample_relabeled_goal_batch(ds, traj, t, cfg.ratios, rng)
-    return {
-        "s": ds.states[traj, t],
-        "a": ds.actions[traj, t],
-        "s2": ds.states[traj, t + 1],
-        "g": goals,
-    }
-
-
-def _subgoal_candidates(ds: TrajectoryDataset, cfg: LearnerConfig, rng, with_actions: bool):
-    traj = rng.integers(0, ds.num_traj, size=(cfg.batch_size, cfg.M_subgoals))
-    t = rng.integers(0, ds.horizon, size=(cfg.batch_size, cfg.M_subgoals))
-    states = ds.states[traj, t]
-    if not with_actions:
-        return states
-    return states, ds.actions[traj, t]
-
-
-# ---------------------------------------------------------------------------
 # Training
-
-
-def _exact_train(env: GraphEnv, cfg: LearnerConfig, log: list) -> ValueTable:
-    v = transitive_base_table(env, cfg.gamma)
-    prev = None
-    sweep = 0
-    while True:
-        new, delta = exact_transitive_sweep(v, env, prev)
-        prev, v = v, new
-        log.append(
-            {
-                "step": sweep,
-                "method": cfg.method,
-                "loss": delta,
-                "mean_q": float(v.mean()),
-                "max_target": float(v.max()),
-            }
-        )
-        if delta == 0.0:
-            break
-        sweep += 1
-        if sweep > env.num_states + 2:
-            raise RuntimeError("exact sweeps failed to converge")
-    q_params = cfg.gamma * v[env.transition, :]
-    idx = np.arange(env.num_states)
-    q_params[idx, :, idx] = 1.0
-    return ValueTable(q_params, cfg.gamma, space="value")
 
 
 def train_run(
     env: GraphEnv,
     ds: TrajectoryDataset | None,
     cfg: LearnerConfig,
-    log_every: int = 1000,
+    log_every: int = LOG_EVERY,
 ) -> tuple[ValueTable, list[dict]]:
-    """Run cfg.steps update steps (with a target sync per step) and return
-    the trained table plus periodic loss records. Deterministic given cfg."""
-    method = cfg.method
+    """Train one table and return it with its loss log. Deterministic given cfg.
+
+    ``exact`` logs one row per max-product sweep (the loss is the sweep's
+    largest change). Every other method runs cfg.steps update steps from
+    ``learners.METHODS``, each followed by a target sync, and logs every
+    ``log_every`` steps and the last one.
+    """
     log: list[dict] = []
-    if method == "exact":
-        return _exact_train(env, cfg, log), log
+    if cfg.method == "exact":
+        for sweep, (v, delta) in enumerate(transitive_sweeps(env, cfg.gamma)):
+            stats = {"loss": delta, "mean_q": float(v.mean()), "max_target": float(v.max())}
+            log.append({"step": sweep, "method": cfg.method, **stats})
+        return ValueTable(q_table_from_values(env, v, cfg.gamma), cfg.gamma, space="value"), log
 
+    method = METHODS[cfg.method]
     if ds is None:
-        raise ConfigError(f"method {method!r} requires a dataset")
-    if method in ("trl", "td_n") and ds.horizon < 2:
-        raise ConfigError(f"method {method!r} needs trajectories with T >= 2")
-    if method == "coe" and cfg.beta_goal_reg > 0 and env.state_coords is None:
-        raise ConfigError("coe with beta_goal_reg > 0 requires a grid environment")
-
+        raise ConfigError(f"method {cfg.method!r} requires a dataset")
+    if ds.horizon < method.min_horizon:
+        raise ConfigError(
+            f"method {cfg.method!r} needs trajectories with T >= {method.min_horizon}"
+        )
+    _check_int("log_every", log_every, 1)
     rng = np.random.default_rng(cfg.seed)
-    space = "logit" if method in LOGIT_SPACE_METHODS else "value"
-    q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=space)
+    q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
     q_target = q.copy()
-    v_state_goal = np.zeros((env.num_states, env.num_states)) if method == "gciql" else None
-    generator = None
-    if method == "coe":
-        generator = np.broadcast_to(
-            np.arange(env.num_states), (env.num_states, env.num_actions, env.num_states)
-        ).copy()
-
-    def policy_fn(states, goals):
-        return greedy_action_batch(q, states, goals)
-
+    state = method.state(env, q, cfg)
     for step_idx in range(cfg.steps):
-        if method == "trl":
-            stats = trl_update_step(q, q_target, _trl_batch(ds, cfg, rng), cfg)
-        elif method == "mc":
-            stats = mc_update_step(q, _mc_batch(ds, cfg, rng), cfg)
-        elif method == "td_n":
-            stats = td_n_update_step(q, q_target, _td_batch(ds, cfg, rng), cfg)
-        elif method == "gciql":
-            stats = gciql_update_step(
-                v_state_goal, q, q_target, _transition_batch(ds, cfg, rng), cfg
-            )
-        elif method == "sgt":
-            batch = _transition_batch(ds, cfg, rng)
-            batch["g_rand"] = sample_flat_states(ds, cfg.batch_size, rng)
-            batch["w_states"], batch["w_actions"] = _subgoal_candidates(ds, cfg, rng, True)
-            stats = sgt_update_step(q, q_target, batch, cfg)
-        elif method == "coe":
-            batch = _transition_batch(ds, cfg, rng)
-            batch["g_rand"] = sample_flat_states(ds, cfg.batch_size, rng)
-            batch["cand_states"] = _subgoal_candidates(ds, cfg, rng, False)
-            batch["coords"] = env.state_coords
-            stats = coe_update_step(q, q_target, generator, policy_fn, batch, cfg)
-        else:  # pragma: no cover - guarded by LearnerConfig
-            raise ConfigError(f"unknown method {method!r}")
+        stats = method.step(q, q_target, state, method.batch(ds, cfg, rng), cfg)
         target_sync(q, q_target, cfg.tau_target)
         if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
-            log.append({"step": step_idx, "method": method, **stats})
+            log.append({"step": step_idx, "method": cfg.method, **stats})
     return q, log
 
 
@@ -344,6 +215,28 @@ def evaluate_policy(
     return EvalReport(rows, rho, metadata or {})
 
 
+def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int, metadata=None) -> EvalReport:
+    """Evaluate ``q`` as a sweep run is evaluated (``eval_spec`` keys as in
+    the sweep config's ``eval``): the task set from :func:`select_tasks`, a
+    step budget of max_steps_factor times each task's distance (at least 1),
+    and rollouts drawn from rng [seed, 2025]."""
+    tasks = select_tasks(env, dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
+    budgets = [max(1, eval_spec["max_steps_factor"] * int(dist.d[s, g])) for s, g in tasks]
+    return evaluate_policy(
+        env,
+        q,
+        beh,
+        tasks,
+        eval_spec["episodes"],
+        budgets,
+        extraction=eval_spec["extraction"],
+        rng=np.random.default_rng([seed, 2025]),
+        rejection_n=eval_spec["rejection_n"],
+        dist=dist,
+        metadata=metadata,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Experiment configs
 
@@ -379,6 +272,14 @@ _EVAL_MINIMUMS = {
 }
 
 
+_RECURSION_DEFAULTS = {"n_max": 4096, "sim_sizes": [], "trials": 10_000, "seed": 0}
+
+
+def _check_int(key: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"config key '{key}' must be an integer >= {minimum}, got {value!r}")
+
+
 def check_eval_settings(**settings) -> None:
     """Raise ConfigError naming ``eval.<key>`` for the first bad setting
     among those given (keys as in the sweep config's ``eval`` object)."""
@@ -388,19 +289,63 @@ def check_eval_settings(**settings) -> None:
                 raise ConfigError(
                     f"config key 'eval.extraction' must be 'greedy' or 'rejection', got {value!r}"
                 )
-        elif (
-            isinstance(value, bool)
-            or not isinstance(value, (int, np.integer))
-            or value < _EVAL_MINIMUMS[key]
-        ):
+        else:
+            _check_int(f"eval.{key}", value, _EVAL_MINIMUMS[key])
+
+
+def _check_recursion(rec) -> dict:
+    """The sweep's ``recursion`` block with its defaults filled in."""
+    if not isinstance(rec, dict):
+        raise ConfigError("config key 'recursion' must be an object")
+    for key in rec:
+        if key not in _RECURSION_DEFAULTS:
+            raise ConfigError(f"unknown config key 'recursion.{key}'")
+    rec = {**_RECURSION_DEFAULTS, **rec}
+    _check_int("recursion.n_max", rec["n_max"], 1)
+    _check_int("recursion.trials", rec["trials"], 1)
+    _check_int("recursion.seed", rec["seed"], 0)
+    if not isinstance(rec["sim_sizes"], list):
+        raise ConfigError("config key 'recursion.sim_sizes' must be a list")
+    for n in rec["sim_sizes"]:
+        _check_int("recursion.sim_sizes", n, 1)
+    try:
+        analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
+    except ConfigError as exc:
+        raise ConfigError(f"config key 'recursion.sim_sizes': {exc}") from None
+    return rec
+
+
+def _run_configs(config: dict, base: LearnerConfig) -> list[tuple[str, LearnerConfig]]:
+    """Every (label, run config) of the sweep: each method (td_n once per
+    entry of the optional ``n_values``, labeled td-<n>) at each seed."""
+    for method in config["methods"]:
+        if not isinstance(method, str) or method not in METHODS:
             raise ConfigError(
-                f"config key 'eval.{key}' must be an integer >= {_EVAL_MINIMUMS[key]}, "
-                f"got {value!r}"
+                f"config key 'methods' has unknown method {method!r}; "
+                f"expected one of {tuple(METHODS)}"
             )
+    n_values = config.get("n_values", [])
+    if not isinstance(n_values, list):
+        raise ConfigError("config key 'n_values' must be a list")
+    for n in n_values:
+        _check_int("n_values", n, 1)
+    for seed in config["seeds"]:
+        _check_int("seeds", seed, 0)
+    labeled = []
+    for method in config["methods"]:
+        if method == "td_n" and n_values:
+            labeled += [(f"td-{n}", replace(base, method="td_n", n_step=n)) for n in n_values]
+        else:
+            labeled.append((method, replace(base, method=method)))
+    return [(label, replace(cfg, seed=seed)) for label, cfg in labeled for seed in config["seeds"]]
 
 
 def validate_experiment_config(config: dict) -> dict:
-    """Normalize a sweep config, naming the offending key on any problem."""
+    """Normalize a sweep config, naming the offending key on any problem.
+
+    Every setting is checked, and every run config built, before the sweep
+    writes anything.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     for key in config:
@@ -448,12 +393,15 @@ def validate_experiment_config(config: dict) -> dict:
         if key not in _EVAL_DEFAULTS:
             raise ConfigError(f"unknown config key 'eval.{key}'")
     check_eval_settings(**normalized["eval"])
-    normalized.setdefault("log_every", 1000)
+    normalized.setdefault("log_every", LOG_EVERY)
+    _check_int("log_every", normalized["log_every"], 1)
+    if normalized.get("recursion"):
+        normalized["recursion"] = _check_recursion(normalized["recursion"])
     try:
         base = LearnerConfig(**normalized["learner"])
     except TypeError as exc:
         raise ConfigError(f"bad config key under 'learner': {exc}") from exc
-    normalized["_base_learner"] = base
+    normalized["_runs"] = _run_configs(normalized, base)
     return normalized
 
 
@@ -512,19 +460,6 @@ def write_recursion_csv(path: str, rows: list[dict]) -> None:
 # The sweep
 
 
-def _run_labels(config: dict) -> list[tuple[str, LearnerConfig]]:
-    """Expand methods (and the optional td_n n sweep) into labeled configs."""
-    base: LearnerConfig = config["_base_learner"]
-    labeled = []
-    for method in config["methods"]:
-        if method == "td_n" and config.get("n_values"):
-            for n in config["n_values"]:
-                labeled.append((f"td-{n}", replace(base, method="td_n", n_step=n)))
-        else:
-            labeled.append((method, replace(base, method=method)))
-    return labeled
-
-
 def run_single(
     env: GraphEnv,
     ds: TrajectoryDataset,
@@ -542,22 +477,14 @@ def run_single(
     if not np.isfinite(q.params).all():
         raise ValueError(f"run {label} seed {cfg.seed}: non-finite value table")
 
-    tasks = select_tasks(env, dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
-    budgets = [
-        max(1, eval_spec["max_steps_factor"] * int(dist.d[s, g])) for s, g in tasks
-    ]
     payload = {"label": label, "learner": asdict(cfg)}
-    report = evaluate_policy(
+    report = evaluate_run(
         env,
         q,
         beh,
-        tasks,
-        eval_spec["episodes"],
-        budgets,
-        extraction=eval_spec["extraction"],
-        rng=np.random.default_rng([cfg.seed, 2025]),
-        rejection_n=eval_spec["rejection_n"],
-        dist=dist,
+        dist,
+        eval_spec,
+        cfg.seed,
         metadata={
             "method": label,
             "seed": cfg.seed,
@@ -638,26 +565,17 @@ def run_experiment(config_or_path) -> int:
     beh = estimate_behavior_policy(ds, env)
 
     failures = []
-    for label, cfg in _run_labels(config):
-        for seed in config["seeds"]:
-            run_cfg = replace(cfg, seed=seed)
-            run_dir = os.path.join(out_dir, "runs", f"{label}_seed{seed}")
-            try:
-                run_single(
-                    env, ds, dist, beh, label, run_cfg, config["eval"], run_dir,
-                    config["log_every"],
-                )
-            except (ValueError, RuntimeError) as exc:
-                failures.append(f"{label} seed {seed}: {exc}")
+    for label, cfg in config["_runs"]:
+        run_dir = os.path.join(out_dir, "runs", f"{label}_seed{cfg.seed}")
+        try:
+            run_single(
+                env, ds, dist, beh, label, cfg, config["eval"], run_dir, config["log_every"]
+            )
+        except (ValueError, RuntimeError) as exc:
+            failures.append(f"{label} seed {cfg.seed}: {exc}")
 
     if config.get("recursion"):
-        rec = config["recursion"]
-        rows = analysis_mod.recursion_report_rows(
-            rec.get("n_max", 4096),
-            sim_sizes=tuple(rec.get("sim_sizes", ())),
-            trials=rec.get("trials", 10_000),
-            seed=rec.get("seed", 0),
-        )
+        rows = analysis_mod.recursion_report_rows(**config["recursion"])
         write_recursion_csv(os.path.join(out_dir, "recursion.csv"), rows)
 
     aggregate_summary(out_dir)

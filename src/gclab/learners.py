@@ -21,17 +21,20 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .dataset import RelabelRatios
+from .dataset import (
+    RelabelRatios,
+    TrajectoryDataset,
+    sample_flat_states,
+    sample_index_pairs,
+    sample_relabeled_goal_batch,
+    sample_triplet_batch,
+)
 from .env import ConfigError, GraphEnv, adjacency_matrix
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
 # (expit(30) = 1 - 9.4e-14) while leaving room for implied distances of
 # several thousand steps at gamma = 0.99.
 LOGIT_CLAMP = 30.0
-
-METHODS = ("trl", "mc", "td_n", "gciql", "sgt", "coe", "exact")
-
-LOGIT_SPACE_METHODS = ("trl", "mc", "td_n", "sgt", "coe")
 
 
 @dataclass
@@ -114,7 +117,7 @@ class LearnerConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
+            raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not (0.5 <= self.kappa < 1.0):
@@ -272,28 +275,29 @@ def exact_transitive_sweep(
     return new, float(np.abs(new - v).max())
 
 
-def run_transitive_fixed_point(
+def transitive_sweeps(
     env: GraphEnv, gamma: float, max_sweeps: int | None = None, tol: float = 1e-13
-) -> tuple[np.ndarray, int]:
-    """Iterate Jacobi sweeps from the base table until nothing changes.
+):
+    """Jacobi sweeps from the base table: yields ``(v, delta)`` after each
+    sweep and stops after the first that reaches no new pair and moves no
+    entry by more than ``tol``.
 
-    Returns the fixed point and the number of sweeps that changed the
-    table by more than ``tol``. Entries at distance <= 2^k are correct
-    after k sweeps, so the count never exceeds ceil(log2(finite
-    diameter)); genuine progress moves an entry by at least
-    gamma^diameter * (1 - gamma), far above ``tol``, whereas late sweeps
-    at most swap ulp-equivalent product trees for the same distance.
+    After k sweeps every pair at distance <= 2^k holds gamma^distance, and
+    a pair is first reached with that value, so progress means a new nonzero
+    entry, however small gamma^distance is. Once no pair is new, a sweep can
+    only swap ulp-equivalent product trees for the same distance. Raises
+    RuntimeError after ``max_sweeps`` sweeps (default S + 2).
     """
     v = transitive_base_table(env, gamma)
     prev = None
     limit = max_sweeps if max_sweeps is not None else env.num_states + 2
-    changed = 0
     for _ in range(limit):
         new, delta = exact_transitive_sweep(v, env, prev)
+        reached_new = np.count_nonzero(new) > np.count_nonzero(v)
         prev, v = v, new
-        if delta <= tol:
-            return v, changed
-        changed += 1
+        yield v, delta
+        if delta <= tol and not reached_new:
+            return
     raise RuntimeError(f"max-product sweeps did not converge within {limit} iterations")
 
 
@@ -527,6 +531,144 @@ def target_sync(q: ValueTable, q_target: ValueTable, tau: float) -> None:
         raise ValueError("online and target tables must share shape and space")
     q_target.params *= 1.0 - tau
     q_target.params += tau * q.params
+
+
+# ---------------------------------------------------------------------------
+# Batch assembly: one builder per batch layout. The draws and their order
+# fix a run's random stream.
+
+
+def _trl_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    traj, i, j, k = sample_triplet_batch(ds, cfg.batch_size, rng)
+    return {
+        "s_i": ds.states[traj, i],
+        "a_i": ds.actions[traj, i],
+        "s_j": ds.states[traj, j],
+        "s_k": ds.states[traj, k],
+        "a_k": ds.actions[traj, k],
+        "gap_ik": k - i,
+        "gap_kj": j - k,
+    }
+
+
+def _mc_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
+    i, j = sample_index_pairs(ds.horizon, cfg.batch_size, rng, allow_equal=True)
+    return {
+        "s_i": ds.states[traj, i],
+        "a_i": ds.actions[traj, i],
+        "s_j": ds.states[traj, j],
+        "gap": j - i,
+    }
+
+
+def _td_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
+    i, j = sample_index_pairs(ds.horizon, cfg.batch_size, rng)
+    gap = j - i
+    n_eff = np.minimum(cfg.n_step, gap)
+    b = i + n_eff
+    return {
+        "s_i": ds.states[traj, i],
+        "a_i": ds.actions[traj, i],
+        "g": ds.states[traj, j],
+        "s_b": ds.states[traj, b],
+        "a_b": ds.actions[traj, b],
+        "n_eff": n_eff,
+        "clipped": cfg.n_step > gap,
+    }
+
+
+def _transition_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
+    t = rng.integers(0, ds.horizon, size=cfg.batch_size)
+    goals = sample_relabeled_goal_batch(ds, traj, t, cfg.ratios, rng)
+    return {
+        "s": ds.states[traj, t],
+        "a": ds.actions[traj, t],
+        "s2": ds.states[traj, t + 1],
+        "g": goals,
+    }
+
+
+def _subgoal_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    """A transition batch plus a random goal and M candidate subgoals per
+    row (sgt reads the candidates as ``w_states``/``w_actions``, coe as
+    ``cand_states``)."""
+    batch = _transition_batch(ds, cfg, rng)
+    batch["g_rand"] = sample_flat_states(ds, cfg.batch_size, rng)
+    traj = rng.integers(0, ds.num_traj, size=(cfg.batch_size, cfg.M_subgoals))
+    t = rng.integers(0, ds.horizon, size=(cfg.batch_size, cfg.M_subgoals))
+    batch["w_states"] = batch["cand_states"] = ds.states[traj, t]
+    batch["w_actions"] = ds.actions[traj, t]
+    return batch
+
+
+# ---------------------------------------------------------------------------
+# The method table
+
+
+def _coe_state(env: GraphEnv, q: ValueTable, cfg: LearnerConfig) -> tuple:
+    """coe's generator table (every subgoal starts as the goal itself), the
+    greedy policy of the online table and the grid coordinates its goal
+    regularizer reads."""
+    if cfg.beta_goal_reg > 0 and env.state_coords is None:
+        raise ConfigError("coe with beta_goal_reg > 0 requires a grid environment")
+    from . import policy  # policy imports this module
+
+    def policy_fn(states, goals):
+        return policy.greedy_action_batch(q, states, goals)
+
+    s, a = env.num_states, env.num_actions
+    generator = np.broadcast_to(np.arange(s), (s, a, s)).copy()
+    return generator, policy_fn, env.state_coords
+
+
+def _coe_step(q, q_target, state, batch, cfg):
+    generator, policy_fn, coords = state
+    batch["coords"] = coords
+    return coe_update_step(q, q_target, generator, policy_fn, batch, cfg)
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one learner trains.
+
+    Each step draws ``batch(ds, cfg, rng)`` and makes one update with
+    ``step(q, q_target, state, batch, cfg)``, where ``state(env, q, cfg)``
+    holds the run's extra tables and raises ConfigError when the run
+    cannot start. Trajectories need at least ``min_horizon`` actions. The
+    step entries look their update function up in this module at call
+    time, so rebinding the module attribute reaches every call.
+    """
+
+    space: str
+    batch: Callable | None = None
+    step: Callable | None = None
+    state: Callable = lambda env, q, cfg: None
+    min_horizon: int = 1
+
+
+# Every learner, keyed by its config name. "exact" consumes no data: it runs
+# transitive_sweeps to the fixed point.
+METHODS = {
+    "trl": Method(
+        "logit", _trl_batch, lambda q, qt, _, b, cfg: trl_update_step(q, qt, b, cfg), min_horizon=2
+    ),
+    "mc": Method("logit", _mc_batch, lambda q, qt, _, b, cfg: mc_update_step(q, b, cfg)),
+    "td_n": Method(
+        "logit", _td_batch, lambda q, qt, _, b, cfg: td_n_update_step(q, qt, b, cfg), min_horizon=2
+    ),
+    "gciql": Method(
+        "value",
+        _transition_batch,
+        lambda q, qt, v, b, cfg: gciql_update_step(v, q, qt, b, cfg),
+        state=lambda env, q, cfg: np.zeros((env.num_states, env.num_states)),  # V(s, g)
+    ),
+    "sgt": Method("logit", _subgoal_batch, lambda q, qt, _, b, cfg: sgt_update_step(q, qt, b, cfg)),
+    "coe": Method("logit", _subgoal_batch, _coe_step, state=_coe_state),
+    "exact": Method("value"),
+}
 
 
 # ---------------------------------------------------------------------------

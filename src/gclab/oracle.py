@@ -65,15 +65,17 @@ def optimal_value_table(dist: DistanceTable, gamma: float) -> OptimalValueTable:
     return OptimalValueTable(v, gamma)
 
 
-def oracle_q_table(env: GraphEnv, gamma: float) -> np.ndarray:
-    """Optimal action values under the hitting-time convention.
-
-    Q[s, a, g] = 1 when s == g (goal already reached; the action is moot),
-    otherwise gamma * V*(step(s, a), g). Greedy extraction over this table
-    follows shortest paths.
-    """
-    dist = all_pairs_distances(env)
-    v = optimal_value_table(dist, gamma).v
+def q_table_from_values(env: GraphEnv, v: np.ndarray, gamma: float) -> np.ndarray:
+    """Action values from state-goal values under the hitting-time
+    convention: Q[s, a, g] = 1 when s == g (goal already reached; the action
+    is moot), otherwise gamma * v(step(s, a), g)."""
     q = gamma * v[env.transition, :]  # (S, A, S); v indexed by successor state
     q[np.arange(env.num_states), :, np.arange(env.num_states)] = 1.0
     return q
+
+
+def oracle_q_table(env: GraphEnv, gamma: float) -> np.ndarray:
+    """Optimal action values; greedy extraction over this table follows
+    shortest paths."""
+    v = optimal_value_table(all_pairs_distances(env), gamma).v
+    return q_table_from_values(env, v, gamma)

@@ -17,15 +17,14 @@ from gclab.harness import (
     run_experiment,
     spearman_to_oracle,
     train_run,
-    _td_batch,
 )
 from gclab.learners import (
     LearnerConfig,
+    _td_batch,
     ValueTable,
     asymmetric_loss,
     gciql_update_step,
     mc_update_step,
-    run_transitive_fixed_point,
     target_sync,
     td_n_compute_targets,
     trl_update_step,
@@ -38,6 +37,7 @@ from gclab.oracle import (
     oracle_q_table,
 )
 from gclab.policy import estimate_behavior_policy
+from sweep_helpers import run_transitive_fixed_point
 
 
 @contextlib.contextmanager

@@ -225,7 +225,8 @@ def test_sweep_bad_eval_setting_exit_code(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize(
     "flag, key", [("--episodes", "episodes"), ("--num-tasks", "num_tasks"),
-                  ("--max-steps-factor", "max_steps_factor"), ("--rejection-n", "rejection_n")],
+                  ("--max-steps-factor", "max_steps_factor"), ("--rejection-n", "rejection_n"),
+                  ("--extraction", "extraction")],
 )
 def test_eval_bad_setting_exit_code(tmp_path, capsys, flag, key):
     ds_path = _gen_dataset(tmp_path)
@@ -263,3 +264,79 @@ def test_recursion_sim_size_above_n_max_exit_code(tmp_path, capsys):
     assert code == 2
     assert "100" in capsys.readouterr().err
     assert not (tmp_path / "rec.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [({"methods": ["bogus"]}, "methods"), ({"methods": ["td_n"], "n_values": [0]}, "n_values"),
+     ({"n_values": ["a"]}, "n_values"), ({"n_values": 0}, "n_values"),
+     ({"n_values": {}}, "n_values"), ({"log_every": 0}, "log_every"),
+     ({"log_every": 1.5}, "log_every"), ({"seeds": ["a"]}, "seeds"), ({"seeds": [-1]}, "seeds")],
+)
+def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "recursion, key",
+    [({"bogus": 1}, "recursion.bogus"), ({"n_max": 0}, "recursion.n_max"),
+     ({"n_max": 64, "sim_sizes": [100]}, "recursion.sim_sizes"),
+     ({"sim_sizes": [0]}, "recursion.sim_sizes"), ({"sim_sizes": 4}, "recursion.sim_sizes"),
+     ({"trials": 0}, "recursion.trials"), ({"seed": -1}, "recursion.seed"), (5, "recursion")],
+)
+def test_sweep_bad_recursion_block_exit_code(tmp_path, capsys, recursion, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), "recursion": recursion}))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert f"'{key}" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()  # rejected before any training
+
+
+def test_sweep_recursion_defaults(tmp_path):
+    """Unset recursion settings default to n_max 4096, trials 10 000, seed 0."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), "recursion": {"sim_sizes": [8]}}))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 0
+    out = tmp_path / "rec.csv"
+    assert run_cli("recursion", "--n-max", "4096", "--sim", "8", "--trials", "10000",
+                   "--seed", "0", "--out", str(out)) == 0
+    assert (tmp_path / "exp" / "recursion.csv").read_bytes() == out.read_bytes()
+
+
+def test_flags_follow_learner_config_and_eval_defaults():
+    """Every LearnerConfig field but the relabel ratios is a `gclab train`
+    flag, typed and defaulted by the field; every eval setting is a `gclab
+    eval` flag defaulted by the sweep config's default."""
+    from dataclasses import fields
+
+    from gclab.cli import build_parser
+    from gclab.harness import _EVAL_DEFAULTS
+    from gclab.learners import LearnerConfig
+
+    args = build_parser().parse_args(
+        ["train", "--dataset", "d", "--out-dir", "o", "--method", "mc", "--seed", "3"]
+    )
+    for f in fields(LearnerConfig):
+        if f.name in ("ratios", "method", "seed"):
+            continue
+        assert getattr(args, f.name) == f.default and type(getattr(args, f.name)) is type(f.default)
+    assert not hasattr(args, "ratios")
+    assert (args.method, args.seed) == ("mc", 3)
+    with pytest.raises(SystemExit):  # --seed stays required
+        build_parser().parse_args(["train", "--dataset", "d", "--out-dir", "o", "--method", "mc"])
+    args = build_parser().parse_args(["eval", "--table", "t", "--dataset", "d", "--out", "o"])
+    assert {key: getattr(args, key) for key in _EVAL_DEFAULTS} == _EVAL_DEFAULTS
+
+
+def test_train_bad_log_every_exit_code(tmp_path, capsys):
+    ds_path = _gen_dataset(tmp_path)
+    code = run_cli(
+        "train", "--width", "3", "--height", "1", "--dataset", str(ds_path), "--method", "mc",
+        "--seed", "0", "--log-every", "0", "--out-dir", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert "log_every" in capsys.readouterr().err

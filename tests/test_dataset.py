@@ -9,13 +9,22 @@ from gclab.dataset import (
     collect_dataset,
     load_dataset,
     sample_index_pairs,
-    sample_relabeled_goal,
     sample_relabeled_goal_batch,
-    sample_triplet,
     sample_triplet_batch,
     save_dataset,
 )
 from gclab.env import ConfigError, build_grid_env, edge_set
+
+
+def sample_triplet(ds, rng):
+    """Single (traj, i, j, k) triplet; see ``sample_triplet_batch``."""
+    traj, i, j, k = sample_triplet_batch(ds, 1, rng)
+    return int(traj[0]), int(i[0]), int(j[0]), int(k[0])
+
+
+def sample_relabeled_goal(ds, traj, t, ratios, rng):
+    """Single relabeled goal for trajectory ``traj`` at timestep ``t``."""
+    return int(sample_relabeled_goal_batch(ds, np.array([traj]), np.array([t]), ratios, rng)[0])
 
 
 @pytest.fixture(scope="module")

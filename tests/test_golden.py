@@ -51,7 +51,7 @@ EXPECTED = {
     "spearman.sgt": "820d29f7d274934b90e3a10be2ff31de9d4189136223b337ffa213cd73e949dd",
     "spearman.coe": "6ee6b070e6135d95b576cab9b1a175d596e364d9f720a33108404c3d7bd67b9b",
     "exact.train.grid8_walled": "2ab1d733667fa45ce9f192b61c4b665a66530d3c893d72584bbaac472801a34d",
-    "exact.train.one_way": "c3edf0f197962c007e6bd6e2082aa725c2b28c6e203c8d6057a8d255fb22c78d",
+    "exact.train.one_way": "da06883a38735d2cbf10103a9543a15f89ed448979442538d57fc8a05a581d52",
     "exact.train.random_directed": "c03aff489cb4fe6483e3a2b7c8721532702064aa6d2522f9abb12ce79c586aa0",
     "exact.dist.grid8_walled": "52f909ff38722ddd521cf86ca477ff0754e0e03316b313376d0429b3dabf3129",
     "exact.dist.one_way": "c168271f97679925a9b212402e107e55bb2bc475099f51e578004c009dfe7d16",

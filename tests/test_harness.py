@@ -14,9 +14,11 @@ from gclab.harness import (
     train_run,
     validate_experiment_config,
 )
-from gclab.learners import LearnerConfig, ValueTable, load_table, run_transitive_fixed_point
+from gclab import learners
+from gclab.learners import LearnerConfig, ValueTable, load_table
 from gclab.oracle import all_pairs_distances, oracle_q_table
 from gclab.policy import estimate_behavior_policy
+from sweep_helpers import run_transitive_fixed_point
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,49 @@ def test_exact_method_ignores_dataset(small_world):
     expected[idx, :, idx] = 1.0
     np.testing.assert_array_equal(q.params, expected)
     assert log[-1]["loss"] == 0.0
+
+
+def test_exact_log_has_one_row_per_sweep_to_the_fixed_point():
+    """A 200-cell corridor (finite diameter 199) needs ceil(log2 199) = 8
+    changing sweeps; the run stops at the first sweep that moves no entry by
+    more than 1e-13 and logs each sweep once."""
+    env = build_grid_env(200, 1)
+    q, log = train_run(env, None, LearnerConfig(method="exact", gamma=0.99))
+    assert [row["step"] for row in log] == list(range(9))
+    assert all(row["loss"] > 1e-13 for row in log[:-1])
+    assert log[-1]["loss"] <= 1e-13
+    assert run_transitive_fixed_point(env, 0.99)[1] == 8
+    np.testing.assert_allclose(q.params, oracle_q_table(env, 0.99), rtol=0, atol=1e-12)
+
+
+def test_exact_stop_rule_holds_at_small_gamma():
+    """At gamma 0.5 the far pairs of a 200-cell corridor hold values far
+    below 1e-13 (0.5^199); the run must still reach every pair."""
+    env = build_grid_env(200, 1)
+    q, log = train_run(env, None, LearnerConfig(method="exact", gamma=0.5))
+    assert len(log) == 9
+    oracle = oracle_q_table(env, 0.5)
+    np.testing.assert_array_equal(q.params > 0, oracle > 0)
+    np.testing.assert_allclose(q.params, oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+def test_train_run_calls_the_module_level_step(small_world, monkeypatch, method):
+    """The method table looks each update function up in gclab.learners at
+    call time, so rebinding the module attribute (as a tracer does) sees
+    every step."""
+    env, ds = small_world
+    name = f"{method}_update_step"
+    original = getattr(learners, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(learners, name, counted)
+    train_run(env, ds, LearnerConfig(method=method, steps=3, batch_size=8, learning_rate=0.1))
+    assert len(calls) == 3
 
 
 def test_training_is_bit_deterministic(small_world):

@@ -16,7 +16,6 @@ from gclab.learners import (
     load_table,
     mc_update_step,
     reweight_factor,
-    run_transitive_fixed_point,
     save_table,
     sgt_update_step,
     target_sync,
@@ -26,6 +25,7 @@ from gclab.learners import (
     trl_update_step,
 )
 from gclab.oracle import all_pairs_distances, optimal_value_table, oracle_q_table
+from sweep_helpers import run_transitive_fixed_point
 
 
 def right_only_chain(n, absorbing=True):
