@@ -85,17 +85,6 @@ def expected_recursions(n_max: int) -> RecursionTable:
     return RecursionTable(np.array(b), monotone)
 
 
-def expected_recursions_direct(n_max: int) -> np.ndarray:
-    """O(n^2) reference evaluation with the literal pairwise maximum."""
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    b = np.zeros(n_max + 1)
-    for n in range(2, n_max + 1):
-        k = np.arange(1, n)
-        b[n] = 1.0 + np.maximum(b[k], b[n - k]).sum() / (n - 1)
-    return b
-
-
 def recursion_bound(n: int) -> float:
     """Logarithmic bound ln(n) / ln(4/3)."""
     if n < 1:
@@ -112,14 +101,6 @@ def c_sequence(n: int) -> float:
     if n % 2 == 0:
         return (3.0 * m * m - 2.0 * m) / (2.0 * m - 1.0)
     return (3.0 * m + 1.0) / 2.0
-
-
-def c_sequence_direct(n: int) -> float:
-    """Direct summation used to cross-check the closed forms."""
-    if n < 2:
-        raise ValueError(f"c_sequence needs n >= 2, got {n}")
-    k = np.arange(1, n)
-    return float(np.maximum(k, n - k).sum() / (n - 1))
 
 
 def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:

@@ -29,7 +29,13 @@ from .learners import (
     target_sync,
     transitive_sweeps,
 )
-from .oracle import UNREACHABLE, DistanceTable, all_pairs_distances, q_table_from_values
+from .oracle import (
+    UNREACHABLE,
+    DistanceTable,
+    all_pairs_distances,
+    optimal_value_table,
+    q_table_from_values,
+)
 from .policy import (
     BehaviorPolicy,
     estimate_behavior_policy,
@@ -67,15 +73,17 @@ def train_run(
 ) -> tuple[ValueTable, list[dict]]:
     """Train one table and return it with its loss log. Deterministic given cfg.
 
-    ``exact`` logs one row per max-product sweep (the loss is the sweep's
-    largest change). Every other method runs cfg.steps update steps from
-    ``learners.METHODS``, each followed by a target sync, and logs every
-    ``log_every`` steps and the last one.
+    ``exact`` logs one row per (min, +) sweep (the loss is the number of
+    pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns the
+    distances into values as the oracle does. Every other method runs
+    cfg.steps update steps from ``learners.METHODS``, each followed by a
+    target sync, and logs every ``log_every`` steps and the last one.
     """
     log: list[dict] = []
     if cfg.method == "exact":
-        for sweep, (v, delta) in enumerate(transitive_sweeps(env, cfg.gamma)):
-            stats = {"loss": delta, "mean_q": float(v.mean()), "max_target": float(v.max())}
+        for sweep, (d, shortened) in enumerate(transitive_sweeps(env)):
+            v = optimal_value_table(DistanceTable(d), cfg.gamma).v
+            stats = {"loss": shortened, "mean_q": float(v.mean())}
             log.append({"step": sweep, "method": cfg.method, **stats})
         return ValueTable(q_table_from_values(env, v, cfg.gamma), cfg.gamma, space="value"), log
 
@@ -242,6 +250,8 @@ def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int, metadata=None) -
 
 
 _ENV_KEYS = {"kind", "width", "height", "walls", "path"}
+# Every key of the dataset block is required; its smallest allowed value.
+_DATASET_MINIMUMS = {"num_traj": 1, "T": 1, "seed": 0}
 _TOP_KEYS = {
     "out_dir",
     "env",
@@ -318,11 +328,17 @@ def _check_recursion(rec) -> dict:
 def _run_configs(config: dict, base: LearnerConfig) -> list[tuple[str, LearnerConfig]]:
     """Every (label, run config) of the sweep: each method (td_n once per
     entry of the optional ``n_values``, labeled td-<n>) at each seed."""
+    horizon = config["dataset"]["T"]
     for method in config["methods"]:
         if not isinstance(method, str) or method not in METHODS:
             raise ConfigError(
                 f"config key 'methods' has unknown method {method!r}; "
                 f"expected one of {tuple(METHODS)}"
+            )
+        if horizon < METHODS[method].min_horizon:
+            raise ConfigError(
+                f"config key 'dataset.T' must be >= {METHODS[method].min_horizon} "
+                f"for method {method!r}, got {horizon}"
             )
     n_values = config.get("n_values", [])
     if not isinstance(n_values, list):
@@ -371,9 +387,15 @@ def validate_experiment_config(config: dict) -> dict:
         raise ConfigError(f"config key 'env.kind' must be 'grid' or 'file', got {env_spec['kind']!r}")
 
     ds_spec = config["dataset"]
-    for key in ("num_traj", "T", "seed"):
+    if not isinstance(ds_spec, dict):
+        raise ConfigError("config key 'dataset' must be an object")
+    for key in ds_spec:
+        if key not in _DATASET_MINIMUMS:
+            raise ConfigError(f"unknown config key 'dataset.{key}'")
+    for key, minimum in _DATASET_MINIMUMS.items():
         if key not in ds_spec:
             raise ConfigError(f"missing config key 'dataset.{key}'")
+        _check_int(f"dataset.{key}", ds_spec[key], minimum)
 
     methods = config["methods"]
     if not isinstance(methods, list) or not methods:

@@ -4,8 +4,8 @@ All dataset-driven learners operate on dense tables Q[s, a, g]. Methods
 trained with the binary cross-entropy loss store logits and read values
 through a sigmoid, which keeps Q inside (0, 1); the squared-loss SARSA
 learner (gciql) stores raw values because its fixed point exceeds 1 at
-goal states. One exact method runs full-table max-product sweeps instead
-of consuming data.
+goal states. One exact method runs full-table (min, +) sweeps over step
+counts instead of consuming data.
 
 Update convention: ``learning_rate`` is the per-sample step size (the
 classic tabular convention). Within one batch, all gradients are computed
@@ -15,7 +15,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -30,6 +31,7 @@ from .dataset import (
     sample_triplet_batch,
 )
 from .env import ConfigError, GraphEnv, adjacency_matrix
+from .oracle import UNREACHABLE
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
 # (expit(30) = 1 - 9.4e-14) while leaving room for implied distances of
@@ -96,6 +98,12 @@ class ValueTable:
         return np.maximum(np.log(v) / np.log(self.gamma), 0.0)
 
 
+# The numeric LearnerConfig fields, keyed by annotation (a string, since this
+# module postpones annotations): the types each accepts, never a bool, and
+# how an error names them.
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
 @dataclass
 class LearnerConfig:
     """Scalars governing a training run; defaults follow the standard recipe."""
@@ -116,6 +124,11 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = _FIELD_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+                raise ConfigError(f"learner field '{f.name}' must be {kind[1]}, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if not (0.0 < self.gamma < 1.0):
@@ -202,103 +215,56 @@ def reweight_factor(q_value, gamma: float, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# Exact max-product sweeps
+# Exact (min, +) sweeps over step counts
 
-
-def transitive_base_table(env: GraphEnv, gamma: float) -> np.ndarray:
-    """State-goal table with base cases set: 1 on the diagonal, gamma on edges."""
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
-    v = np.zeros((env.num_states, env.num_states))
-    v[adjacency_matrix(env)] = gamma
-    np.fill_diagonal(v, 1.0)
-    return v
-
-
-# Above this fraction of changed entries a sweep forms every product: one
-# dense tile of products at a time beats gathering the changed factors.
-_DENSE_FRACTION = 0.3
-# The dense branch forms products in tiles of _TILE_ROWS rows s by _TILE_W
-# rows w: one tile's temporary (8 x 32 x S floats, 1.2 MB at S = 576) fits
-# a per-core L2 cache; a whole row's S x S temporary (2.6 MB) does not.
+# "No path yet" in the int32 sweep table: above any distance, and small
+# enough that a sum of two of them still fits in int32.
+_NO_PATH = np.iinfo(np.int32).max // 2
+# A sweep forms its sums in tiles of _TILE_ROWS rows s by _TILE_W rows w, so
+# one tile's temporary (8 x 32 x S int32, 0.6 MB at S = 576) stays in a
+# per-core L2 cache.
 _TILE_ROWS = 8
 _TILE_W = 32
 
 
-def _max_products_into(out: np.ndarray, v: np.ndarray, changed: np.ndarray | None) -> None:
-    """out[s] = max(out[s], max_w v[s, w] * v[w]) over the w changed in row s
-    of ``changed`` (every w when ``changed`` is None, tile by tile; max is
-    exact, so the tiling changes no bit)."""
-    n = v.shape[0]
-    if changed is None:
-        for lo in range(0, n, _TILE_ROWS):
-            rows = slice(lo, lo + _TILE_ROWS)
-            for w_lo in range(0, n, _TILE_W):
-                w = slice(w_lo, w_lo + _TILE_W)
-                products = v[rows, w][:, :, None] * v[w]
-                np.maximum(out[rows], products.max(axis=1), out=out[rows])
-        return
-    for s in np.flatnonzero(changed.any(axis=1)):
-        cols = np.flatnonzero(changed[s])
-        np.maximum(out[s], (v[s, cols][:, None] * v[cols]).max(axis=0), out=out[s])
-
-
-def exact_transitive_sweep(
-    v: np.ndarray, env: GraphEnv, prev: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """One Jacobi sweep of the max-product backup.
+def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
+    """One Jacobi sweep of the (min, +) backup over an int32 distance table.
 
     Every entry of the result reads only the input table:
-    new[s, g] = max(v[s, g], max_w v[s, w] * v[w, g]). Base-case entries
-    (diagonal and one-step edges) dominate any product through a third
-    state, so they stay pinned. Returns the new table and the largest
-    absolute change.
-
-    ``prev`` is the table the previous sweep read, so that ``v`` is that
-    sweep's result; None stands for an all-zero table, which is valid for
-    any non-negative ``v``. A product whose factors both equal their
-    ``prev`` entries was already formed by the previous sweep and lies at
-    or below ``v[s, g]``, so only products with a changed factor are
-    formed: the (s, w) side row by row, the (w, g) side column by column
-    (as rows of the transpose). Max is exact, so the result and the change
-    are bit-identical to forming every product, at a cost that grows with
-    the number of changed entries; above ``_DENSE_FRACTION`` changed, every
-    product is formed.
+    new[s, g] = min(d[s, g], min_w d[s, w] + d[w, g]). Integer sums and
+    minima are exact, so the tiling changes no entry. Returns the new table
+    and the number of pairs it shortened.
     """
-    changed = v != (0.0 if prev is None else prev)
-    new = v.copy()
-    if changed.mean() > _DENSE_FRACTION:
-        _max_products_into(new, v, None)
-    else:
-        _max_products_into(new, v, changed)
-        _max_products_into(new.T, np.ascontiguousarray(v.T), np.ascontiguousarray(changed.T))
-    return new, float(np.abs(new - v).max())
+    n = d.shape[0]
+    new = d.copy()
+    for lo in range(0, n, _TILE_ROWS):
+        rows = slice(lo, lo + _TILE_ROWS)
+        for w_lo in range(0, n, _TILE_W):
+            w = slice(w_lo, w_lo + _TILE_W)
+            sums = d[rows, w][:, :, None] + d[w]
+            np.minimum(new[rows], sums.min(axis=1), out=new[rows])
+    return new, int(np.count_nonzero(new != d))
 
 
-def transitive_sweeps(
-    env: GraphEnv, gamma: float, max_sweeps: int | None = None, tol: float = 1e-13
-):
-    """Jacobi sweeps from the base table: yields ``(v, delta)`` after each
-    sweep and stops after the first that reaches no new pair and moves no
-    entry by more than ``tol``.
+def transitive_sweeps(env: GraphEnv):
+    """Jacobi (min, +) sweeps from the base table (0 on the diagonal, 1 on
+    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d``
+    in the :class:`~gclab.oracle.DistanceTable` convention (UNREACHABLE
+    for no path), and stops after the first sweep that shortens no pair.
 
-    After k sweeps every pair at distance <= 2^k holds gamma^distance, and
-    a pair is first reached with that value, so progress means a new nonzero
-    entry, however small gamma^distance is. Once no pair is new, a sweep can
-    only swap ulp-equivalent product trees for the same distance. Raises
-    RuntimeError after ``max_sweeps`` sweeps (default S + 2).
+    After k sweeps every pair at distance <= 2^k holds its distance, so a
+    table of finite diameter D needs ceil(log2 D) sweeps plus the one that
+    finds nothing to shorten. Every other sweep lowers a non-negative
+    integer table, so the loop needs no sweep limit.
     """
-    v = transitive_base_table(env, gamma)
-    prev = None
-    limit = max_sweeps if max_sweeps is not None else env.num_states + 2
-    for _ in range(limit):
-        new, delta = exact_transitive_sweep(v, env, prev)
-        reached_new = np.count_nonzero(new) > np.count_nonzero(v)
-        prev, v = v, new
-        yield v, delta
-        if delta <= tol and not reached_new:
+    d = np.full((env.num_states, env.num_states), _NO_PATH, dtype=np.int32)
+    d[adjacency_matrix(env)] = 1
+    np.fill_diagonal(d, 0)
+    while True:
+        d, shortened = exact_transitive_sweep(d)
+        yield np.where(d == _NO_PATH, UNREACHABLE, d), shortened
+        if shortened == 0:
             return
-    raise RuntimeError(f"max-product sweeps did not converge within {limit} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,6 @@ class DistanceTable:
     def num_states(self) -> int:
         return self.d.shape[0]
 
-    def finite_diameter(self) -> int:
-        """Largest finite distance (0 for a single-state or edgeless env)."""
-        finite = self.d[self.d != UNREACHABLE]
-        return int(finite.max()) if finite.size else 0
-
 
 @dataclass
 class OptimalValueTable:

@@ -45,11 +45,6 @@ def estimate_behavior_policy(ds: TrajectoryDataset, env: GraphEnv) -> BehaviorPo
     return BehaviorPolicy(counts)
 
 
-def greedy_action(q: ValueTable, s: int, g: int) -> int:
-    """argmax_a Q(s, a, g); lowest index wins ties (numpy argmax semantics)."""
-    return int(np.argmax(q.values_at((s, slice(None), g))))
-
-
 def greedy_action_batch(q: ValueTable, states: np.ndarray, goals: np.ndarray) -> np.ndarray:
     return q.values_at((states, slice(None), goals)).argmax(axis=1)
 

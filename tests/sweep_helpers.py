@@ -1,18 +1,28 @@
-"""Test helper: run the exact max-product sweeps to their fixed point."""
+"""Test helpers for the exact (min, +) sweeps."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from gclab.learners import transitive_sweeps
+from gclab.oracle import UNREACHABLE, DistanceTable
 
 
-def run_transitive_fixed_point(
-    env, gamma: float, max_sweeps: int | None = None, tol: float = 1e-13
-) -> tuple[np.ndarray, int]:
-    """The fixed point of ``learners.transitive_sweeps`` and the number of
-    sweeps that changed the table by more than ``tol``."""
+def run_transitive_fixed_point(env) -> tuple[np.ndarray, int]:
+    """The fixed point of ``learners.transitive_sweeps`` (distances, with
+    UNREACHABLE for no path) and the number of sweeps that shortened a pair."""
     changed = 0
-    for v, delta in transitive_sweeps(env, gamma, max_sweeps, tol):
-        changed += delta > tol
-    return v, changed
+    for d, shortened in transitive_sweeps(env):
+        changed += shortened > 0
+    return d, changed
+
+
+def naive_sweep(d: np.ndarray) -> np.ndarray:
+    """Reference (min, +) sweep: every sum d[s, w] + d[w, g] at once, no tiles."""
+    return np.minimum(d, (d[:, :, None] + d[None, :, :]).min(axis=1))
+
+
+def finite_diameter(dist: DistanceTable) -> int:
+    """Largest finite distance (0 for a single-state or edgeless env)."""
+    finite = dist.d[dist.d != UNREACHABLE]
+    return int(finite.max()) if finite.size else 0

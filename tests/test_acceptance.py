@@ -33,11 +33,10 @@ from gclab.analysis import expected_recursions, simulate_recursions
 from gclab.oracle import (
     UNREACHABLE,
     all_pairs_distances,
-    optimal_value_table,
     oracle_q_table,
 )
 from gclab.policy import estimate_behavior_policy
-from sweep_helpers import run_transitive_fixed_point
+from sweep_helpers import finite_diameter, run_transitive_fixed_point
 
 
 @contextlib.contextmanager
@@ -61,14 +60,15 @@ def acceptance_envs():
 
 
 def test_criterion_1_exact_operator_optimality():
-    with criterion(1, "exact sweeps reach gamma^d* within 1e-12 in <= ceil(log2(diam)) sweeps"):
+    with criterion(1, "exact sweeps reach gamma^d* exactly in <= ceil(log2(diam)) sweeps"):
         started = time.perf_counter()
         for env in acceptance_envs():
             dist = all_pairs_distances(env)
-            oracle = optimal_value_table(dist, 0.99).v
-            fp, sweeps = run_transitive_fixed_point(env, 0.99)
-            assert np.abs(fp - oracle).max() <= 1e-12
-            diam = dist.finite_diameter()
+            fp, sweeps = run_transitive_fixed_point(env)
+            np.testing.assert_array_equal(fp, dist.d)
+            q, _ = train_run(env, None, LearnerConfig(method="exact", gamma=0.99))
+            np.testing.assert_array_equal(q.params, oracle_q_table(env, 0.99))
+            diam = finite_diameter(dist)
             budget = int(np.ceil(np.log2(diam))) if diam > 1 else 0
             assert sweeps <= budget, (env.num_states, sweeps, budget)
         elapsed = time.perf_counter() - started

@@ -5,14 +5,27 @@ from hypothesis import strategies as st
 
 from gclab.analysis import (
     c_sequence,
-    c_sequence_direct,
     expected_recursions,
-    expected_recursions_direct,
     recursion_bound,
     recursion_report_rows,
     simulate_recursions,
 )
 from gclab.env import ConfigError
+
+
+def expected_recursions_direct(n_max: int) -> np.ndarray:
+    """O(n^2) reference evaluation with the literal pairwise maximum."""
+    b = np.zeros(n_max + 1)
+    for n in range(2, n_max + 1):
+        k = np.arange(1, n)
+        b[n] = 1.0 + np.maximum(b[k], b[n - k]).sum() / (n - 1)
+    return b
+
+
+def c_sequence_direct(n: int) -> float:
+    """Direct summation used to cross-check the closed forms."""
+    k = np.arange(1, n)
+    return float(np.maximum(k, n - k).sum() / (n - 1))
 
 
 def test_spot_values_exact():

@@ -271,7 +271,16 @@ def test_recursion_sim_size_above_n_max_exit_code(tmp_path, capsys):
     [({"methods": ["bogus"]}, "methods"), ({"methods": ["td_n"], "n_values": [0]}, "n_values"),
      ({"n_values": ["a"]}, "n_values"), ({"n_values": 0}, "n_values"),
      ({"n_values": {}}, "n_values"), ({"log_every": 0}, "log_every"),
-     ({"log_every": 1.5}, "log_every"), ({"seeds": ["a"]}, "seeds"), ({"seeds": [-1]}, "seeds")],
+     ({"log_every": 1.5}, "log_every"), ({"seeds": ["a"]}, "seeds"), ({"seeds": [-1]}, "seeds"),
+     ({"dataset": 5}, "dataset"),
+     ({"dataset": {"num_traj": 4, "T": 8, "seed": 0, "n": 1}}, "dataset.n"),
+     ({"dataset": {"num_traj": "a", "T": 8, "seed": 0}}, "dataset.num_traj"),
+     ({"dataset": {"num_traj": 4, "T": 0, "seed": 0}}, "dataset.T"),
+     ({"dataset": {"num_traj": 4, "T": 2.5, "seed": 0}}, "dataset.T"),
+     ({"dataset": {"num_traj": 4, "T": 8, "seed": -1}}, "dataset.seed"),
+     ({"dataset": {"num_traj": 4, "T": 1, "seed": 0}, "methods": ["mc", "trl"]}, "dataset.T"),
+     ({"learner": {"steps": "5"}}, "steps"), ({"learner": {"gamma": "0.9"}}, "gamma"),
+     ({"learner": {"batch_size": True}}, "batch_size"), ({"learner": {"seed": 1.0}}, "seed")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"

@@ -5,10 +5,11 @@ seeds: the trained ``params`` plus its loss log, the greedy and rejection
 ``evaluate_policy`` rows, and ``spearman_to_oracle``. The exact path is
 pinned on graphs with unreachable pairs (a walled 8x8 grid split in two, a
 one-way chain and a random directed graph): the ``exact`` method's params
-plus loss log, and the oracle distances. ``expected_recursions`` is pinned
-past its Kahan switch. A change that is meant to be behaviour-preserving (a
-faster read path, say) must leave every hash as it is. A change that alters
-numbers on purpose updates the hashes and says so in CHANGES.md.
+(which must equal ``oracle_q_table`` byte for byte) plus loss log, and the
+oracle distances. ``expected_recursions`` is pinned past its Kahan switch.
+A change that is meant to be behaviour-preserving (a faster read path, say)
+must leave every hash as it is. A change that alters numbers on purpose
+updates the hashes and says so in CHANGES.md.
 
 The bytes depend on the float64 kernels of numpy and scipy, so the hashes
 are pinned to the library versions and machine they were captured with;
@@ -31,7 +32,7 @@ from gclab.analysis import expected_recursions
 from gclab.env import GraphEnv, build_grid_env, random_graph_env
 from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
 from gclab.learners import LearnerConfig
-from gclab.oracle import all_pairs_distances
+from gclab.oracle import all_pairs_distances, oracle_q_table
 from gclab.policy import estimate_behavior_policy
 
 CAPTURED_ON = ("2.4.6", "1.17.1", "x86_64")
@@ -50,9 +51,9 @@ EXPECTED = {
     "eval.rejection.gciql": "90155dd8e28064a796d6ad31b5618cbac43e2f569b44649f310d1735457f8fe0",
     "spearman.sgt": "820d29f7d274934b90e3a10be2ff31de9d4189136223b337ffa213cd73e949dd",
     "spearman.coe": "6ee6b070e6135d95b576cab9b1a175d596e364d9f720a33108404c3d7bd67b9b",
-    "exact.train.grid8_walled": "2ab1d733667fa45ce9f192b61c4b665a66530d3c893d72584bbaac472801a34d",
-    "exact.train.one_way": "da06883a38735d2cbf10103a9543a15f89ed448979442538d57fc8a05a581d52",
-    "exact.train.random_directed": "c03aff489cb4fe6483e3a2b7c8721532702064aa6d2522f9abb12ce79c586aa0",
+    "exact.train.grid8_walled": "3bc168feafc7b82c087df873c84b508fea3f916cc77c101450682ca648c1fc0f",
+    "exact.train.one_way": "f0fec4de6b64429a6f4f7a36d0d448f01acdbe9a0e61de9e06d1f487d29b00dd",
+    "exact.train.random_directed": "f1169c8fcae4496986edb4987ad41a2ed8d569197039f466fd09c69c12c42819",
     "exact.dist.grid8_walled": "52f909ff38722ddd521cf86ca477ff0754e0e03316b313376d0429b3dabf3129",
     "exact.dist.one_way": "c168271f97679925a9b212402e107e55bb2bc475099f51e578004c009dfe7d16",
     "exact.dist.random_directed": "982606acf20899832c3b3ea181c64da6a68830ea58f4196ca87865191012804d",
@@ -118,6 +119,7 @@ def golden_digests() -> dict[str, str]:
         out[f"spearman.{name}"] = _sha(spearman_to_oracle(tables[name], dist))
     for name, exact_env in _exact_envs().items():
         q, log = train_run(exact_env, None, replace(BASE, method="exact", gamma=0.95))
+        assert q.params.tobytes() == oracle_q_table(exact_env, 0.95).tobytes()
         out[f"exact.train.{name}"] = _sha(q.params.tobytes(), log)
         out[f"exact.dist.{name}"] = _sha(all_pairs_distances(exact_env).d.tobytes())
     out["recursion.b_200000"] = _sha(expected_recursions(200_000).b.tobytes())

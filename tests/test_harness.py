@@ -16,7 +16,7 @@ from gclab.harness import (
 )
 from gclab import learners
 from gclab.learners import LearnerConfig, ValueTable, load_table
-from gclab.oracle import all_pairs_distances, oracle_q_table
+from gclab.oracle import DistanceTable, all_pairs_distances, optimal_value_table, oracle_q_table
 from gclab.policy import estimate_behavior_policy
 from sweep_helpers import run_transitive_fixed_point
 
@@ -44,36 +44,38 @@ def test_exact_method_ignores_dataset(small_world):
     env, _ = small_world
     cfg = LearnerConfig(method="exact", gamma=0.95)
     q, log = train_run(env, None, cfg)
-    v_fp, _ = run_transitive_fixed_point(env, 0.95)
+    d_fp, _ = run_transitive_fixed_point(env)
+    v_fp = optimal_value_table(DistanceTable(d_fp), 0.95).v
     idx = np.arange(env.num_states)
     expected = 0.95 * v_fp[env.transition, :]
     expected[idx, :, idx] = 1.0
     np.testing.assert_array_equal(q.params, expected)
-    assert log[-1]["loss"] == 0.0
+    np.testing.assert_array_equal(q.params, oracle_q_table(env, 0.95))
+    assert log[-1]["loss"] == 0
 
 
 def test_exact_log_has_one_row_per_sweep_to_the_fixed_point():
     """A 200-cell corridor (finite diameter 199) needs ceil(log2 199) = 8
-    changing sweeps; the run stops at the first sweep that moves no entry by
-    more than 1e-13 and logs each sweep once."""
+    shortening sweeps; the run stops at the first sweep that shortens no
+    pair and logs each sweep once, its loss the count of shortened pairs."""
     env = build_grid_env(200, 1)
     q, log = train_run(env, None, LearnerConfig(method="exact", gamma=0.99))
     assert [row["step"] for row in log] == list(range(9))
-    assert all(row["loss"] > 1e-13 for row in log[:-1])
-    assert log[-1]["loss"] <= 1e-13
-    assert run_transitive_fixed_point(env, 0.99)[1] == 8
-    np.testing.assert_allclose(q.params, oracle_q_table(env, 0.99), rtol=0, atol=1e-12)
+    assert all(row["loss"] > 0 for row in log[:-1])
+    assert log[-1]["loss"] == 0
+    assert run_transitive_fixed_point(env)[1] == 8
+    np.testing.assert_array_equal(q.params, oracle_q_table(env, 0.99))
 
 
 def test_exact_stop_rule_holds_at_small_gamma():
     """At gamma 0.5 the far pairs of a 200-cell corridor hold values far
-    below 1e-13 (0.5^199); the run must still reach every pair."""
+    below 1e-13 (0.5^199), and at gamma 0.01 gamma^d underflows to 0 past
+    d = 161 in both tables; the run still sweeps every distance."""
     env = build_grid_env(200, 1)
-    q, log = train_run(env, None, LearnerConfig(method="exact", gamma=0.5))
-    assert len(log) == 9
-    oracle = oracle_q_table(env, 0.5)
-    np.testing.assert_array_equal(q.params > 0, oracle > 0)
-    np.testing.assert_allclose(q.params, oracle, rtol=1e-12, atol=0)
+    for gamma in (0.5, 0.01):
+        q, log = train_run(env, None, LearnerConfig(method="exact", gamma=gamma))
+        assert len(log) == 9
+        np.testing.assert_array_equal(q.params, oracle_q_table(env, gamma))
 
 
 @pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])

@@ -11,7 +11,6 @@ from gclab.learners import (
     ValueTable,
     asymmetric_loss,
     coe_update_step,
-    exact_transitive_sweep,
     gciql_update_step,
     load_table,
     mc_update_step,
@@ -21,11 +20,15 @@ from gclab.learners import (
     target_sync,
     td_n_compute_targets,
     td_n_update_step,
-    transitive_base_table,
+    transitive_sweeps,
     trl_update_step,
 )
-from gclab.oracle import all_pairs_distances, optimal_value_table, oracle_q_table
-from sweep_helpers import run_transitive_fixed_point
+from gclab.oracle import (
+    UNREACHABLE,
+    all_pairs_distances,
+    oracle_q_table,
+)
+from sweep_helpers import finite_diameter, run_transitive_fixed_point
 
 
 def right_only_chain(n, absorbing=True):
@@ -134,57 +137,56 @@ def test_reweight_clamps_tiny_q():
 
 
 # ---------------------------------------------------------------------------
-# exact max-product sweeps
+# exact (min, +) sweeps
 
 
 def test_base_table_initialization():
-    env = build_grid_env(3, 1)
-    v = transitive_base_table(env, 0.9)
-    assert v[0, 0] == 1.0 and v[1, 1] == 1.0
-    assert v[0, 1] == 0.9 and v[1, 2] == 0.9
-    assert v[0, 2] == 0.0
+    """The first sweep reads the base table (0 on the diagonal, 1 on edges,
+    no path elsewhere), so it holds exactly the pairs within two steps."""
+    env = right_only_chain(5)
+    d, shortened = next(transitive_sweeps(env))
+    assert d[0, 0] == 0 and d[1, 1] == 0
+    assert d[0, 1] == 1 and d[1, 2] == 1
+    assert d[0, 2] == 2 and d[2, 4] == 2
+    assert d[0, 3] == UNREACHABLE and d[1, 0] == UNREACHABLE
+    assert shortened == 3  # (0, 2), (1, 3), (2, 4)
 
 
 def test_sweep_doubles_known_distance():
     env = right_only_chain(4)
-    g = 0.99
-    v = transitive_base_table(env, g)
-    v1, delta1 = exact_transitive_sweep(v, env)
-    assert delta1 > 0
-    assert v1[0, 2] == g * g
-    assert v1[1, 3] == g * g
-    assert v1[0, 3] == 0.0
-    v2, _ = exact_transitive_sweep(v1, env)
-    assert v2[0, 3] == g * g * g
+    sweeps = transitive_sweeps(env)
+    d1, shortened1 = next(sweeps)
+    assert shortened1 > 0
+    assert d1[0, 2] == 2
+    assert d1[1, 3] == 2
+    assert d1[0, 3] == UNREACHABLE
+    d2, _ = next(sweeps)
+    assert d2[0, 3] == 3
 
 
 def test_sweep_count_and_exactness_on_grid():
     env = build_grid_env(5, 5)
-    v, sweeps = run_transitive_fixed_point(env, 0.99)
+    d, sweeps = run_transitive_fixed_point(env)
     dist = all_pairs_distances(env)
-    assert dist.finite_diameter() == 8
+    assert finite_diameter(dist) == 8
     assert sweeps <= 3  # ceil(log2(8))
-    oracle = optimal_value_table(dist, 0.99).v
-    assert np.abs(v - oracle).max() <= 1e-12
+    np.testing.assert_array_equal(d, dist.d)  # so the values are gamma^d* bit for bit
 
 
 def test_sweep_monotone_and_matches_oracle_on_random_graphs():
     for seed in range(6):
         env = random_graph_env(40, 3, seed)
-        gamma = 0.97
-        v = transitive_base_table(env, gamma)
-        prev = v.copy()
-        for _ in range(10):
-            v, delta = exact_transitive_sweep(v, env)
-            assert (v >= prev - 0.0).all()  # nondecreasing everywhere
-            prev = v.copy()
-            if delta == 0.0:
-                break
-        fp, sweeps = run_transitive_fixed_point(env, gamma)
+        prev = None
+        for d, _ in transitive_sweeps(env):
+            if prev is not None:  # a reached pair stays reached and never lengthens
+                reached = prev != UNREACHABLE
+                assert (d[reached] != UNREACHABLE).all()
+                assert (d[reached] <= prev[reached]).all()
+            prev = d
+        fp, sweeps = run_transitive_fixed_point(env)
         dist = all_pairs_distances(env)
-        oracle = optimal_value_table(dist, gamma).v
-        assert np.abs(fp - oracle).max() <= 1e-12
-        diam = dist.finite_diameter()
+        np.testing.assert_array_equal(fp, dist.d)
+        diam = finite_diameter(dist)
         bound = int(np.ceil(np.log2(diam))) if diam > 1 else 0
         assert sweeps <= bound
 

@@ -1,0 +1,45 @@
+"""The tiled (min, +) sweep matches a naive untiled reference, entry for entry."""
+
+import numpy as np
+
+from gclab.env import GraphEnv, adjacency_matrix, build_grid_env, random_graph_env
+from gclab.learners import transitive_sweeps
+from gclab.oracle import UNREACHABLE, all_pairs_distances
+from sweep_helpers import finite_diameter, naive_sweep
+
+
+def one_way_corridor(n):
+    """Directed chain 0 -> 1 -> ... -> n-1 with 'right' and 'stay' actions."""
+    return GraphEnv(n, 2, np.stack([np.minimum(np.arange(n) + 1, n - 1), np.arange(n)], 1))
+
+
+ENVS = {
+    "one_way_corridor": one_way_corridor(40),
+    "walled_grid": build_grid_env(10, 10, walls={(4, y) for y in range(1, 10)} | {(7, 3)}),
+    **{f"random_{n}_{a}_{seed}": random_graph_env(n, a, seed)
+       for n, a, seed in ((60, 2, 0), (60, 2, 1), (80, 3, 2), (50, 1, 3))},
+}
+
+
+def test_sweeps_match_naive_reference_to_the_oracle():
+    """Every sweep of transitive_sweeps equals the naive sweep of the
+    previous reference table (inf for no path), with the same count of
+    shortened pairs; the fixed point is the oracle's distance table, reached
+    after ceil(log2 diam) shortening sweeps plus one that shortens none."""
+    for name, env in ENVS.items():
+        ref = np.full((env.num_states, env.num_states), np.inf)
+        ref[adjacency_matrix(env)] = 1.0
+        np.fill_diagonal(ref, 0.0)
+        sweeps = 0
+        for d, shortened in transitive_sweeps(env):
+            new_ref = naive_sweep(ref)
+            np.testing.assert_array_equal(d, np.where(np.isinf(new_ref), UNREACHABLE, new_ref))
+            assert shortened == np.count_nonzero(new_ref != ref), name
+            ref = new_ref
+            sweeps += 1
+        assert shortened == 0
+        dist = all_pairs_distances(env)
+        np.testing.assert_array_equal(d, dist.d)
+        diam = finite_diameter(dist)
+        assert sweeps == (int(np.ceil(np.log2(diam))) if diam > 1 else 0) + 1, name
+

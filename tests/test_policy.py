@@ -8,12 +8,16 @@ from gclab.oracle import UNREACHABLE, all_pairs_distances, oracle_q_table
 from gclab.policy import (
     BehaviorPolicy,
     estimate_behavior_policy,
-    greedy_action,
     greedy_action_batch,
     rejection_sample_action,
 )
 
 RIGHT = 3
+
+
+def greedy_action(q: ValueTable, s: int, g: int) -> int:
+    """Scalar reference: argmax_a Q(s, a, g); lowest index wins ties."""
+    return int(np.argmax(q.values_at((s, slice(None), g))))
 
 
 def oracle_table(env, gamma=0.99):
