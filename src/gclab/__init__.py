@@ -1,18 +1,15 @@
 """Tabular laboratory for offline goal-conditioned value learning."""
 
 from .dataset import RelabelRatios, TrajectoryDataset, collect_dataset
-from .env import GraphEnv, build_grid_env, edge_set, step
+from .env import GraphEnv, build_grid_env
 from .harness import EvalReport, evaluate_policy, run_experiment, train_run
 from .learners import LearnerConfig, ValueTable
-from .oracle import DistanceTable, OptimalValueTable, all_pairs_distances, optimal_value_table
+from .oracle import UNREACHABLE, all_pairs_distances, optimal_value_table
 
 __all__ = [
     "GraphEnv",
     "build_grid_env",
-    "edge_set",
-    "step",
-    "DistanceTable",
-    "OptimalValueTable",
+    "UNREACHABLE",
     "all_pairs_distances",
     "optimal_value_table",
     "TrajectoryDataset",

@@ -13,11 +13,12 @@ start states. Two samplers are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .env import ConfigError, GraphEnv
+from .env import ConfigError, GraphEnv, open_input
 
 
 @dataclass
@@ -36,6 +37,10 @@ class RelabelRatios:
     geom_param: float = 0.01
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"relabel ratio '{f.name}' must be finite, got {value!r}")
         probs = (self.p_cur, self.p_geom, self.p_traj, self.p_rand)
         if min(probs) < 0:
             raise ConfigError(f"relabel ratios must be nonnegative, got {probs}")
@@ -199,7 +204,7 @@ def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
     Rows are checked against the header as they are read, so a bad header
     is a config error before anything is sized from it.
     """
-    with open(path) as fh:
+    with open_input(path) as fh:
         header = fh.readline().strip()
         try:
             num_traj, T = (int(tok) for tok in header.split(","))

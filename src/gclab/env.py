@@ -15,13 +15,21 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-# Grid action order is fixed for reproducible tie-breaking.
-GRID_ACTIONS = ("up", "down", "left", "right")
+# (dx, dy) of up, down, left, right: a fixed order for reproducible tie-breaking.
 _GRID_DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
 
 class ConfigError(ValueError):
     """Raised for invalid configuration or construction arguments."""
+
+
+def open_input(path: str, mode: str = "r"):
+    """``open(path, mode)`` for an input file; a file that cannot be opened
+    is a ConfigError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot open {path}: {exc.strerror}") from exc
 
 
 @dataclass
@@ -107,28 +115,6 @@ def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = (
     return GraphEnv(len(cells), 4, transition, coords)
 
 
-def step(env: GraphEnv, s: int, a: int) -> int:
-    """Apply action ``a`` in state ``s``; pure table lookup."""
-    if not (0 <= s < env.num_states):
-        raise ValueError(f"state {s} out of range [0, {env.num_states})")
-    if not (0 <= a < env.num_actions):
-        raise ValueError(f"action {a} out of range [0, {env.num_actions})")
-    return int(env.transition[s, a])
-
-
-def edge_set(env: GraphEnv) -> list[tuple[int, int]]:
-    """All ordered pairs (s, s') with s != s' reachable by one action.
-
-    Self-loops are excluded. The result is sorted lexicographically so
-    downstream consumers see a deterministic ordering.
-    """
-    src = np.repeat(np.arange(env.num_states), env.num_actions)
-    dst = env.transition.ravel()
-    keep = src != dst
-    pairs = set(zip(src[keep].tolist(), dst[keep].tolist()))
-    return sorted(pairs)
-
-
 def adjacency_matrix(env: GraphEnv) -> np.ndarray:
     """Boolean (S, S) matrix of the one-step reachability relation (no self-loops)."""
     adj = np.zeros((env.num_states, env.num_states), dtype=bool)
@@ -139,24 +125,15 @@ def adjacency_matrix(env: GraphEnv) -> np.ndarray:
     return adj
 
 
-def random_graph_env(num_states: int, num_actions: int, seed: int) -> GraphEnv:
-    """Random deterministic graph: each (s, a) maps to a uniform random state."""
-    rng = np.random.default_rng(seed)
-    transition = rng.integers(0, num_states, size=(num_states, num_actions), dtype=np.int64)
-    return GraphEnv(num_states, num_actions, transition)
-
-
-def save_env(env: GraphEnv, path: str) -> None:
-    """Write the transition table as plain text: header line, then one row per state."""
-    with open(path, "w") as fh:
-        fh.write(f"{env.num_states} {env.num_actions}\n")
-        for s in range(env.num_states):
-            fh.write(" ".join(str(int(t)) for t in env.transition[s]) + "\n")
-
-
 def load_env(path: str) -> GraphEnv:
-    """Read an environment saved by :func:`save_env`. Lines starting with # are ignored."""
-    with open(path) as fh:
+    """Read an environment from a plain-text transition table.
+
+    The first line holds ``num_states num_actions``; then one line per
+    state s, in order, lists the num_actions successor states
+    transition[s, 0..num_actions-1] as whitespace-separated integers.
+    Blank lines and lines starting with # are ignored.
+    """
+    with open_input(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"environment file {path} is empty")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis as analysis_mod
 from .dataset import TrajectoryDataset, collect_dataset, save_dataset
-from .env import ConfigError, GraphEnv, build_grid_env, load_env, parse_walls
+from .env import ConfigError, GraphEnv, build_grid_env, load_env, open_input, parse_walls
 from .learners import (
     METHODS,
     LearnerConfig,
@@ -31,7 +31,6 @@ from .learners import (
 )
 from .oracle import (
     UNREACHABLE,
-    DistanceTable,
     all_pairs_distances,
     optimal_value_table,
     q_table_from_values,
@@ -82,7 +81,7 @@ def train_run(
     log: list[dict] = []
     if cfg.method == "exact":
         for sweep, (d, shortened) in enumerate(transitive_sweeps(env)):
-            v = optimal_value_table(DistanceTable(d), cfg.gamma).v
+            v = optimal_value_table(d, cfg.gamma)
             stats = {"loss": shortened, "mean_q": float(v.mean())}
             log.append({"step": sweep, "method": cfg.method, **stats})
         return ValueTable(q_table_from_values(env, v, cfg.gamma), cfg.gamma, space="value"), log
@@ -111,16 +110,10 @@ def train_run(
 # Evaluation
 
 
-def select_tasks(
-    env: GraphEnv,
-    dist: DistanceTable,
-    num_tasks: int,
-    min_distance: int = 1,
-) -> list[tuple[int, int]]:
-    """Deterministic task pairs spread across the reachable distance range:
-    sort candidate pairs by (distance, start, goal) and take evenly spaced
-    quantile positions."""
-    d = dist.d
+def select_tasks(d: np.ndarray, num_tasks: int, min_distance: int = 1) -> list[tuple[int, int]]:
+    """Deterministic task pairs spread across the reachable distance range
+    of the distance table ``d``: sort candidate pairs by (distance, start,
+    goal) and take evenly spaced quantile positions."""
     starts, goals = np.nonzero((d != UNREACHABLE) & (d >= min_distance))
     if starts.size == 0:
         raise ConfigError("environment has no reachable task pairs at the requested distance")
@@ -169,10 +162,9 @@ def spearman_rho(a, b) -> float:
     return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
-def spearman_to_oracle(q: ValueTable, dist: DistanceTable) -> float:
-    """Rank correlation between greedy-action implied distances and true
-    distances over all reachable pairs."""
-    d = dist.d
+def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
+    """Rank correlation between greedy-action implied distances and the true
+    distances ``d`` over all reachable pairs."""
     starts, goals = np.nonzero(d != UNREACHABLE)
     actions = greedy_action_batch(q, starts, goals)
     implied = q.implied_distances((starts, actions, goals))
@@ -190,7 +182,7 @@ def evaluate_policy(
     extraction: str = "greedy",
     rng: np.random.Generator | None = None,
     rejection_n: int = 32,
-    dist: DistanceTable | None = None,
+    dist: np.ndarray | None = None,
     metadata: dict | None = None,
 ) -> EvalReport:
     """Roll out the extracted policy; success means hitting the exact goal
@@ -228,8 +220,8 @@ def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int, metadata=None) -
     the sweep config's ``eval``): the task set from :func:`select_tasks`, a
     step budget of max_steps_factor times each task's distance (at least 1),
     and rollouts drawn from rng [seed, 2025]."""
-    tasks = select_tasks(env, dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
-    budgets = [max(1, eval_spec["max_steps_factor"] * int(dist.d[s, g])) for s, g in tasks]
+    tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
+    budgets = [max(1, eval_spec["max_steps_factor"] * int(dist[s, g])) for s, g in tasks]
     return evaluate_policy(
         env,
         q,
@@ -380,9 +372,11 @@ def validate_experiment_config(config: dict) -> dict:
     if env_spec["kind"] == "grid":
         if "width" not in env_spec or "height" not in env_spec:
             raise ConfigError("config keys 'env.width' and 'env.height' are required for grids")
+        _check_int("env.width", env_spec["width"], 1)
+        _check_int("env.height", env_spec["height"], 1)
     elif env_spec["kind"] == "file":
-        if "path" not in env_spec:
-            raise ConfigError("config key 'env.path' is required for file environments")
+        if not isinstance(env_spec.get("path"), str):
+            raise ConfigError("config key 'env.path' must be a file path string")
     else:
         raise ConfigError(f"config key 'env.kind' must be 'grid' or 'file', got {env_spec['kind']!r}")
 
@@ -485,7 +479,7 @@ def write_recursion_csv(path: str, rows: list[dict]) -> None:
 def run_single(
     env: GraphEnv,
     ds: TrajectoryDataset,
-    dist: DistanceTable,
+    dist: np.ndarray,
     beh: BehaviorPolicy,
     label: str,
     cfg: LearnerConfig,
@@ -566,20 +560,18 @@ def run_experiment(config_or_path) -> int:
     """Execute a (method x seed) matrix; returns 0, or 1 if any run failed
     validation. Partial results stay on disk."""
     if isinstance(config_or_path, str):
-        try:
-            with open(config_or_path) as fh:
+        with open_input(config_or_path) as fh:
+            try:
                 config = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {config_or_path}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
     else:
         config = config_or_path
     config = validate_experiment_config(config)
 
+    env = build_env_from_spec(config["env"])
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    env = build_env_from_spec(config["env"])
     ds_spec = config["dataset"]
     ds = collect_dataset(env, ds_spec["num_traj"], ds_spec["T"], ds_spec["seed"])
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))

@@ -15,6 +15,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -30,7 +31,7 @@ from .dataset import (
     sample_relabeled_goal_batch,
     sample_triplet_batch,
 )
-from .env import ConfigError, GraphEnv, adjacency_matrix
+from .env import ConfigError, GraphEnv, adjacency_matrix, open_input
 from .oracle import UNREACHABLE
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
@@ -129,6 +130,8 @@ class LearnerConfig:
             value = getattr(self, f.name)
             if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
                 raise ConfigError(f"learner field '{f.name}' must be {kind[1]}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"learner field '{f.name}' must be finite, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if not (0.0 < self.gamma < 1.0):
@@ -249,8 +252,9 @@ def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
 def transitive_sweeps(env: GraphEnv):
     """Jacobi (min, +) sweeps from the base table (0 on the diagonal, 1 on
     one-step edges): yields ``(d, shortened)`` after each sweep, with ``d``
-    in the :class:`~gclab.oracle.DistanceTable` convention (UNREACHABLE
-    for no path), and stops after the first sweep that shortens no pair.
+    an int32 step-count table in the convention of
+    :func:`~gclab.oracle.all_pairs_distances` (UNREACHABLE for no path), and
+    stops after the first sweep that shortens no pair.
 
     After k sweeps every pair at distance <= 2^k holds its distance, so a
     table of finite diameter D needs ceil(log2 D) sweeps plus the one that
@@ -658,7 +662,7 @@ _SPACE_FLAGS = {0: "logit", 1: "value"}
 def load_table(path: str) -> ValueTable:
     """Read a table saved by :func:`save_table`; the header is checked
     before anything is sized from it."""
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         head = fh.read(5 * 8)
         if len(head) != 5 * 8:
             raise ConfigError(f"{path}: truncated value-table header")

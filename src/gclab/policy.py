@@ -26,10 +26,6 @@ class BehaviorPolicy:
 
     counts: np.ndarray  # (S, A) visit counts
 
-    @property
-    def probs(self) -> np.ndarray:
-        return self.row_probs(slice(None))
-
     def row_probs(self, s) -> np.ndarray:
         """Smoothed action probabilities of state row(s) ``s`` only."""
         smoothed = self.counts[s] + 1.0

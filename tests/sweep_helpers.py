@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from gclab.learners import transitive_sweeps
-from gclab.oracle import UNREACHABLE, DistanceTable
+from gclab.oracle import UNREACHABLE
 
 
 def run_transitive_fixed_point(env) -> tuple[np.ndarray, int]:
@@ -22,7 +22,7 @@ def naive_sweep(d: np.ndarray) -> np.ndarray:
     return np.minimum(d, (d[:, :, None] + d[None, :, :]).min(axis=1))
 
 
-def finite_diameter(dist: DistanceTable) -> int:
-    """Largest finite distance (0 for a single-state or edgeless env)."""
-    finite = dist.d[dist.d != UNREACHABLE]
+def finite_diameter(d: np.ndarray) -> int:
+    """Largest finite distance of ``d`` (0 for a single-state or edgeless env)."""
+    finite = d[d != UNREACHABLE]
     return int(finite.max()) if finite.size else 0

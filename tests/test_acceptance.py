@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import expit
 
 from gclab.dataset import collect_dataset
-from gclab.env import GraphEnv, build_grid_env, random_graph_env
+from gclab.env import GraphEnv, build_grid_env
 from gclab.harness import (
     evaluate_policy,
     run_experiment,
@@ -36,6 +36,7 @@ from gclab.oracle import (
     oracle_q_table,
 )
 from gclab.policy import estimate_behavior_policy
+from env_helpers import random_graph_env
 from sweep_helpers import finite_diameter, run_transitive_fixed_point
 
 
@@ -65,7 +66,7 @@ def test_criterion_1_exact_operator_optimality():
         for env in acceptance_envs():
             dist = all_pairs_distances(env)
             fp, sweeps = run_transitive_fixed_point(env)
-            np.testing.assert_array_equal(fp, dist.d)
+            np.testing.assert_array_equal(fp, dist)
             q, _ = train_run(env, None, LearnerConfig(method="exact", gamma=0.99))
             np.testing.assert_array_equal(q.params, oracle_q_table(env, 0.99))
             diam = finite_diameter(dist)
@@ -163,7 +164,7 @@ def test_criterion_5_policy_extraction():
         for env in (build_grid_env(5, 5), build_grid_env(9, 9),
                     build_grid_env(6, 4, walls={(2, 1), (3, 2)}),
                     random_graph_env(80, 3, seed=5)):
-            dist = all_pairs_distances(env).d
+            dist = all_pairs_distances(env)
             q = ValueTable(oracle_q_table(env, 0.99), 0.99, space="value")
             vals = q.values()
             for s in range(env.num_states):
@@ -185,10 +186,10 @@ def test_criterion_5_policy_extraction():
         ds = collect_dataset(env, num_traj=200, T=32, seed=1)
         beh = estimate_behavior_policy(ds, env)
         rng = np.random.default_rng(99)
-        starts, goals = np.nonzero((dist.d != UNREACHABLE) & (dist.d >= 1))
+        starts, goals = np.nonzero((dist != UNREACHABLE) & (dist >= 1))
         picks = rng.integers(0, starts.size, size=1000)
         tasks = [(int(starts[p]), int(goals[p])) for p in picks]
-        budgets = [4 * int(dist.d[s, g]) for s, g in tasks]
+        budgets = [4 * int(dist[s, g]) for s, g in tasks]
         report = evaluate_policy(
             env, q, beh, tasks, episodes=1, max_steps=budgets,
             extraction="rejection", rng=rng, rejection_n=32, dist=dist,
@@ -218,9 +219,9 @@ def test_criterion_6_horizon_trend():
         ds = collect_dataset(env, num_traj=200, T=64, seed=0)
         dist = all_pairs_distances(env)
         beh = estimate_behavior_policy(ds, env)
-        far_tasks = [(s, g) for s in (0, 8, 16) for g in range(64) if dist.d[s, g] >= 32]
+        far_tasks = [(s, g) for s in (0, 8, 16) for g in range(64) if dist[s, g] >= 32]
         far_tasks = far_tasks[:: max(1, len(far_tasks) // 10)]
-        budgets = [4 * int(dist.d[s, g]) for s, g in far_tasks]
+        budgets = [4 * int(dist[s, g]) for s, g in far_tasks]
 
         results = {}
         for method in ("trl", "td_n"):

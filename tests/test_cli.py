@@ -238,6 +238,43 @@ def test_eval_bad_setting_exit_code(tmp_path, capsys, flag, key):
     assert f"eval.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "inf"), ("--beta-goal-reg", "nan")])
+def test_train_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
+    ds_path = _gen_dataset(tmp_path)
+    code = run_cli(
+        "train", "--width", "3", "--height", "1", "--dataset", str(ds_path), "--method", "mc",
+        "--seed", "0", "--steps", "10", flag, value, "--out-dir", str(tmp_path / "r"),
+    )
+    assert code == 2
+    assert f"'{flag[2:].replace('-', '_')}' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--env-file"])
+def test_train_missing_input_file_exit_code(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.txt")
+    code = run_cli(
+        "train", "--width", "3", "--height", "1", "--dataset", str(_gen_dataset(tmp_path)),
+        "--method", "mc", "--seed", "0", "--steps", "10", "--out-dir", str(tmp_path / "r"),
+        flag, missing,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and missing in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_sweep_missing_env_file_exit_code(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    config = {**_sweep_config(tmp_path), "env": {"kind": "file", "path": missing}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and missing in err
+    assert not (tmp_path / "exp").exists()  # rejected before anything is written
+
+
 def test_sweep_missing_config_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "missing.json"
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
@@ -280,7 +317,15 @@ def test_recursion_sim_size_above_n_max_exit_code(tmp_path, capsys):
      ({"dataset": {"num_traj": 4, "T": 8, "seed": -1}}, "dataset.seed"),
      ({"dataset": {"num_traj": 4, "T": 1, "seed": 0}, "methods": ["mc", "trl"]}, "dataset.T"),
      ({"learner": {"steps": "5"}}, "steps"), ({"learner": {"gamma": "0.9"}}, "gamma"),
-     ({"learner": {"batch_size": True}}, "batch_size"), ({"learner": {"seed": 1.0}}, "seed")],
+     ({"learner": {"batch_size": True}}, "batch_size"), ({"learner": {"seed": 1.0}}, "seed"),
+     ({"learner": {"learning_rate": float("inf")}}, "learning_rate"),
+     ({"learner": {"beta_goal_reg": float("nan")}}, "beta_goal_reg"),
+     ({"learner": {"ratios": {"p_cur": float("nan")}}}, "p_cur"),
+     ({"env": {"kind": "grid", "width": "8", "height": 1}}, "env.width"),
+     ({"env": {"kind": "grid", "width": 2.5, "height": 1}}, "env.width"),
+     ({"env": {"kind": "grid", "width": True, "height": 1}}, "env.width"),
+     ({"env": {"kind": "grid", "width": 4, "height": 0}}, "env.height"),
+     ({"env": {"kind": "file", "path": 3}}, "env.path")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from gclab.dataset import (
     sample_triplet_batch,
     save_dataset,
 )
-from gclab.env import ConfigError, build_grid_env, edge_set
+from gclab.env import ConfigError, adjacency_matrix, build_grid_env
 
 
 def sample_triplet(ds, rng):
@@ -45,11 +45,11 @@ def test_single_transition_consistency():
 
 
 def test_collected_transitions_live_in_edge_set(grid_env, grid_dataset):
-    edges = set(edge_set(grid_env))
+    edges = adjacency_matrix(grid_env)
     for n in range(grid_dataset.num_traj):
         for t in range(grid_dataset.horizon):
             s, s2 = int(grid_dataset.states[n, t]), int(grid_dataset.states[n, t + 1])
-            assert s == s2 or (s, s2) in edges
+            assert s == s2 or edges[s, s2]
 
 
 def test_collection_is_seed_deterministic(grid_env):
@@ -231,6 +231,13 @@ def test_ratio_validation():
         RelabelRatios(0.5, 0.5, 0.1, 0.0)
     with pytest.raises(ConfigError):
         RelabelRatios(geom_param=0.0)
+
+
+@pytest.mark.parametrize("field", ["p_cur", "p_geom", "p_traj", "p_rand", "geom_param"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_ratio_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+        RelabelRatios(**{field: value})
 
 
 def test_save_load_round_trip(tmp_path, grid_env, grid_dataset):

@@ -3,17 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclab.env import (
-    ConfigError,
-    GraphEnv,
-    adjacency_matrix,
-    build_grid_env,
-    edge_set,
-    load_env,
-    random_graph_env,
-    save_env,
-    step,
-)
+from gclab.env import ConfigError, GraphEnv, adjacency_matrix, build_grid_env, load_env
+from env_helpers import random_graph_env, save_env
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 
@@ -29,41 +20,46 @@ def brute_force_edges(env):
     return pairs
 
 
+def edge_list(env):
+    """The adjacency matrix's edges as a sorted list of (s, s') pairs."""
+    return [tuple(p) for p in np.argwhere(adjacency_matrix(env)).tolist()]
+
+
 def test_single_cell_grid_is_degenerate():
     env = build_grid_env(1, 1)
     assert env.num_states == 1
-    assert all(step(env, 0, a) == 0 for a in range(4))
-    assert edge_set(env) == []
+    assert all(env.transition[0, a] == 0 for a in range(4))
+    assert edge_list(env) == []
 
 
 def test_5x5_grid_adjacency():
     env = build_grid_env(5, 5)
     assert env.num_states == 25
     corner = 0  # (0, 0) in row-major order
-    assert step(env, corner, RIGHT) == 1
-    assert step(env, corner, UP) == corner  # off-grid move is a self-loop
+    assert env.transition[corner, RIGHT] == 1
+    assert env.transition[corner, UP] == corner  # off-grid move is a self-loop
     center = 2 + 2 * 5  # (2, 2)
-    assert step(env, center, RIGHT) == 3 + 2 * 5
+    assert env.transition[center, RIGHT] == 3 + 2 * 5
 
 
 def test_corridor_transitions_and_edges():
     env = build_grid_env(3, 1)
     assert env.num_states == 3
-    assert step(env, 1, LEFT) == 0
-    assert edge_set(env) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert env.transition[1, LEFT] == 0
+    assert edge_list(env) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
 def test_5x5_edge_count():
     # 4-connected grid: 2 * (4*5 horizontal + 5*4 vertical) directed edges.
     env = build_grid_env(5, 5)
-    assert len(edge_set(env)) == 80
+    assert adjacency_matrix(env).sum() == 80
 
 
 def test_walls_block_and_remove_states():
     env = build_grid_env(3, 3, walls={(1, 1)})
     assert env.num_states == 8
     # (1, 0) is state 1; moving down runs into the wall.
-    assert step(env, 1, DOWN) == 1
+    assert env.transition[1, DOWN] == 1
 
 
 def test_all_cells_walled_is_an_error():
@@ -74,14 +70,6 @@ def test_all_cells_walled_is_an_error():
 def test_wall_outside_grid_is_an_error():
     with pytest.raises(ConfigError):
         build_grid_env(2, 2, walls={(5, 5)})
-
-
-def test_step_bounds_checks():
-    env = build_grid_env(2, 2)
-    with pytest.raises(ValueError):
-        step(env, 4, 0)
-    with pytest.raises(ValueError):
-        step(env, 0, 4)
 
 
 def test_state_coords_populated_row_major():
@@ -130,17 +118,11 @@ def test_grid_closure_and_edge_set_match_brute_force(width, height, seed):
 
     assert env.transition.min() >= 0
     assert env.transition.max() < env.num_states
-    assert set(edge_set(env)) == brute_force_edges(env)
-    # Determinism: repeated lookups agree.
-    for s in range(env.num_states):
-        for a in range(env.num_actions):
-            assert step(env, s, a) == step(env, s, a)
+    assert set(edge_list(env)) == brute_force_edges(env)
 
 
 @settings(max_examples=30, deadline=None)
 @given(num_states=st.integers(1, 40), num_actions=st.integers(1, 5), seed=st.integers(0, 10**6))
 def test_random_graph_edges_match_brute_force(num_states, num_actions, seed):
     env = random_graph_env(num_states, num_actions, seed)
-    assert set(edge_set(env)) == brute_force_edges(env)
-    adj = adjacency_matrix(env)
-    assert set(zip(*np.nonzero(adj))) == brute_force_edges(env)
+    assert set(edge_list(env)) == brute_force_edges(env)

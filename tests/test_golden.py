@@ -29,11 +29,12 @@ import scipy
 
 from gclab.dataset import collect_dataset
 from gclab.analysis import expected_recursions
-from gclab.env import GraphEnv, build_grid_env, random_graph_env
+from gclab.env import GraphEnv, build_grid_env
 from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
 from gclab.learners import LearnerConfig
 from gclab.oracle import all_pairs_distances, oracle_q_table
 from gclab.policy import estimate_behavior_policy
+from env_helpers import random_graph_env
 
 CAPTURED_ON = ("2.4.6", "1.17.1", "x86_64")
 
@@ -100,8 +101,8 @@ def golden_digests() -> dict[str, str]:
     ds = collect_dataset(env, num_traj=20, T=16, seed=0)
     dist = all_pairs_distances(env)
     beh = estimate_behavior_policy(ds, env)
-    tasks = select_tasks(env, dist, 5)
-    budgets = [2 * int(dist.d[s, g]) for s, g in tasks]
+    tasks = select_tasks(dist, 5)
+    budgets = [2 * int(dist[s, g]) for s, g in tasks]
 
     out, tables = {}, {}
     for name, cfg in RUNS.items():
@@ -121,7 +122,7 @@ def golden_digests() -> dict[str, str]:
         q, log = train_run(exact_env, None, replace(BASE, method="exact", gamma=0.95))
         assert q.params.tobytes() == oracle_q_table(exact_env, 0.95).tobytes()
         out[f"exact.train.{name}"] = _sha(q.params.tobytes(), log)
-        out[f"exact.dist.{name}"] = _sha(all_pairs_distances(exact_env).d.tobytes())
+        out[f"exact.dist.{name}"] = _sha(all_pairs_distances(exact_env).tobytes())
     out["recursion.b_200000"] = _sha(expected_recursions(200_000).b.tobytes())
     return out
 

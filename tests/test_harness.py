@@ -16,7 +16,7 @@ from gclab.harness import (
 )
 from gclab import learners
 from gclab.learners import LearnerConfig, ValueTable, load_table
-from gclab.oracle import DistanceTable, all_pairs_distances, optimal_value_table, oracle_q_table
+from gclab.oracle import all_pairs_distances, optimal_value_table, oracle_q_table
 from gclab.policy import estimate_behavior_policy
 from sweep_helpers import run_transitive_fixed_point
 
@@ -45,7 +45,7 @@ def test_exact_method_ignores_dataset(small_world):
     cfg = LearnerConfig(method="exact", gamma=0.95)
     q, log = train_run(env, None, cfg)
     d_fp, _ = run_transitive_fixed_point(env)
-    v_fp = optimal_value_table(DistanceTable(d_fp), 0.95).v
+    v_fp = optimal_value_table(d_fp, 0.95)
     idx = np.arange(env.num_states)
     expected = 0.95 * v_fp[env.transition, :]
     expected[idx, :, idx] = 1.0
@@ -135,9 +135,9 @@ def test_trl_needs_horizon_two(small_world):
 def test_select_tasks_deterministic_and_spread():
     env = build_grid_env(8, 1)
     dist = all_pairs_distances(env)
-    tasks = select_tasks(env, dist, 5)
-    assert tasks == select_tasks(env, dist, 5)
-    dists = [int(dist.d[s, g]) for s, g in tasks]
+    tasks = select_tasks(dist, 5)
+    assert tasks == select_tasks(dist, 5)
+    dists = [int(dist[s, g]) for s, g in tasks]
     assert min(dists) >= 1
     assert max(dists) == 7  # corridor diameter reached
 
@@ -155,8 +155,8 @@ def test_evaluate_oracle_greedy_all_tasks(small_world):
     q = oracle_table(env)
     beh = estimate_behavior_policy(ds, env)
     dist = all_pairs_distances(env)
-    tasks = select_tasks(env, dist, 5)
-    budgets = [int(dist.d[s, g]) for s, g in tasks]
+    tasks = select_tasks(dist, 5)
+    budgets = [int(dist[s, g]) for s, g in tasks]
     report = evaluate_policy(env, q, beh, tasks, episodes=3, max_steps=budgets, dist=dist)
     assert all(row["success_rate"] == 1.0 for row in report.tasks)
     assert report.spearman_to_oracle == pytest.approx(1.0, abs=1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from gclab.env import ConfigError, GraphEnv, build_grid_env, random_graph_env
+from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.learners import (
     LOGIT_CLAMP,
     LearnerConfig,
@@ -28,6 +28,7 @@ from gclab.oracle import (
     all_pairs_distances,
     oracle_q_table,
 )
+from env_helpers import random_graph_env
 from sweep_helpers import finite_diameter, run_transitive_fixed_point
 
 
@@ -170,7 +171,7 @@ def test_sweep_count_and_exactness_on_grid():
     dist = all_pairs_distances(env)
     assert finite_diameter(dist) == 8
     assert sweeps <= 3  # ceil(log2(8))
-    np.testing.assert_array_equal(d, dist.d)  # so the values are gamma^d* bit for bit
+    np.testing.assert_array_equal(d, dist)  # so the values are gamma^d* bit for bit
 
 
 def test_sweep_monotone_and_matches_oracle_on_random_graphs():
@@ -185,7 +186,7 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
             prev = d
         fp, sweeps = run_transitive_fixed_point(env)
         dist = all_pairs_distances(env)
-        np.testing.assert_array_equal(fp, dist.d)
+        np.testing.assert_array_equal(fp, dist)
         diam = finite_diameter(dist)
         bound = int(np.ceil(np.log2(diam))) if diam > 1 else 0
         assert sweeps <= bound
@@ -601,7 +602,7 @@ def test_coe_generator_picks_shortest_path_waypoint():
     }
     coe_update_step(q, qt, gen, greedy_policy_fn(qt), batch, cfg)
     w = int(gen[0, 3, 6])
-    dist = all_pairs_distances(env).d
+    dist = all_pairs_distances(env)
     s_next = 1  # step(0, right)
     assert dist[s_next, w] + dist[w, 6] == dist[s_next, 6]
 
@@ -697,6 +698,15 @@ def test_target_sync_geometric_convergence():
 def test_target_sync_tau_zero_rejected_by_config():
     with pytest.raises(ConfigError):
         LearnerConfig(tau_target=0.0)
+
+
+@pytest.mark.parametrize(
+    "field", ["gamma", "kappa", "lambda_reweight", "learning_rate", "tau_target", "beta_goal_reg"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_non_finite_floats(field, value):
+    with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+        LearnerConfig(**{field: value})
 
 
 def test_target_sync_shape_mismatch():

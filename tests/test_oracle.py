@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclab.env import ConfigError, GraphEnv, adjacency_matrix, build_grid_env, random_graph_env
+from gclab.env import ConfigError, GraphEnv, adjacency_matrix, build_grid_env
 from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
+from env_helpers import random_graph_env
 
 
 def floyd_warshall_distances(env):
@@ -47,19 +48,19 @@ def one_way_corridor(n=3):
 
 def test_self_distances_are_zero():
     env = build_grid_env(4, 3, walls={(2, 1)})
-    d = all_pairs_distances(env).d
+    d = all_pairs_distances(env)
     assert (np.diag(d) == 0).all()
 
 
 def test_5x5_corner_to_corner():
     env = build_grid_env(5, 5)
-    d = all_pairs_distances(env).d
+    d = all_pairs_distances(env)
     assert d[0, 24] == 8  # (0,0) -> (4,4): Manhattan distance on an empty grid
 
 
 def test_one_way_corridor_unreachable():
     env = one_way_corridor(3)
-    d = all_pairs_distances(env).d
+    d = all_pairs_distances(env)
     assert d[0, 2] == 2
     assert d[2, 0] == UNREACHABLE
 
@@ -76,7 +77,7 @@ def test_bfs_matches_floyd_warshall_and_matrix_powers():
     envs += [random_graph_env(60, 2, seed) for seed in range(5)]
     unreachable = 0
     for env in envs:
-        d = all_pairs_distances(env).d
+        d = all_pairs_distances(env)
         assert d.dtype == np.int64
         np.testing.assert_array_equal(d, floyd_warshall_distances(env))
         np.testing.assert_array_equal(d, matrix_power_distances(env))
@@ -87,16 +88,17 @@ def test_bfs_matches_floyd_warshall_and_matrix_powers():
 def test_value_table_values():
     env = build_grid_env(5, 5)
     dist = all_pairs_distances(env)
-    table = optimal_value_table(dist, gamma=0.99)
-    assert table.v[0, 0] == 1.0
-    assert table.v[0, 24] == pytest.approx(0.99**8)
-    assert table.v[0, 24] == pytest.approx(0.92274, abs=1e-5)
+    v = optimal_value_table(dist, gamma=0.99)
+    assert v.dtype == np.float64
+    assert v[0, 0] == 1.0
+    assert v[0, 24] == pytest.approx(0.99**8)
+    assert v[0, 24] == pytest.approx(0.92274, abs=1e-5)
 
 
 def test_unreachable_value_is_exactly_zero():
     env = one_way_corridor(3)
-    table = optimal_value_table(all_pairs_distances(env), gamma=0.9)
-    assert table.v[2, 0] == 0.0
+    v = optimal_value_table(all_pairs_distances(env), gamma=0.9)
+    assert v[2, 0] == 0.0
 
 
 def test_gamma_validation():
@@ -112,7 +114,7 @@ def test_gamma_validation():
 def test_multiplicative_triangle_inequality(seed, gamma):
     env = random_graph_env(20, 2, seed)
     dist = all_pairs_distances(env)
-    v = optimal_value_table(dist, gamma).v
+    v = optimal_value_table(dist, gamma)
     # v[s, g] >= v[s, w] * v[w, g] for all s, w, g (allow float round-off).
     products = v[:, :, None] * v[None, :, :]  # products[s, w, g]
     best = products.max(axis=1)
@@ -122,14 +124,14 @@ def test_multiplicative_triangle_inequality(seed, gamma):
 def test_triangle_equality_on_shortest_path():
     env = build_grid_env(6, 1)  # corridor: every midpoint lies on the shortest path
     dist = all_pairs_distances(env)
-    v = optimal_value_table(dist, 0.95).v
+    v = optimal_value_table(dist, 0.95)
     # w = 3 is on the unique shortest path 0 -> 5.
     assert v[0, 5] == pytest.approx(v[0, 3] * v[3, 5], rel=1e-12)
 
 
 def test_bfs_matches_matrix_powers_on_larger_envs():
     for env in (build_grid_env(14, 14), random_graph_env(200, 2, 77)):
-        np.testing.assert_array_equal(all_pairs_distances(env).d, matrix_power_distances(env))
+        np.testing.assert_array_equal(all_pairs_distances(env), matrix_power_distances(env))
 
 
 def test_oracle_q_table_shape_and_goal_rows():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gclab.dataset import TrajectoryDataset, collect_dataset
-from gclab.env import ConfigError, build_grid_env, random_graph_env, step
+from gclab.env import ConfigError, build_grid_env
 from gclab.learners import ValueTable
 from gclab.oracle import UNREACHABLE, all_pairs_distances, oracle_q_table
 from gclab.policy import (
@@ -11,6 +11,7 @@ from gclab.policy import (
     greedy_action_batch,
     rejection_sample_action,
 )
+from env_helpers import random_graph_env
 
 RIGHT = 3
 
@@ -28,7 +29,7 @@ def test_unvisited_state_falls_back_to_uniform():
     env = build_grid_env(2, 2)
     ds = TrajectoryDataset(np.array([[0, 1]]), np.array([[RIGHT]]))
     beh = estimate_behavior_policy(ds, env)
-    np.testing.assert_allclose(beh.probs[3], 0.25)
+    np.testing.assert_allclose(beh.row_probs(3), 0.25)
 
 
 def test_add_one_smoothing_arithmetic():
@@ -36,9 +37,10 @@ def test_add_one_smoothing_arithmetic():
     counts = np.zeros((2, 4))
     counts[0, 2] = 10
     beh = BehaviorPolicy(counts)
-    assert beh.probs[0, 2] == pytest.approx(11 / 14)
-    assert beh.probs[0, 0] == pytest.approx(1 / 14)
-    assert beh.probs.sum(axis=1) == pytest.approx([1.0, 1.0])
+    probs = beh.row_probs(slice(None))
+    assert probs[0, 2] == pytest.approx(11 / 14)
+    assert probs[0, 0] == pytest.approx(1 / 14)
+    assert probs.sum(axis=1) == pytest.approx([1.0, 1.0])
 
 
 def test_random_walk_frequencies_close_to_uniform():
@@ -50,7 +52,7 @@ def test_random_walk_frequencies_close_to_uniform():
     marginal = np.bincount(ds.actions.ravel(), minlength=4) / total
     sigma = np.sqrt(0.25 * 0.75 / total)
     assert np.abs(marginal - 0.25).max() < 3 * sigma
-    assert beh.probs.sum(axis=1) == pytest.approx(np.ones(env.num_states))
+    assert beh.row_probs(slice(None)).sum(axis=1) == pytest.approx(np.ones(env.num_states))
 
 
 def test_greedy_action_on_corridor():
@@ -89,7 +91,7 @@ def test_rejection_with_one_sample_is_the_behavior_policy():
     freq = np.bincount(
         [rejection_sample_action(q, beh, 0, 1, 1, rng) for _ in range(n)], minlength=4
     ) / n
-    expected = beh.probs[0]
+    expected = beh.row_probs(0)
     sigma = np.sqrt(expected * (1 - expected) / n)
     assert np.all(np.abs(freq - expected) < 3.5 * sigma)
 
@@ -144,7 +146,7 @@ def greedy_rollout_length(env, q, start, goal, max_steps):
     for t in range(max_steps):
         if s == goal:
             return t
-        s = step(env, s, greedy_action(q, s, goal))
+        s = int(env.transition[s, greedy_action(q, s, goal)])
     return max_steps if s != goal else max_steps
 
 
@@ -152,7 +154,7 @@ def test_greedy_on_oracle_reaches_goals_in_exact_distance():
     for env in (build_grid_env(5, 5), build_grid_env(6, 4, walls={(2, 1), (2, 2)}),
                 random_graph_env(60, 3, seed=4)):
         q = oracle_table(env)
-        dist = all_pairs_distances(env).d
+        dist = all_pairs_distances(env)
         for s in range(env.num_states):
             for g in range(env.num_states):
                 if dist[s, g] == UNREACHABLE:

@@ -70,7 +70,7 @@ def test_row_probs_match_full_probs():
     counts = np.random.default_rng(3).integers(0, 50, size=(9, 4))
     counts[2] = 0
     beh = BehaviorPolicy(counts)
-    full = beh.probs
+    full = beh.row_probs(slice(None))
     for s in range(9):
         assert beh.row_probs(s).tobytes() == full[s].tobytes()
 
@@ -80,7 +80,7 @@ def test_training_and_eval_never_read_the_full_table(monkeypatch):
     ds = collect_dataset(env, num_traj=10, T=12, seed=0)
     dist = all_pairs_distances(env)
     beh = estimate_behavior_policy(ds, env)
-    tasks = select_tasks(env, dist, 3)
+    tasks = select_tasks(dist, 3)
 
     def forbidden(self):
         raise AssertionError("full-table ValueTable.values() pass")
