@@ -96,6 +96,12 @@ def cmd_eval(args) -> int:
     check_eval_settings(**eval_spec)
     env = _env_from_args(args)
     q = load_table(args.table)
+    expected = (env.num_states, env.num_actions, env.num_states)
+    if q.params.shape != expected:
+        raise ConfigError(
+            f"{args.table}: table shape {q.params.shape} does not match the "
+            f"environment's (states, actions, goals) {expected}"
+        )
     ds = load_dataset(args.dataset, env=env)
     beh = estimate_behavior_policy(ds, env)
     report = evaluate_run(env, q, beh, all_pairs_distances(env), eval_spec, args.seed)

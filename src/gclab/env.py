@@ -9,6 +9,7 @@ explicit transition table, either in code or from a plain-text file.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -23,13 +24,20 @@ class ConfigError(ValueError):
     """Raised for invalid configuration or construction arguments."""
 
 
+@contextlib.contextmanager
 def open_input(path: str, mode: str = "r"):
-    """``open(path, mode)`` for an input file; a file that cannot be opened
-    is a ConfigError naming it."""
+    """``with open(path, mode)`` for an input file. A file that cannot be
+    opened, or that a text-mode read cannot decode, is a ConfigError naming
+    it."""
     try:
-        return open(path, mode)
+        fh = open(path, mode)
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not a text file: {exc}") from None
 
 
 @dataclass
@@ -131,10 +139,10 @@ def load_env(path: str) -> GraphEnv:
     The first line holds ``num_states num_actions``; then one line per
     state s, in order, lists the num_actions successor states
     transition[s, 0..num_actions-1] as whitespace-separated integers.
-    Blank lines and lines starting with # are ignored.
+    Blank lines and lines whose first non-blank character is # are ignored.
     """
     with open_input(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"environment file {path} is empty")
     try:

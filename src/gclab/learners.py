@@ -160,37 +160,23 @@ class LearnerConfig:
 # Losses
 
 
-def asymmetric_loss(x_pred, y_target, kappa: float, kind: str):
-    """Expectile-weighted loss and its gradient with respect to the prediction.
+def expectile_weight(pred, target, kappa: float) -> np.ndarray:
+    """Per-sample expectile weight: kappa where the prediction sits at or
+    below the target, 1 - kappa where it sits above, so kappa > 0.5
+    penalizes under-predictions harder and the minimizer moves toward an
+    upper expectile of the targets."""
+    return np.where(pred > target, 1.0 - kappa, kappa)
 
-    The weight is kappa when the prediction sits at or below the target and
-    1 - kappa when it sits above, so kappa > 0.5 penalizes under-predictions
-    harder and the minimizer moves toward an upper expectile of the targets.
 
-    kind "squared": D = (x - y)^2. kind "bce": binary cross entropy, both
-    arguments restricted to the open interval (0, 1).
-
-    Returns (loss, dloss_dx), elementwise for array inputs.
-    """
+def asymmetric_loss(x_pred, y_target, kappa: float):
+    """Expectile squared loss weight * (x - y)^2 and its gradient with
+    respect to the prediction, elementwise: the value-space loss of gciql's
+    V step. Returns (loss, dloss_dx)."""
     if not (0.5 <= kappa < 1.0):
         raise ConfigError(f"kappa must lie in [0.5, 1), got {kappa}")
-    x = np.asarray(x_pred, dtype=np.float64)
-    y = np.asarray(y_target, dtype=np.float64)
-    weight = np.where(x > y, 1.0 - kappa, kappa)
-    if kind == "squared":
-        diff = x - y
-        loss = weight * diff * diff
-        grad = weight * 2.0 * diff
-    elif kind == "bce":
-        if np.any(x <= 0) or np.any(x >= 1) or np.any(y <= 0) or np.any(y >= 1):
-            raise ValueError("bce arguments must lie strictly inside (0, 1)")
-        loss = weight * -(y * np.log(x) + (1.0 - y) * np.log1p(-x))
-        grad = weight * (x - y) / (x * (1.0 - x))
-    else:
-        raise ConfigError(f"unknown loss kind {kind!r}")
-    if np.isscalar(x_pred) and np.isscalar(y_target):
-        return float(loss), float(grad)
-    return loss, grad
+    weight = expectile_weight(x_pred, y_target, kappa)
+    diff = x_pred - y_target
+    return weight * diff * diff, weight * 2.0 * diff
 
 
 def _bce_logit_terms(pred, target):
@@ -202,7 +188,7 @@ def _bce_logit_terms(pred, target):
     return loss, pred - target
 
 
-def reweight_factor(q_value, gamma: float, lam: float):
+def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
     """Distance-based weight 1 / (1 + log_gamma q)^lam.
 
     The implied distance is clamped to [0, 4 / (1 - gamma)] before use, so
@@ -210,11 +196,9 @@ def reweight_factor(q_value, gamma: float, lam: float):
     """
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    q = np.maximum(np.asarray(q_value, dtype=np.float64), 1e-300)
-    dist = np.log(q) / np.log(gamma)
+    dist = np.log(np.maximum(q_value, 1e-300)) / np.log(gamma)
     dist = np.clip(dist, 0.0, 4.0 / (1.0 - gamma))
-    out = np.power(1.0 + dist, -lam)
-    return float(out) if np.isscalar(q_value) else out
+    return np.power(1.0 + dist, -lam)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +274,9 @@ def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     of the two target-table halves through the in-trajectory subgoal s_k.
 
     Segments of length <= 1 substitute the exact base value gamma^len for
-    the target factor. The expectile BCE loss is scaled per sample by the
-    distance-based reweight factor; target factors are constants.
+    the target factor. The BCE loss is weighted per sample by the expectile
+    weight times the distance-based reweight factor; target factors are
+    constants.
     """
     g = cfg.gamma
     pred = expit(q.params[batch["s_i"], batch["a_i"], batch["s_j"]])
@@ -303,10 +288,9 @@ def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), half_kj)
     target = f1 * f2
 
-    w = reweight_factor(pred, g, cfg.lambda_reweight)
-    loss, dloss_dpred = asymmetric_loss(pred, target, cfg.kappa, kind="bce")
-    grad_logit = w * dloss_dpred * pred * (1.0 - pred)
-    _apply_logit_updates(q, (batch["s_i"], batch["a_i"], batch["s_j"]), grad_logit, cfg.learning_rate)
+    w = reweight_factor(pred, g, cfg.lambda_reweight) * expectile_weight(pred, target, cfg.kappa)
+    loss, grad = _bce_logit_terms(pred, target)
+    _apply_logit_updates(q, (batch["s_i"], batch["a_i"], batch["s_j"]), w * grad, cfg.learning_rate)
     return {
         "loss": float(np.mean(w * loss)),
         "mean_q": float(pred.mean()),
@@ -350,7 +334,7 @@ def td_n_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Lear
 
     pred1 = expit(q.params[s_i, a_i, goal])
     target = td_n_compute_targets(q_target, batch, cfg)
-    weight = np.where(pred1 > target, 1.0 - cfg.kappa, cfg.kappa)
+    weight = expectile_weight(pred1, target, cfg.kappa)
     loss1, grad1 = _bce_logit_terms(pred1, target)
 
     _apply_logit_updates(q, (s_i, a_i, s_i), grad0, cfg.learning_rate)
@@ -378,7 +362,7 @@ def gciql_update_step(
     s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
     vs = v[s, goal]
     qbar = q_target.values_at((s, a, goal))
-    loss_v, grad_v = asymmetric_loss(vs, qbar, cfg.kappa, kind="squared")
+    loss_v, grad_v = asymmetric_loss(vs, qbar, cfg.kappa)
 
     qv = q.params[s, a, goal]
     target = (s == goal).astype(np.float64) + cfg.gamma * v[s2, goal]

@@ -8,7 +8,7 @@ import contextlib
 import time
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from gclab.dataset import collect_dataset
 from gclab.env import GraphEnv, build_grid_env
@@ -22,7 +22,9 @@ from gclab.learners import (
     LearnerConfig,
     _td_batch,
     ValueTable,
+    _bce_logit_terms,
     asymmetric_loss,
+    expectile_weight,
     gciql_update_step,
     mc_update_step,
     target_sync,
@@ -104,6 +106,15 @@ def test_criterion_2_recursion_theory():
         assert elapsed < 30.0, f"runtime {elapsed:.2f}s exceeds 30s"
 
 
+def _expectile_bce(z, y, kappa):
+    """Expectile BCE as the logit learners form it: loss and gradient wrt the
+    logit z."""
+    pred = expit(z)
+    loss, grad = _bce_logit_terms(pred, y)
+    w = expectile_weight(pred, y, kappa)
+    return w * loss, w * grad
+
+
 def test_criterion_3_gradient_checks():
     with criterion(3, "analytic loss gradients match central differences to 1e-6"):
         rng = np.random.default_rng(777)
@@ -115,9 +126,13 @@ def test_criterion_3_gradient_checks():
                 x, y = rng.uniform(0.02, 0.98, size=2)
                 if abs(x - y) < 1e-3:
                     continue
-                _, grad = asymmetric_loss(x, y, kappa, kind)
-                lp, _ = asymmetric_loss(x + h, y, kappa, kind)
-                lm, _ = asymmetric_loss(x - h, y, kappa, kind)
+                if kind == "bce":  # the BCE learners step in the logit
+                    x, fn = logit(x), _expectile_bce
+                else:
+                    fn = asymmetric_loss
+                _, grad = fn(x, y, kappa)
+                lp, _ = fn(x + h, y, kappa)
+                lm, _ = fn(x - h, y, kappa)
                 fd = (lp - lm) / (2 * h)
                 assert abs(grad - fd) / max(abs(fd), 1e-8) <= 1e-6
             points += 1
@@ -126,8 +141,6 @@ def test_criterion_3_gradient_checks():
 def _fit_expectile(kappa: float, gamma: float = 0.99, steps: int = 60_000) -> float:
     """Fit one table entry against the fixed two-target distribution
     {gamma^2, gamma^5} through the online update path."""
-    from scipy.special import logit
-
     q = ValueTable.create(5, 1, gamma)
     qt = ValueTable.create(5, 1, gamma)
     qt.params[0, 0, 1] = logit(gamma)

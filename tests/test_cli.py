@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gclab.cli import main
+from gclab.learners import ValueTable, save_table
 
 
 def run_cli(*argv):
@@ -262,6 +263,41 @@ def test_train_missing_input_file_exit_code(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert "config error" in err and missing in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--width", "3", "--height", "1", "--method", "mc", "--seed", "0",
+      "--out-dir", "r", "--dataset"],
+     ["gen", "--num-traj", "2", "--T", "4", "--seed", "0", "--out", "ds.csv", "--env-file"],
+     ["sweep", "--config"]],
+)
+def test_binary_input_file_exit_code(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # outputs, had the input been accepted
+    binary = str(tmp_path / "table.bin")
+    save_table(ValueTable.create(3, 4, 0.99), binary)
+    assert run_cli(*argv, binary) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{binary} is not a text file" in err
+
+
+@pytest.mark.parametrize("table_states, width, height", [(4, 3, 3), (9, 4, 1)])
+def test_eval_table_shape_mismatch_exit_code(tmp_path, capsys, table_states, width, height):
+    ds_path = tmp_path / "ds.csv"
+    assert run_cli("gen", "--width", str(width), "--height", str(height), "--num-traj", "4",
+                   "--T", "8", "--seed", "0", "--out", str(ds_path)) == 0
+    table_path = str(tmp_path / "table.bin")
+    save_table(ValueTable.create(table_states, 4, 0.99), table_path)
+    code = run_cli(
+        "eval", "--width", str(width), "--height", str(height), "--table", table_path,
+        "--dataset", str(ds_path), "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    states = width * height
+    assert table_path in err
+    assert f"({table_states}, 4, {table_states})" in err and f"({states}, 4, {states})" in err
+    assert not (tmp_path / "eval.csv").exists()
 
 
 def test_sweep_missing_env_file_exit_code(tmp_path, capsys):

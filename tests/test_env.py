@@ -96,6 +96,13 @@ def test_env_file_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.transition, env.transition)
 
 
+def test_env_file_skips_indented_comments(tmp_path):
+    path = tmp_path / "env.txt"
+    path.write_text("# one-way chain\n2 1\n  # note\n1\n\t# tab\n1\n")
+    env = load_env(str(path))
+    assert env.transition.tolist() == [[1], [1]]
+
+
 def test_env_file_rejects_bad_row(tmp_path):
     path = tmp_path / "env.txt"
     path.write_text("2 2\n0 1\n1\n")

@@ -39,13 +39,13 @@ from env_helpers import random_graph_env
 CAPTURED_ON = ("2.4.6", "1.17.1", "x86_64")
 
 EXPECTED = {
-    "train.trl": "5f981a9b82349224aed7e61740a916a17d5a603223f1d9dea14e5d91298afe19",
+    "train.trl": "6fa98e695cc88bfb4802fd4c65cfebba7d25b7c38396905f2e50e447c256d253",
     "train.mc": "8b002fac32b0bd631ac1bf2a3b2110c291e1b8410931eeb6a53b258fe609beb5",
     "train.td_n": "a76b3c1ac7f4efd6d53c1546ac518e117b958c96a3f068f59c331d1c4dc8f5bc",
     "train.gciql": "b57323b57602a9448d27160c3c71a3f009b9b2ed234993c6c4914baded0b6fc1",
     "train.sgt": "c06ce0495fd0f86f017ede40ece63c183bd5ba8edc514fea01f3153e4e9e5705",
     "train.coe": "81a55deb33d2d7b376837c80514066f8873505ff1cdb651a3fe4c3d78117d0ea",
-    "train.trl_saturated": "608d3e22dbc27da0fbeb8e000d974900ff9817c6df6562a7359c14a813315c63",
+    "train.trl_saturated": "9effad0fb4be38a2cfea7ba540246dd0d498fa474885118d8b2c6e650c0e4288",
     "eval.greedy.trl": "31afc14a2b487e5e8b067cedcdc0be27390b891e4824e0693ac9fbf8d6b06bde",
     "eval.rejection.trl": "cf1e0268278d76e9330d124df395adacf4f98d55e6f54baa62db494d694564ba",
     "eval.greedy.gciql": "b192b437d3b45bee57f6a0568e5f27fb444fa1c377ffbdf019e11cafa3563f0d",

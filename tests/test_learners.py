@@ -9,8 +9,10 @@ from gclab.learners import (
     LOGIT_CLAMP,
     LearnerConfig,
     ValueTable,
+    _bce_logit_terms,
     asymmetric_loss,
     coe_update_step,
+    expectile_weight,
     gciql_update_step,
     load_table,
     mc_update_step,
@@ -39,12 +41,21 @@ def right_only_chain(n, absorbing=True):
 
 
 # ---------------------------------------------------------------------------
-# asymmetric_loss
+# Losses: asymmetric_loss (squared, value space) and the BCE logit kernel
+
+
+def expectile_bce(z, y, kappa):
+    """Expectile BCE as the logit learners form it: loss and gradient wrt the
+    logit z."""
+    pred = expit(z)
+    loss, grad = _bce_logit_terms(pred, y)
+    w = expectile_weight(pred, y, kappa)
+    return w * loss, w * grad
 
 
 def test_squared_loss_above_target():
     # prediction two above target: weight |0.7 - 1| = 0.3, loss 0.3 * 4.
-    loss, grad = asymmetric_loss(3.0, 1.0, kappa=0.7, kind="squared")
+    loss, grad = asymmetric_loss(3.0, 1.0, kappa=0.7)
     assert loss == pytest.approx(1.2)
     assert grad == pytest.approx(0.3 * 2 * 2.0)
 
@@ -53,31 +64,26 @@ def test_squared_loss_symmetric_at_half():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x, y = rng.normal(size=2)
-        loss, _ = asymmetric_loss(x, y, kappa=0.5, kind="squared")
+        loss, _ = asymmetric_loss(x, y, kappa=0.5)
         assert loss == pytest.approx(0.5 * (x - y) ** 2)
 
 
 def test_bce_loss_frozen_value():
     # weight 0.3; D = -(0.5 ln 0.9 + 0.5 ln 0.1) = 1.2039728; loss = 0.3611918.
-    loss, _ = asymmetric_loss(0.9, 0.5, kappa=0.7, kind="bce")
+    loss, _ = expectile_bce(logit(0.9), 0.5, kappa=0.7)
     assert loss == pytest.approx(0.3611918, abs=1e-6)
-
-
-def test_bce_rejects_out_of_range():
-    for x, y in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0), (-0.1, 0.5)]:
-        with pytest.raises(ValueError):
-            asymmetric_loss(x, y, kappa=0.7, kind="bce")
 
 
 def test_kappa_validation():
     with pytest.raises(ConfigError):
-        asymmetric_loss(0.5, 0.4, kappa=0.4, kind="squared")
+        asymmetric_loss(0.5, 0.4, kappa=0.4)
     with pytest.raises(ConfigError):
-        asymmetric_loss(0.5, 0.4, kappa=1.0, kind="squared")
+        asymmetric_loss(0.5, 0.4, kappa=1.0)
 
 
 def test_gradients_match_central_differences():
-    """100 random (x, y, kappa) points per kind, relative error <= 1e-6."""
+    """100 random (x, y, kappa) points per loss, relative error <= 1e-6; the
+    BCE is differenced in the logit of x."""
     rng = np.random.default_rng(12345)
     h = 1e-7
     checked = 0
@@ -90,9 +96,13 @@ def test_gradients_match_central_differences():
                 x, y = rng.uniform(-2, 2, size=2)
             if abs(x - y) < 1e-3:  # keep the kink out of the FD stencil
                 continue
-            _, grad = asymmetric_loss(x, y, kappa, kind)
-            lp, _ = asymmetric_loss(x + h, y, kappa, kind)
-            lm, _ = asymmetric_loss(x - h, y, kappa, kind)
+            if kind == "bce":
+                x, fn = logit(x), expectile_bce
+            else:
+                fn = asymmetric_loss
+            _, grad = fn(x, y, kappa)
+            lp, _ = fn(x + h, y, kappa)
+            lm, _ = fn(x - h, y, kappa)
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), 1e-8)
             assert abs(grad - fd) / denom <= 1e-6, (kind, x, y, kappa)
@@ -106,13 +116,67 @@ def test_gradients_match_central_differences():
     kappa=st.floats(0.5, 0.99),
 )
 def test_loss_nonnegative_and_weight_sides(x, y, kappa):
-    for kind in ("squared", "bce"):
-        loss, grad = asymmetric_loss(x, y, kappa, kind)
+    for loss, grad in (asymmetric_loss(x, y, kappa), expectile_bce(logit(x), y, kappa)):
         assert loss >= 0
         if x > y:
             assert grad >= 0
         elif x < y:
             assert grad <= 0
+
+
+def trl_single_sample(pred, target, lam=0.0):
+    """Tables and a one-sample batch whose trl target is ``target`` (a
+    length-1 segment s_i -> s_k supplies gamma, the target-table half
+    Qbar(s_k, a_k, s_j) the rest) and whose online entry Q(0, 0, 2) reads
+    ``pred``."""
+    gamma = 0.9
+    q = ValueTable.create(3, 1, gamma)
+    qt = ValueTable.create(3, 1, gamma)
+    q.params[0, 0, 2] = logit(pred)
+    qt.params[1, 0, 2] = logit(target / gamma)
+    batch = {
+        "s_i": np.array([0]),
+        "a_i": np.array([0]),
+        "s_k": np.array([1]),
+        "a_k": np.array([0]),
+        "s_j": np.array([2]),
+        "gap_ik": np.array([1]),
+        "gap_kj": np.array([5]),
+    }
+    cfg = LearnerConfig(method="trl", gamma=gamma, kappa=0.7, lambda_reweight=lam)
+    return q, qt, batch, cfg
+
+
+@pytest.mark.parametrize("pred, target", [(0.8, 0.3), (0.2, 0.6)])
+def test_trl_single_sample_step(pred, target):
+    """One sample moves its logit by exactly -lr * w * weight * (pred - target)."""
+    q, qt, batch, cfg = trl_single_sample(pred, target, lam=1.0)
+    pred_read = expit(q.params[0, 0, 2])
+    target_read = cfg.gamma * expit(qt.params[1, 0, 2])
+    w = reweight_factor(pred_read, cfg.gamma, cfg.lambda_reweight)
+    weight = 1.0 - cfg.kappa if pred > target else cfg.kappa
+    before = q.params.copy()
+    stats = trl_update_step(q, qt, batch, cfg)
+    assert stats["max_target"] == target_read
+    step = -cfg.learning_rate * w * weight * (pred_read - target_read)
+    assert q.params[0, 0, 2] - before[0, 0, 2] == pytest.approx(step, rel=1e-12)
+    changed = q.params != before
+    changed[0, 0, 2] = False
+    assert not changed.any()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_trl_step_on_saturated_table(sign):
+    """A table saturated at +-LOGIT_CLAMP keeps the sigmoid strictly inside
+    (0, 1), so the BCE kernel gives a finite loss and the step stays in the
+    clamp."""
+    q, qt, batch, cfg = trl_single_sample(0.5, 0.5)
+    q.params[:] = sign * LOGIT_CLAMP
+    qt.params[:] = sign * LOGIT_CLAMP
+    cfg.learning_rate = 100.0
+    stats = trl_update_step(q, qt, batch, cfg)
+    assert np.isfinite(stats["loss"])
+    assert np.all(np.abs(q.params) <= LOGIT_CLAMP)
 
 
 # ---------------------------------------------------------------------------
