@@ -116,6 +116,8 @@ def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
         raise ConfigError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     sizes = np.full(trials, n, dtype=np.int64)
     depth = np.zeros(trials, dtype=np.int64)

@@ -10,28 +10,27 @@ Exit codes: 0 success, 1 validation failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
+
+import numpy as np
 
 from .analysis import recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
-from .env import ConfigError, build_grid_env, load_env, parse_walls
+from .env import ConfigError
 from .harness import (
     _EVAL_DEFAULTS,
     LOG_EVERY,
     aggregate_summary,
+    build_env_from_spec,
     check_eval_settings,
-    config_hash,
     evaluate_run,
     run_experiment,
-    train_run,
+    train_and_save,
     write_eval_csv,
-    write_loss_log,
     write_recursion_csv,
 )
-from .learners import LearnerConfig, load_table, save_table
+from .learners import LearnerConfig, load_table
 from .oracle import all_pairs_distances
 from .policy import estimate_behavior_policy
 
@@ -45,10 +44,12 @@ def _add_env_flags(parser):
 
 def _env_from_args(args):
     if args.env_file:
-        return load_env(args.env_file)
-    if args.width is None or args.height is None:
+        spec = {"kind": "file", "path": args.env_file}
+    elif args.width is None or args.height is None:
         raise ConfigError("provide --width/--height or --env-file")
-    return build_grid_env(args.width, args.height, parse_walls(args.walls))
+    else:
+        spec = {"kind": "grid", "width": args.width, "height": args.height, "walls": args.walls}
+    return build_env_from_spec(spec)
 
 
 # LearnerConfig defaults settable from `gclab train`; the relabel ratios are
@@ -76,17 +77,7 @@ def cmd_train(args) -> int:
     env = _env_from_args(args)
     ds = load_dataset(args.dataset, env=env)
     cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
-    q, log = train_run(env, ds, cfg, log_every=args.log_every)
-    os.makedirs(args.out_dir, exist_ok=True)
-    write_loss_log(os.path.join(args.out_dir, "loss.csv"), log)
-    save_table(q, os.path.join(args.out_dir, "table.bin"))
-    meta = {
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "config_hash": config_hash({"learner": asdict(cfg), "dataset": args.dataset}),
-    }
-    with open(os.path.join(args.out_dir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir, args.log_every)
     print(f"trained {cfg.method} ({len(log)} loss rows) -> {args.out_dir}")
     return 0
 
@@ -94,6 +85,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     eval_spec = {name: getattr(args, name) for name in _EVAL_DEFAULTS}
     check_eval_settings(**eval_spec)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     env = _env_from_args(args)
     q = load_table(args.table)
     expected = (env.num_states, env.num_actions, env.num_states)
@@ -102,6 +95,8 @@ def cmd_eval(args) -> int:
             f"{args.table}: table shape {q.params.shape} does not match the "
             f"environment's (states, actions, goals) {expected}"
         )
+    if not np.isfinite(q.params).all():
+        raise ConfigError(f"{args.table}: table holds a non-finite entry")
     ds = load_dataset(args.dataset, env=env)
     beh = estimate_behavior_policy(ds, env)
     report = evaluate_run(env, q, beh, all_pairs_distances(env), eval_spec, args.seed)

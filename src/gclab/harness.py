@@ -52,7 +52,6 @@ class EvalReport:
 
     tasks: list[dict]  # task_id, start, goal, success_rate, episodes
     spearman_to_oracle: float
-    metadata: dict
 
 
 def config_hash(payload: dict) -> str:
@@ -76,7 +75,9 @@ def train_run(
     pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns the
     distances into values as the oracle does. Every other method runs
     cfg.steps update steps from ``learners.METHODS``, each followed by a
-    target sync, and logs every ``log_every`` steps and the last one.
+    target sync, and logs every ``log_every`` steps and the last one; it
+    raises ValueError, naming the method and seed, if the trained table holds
+    a non-finite entry.
     """
     log: list[dict] = []
     if cfg.method == "exact":
@@ -103,6 +104,8 @@ def train_run(
         target_sync(q, q_target, cfg.tau_target)
         if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
             log.append({"step": step_idx, "method": cfg.method, **stats})
+    if not np.isfinite(q.params).all():
+        raise ValueError(f"{cfg.method} seed {cfg.seed}: training ended with a non-finite table")
     return q, log
 
 
@@ -183,7 +186,6 @@ def evaluate_policy(
     rng: np.random.Generator | None = None,
     rejection_n: int = 32,
     dist: np.ndarray | None = None,
-    metadata: dict | None = None,
 ) -> EvalReport:
     """Roll out the extracted policy; success means hitting the exact goal
     within the step budget. max_steps may be one int or one per task."""
@@ -212,10 +214,10 @@ def evaluate_policy(
             }
         )
     rho = spearman_to_oracle(q, dist)
-    return EvalReport(rows, rho, metadata or {})
+    return EvalReport(rows, rho)
 
 
-def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int, metadata=None) -> EvalReport:
+def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int) -> EvalReport:
     """Evaluate ``q`` as a sweep run is evaluated (``eval_spec`` keys as in
     the sweep config's ``eval``): the task set from :func:`select_tasks`, a
     step budget of max_steps_factor times each task's distance (at least 1),
@@ -233,7 +235,6 @@ def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int, metadata=None) -
         rng=np.random.default_rng([seed, 2025]),
         rejection_n=eval_spec["rejection_n"],
         dist=dist,
-        metadata=metadata,
     )
 
 
@@ -433,6 +434,8 @@ def build_env_from_spec(env_spec: dict) -> GraphEnv:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -458,22 +461,39 @@ def write_eval_csv(path: str, report: EvalReport) -> None:
 
 
 def write_recursion_csv(path: str, rows: list[dict]) -> None:
-    def fmt_row(row):
-        out = dict(row)
-        if out["sim_mean"] is None:
-            out["sim_mean"] = ""
-            out["sim_stderr"] = ""
-        return out
-
-    write_csv(
-        path,
-        ["n", "B_n", "bound", "C_n", "sim_mean", "sim_stderr"],
-        [fmt_row(r) for r in rows],
-    )
+    write_csv(path, ["n", "B_n", "bound", "C_n", "sim_mean", "sim_stderr"], rows)
 
 
 # ---------------------------------------------------------------------------
 # The sweep
+
+
+def train_and_save(
+    env: GraphEnv,
+    ds: TrajectoryDataset | None,
+    label: str,
+    cfg: LearnerConfig,
+    run_dir: str,
+    log_every: int,
+) -> tuple[ValueTable, list[dict]]:
+    """Train one run (see :func:`train_run`) and write its ``loss.csv``,
+    ``table.bin`` and ``meta.json`` into ``run_dir``, which is created only
+    once training has succeeded. ``meta.json`` holds the label, the seed, a
+    hash of the label and learner settings, and the training wall time."""
+    started = time.time()
+    q, log = train_run(env, ds, cfg, log_every=log_every)
+    meta = {
+        "method": label,
+        "seed": cfg.seed,
+        "config_hash": config_hash({"label": label, "learner": asdict(cfg)}),
+        "wall_time_s": time.time() - started,
+    }
+    os.makedirs(run_dir, exist_ok=True)
+    write_loss_log(os.path.join(run_dir, "loss.csv"), log)
+    save_table(q, os.path.join(run_dir, "table.bin"))
+    with open(os.path.join(run_dir, "meta.json"), "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+    return q, log
 
 
 def run_single(
@@ -487,35 +507,11 @@ def run_single(
     run_dir: str,
     log_every: int,
 ) -> EvalReport:
-    os.makedirs(run_dir, exist_ok=True)
-    started = time.time()
-    q, log = train_run(env, ds, cfg, log_every=log_every)
-    if not np.isfinite(q.params).all():
-        raise ValueError(f"run {label} seed {cfg.seed}: non-finite value table")
-
-    payload = {"label": label, "learner": asdict(cfg)}
-    report = evaluate_run(
-        env,
-        q,
-        beh,
-        dist,
-        eval_spec,
-        cfg.seed,
-        metadata={
-            "method": label,
-            "seed": cfg.seed,
-            "config_hash": config_hash(payload),
-            "wall_time_s": time.time() - started,
-        },
-    )
+    q, _ = train_and_save(env, ds, label, cfg, run_dir, log_every)
+    report = evaluate_run(env, q, beh, dist, eval_spec, cfg.seed)
     if any(not (0.0 <= row["success_rate"] <= 1.0) for row in report.tasks):
         raise ValueError(f"run {label} seed {cfg.seed}: success rate outside [0, 1]")
-
-    write_loss_log(os.path.join(run_dir, "loss.csv"), log)
-    save_table(q, os.path.join(run_dir, "table.bin"))
     write_eval_csv(os.path.join(run_dir, "eval.csv"), report)
-    with open(os.path.join(run_dir, "meta.json"), "w") as fh:
-        json.dump(report.metadata, fh, indent=2, sort_keys=True)
     return report
 
 

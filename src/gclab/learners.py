@@ -132,6 +132,8 @@ class LearnerConfig:
                 raise ConfigError(f"learner field '{f.name}' must be {kind[1]}, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"learner field '{f.name}' must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if not (0.0 < self.gamma < 1.0):

@@ -1,10 +1,15 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gclab import learners
 from gclab.cli import main
 from gclab.learners import ValueTable, save_table
+
+_CHILD = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
 
 
 def run_cli(*argv):
@@ -430,3 +435,111 @@ def test_train_bad_log_every_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "log_every" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--width", "3", "--height", "1", "--num-traj", "2", "--T", "4", "--out", "out.csv"],
+     ["train", "--width", "3", "--height", "1", "--dataset", "ds.csv", "--method", "mc",
+      "--steps", "1", "--out-dir", "r"],
+     ["eval", "--width", "3", "--height", "1", "--table", "table.bin", "--dataset", "ds.csv",
+      "--out", "eval.csv"],
+     ["recursion", "--n-max", "64", "--sim", "8", "--trials", "10", "--out", "rec.csv"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _gen_dataset(tmp_path)
+    save_table(ValueTable.create(3, 4, 0.99), "table.bin")
+    assert run_cli(*argv, "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed must be >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eval_non_finite_table_exit_code(tmp_path, capsys, value):
+    ds_path = _gen_dataset(tmp_path)
+    q = ValueTable.create(3, 4, 0.99)
+    q.params[1, 2, 0] = value
+    table_path = str(tmp_path / "table.bin")
+    save_table(q, table_path)
+    code = run_cli(
+        "eval", "--width", "3", "--height", "1", "--table", table_path,
+        "--dataset", str(ds_path), "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert table_path in err and "non-finite" in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.fixture
+def nan_mc_step(monkeypatch):
+    """mc's update step, followed by a NaN written into the online table."""
+    original = learners.mc_update_step
+
+    def poisoned(q, *args, **kwargs):
+        stats = original(q, *args, **kwargs)
+        q.params[0, 0, 1] = np.nan
+        return stats
+
+    monkeypatch.setattr(learners, "mc_update_step", poisoned)
+
+
+def test_sweep_names_a_diverged_run(tmp_path, capsys, nan_mc_step):
+    """The diverged run fails on a line benchmark/child.py parses, and leaves
+    no table; the other runs and the summary still complete."""
+    spec = importlib.util.spec_from_file_location("bench_child", _CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    config = {**_sweep_config(tmp_path), "methods": ["mc", "trl"]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAILED ")]
+    assert len(failed) == 1
+    match = child.FAILED_LINE.match(failed[0])
+    assert match and (match[1], match[2]) == ("mc", "0")
+    runs = tmp_path / "exp" / "runs"
+    assert not (runs / "mc_seed0" / "table.bin").exists()
+    for name in child.ARTIFACTS:
+        assert (runs / "trl_seed0" / name).is_file()
+    summary = (tmp_path / "exp" / "summary.csv").read_text()
+    assert "\ntrl," in summary and "\nmc," not in summary
+
+
+def test_train_refuses_a_diverged_table(tmp_path, capsys, nan_mc_step):
+    ds_path = _gen_dataset(tmp_path)
+    code = run_cli(
+        "train", "--width", "3", "--height", "1", "--dataset", str(ds_path), "--method", "mc",
+        "--seed", "0", "--steps", "10", "--batch-size", "8", "--out-dir", str(tmp_path / "r"),
+    )
+    assert code == 1
+    assert "mc seed 0" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "table.bin").exists()
+
+
+def test_train_matches_the_sweep_run(tmp_path):
+    """`gclab train` on a sweep's dataset and learner settings writes the
+    sweep run's loss log and table, byte for byte, and the same meta.json
+    but for the wall time."""
+    config = _sweep_config(tmp_path)
+    config["learner"] = {"steps": 30, "batch_size": 8, "learning_rate": 0.25}
+    config["log_every"] = 7
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 0
+    out = tmp_path / "train"
+    assert run_cli(
+        "train", "--width", "4", "--height", "1", "--dataset", str(tmp_path / "exp" / "dataset.csv"),
+        "--method", "mc", "--seed", "0", "--steps", "30", "--batch-size", "8",
+        "--learning-rate", "0.25", "--log-every", "7", "--out-dir", str(out),
+    ) == 0
+    swept = tmp_path / "exp" / "runs" / "mc_seed0"
+    for name in ("loss.csv", "table.bin"):
+        assert (out / name).read_bytes() == (swept / name).read_bytes(), name
+    metas = [json.loads((d / "meta.json").read_text()) for d in (out, swept)]
+    for meta in metas:
+        assert set(meta) == {"config_hash", "method", "seed", "wall_time_s"}
+        del meta["wall_time_s"]
+    assert metas[0] == metas[1]
