@@ -114,10 +114,7 @@ def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _check_sim_draws(trials, seed)
     rng = np.random.default_rng(seed)
     sizes = np.full(trials, n, dtype=np.int64)
     depth = np.zeros(trials, dtype=np.int64)
@@ -141,6 +138,14 @@ def check_sim_sizes(n_max: int, sim_sizes: Sequence[int]) -> None:
             raise ConfigError(f"simulation size {n} is outside 1..n_max ({n_max})")
 
 
+def _check_sim_draws(trials: int, seed: int) -> None:
+    """Raise ConfigError unless the simulation's trials and seed are valid."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def recursion_report_rows(
     n_max: int, sim_sizes: Sequence[int], trials: int, seed: int
 ) -> list[dict]:
@@ -148,9 +153,11 @@ def recursion_report_rows(
 
     Reported n values are 1..16, powers of two, n_max itself and every
     simulated size; simulation columns are filled only for the simulated
-    sizes, which must lie in 1..n_max.
+    sizes, which must lie in 1..n_max. Every simulation argument is checked
+    before the table is built.
     """
     check_sim_sizes(n_max, sim_sizes)
+    _check_sim_draws(trials, seed)
     table = expected_recursions(n_max)
     ns = sorted(
         {n for n in range(1, min(16, n_max) + 1)}

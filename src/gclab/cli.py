@@ -87,6 +87,9 @@ def cmd_eval(args) -> int:
     check_eval_settings(**eval_spec)
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    rejection = eval_spec["extraction"] == "rejection"
+    if rejection and args.dataset is None:
+        raise ConfigError("--extraction rejection needs --dataset for its behavior policy")
     env = _env_from_args(args)
     q = load_table(args.table)
     expected = (env.num_states, env.num_actions, env.num_states)
@@ -97,8 +100,8 @@ def cmd_eval(args) -> int:
         )
     if not np.isfinite(q.params).all():
         raise ConfigError(f"{args.table}: table holds a non-finite entry")
-    ds = load_dataset(args.dataset, env=env)
-    beh = estimate_behavior_policy(ds, env)
+    # Greedy extraction reads no behavior policy, so it never opens the dataset.
+    beh = estimate_behavior_policy(load_dataset(args.dataset, env=env), env) if rejection else None
     report = evaluate_run(env, q, beh, all_pairs_distances(env), eval_spec, args.seed)
     write_eval_csv(args.out, report)
     print(f"wrote {args.out} (spearman={report.spearman_to_oracle:.4f})")
@@ -145,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved value table")
     _add_env_flags(p)
     p.add_argument("--table", required=True)
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", help="dataset of the behavior policy; rejection extraction only")
     _add_flags(p, _EVAL_DEFAULTS)
     p.add_argument("--seed", type=int, default=LearnerConfig.seed, help="the trained run's seed")
     p.add_argument("--out", required=True)

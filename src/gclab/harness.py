@@ -24,6 +24,7 @@ from .env import ConfigError, GraphEnv, build_grid_env, load_env, open_input, pa
 from .learners import (
     METHODS,
     LearnerConfig,
+    PolyakTarget,
     ValueTable,
     save_table,
     target_sync,
@@ -97,7 +98,7 @@ def train_run(
     _check_int("log_every", log_every, 1)
     rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
-    q_target = q.copy()
+    q_target = PolyakTarget(q)
     state = method.state(env, q, cfg)
     for step_idx in range(cfg.steps):
         stats = method.step(q, q_target, state, method.batch(ds, cfg, rng), cfg)

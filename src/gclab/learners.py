@@ -39,13 +39,22 @@ from .oracle import UNREACHABLE
 # several thousand steps at gamma = 0.99.
 LOGIT_CLAMP = 30.0
 
+# PolyakTarget folds its scale into its lag once the scale falls below this.
+# At tau = 0.005 that happens about every 46 000 steps.
+_MIN_TARGET_SCALE = 1e-100
+
+
+def _as_values(params: np.ndarray, space: str) -> np.ndarray:
+    return expit(params) if space == "logit" else params
+
 
 @dataclass
 class ValueTable:
     """Dense goal-conditioned action-value table.
 
     params holds logits when space == "logit" (values read through a
-    sigmoid, hence in (0, 1)) and raw values when space == "value".
+    sigmoid, hence in (0, 1)) and raw values when space == "value". It is
+    kept C-contiguous, so ``params.reshape(-1)`` is a view that writes reach.
     """
 
     params: np.ndarray
@@ -57,7 +66,7 @@ class ValueTable:
             raise ConfigError(f"unknown table space {self.space!r}")
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
-        self.params = np.asarray(self.params, dtype=np.float64)
+        self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         if self.params.ndim != 3:
             raise ConfigError("value table must be (states, actions, goals)")
 
@@ -87,16 +96,36 @@ class ValueTable:
         Bit-identical to ``values()[idx]`` (the sigmoid is elementwise) at a
         cost that grows with the number of entries read, not with the table.
         """
-        return expit(self.params[idx]) if self.space == "logit" else self.params[idx]
-
-    def copy(self) -> "ValueTable":
-        return ValueTable(self.params.copy(), self.gamma, self.space)
+        return _as_values(self.params[idx], self.space)
 
     def implied_distances(self, idx) -> np.ndarray:
         """log_gamma Q at ``params[idx]``, clamped below at 0 (values above 1
         read as distance 0)."""
         v = np.maximum(self.values_at(idx), 1e-300)
         return np.maximum(np.log(v) / np.log(self.gamma), 0.0)
+
+
+class PolyakTarget:
+    """The Polyak-averaged target of an online table, kept lazily.
+
+    The target is ``online.params + scale * lag``, starting equal to the
+    online table. A Polyak step t <- (1 - tau) t + tau q leaves
+    t - q = (1 - tau) (t_prev - q): with every online write folded into
+    ``lag`` (see :func:`_apply_logit_updates`), the step only multiplies
+    ``scale`` by 1 - tau (:func:`target_sync`), and the lag changes only
+    where the online table changed. Reads and writes cost O(entries
+    touched), whatever the table size.
+    """
+
+    def __init__(self, online: ValueTable):
+        self.online = online
+        self.lag = np.zeros_like(online.params)
+        self.scale = 1.0
+
+    def values_at(self, idx) -> np.ndarray:
+        """Target values at ``params[idx]``, read like ``ValueTable.values_at``."""
+        params = self.online.params[idx] + self.scale * self.lag[idx]
+        return _as_values(params, self.online.space)
 
 
 # The numeric LearnerConfig fields, keyed by annotation (a string, since this
@@ -261,17 +290,31 @@ def transitive_sweeps(env: GraphEnv):
 # Stochastic update steps (one gradient step per call)
 
 
-def _apply_logit_updates(table: ValueTable, idx, grads, lr: float) -> None:
-    """Scatter-add the steps, then clip the touched entries only.
+def _apply_logit_updates(target: PolyakTarget, idx, grads, lr: float) -> None:
+    """Scatter-add the steps into the target's online table, clip the touched
+    entries of a logit table, and move the lag so the target stays put.
 
     Untouched entries need no clip: training tables start inside the clamp
     (``ValueTable.create``) and only entries named by some ``idx`` move.
+    Every copy of a duplicated index carries the same move, so the plain
+    fancy assignment of the lag is right where ``np.add.at`` is needed for
+    the steps. Flat indices into 1-D views (the tables are C-contiguous)
+    cost less than five gathers by a tuple of index arrays.
     """
-    np.add.at(table.params, idx, -lr * grads)
-    table.params[idx] = np.clip(table.params[idx], -LOGIT_CLAMP, LOGIT_CLAMP)
+    flat = np.ravel_multi_index(idx, target.online.params.shape)
+    params = target.online.params.reshape(-1)
+    before = params[flat]
+    np.add.at(params, flat, -lr * grads)
+    after = params[flat]
+    if target.online.space == "logit":
+        after = np.clip(after, -LOGIT_CLAMP, LOGIT_CLAMP)
+        params[flat] = after
+    target.lag.reshape(-1)[flat] -= (after - before) / target.scale
 
 
-def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
+def trl_update_step(
+    q: ValueTable, q_target: PolyakTarget, batch: dict, cfg: LearnerConfig
+) -> dict:
     """Divide-and-conquer update: regress Q(s_i, a_i, s_j) onto the product
     of the two target-table halves through the in-trajectory subgoal s_k.
 
@@ -290,9 +333,12 @@ def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), half_kj)
     target = f1 * f2
 
-    w = reweight_factor(pred, g, cfg.lambda_reweight) * expectile_weight(pred, target, cfg.kappa)
+    w = expectile_weight(pred, target, cfg.kappa)
+    if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
+        w = reweight_factor(pred, g, cfg.lambda_reweight) * w
     loss, grad = _bce_logit_terms(pred, target)
-    _apply_logit_updates(q, (batch["s_i"], batch["a_i"], batch["s_j"]), w * grad, cfg.learning_rate)
+    idx = (batch["s_i"], batch["a_i"], batch["s_j"])
+    _apply_logit_updates(q_target, idx, w * grad, cfg.learning_rate)
     return {
         "loss": float(np.mean(w * loss)),
         "mean_q": float(pred.mean()),
@@ -302,12 +348,18 @@ def trl_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
 
 def mc_update_step(q: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
     """Regress Q(s_i, a_i, s_j) toward gamma^(j-i) with a symmetric squared
-    loss on the sigmoid output (chain rule through the logit)."""
+    loss on the sigmoid output (chain rule through the logit).
+
+    mc reads no target table, so it steps the online table directly:
+    scatter-add, then clip the touched entries.
+    """
     pred = expit(q.params[batch["s_i"], batch["a_i"], batch["s_j"]])
     target = np.power(cfg.gamma, batch["gap"])
     diff = pred - target
     grad_logit = 2.0 * diff * pred * (1.0 - pred)
-    _apply_logit_updates(q, (batch["s_i"], batch["a_i"], batch["s_j"]), grad_logit, cfg.learning_rate)
+    idx = (batch["s_i"], batch["a_i"], batch["s_j"])
+    np.add.at(q.params, idx, -cfg.learning_rate * grad_logit)
+    q.params[idx] = np.clip(q.params[idx], -LOGIT_CLAMP, LOGIT_CLAMP)
     return {
         "loss": float(np.mean(diff * diff)),
         "mean_q": float(pred.mean()),
@@ -315,7 +367,7 @@ def mc_update_step(q: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
     }
 
 
-def td_n_compute_targets(q_target: ValueTable, batch: dict, cfg: LearnerConfig) -> np.ndarray:
+def td_n_compute_targets(q_target: PolyakTarget, batch: dict, cfg: LearnerConfig) -> np.ndarray:
     """n-step bootstrap target gamma^n_eff * Qbar(s_{i+n_eff}, a_{i+n_eff}, g).
 
     n_eff = min(n, j - i); when the unclipped n would overshoot j the
@@ -327,7 +379,9 @@ def td_n_compute_targets(q_target: ValueTable, batch: dict, cfg: LearnerConfig) 
     return np.power(cfg.gamma, batch["n_eff"]) * boot
 
 
-def td_n_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
+def td_n_update_step(
+    q: ValueTable, q_target: PolyakTarget, batch: dict, cfg: LearnerConfig
+) -> dict:
     """n-step bootstrapped update: a plain BCE anchor at the current state
     (target gamma^0) plus an expectile BCE term toward the n-step target."""
     s_i, a_i, goal = batch["s_i"], batch["a_i"], batch["g"]
@@ -339,8 +393,8 @@ def td_n_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Lear
     weight = expectile_weight(pred1, target, cfg.kappa)
     loss1, grad1 = _bce_logit_terms(pred1, target)
 
-    _apply_logit_updates(q, (s_i, a_i, s_i), grad0, cfg.learning_rate)
-    _apply_logit_updates(q, (s_i, a_i, goal), weight * grad1, cfg.learning_rate)
+    _apply_logit_updates(q_target, (s_i, a_i, s_i), grad0, cfg.learning_rate)
+    _apply_logit_updates(q_target, (s_i, a_i, goal), weight * grad1, cfg.learning_rate)
     return {
         "loss": float(np.mean(loss0 + weight * loss1)),
         "mean_q": float(pred1.mean()),
@@ -351,7 +405,7 @@ def td_n_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Lear
 def gciql_update_step(
     v: np.ndarray,
     q: ValueTable,
-    q_target: ValueTable,
+    q_target: PolyakTarget,
     batch: dict,
     cfg: LearnerConfig,
 ) -> dict:
@@ -370,7 +424,7 @@ def gciql_update_step(
     target = (s == goal).astype(np.float64) + cfg.gamma * v[s2, goal]
     diff = qv - target
     np.add.at(v, (s, goal), -cfg.learning_rate * grad_v)
-    np.add.at(q.params, (s, a, goal), -cfg.learning_rate * 2.0 * diff)
+    _apply_logit_updates(q_target, (s, a, goal), 2.0 * diff, cfg.learning_rate)
     return {
         "loss": float(np.mean(loss_v + diff * diff)),
         "mean_q": float(qv.mean()),
@@ -378,7 +432,9 @@ def gciql_update_step(
     }
 
 
-def sgt_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
+def sgt_update_step(
+    q: ValueTable, q_target: PolyakTarget, batch: dict, cfg: LearnerConfig
+) -> dict:
     """Subgoal-tree update with a hard max over M sampled candidates.
 
     Four summed terms: an anchor at the current state (gamma^0), a one-step
@@ -411,10 +467,10 @@ def sgt_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
     tri_target = cand.max(axis=1)
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
-    _apply_logit_updates(q, (s, a, s), grad0, lr)
-    _apply_logit_updates(q, (s, a, s2), grad1, lr)
-    _apply_logit_updates(q, (s, a, g_rand), gradr, lr)
-    _apply_logit_updates(q, (s, a, goal), gradg, lr)
+    _apply_logit_updates(q_target, (s, a, s), grad0, lr)
+    _apply_logit_updates(q_target, (s, a, s2), grad1, lr)
+    _apply_logit_updates(q_target, (s, a, g_rand), gradr, lr)
+    _apply_logit_updates(q_target, (s, a, goal), gradg, lr)
     return {
         "loss": float(np.mean(loss0 + loss1 + lossr + lossg)),
         "mean_q": float(predg.mean()),
@@ -424,7 +480,7 @@ def sgt_update_step(q: ValueTable, q_target: ValueTable, batch: dict, cfg: Learn
 
 def coe_update_step(
     q: ValueTable,
-    q_target: ValueTable,
+    q_target: PolyakTarget,
     generator: np.ndarray,
     policy_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     batch: dict,
@@ -457,8 +513,8 @@ def coe_update_step(
     predg = expit(q.params[s, a, goal])
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
-    _apply_logit_updates(q, (s, a, s2), grad1, lr)
-    _apply_logit_updates(q, (s, a, goal), gradg, lr)
+    _apply_logit_updates(q_target, (s, a, s2), grad1, lr)
+    _apply_logit_updates(q_target, (s, a, goal), gradg, lr)
 
     # Generator hill-climb: incumbent in column 0 wins ties, so replacement
     # happens only on strict improvement.
@@ -481,12 +537,20 @@ def coe_update_step(
     }
 
 
-def target_sync(q: ValueTable, q_target: ValueTable, tau: float) -> None:
-    """Polyak step: target <- (1 - tau) * target + tau * online."""
-    if q.params.shape != q_target.params.shape or q.space != q_target.space:
-        raise ValueError("online and target tables must share shape and space")
-    q_target.params *= 1.0 - tau
-    q_target.params += tau * q.params
+def target_sync(q: ValueTable, q_target: PolyakTarget, tau: float) -> None:
+    """Polyak step target <- (1 - tau) * target + tau * online, in O(1): it
+    scales the target's lag (see :class:`PolyakTarget`). ``q`` is the
+    target's online table.
+
+    Once the scale falls below ``_MIN_TARGET_SCALE`` it is folded into the
+    lag in one full pass, which changes no target value. At tau = 1 the
+    scale is 0 after every step, so every step pays that pass, as an eager
+    sync would.
+    """
+    q_target.scale *= 1.0 - tau
+    if q_target.scale < _MIN_TARGET_SCALE:
+        q_target.lag *= q_target.scale
+        q_target.scale = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +655,13 @@ class Method:
     """How one learner trains.
 
     Each step draws ``batch(ds, cfg, rng)`` and makes one update with
-    ``step(q, q_target, state, batch, cfg)``, where ``state(env, q, cfg)``
-    holds the run's extra tables and raises ConfigError when the run
-    cannot start. Trajectories need at least ``min_horizon`` actions. The
-    step entries look their update function up in this module at call
-    time, so rebinding the module attribute reaches every call.
+    ``step(q, q_target, state, batch, cfg)``, where ``q_target`` is the
+    :class:`PolyakTarget` of ``q`` (a learner that reads the target writes
+    ``q`` through it) and ``state(env, q, cfg)`` holds the run's extra
+    tables and raises ConfigError when the run cannot start. Trajectories
+    need at least ``min_horizon`` actions. The step entries look their
+    update function up in this module at call time, so rebinding the module
+    attribute reaches every call.
     """
 
     space: str

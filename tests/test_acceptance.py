@@ -20,6 +20,7 @@ from gclab.harness import (
 )
 from gclab.learners import (
     LearnerConfig,
+    PolyakTarget,
     _td_batch,
     ValueTable,
     _bce_logit_terms,
@@ -40,6 +41,7 @@ from gclab.oracle import (
 from gclab.policy import estimate_behavior_policy
 from env_helpers import random_graph_env
 from sweep_helpers import finite_diameter, run_transitive_fixed_point
+from target_helpers import target_params, target_with_params
 
 
 @contextlib.contextmanager
@@ -142,11 +144,12 @@ def _fit_expectile(kappa: float, gamma: float = 0.99, steps: int = 60_000) -> fl
     """Fit one table entry against the fixed two-target distribution
     {gamma^2, gamma^5} through the online update path."""
     q = ValueTable.create(5, 1, gamma)
-    qt = ValueTable.create(5, 1, gamma)
-    qt.params[0, 0, 1] = logit(gamma)
-    qt.params[1, 0, 2] = logit(gamma)
-    qt.params[0, 0, 3] = logit(gamma**2)
-    qt.params[3, 0, 2] = logit(gamma**3)
+    qt_params = ValueTable.create(5, 1, gamma).params
+    qt_params[0, 0, 1] = logit(gamma)
+    qt_params[1, 0, 2] = logit(gamma)
+    qt_params[0, 0, 3] = logit(gamma**2)
+    qt_params[3, 0, 2] = logit(gamma**3)
+    qt = target_with_params(q, qt_params)
     cfg = LearnerConfig(method="trl", learning_rate=0.3, kappa=kappa)
     batch = {
         "s_i": np.array([0, 0]),
@@ -298,7 +301,7 @@ def test_criterion_7_fixed_point_residuals():
         g_chain = 0.9
         v = np.zeros((4, 4))
         qg = ValueTable(np.zeros((4, 1, 4)), g_chain, space="value")
-        qt = qg.copy()
+        qt = PolyakTarget(qg)
         cfg_g = LearnerConfig(
             method="gciql", gamma=g_chain, learning_rate=0.25, kappa=0.5, tau_target=0.5
         )
@@ -314,15 +317,16 @@ def test_criterion_7_fixed_point_residuals():
             target_sync(qg, qt, cfg_g.tau_target)
         qv = qg.params[:, 0, :]
         r_q = qv - (np.eye(4) + g_chain * v[chain.transition[:, 0], :])
-        r_v = v - qt.params[:, 0, :]
+        r_v = v - target_params(qt)[:, 0, :]
         assert np.abs(r_q).max() <= 1e-6
         assert np.abs(r_v).max() <= 1e-6
 
         # TD-n with n >= T produces exactly the MC targets.
         ds2 = collect_dataset(env, num_traj=10, T=6, seed=9)
         cfg_td = LearnerConfig(method="td_n", gamma=gamma, n_step=ds2.horizon)
-        qt2 = ValueTable.create(env.num_states, env.num_actions, gamma)
-        qt2.params[:] = 5.0  # poison: any bootstrap read would show up
+        q2 = ValueTable.create(env.num_states, env.num_actions, gamma)
+        # poison: any bootstrap read would show up
+        qt2 = target_with_params(q2, np.full_like(q2.params, 5.0))
         rng = np.random.default_rng(0)
         tdb = _td_batch(ds2, cfg_td, rng)
         targets_td = td_n_compute_targets(qt2, tdb, cfg_td)

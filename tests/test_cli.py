@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gclab import learners
+from gclab import analysis, learners
 from gclab.cli import main
 from gclab.learners import ValueTable, save_table
 
@@ -344,6 +344,19 @@ def test_recursion_sim_size_above_n_max_exit_code(tmp_path, capsys):
     assert not (tmp_path / "rec.csv").exists()
 
 
+def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys, monkeypatch):
+    def no_table(n_max):
+        raise AssertionError("expected_recursions ran before the arguments were checked")
+
+    monkeypatch.setattr(analysis, "expected_recursions", no_table)
+    code = run_cli(
+        "recursion", "--n-max", "64", "--sim", "8", "--seed", "-1",
+        "--out", str(tmp_path / "rec.csv"),
+    )
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [({"methods": ["bogus"]}, "methods"), ({"methods": ["td_n"], "n_values": [0]}, "n_values"),
@@ -454,6 +467,33 @@ def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch, argv):
     assert run_cli(*argv, "--seed", "-1") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "seed must be >= 0, got -1" in err
+
+
+def test_greedy_eval_needs_no_dataset(tmp_path):
+    """Greedy extraction reads no behavior policy: the eval without --dataset
+    writes the bytes of the eval with it."""
+    ds_path = _gen_dataset(tmp_path)
+    q = ValueTable.create(3, 4, 0.99)
+    q.params[:] = np.random.default_rng(0).normal(size=q.params.shape)
+    table_path = str(tmp_path / "table.bin")
+    save_table(q, table_path)
+    argv = ["eval", "--width", "3", "--height", "1", "--table", table_path, "--episodes", "3"]
+    assert run_cli(*argv, "--dataset", str(ds_path), "--out", str(tmp_path / "with.csv")) == 0
+    assert run_cli(*argv, "--out", str(tmp_path / "without.csv")) == 0
+    assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+
+def test_rejection_eval_without_dataset_exit_code(tmp_path, capsys):
+    table_path = str(tmp_path / "table.bin")
+    save_table(ValueTable.create(3, 4, 0.99), table_path)
+    code = run_cli(
+        "eval", "--width", "3", "--height", "1", "--table", table_path,
+        "--extraction", "rejection", "--out", str(tmp_path / "eval.csv"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--dataset" in err
+    assert not (tmp_path / "eval.csv").exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -39,13 +39,13 @@ from env_helpers import random_graph_env
 CAPTURED_ON = ("2.4.6", "1.17.1", "x86_64")
 
 EXPECTED = {
-    "train.trl": "6fa98e695cc88bfb4802fd4c65cfebba7d25b7c38396905f2e50e447c256d253",
+    "train.trl": "7a8bbb7bf914b5b6e969143fc9d2993d430a2f2a14527aee12d651cf5d7fcd16",
     "train.mc": "8b002fac32b0bd631ac1bf2a3b2110c291e1b8410931eeb6a53b258fe609beb5",
-    "train.td_n": "a76b3c1ac7f4efd6d53c1546ac518e117b958c96a3f068f59c331d1c4dc8f5bc",
-    "train.gciql": "b57323b57602a9448d27160c3c71a3f009b9b2ed234993c6c4914baded0b6fc1",
-    "train.sgt": "c06ce0495fd0f86f017ede40ece63c183bd5ba8edc514fea01f3153e4e9e5705",
-    "train.coe": "81a55deb33d2d7b376837c80514066f8873505ff1cdb651a3fe4c3d78117d0ea",
-    "train.trl_saturated": "9effad0fb4be38a2cfea7ba540246dd0d498fa474885118d8b2c6e650c0e4288",
+    "train.td_n": "f2151933adba86ee572208901ef809a699efcd5dee5b16915a86411ee7c85ef4",
+    "train.gciql": "092e469379851329913037ae08b4aee7a98fd854c41271405c8dfe7051e169df",
+    "train.sgt": "ebd1f36ffa1be0ba46622226170c206a9ddbb4f1f04b0cf454696c417205b304",
+    "train.coe": "d7c35c277e43d8fd22a9b4f152d879b34ecae29bd7818df4fa04d61c4b38fd9e",
+    "train.trl_saturated": "668c0bb79acfcbae3b4884a2fb851e118d9f476cac670aef10a09830cbfcd699",
     "eval.greedy.trl": "31afc14a2b487e5e8b067cedcdc0be27390b891e4824e0693ac9fbf8d6b06bde",
     "eval.rejection.trl": "cf1e0268278d76e9330d124df395adacf4f98d55e6f54baa62db494d694564ba",
     "eval.greedy.gciql": "b192b437d3b45bee57f6a0568e5f27fb444fa1c377ffbdf019e11cafa3563f0d",

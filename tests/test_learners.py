@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+from gclab.dataset import collect_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
+from gclab.harness import train_run
 from gclab.learners import (
     LOGIT_CLAMP,
     LearnerConfig,
+    PolyakTarget,
     ValueTable,
+    _apply_logit_updates,
     _bce_logit_terms,
     asymmetric_loss,
     coe_update_step,
@@ -31,6 +35,13 @@ from gclab.oracle import (
     oracle_q_table,
 )
 from env_helpers import random_graph_env
+from target_helpers import (
+    EagerTarget,
+    eager_sync,
+    run_steps,
+    target_params,
+    target_with_params,
+)
 from sweep_helpers import finite_diameter, run_transitive_fixed_point
 
 
@@ -131,9 +142,10 @@ def trl_single_sample(pred, target, lam=0.0):
     ``pred``."""
     gamma = 0.9
     q = ValueTable.create(3, 1, gamma)
-    qt = ValueTable.create(3, 1, gamma)
     q.params[0, 0, 2] = logit(pred)
-    qt.params[1, 0, 2] = logit(target / gamma)
+    qt_params = ValueTable.create(3, 1, gamma).params
+    qt_params[1, 0, 2] = logit(target / gamma)
+    qt = target_with_params(q, qt_params)
     batch = {
         "s_i": np.array([0]),
         "a_i": np.array([0]),
@@ -152,7 +164,7 @@ def test_trl_single_sample_step(pred, target):
     """One sample moves its logit by exactly -lr * w * weight * (pred - target)."""
     q, qt, batch, cfg = trl_single_sample(pred, target, lam=1.0)
     pred_read = expit(q.params[0, 0, 2])
-    target_read = cfg.gamma * expit(qt.params[1, 0, 2])
+    target_read = cfg.gamma * expit(target_params(qt)[1, 0, 2])
     w = reweight_factor(pred_read, cfg.gamma, cfg.lambda_reweight)
     weight = 1.0 - cfg.kappa if pred > target else cfg.kappa
     before = q.params.copy()
@@ -170,9 +182,9 @@ def test_trl_step_on_saturated_table(sign):
     """A table saturated at +-LOGIT_CLAMP keeps the sigmoid strictly inside
     (0, 1), so the BCE kernel gives a finite loss and the step stays in the
     clamp."""
-    q, qt, batch, cfg = trl_single_sample(0.5, 0.5)
+    q, _, batch, cfg = trl_single_sample(0.5, 0.5)
     q.params[:] = sign * LOGIT_CLAMP
-    qt.params[:] = sign * LOGIT_CLAMP
+    qt = target_with_params(q, np.full_like(q.params, sign * LOGIT_CLAMP))
     cfg.learning_rate = 100.0
     stats = trl_update_step(q, qt, batch, cfg)
     assert np.isfinite(stats["loss"])
@@ -262,7 +274,7 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
 
 def make_tables(num_states, num_actions, gamma=0.99, init=-3.0):
     q = ValueTable.create(num_states, num_actions, gamma, init_logit=init)
-    return q, q.copy()
+    return q, PolyakTarget(q)
 
 
 def test_trl_double_base_case_target_is_exact():
@@ -334,12 +346,13 @@ def two_target_trl_batch(gamma):
 
 def fit_trl_two_targets(kappa, gamma=0.99, steps=60_000):
     q = ValueTable.create(5, 1, gamma)
-    qt = ValueTable.create(5, 1, gamma)
+    qt_params = ValueTable.create(5, 1, gamma).params
     # Freeze target-table factors so the two samples produce gamma^2 and gamma^5.
-    qt.params[0, 0, 1] = logit(gamma**1)
-    qt.params[1, 0, 2] = logit(gamma**1)
-    qt.params[0, 0, 3] = logit(gamma**2)
-    qt.params[3, 0, 2] = logit(gamma**3)
+    qt_params[0, 0, 1] = logit(gamma**1)
+    qt_params[1, 0, 2] = logit(gamma**1)
+    qt_params[0, 0, 3] = logit(gamma**2)
+    qt_params[3, 0, 2] = logit(gamma**3)
+    qt = target_with_params(q, qt_params)
     cfg = LearnerConfig(method="trl", learning_rate=0.3, kappa=kappa)
     batch = two_target_trl_batch(gamma)
     for _ in range(steps):
@@ -360,8 +373,8 @@ def test_trl_expectile_monotone_in_kappa():
 
 def test_trl_targets_stay_in_unit_interval():
     rng = np.random.default_rng(0)
-    q, qt = make_tables(6, 3)
-    qt.params[:] = rng.uniform(-LOGIT_CLAMP, LOGIT_CLAMP, size=qt.params.shape)
+    q, _ = make_tables(6, 3)
+    qt = target_with_params(q, rng.uniform(-LOGIT_CLAMP, LOGIT_CLAMP, size=q.params.shape))
     cfg = LearnerConfig(method="trl", learning_rate=0.1)
     for _ in range(50):
         i = rng.integers(0, 5, size=16)
@@ -419,8 +432,9 @@ def test_mc_two_targets_converge_to_mean():
 
 
 def test_td_n_fully_clipped_matches_mc_targets():
-    q, qt = make_tables(6, 2)
-    qt.params[:] = 3.0  # would corrupt the target if the bootstrap were used
+    q, _ = make_tables(6, 2)
+    # would corrupt the target if the bootstrap were used
+    qt = target_with_params(q, np.full_like(q.params, 3.0))
     cfg = LearnerConfig(method="td_n", n_step=10)
     gaps = np.array([1, 2, 3])
     batch = {
@@ -514,7 +528,7 @@ def test_td_1_chain_fixed_point_matches_oracle():
 
 def value_table_pair(num_states, num_actions, gamma=0.99, fill=0.0):
     q = ValueTable(np.full((num_states, num_actions, num_states), fill), gamma, space="value")
-    return q, q.copy()
+    return q, PolyakTarget(q)
 
 
 def test_gciql_indicator_targets():
@@ -550,7 +564,7 @@ def test_gciql_residuals_vanish_on_single_policy_chain():
         target_sync(q, qt, cfg.tau_target)
     qv = q.params[:, 0, :]
     r_q = qv - (np.eye(n) + gamma * v[env.transition[:, 0], :])
-    r_v = v - qt.params[:, 0, :]
+    r_v = v - target_params(qt)[:, 0, :]
     assert np.abs(r_q).max() <= 1e-6
     assert np.abs(r_v).max() <= 1e-6
     # Independent linear solve of the coupled system (single action: V = Q).
@@ -573,11 +587,17 @@ def oracle_table(env, gamma):
     return ValueTable(np.array(oracle_q_table(env, gamma)), gamma, space="value")
 
 
+def oracle_target(q, oracle):
+    """The target of the logit table ``q``, set to read the oracle's values."""
+    return target_with_params(q, logit(oracle.params))
+
+
 def test_sgt_single_candidate_target():
     env = build_grid_env(5, 1)
     gamma = 0.99
-    qt = oracle_table(env, gamma)
+    oracle = oracle_table(env, gamma)
     q = ValueTable.create(5, 4, gamma)
+    qt = oracle_target(q, oracle)
     cfg = LearnerConfig(method="sgt", M_subgoals=1, P_random_distance=500, learning_rate=0.1)
     batch = {
         "s": np.array([0]),
@@ -589,7 +609,7 @@ def test_sgt_single_candidate_target():
         "w_actions": np.array([[3]]),
     }
     stats = sgt_update_step(q, qt, batch, cfg)
-    expected = qt.params[0, 3, 2] * qt.params[2, 3, 4]
+    expected = oracle.params[0, 3, 2] * oracle.params[2, 3, 4]
     assert stats["max_target"] == pytest.approx(expected)
 
 
@@ -598,8 +618,8 @@ def test_sgt_midpoint_candidate_bounds_target():
     reaches at least gamma^4 for a distance-4 pair."""
     env = build_grid_env(5, 1)
     gamma = 0.99
-    qt = oracle_table(env, gamma)
     q = ValueTable.create(5, 4, gamma)
+    qt = oracle_target(q, oracle_table(env, gamma))
     cfg = LearnerConfig(method="sgt", M_subgoals=3, learning_rate=0.1)
     batch = {
         "s": np.array([0]),
@@ -651,8 +671,9 @@ def greedy_policy_fn(table):
 def test_coe_generator_picks_shortest_path_waypoint():
     env = build_grid_env(7, 1)
     gamma = 0.95
-    qt = oracle_table(env, gamma)
+    oracle = oracle_table(env, gamma)
     q = ValueTable.create(7, 4, gamma)
+    qt = oracle_target(q, oracle)
     gen = np.zeros((7, 4, 7), dtype=np.int64)  # incumbent far from optimal
     cfg = LearnerConfig(method="coe", beta_goal_reg=0.0, learning_rate=0.1)
     batch = {
@@ -664,7 +685,7 @@ def test_coe_generator_picks_shortest_path_waypoint():
         "cand_states": np.arange(7)[None, :],  # all states offered
         "coords": env.state_coords,
     }
-    coe_update_step(q, qt, gen, greedy_policy_fn(qt), batch, cfg)
+    coe_update_step(q, qt, gen, greedy_policy_fn(oracle), batch, cfg)
     w = int(gen[0, 3, 6])
     dist = all_pairs_distances(env)
     s_next = 1  # step(0, right)
@@ -674,8 +695,9 @@ def test_coe_generator_picks_shortest_path_waypoint():
 def test_coe_huge_beta_prefers_candidate_near_random_goal():
     env = build_grid_env(7, 1)
     gamma = 0.95
-    qt = oracle_table(env, gamma)
+    oracle = oracle_table(env, gamma)
     q = ValueTable.create(7, 4, gamma)
+    qt = oracle_target(q, oracle)
     gen = np.full((7, 4, 7), 6, dtype=np.int64)
     cfg = LearnerConfig(method="coe", beta_goal_reg=1e9, learning_rate=0.1)
     batch = {
@@ -687,17 +709,18 @@ def test_coe_huge_beta_prefers_candidate_near_random_goal():
         "cand_states": np.array([[0, 2, 5]]),  # candidate 2 sits on the random goal
         "coords": env.state_coords,
     }
-    coe_update_step(q, qt, gen, greedy_policy_fn(qt), batch, cfg)
+    coe_update_step(q, qt, gen, greedy_policy_fn(oracle), batch, cfg)
     assert int(gen[0, 3, 6]) == 2
 
 
 def test_coe_single_candidate_replaces_only_if_better():
     env = build_grid_env(5, 1)
     gamma = 0.95
-    qt = oracle_table(env, gamma)
+    oracle = oracle_table(env, gamma)
     q = ValueTable.create(5, 4, gamma)
+    qt = oracle_target(q, oracle)
     cfg = LearnerConfig(method="coe", beta_goal_reg=0.0, learning_rate=0.1)
-    policy = greedy_policy_fn(qt)
+    policy = greedy_policy_fn(oracle)
 
     def run(incumbent, candidate):
         gen = np.full((5, 4, 5), incumbent, dtype=np.int64)
@@ -732,7 +755,7 @@ def test_coe_requires_coords_when_beta_positive():
         "coords": None,
     }
     with pytest.raises(ConfigError):
-        coe_update_step(q, qt, gen, greedy_policy_fn(qt), batch, cfg)
+        coe_update_step(q, qt, gen, greedy_policy_fn(q), batch, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -740,23 +763,35 @@ def test_coe_requires_coords_when_beta_positive():
 
 
 def test_target_sync_full_copy():
-    q, qt = make_tables(3, 2)
+    q, _ = make_tables(3, 2)
     q.params[:] = 1.5
+    qt = target_with_params(q, np.full_like(q.params, -3.0))
     target_sync(q, qt, tau=1.0)
-    np.testing.assert_array_equal(qt.params, q.params)
+    np.testing.assert_array_equal(target_params(qt), q.params)
 
 
 def test_target_sync_geometric_convergence():
-    q, qt = make_tables(2, 1)
+    q, _ = make_tables(2, 1)
     q.params[:] = 2.0
-    qt.params[:] = 0.0
     tau = 0.005
     for k in (1, 2, 10):
-        qtk = ValueTable(np.zeros_like(q.params), q.gamma)
+        qtk = target_with_params(q, np.zeros_like(q.params))
         for _ in range(k):
             target_sync(q, qtk, tau)
         expected = 2.0 * (1 - (1 - tau) ** k)
-        assert qtk.params[0, 0, 0] == pytest.approx(expected, rel=1e-12)
+        assert target_params(qtk)[0, 0, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_target_sync_writes_no_entry_until_renormalization():
+    """A sync only scales; the lag is written when the scale is folded in."""
+    q, qt = make_tables(3, 2)
+    qt.lag.flags.writeable = False
+    syncs = 0
+    with pytest.raises(ValueError, match="read-only"):
+        while True:
+            target_sync(q, qt, 0.5)
+            syncs += 1
+    assert syncs == 332  # 0.5^332 >= 1e-100 > 0.5^333
 
 
 def test_target_sync_tau_zero_rejected_by_config():
@@ -773,11 +808,79 @@ def test_config_rejects_non_finite_floats(field, value):
         LearnerConfig(**{field: value})
 
 
-def test_target_sync_shape_mismatch():
-    q = ValueTable.create(3, 2, 0.99)
-    qt = ValueTable.create(3, 3, 0.99)
-    with pytest.raises(ValueError):
-        target_sync(q, qt, 0.5)
+# The lazy target against the eager reference: the two sum the same terms in
+# another order, so their logits (gciql: raw values, relative to the largest
+# one) may differ by rounding only.
+TARGET_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize("space", ["logit", "value"])
+def test_polyak_target_matches_eager_reference(space):
+    """Duplicate indices, clipped writes and renormalization keep values_at
+    equal to the eager target; untouched entries stay as they were."""
+    rng = np.random.default_rng(5)
+    shape = (6, 3, 6)
+    q = ValueTable(rng.uniform(-5.0, 5.0, size=shape), 0.9, space=space)
+    qt = target_with_params(q, rng.uniform(-5.0, 5.0, size=shape))
+    eager = EagerTarget(q)
+    eager.params[...] = target_params(qt)
+    renormalized = 0
+    for tau in (0.5,) * 700 + (1.0, 0.05, 0.05):
+        idx = tuple(rng.integers(0, n, size=24) for n in shape)
+        idx = tuple(np.concatenate([i, i[:8]]) for i in idx)  # duplicates
+        untouched = np.ones(shape, dtype=bool)
+        untouched[idx] = False
+        before = target_params(qt)
+        _apply_logit_updates(qt, idx, rng.normal(size=32), 40.0)  # often past the clamp
+        assert (target_params(qt)[untouched] == before[untouched]).all()
+        np.testing.assert_allclose(target_params(qt), before, rtol=0, atol=TARGET_TOLERANCE)
+        scale = qt.scale
+        target_sync(q, qt, tau)
+        eager_sync(q, eager, tau)
+        renormalized += qt.scale > scale
+        np.testing.assert_allclose(
+            qt.values_at(...), eager.values_at(...), rtol=0, atol=TARGET_TOLERANCE
+        )
+    if space == "logit":
+        assert np.abs(q.params).max() == LOGIT_CLAMP
+    assert renormalized == 3  # two at tau = 0.5, one at tau = 1
+
+
+@pytest.mark.parametrize(
+    "method, tau",
+    [("trl", 0.005), ("td_n", 0.005), ("gciql", 0.005), ("sgt", 0.005), ("coe", 0.005),
+     ("trl", 0.2), ("gciql", 0.2), ("td_n", 1.0), ("coe", 1.0)],
+)
+def test_lazy_target_training_matches_eager_sync(method, tau):
+    """2000 fixed-seed steps with the lazy target and with the eager sync give
+    the same online table and target within TARGET_TOLERANCE. tau = 0.2
+    renormalizes once in that run; tau = 1 renormalizes every step."""
+    env = build_grid_env(4, 4)
+    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
+    cfg = LearnerConfig(
+        method=method, steps=2000, learning_rate=0.5, batch_size=32, M_subgoals=4,
+        n_step=3, tau_target=tau, seed=1,
+    )
+    q_lazy, t_lazy = run_steps(env, ds, cfg, PolyakTarget, target_sync)
+    q_eager, t_eager = run_steps(env, ds, cfg, EagerTarget, eager_sync)
+    atol = TARGET_TOLERANCE * max(1.0, np.abs(q_eager.params).max())
+    np.testing.assert_allclose(q_lazy.params, q_eager.params, rtol=0, atol=atol)
+    np.testing.assert_allclose(target_params(t_lazy), t_eager.params, rtol=0, atol=atol)
+    renormalized = t_lazy.scale > 2 * (1 - tau) ** cfg.steps
+    assert renormalized == (tau >= 0.2)
+
+
+@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+def test_run_steps_is_the_train_run_loop(method):
+    """The loop the equivalence test drives is train_run's, byte for byte."""
+    env = build_grid_env(4, 4)
+    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
+    cfg = LearnerConfig(
+        method=method, steps=30, learning_rate=0.5, batch_size=32, M_subgoals=4, tau_target=0.5
+    )
+    q_lazy, _ = run_steps(env, ds, cfg, PolyakTarget, target_sync)
+    q_run, _ = train_run(env, ds, cfg)
+    assert q_run.params.tobytes() == q_lazy.params.tobytes()
 
 
 # ---------------------------------------------------------------------------

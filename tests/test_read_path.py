@@ -7,7 +7,13 @@ import pytest
 from gclab.dataset import collect_dataset
 from gclab.env import build_grid_env
 from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
-from gclab.learners import LOGIT_CLAMP, LearnerConfig, ValueTable, _apply_logit_updates
+from gclab.learners import (
+    LOGIT_CLAMP,
+    LearnerConfig,
+    PolyakTarget,
+    ValueTable,
+    _apply_logit_updates,
+)
 from gclab.oracle import all_pairs_distances
 from gclab.policy import BehaviorPolicy, estimate_behavior_policy
 
@@ -57,7 +63,7 @@ def test_apply_logit_updates_clips_touched_entries_only():
     np.add.at(reference, idx, -1e3 * grads)
     np.clip(reference, -LOGIT_CLAMP, LOGIT_CLAMP, out=reference)
 
-    _apply_logit_updates(q, idx, grads, 1e3)
+    _apply_logit_updates(PolyakTarget(q), idx, grads, 1e3)
     assert q.params.tobytes() == reference.tobytes()
     assert (q.params == LOGIT_CLAMP).any() and (q.params == -LOGIT_CLAMP).any()
     untouched = np.ones(q.params.shape, dtype=bool)
