@@ -35,7 +35,6 @@ def main() -> int:
         if n <= table.n_max:
             b, bound = table.b[n], recursion_bound(n)
             print(f"{n:>8}  {b:>10.4f} {bound:>10.4f} {bound - b:>8.4f}")
-    print(f"\nmonotone: {table.monotone}")
     return 0
 
 

@@ -6,19 +6,18 @@ needed to resolve a length-n chunk when the split point is uniform:
     B(1) = 0
     B(n) = 1 + (1 / (n-1)) * sum_{k=1}^{n-1} max(B(k), B(n-k))
 
-Evaluated exactly by dynamic programming. When B is nondecreasing (checked
-element by element, never assumed), max(B(k), B(n-k)) = B(max(k, n-k)) and
-each step collapses to a prefix-sum lookup over the upper half range, which
-makes the whole table O(n). A Monte Carlo simulator of the underlying
-random process provides an independent estimate of the same expectations,
-and the closed-form companion sequence C(n) backs the logarithmic bound
-B(n) <= ln n / ln(4/3).
+Evaluated exactly in float64. While B is nondecreasing (checked per block,
+never assumed), max(B(k), B(n-k)) = B(max(k, n-k)), so B(n) needs only
+prefix sums of B up to n // 2. A block of n within [lo, 2 lo) thus reads
+only earlier blocks and is a few numpy calls: about 250 blocks up to 10^6.
+A Monte Carlo simulator of the underlying random process provides an
+independent estimate of the same expectations, and the closed-form
+companion sequence C(n) backs the logarithmic bound B(n) <= ln n / ln(4/3).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,9 +25,10 @@ import numpy as np
 
 from .env import ConfigError
 
-# Switch the prefix accumulation to compensated (Kahan) summation above this
-# size so bound checks at n = 10^6 are not polluted by summation drift.
-_KAHAN_THRESHOLD = 100_000
+# expected_recursions fills B in blocks [lo, hi) with hi <= 2 lo, so n // 2
+# lies below the block for every n in it, and hi - lo <= _BLOCK, so each
+# cumsum adds few terms and no temporary outgrows 32 KB.
+_BLOCK = 4096
 
 
 @dataclass
@@ -36,7 +36,6 @@ class RecursionTable:
     """Exact B values; b[0] is unused padding so b[n] is B(n)."""
 
     b: np.ndarray
-    monotone: bool
 
     @property
     def n_max(self) -> int:
@@ -46,43 +45,31 @@ class RecursionTable:
 def expected_recursions(n_max: int) -> RecursionTable:
     """Evaluate the recursion-count recurrence exactly up to n_max.
 
-    The fast path uses the upper-half prefix-sum identity
-    sum_k max(B(k), B(n-k)) = 2 * sum_{m > n/2} B(m) + [n even] B(n/2),
-    valid while B has stayed nondecreasing. Monotonicity is verified after
-    every step; on the first violation the remaining steps downgrade to the
-    O(n) direct pairwise maximum (correct regardless of shape).
+    With P(n) = B(1) + ... + B(n), the upper-half identity
+    sum_k max(B(k), B(n-k)) = 2 (P(n-1) - P(n//2)) + [n even] B(n/2) gives
+    B(n) = 2 P(n-1) / (n-1) + c(n), c(n) = 1 - (2 P(n//2) - [n even] B(n/2)) / (n-1),
+    so P(n) / (n (n+1)) is a cumulative sum of c(n) / (n (n+1)). A block
+    takes c from earlier blocks, P from that sum and B from the direct form,
+    never as a difference of P, which would lose B to the rounding of P.
+    The identity needs B nondecreasing below n, so a block that is not
+    raises ArithmeticError.
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    # Flat float64 storage, 8 bytes an entry. The bytes of b rest on the
-    # float operations below and their order, not on the container.
-    b = array("d", bytes(8 * (n_max + 1)))
-    prefix = array("d", bytes(8 * (n_max + 1)))  # prefix[m] = sum_{t <= m} b[t]
-    comp = 0.0  # Kahan compensation for the running prefix sum
-    monotone = True
-    b_last = 0.0  # b[n - 1]
-    p_last = 0.0  # prefix[n - 1]
-    for n in range(2, n_max + 1):
-        if monotone:
-            upper = p_last - prefix[n // 2]
-            total = 2.0 * upper + (b[n // 2] if n % 2 == 0 else 0.0)
-        else:
-            total = sum(max(b[k], b[n - k]) for k in range(1, n))
-        bn = 1.0 + total / (n - 1)
-        b[n] = bn
-        if monotone and bn < b_last:
-            monotone = False
-        if n >= _KAHAN_THRESHOLD:
-            y = bn - comp
-            t = p_last + y
-            comp = (t - p_last) - y
-            p_last = t
-        else:
-            p_last = p_last + bn
-        prefix[n] = p_last
-        b_last = bn
-    # b[1] = 0 seeds prefix[1] = 0 implicitly; fill for completeness.
-    return RecursionTable(np.array(b), monotone)
+    b, p = np.zeros(n_max + 1), np.zeros(n_max + 1)  # b[n] = B(n), p[n] = P(n)
+    lo = 2
+    while lo <= n_max:
+        hi = min(2 * lo, lo + _BLOCK, n_max + 1)
+        n = np.arange(lo, hi)
+        half = n // 2
+        c = 1.0 - (2.0 * p[half] - np.where(n % 2 == 0, b[half], 0.0)) / (n - 1)
+        h = n * (n + 1.0)
+        p[lo:hi] = (p[lo - 1] / ((lo - 1) * lo) + np.cumsum(c / h)) * h
+        b[lo:hi] = 2.0 * p[lo - 1 : hi - 1] / (n - 1) + c
+        if np.any(np.diff(b[lo - 1 : hi]) < 0):
+            raise ArithmeticError(f"B is not nondecreasing on [{lo}, {hi - 1}]")
+        lo = hi
+    return RecursionTable(b)
 
 
 def recursion_bound(n: int) -> float:

@@ -76,9 +76,9 @@ def train_run(
     pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns the
     distances into values as the oracle does. Every other method runs
     cfg.steps update steps from ``learners.METHODS``, each followed by a
-    target sync, and logs every ``log_every`` steps and the last one; it
-    raises ValueError, naming the method and seed, if the trained table holds
-    a non-finite entry.
+    target sync if the method reads a target, and logs every ``log_every``
+    steps and the last one; it raises ValueError, naming the method and
+    seed, if the trained table holds a non-finite entry.
     """
     log: list[dict] = []
     if cfg.method == "exact":
@@ -98,11 +98,12 @@ def train_run(
     _check_int("log_every", log_every, 1)
     rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
-    q_target = PolyakTarget(q)
+    q_target = PolyakTarget(q) if method.reads_target else None
     state = method.state(env, q, cfg)
     for step_idx in range(cfg.steps):
         stats = method.step(q, q_target, state, method.batch(ds, cfg, rng), cfg)
-        target_sync(q, q_target, cfg.tau_target)
+        if q_target is not None:
+            target_sync(q, q_target, cfg.tau_target)
         if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
             log.append({"step": step_idx, "method": cfg.method, **stats})
     if not np.isfinite(q.params).all():

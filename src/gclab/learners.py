@@ -235,23 +235,25 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact (min, +) sweeps over step counts
 
-# "No path yet" in the int32 sweep table: above any distance, and small
-# enough that a sum of two of them still fits in int32.
-_NO_PATH = np.iinfo(np.int32).max // 2
+# Distances in the sweep table are int16. "No path yet" is above any distance
+# of a table of at most _NO_PATH states, and a sum of two of them still fits.
+_DIST_DTYPE = np.int16
+_NO_PATH = np.iinfo(_DIST_DTYPE).max // 2
 # A sweep forms its sums in tiles of _TILE_ROWS rows s by _TILE_W rows w, so
-# one tile's temporary (8 x 32 x S int32, 0.6 MB at S = 576) stays in a
+# one tile's temporary (8 x 32 x S int16, 0.3 MB at S = 576) stays in a
 # per-core L2 cache.
 _TILE_ROWS = 8
 _TILE_W = 32
 
 
 def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
-    """One Jacobi sweep of the (min, +) backup over an int32 distance table.
+    """One Jacobi sweep of the (min, +) backup over an int16 distance table.
 
     Every entry of the result reads only the input table:
     new[s, g] = min(d[s, g], min_w d[s, w] + d[w, g]). Integer sums and
-    minima are exact, so the tiling changes no entry. Returns the new table
-    and the number of pairs it shortened.
+    minima are exact, so the tiling changes no entry, and neither does the
+    skip of a tile whose d[s, w] block holds no path (its sums are all at
+    least _NO_PATH). Returns the new table and the number of pairs it shortened.
     """
     n = d.shape[0]
     new = d.copy()
@@ -259,24 +261,29 @@ def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
         rows = slice(lo, lo + _TILE_ROWS)
         for w_lo in range(0, n, _TILE_W):
             w = slice(w_lo, w_lo + _TILE_W)
-            sums = d[rows, w][:, :, None] + d[w]
+            blk = d[rows, w]
+            if blk.min() == _NO_PATH:
+                continue
+            sums = blk[:, :, None] + d[w]
             np.minimum(new[rows], sums.min(axis=1), out=new[rows])
     return new, int(np.count_nonzero(new != d))
 
 
 def transitive_sweeps(env: GraphEnv):
     """Jacobi (min, +) sweeps from the base table (0 on the diagonal, 1 on
-    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d``
-    an int32 step-count table in the convention of
-    :func:`~gclab.oracle.all_pairs_distances` (UNREACHABLE for no path), and
-    stops after the first sweep that shortens no pair.
+    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` an
+    int16 table in the convention of :func:`~gclab.oracle.all_pairs_distances`
+    (UNREACHABLE for no path), and stops after the first sweep that shortens
+    no pair. More than _NO_PATH states raise ConfigError before any S x S array.
 
     After k sweeps every pair at distance <= 2^k holds its distance, so a
     table of finite diameter D needs ceil(log2 D) sweeps plus the one that
     finds nothing to shorten. Every other sweep lowers a non-negative
     integer table, so the loop needs no sweep limit.
     """
-    d = np.full((env.num_states, env.num_states), _NO_PATH, dtype=np.int32)
+    if env.num_states > _NO_PATH:
+        raise ConfigError(f"exact sweeps take at most {_NO_PATH} states, got {env.num_states}")
+    d = np.full((env.num_states, env.num_states), _NO_PATH, dtype=_DIST_DTYPE)
     d[adjacency_matrix(env)] = 1
     np.fill_diagonal(d, 0)
     while True:
@@ -669,6 +676,7 @@ class Method:
     step: Callable | None = None
     state: Callable = lambda env, q, cfg: None
     min_horizon: int = 1
+    reads_target: bool = True  # if not, the step gets None as q_target and no sync runs
 
 
 # Every learner, keyed by its config name. "exact" consumes no data: it runs
@@ -677,7 +685,9 @@ METHODS = {
     "trl": Method(
         "logit", _trl_batch, lambda q, qt, _, b, cfg: trl_update_step(q, qt, b, cfg), min_horizon=2
     ),
-    "mc": Method("logit", _mc_batch, lambda q, qt, _, b, cfg: mc_update_step(q, b, cfg)),
+    "mc": Method(
+        "logit", _mc_batch, lambda q, qt, _, b, cfg: mc_update_step(q, b, cfg), reads_target=False
+    ),
     "td_n": Method(
         "logit", _td_batch, lambda q, qt, _, b, cfg: td_n_update_step(q, qt, b, cfg), min_horizon=2
     ),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclab.analysis import (
+    _BLOCK,
     c_sequence,
     expected_recursions,
     recursion_bound,
@@ -22,6 +23,29 @@ def expected_recursions_direct(n_max: int) -> np.ndarray:
     return b
 
 
+def expected_recursions_sequential(n_max: int, kahan_from: int = 100_000) -> np.ndarray:
+    """The upper-half prefix-sum identity one n at a time in float64, with
+    compensated (Kahan) summation of the prefix from n = kahan_from on."""
+    b = np.zeros(n_max + 1).tolist()
+    prefix = np.zeros(n_max + 1).tolist()  # prefix[m] = sum_{t <= m} b[t]
+    comp = 0.0
+    b_last = p_last = 0.0
+    for n in range(2, n_max + 1):
+        total = 2.0 * (p_last - prefix[n // 2]) + (b[n // 2] if n % 2 == 0 else 0.0)
+        bn = 1.0 + total / (n - 1)
+        assert bn >= b_last, n  # the identity needs B nondecreasing
+        b[n] = b_last = bn
+        if n >= kahan_from:
+            y = bn - comp
+            t = p_last + y
+            comp = (t - p_last) - y
+            p_last = t
+        else:
+            p_last = p_last + bn
+        prefix[n] = p_last
+    return np.array(b)
+
+
 def c_sequence_direct(n: int) -> float:
     """Direct summation used to cross-check the closed forms."""
     k = np.arange(1, n)
@@ -38,7 +62,6 @@ def test_spot_values_exact():
 
 def test_monotone_up_to_hundred_thousand():
     table = expected_recursions(100_000)
-    assert table.monotone
     assert np.all(np.diff(table.b[1:]) >= 0)
 
 
@@ -46,6 +69,28 @@ def test_fast_path_agrees_with_direct_evaluation():
     fast = expected_recursions(2000).b
     direct = expected_recursions_direct(2000)
     assert np.abs(fast - direct).max() <= 1e-9
+
+
+def test_blocks_agree_with_direct_evaluation_at_block_edges():
+    """Tables that end on either side of a block edge (powers of two up to
+    _BLOCK, then its multiples), and the shortest ones, match the literal
+    pairwise maximum."""
+    edges = [2**k for k in range(2, _BLOCK.bit_length())] + [2 * _BLOCK, 3 * _BLOCK]
+    direct = expected_recursions_direct(max(edges))
+    for n_max in (1, 2, 3, 5, 6, *(e + j for e in edges for j in (-1, 0))):
+        b = expected_recursions(n_max).b
+        assert b.shape == (n_max + 1,)
+        assert np.abs(b - direct[: n_max + 1]).max() <= 1e-12, n_max
+
+
+@pytest.mark.parametrize("kahan_from, tol", [(100_000, 1e-11), (2, 1e-12)])
+def test_blocks_agree_with_sequential_evaluation_at_a_million(kahan_from, tol):
+    """Compensated from 10^5 on, the sequential sum is within 1.4e-12 of a
+    long-double evaluation at 10^6; compensated from the start, within
+    3e-14. Short blocks keep the table within 3e-13 of the latter; whole
+    blocks [m, 2m), one cumsum each, drift to 7e-12."""
+    block = expected_recursions(10**6).b
+    assert np.abs(block - expected_recursions_sequential(10**6, kahan_from)).max() <= tol
 
 
 def test_bound_holds_up_to_hundred_thousand():

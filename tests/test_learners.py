@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
+from gclab import harness, learners
 from gclab.dataset import collect_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import train_run
 from gclab.learners import (
+    _NO_PATH,
     LOGIT_CLAMP,
     LearnerConfig,
     PolyakTarget,
@@ -266,6 +270,20 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
         diam = finite_diameter(dist)
         bound = int(np.ceil(np.log2(diam))) if diam > 1 else 0
         assert sweeps <= bound
+
+
+def test_sweeps_refuse_more_states_than_the_table_dtype_holds():
+    """One state more than _NO_PATH would let a distance reach the no-path
+    marker; the refusal comes before the S x S table (537 MB here) exists."""
+    env = right_only_chain(_NO_PATH + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="at most 16383 states"):
+            next(transitive_sweeps(env))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -881,6 +899,21 @@ def test_run_steps_is_the_train_run_loop(method):
     q_lazy, _ = run_steps(env, ds, cfg, PolyakTarget, target_sync)
     q_run, _ = train_run(env, ds, cfg)
     assert q_run.params.tobytes() == q_lazy.params.tobytes()
+
+
+def test_mc_builds_no_target(monkeypatch):
+    """mc reads no target, so train_run neither builds one nor syncs it."""
+
+    def refuse(*args):
+        raise AssertionError("mc built or synced a target")
+
+    for module in (learners, harness):
+        monkeypatch.setattr(module, "PolyakTarget", refuse)
+        monkeypatch.setattr(module, "target_sync", refuse)
+    env = build_grid_env(4, 4)
+    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
+    q, _ = train_run(env, ds, LearnerConfig(method="mc", steps=30, batch_size=32))
+    assert np.isfinite(q.params).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The tiled (min, +) sweep from tables other than the one-step table:
-random tables on ragged tile sizes and perturbed fixed points, each sweep
-checked against the naive untiled reference."""
+random tables on ragged tile sizes, perturbed fixed points and block-sparse
+tables whose empty tiles are skipped, each sweep checked against the naive
+untiled reference."""
 
 import numpy as np
 
-from gclab.learners import _NO_PATH, _TILE_ROWS, _TILE_W, exact_transitive_sweep
+from gclab.learners import _DIST_DTYPE, _NO_PATH, _TILE_ROWS, _TILE_W, exact_transitive_sweep
 from sweep_helpers import naive_sweep
 
 
@@ -16,7 +17,7 @@ def _sweep_to_fixed_point(d):
     while True:
         new, shortened = exact_transitive_sweep(d)
         ref = naive_sweep(d.astype(np.int64))
-        assert new.dtype == np.int32
+        assert new.dtype == _DIST_DTYPE
         np.testing.assert_array_equal(new, ref)
         assert shortened == np.count_nonzero(ref != d)
         counts.append(shortened)
@@ -26,7 +27,7 @@ def _sweep_to_fixed_point(d):
 
 
 def _random_table(rng, n):
-    d = rng.integers(0, 3 * n, size=(n, n)).astype(np.int32)
+    d = rng.integers(0, 3 * n, size=(n, n)).astype(_DIST_DTYPE)
     d[rng.random((n, n)) < 0.3] = _NO_PATH
     return d
 
@@ -51,9 +52,25 @@ def test_semi_naive_matches_dense_reference_on_perturbed_tables():
 def test_dense_tiles_cover_ragged_edges():
     """Sizes that are no multiple of either tile side (and one smaller than
     a tile) leave ragged edge tiles. The no-path entries check that a sum
-    of two of them stays exact in int32 (the reference adds in int64)."""
+    of two of them stays exact in the sweep's dtype (the reference adds in
+    int64)."""
     rng = np.random.default_rng(1)
     for n in (3, 2 * _TILE_W + _TILE_ROWS + 1):
         assert n % _TILE_ROWS and n % _TILE_W
         for _ in range(4):
             _sweep_to_fixed_point(_random_table(rng, n))
+
+
+def test_block_sparse_tables_skip_empty_tiles():
+    """Two components with no path between them, each larger than a tile:
+    every tile of rows in one component and w in the other holds no path
+    and is skipped, and the tiles that straddle the border are not. The
+    sweeps still equal the reference, and no path appears across."""
+    rng = np.random.default_rng(2)
+    k = 2 * _TILE_W + _TILE_ROWS + 3
+    d = np.full((2 * k, 2 * k), _NO_PATH, dtype=_DIST_DTYPE)
+    for part in (slice(0, k), slice(k, 2 * k)):
+        d[part, part] = _random_table(rng, k)
+    fixed, first = _sweep_to_fixed_point(d)
+    assert first > 0
+    assert (fixed[:k, k:] == _NO_PATH).all() and (fixed[k:, :k] == _NO_PATH).all()
