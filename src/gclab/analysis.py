@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +30,9 @@ from .env import ConfigError
 _BLOCK = 4096
 
 
-@dataclass
-class RecursionTable:
-    """Exact B values; b[0] is unused padding so b[n] is B(n)."""
-
-    b: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.b) - 1
-
-
-def expected_recursions(n_max: int) -> RecursionTable:
-    """Evaluate the recursion-count recurrence exactly up to n_max.
+def expected_recursions(n_max: int) -> np.ndarray:
+    """Evaluate the recursion-count recurrence exactly up to n_max, as a
+    float64 array b of length n_max + 1 with b[n] = B(n) (b[0] is unused).
 
     With P(n) = B(1) + ... + B(n), the upper-half identity
     sum_k max(B(k), B(n-k)) = 2 (P(n-1) - P(n//2)) + [n even] B(n/2) gives
@@ -69,7 +58,7 @@ def expected_recursions(n_max: int) -> RecursionTable:
         if np.any(np.diff(b[lo - 1 : hi]) < 0):
             raise ArithmeticError(f"B is not nondecreasing on [{lo}, {hi - 1}]")
         lo = hi
-    return RecursionTable(b)
+    return b
 
 
 def recursion_bound(n: int) -> float:
@@ -97,22 +86,24 @@ def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
     current chunk at a uniform point and keep the larger half (the branch
     whose expected depth dominates, B being nondecreasing), counting one
     backup per split. The mean of this single-path depth equals B(n)
-    exactly under monotonicity, which expected_recursions verifies.
+    exactly under monotonicity, which expected_recursions verifies. Each
+    step draws one split per unfinished trial, in trial order, and touches
+    no finished trial.
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     _check_sim_draws(trials, seed)
     rng = np.random.default_rng(seed)
-    sizes = np.full(trials, n, dtype=np.int64)
     depth = np.zeros(trials, dtype=np.int64)
-    while True:
-        active = sizes > 1
-        if not active.any():
-            break
-        cur = sizes[active]
-        k = rng.integers(1, cur)  # uniform split point in 1..cur-1
-        sizes[active] = np.maximum(k, cur - k)
-        depth[active] += 1
+    # The unfinished trials, in their original order, and their chunk sizes.
+    live = np.arange(trials if n > 1 else 0)
+    sizes = np.full(live.size, n, dtype=np.int64)
+    while live.size:
+        k = rng.integers(1, sizes)  # uniform split point in 1..size-1
+        sizes = np.maximum(k, sizes - k)
+        depth[live] += 1
+        keep = sizes > 1
+        live, sizes = live[keep], sizes[keep]
     mean = float(depth.mean())
     stderr = float(depth.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
@@ -145,7 +136,7 @@ def recursion_report_rows(
     """
     check_sim_sizes(n_max, sim_sizes)
     _check_sim_draws(trials, seed)
-    table = expected_recursions(n_max)
+    b = expected_recursions(n_max)
     ns = sorted(
         {n for n in range(1, min(16, n_max) + 1)}
         | {1 << p for p in range(0, 21) if (1 << p) <= n_max}
@@ -159,7 +150,7 @@ def recursion_report_rows(
         rows.append(
             {
                 "n": n,
-                "B_n": float(table.b[n]),
+                "B_n": float(b[n]),
                 "bound": recursion_bound(n),
                 "C_n": c_sequence(n) if n >= 2 else float("nan"),
                 "sim_mean": mean,

@@ -20,6 +20,7 @@ from .dataset import collect_dataset, load_dataset, save_dataset
 from .env import ConfigError
 from .harness import (
     _EVAL_DEFAULTS,
+    _RECURSION_DEFAULTS,
     LOG_EVERY,
     aggregate_summary,
     build_env_from_spec,
@@ -59,9 +60,10 @@ _LEARNER_DEFAULTS = {f.name: f.default for f in fields(LearnerConfig) if f.name 
 
 def _add_flags(parser, defaults: dict, required=()) -> None:
     """One flag per setting, --name with dashes for underscores, typed and
-    defaulted by the setting's default."""
+    defaulted by the setting's default, which its help shows."""
     for name, default in defaults.items():
         kwargs = {"required": True} if name in required else {"default": default}
+        kwargs["help"] = "required" if name in required else "default: %(default)s"
         parser.add_argument("--" + name.replace("_", "-"), type=type(default), **kwargs)
 
 
@@ -113,7 +115,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recursion(args) -> int:
-    rows = recursion_report_rows(args.n_max, args.sim, args.trials, args.seed)
+    rows = recursion_report_rows(**{name: getattr(args, name) for name in _RECURSION_DEFAULTS})
     write_recursion_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -159,10 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("recursion", help="emit the recursion-count analysis CSV")
-    p.add_argument("--n-max", type=int, default=10**6)
-    p.add_argument("--sim", type=int, action="append", default=[])
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, {k: v for k, v in _RECURSION_DEFAULTS.items() if k != "sim_sizes"})
+    p.add_argument("--sim", dest="sim_sizes", type=int, action="append", metavar="N",
+                   default=_RECURSION_DEFAULTS["sim_sizes"], help="a size to simulate (repeatable)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_recursion)
 

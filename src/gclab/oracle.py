@@ -34,10 +34,7 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     """Elementwise gamma ** d as float64, with UNREACHABLE pairs at 0."""
     if not (0.0 < gamma < 1.0):
         raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
-    reachable = d != UNREACHABLE
-    v = np.zeros_like(d, dtype=np.float64)
-    v[reachable] = np.power(gamma, d[reachable].astype(np.float64))
-    return v
+    return np.power(gamma, d, out=np.zeros(d.shape), where=d != UNREACHABLE)
 
 
 def q_table_from_values(env: GraphEnv, v: np.ndarray, gamma: float) -> np.ndarray:

@@ -83,8 +83,7 @@ def test_criterion_1_exact_operator_optimality():
 def test_criterion_2_recursion_theory():
     with criterion(2, "recursion recurrence bounded by ln(n)/ln(4/3) up to n=1e6"):
         started = time.perf_counter()
-        table = expected_recursions(10**6)
-        b = table.b
+        b = expected_recursions(10**6)
         assert abs(b[1] - 0.0) <= 1e-12
         assert abs(b[2] - 1.0) <= 1e-12
         assert abs(b[3] - 2.0) <= 1e-12

@@ -53,7 +53,7 @@ def c_sequence_direct(n: int) -> float:
 
 
 def test_spot_values_exact():
-    b = expected_recursions(4).b
+    b = expected_recursions(4)
     assert b[1] == 0.0
     assert abs(b[2] - 1.0) <= 1e-12
     assert abs(b[3] - 2.0) <= 1e-12
@@ -61,12 +61,12 @@ def test_spot_values_exact():
 
 
 def test_monotone_up_to_hundred_thousand():
-    table = expected_recursions(100_000)
-    assert np.all(np.diff(table.b[1:]) >= 0)
+    b = expected_recursions(100_000)
+    assert np.all(np.diff(b[1:]) >= 0)
 
 
 def test_fast_path_agrees_with_direct_evaluation():
-    fast = expected_recursions(2000).b
+    fast = expected_recursions(2000)
     direct = expected_recursions_direct(2000)
     assert np.abs(fast - direct).max() <= 1e-9
 
@@ -78,7 +78,7 @@ def test_blocks_agree_with_direct_evaluation_at_block_edges():
     edges = [2**k for k in range(2, _BLOCK.bit_length())] + [2 * _BLOCK, 3 * _BLOCK]
     direct = expected_recursions_direct(max(edges))
     for n_max in (1, 2, 3, 5, 6, *(e + j for e in edges for j in (-1, 0))):
-        b = expected_recursions(n_max).b
+        b = expected_recursions(n_max)
         assert b.shape == (n_max + 1,)
         assert np.abs(b - direct[: n_max + 1]).max() <= 1e-12, n_max
 
@@ -89,15 +89,15 @@ def test_blocks_agree_with_sequential_evaluation_at_a_million(kahan_from, tol):
     long-double evaluation at 10^6; compensated from the start, within
     3e-14. Short blocks keep the table within 3e-13 of the latter; whole
     blocks [m, 2m), one cumsum each, drift to 7e-12."""
-    block = expected_recursions(10**6).b
+    block = expected_recursions(10**6)
     assert np.abs(block - expected_recursions_sequential(10**6, kahan_from)).max() <= tol
 
 
 def test_bound_holds_up_to_hundred_thousand():
-    table = expected_recursions(100_000)
-    n = np.arange(1, table.n_max + 1)
+    b = expected_recursions(100_000)
+    n = np.arange(1, b.size)
     bound = np.log(n) / np.log(4.0 / 3.0)
-    assert np.all(table.b[1:] <= bound + 1e-12)
+    assert np.all(b[1:] <= bound + 1e-12)
 
 
 def test_recursion_bound_values():
@@ -142,10 +142,38 @@ def test_simulation_matches_recurrence_at_four():
 
 
 def test_simulation_matches_recurrence_midsize():
-    table = expected_recursions(256)
+    b = expected_recursions(256)
     for idx, n in enumerate((16, 64, 256)):
         mean, stderr = simulate_recursions(n, 100_000, seed=10 + idx)
-        assert abs(mean - table.b[n]) < 4 * stderr, (n, mean, table.b[n])
+        assert abs(mean - b[n]) < 4 * stderr, (n, mean, b[n])
+
+
+def simulate_recursions_all_trials(n: int, trials: int, seed: int) -> tuple[float, float]:
+    """The simulation advancing every trial on each step, finished or not,
+    with a mask of the unfinished ones."""
+    rng = np.random.default_rng(seed)
+    sizes = np.full(trials, n, dtype=np.int64)
+    depth = np.zeros(trials, dtype=np.int64)
+    while True:
+        active = sizes > 1
+        if not active.any():
+            break
+        cur = sizes[active]
+        k = rng.integers(1, cur)
+        sizes[active] = np.maximum(k, cur - k)
+        depth[active] += 1
+    mean = float(depth.mean())
+    stderr = float(depth.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 1024, 65536])
+@pytest.mark.parametrize("trials", [1, 2, 10_000])
+def test_simulation_of_live_trials_matches_the_all_trials_loop(n, trials):
+    """Dropping finished trials changes neither the draws nor the depths."""
+    new = simulate_recursions(n, trials, seed=n + trials)
+    old = simulate_recursions_all_trials(n, trials, seed=n + trials)
+    assert np.array(new).tobytes() == np.array(old).tobytes()
 
 
 def test_simulation_seeded_determinism():

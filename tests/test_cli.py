@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,10 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"env": {"kind": "grid", "width": 2.5, "height": 1}}, "env.width"),
      ({"env": {"kind": "grid", "width": True, "height": 1}}, "env.width"),
      ({"env": {"kind": "grid", "width": 4, "height": 0}}, "env.height"),
-     ({"env": {"kind": "file", "path": 3}}, "env.path")],
+     ({"env": {"kind": "file", "path": 3}}, "env.path"),
+     ({"methods": ["mc", "mc"]}, "methods"), ({"seeds": [0, 1, 0]}, "seeds"),
+     ({"methods": ["mc", "mc"], "seeds": [0, 0]}, "methods"),
+     ({"methods": ["td_n"], "n_values": [1, 5, 1]}, "n_values")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"
@@ -405,24 +409,24 @@ def test_sweep_bad_recursion_block_exit_code(tmp_path, capsys, recursion, key):
 
 
 def test_sweep_recursion_defaults(tmp_path):
-    """Unset recursion settings default to n_max 4096, trials 10 000, seed 0."""
+    """Unset recursion settings in a sweep are those of `gclab recursion`."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), "recursion": {"sim_sizes": [8]}}))
     assert run_cli("sweep", "--config", str(cfg_path)) == 0
     out = tmp_path / "rec.csv"
-    assert run_cli("recursion", "--n-max", "4096", "--sim", "8", "--trials", "10000",
-                   "--seed", "0", "--out", str(out)) == 0
+    assert run_cli("recursion", "--sim", "8", "--out", str(out)) == 0
     assert (tmp_path / "exp" / "recursion.csv").read_bytes() == out.read_bytes()
 
 
 def test_flags_follow_learner_config_and_eval_defaults():
     """Every LearnerConfig field but the relabel ratios is a `gclab train`
-    flag, typed and defaulted by the field; every eval setting is a `gclab
-    eval` flag defaulted by the sweep config's default."""
+    flag, typed and defaulted by the field; every eval and recursion setting
+    is a `gclab eval` or `gclab recursion` flag defaulted by the sweep
+    config's default."""
     from dataclasses import fields
 
     from gclab.cli import build_parser
-    from gclab.harness import _EVAL_DEFAULTS
+    from gclab.harness import _EVAL_DEFAULTS, _RECURSION_DEFAULTS
     from gclab.learners import LearnerConfig
 
     args = build_parser().parse_args(
@@ -438,6 +442,16 @@ def test_flags_follow_learner_config_and_eval_defaults():
         build_parser().parse_args(["train", "--dataset", "d", "--out-dir", "o", "--method", "mc"])
     args = build_parser().parse_args(["eval", "--table", "t", "--dataset", "d", "--out", "o"])
     assert {key: getattr(args, key) for key in _EVAL_DEFAULTS} == _EVAL_DEFAULTS
+    args = build_parser().parse_args(["recursion", "--out", "o"])
+    assert {key: getattr(args, key) for key in _RECURSION_DEFAULTS} == _RECURSION_DEFAULTS
+
+
+def test_recursion_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("recursion", "--help")
+    out = capsys.readouterr().out
+    for flag, default in (("--n-max", 10**6), ("--trials", 100_000), ("--seed", 0)):
+        assert re.search(rf"{flag} \S+ +default: {default}\n", out), flag
 
 
 def test_train_bad_log_every_exit_code(tmp_path, capsys):

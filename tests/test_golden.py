@@ -124,7 +124,7 @@ def golden_digests() -> dict[str, str]:
         assert q.params.tobytes() == oracle_q_table(exact_env, 0.95).tobytes()
         out[f"exact.train.{name}"] = _sha(q.params.tobytes(), log)
         out[f"exact.dist.{name}"] = _sha(all_pairs_distances(exact_env).tobytes())
-    out["recursion.b_200000"] = _sha(expected_recursions(200_000).b.tobytes())
+    out["recursion.b_200000"] = _sha(expected_recursions(200_000).tobytes())
     return out
 
 

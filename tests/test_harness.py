@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ def test_validate_config_defaults():
     assert config["eval"]["max_steps_factor"] == 4
     assert config["eval"]["episodes"] == 5  # explicit override kept
     assert config["log_every"] == 100
+
+
+def test_checked_in_horizon_config_builds_its_runs():
+    """configs/horizon.json, the corridor comparison of trl against td-n,
+    validates and builds trl, td-1, td-5 and td-10 at seeds 0-3."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "horizon.json"
+    config = validate_experiment_config(json.loads(path.read_text()))
+    runs = [(label, cfg.seed) for label, cfg in config["_runs"]]
+    labels = ("trl", "td-1", "td-5", "td-10")
+    assert runs == [(label, seed) for label in labels for seed in range(4)]
+    n_steps = {label: cfg.n_step for label, cfg in config["_runs"] if cfg.method == "td_n"}
+    assert n_steps == {"td-1": 1, "td-5": 5, "td-10": 10}
 
 
 def test_recursion_csv_emission(tmp_path):
