@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .env import ConfigError
+from .env import ConfigError, check_number
 
 # expected_recursions fills B in blocks [lo, hi) with hi <= 2 lo, so n // 2
 # lies below the block for every n in it, and hi - lo <= _BLOCK, so each
@@ -43,8 +43,7 @@ def expected_recursions(n_max: int) -> np.ndarray:
     The identity needs B nondecreasing below n, so a block that is not
     raises ArithmeticError.
     """
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    check_number("n_max", n_max, "int", 1)
     b, p = np.zeros(n_max + 1), np.zeros(n_max + 1)  # b[n] = B(n), p[n] = P(n)
     lo = 2
     while lo <= n_max:
@@ -79,19 +78,17 @@ def c_sequence(n: int) -> float:
     return (3.0 * m + 1.0) / 2.0
 
 
-def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of B(n) with its standard error.
+def recursion_depths(n: int, trials: int, seed: int) -> np.ndarray:
+    """The depth of each of ``trials`` simulated recursions of size n, as an
+    int64 array.
 
     Each trial follows the recursion along its deepest branch: split the
     current chunk at a uniform point and keep the larger half (the branch
     whose expected depth dominates, B being nondecreasing), counting one
-    backup per split. The mean of this single-path depth equals B(n)
-    exactly under monotonicity, which expected_recursions verifies. Each
-    step draws one split per unfinished trial, in trial order, and touches
-    no finished trial.
+    backup per split. Each step draws one split per unfinished trial, in
+    trial order, and touches no finished trial.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+    check_number("n", n, "int", 1)
     _check_sim_draws(trials, seed)
     rng = np.random.default_rng(seed)
     depth = np.zeros(trials, dtype=np.int64)
@@ -104,24 +101,33 @@ def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
         depth[live] += 1
         keep = sizes > 1
         live, sizes = live[keep], sizes[keep]
+    return depth
+
+
+def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of B(n) with its standard error: the mean of
+    :func:`recursion_depths`, which equals B(n) exactly under monotonicity,
+    as expected_recursions verifies."""
+    depth = recursion_depths(n, trials, seed)
     mean = float(depth.mean())
     stderr = float(depth.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
 
 
 def check_sim_sizes(n_max: int, sim_sizes: Sequence[int]) -> None:
-    """Raise ConfigError unless every simulated size lies in 1..n_max."""
+    """Raise ConfigError unless every simulated size lies in 1..n_max and
+    none is given twice."""
     for n in sim_sizes:
         if not 1 <= n <= n_max:
             raise ConfigError(f"simulation size {n} is outside 1..n_max ({n_max})")
+    if len(set(sim_sizes)) < len(sim_sizes):
+        raise ConfigError(f"a simulation size is given twice: {list(sim_sizes)}")
 
 
 def _check_sim_draws(trials: int, seed: int) -> None:
     """Raise ConfigError unless the simulation's trials and seed are valid."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_number("trials", trials, "int", 1)
+    check_number("seed", seed, "int", 0)
 
 
 def recursion_report_rows(

@@ -17,14 +17,13 @@ import numpy as np
 
 from .analysis import recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
-from .env import ConfigError
+from .env import ConfigError, check_number
 from .harness import (
-    _EVAL_DEFAULTS,
-    _RECURSION_DEFAULTS,
+    _BLOCKS,
     LOG_EVERY,
     aggregate_summary,
+    block_settings,
     build_env_from_spec,
-    check_eval_settings,
     evaluate_run,
     run_experiment,
     train_and_save,
@@ -85,10 +84,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    eval_spec = {name: getattr(args, name) for name in _EVAL_DEFAULTS}
-    check_eval_settings(**eval_spec)
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    eval_spec = block_settings("eval", {name: getattr(args, name) for name in _BLOCKS["eval"]})
+    check_number("--seed", args.seed, "int", 0)
     rejection = eval_spec["extraction"] == "rejection"
     if rejection and args.dataset is None:
         raise ConfigError("--extraction rejection needs --dataset for its behavior policy")
@@ -115,7 +112,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recursion(args) -> int:
-    rows = recursion_report_rows(**{name: getattr(args, name) for name in _RECURSION_DEFAULTS})
+    rows = recursion_report_rows(**{name: getattr(args, name) for name in _BLOCKS["recursion"]})
     write_recursion_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -151,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--table", required=True)
     p.add_argument("--dataset", help="dataset of the behavior policy; rejection extraction only")
-    _add_flags(p, _EVAL_DEFAULTS)
+    _add_flags(p, _BLOCKS["eval"])
     p.add_argument("--seed", type=int, default=LearnerConfig.seed, help="the trained run's seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
@@ -161,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("recursion", help="emit the recursion-count analysis CSV")
-    _add_flags(p, {k: v for k, v in _RECURSION_DEFAULTS.items() if k != "sim_sizes"})
+    _add_flags(p, {k: v for k, v in _BLOCKS["recursion"].items() if k != "sim_sizes"})
     p.add_argument("--sim", dest="sim_sizes", type=int, action="append", metavar="N",
-                   default=_RECURSION_DEFAULTS["sim_sizes"], help="a size to simulate (repeatable)")
+                   default=_BLOCKS["recursion"]["sim_sizes"], help="a size to simulate (repeatable)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_recursion)
 

@@ -13,12 +13,11 @@ start states. Two samplers are provided:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .env import ConfigError, GraphEnv, open_input
+from .env import ConfigError, GraphEnv, check_number, open_input
 
 
 @dataclass
@@ -38,9 +37,7 @@ class RelabelRatios:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"relabel ratio '{f.name}' must be finite, got {value!r}")
+            check_number(f"relabel ratio '{f.name}'", getattr(self, f.name), "float")
         probs = (self.p_cur, self.p_geom, self.p_traj, self.p_rand)
         if min(probs) < 0:
             raise ConfigError(f"relabel ratios must be nonnegative, got {probs}")

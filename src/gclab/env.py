@@ -10,6 +10,8 @@ explicit transition table, either in code or from a plain-text file.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -22,6 +24,20 @@ _GRID_DELTAS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
 class ConfigError(ValueError):
     """Raised for invalid configuration or construction arguments."""
+
+
+def check_number(label: str, value, kind: str, minimum=None) -> None:
+    """Raise ConfigError naming ``label`` unless ``value`` is an integer
+    (``kind`` "int") or a finite real (``kind`` "float"), never a bool, and
+    at least ``minimum`` if one is given."""
+    wanted, name = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        raise ConfigError(f"{label} must be {name}, got {value!r}")
+    # An integer is finite, and math.isfinite cannot convert one above 1e308.
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{label} must be >= {minimum}, got {value!r}")
 
 
 @contextlib.contextmanager

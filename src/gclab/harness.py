@@ -20,7 +20,15 @@ import numpy as np
 
 from . import analysis as analysis_mod
 from .dataset import TrajectoryDataset, collect_dataset, save_dataset
-from .env import ConfigError, GraphEnv, build_grid_env, load_env, open_input, parse_walls
+from .env import (
+    ConfigError,
+    GraphEnv,
+    build_grid_env,
+    check_number,
+    load_env,
+    open_input,
+    parse_walls,
+)
 from .learners import (
     METHODS,
     LearnerConfig,
@@ -95,7 +103,7 @@ def train_run(
         raise ConfigError(
             f"method {cfg.method!r} needs trajectories with T >= {method.min_horizon}"
         )
-    _check_int("log_every", log_every, 1)
+    check_setting("log_every", log_every)
     rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
     q_target = PolyakTarget(q) if method.reads_target else None
@@ -191,7 +199,9 @@ def evaluate_policy(
 ) -> EvalReport:
     """Roll out the extracted policy; success means hitting the exact goal
     within the step budget. max_steps may be one int or one per task."""
-    check_eval_settings(episodes=episodes, extraction=extraction, rejection_n=rejection_n)
+    settings = {"episodes": episodes, "extraction": extraction, "rejection_n": rejection_n}
+    for key, value in settings.items():
+        check_setting(f"eval.{key}", value)
     if extraction == "rejection" and beh is None:
         raise ConfigError("rejection sampling requires a behavior policy")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -245,8 +255,6 @@ def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int) -> EvalReport:
 
 
 _ENV_KEYS = {"kind", "width", "height", "walls", "path"}
-# Every key of the dataset block is required; its smallest allowed value.
-_DATASET_MINIMUMS = {"num_traj": 1, "T": 1, "seed": 0}
 _TOP_KEYS = {
     "out_dir",
     "env",
@@ -259,67 +267,79 @@ _TOP_KEYS = {
     "recursion",
     "log_every",
 }
-_EVAL_DEFAULTS = {
-    "num_tasks": 5,
-    "episodes": 15,
-    "max_steps_factor": 4,
-    "extraction": "greedy",
-    "rejection_n": 32,
-    "min_task_distance": 1,
+# The keys of each block of a sweep config with their defaults; None marks a
+# required key. The eval and recursion blocks are also the flags of
+# `gclab eval` and `gclab recursion`.
+_BLOCKS = {
+    "dataset": {"num_traj": None, "T": None, "seed": None},
+    "eval": {
+        "num_tasks": 5,
+        "episodes": 15,
+        "max_steps_factor": 4,
+        "extraction": "greedy",
+        "rejection_n": 32,
+        "min_task_distance": 1,
+    },
+    "recursion": {"n_max": 10**6, "sim_sizes": [], "trials": 100_000, "seed": 0},
 }
-# Smallest allowed value of each integer eval setting.
-_EVAL_MINIMUMS = {
-    "num_tasks": 1,
-    "episodes": 1,
-    "max_steps_factor": 1,
-    "rejection_n": 1,
-    "min_task_distance": 0,
+# Smallest allowed value of each integer setting, by dotted key; a list
+# setting's entries are held to it.
+_MINIMUMS = {
+    "env.width": 1,
+    "env.height": 1,
+    "dataset.num_traj": 1,
+    "dataset.T": 1,
+    "dataset.seed": 0,
+    "seeds": 0,
+    "n_values": 1,
+    "log_every": 1,
+    "eval.num_tasks": 1,
+    "eval.episodes": 1,
+    "eval.max_steps_factor": 1,
+    "eval.rejection_n": 1,
+    "eval.min_task_distance": 0,
+    "recursion.n_max": 1,
+    "recursion.sim_sizes": 1,
+    "recursion.trials": 1,
+    "recursion.seed": 0,
 }
+# The string settings and the values each takes.
+_CHOICES = {"methods": tuple(METHODS), "eval.extraction": ("greedy", "rejection")}
+_LISTS = ("methods", "seeds", "n_values", "recursion.sim_sizes")
 
 
-# The recursion analysis's settings: the sweep's ``recursion`` block and the
-# `gclab recursion` flags.
-_RECURSION_DEFAULTS = {"n_max": 10**6, "sim_sizes": [], "trials": 100_000, "seed": 0}
+def check_setting(key: str, value) -> None:
+    """Raise ConfigError naming ``key`` (dotted, as in the sweep config)
+    unless ``value`` suits it. A list setting must be a list whose entries
+    each suit the key, with no entry twice; any other setting is one of its
+    ``_CHOICES`` or an integer no smaller than its ``_MINIMUMS`` entry."""
+    entries = value if key in _LISTS else [value]
+    if not isinstance(entries, list):
+        raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
+    for entry in entries:
+        if key not in _CHOICES:
+            check_number(f"config key '{key}'", entry, "int", _MINIMUMS[key])
+        elif entry not in _CHOICES[key]:
+            raise ConfigError(f"config key '{key}' must be one of {_CHOICES[key]}, got {entry!r}")
+    if len(set(entries)) < len(entries):
+        raise ConfigError(f"config key '{key}' has a duplicate entry: {value!r}")
 
 
-def _check_int(key: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigError(f"config key '{key}' must be an integer >= {minimum}, got {value!r}")
-
-
-def check_eval_settings(**settings) -> None:
-    """Raise ConfigError naming ``eval.<key>`` for the first bad setting
-    among those given (keys as in the sweep config's ``eval`` object)."""
+def block_settings(block: str, spec) -> dict:
+    """The ``block`` object of a sweep config with its defaults filled in.
+    Raises ConfigError naming the first unknown, missing or bad key."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key '{block}' must be an object")
+    defaults = _BLOCKS[block]
+    for key in spec:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key '{block}.{key}'")
+    settings = {**defaults, **spec}
     for key, value in settings.items():
-        if key == "extraction":
-            if value not in ("greedy", "rejection"):
-                raise ConfigError(
-                    f"config key 'eval.extraction' must be 'greedy' or 'rejection', got {value!r}"
-                )
-        else:
-            _check_int(f"eval.{key}", value, _EVAL_MINIMUMS[key])
-
-
-def _check_recursion(rec) -> dict:
-    """The sweep's ``recursion`` block with its defaults filled in."""
-    if not isinstance(rec, dict):
-        raise ConfigError("config key 'recursion' must be an object")
-    for key in rec:
-        if key not in _RECURSION_DEFAULTS:
-            raise ConfigError(f"unknown config key 'recursion.{key}'")
-    rec = {**_RECURSION_DEFAULTS, **rec}
-    _check_int("recursion.n_max", rec["n_max"], 1)
-    _check_int("recursion.trials", rec["trials"], 1)
-    _check_int("recursion.seed", rec["seed"], 0)
-    if not isinstance(rec["sim_sizes"], list):
-        raise ConfigError("config key 'recursion.sim_sizes' must be a list")
-    for n in rec["sim_sizes"]:
-        _check_int("recursion.sim_sizes", n, 1)
-    try:
-        analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
-    except ConfigError as exc:
-        raise ConfigError(f"config key 'recursion.sim_sizes': {exc}") from None
-    return rec
+        if key not in spec and value is None:
+            raise ConfigError(f"missing config key '{block}.{key}'")
+        check_setting(f"{block}.{key}", value)
+    return settings
 
 
 def _run_configs(config: dict, base: LearnerConfig) -> list[tuple[str, LearnerConfig]]:
@@ -327,28 +347,12 @@ def _run_configs(config: dict, base: LearnerConfig) -> list[tuple[str, LearnerCo
     entry of the optional ``n_values``, labeled td-<n>) at each seed."""
     horizon = config["dataset"]["T"]
     for method in config["methods"]:
-        if not isinstance(method, str) or method not in METHODS:
-            raise ConfigError(
-                f"config key 'methods' has unknown method {method!r}; "
-                f"expected one of {tuple(METHODS)}"
-            )
         if horizon < METHODS[method].min_horizon:
             raise ConfigError(
                 f"config key 'dataset.T' must be >= {METHODS[method].min_horizon} "
                 f"for method {method!r}, got {horizon}"
             )
-    n_values = config.get("n_values", [])
-    if not isinstance(n_values, list):
-        raise ConfigError("config key 'n_values' must be a list")
-    for n in n_values:
-        _check_int("n_values", n, 1)
-    for seed in config["seeds"]:
-        _check_int("seeds", seed, 0)
-    for key in ("methods", "seeds", "n_values"):
-        values = config.get(key, [])
-        if len(set(values)) < len(values):
-            raise ConfigError(f"config key '{key}' has a duplicate entry: {values!r}")
-    labeled = []
+    labeled, n_values = [], config["n_values"]
     for method in config["methods"]:
         if method == "td_n" and n_values:
             labeled += [(f"td-{n}", replace(base, method="td_n", n_step=n)) for n in n_values]
@@ -381,47 +385,28 @@ def validate_experiment_config(config: dict) -> dict:
     if env_spec["kind"] == "grid":
         if "width" not in env_spec or "height" not in env_spec:
             raise ConfigError("config keys 'env.width' and 'env.height' are required for grids")
-        _check_int("env.width", env_spec["width"], 1)
-        _check_int("env.height", env_spec["height"], 1)
+        check_setting("env.width", env_spec["width"])
+        check_setting("env.height", env_spec["height"])
     elif env_spec["kind"] == "file":
         if not isinstance(env_spec.get("path"), str):
             raise ConfigError("config key 'env.path' must be a file path string")
     else:
         raise ConfigError(f"config key 'env.kind' must be 'grid' or 'file', got {env_spec['kind']!r}")
 
-    ds_spec = config["dataset"]
-    if not isinstance(ds_spec, dict):
-        raise ConfigError("config key 'dataset' must be an object")
-    for key in ds_spec:
-        if key not in _DATASET_MINIMUMS:
-            raise ConfigError(f"unknown config key 'dataset.{key}'")
-    for key, minimum in _DATASET_MINIMUMS.items():
-        if key not in ds_spec:
-            raise ConfigError(f"missing config key 'dataset.{key}'")
-        _check_int(f"dataset.{key}", ds_spec[key], minimum)
-
-    methods = config["methods"]
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("config key 'methods' must be a non-empty list")
-    seeds = config["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("config key 'seeds' must be a non-empty list")
-
-    eval_spec = config.get("eval", {})
-    if not isinstance(eval_spec, dict):
-        raise ConfigError("config key 'eval' must be an object")
-
-    normalized = dict(config)
-    normalized.setdefault("learner", {})
-    normalized["eval"] = {**_EVAL_DEFAULTS, **eval_spec}
-    for key in normalized["eval"]:
-        if key not in _EVAL_DEFAULTS:
-            raise ConfigError(f"unknown config key 'eval.{key}'")
-    check_eval_settings(**normalized["eval"])
-    normalized.setdefault("log_every", LOG_EVERY)
-    _check_int("log_every", normalized["log_every"], 1)
-    if normalized.get("recursion"):
-        normalized["recursion"] = _check_recursion(normalized["recursion"])
+    normalized = {"learner": {}, "n_values": [], "log_every": LOG_EVERY, **config}
+    normalized["dataset"] = block_settings("dataset", config["dataset"])
+    for key in ("methods", "seeds", "n_values", "log_every"):
+        check_setting(key, normalized[key])
+    for key in ("methods", "seeds"):
+        if not normalized[key]:
+            raise ConfigError(f"config key '{key}' must be a non-empty list")
+    normalized["eval"] = block_settings("eval", config.get("eval", {}))
+    if "recursion" in config:
+        rec = normalized["recursion"] = block_settings("recursion", config["recursion"])
+        try:
+            analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
+        except ConfigError as exc:
+            raise ConfigError(f"config key 'recursion.sim_sizes': {exc}") from None
     try:
         base = LearnerConfig(**normalized["learner"])
     except TypeError as exc:
@@ -590,7 +575,7 @@ def run_experiment(config_or_path) -> int:
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{label} seed {cfg.seed}: {exc}")
 
-    if config.get("recursion"):
+    if "recursion" in config:
         rows = analysis_mod.recursion_report_rows(**config["recursion"])
         write_recursion_csv(os.path.join(out_dir, "recursion.csv"), rows)
 

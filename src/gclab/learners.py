@@ -15,8 +15,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -31,7 +29,7 @@ from .dataset import (
     sample_relabeled_goal_batch,
     sample_triplet_batch,
 )
-from .env import ConfigError, GraphEnv, adjacency_matrix, open_input
+from .env import ConfigError, GraphEnv, adjacency_matrix, check_number, open_input
 from .oracle import UNREACHABLE
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
@@ -128,12 +126,6 @@ class PolyakTarget:
         return _as_values(params, self.online.space)
 
 
-# The numeric LearnerConfig fields, keyed by annotation (a string, since this
-# module postpones annotations): the types each accepts, never a bool, and
-# how an error names them.
-_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
-
-
 @dataclass
 class LearnerConfig:
     """Scalars governing a training run; defaults follow the standard recipe."""
@@ -154,13 +146,9 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            kind = _FIELD_KINDS.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
-                raise ConfigError(f"learner field '{f.name}' must be {kind[1]}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"learner field '{f.name}' must be finite, got {value!r}")
+        for f in fields(self):  # annotations are strings: this module postpones them
+            if f.type in ("int", "float"):
+                check_number(f"learner field '{f.name}'", getattr(self, f.name), f.type)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method not in METHODS:
@@ -185,6 +173,8 @@ class LearnerConfig:
             raise ConfigError(f"beta_goal_reg must be >= 0, got {self.beta_goal_reg}")
         if isinstance(self.ratios, dict):
             self.ratios = RelabelRatios(**self.ratios)
+        if not isinstance(self.ratios, RelabelRatios):
+            raise ConfigError(f"learner field 'ratios' must be an object, got {self.ratios!r}")
 
 
 # ---------------------------------------------------------------------------

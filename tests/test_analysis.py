@@ -8,6 +8,7 @@ from gclab.analysis import (
     c_sequence,
     expected_recursions,
     recursion_bound,
+    recursion_depths,
     recursion_report_rows,
     simulate_recursions,
 )
@@ -148,9 +149,9 @@ def test_simulation_matches_recurrence_midsize():
         assert abs(mean - b[n]) < 4 * stderr, (n, mean, b[n])
 
 
-def simulate_recursions_all_trials(n: int, trials: int, seed: int) -> tuple[float, float]:
-    """The simulation advancing every trial on each step, finished or not,
-    with a mask of the unfinished ones."""
+def recursion_depths_all_trials(n: int, trials: int, seed: int) -> np.ndarray:
+    """The simulated depths, advancing every trial on each step, finished or
+    not, with a mask of the unfinished ones."""
     rng = np.random.default_rng(seed)
     sizes = np.full(trials, n, dtype=np.int64)
     depth = np.zeros(trials, dtype=np.int64)
@@ -162,18 +163,19 @@ def simulate_recursions_all_trials(n: int, trials: int, seed: int) -> tuple[floa
         k = rng.integers(1, cur)
         sizes[active] = np.maximum(k, cur - k)
         depth[active] += 1
-    mean = float(depth.mean())
-    stderr = float(depth.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    return depth
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 1024, 65536])
 @pytest.mark.parametrize("trials", [1, 2, 10_000])
 def test_simulation_of_live_trials_matches_the_all_trials_loop(n, trials):
-    """Dropping finished trials changes neither the draws nor the depths."""
-    new = simulate_recursions(n, trials, seed=n + trials)
-    old = simulate_recursions_all_trials(n, trials, seed=n + trials)
-    assert np.array(new).tobytes() == np.array(old).tobytes()
+    """Dropping finished trials changes neither the draws nor any trial's
+    depth, and the estimate is the mean and standard error of those depths."""
+    new = recursion_depths(n, trials, seed=n + trials)
+    old = recursion_depths_all_trials(n, trials, seed=n + trials)
+    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    stderr = float(old.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    assert simulate_recursions(n, trials, seed=n + trials) == (float(old.mean()), stderr)
 
 
 def test_simulation_seeded_determinism():

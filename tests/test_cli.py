@@ -8,6 +8,7 @@ import pytest
 
 from gclab import analysis, learners
 from gclab.cli import main
+from gclab.harness import _MINIMUMS
 from gclab.learners import ValueTable, save_table
 
 _CHILD = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
@@ -383,7 +384,12 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"env": {"kind": "file", "path": 3}}, "env.path"),
      ({"methods": ["mc", "mc"]}, "methods"), ({"seeds": [0, 1, 0]}, "seeds"),
      ({"methods": ["mc", "mc"], "seeds": [0, 0]}, "methods"),
-     ({"methods": ["td_n"], "n_values": [1, 5, 1]}, "n_values")],
+     ({"methods": ["td_n"], "n_values": [1, 5, 1]}, "n_values"),
+     ({"learner": {"ratios": 5}}, "ratios"),
+     ({"methods": ["gciql"], "learner": {"ratios": 5}}, "ratios"),
+     ({"learner": {"ratios": {"p_cur": True, "p_geom": 0.0, "p_rand": 0.0}}}, "p_cur"),
+     ({"learner": {"ratios": {"p_cur": "0.2"}}}, "p_cur"),
+     ({"seeds": [[0]]}, "seeds"), ({"methods": [["mc"]]}, "methods")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"
@@ -398,7 +404,10 @@ def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     [({"bogus": 1}, "recursion.bogus"), ({"n_max": 0}, "recursion.n_max"),
      ({"n_max": 64, "sim_sizes": [100]}, "recursion.sim_sizes"),
      ({"sim_sizes": [0]}, "recursion.sim_sizes"), ({"sim_sizes": 4}, "recursion.sim_sizes"),
-     ({"trials": 0}, "recursion.trials"), ({"seed": -1}, "recursion.seed"), (5, "recursion")],
+     ({"trials": 0}, "recursion.trials"), ({"seed": -1}, "recursion.seed"), (5, "recursion"),
+     ({"n_max": 64, "sim_sizes": [8, 8]}, "recursion.sim_sizes"),
+     ({"n_max": 64, "sim_sizes": [[8]]}, "recursion.sim_sizes"), ([], "recursion"),
+     (False, "recursion"), (None, "recursion")],
 )
 def test_sweep_bad_recursion_block_exit_code(tmp_path, capsys, recursion, key):
     cfg_path = tmp_path / "cfg.json"
@@ -406,6 +415,41 @@ def test_sweep_bad_recursion_block_exit_code(tmp_path, capsys, recursion, key):
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()  # rejected before any training
+
+
+def _set_setting(config: dict, key: str, value) -> dict:
+    """``config`` with the setting at dotted ``key`` set to ``value`` (the one
+    entry of a list setting)."""
+    from gclab.harness import _LISTS
+
+    value = [value] if key in _LISTS else value
+    block, _, name = key.rpartition(".")
+    if not block:
+        return {**config, key: value, "methods": ["td_n"] if key == "n_values" else ["mc"]}
+    return {**config, block: {**config.get(block, {}), name: value}}
+
+
+@pytest.mark.parametrize("key", sorted(_MINIMUMS))
+@pytest.mark.parametrize("bad", ["below", "bool", "float"])
+def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, capsys, key, bad):
+    """Every integer setting with a smallest value, set one below it, to
+    true or to a float, exits 2 naming the key before anything is written."""
+    value = {"below": _MINIMUMS[key] - 1, "bool": True, "float": _MINIMUMS[key] + 0.5}[bad]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value)))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_recursion_duplicate_sim_size_exit_code(tmp_path, capsys):
+    code = run_cli(
+        "recursion", "--n-max", "64", "--sim", "8", "--sim", "8", "--trials", "10",
+        "--out", str(tmp_path / "rec.csv"),
+    )
+    assert code == 2
+    assert "given twice: [8, 8]" in capsys.readouterr().err
+    assert not (tmp_path / "rec.csv").exists()
 
 
 def test_sweep_recursion_defaults(tmp_path):
@@ -418,6 +462,16 @@ def test_sweep_recursion_defaults(tmp_path):
     assert (tmp_path / "exp" / "recursion.csv").read_bytes() == out.read_bytes()
 
 
+def test_sweep_empty_recursion_block_takes_every_default(tmp_path):
+    """An empty recursion block is the analysis of a bare `gclab recursion`."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), "recursion": {}}))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 0
+    out = tmp_path / "rec.csv"
+    assert run_cli("recursion", "--out", str(out)) == 0
+    assert (tmp_path / "exp" / "recursion.csv").read_bytes() == out.read_bytes()
+
+
 def test_flags_follow_learner_config_and_eval_defaults():
     """Every LearnerConfig field but the relabel ratios is a `gclab train`
     flag, typed and defaulted by the field; every eval and recursion setting
@@ -426,7 +480,7 @@ def test_flags_follow_learner_config_and_eval_defaults():
     from dataclasses import fields
 
     from gclab.cli import build_parser
-    from gclab.harness import _EVAL_DEFAULTS, _RECURSION_DEFAULTS
+    from gclab.harness import _BLOCKS
     from gclab.learners import LearnerConfig
 
     args = build_parser().parse_args(
@@ -441,9 +495,9 @@ def test_flags_follow_learner_config_and_eval_defaults():
     with pytest.raises(SystemExit):  # --seed stays required
         build_parser().parse_args(["train", "--dataset", "d", "--out-dir", "o", "--method", "mc"])
     args = build_parser().parse_args(["eval", "--table", "t", "--dataset", "d", "--out", "o"])
-    assert {key: getattr(args, key) for key in _EVAL_DEFAULTS} == _EVAL_DEFAULTS
+    assert {key: getattr(args, key) for key in _BLOCKS["eval"]} == _BLOCKS["eval"]
     args = build_parser().parse_args(["recursion", "--out", "o"])
-    assert {key: getattr(args, key) for key in _RECURSION_DEFAULTS} == _RECURSION_DEFAULTS
+    assert {key: getattr(args, key) for key in _BLOCKS["recursion"]} == _BLOCKS["recursion"]
 
 
 def test_recursion_help_shows_the_defaults(capsys):
