@@ -198,7 +198,8 @@ def _parse_row(path: str, n: int, field: str, line: str, length: int) -> np.ndar
 
 
 def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
-    """Read a dataset saved by :func:`save_dataset`; validates against env if given.
+    """Read a dataset saved by :func:`save_dataset`; validates against env if
+    given, raising ConfigError naming ``path`` if the two do not fit.
 
     Rows are checked against the header as they are read, so a bad header
     is a config error before anything is sized from it.
@@ -224,5 +225,8 @@ def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
             actions.append(_parse_row(path, n, "actions", arow, T))
     ds = TrajectoryDataset(np.stack(states), np.stack(actions))
     if env is not None:
-        ds.validate_against(env)
+        try:
+            ds.validate_against(env)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: does not fit the environment: {exc}") from None
     return ds

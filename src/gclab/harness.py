@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import analysis as analysis_mod
+from . import learners
 from .dataset import TrajectoryDataset, collect_dataset, save_dataset
 from .env import (
     ConfigError,
@@ -83,10 +84,11 @@ def train_run(
     ``exact`` logs one row per (min, +) sweep (the loss is the number of
     pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns the
     distances into values as the oracle does. Every other method runs
-    cfg.steps update steps from ``learners.METHODS``, each followed by a
-    target sync if the method reads a target, and logs every ``log_every``
-    steps and the last one; it raises ValueError, naming the method and
-    seed, if the trained table holds a non-finite entry.
+    cfg.steps calls of ``learners.<method>_update_step`` (looked up when the
+    run starts, so rebinding the module attribute reaches every call), each
+    followed by a target sync, and logs every ``log_every`` steps and the
+    last one; it raises ValueError, naming the method and seed, if the
+    trained table holds a non-finite entry.
     """
     log: list[dict] = []
     if cfg.method == "exact":
@@ -106,12 +108,12 @@ def train_run(
     check_setting("log_every", log_every)
     rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
-    q_target = PolyakTarget(q) if method.reads_target else None
+    target = PolyakTarget(q)
     state = method.state(env, q, cfg)
+    update = getattr(learners, f"{cfg.method}_update_step")
     for step_idx in range(cfg.steps):
-        stats = method.step(q, q_target, state, method.batch(ds, cfg, rng), cfg)
-        if q_target is not None:
-            target_sync(q, q_target, cfg.tau_target)
+        stats = update(target, state, method.batch(ds, cfg, rng), cfg)
+        target_sync(target, cfg.tau_target)
         if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
             log.append({"step": step_idx, "method": cfg.method, **stats})
     if not np.isfinite(q.params).all():
@@ -306,6 +308,9 @@ _MINIMUMS = {
 # The string settings and the values each takes.
 _CHOICES = {"methods": tuple(METHODS), "eval.extraction": ("greedy", "rejection")}
 _LISTS = ("methods", "seeds", "n_values", "recursion.sim_sizes")
+# Learner fields a sweep sets per run, and the list that sets them when it is
+# non-empty: the same field under 'learner' would be silently overwritten.
+_PER_RUN = {"method": "methods", "seed": "seeds", "n_step": "n_values"}
 
 
 def check_setting(key: str, value) -> None:
@@ -411,6 +416,9 @@ def validate_experiment_config(config: dict) -> dict:
         base = LearnerConfig(**normalized["learner"])
     except TypeError as exc:
         raise ConfigError(f"bad config key under 'learner': {exc}") from exc
+    for key, source in _PER_RUN.items():
+        if key in normalized["learner"] and normalized[source]:
+            raise ConfigError(f"config key 'learner.{key}' is set per run by '{source}'")
     normalized["_runs"] = _run_configs(normalized, base)
     return normalized
 

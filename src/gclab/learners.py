@@ -309,9 +309,7 @@ def _apply_logit_updates(target: PolyakTarget, idx, grads, lr: float) -> None:
     target.lag.reshape(-1)[flat] -= (after - before) / target.scale
 
 
-def trl_update_step(
-    q: ValueTable, q_target: PolyakTarget, batch: dict, cfg: LearnerConfig
-) -> dict:
+def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
     """Divide-and-conquer update: regress Q(s_i, a_i, s_j) onto the product
     of the two target-table halves through the in-trajectory subgoal s_k.
 
@@ -321,92 +319,81 @@ def trl_update_step(
     constants.
     """
     g = cfg.gamma
-    pred = expit(q.params[batch["s_i"], batch["a_i"], batch["s_j"]])
+    idx = (batch["s_i"], batch["a_i"], batch["s_j"])
+    pred = expit(target.online.params[idx])
     gap_ik = batch["gap_ik"]
     gap_kj = batch["gap_kj"]
-    half_ik = q_target.values_at((batch["s_i"], batch["a_i"], batch["s_k"]))
-    half_kj = q_target.values_at((batch["s_k"], batch["a_k"], batch["s_j"]))
+    half_ik = target.values_at((batch["s_i"], batch["a_i"], batch["s_k"]))
+    half_kj = target.values_at((batch["s_k"], batch["a_k"], batch["s_j"]))
     f1 = np.where(gap_ik <= 1, np.power(g, gap_ik), half_ik)
     f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), half_kj)
-    target = f1 * f2
+    y = f1 * f2
 
-    w = expectile_weight(pred, target, cfg.kappa)
+    w = expectile_weight(pred, y, cfg.kappa)
     if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
         w = reweight_factor(pred, g, cfg.lambda_reweight) * w
-    loss, grad = _bce_logit_terms(pred, target)
-    idx = (batch["s_i"], batch["a_i"], batch["s_j"])
-    _apply_logit_updates(q_target, idx, w * grad, cfg.learning_rate)
+    loss, grad = _bce_logit_terms(pred, y)
+    _apply_logit_updates(target, idx, w * grad, cfg.learning_rate)
     return {
         "loss": float(np.mean(w * loss)),
         "mean_q": float(pred.mean()),
-        "max_target": float(target.max()),
+        "max_target": float(y.max()),
     }
 
 
-def mc_update_step(q: ValueTable, batch: dict, cfg: LearnerConfig) -> dict:
+def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
     """Regress Q(s_i, a_i, s_j) toward gamma^(j-i) with a symmetric squared
-    loss on the sigmoid output (chain rule through the logit).
-
-    mc reads no target table, so it steps the online table directly:
-    scatter-add, then clip the touched entries.
-    """
-    pred = expit(q.params[batch["s_i"], batch["a_i"], batch["s_j"]])
-    target = np.power(cfg.gamma, batch["gap"])
-    diff = pred - target
-    grad_logit = 2.0 * diff * pred * (1.0 - pred)
+    loss on the sigmoid output (chain rule through the logit). mc reads no
+    target values; it writes through the target like every other learner."""
     idx = (batch["s_i"], batch["a_i"], batch["s_j"])
-    np.add.at(q.params, idx, -cfg.learning_rate * grad_logit)
-    q.params[idx] = np.clip(q.params[idx], -LOGIT_CLAMP, LOGIT_CLAMP)
+    pred = expit(target.online.params[idx])
+    y = np.power(cfg.gamma, batch["gap"])
+    diff = pred - y
+    _apply_logit_updates(target, idx, 2.0 * diff * pred * (1.0 - pred), cfg.learning_rate)
     return {
         "loss": float(np.mean(diff * diff)),
         "mean_q": float(pred.mean()),
-        "max_target": float(target.max()),
+        "max_target": float(y.max()),
     }
 
 
-def td_n_compute_targets(q_target: PolyakTarget, batch: dict, cfg: LearnerConfig) -> np.ndarray:
+def td_n_compute_targets(target: PolyakTarget, batch: dict, cfg: LearnerConfig) -> np.ndarray:
     """n-step bootstrap target gamma^n_eff * Qbar(s_{i+n_eff}, a_{i+n_eff}, g).
 
     n_eff = min(n, j - i); when the unclipped n would overshoot j the
     bootstrap factor is replaced by 1, so the boundary target is exactly
     gamma^(j-i).
     """
-    boot = q_target.values_at((batch["s_b"], batch["a_b"], batch["g"]))
+    boot = target.values_at((batch["s_b"], batch["a_b"], batch["g"]))
     boot = np.where(batch["clipped"], 1.0, boot)
     return np.power(cfg.gamma, batch["n_eff"]) * boot
 
 
-def td_n_update_step(
-    q: ValueTable, q_target: PolyakTarget, batch: dict, cfg: LearnerConfig
-) -> dict:
+def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
     """n-step bootstrapped update: a plain BCE anchor at the current state
     (target gamma^0) plus an expectile BCE term toward the n-step target."""
     s_i, a_i, goal = batch["s_i"], batch["a_i"], batch["g"]
-    pred0 = expit(q.params[s_i, a_i, s_i])
+    params = target.online.params
+    pred0 = expit(params[s_i, a_i, s_i])
     loss0, grad0 = _bce_logit_terms(pred0, 1.0)
 
-    pred1 = expit(q.params[s_i, a_i, goal])
-    target = td_n_compute_targets(q_target, batch, cfg)
-    weight = expectile_weight(pred1, target, cfg.kappa)
-    loss1, grad1 = _bce_logit_terms(pred1, target)
+    pred1 = expit(params[s_i, a_i, goal])
+    y = td_n_compute_targets(target, batch, cfg)
+    weight = expectile_weight(pred1, y, cfg.kappa)
+    loss1, grad1 = _bce_logit_terms(pred1, y)
 
-    _apply_logit_updates(q_target, (s_i, a_i, s_i), grad0, cfg.learning_rate)
-    _apply_logit_updates(q_target, (s_i, a_i, goal), weight * grad1, cfg.learning_rate)
+    _apply_logit_updates(target, (s_i, a_i, s_i), grad0, cfg.learning_rate)
+    _apply_logit_updates(target, (s_i, a_i, goal), weight * grad1, cfg.learning_rate)
     return {
         "loss": float(np.mean(loss0 + weight * loss1)),
         "mean_q": float(pred1.mean()),
-        "max_target": float(target.max()),
+        "max_target": float(y.max()),
     }
 
 
-def gciql_update_step(
-    v: np.ndarray,
-    q: ValueTable,
-    q_target: PolyakTarget,
-    batch: dict,
-    cfg: LearnerConfig,
-) -> dict:
-    """SARSA-style coupled update in raw value space.
+def gciql_update_step(target: PolyakTarget, v: np.ndarray, batch: dict, cfg: LearnerConfig) -> dict:
+    """SARSA-style coupled update in raw value space; ``v`` is the V(s, g)
+    table.
 
     V(s, g) chases Qbar(s, a, g) through the expectile squared loss;
     Q(s, a, g) chases I(s = g) + gamma * V(s', g) through a symmetric
@@ -414,24 +401,22 @@ def gciql_update_step(
     """
     s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
     vs = v[s, goal]
-    qbar = q_target.values_at((s, a, goal))
+    qbar = target.values_at((s, a, goal))
     loss_v, grad_v = asymmetric_loss(vs, qbar, cfg.kappa)
 
-    qv = q.params[s, a, goal]
-    target = (s == goal).astype(np.float64) + cfg.gamma * v[s2, goal]
-    diff = qv - target
+    qv = target.online.params[s, a, goal]
+    y = (s == goal).astype(np.float64) + cfg.gamma * v[s2, goal]
+    diff = qv - y
     np.add.at(v, (s, goal), -cfg.learning_rate * grad_v)
-    _apply_logit_updates(q_target, (s, a, goal), 2.0 * diff, cfg.learning_rate)
+    _apply_logit_updates(target, (s, a, goal), 2.0 * diff, cfg.learning_rate)
     return {
         "loss": float(np.mean(loss_v + diff * diff)),
         "mean_q": float(qv.mean()),
-        "max_target": float(target.max()),
+        "max_target": float(y.max()),
     }
 
 
-def sgt_update_step(
-    q: ValueTable, q_target: PolyakTarget, batch: dict, cfg: LearnerConfig
-) -> dict:
+def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
     """Subgoal-tree update with a hard max over M sampled candidates.
 
     Four summed terms: an anchor at the current state (gamma^0), a one-step
@@ -443,31 +428,32 @@ def sgt_update_step(
     g_rand = batch["g_rand"]
     w_states, w_actions = batch["w_states"], batch["w_actions"]
     lr = cfg.learning_rate
+    params = target.online.params
 
-    pred0 = expit(q.params[s, a, s])
+    pred0 = expit(params[s, a, s])
     loss0, grad0 = _bce_logit_terms(pred0, 1.0)
 
     # One-step base case applies to edges only; self-loop transitions in the
     # data would otherwise fight the gamma^0 anchor on the same entry.
     edge = (s2 != s).astype(np.float64)
-    pred1 = expit(q.params[s, a, s2])
+    pred1 = expit(params[s, a, s2])
     loss1, grad1 = _bce_logit_terms(pred1, cfg.gamma)
     loss1, grad1 = edge * loss1, edge * grad1
 
-    predr = expit(q.params[s, a, g_rand])
+    predr = expit(params[s, a, g_rand])
     lossr, gradr = _bce_logit_terms(predr, np.power(cfg.gamma, cfg.P_random_distance))
 
-    predg = expit(q.params[s, a, goal])
-    cand = q_target.values_at((s[:, None], a[:, None], w_states)) * q_target.values_at(
+    predg = expit(params[s, a, goal])
+    cand = target.values_at((s[:, None], a[:, None], w_states)) * target.values_at(
         (w_states, w_actions, goal[:, None])
     )
     tri_target = cand.max(axis=1)
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
-    _apply_logit_updates(q_target, (s, a, s), grad0, lr)
-    _apply_logit_updates(q_target, (s, a, s2), grad1, lr)
-    _apply_logit_updates(q_target, (s, a, g_rand), gradr, lr)
-    _apply_logit_updates(q_target, (s, a, goal), gradg, lr)
+    _apply_logit_updates(target, (s, a, s), grad0, lr)
+    _apply_logit_updates(target, (s, a, s2), grad1, lr)
+    _apply_logit_updates(target, (s, a, g_rand), gradr, lr)
+    _apply_logit_updates(target, (s, a, goal), gradg, lr)
     return {
         "loss": float(np.mean(loss0 + loss1 + lossr + lossg)),
         "mean_q": float(predg.mean()),
@@ -475,15 +461,9 @@ def sgt_update_step(
     }
 
 
-def coe_update_step(
-    q: ValueTable,
-    q_target: PolyakTarget,
-    generator: np.ndarray,
-    policy_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    batch: dict,
-    cfg: LearnerConfig,
-) -> dict:
-    """Generator-guided triangle update.
+def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: LearnerConfig) -> dict:
+    """Generator-guided triangle update; ``state`` is the
+    ``(generator, policy_fn, coords)`` triple of :func:`_coe_state`.
 
     The Q step sums the one-step edge term with a triangle term whose
     subgoal comes from the generator table. The generator step is a
@@ -494,31 +474,32 @@ def coe_update_step(
     """
     s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
     g_rand, cand = batch["g_rand"], batch["cand_states"]
-    coords = batch.get("coords")
+    generator, policy_fn, coords = state
     if cfg.beta_goal_reg > 0 and coords is None:
         raise ConfigError("coe with beta_goal_reg > 0 requires grid coordinates")
     lr = cfg.learning_rate
+    params = target.online.params
 
     edge = (s2 != s).astype(np.float64)
-    pred1 = expit(q.params[s, a, s2])
+    pred1 = expit(params[s, a, s2])
     loss1, grad1 = _bce_logit_terms(pred1, cfg.gamma)
     loss1, grad1 = edge * loss1, edge * grad1
 
     w = generator[s, a, goal]
     a_w = policy_fn(w, goal)
-    tri_target = q_target.values_at((s, a, w)) * q_target.values_at((w, a_w, goal))
-    predg = expit(q.params[s, a, goal])
+    tri_target = target.values_at((s, a, w)) * target.values_at((w, a_w, goal))
+    predg = expit(params[s, a, goal])
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
-    _apply_logit_updates(q_target, (s, a, s2), grad1, lr)
-    _apply_logit_updates(q_target, (s, a, goal), gradg, lr)
+    _apply_logit_updates(target, (s, a, s2), grad1, lr)
+    _apply_logit_updates(target, (s, a, goal), gradg, lr)
 
     # Generator hill-climb: incumbent in column 0 wins ties, so replacement
     # happens only on strict improvement.
     options = np.concatenate([w[:, None], cand], axis=1)  # (B, M+1)
     flat_goals = np.repeat(goal, options.shape[1]).reshape(options.shape)
     opt_actions = policy_fn(options.ravel(), flat_goals.ravel()).reshape(options.shape)
-    scores = q_target.values_at((s[:, None], a[:, None], options)) * q_target.values_at(
+    scores = target.values_at((s[:, None], a[:, None], options)) * target.values_at(
         (options, opt_actions, flat_goals)
     )
     if cfg.beta_goal_reg > 0:
@@ -534,20 +515,19 @@ def coe_update_step(
     }
 
 
-def target_sync(q: ValueTable, q_target: PolyakTarget, tau: float) -> None:
-    """Polyak step target <- (1 - tau) * target + tau * online, in O(1): it
-    scales the target's lag (see :class:`PolyakTarget`). ``q`` is the
-    target's online table.
+def target_sync(target: PolyakTarget, tau: float) -> None:
+    """Polyak step target <- (1 - tau) * target + tau * target.online, in
+    O(1): it scales the target's lag (see :class:`PolyakTarget`).
 
     Once the scale falls below ``_MIN_TARGET_SCALE`` it is folded into the
     lag in one full pass, which changes no target value. At tau = 1 the
     scale is 0 after every step, so every step pays that pass, as an eager
     sync would.
     """
-    q_target.scale *= 1.0 - tau
-    if q_target.scale < _MIN_TARGET_SCALE:
-        q_target.lag *= q_target.scale
-        q_target.scale = 1.0
+    target.scale *= 1.0 - tau
+    if target.scale < _MIN_TARGET_SCALE:
+        target.lag *= target.scale
+        target.scale = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -641,54 +621,38 @@ def _coe_state(env: GraphEnv, q: ValueTable, cfg: LearnerConfig) -> tuple:
     return generator, policy_fn, env.state_coords
 
 
-def _coe_step(q, q_target, state, batch, cfg):
-    generator, policy_fn, coords = state
-    batch["coords"] = coords
-    return coe_update_step(q, q_target, generator, policy_fn, batch, cfg)
-
-
 @dataclass(frozen=True)
 class Method:
     """How one learner trains.
 
-    Each step draws ``batch(ds, cfg, rng)`` and makes one update with
-    ``step(q, q_target, state, batch, cfg)``, where ``q_target`` is the
-    :class:`PolyakTarget` of ``q`` (a learner that reads the target writes
-    ``q`` through it) and ``state(env, q, cfg)`` holds the run's extra
-    tables and raises ConfigError when the run cannot start. Trajectories
-    need at least ``min_horizon`` actions. The step entries look their
-    update function up in this module at call time, so rebinding the module
-    attribute reaches every call.
+    Each step draws ``batch(ds, cfg, rng)`` and makes one update with this
+    module's ``<name>_update_step(target, state, batch, cfg)``: ``target``
+    is the run's :class:`PolyakTarget`, whose online table the step reads as
+    ``target.online`` and writes through :func:`_apply_logit_updates`, and
+    ``state(env, q, cfg)`` builds the run's extra tables once, raising
+    ConfigError when the run cannot start. Trajectories need at least
+    ``min_horizon`` actions.
     """
 
     space: str
     batch: Callable | None = None
-    step: Callable | None = None
     state: Callable = lambda env, q, cfg: None
     min_horizon: int = 1
-    reads_target: bool = True  # if not, the step gets None as q_target and no sync runs
 
 
 # Every learner, keyed by its config name. "exact" consumes no data: it runs
 # transitive_sweeps to the fixed point.
 METHODS = {
-    "trl": Method(
-        "logit", _trl_batch, lambda q, qt, _, b, cfg: trl_update_step(q, qt, b, cfg), min_horizon=2
-    ),
-    "mc": Method(
-        "logit", _mc_batch, lambda q, qt, _, b, cfg: mc_update_step(q, b, cfg), reads_target=False
-    ),
-    "td_n": Method(
-        "logit", _td_batch, lambda q, qt, _, b, cfg: td_n_update_step(q, qt, b, cfg), min_horizon=2
-    ),
+    "trl": Method("logit", _trl_batch, min_horizon=2),
+    "mc": Method("logit", _mc_batch),
+    "td_n": Method("logit", _td_batch, min_horizon=2),
     "gciql": Method(
         "value",
         _transition_batch,
-        lambda q, qt, v, b, cfg: gciql_update_step(v, q, qt, b, cfg),
         state=lambda env, q, cfg: np.zeros((env.num_states, env.num_states)),  # V(s, g)
     ),
-    "sgt": Method("logit", _subgoal_batch, lambda q, qt, _, b, cfg: sgt_update_step(q, qt, b, cfg)),
-    "coe": Method("logit", _subgoal_batch, _coe_step, state=_coe_state),
+    "sgt": Method("logit", _subgoal_batch),
+    "coe": Method("logit", _subgoal_batch, state=_coe_state),
     "exact": Method("value"),
 }
 

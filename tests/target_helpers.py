@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
+from gclab import learners
 from gclab.learners import METHODS, PolyakTarget, ValueTable
 
 
@@ -25,9 +26,9 @@ class EagerTarget:
         return expit(params) if self.online.space == "logit" else params
 
 
-def eager_sync(q: ValueTable, target: EagerTarget, tau: float) -> None:
+def eager_sync(target: EagerTarget, tau: float) -> None:
     target.params *= 1.0 - tau
-    target.params += tau * q.params
+    target.params += tau * target.online.params
 
 
 def target_params(target: PolyakTarget) -> np.ndarray:
@@ -50,7 +51,8 @@ def run_steps(env, ds, cfg, make_target, sync):
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
     target = make_target(q)
     state = method.state(env, q, cfg)
+    update = getattr(learners, f"{cfg.method}_update_step")
     for _ in range(cfg.steps):
-        method.step(q, target, state, method.batch(ds, cfg, rng), cfg)
-        sync(q, target, cfg.tau_target)
+        update(target, state, method.batch(ds, cfg, rng), cfg)
+        sync(target, cfg.tau_target)
     return q, target

@@ -160,7 +160,7 @@ def _fit_expectile(kappa: float, gamma: float = 0.99, steps: int = 60_000) -> fl
         "gap_kj": np.array([2, 2]),
     }
     for _ in range(steps):
-        trl_update_step(q, qt, batch, cfg)
+        trl_update_step(qt, None, batch, cfg)
     return float(expit(q.params[0, 0, 2]))
 
 
@@ -284,8 +284,9 @@ def test_criterion_7_fixed_point_residuals():
         q = ValueTable.create(env.num_states, env.num_actions, gamma)
         cfg = LearnerConfig(method="mc", gamma=gamma, learning_rate=0.4)
         batch = _mc_full_batch(ds)
+        qt = PolyakTarget(q)
         for _ in range(20_000):
-            mc_update_step(q, batch, cfg)
+            mc_update_step(qt, None, batch, cfg)
         targets = np.power(gamma, batch["gap"])
         sums = np.zeros(q.params.shape)
         counts = np.zeros(q.params.shape)
@@ -312,8 +313,8 @@ def test_criterion_7_fixed_point_residuals():
             "g": g_all,
         }
         for _ in range(30_000):
-            gciql_update_step(v, qg, qt, gbatch, cfg_g)
-            target_sync(qg, qt, cfg_g.tau_target)
+            gciql_update_step(qt, v, gbatch, cfg_g)
+            target_sync(qt, cfg_g.tau_target)
         qv = qg.params[:, 0, :]
         r_q = qv - (np.eye(4) + g_chain * v[chain.transition[:, 0], :])
         r_v = v - target_params(qt)[:, 0, :]

@@ -389,7 +389,11 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"methods": ["gciql"], "learner": {"ratios": 5}}, "ratios"),
      ({"learner": {"ratios": {"p_cur": True, "p_geom": 0.0, "p_rand": 0.0}}}, "p_cur"),
      ({"learner": {"ratios": {"p_cur": "0.2"}}}, "p_cur"),
-     ({"seeds": [[0]]}, "seeds"), ({"methods": [["mc"]]}, "methods")],
+     ({"seeds": [[0]]}, "seeds"), ({"methods": [["mc"]]}, "methods"),
+     ({"learner": {"method": "trl"}}, "learner.method"),
+     ({"learner": {"seed": 7, "method": "trl"}, "methods": ["mc"]}, "learner.method"),
+     ({"learner": {"seed": 7}}, "learner.seed"),
+     ({"methods": ["td_n"], "n_values": [1, 5], "learner": {"n_step": 3}}, "learner.n_step")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"
@@ -564,6 +568,30 @@ def test_rejection_eval_without_dataset_exit_code(tmp_path, capsys):
     assert not (tmp_path / "eval.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_that_does_not_fit_the_env_exit_code(tmp_path, capsys, command):
+    """An 8x8 dataset given to a 4x4 grid is bad input: exit 2 naming the
+    file, before anything is written."""
+    ds_path = tmp_path / "ds.csv"
+    assert run_cli("gen", "--width", "8", "--height", "8", "--num-traj", "4", "--T", "8",
+                   "--seed", "0", "--out", str(ds_path)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    grid = ["--width", "4", "--height", "4", "--dataset", str(ds_path)]
+    if command == "train":
+        argv = ["train", *grid, "--method", "mc", "--steps", "1", "--seed", "0",
+                "--out-dir", str(out)]
+    else:
+        table_path = str(tmp_path / "table.bin")
+        save_table(ValueTable.create(16, 4, 0.99), table_path)
+        argv = ["eval", *grid, "--table", table_path, "--extraction", "rejection",
+                "--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(ds_path) in err and "out-of-range states" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_eval_non_finite_table_exit_code(tmp_path, capsys, value):
     ds_path = _gen_dataset(tmp_path)
@@ -586,9 +614,9 @@ def nan_mc_step(monkeypatch):
     """mc's update step, followed by a NaN written into the online table."""
     original = learners.mc_update_step
 
-    def poisoned(q, *args, **kwargs):
-        stats = original(q, *args, **kwargs)
-        q.params[0, 0, 1] = np.nan
+    def poisoned(target, *args, **kwargs):
+        stats = original(target, *args, **kwargs)
+        target.online.params[0, 0, 1] = np.nan
         return stats
 
     monkeypatch.setattr(learners, "mc_update_step", poisoned)

@@ -295,6 +295,13 @@ def test_validate_config_defaults():
     assert config["log_every"] == 100
 
 
+def test_learner_n_step_holds_without_n_values():
+    """With no n_values, learner.n_step is td_n's one step count."""
+    config = sweep_config("/tmp/unused", methods=["td_n"], learner={"n_step": 3})
+    runs = validate_experiment_config(config)["_runs"]
+    assert [(label, cfg.n_step) for label, cfg in runs] == [("td_n", 3)]
+
+
 def test_checked_in_horizon_config_builds_its_runs():
     """configs/horizon.json, the corridor comparison of trl against td-n,
     validates and builds trl, td-1, td-5 and td-10 at seeds 0-3."""

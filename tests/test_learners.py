@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from gclab import harness, learners
+from gclab import learners
 from gclab.dataset import collect_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import train_run
@@ -172,7 +172,7 @@ def test_trl_single_sample_step(pred, target):
     w = reweight_factor(pred_read, cfg.gamma, cfg.lambda_reweight)
     weight = 1.0 - cfg.kappa if pred > target else cfg.kappa
     before = q.params.copy()
-    stats = trl_update_step(q, qt, batch, cfg)
+    stats = trl_update_step(qt, None, batch, cfg)
     assert stats["max_target"] == target_read
     step = -cfg.learning_rate * w * weight * (pred_read - target_read)
     assert q.params[0, 0, 2] - before[0, 0, 2] == pytest.approx(step, rel=1e-12)
@@ -190,7 +190,7 @@ def test_trl_step_on_saturated_table(sign):
     q.params[:] = sign * LOGIT_CLAMP
     qt = target_with_params(q, np.full_like(q.params, sign * LOGIT_CLAMP))
     cfg.learning_rate = 100.0
-    stats = trl_update_step(q, qt, batch, cfg)
+    stats = trl_update_step(qt, None, batch, cfg)
     assert np.isfinite(stats["loss"])
     assert np.all(np.abs(q.params) <= LOGIT_CLAMP)
 
@@ -307,7 +307,7 @@ def test_trl_double_base_case_target_is_exact():
         "gap_ik": np.array([1]),
         "gap_kj": np.array([1]),
     }
-    stats = trl_update_step(q, qt, batch, cfg)
+    stats = trl_update_step(qt, None, batch, cfg)
     assert stats["max_target"] == cfg.gamma * cfg.gamma
 
 
@@ -325,7 +325,7 @@ def test_trl_converges_to_constant_target():
         "gap_kj": np.array([1]),
     }
     for _ in range(4000):
-        trl_update_step(q, qt, batch, cfg)
+        trl_update_step(qt, None, batch, cfg)
     target = cfg.gamma**2
     assert expit(q.params[0, 0, 2]) == pytest.approx(target, abs=1e-6)
     assert q.params[0, 0, 2] == pytest.approx(logit(target), abs=1e-4)
@@ -374,7 +374,7 @@ def fit_trl_two_targets(kappa, gamma=0.99, steps=60_000):
     cfg = LearnerConfig(method="trl", learning_rate=0.3, kappa=kappa)
     batch = two_target_trl_batch(gamma)
     for _ in range(steps):
-        trl_update_step(q, qt, batch, cfg)
+        trl_update_step(qt, None, batch, cfg)
     return float(expit(q.params[0, 0, 2]))
 
 
@@ -407,7 +407,7 @@ def test_trl_targets_stay_in_unit_interval():
             "gap_ik": gap1,
             "gap_kj": gap2,
         }
-        stats = trl_update_step(q, qt, batch, cfg)
+        stats = trl_update_step(qt, None, batch, cfg)
         assert 0.0 < stats["max_target"] <= 1.0
 
 
@@ -416,7 +416,7 @@ def test_trl_targets_stay_in_unit_interval():
 
 
 def test_mc_single_target_convergence():
-    q, _ = make_tables(8, 1)
+    q, qt = make_tables(8, 1)
     cfg = LearnerConfig(method="mc", learning_rate=0.5)
     batch = {
         "s_i": np.array([0]),
@@ -425,13 +425,13 @@ def test_mc_single_target_convergence():
         "gap": np.array([4]),
     }
     for _ in range(20_000):
-        mc_update_step(q, batch, cfg)
+        mc_update_step(qt, None, batch, cfg)
     assert expit(q.params[0, 0, 4]) == pytest.approx(0.99**4, abs=1e-6)
     assert expit(q.params[0, 0, 4]) == pytest.approx(0.96060, abs=1e-5)
 
 
 def test_mc_two_targets_converge_to_mean():
-    q, _ = make_tables(8, 1)
+    q, qt = make_tables(8, 1)
     cfg = LearnerConfig(method="mc", learning_rate=0.5)
     batch = {
         "s_i": np.array([0, 0]),
@@ -440,7 +440,7 @@ def test_mc_two_targets_converge_to_mean():
         "gap": np.array([2, 6]),
     }
     for _ in range(40_000):
-        mc_update_step(q, batch, cfg)
+        mc_update_step(qt, None, batch, cfg)
     expected = 0.5 * (0.99**2 + 0.99**6)
     assert expit(q.params[0, 0, 4]) == pytest.approx(expected, abs=1e-6)
 
@@ -490,8 +490,8 @@ def test_td_1_joint_fixed_point_reaches_gamma():
         "clipped": np.array([False, False]),
     }
     for _ in range(20_000):
-        td_n_update_step(q, qt, batch, cfg)
-        target_sync(q, qt, cfg.tau_target)
+        td_n_update_step(qt, None, batch, cfg)
+        target_sync(qt, cfg.tau_target)
     assert expit(q.params[1, 0, 1]) == pytest.approx(1.0, abs=1e-3)
     assert expit(q.params[0, 0, 1]) == pytest.approx(gamma, abs=1e-3)
 
@@ -531,8 +531,8 @@ def test_td_1_chain_fixed_point_matches_oracle():
     )
     batch = chain_td_batch(env, 1)
     for _ in range(30_000):
-        td_n_update_step(q, qt, batch, cfg)
-        target_sync(q, qt, cfg.tau_target)
+        td_n_update_step(qt, None, batch, cfg)
+        target_sync(qt, cfg.tau_target)
     oracle = oracle_q_table(env, gamma)
     learned = expit(q.params)
     for s in range(4):
@@ -560,7 +560,7 @@ def test_gciql_indicator_targets():
         "s2": np.array([2, 1]),
         "g": np.array([1, 2]),
     }
-    gciql_update_step(v, q, qt, batch, cfg)
+    gciql_update_step(qt, v, batch, cfg)
     # q step: q -= lr * 2 * (q - target) = 0.5 * (q - target); from 0 -> 0.5 * target.
     assert q.params[1, 0, 1] == pytest.approx(0.5 * 1.0)  # s == g, V(s', g) = 0
     assert q.params[0, 1, 2] == pytest.approx(0.0)  # s != g, target gamma * 0
@@ -578,8 +578,8 @@ def test_gciql_residuals_vanish_on_single_policy_chain():
     s_all, g_all = np.divmod(np.arange(n * n), n)
     batch = {"s": s_all, "a": np.zeros_like(s_all), "s2": env.transition[s_all, 0], "g": g_all}
     for _ in range(30_000):
-        gciql_update_step(v, q, qt, batch, cfg)
-        target_sync(q, qt, cfg.tau_target)
+        gciql_update_step(qt, v, batch, cfg)
+        target_sync(qt, cfg.tau_target)
     qv = q.params[:, 0, :]
     r_q = qv - (np.eye(n) + gamma * v[env.transition[:, 0], :])
     r_v = v - target_params(qt)[:, 0, :]
@@ -626,7 +626,7 @@ def test_sgt_single_candidate_target():
         "w_states": np.array([[2]]),
         "w_actions": np.array([[3]]),
     }
-    stats = sgt_update_step(q, qt, batch, cfg)
+    stats = sgt_update_step(qt, None, batch, cfg)
     expected = oracle.params[0, 3, 2] * oracle.params[2, 3, 4]
     assert stats["max_target"] == pytest.approx(expected)
 
@@ -648,7 +648,7 @@ def test_sgt_midpoint_candidate_bounds_target():
         "w_states": np.array([[2, 0, 1]]),  # includes the shortest-path midpoint 2
         "w_actions": np.array([[3, 3, 3]]),
     }
-    stats = sgt_update_step(q, qt, batch, cfg)
+    stats = sgt_update_step(qt, None, batch, cfg)
     assert stats["max_target"] >= gamma**4
 
 
@@ -669,7 +669,7 @@ def test_sgt_random_goal_prior_value():
         "w_actions": np.array([[0]]),
     }
     for _ in range(5000):
-        sgt_update_step(q, qt, batch, cfg)
+        sgt_update_step(qt, None, batch, cfg)
     assert expit(q.params[0, 0, 2]) == pytest.approx(target, abs=1e-5)
 
 
@@ -701,9 +701,8 @@ def test_coe_generator_picks_shortest_path_waypoint():
         "g": np.array([6]),
         "g_rand": np.array([0]),
         "cand_states": np.arange(7)[None, :],  # all states offered
-        "coords": env.state_coords,
     }
-    coe_update_step(q, qt, gen, greedy_policy_fn(oracle), batch, cfg)
+    coe_update_step(qt, (gen, greedy_policy_fn(oracle), env.state_coords), batch, cfg)
     w = int(gen[0, 3, 6])
     dist = all_pairs_distances(env)
     s_next = 1  # step(0, right)
@@ -725,9 +724,8 @@ def test_coe_huge_beta_prefers_candidate_near_random_goal():
         "g": np.array([6]),
         "g_rand": np.array([2]),
         "cand_states": np.array([[0, 2, 5]]),  # candidate 2 sits on the random goal
-        "coords": env.state_coords,
     }
-    coe_update_step(q, qt, gen, greedy_policy_fn(oracle), batch, cfg)
+    coe_update_step(qt, (gen, greedy_policy_fn(oracle), env.state_coords), batch, cfg)
     assert int(gen[0, 3, 6]) == 2
 
 
@@ -749,9 +747,8 @@ def test_coe_single_candidate_replaces_only_if_better():
             "g": np.array([4]),
             "g_rand": np.array([0]),
             "cand_states": np.array([[candidate]]),
-            "coords": env.state_coords,
         }
-        coe_update_step(q, qt, gen, policy, batch, cfg)
+        coe_update_step(qt, (gen, policy, env.state_coords), batch, cfg)
         return int(gen[0, 3, 4])
 
     # Candidate 2 (on the path) outscores incumbent 0; incumbent 2 beats candidate 0.
@@ -770,10 +767,9 @@ def test_coe_requires_coords_when_beta_positive():
         "g": np.array([2]),
         "g_rand": np.array([1]),
         "cand_states": np.array([[1]]),
-        "coords": None,
     }
     with pytest.raises(ConfigError):
-        coe_update_step(q, qt, gen, greedy_policy_fn(q), batch, cfg)
+        coe_update_step(qt, (gen, greedy_policy_fn(q), None), batch, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +780,7 @@ def test_target_sync_full_copy():
     q, _ = make_tables(3, 2)
     q.params[:] = 1.5
     qt = target_with_params(q, np.full_like(q.params, -3.0))
-    target_sync(q, qt, tau=1.0)
+    target_sync(qt, tau=1.0)
     np.testing.assert_array_equal(target_params(qt), q.params)
 
 
@@ -795,7 +791,7 @@ def test_target_sync_geometric_convergence():
     for k in (1, 2, 10):
         qtk = target_with_params(q, np.zeros_like(q.params))
         for _ in range(k):
-            target_sync(q, qtk, tau)
+            target_sync(qtk, tau)
         expected = 2.0 * (1 - (1 - tau) ** k)
         assert target_params(qtk)[0, 0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -807,7 +803,7 @@ def test_target_sync_writes_no_entry_until_renormalization():
     syncs = 0
     with pytest.raises(ValueError, match="read-only"):
         while True:
-            target_sync(q, qt, 0.5)
+            target_sync(qt, 0.5)
             syncs += 1
     assert syncs == 332  # 0.5^332 >= 1e-100 > 0.5^333
 
@@ -853,8 +849,8 @@ def test_polyak_target_matches_eager_reference(space):
         assert (target_params(qt)[untouched] == before[untouched]).all()
         np.testing.assert_allclose(target_params(qt), before, rtol=0, atol=TARGET_TOLERANCE)
         scale = qt.scale
-        target_sync(q, qt, tau)
-        eager_sync(q, eager, tau)
+        target_sync(qt, tau)
+        eager_sync(eager, tau)
         renormalized += qt.scale > scale
         np.testing.assert_allclose(
             qt.values_at(...), eager.values_at(...), rtol=0, atol=TARGET_TOLERANCE
@@ -901,19 +897,35 @@ def test_run_steps_is_the_train_run_loop(method):
     assert q_run.params.tobytes() == q_lazy.params.tobytes()
 
 
-def test_mc_builds_no_target(monkeypatch):
-    """mc reads no target, so train_run neither builds one nor syncs it."""
-
-    def refuse(*args):
-        raise AssertionError("mc built or synced a target")
-
-    for module in (learners, harness):
-        monkeypatch.setattr(module, "PolyakTarget", refuse)
-        monkeypatch.setattr(module, "target_sync", refuse)
+def test_mc_writes_through_its_target_as_a_direct_write_would():
+    """mc writes through its Polyak target like every other learner. Its
+    table and loss log are byte for byte those of the direct write: a
+    scatter-add into the online table, then a clip of the touched entries.
+    The learning rate is large enough to drive entries onto the clamp."""
     env = build_grid_env(4, 4)
     ds = collect_dataset(env, num_traj=20, T=16, seed=0)
-    q, _ = train_run(env, ds, LearnerConfig(method="mc", steps=30, batch_size=32))
-    assert np.isfinite(q.params).all()
+    cfg = LearnerConfig(method="mc", steps=300, batch_size=32, learning_rate=500.0, seed=2)
+    q_run, log_run = train_run(env, ds, cfg, log_every=50)
+
+    rng = np.random.default_rng(cfg.seed)
+    q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma)
+    log = []
+    for step_idx in range(cfg.steps):
+        batch = learners.METHODS["mc"].batch(ds, cfg, rng)
+        idx = (batch["s_i"], batch["a_i"], batch["s_j"])
+        pred = expit(q.params[idx])
+        y = np.power(cfg.gamma, batch["gap"])
+        diff = pred - y
+        grad_logit = 2.0 * diff * pred * (1.0 - pred)
+        np.add.at(q.params, idx, -cfg.learning_rate * grad_logit)
+        q.params[idx] = np.clip(q.params[idx], -LOGIT_CLAMP, LOGIT_CLAMP)
+        if step_idx % 50 == 0 or step_idx == cfg.steps - 1:
+            stats = {"loss": float(np.mean(diff * diff)), "mean_q": float(pred.mean()),
+                     "max_target": float(y.max())}
+            log.append({"step": step_idx, "method": "mc", **stats})
+    assert (np.abs(q.params) == LOGIT_CLAMP).any()
+    assert q_run.params.tobytes() == q.params.tobytes()
+    assert log_run == log
 
 
 # ---------------------------------------------------------------------------
@@ -935,19 +947,20 @@ def test_logit_methods_keep_values_bounded(seed, lr):
         acts = {k: rng.integers(0, A, size=b) for k in ("a_i", "a_k")}
         gaps = rng.integers(0, 3, size=b)
         trl_update_step(
-            q,
             qt,
+            None,
             {**idx, **acts, "gap_ik": gaps, "gap_kj": gaps + 1},
             cfg_trl,
         )
         mc_update_step(
-            q,
+            qt,
+            None,
             {"s_i": idx["s_i"], "a_i": acts["a_i"], "s_j": idx["s_j"], "gap": gaps},
             cfg_mc,
         )
         td_n_update_step(
-            q,
             qt,
+            None,
             {
                 "s_i": idx["s_i"],
                 "a_i": acts["a_i"],
@@ -959,7 +972,7 @@ def test_logit_methods_keep_values_bounded(seed, lr):
             },
             cfg_td,
         )
-        target_sync(q, qt, 0.01)
+        target_sync(qt, 0.01)
     assert np.isfinite(q.params).all()
     assert np.abs(q.params).max() <= LOGIT_CLAMP
     vals = q.values()
