@@ -83,7 +83,9 @@ def train_run(
 
     ``exact`` logs one row per (min, +) sweep (the loss is the number of
     pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns the
-    distances into values as the oracle does. Every other method runs
+    distances into values as the oracle does: it reads gamma^d from a table
+    of the S powers made by ``optimal_value_table``, with 0 for no path, so
+    a sweep costs no S x S powers. Every other method runs
     cfg.steps calls of ``learners.<method>_update_step`` (looked up when the
     run starts, so rebinding the module attribute reaches every call), each
     followed by a target sync, and logs every ``log_every`` steps and the
@@ -92,8 +94,12 @@ def train_run(
     """
     log: list[dict] = []
     if cfg.method == "exact":
+        # Finite distances are below S and a sweep's no-path marker is not,
+        # so mode="clip" reads it as the last entry, 0.
+        steps = np.append(np.arange(env.num_states), UNREACHABLE)
+        powers = optimal_value_table(steps, cfg.gamma)
         for sweep, (d, shortened) in enumerate(transitive_sweeps(env)):
-            v = optimal_value_table(d, cfg.gamma)
+            v = np.take(powers, d, mode="clip")
             stats = {"loss": shortened, "mean_q": float(v.mean())}
             log.append({"step": sweep, "method": cfg.method, **stats})
         return ValueTable(q_table_from_values(env, v, cfg.gamma), cfg.gamma, space="value"), log
@@ -134,7 +140,8 @@ def select_tasks(d: np.ndarray, num_tasks: int, min_distance: int = 1) -> list[t
         raise ConfigError("environment has no reachable task pairs at the requested distance")
     order = np.lexsort((goals, starts, d[starts, goals]))
     starts, goals = starts[order], goals[order]
-    positions = np.unique(np.round(np.linspace(0, starts.size - 1, num_tasks)).astype(int))
+    # A set, not np.unique, whose first call imports numpy.ma (16 ms).
+    positions = sorted(set(np.round(np.linspace(0, starts.size - 1, num_tasks)).astype(int)))
     return [(int(starts[p]), int(goals[p])) for p in positions]
 
 
@@ -200,7 +207,11 @@ def evaluate_policy(
     dist: np.ndarray | None = None,
 ) -> EvalReport:
     """Roll out the extracted policy; success means hitting the exact goal
-    within the step budget. max_steps may be one int or one per task."""
+    within the step budget. max_steps may be one int or one per task.
+
+    The env and the greedy policy are deterministic, so a greedy task is
+    rolled out once and that rollout decides every episode; only rejection
+    sampling reads ``rng``."""
     settings = {"episodes": episodes, "extraction": extraction, "rejection_n": rejection_n}
     for key, value in settings.items():
         check_setting(f"eval.{key}", value)
@@ -214,10 +225,14 @@ def evaluate_policy(
 
     rows = []
     for task_id, ((start, goal), budget) in enumerate(zip(tasks, budgets)):
-        wins = sum(
-            _rollout(env, q, beh, start, goal, budget, extraction, rejection_n, rng)
-            for _ in range(episodes)
-        )
+        if extraction == "greedy":
+            won = _rollout(env, q, beh, start, goal, budget, extraction, rejection_n, rng)
+            wins = episodes * won
+        else:
+            wins = sum(
+                _rollout(env, q, beh, start, goal, budget, extraction, rejection_n, rng)
+                for _ in range(episodes)
+            )
         rows.append(
             {
                 "task_id": task_id,

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import (
     RelabelRatios,
@@ -30,10 +29,9 @@ from .dataset import (
     sample_triplet_batch,
 )
 from .env import ConfigError, GraphEnv, adjacency_matrix, check_number, open_input
-from .oracle import UNREACHABLE
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
-# (expit(30) = 1 - 9.4e-14) while leaving room for implied distances of
+# (sigmoid(30) = 1 - 9.4e-14) while leaving room for implied distances of
 # several thousand steps at gamma = 0.99.
 LOGIT_CLAMP = 30.0
 
@@ -42,8 +40,22 @@ LOGIT_CLAMP = 30.0
 _MIN_TARGET_SCALE = 1e-100
 
 
+@np.errstate(over="ignore")  # exp(-x) is inf below x = -709.78; 1 / inf is the exact 0
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) elementwise, into a new array.
+
+    ``x`` is a float64 array, not a scalar, and may be a view of a table
+    (``values_at`` with basic indices), so the negation makes the array
+    that exp, + 1 and the reciprocal then overwrite.
+    """
+    z = np.negative(x)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.reciprocal(z, out=z)
+
+
 def _as_values(params: np.ndarray, space: str) -> np.ndarray:
-    return expit(params) if space == "logit" else params
+    return _sigmoid(params) if space == "logit" else params
 
 
 @dataclass
@@ -78,10 +90,9 @@ class ValueTable:
         init_logit: float = -3.0,
     ) -> "ValueTable":
         """Pessimistic initialization: logit -3 puts Q near 0.047."""
-        if space == "logit":
-            params = np.full((num_states, num_actions, num_states), init_logit)
-        else:
-            params = np.full((num_states, num_actions, num_states), float(expit(init_logit)))
+        params = np.full((num_states, num_actions, num_states), float(init_logit))
+        if space == "value":  # the value that logit reads as
+            params = _sigmoid(params)
         return cls(params, gamma, space)
 
     def values(self) -> np.ndarray:
@@ -90,6 +101,7 @@ class ValueTable:
 
     def values_at(self, idx) -> np.ndarray:
         """Values at ``params[idx]`` only: gather first, then the sigmoid.
+        ``idx`` selects an array; one entry is ``values_at((s, a, [g]))``.
 
         Bit-identical to ``values()[idx]`` (the sigmoid is elementwise) at a
         cost that grows with the number of entries read, not with the table.
@@ -200,6 +212,13 @@ def asymmetric_loss(x_pred, y_target, kappa: float):
     return weight * diff * diff, weight * 2.0 * diff
 
 
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` bit for bit (the same pairwise sum, then one
+    division), without np.mean's Python-level cost of about 4 µs a call:
+    every training step logs two means."""
+    return float(x.sum()) / x.size
+
+
 def _bce_logit_terms(pred, target):
     """Plain BCE loss plus gradient wrt the logit; target may touch 0 or 1.
 
@@ -261,10 +280,10 @@ def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
 
 def transitive_sweeps(env: GraphEnv):
     """Jacobi (min, +) sweeps from the base table (0 on the diagonal, 1 on
-    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` an
-    int16 table in the convention of :func:`~gclab.oracle.all_pairs_distances`
-    (UNREACHABLE for no path), and stops after the first sweep that shortens
-    no pair. More than _NO_PATH states raise ConfigError before any S x S array.
+    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` the
+    sweep's int16 table (_NO_PATH, which is at least S, for no path), and
+    stops after the first sweep that shortens no pair. More than _NO_PATH
+    states raise ConfigError before any S x S array.
 
     After k sweeps every pair at distance <= 2^k holds its distance, so a
     table of finite diameter D needs ceil(log2 D) sweeps plus the one that
@@ -278,7 +297,7 @@ def transitive_sweeps(env: GraphEnv):
     np.fill_diagonal(d, 0)
     while True:
         d, shortened = exact_transitive_sweep(d)
-        yield np.where(d == _NO_PATH, UNREACHABLE, d), shortened
+        yield d, shortened
         if shortened == 0:
             return
 
@@ -320,11 +339,13 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     """
     g = cfg.gamma
     idx = (batch["s_i"], batch["a_i"], batch["s_j"])
-    pred = expit(target.online.params[idx])
+    pred = _sigmoid(target.online.params[idx])
     gap_ik = batch["gap_ik"]
     gap_kj = batch["gap_kj"]
-    half_ik = target.values_at((batch["s_i"], batch["a_i"], batch["s_k"]))
-    half_kj = target.values_at((batch["s_k"], batch["a_k"], batch["s_j"]))
+    # Both target halves in one read: (s_i, a_i, s_k) and (s_k, a_k, s_j).
+    rows = np.array((batch["s_i"], batch["s_k"]))
+    acts = np.array((batch["a_i"], batch["a_k"]))
+    half_ik, half_kj = target.values_at((rows, acts, np.array((batch["s_k"], batch["s_j"]))))
     f1 = np.where(gap_ik <= 1, np.power(g, gap_ik), half_ik)
     f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), half_kj)
     y = f1 * f2
@@ -335,8 +356,8 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     loss, grad = _bce_logit_terms(pred, y)
     _apply_logit_updates(target, idx, w * grad, cfg.learning_rate)
     return {
-        "loss": float(np.mean(w * loss)),
-        "mean_q": float(pred.mean()),
+        "loss": _mean(w * loss),
+        "mean_q": _mean(pred),
         "max_target": float(y.max()),
     }
 
@@ -346,13 +367,13 @@ def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig)
     loss on the sigmoid output (chain rule through the logit). mc reads no
     target values; it writes through the target like every other learner."""
     idx = (batch["s_i"], batch["a_i"], batch["s_j"])
-    pred = expit(target.online.params[idx])
+    pred = _sigmoid(target.online.params[idx])
     y = np.power(cfg.gamma, batch["gap"])
     diff = pred - y
     _apply_logit_updates(target, idx, 2.0 * diff * pred * (1.0 - pred), cfg.learning_rate)
     return {
-        "loss": float(np.mean(diff * diff)),
-        "mean_q": float(pred.mean()),
+        "loss": _mean(diff * diff),
+        "mean_q": _mean(pred),
         "max_target": float(y.max()),
     }
 
@@ -373,11 +394,10 @@ def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfi
     """n-step bootstrapped update: a plain BCE anchor at the current state
     (target gamma^0) plus an expectile BCE term toward the n-step target."""
     s_i, a_i, goal = batch["s_i"], batch["a_i"], batch["g"]
-    params = target.online.params
-    pred0 = expit(params[s_i, a_i, s_i])
+    # Both online reads in one gather and one sigmoid call.
+    pred0, pred1 = _sigmoid(target.online.params[s_i, a_i, np.array((s_i, goal))])
     loss0, grad0 = _bce_logit_terms(pred0, 1.0)
 
-    pred1 = expit(params[s_i, a_i, goal])
     y = td_n_compute_targets(target, batch, cfg)
     weight = expectile_weight(pred1, y, cfg.kappa)
     loss1, grad1 = _bce_logit_terms(pred1, y)
@@ -385,8 +405,8 @@ def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfi
     _apply_logit_updates(target, (s_i, a_i, s_i), grad0, cfg.learning_rate)
     _apply_logit_updates(target, (s_i, a_i, goal), weight * grad1, cfg.learning_rate)
     return {
-        "loss": float(np.mean(loss0 + weight * loss1)),
-        "mean_q": float(pred1.mean()),
+        "loss": _mean(loss0 + weight * loss1),
+        "mean_q": _mean(pred1),
         "max_target": float(y.max()),
     }
 
@@ -410,8 +430,8 @@ def gciql_update_step(target: PolyakTarget, v: np.ndarray, batch: dict, cfg: Lea
     np.add.at(v, (s, goal), -cfg.learning_rate * grad_v)
     _apply_logit_updates(target, (s, a, goal), 2.0 * diff, cfg.learning_rate)
     return {
-        "loss": float(np.mean(loss_v + diff * diff)),
-        "mean_q": float(qv.mean()),
+        "loss": _mean(loss_v + diff * diff),
+        "mean_q": _mean(qv),
         "max_target": float(y.max()),
     }
 
@@ -430,20 +450,20 @@ def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     lr = cfg.learning_rate
     params = target.online.params
 
-    pred0 = expit(params[s, a, s])
+    pred0 = _sigmoid(params[s, a, s])
     loss0, grad0 = _bce_logit_terms(pred0, 1.0)
 
     # One-step base case applies to edges only; self-loop transitions in the
     # data would otherwise fight the gamma^0 anchor on the same entry.
     edge = (s2 != s).astype(np.float64)
-    pred1 = expit(params[s, a, s2])
+    pred1 = _sigmoid(params[s, a, s2])
     loss1, grad1 = _bce_logit_terms(pred1, cfg.gamma)
     loss1, grad1 = edge * loss1, edge * grad1
 
-    predr = expit(params[s, a, g_rand])
+    predr = _sigmoid(params[s, a, g_rand])
     lossr, gradr = _bce_logit_terms(predr, np.power(cfg.gamma, cfg.P_random_distance))
 
-    predg = expit(params[s, a, goal])
+    predg = _sigmoid(params[s, a, goal])
     cand = target.values_at((s[:, None], a[:, None], w_states)) * target.values_at(
         (w_states, w_actions, goal[:, None])
     )
@@ -455,8 +475,8 @@ def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     _apply_logit_updates(target, (s, a, g_rand), gradr, lr)
     _apply_logit_updates(target, (s, a, goal), gradg, lr)
     return {
-        "loss": float(np.mean(loss0 + loss1 + lossr + lossg)),
-        "mean_q": float(predg.mean()),
+        "loss": _mean(loss0 + loss1 + lossr + lossg),
+        "mean_q": _mean(predg),
         "max_target": float(tri_target.max()),
     }
 
@@ -481,14 +501,14 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     params = target.online.params
 
     edge = (s2 != s).astype(np.float64)
-    pred1 = expit(params[s, a, s2])
+    pred1 = _sigmoid(params[s, a, s2])
     loss1, grad1 = _bce_logit_terms(pred1, cfg.gamma)
     loss1, grad1 = edge * loss1, edge * grad1
 
     w = generator[s, a, goal]
     a_w = policy_fn(w, goal)
     tri_target = target.values_at((s, a, w)) * target.values_at((w, a_w, goal))
-    predg = expit(params[s, a, goal])
+    predg = _sigmoid(params[s, a, goal])
     lossg, gradg = _bce_logit_terms(predg, tri_target)
 
     _apply_logit_updates(target, (s, a, s2), grad1, lr)
@@ -509,8 +529,8 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     rows = np.arange(options.shape[0])
     generator[s, a, goal] = options[rows, best]
     return {
-        "loss": float(np.mean(loss1 + lossg)),
-        "mean_q": float(predg.mean()),
+        "loss": _mean(loss1 + lossg),
+        "mean_q": _mean(predg),
         "max_target": float(tri_target.max()),
     }
 

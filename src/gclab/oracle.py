@@ -7,27 +7,59 @@ finite number), so the value-table conversion maps them to exactly 0.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+import itertools
 
-from .env import ConfigError, GraphEnv, adjacency_matrix
+import numpy as np
+
+from .env import ConfigError, GraphEnv
 
 # Sentinel for "no path". Kept negative so any arithmetic misuse is loud.
 UNREACHABLE = -1
 
+# Bit sets over states are rows of little-endian 64-bit words: state g is
+# bit g % 64 of word g // 64, so a uint8 view unpacks in state order.
+_WORD = np.dtype("<u8")
+
 
 def all_pairs_distances(env: GraphEnv) -> np.ndarray:
     """Unit-weight shortest-path step counts d[s, g] as an int64 (S, S)
-    array, UNREACHABLE where no path exists. scipy's csgraph runs the
-    searches in C over the one-step reachability relation.
+    array, UNREACHABLE where no path exists.
 
-    Self-loop transitions do not contribute edges, so d[s, s] = 0 always
-    and no distance-1 self pairs appear.
+    A breadth-first search from every start at once, over bit sets: row s of
+    ``frontier`` holds the goals at the current level from s, so the next
+    level is the union over actions a of ``frontier[transition[s, a]]``
+    less the goals s has reached. A level costs O(S * A * S / 64) word
+    operations, and the search ends after the largest finite distance. Each
+    pair's level is kept as binary-digit planes of bit sets, unpacked once.
+
+    Self-loop transitions add no goal, so d[s, s] = 0 always and no
+    distance-1 self pairs appear.
     """
-    d = shortest_path(csr_matrix(adjacency_matrix(env)), method="D", unweighted=True)
-    d[np.isinf(d)] = UNREACHABLE
-    return d.astype(np.int64)
+    n = env.num_states
+    states = np.arange(n)
+    reached = np.zeros((n, -(-n // 64)), dtype=_WORD)
+    reached[states, states // 64] = np.uint64(1) << (states % 64).astype(np.uint64)
+    frontier = reached.copy()
+    planes = []  # planes[b]: the pairs whose level has binary digit b set
+    for level in itertools.count(1):
+        frontier = np.bitwise_or.reduce(frontier[env.transition], axis=1) & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+        for bit in range(level.bit_length()):
+            if level >> bit & 1:
+                if bit == len(planes):
+                    planes.append(np.zeros_like(reached))
+                planes[bit] |= frontier
+
+    def unpack(bits: np.ndarray) -> np.ndarray:
+        return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
+
+    d = np.zeros((n, n), dtype=np.int64)
+    for bit, plane in enumerate(planes):
+        d += unpack(plane).astype(np.int64) << bit
+    d[unpack(reached) == 0] = UNREACHABLE
+    return d
 
 
 def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:

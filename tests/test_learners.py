@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gclab.learners import (
     ValueTable,
     _apply_logit_updates,
     _bce_logit_terms,
+    _sigmoid,
     asymmetric_loss,
     coe_update_step,
     expectile_weight,
@@ -34,7 +36,6 @@ from gclab.learners import (
     trl_update_step,
 )
 from gclab.oracle import (
-    UNREACHABLE,
     all_pairs_distances,
     oracle_q_table,
 )
@@ -53,6 +54,47 @@ def right_only_chain(n, absorbing=True):
     """Directed chain with a single action; final state self-loops."""
     transition = np.minimum(np.arange(n) + 1, n - 1).reshape(-1, 1)
     return GraphEnv(n, 1, transition)
+
+
+# ---------------------------------------------------------------------------
+# The sigmoid every logit table is read through
+
+
+def assert_near_expit(got: np.ndarray, x: np.ndarray) -> None:
+    """Within one ulp of 1.0 (2.2e-16) of scipy's expit, and within 4 ulps
+    of the value's own size, which bounds the error of tiny outputs too.
+    numpy's exp may round 1 ulp away from the C library's exp that expit
+    calls, and 1 / (1 + exp(-x)) carries that into the sigmoid."""
+    want = expit(x)
+    assert np.abs(got - want).max() <= np.finfo(np.float64).eps
+    assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+
+
+def test_sigmoid_within_one_ulp_of_scipy_expit():
+    x = np.random.default_rng(0).uniform(-40.0, 40.0, size=10**6)
+    assert_near_expit(_sigmoid(x), x)
+
+
+def test_sigmoid_exact_at_the_edges_without_a_warning():
+    x = np.array([0.0, -0.0, 30.0, -30.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x)
+    want = expit(x)
+    assert got[:-1].tobytes() == want[:-1].tobytes()
+    assert list(got[:-1]) == [0.5, 0.5, want[2], want[3], 1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(got[-1])
+
+
+def test_sigmoid_leaves_the_table_untouched_through_a_view():
+    q = ValueTable(np.random.default_rng(1).uniform(-30.0, 30.0, size=(6, 4, 6)), 0.9)
+    before = q.params.copy()
+    idx = (2, slice(None), 5)  # basic indices: params[idx] is a view
+    assert np.shares_memory(q.params[idx], q.params)
+    got = q.values_at(idx)
+    assert q.params.tobytes() == before.tobytes()
+    assert not np.shares_memory(got, q.params)
+    assert_near_expit(got, before[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +271,7 @@ def test_base_table_initialization():
     assert d[0, 0] == 0 and d[1, 1] == 0
     assert d[0, 1] == 1 and d[1, 2] == 1
     assert d[0, 2] == 2 and d[2, 4] == 2
-    assert d[0, 3] == UNREACHABLE and d[1, 0] == UNREACHABLE
+    assert d[0, 3] == _NO_PATH and d[1, 0] == _NO_PATH
     assert shortened == 3  # (0, 2), (1, 3), (2, 4)
 
 
@@ -240,7 +282,7 @@ def test_sweep_doubles_known_distance():
     assert shortened1 > 0
     assert d1[0, 2] == 2
     assert d1[1, 3] == 2
-    assert d1[0, 3] == UNREACHABLE
+    assert d1[0, 3] == _NO_PATH
     d2, _ = next(sweeps)
     assert d2[0, 3] == 3
 
@@ -260,8 +302,8 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
         prev = None
         for d, _ in transitive_sweeps(env):
             if prev is not None:  # a reached pair stays reached and never lengthens
-                reached = prev != UNREACHABLE
-                assert (d[reached] != UNREACHABLE).all()
+                reached = prev != _NO_PATH
+                assert (d[reached] != _NO_PATH).all()
                 assert (d[reached] <= prev[reached]).all()
             prev = d
         fp, sweeps = run_transitive_fixed_point(env)

@@ -40,6 +40,18 @@ def matrix_power_distances(env):
     return d
 
 
+def csgraph_distances(env):
+    """Independent oracle: scipy's csgraph shortest paths, the oracle's
+    implementation before the bit-set BFS."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    d = csgraph.shortest_path(
+        sparse.csr_matrix(adjacency_matrix(env)), method="D", unweighted=True
+    )
+    d[np.isinf(d)] = UNREACHABLE
+    return d.astype(np.int64)
+
+
 def one_way_corridor(n=3):
     """Directed chain 0 -> 1 -> ... -> n-1 with a single 'right' action."""
     transition = np.minimum(np.arange(n) + 1, n - 1).reshape(-1, 1)
@@ -127,6 +139,40 @@ def test_triangle_equality_on_shortest_path():
     v = optimal_value_table(dist, 0.95)
     # w = 3 is on the unique shortest path 0 -> 5.
     assert v[0, 5] == pytest.approx(v[0, 3] * v[3, 5], rel=1e-12)
+
+
+def test_bfs_matches_csgraph_and_floyd_warshall():
+    """Grids, chains whose levels need up to eight binary digits, one-way and
+    sparse graphs with unreachable pairs, and sizes on both sides of the
+    64-state word boundary of a bit row."""
+    envs = {
+        "grid5": build_grid_env(5, 5),
+        "grid4_walls": build_grid_env(4, 4, walls={(1, 1), (2, 2)}),
+        "grid5x4_split": build_grid_env(5, 4, walls={(2, y) for y in range(4)}),
+        "grid8_walled": build_grid_env(8, 8, {(3, y) for y in range(8)} | {(5, 2), (6, 5)}),
+        "grid16": build_grid_env(16, 16),
+        "grid24": build_grid_env(24, 24),
+        "corridor64": build_grid_env(64, 1),
+        "chain200": build_grid_env(200, 1),
+        "one_way6": one_way_corridor(6),
+        "one_way200": one_way_corridor(200),
+        "single_state": one_way_corridor(1),
+        "random300": random_graph_env(300, 2, 1),
+    }
+    for n in (63, 64, 65, 129):
+        envs[f"one_way{n}"] = one_way_corridor(n)
+        envs[f"random{n}_1"] = random_graph_env(n, 1, n)
+    envs.update({f"random30_3_{seed}": random_graph_env(30, 3, seed) for seed in range(5)})
+    envs.update({f"random40_1_{seed}": random_graph_env(40, 1, seed) for seed in range(5)})
+    unreachable = 0
+    for name, env in envs.items():
+        d = all_pairs_distances(env)
+        assert d.dtype == np.int64, name
+        np.testing.assert_array_equal(d, csgraph_distances(env), err_msg=name)
+        np.testing.assert_array_equal(d, floyd_warshall_distances(env), err_msg=name)
+        unreachable += int((d == UNREACHABLE).sum())
+    assert all_pairs_distances(envs["chain200"])[0, 199] == 199
+    assert unreachable > 0
 
 
 def test_bfs_matches_matrix_powers_on_larger_envs():
