@@ -9,6 +9,10 @@ start states. Two samplers are provided:
 * hindsight goal relabeling: a four-way mixture over the current state, a
   geometrically discounted future state, a uniform future state, and a
   uniform random state from the whole dataset.
+
+Every sampler takes a ``size`` that is an int or a shape, as numpy's
+generators do, and draws each kind of index for the whole shape in one
+call: the learners draw ``(steps, batch_size)`` at a time.
 """
 
 from __future__ import annotations
@@ -101,8 +105,9 @@ def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> Trajecto
     return ds
 
 
-def sample_index_pairs(T: int, size: int, rng: np.random.Generator, allow_equal: bool = False):
-    """Uniform (i, j) over {0..T-1}^2 with i < j (or i <= j when allow_equal).
+def sample_index_pairs(T: int, size, rng: np.random.Generator, allow_equal: bool = False):
+    """Uniform (i, j) over {0..T-1}^2 with i < j (or i <= j when allow_equal),
+    one pair per entry of the shape ``size``.
 
     Uses the distinct-pair trick: draw a in [0, m), b in [0, m-1), bump b past
     a, and sort. With allow_equal the pair is drawn from m = T + 1 positions
@@ -121,8 +126,9 @@ def sample_index_pairs(T: int, size: int, rng: np.random.Generator, allow_equal:
     return i, j
 
 
-def sample_triplet_batch(ds: TrajectoryDataset, size: int, rng: np.random.Generator):
-    """Vectorized triplet draw: (traj_ids, i, j, k) with i < j and i <= k <= j-1."""
+def sample_triplet_batch(ds: TrajectoryDataset, size, rng: np.random.Generator):
+    """Vectorized triplet draw: (traj_ids, i, j, k) arrays of shape ``size``
+    with i < j and i <= k <= j-1 in every entry."""
     if ds.horizon < 2:
         raise ConfigError("triplet sampling needs T >= 2")
     traj = rng.integers(0, ds.num_traj, size=size)
@@ -138,14 +144,16 @@ def sample_relabeled_goal_batch(
     ratios: RelabelRatios,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized hindsight goal relabeling for (traj, t) anchor points.
+    """Vectorized hindsight goal relabeling for (traj, t) anchor points: one
+    goal state per entry of ``traj`` and ``t``, two arrays of one shape.
 
     All random draws happen unconditionally in a fixed order so the stream
-    of generator calls (and therefore the result) is reproducible.
+    of generator calls (and therefore the result) is reproducible. States
+    are read through flat indices traj * (T + 1) + step.
     """
     traj = np.asarray(traj)
     t = np.asarray(t)
-    size = traj.shape[0]
+    size = traj.shape
     T = ds.horizon
 
     u = rng.random(size)
@@ -153,7 +161,9 @@ def sample_relabeled_goal_batch(
     future_t = t + rng.integers(0, T - t + 1)  # uniform over {t..T}, per element
     flat = rng.integers(0, ds.states.size, size=size)
 
-    goals = ds.states[traj, t]  # fancy indexing copies; p_cur component by default
+    states = ds.states.ravel()
+    row = traj * (T + 1)
+    goals = states[row + t]  # fancy indexing copies; p_cur component by default
     c1 = ratios.p_cur
     c2 = c1 + ratios.p_geom
     c3 = c2 + ratios.p_traj
@@ -161,18 +171,19 @@ def sample_relabeled_goal_batch(
     geom_mask = (u >= c1) & (u < c2)
     if geom_mask.any():
         idx = np.minimum(t[geom_mask] + geom_delta[geom_mask], T)
-        goals[geom_mask] = ds.states[traj[geom_mask], idx]
+        goals[geom_mask] = states[row[geom_mask] + idx]
     traj_mask = (u >= c2) & (u < c3)
     if traj_mask.any():
-        goals[traj_mask] = ds.states[traj[traj_mask], future_t[traj_mask]]
+        goals[traj_mask] = states[row[traj_mask] + future_t[traj_mask]]
     rand_mask = u >= c3
     if rand_mask.any():
-        goals[rand_mask] = ds.states.ravel()[flat[rand_mask]]
+        goals[rand_mask] = states[flat[rand_mask]]
     return goals
 
 
-def sample_flat_states(ds: TrajectoryDataset, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform states from the whole dataset (every (traj, step) cell equally likely)."""
+def sample_flat_states(ds: TrajectoryDataset, size, rng: np.random.Generator) -> np.ndarray:
+    """Uniform states from the whole dataset (every (traj, step) cell equally
+    likely), one per entry of the shape ``size``."""
     return ds.states.ravel()[rng.integers(0, ds.states.size, size=size)]
 
 

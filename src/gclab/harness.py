@@ -36,6 +36,7 @@ from .learners import (
     PolyakTarget,
     ValueTable,
     save_table,
+    step_batches,
     target_sync,
     transitive_sweeps,
 )
@@ -87,10 +88,11 @@ def train_run(
     of the S powers made by ``optimal_value_table``, with 0 for no path, so
     a sweep costs no S x S powers. Every other method runs
     cfg.steps calls of ``learners.<method>_update_step`` (looked up when the
-    run starts, so rebinding the module attribute reaches every call), each
-    followed by a target sync, and logs every ``log_every`` steps and the
-    last one; it raises ValueError, naming the method and seed, if the
-    trained table holds a non-finite entry.
+    run starts, so rebinding the module attribute reaches every call) on the
+    batches of ``learners.step_batches``, each followed by a target sync. It
+    evaluates a step's statistics only on the steps it logs: every
+    ``log_every`` steps and the last one. It raises ValueError, naming the
+    method and seed, if the trained table holds a non-finite entry.
     """
     log: list[dict] = []
     if cfg.method == "exact":
@@ -112,16 +114,16 @@ def train_run(
             f"method {cfg.method!r} needs trajectories with T >= {method.min_horizon}"
         )
     check_setting("log_every", log_every)
-    rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
     target = PolyakTarget(q)
     state = method.state(env, q, cfg)
     update = getattr(learners, f"{cfg.method}_update_step")
-    for step_idx in range(cfg.steps):
-        stats = update(target, state, method.batch(ds, cfg, rng), cfg)
+    batches = step_batches(ds, q.params.shape, cfg)
+    for step_idx, batch in zip(range(cfg.steps), batches):
+        stats = update(target, state, batch, cfg)
         target_sync(target, cfg.tau_target)
         if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
-            log.append({"step": step_idx, "method": cfg.method, **stats})
+            log.append({"step": step_idx, "method": cfg.method, **stats()})
     if not np.isfinite(q.params).all():
         raise ValueError(f"{cfg.method} seed {cfg.seed}: training ended with a non-finite table")
     return q, log

@@ -132,9 +132,10 @@ class PolyakTarget:
         self.lag = np.zeros_like(online.params)
         self.scale = 1.0
 
-    def values_at(self, idx) -> np.ndarray:
-        """Target values at ``params[idx]``, read like ``ValueTable.values_at``."""
-        params = self.online.params[idx] + self.scale * self.lag[idx]
+    def values_flat(self, flat) -> np.ndarray:
+        """Target values at the flat indices ``flat`` of the table (see
+        :func:`_flat`), gathered first, then read like ``ValueTable.values_at``."""
+        params = self.online.params.reshape(-1)[flat] + self.scale * self.lag.reshape(-1)[flat]
         return _as_values(params, self.online.space)
 
 
@@ -212,20 +213,14 @@ def asymmetric_loss(x_pred, y_target, kappa: float):
     return weight * diff * diff, weight * 2.0 * diff
 
 
-def _mean(x: np.ndarray) -> float:
-    """``float(np.mean(x))`` bit for bit (the same pairwise sum, then one
-    division), without np.mean's Python-level cost of about 4 µs a call:
-    every training step logs two means."""
-    return float(x.sum()) / x.size
-
-
-def _bce_logit_terms(pred, target):
-    """Plain BCE loss plus gradient wrt the logit; target may touch 0 or 1.
+def _bce_loss(pred, target):
+    """Plain BCE loss; target may touch 0 or 1. Its gradient with respect to
+    the logit is ``pred - target``, which the steps form on every step; the
+    loss itself is computed only when a step's statistics are read.
 
     pred must come from a clamped sigmoid, so logs stay finite.
     """
-    loss = -(target * np.log(pred) + (1.0 - target) * np.log1p(-pred))
-    return loss, pred - target
+    return -(target * np.log(pred) + (1.0 - target) * np.log1p(-pred))
 
 
 def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
@@ -304,31 +299,40 @@ def transitive_sweeps(env: GraphEnv):
 
 # ---------------------------------------------------------------------------
 # Stochastic update steps (one gradient step per call)
+#
+# A step reads and writes the tables only at the flat indices its batch
+# carries (see the layouts below), and returns its statistics unevaluated:
+# a zero-argument callable that harness.train_run calls on logged steps only.
 
 
-def _apply_logit_updates(target: PolyakTarget, idx, grads, lr: float) -> None:
-    """Scatter-add the steps into the target's online table, clip the touched
-    entries of a logit table, and move the lag so the target stays put.
+def _flat(shape, s, a, g):
+    """Flat index (s * A + a) * G + g of entry (s, a, g) of a C-contiguous
+    (S, A, G) table, elementwise over index arrays of any shape."""
+    return (s * shape[1] + a) * shape[2] + g
+
+
+def _apply_logit_updates(target: PolyakTarget, flat, grads, lr: float) -> None:
+    """Scatter-add the steps at the flat indices ``flat`` into the target's
+    online table, clip the touched entries of a logit table, and move the
+    lag so the target stays put.
 
     Untouched entries need no clip: training tables start inside the clamp
-    (``ValueTable.create``) and only entries named by some ``idx`` move.
+    (``ValueTable.create``) and only entries named by some ``flat`` move.
     Every copy of a duplicated index carries the same move, so the plain
     fancy assignment of the lag is right where ``np.add.at`` is needed for
-    the steps. Flat indices into 1-D views (the tables are C-contiguous)
-    cost less than five gathers by a tuple of index arrays.
+    the steps.
     """
-    flat = np.ravel_multi_index(idx, target.online.params.shape)
     params = target.online.params.reshape(-1)
     before = params[flat]
     np.add.at(params, flat, -lr * grads)
     after = params[flat]
-    if target.online.space == "logit":
-        after = np.clip(after, -LOGIT_CLAMP, LOGIT_CLAMP)
+    if target.online.space == "logit":  # np.clip's bits at a third of its cost
+        np.minimum(np.maximum(after, -LOGIT_CLAMP, out=after), LOGIT_CLAMP, out=after)
         params[flat] = after
     target.lag.reshape(-1)[flat] -= (after - before) / target.scale
 
 
-def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
+def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
     """Divide-and-conquer update: regress Q(s_i, a_i, s_j) onto the product
     of the two target-table halves through the in-trajectory subgoal s_k.
 
@@ -337,106 +341,89 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     weight times the distance-based reweight factor; target factors are
     constants.
     """
-    g = cfg.gamma
-    idx = (batch["s_i"], batch["a_i"], batch["s_j"])
-    pred = _sigmoid(target.online.params[idx])
-    gap_ik = batch["gap_ik"]
-    gap_kj = batch["gap_kj"]
+    ij = batch["ij"]
+    pred = _sigmoid(target.online.params.reshape(-1)[ij])
     # Both target halves in one read: (s_i, a_i, s_k) and (s_k, a_k, s_j).
-    rows = np.array((batch["s_i"], batch["s_k"]))
-    acts = np.array((batch["a_i"], batch["a_k"]))
-    half_ik, half_kj = target.values_at((rows, acts, np.array((batch["s_k"], batch["s_j"]))))
-    f1 = np.where(gap_ik <= 1, np.power(g, gap_ik), half_ik)
-    f2 = np.where(gap_kj <= 1, np.power(g, gap_kj), half_kj)
+    f1, f2 = np.where(batch["is_base"], batch["base"], target.values_flat(batch["halves"]))
     y = f1 * f2
-
     w = expectile_weight(pred, y, cfg.kappa)
     if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
-        w = reweight_factor(pred, g, cfg.lambda_reweight) * w
-    loss, grad = _bce_logit_terms(pred, y)
-    _apply_logit_updates(target, idx, w * grad, cfg.learning_rate)
-    return {
-        "loss": _mean(w * loss),
-        "mean_q": _mean(pred),
+        w = reweight_factor(pred, cfg.gamma, cfg.lambda_reweight) * w
+    _apply_logit_updates(target, ij, w * (pred - y), cfg.learning_rate)
+    return lambda: {
+        "loss": float(np.mean(w * _bce_loss(pred, y))),
+        "mean_q": float(np.mean(pred)),
         "max_target": float(y.max()),
     }
 
 
-def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
+def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
     """Regress Q(s_i, a_i, s_j) toward gamma^(j-i) with a symmetric squared
     loss on the sigmoid output (chain rule through the logit). mc reads no
     target values; it writes through the target like every other learner."""
-    idx = (batch["s_i"], batch["a_i"], batch["s_j"])
-    pred = _sigmoid(target.online.params[idx])
-    y = np.power(cfg.gamma, batch["gap"])
+    ij, y = batch["ij"], batch["target"]
+    pred = _sigmoid(target.online.params.reshape(-1)[ij])
     diff = pred - y
-    _apply_logit_updates(target, idx, 2.0 * diff * pred * (1.0 - pred), cfg.learning_rate)
-    return {
-        "loss": _mean(diff * diff),
-        "mean_q": _mean(pred),
+    _apply_logit_updates(target, ij, 2.0 * diff * pred * (1.0 - pred), cfg.learning_rate)
+    return lambda: {
+        "loss": float(np.mean(diff * diff)),
+        "mean_q": float(np.mean(pred)),
         "max_target": float(y.max()),
     }
 
 
-def td_n_compute_targets(target: PolyakTarget, batch: dict, cfg: LearnerConfig) -> np.ndarray:
+def td_n_compute_targets(target: PolyakTarget, batch: dict) -> np.ndarray:
     """n-step bootstrap target gamma^n_eff * Qbar(s_{i+n_eff}, a_{i+n_eff}, g).
 
     n_eff = min(n, j - i); when the unclipped n would overshoot j the
     bootstrap factor is replaced by 1, so the boundary target is exactly
     gamma^(j-i).
     """
-    boot = target.values_at((batch["s_b"], batch["a_b"], batch["g"]))
-    boot = np.where(batch["clipped"], 1.0, boot)
-    return np.power(cfg.gamma, batch["n_eff"]) * boot
+    boot = np.where(batch["clipped"], 1.0, target.values_flat(batch["boot"]))
+    return batch["discount"] * boot
 
 
-def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
+def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
     """n-step bootstrapped update: a plain BCE anchor at the current state
     (target gamma^0) plus an expectile BCE term toward the n-step target."""
-    s_i, a_i, goal = batch["s_i"], batch["a_i"], batch["g"]
+    online = batch["online"]  # the anchor (s_i, a_i, s_i) and the goal (s_i, a_i, g)
     # Both online reads in one gather and one sigmoid call.
-    pred0, pred1 = _sigmoid(target.online.params[s_i, a_i, np.array((s_i, goal))])
-    loss0, grad0 = _bce_logit_terms(pred0, 1.0)
-
-    y = td_n_compute_targets(target, batch, cfg)
+    pred0, pred1 = _sigmoid(target.online.params.reshape(-1)[online])
+    y = td_n_compute_targets(target, batch)
     weight = expectile_weight(pred1, y, cfg.kappa)
-    loss1, grad1 = _bce_logit_terms(pred1, y)
-
-    _apply_logit_updates(target, (s_i, a_i, s_i), grad0, cfg.learning_rate)
-    _apply_logit_updates(target, (s_i, a_i, goal), weight * grad1, cfg.learning_rate)
-    return {
-        "loss": _mean(loss0 + weight * loss1),
-        "mean_q": _mean(pred1),
+    _apply_logit_updates(target, online[0], pred0 - 1.0, cfg.learning_rate)
+    _apply_logit_updates(target, online[1], weight * (pred1 - y), cfg.learning_rate)
+    return lambda: {
+        "loss": float(np.mean(_bce_loss(pred0, 1.0) + weight * _bce_loss(pred1, y))),
+        "mean_q": float(np.mean(pred1)),
         "max_target": float(y.max()),
     }
 
 
-def gciql_update_step(target: PolyakTarget, v: np.ndarray, batch: dict, cfg: LearnerConfig) -> dict:
-    """SARSA-style coupled update in raw value space; ``v`` is the V(s, g)
-    table.
+def gciql_update_step(target: PolyakTarget, v: np.ndarray, batch: dict, cfg: LearnerConfig):
+    """SARSA-style coupled update in raw value space; ``v`` is the
+    C-contiguous V(s, g) table.
 
     V(s, g) chases Qbar(s, a, g) through the expectile squared loss;
     Q(s, a, g) chases I(s = g) + gamma * V(s', g) through a symmetric
     squared loss. Both gradients read the pre-step tables.
     """
-    s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
-    vs = v[s, goal]
-    qbar = target.values_at((s, a, goal))
-    loss_v, grad_v = asymmetric_loss(vs, qbar, cfg.kappa)
-
-    qv = target.online.params[s, a, goal]
-    y = (s == goal).astype(np.float64) + cfg.gamma * v[s2, goal]
+    sag, sg = batch["sag"], batch["sg"]
+    v_flat = v.reshape(-1)
+    loss_v, grad_v = asymmetric_loss(v_flat[sg], target.values_flat(sag), cfg.kappa)
+    qv = target.online.params.reshape(-1)[sag]
+    y = batch["at_goal"] + cfg.gamma * v_flat[batch["s2g"]]
     diff = qv - y
-    np.add.at(v, (s, goal), -cfg.learning_rate * grad_v)
-    _apply_logit_updates(target, (s, a, goal), 2.0 * diff, cfg.learning_rate)
-    return {
-        "loss": _mean(loss_v + diff * diff),
-        "mean_q": _mean(qv),
+    np.add.at(v_flat, sg, -cfg.learning_rate * grad_v)
+    _apply_logit_updates(target, sag, 2.0 * diff, cfg.learning_rate)
+    return lambda: {
+        "loss": float(np.mean(loss_v + diff * diff)),
+        "mean_q": float(np.mean(qv)),
         "max_target": float(y.max()),
     }
 
 
-def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig) -> dict:
+def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
     """Subgoal-tree update with a hard max over M sampled candidates.
 
     Four summed terms: an anchor at the current state (gamma^0), a one-step
@@ -444,44 +431,31 @@ def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     random goals toward gamma^P, and the triangle term whose target is the
     best product of target-table halves over the candidate set.
     """
-    s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
-    g_rand = batch["g_rand"]
-    w_states, w_actions = batch["w_states"], batch["w_actions"]
-    lr = cfg.learning_rate
-    params = target.online.params
-
-    pred0 = _sigmoid(params[s, a, s])
-    loss0, grad0 = _bce_logit_terms(pred0, 1.0)
-
+    online = batch["online"]
+    pred0, pred1, predr, predg = _sigmoid(target.online.params.reshape(-1)[online])
     # One-step base case applies to edges only; self-loop transitions in the
     # data would otherwise fight the gamma^0 anchor on the same entry.
-    edge = (s2 != s).astype(np.float64)
-    pred1 = _sigmoid(params[s, a, s2])
-    loss1, grad1 = _bce_logit_terms(pred1, cfg.gamma)
-    loss1, grad1 = edge * loss1, edge * grad1
+    edge = batch["edge"]
+    prior = np.power(cfg.gamma, cfg.P_random_distance)
+    half_sw, half_wg = target.values_flat(batch["cand"])
+    tri_target = (half_sw * half_wg).max(axis=1)
+    grads = (pred0 - 1.0, edge * (pred1 - cfg.gamma), predr - prior, predg - tri_target)
+    for flat, grad in zip(online, grads):
+        _apply_logit_updates(target, flat, grad, cfg.learning_rate)
 
-    predr = _sigmoid(params[s, a, g_rand])
-    lossr, gradr = _bce_logit_terms(predr, np.power(cfg.gamma, cfg.P_random_distance))
+    def stats():
+        loss = _bce_loss(pred0, 1.0) + edge * _bce_loss(pred1, cfg.gamma)
+        loss = loss + _bce_loss(predr, prior) + _bce_loss(predg, tri_target)
+        return {
+            "loss": float(np.mean(loss)),
+            "mean_q": float(np.mean(predg)),
+            "max_target": float(tri_target.max()),
+        }
 
-    predg = _sigmoid(params[s, a, goal])
-    cand = target.values_at((s[:, None], a[:, None], w_states)) * target.values_at(
-        (w_states, w_actions, goal[:, None])
-    )
-    tri_target = cand.max(axis=1)
-    lossg, gradg = _bce_logit_terms(predg, tri_target)
-
-    _apply_logit_updates(target, (s, a, s), grad0, lr)
-    _apply_logit_updates(target, (s, a, s2), grad1, lr)
-    _apply_logit_updates(target, (s, a, g_rand), gradr, lr)
-    _apply_logit_updates(target, (s, a, goal), gradg, lr)
-    return {
-        "loss": _mean(loss0 + loss1 + lossr + lossg),
-        "mean_q": _mean(predg),
-        "max_target": float(tri_target.max()),
-    }
+    return stats
 
 
-def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: LearnerConfig) -> dict:
+def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: LearnerConfig):
     """Generator-guided triangle update; ``state`` is the
     ``(generator, policy_fn, coords)`` triple of :func:`_coe_state`.
 
@@ -492,47 +466,45 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     coordinate distance to a random goal, and keep the best, replacing the
     incumbent only on strict improvement.
     """
-    s, a, s2, goal = batch["s"], batch["a"], batch["s2"], batch["g"]
-    g_rand, cand = batch["g_rand"], batch["cand_states"]
     generator, policy_fn, coords = state
     if cfg.beta_goal_reg > 0 and coords is None:
         raise ConfigError("coe with beta_goal_reg > 0 requires grid coordinates")
-    lr = cfg.learning_rate
-    params = target.online.params
+    shape = target.online.params.shape
+    online, sa, goal = batch["online"], batch["sa"], batch["g"]
+    pred1, predg = _sigmoid(target.online.params.reshape(-1)[online])
+    edge = batch["edge"]
 
-    edge = (s2 != s).astype(np.float64)
-    pred1 = _sigmoid(params[s, a, s2])
-    loss1, grad1 = _bce_logit_terms(pred1, cfg.gamma)
-    loss1, grad1 = edge * loss1, edge * grad1
-
-    w = generator[s, a, goal]
+    # The generator shares the table's (s, a, g) layout.
+    gen_flat = generator.reshape(-1)
+    w = gen_flat[online[1]]
     a_w = policy_fn(w, goal)
-    tri_target = target.values_at((s, a, w)) * target.values_at((w, a_w, goal))
-    predg = _sigmoid(params[s, a, goal])
-    lossg, gradg = _bce_logit_terms(predg, tri_target)
-
-    _apply_logit_updates(target, (s, a, s2), grad1, lr)
-    _apply_logit_updates(target, (s, a, goal), gradg, lr)
+    tri_target = target.values_flat(sa + w) * target.values_flat(_flat(shape, w, a_w, goal))
+    _apply_logit_updates(target, online[0], edge * (pred1 - cfg.gamma), cfg.learning_rate)
+    _apply_logit_updates(target, online[1], predg - tri_target, cfg.learning_rate)
 
     # Generator hill-climb: incumbent in column 0 wins ties, so replacement
     # happens only on strict improvement.
-    options = np.concatenate([w[:, None], cand], axis=1)  # (B, M+1)
+    options = np.concatenate([w[:, None], batch["cand_states"]], axis=1)  # (B, M+1)
     flat_goals = np.repeat(goal, options.shape[1]).reshape(options.shape)
     opt_actions = policy_fn(options.ravel(), flat_goals.ravel()).reshape(options.shape)
-    scores = target.values_at((s[:, None], a[:, None], options)) * target.values_at(
-        (options, opt_actions, flat_goals)
+    scores = target.values_flat(sa[:, None] + options) * target.values_flat(
+        _flat(shape, options, opt_actions, flat_goals)
     )
     if cfg.beta_goal_reg > 0:
-        delta = coords[options] - coords[g_rand][:, None, :]
+        delta = coords[options] - coords[batch["g_rand"]][:, None, :]
         scores = scores - cfg.beta_goal_reg * np.sum(delta * delta, axis=-1)
     best = scores.argmax(axis=1)
-    rows = np.arange(options.shape[0])
-    generator[s, a, goal] = options[rows, best]
-    return {
-        "loss": _mean(loss1 + lossg),
-        "mean_q": _mean(predg),
-        "max_target": float(tri_target.max()),
-    }
+    gen_flat[online[1]] = options[np.arange(options.shape[0]), best]
+
+    def stats():
+        loss = edge * _bce_loss(pred1, cfg.gamma) + _bce_loss(predg, tri_target)
+        return {
+            "loss": float(np.mean(loss)),
+            "mean_q": float(np.mean(predg)),
+            "max_target": float(tri_target.max()),
+        }
+
+    return stats
 
 
 def target_sync(target: PolyakTarget, tau: float) -> None:
@@ -551,74 +523,174 @@ def target_sync(target: PolyakTarget, tau: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batch assembly: one builder per batch layout. The draws and their order
-# fix a run's random stream.
+# Batches. A draw takes every random index of CHUNK_STEPS steps in one call
+# per kind of index, and names the states, actions and gaps it read; the
+# draws and their order fix a run's random stream. A layout turns the named
+# arrays into what the step reads: flat table indices and every factor that
+# depends on the data alone, for any leading shape.
+
+# Steps per draw. A run draws whole chunks only, so its random stream does
+# not depend on cfg.steps: an n-step run is a prefix of any longer one.
+CHUNK_STEPS = 16
 
 
-def _trl_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj, i, j, k = sample_triplet_batch(ds, cfg.batch_size, rng)
+def _powers(gamma: float, k: np.ndarray) -> np.ndarray:
+    """np.power(gamma, k) for an array of integers k >= 0, read from the
+    table of powers 0..max(k): the same values for a fraction of the cost."""
+    return np.power(gamma, np.arange(k.max() + 1))[k]
+
+
+def _states_at(ds: TrajectoryDataset, traj, t):
+    return ds.states.reshape(-1)[traj * (ds.horizon + 1) + t]
+
+
+def _actions_at(ds: TrajectoryDataset, traj, t):
+    return ds.actions.reshape(-1)[traj * ds.horizon + t]
+
+
+def _trl_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    traj, i, j, k = sample_triplet_batch(ds, (CHUNK_STEPS, cfg.batch_size), rng)
     return {
-        "s_i": ds.states[traj, i],
-        "a_i": ds.actions[traj, i],
-        "s_j": ds.states[traj, j],
-        "s_k": ds.states[traj, k],
-        "a_k": ds.actions[traj, k],
+        "s_i": _states_at(ds, traj, i),
+        "a_i": _actions_at(ds, traj, i),
+        "s_j": _states_at(ds, traj, j),
+        "s_k": _states_at(ds, traj, k),
+        "a_k": _actions_at(ds, traj, k),
         "gap_ik": k - i,
         "gap_kj": j - k,
     }
 
 
-def _mc_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
-    i, j = sample_index_pairs(ds.horizon, cfg.batch_size, rng, allow_equal=True)
+def _trl_layout(shape, cfg, s_i, a_i, s_j, s_k, a_k, gap_ik, gap_kj) -> dict:
+    gaps = np.stack((gap_ik, gap_kj), axis=-2)
+    halves = (_flat(shape, s_i, a_i, s_k), _flat(shape, s_k, a_k, s_j))
     return {
-        "s_i": ds.states[traj, i],
-        "a_i": ds.actions[traj, i],
-        "s_j": ds.states[traj, j],
+        "ij": _flat(shape, s_i, a_i, s_j),
+        "halves": np.stack(halves, axis=-2),
+        "is_base": gaps <= 1,
+        "base": _powers(cfg.gamma, gaps),
+    }
+
+
+def _mc_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    size = (CHUNK_STEPS, cfg.batch_size)
+    traj = rng.integers(0, ds.num_traj, size=size)
+    i, j = sample_index_pairs(ds.horizon, size, rng, allow_equal=True)
+    return {
+        "s_i": _states_at(ds, traj, i),
+        "a_i": _actions_at(ds, traj, i),
+        "s_j": _states_at(ds, traj, j),
         "gap": j - i,
     }
 
 
-def _td_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
-    i, j = sample_index_pairs(ds.horizon, cfg.batch_size, rng)
+def _mc_layout(shape, cfg, s_i, a_i, s_j, gap) -> dict:
+    return {"ij": _flat(shape, s_i, a_i, s_j), "target": _powers(cfg.gamma, gap)}
+
+
+def _td_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    size = (CHUNK_STEPS, cfg.batch_size)
+    traj = rng.integers(0, ds.num_traj, size=size)
+    i, j = sample_index_pairs(ds.horizon, size, rng)
     gap = j - i
     n_eff = np.minimum(cfg.n_step, gap)
     b = i + n_eff
     return {
-        "s_i": ds.states[traj, i],
-        "a_i": ds.actions[traj, i],
-        "g": ds.states[traj, j],
-        "s_b": ds.states[traj, b],
-        "a_b": ds.actions[traj, b],
+        "s_i": _states_at(ds, traj, i),
+        "a_i": _actions_at(ds, traj, i),
+        "g": _states_at(ds, traj, j),
+        "s_b": _states_at(ds, traj, b),
+        "a_b": _actions_at(ds, traj, b),
         "n_eff": n_eff,
         "clipped": cfg.n_step > gap,
     }
 
 
-def _transition_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    traj = rng.integers(0, ds.num_traj, size=cfg.batch_size)
-    t = rng.integers(0, ds.horizon, size=cfg.batch_size)
+def _td_layout(shape, cfg, s_i, a_i, g, s_b, a_b, n_eff, clipped) -> dict:
+    return {
+        "online": np.stack((_flat(shape, s_i, a_i, s_i), _flat(shape, s_i, a_i, g)), axis=-2),
+        "boot": _flat(shape, s_b, a_b, g),
+        "discount": _powers(cfg.gamma, n_eff),
+        "clipped": clipped,
+    }
+
+
+def _transition_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    size = (CHUNK_STEPS, cfg.batch_size)
+    traj = rng.integers(0, ds.num_traj, size=size)
+    t = rng.integers(0, ds.horizon, size=size)
     goals = sample_relabeled_goal_batch(ds, traj, t, cfg.ratios, rng)
     return {
-        "s": ds.states[traj, t],
-        "a": ds.actions[traj, t],
-        "s2": ds.states[traj, t + 1],
+        "s": _states_at(ds, traj, t),
+        "a": _actions_at(ds, traj, t),
+        "s2": _states_at(ds, traj, t + 1),
         "g": goals,
     }
 
 
-def _subgoal_batch(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
-    """A transition batch plus a random goal and M candidate subgoals per
-    row (sgt reads the candidates as ``w_states``/``w_actions``, coe as
-    ``cand_states``)."""
-    batch = _transition_batch(ds, cfg, rng)
-    batch["g_rand"] = sample_flat_states(ds, cfg.batch_size, rng)
-    traj = rng.integers(0, ds.num_traj, size=(cfg.batch_size, cfg.M_subgoals))
-    t = rng.integers(0, ds.horizon, size=(cfg.batch_size, cfg.M_subgoals))
-    batch["w_states"] = batch["cand_states"] = ds.states[traj, t]
-    batch["w_actions"] = ds.actions[traj, t]
-    return batch
+def _gciql_layout(shape, cfg, s, a, s2, g) -> dict:
+    """Flat indices of Q(s, a, g), V(s, g) and V(s2, g); V is (S, G)."""
+    return {
+        "sag": _flat(shape, s, a, g),
+        "sg": s * shape[2] + g,
+        "s2g": s2 * shape[2] + g,
+        "at_goal": (s == g).astype(np.float64),
+    }
+
+
+def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
+    """A transition draw plus a random goal and M candidate subgoals
+    (``w_states``, ``w_actions``) per row."""
+    draw = _transition_draw(ds, cfg, rng)
+    draw["g_rand"] = sample_flat_states(ds, (CHUNK_STEPS, cfg.batch_size), rng)
+    size = (CHUNK_STEPS, cfg.batch_size, cfg.M_subgoals)
+    traj = rng.integers(0, ds.num_traj, size=size)
+    t = rng.integers(0, ds.horizon, size=size)
+    draw["w_states"] = _states_at(ds, traj, t)
+    draw["w_actions"] = _actions_at(ds, traj, t)
+    return draw
+
+
+def _sgt_layout(shape, cfg, s, a, s2, g, g_rand, w_states, w_actions) -> dict:
+    """``online`` holds the anchor, one-step, random-goal and goal entries;
+    ``cand`` the two halves (s, a, w) and (w, a_w, g) of every candidate."""
+    sa = _flat(shape, s, a, 0)
+    halves = (sa[..., None] + w_states, _flat(shape, w_states, w_actions, g[..., None]))
+    return {
+        "online": np.stack((sa + s, sa + s2, sa + g_rand, sa + g), axis=-2),
+        "edge": (s2 != s).astype(np.float64),
+        "cand": np.stack(halves, axis=-3),
+    }
+
+
+def _coe_layout(shape, cfg, s, a, s2, g, g_rand, w_states, w_actions=None) -> dict:
+    """``online`` holds the one-step and goal entries, ``sa`` the flat start
+    (s * A + a) * G of every row; the candidates are states, whose actions
+    coe's greedy policy picks."""
+    sa = _flat(shape, s, a, 0)
+    return {
+        "online": np.stack((sa + s2, sa + g), axis=-2),
+        "edge": (s2 != s).astype(np.float64),
+        "sa": sa,
+        "g": g,
+        "g_rand": g_rand,
+        "cand_states": w_states,
+    }
+
+
+def step_batches(ds: TrajectoryDataset, shape, cfg: LearnerConfig):
+    """Endless per-step batches of the run ``cfg`` on a table of ``shape``.
+
+    Draws CHUNK_STEPS steps at a time from rng ``cfg.seed`` (the method's
+    ``draw``), lays the chunk out once (its ``layout``) and yields it one
+    step's rows at a time.
+    """
+    method = METHODS[cfg.method]
+    rng = np.random.default_rng(cfg.seed)
+    while True:
+        chunk = method.layout(shape, cfg, **method.draw(ds, cfg, rng))
+        for step in range(CHUNK_STEPS):
+            yield {key: rows[step] for key, rows in chunk.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +717,13 @@ def _coe_state(env: GraphEnv, q: ValueTable, cfg: LearnerConfig) -> tuple:
 class Method:
     """How one learner trains.
 
-    Each step draws ``batch(ds, cfg, rng)`` and makes one update with this
-    module's ``<name>_update_step(target, state, batch, cfg)``: ``target``
-    is the run's :class:`PolyakTarget`, whose online table the step reads as
+    ``draw(ds, cfg, rng)`` takes CHUNK_STEPS steps of random indices and
+    returns the named states, actions and gaps they read, each with leading
+    shape (CHUNK_STEPS, batch_size); ``layout(shape, cfg, **named)`` turns
+    such arrays, of any leading shape, into a batch for a table of
+    ``shape``. Each step makes one update with this module's
+    ``<name>_update_step(target, state, batch, cfg)``: ``target`` is the
+    run's :class:`PolyakTarget`, whose online table the step reads as
     ``target.online`` and writes through :func:`_apply_logit_updates`, and
     ``state(env, q, cfg)`` builds the run's extra tables once, raising
     ConfigError when the run cannot start. Trajectories need at least
@@ -655,7 +731,8 @@ class Method:
     """
 
     space: str
-    batch: Callable | None = None
+    draw: Callable | None = None
+    layout: Callable | None = None
     state: Callable = lambda env, q, cfg: None
     min_horizon: int = 1
 
@@ -663,16 +740,17 @@ class Method:
 # Every learner, keyed by its config name. "exact" consumes no data: it runs
 # transitive_sweeps to the fixed point.
 METHODS = {
-    "trl": Method("logit", _trl_batch, min_horizon=2),
-    "mc": Method("logit", _mc_batch),
-    "td_n": Method("logit", _td_batch, min_horizon=2),
+    "trl": Method("logit", _trl_draw, _trl_layout, min_horizon=2),
+    "mc": Method("logit", _mc_draw, _mc_layout),
+    "td_n": Method("logit", _td_draw, _td_layout, min_horizon=2),
     "gciql": Method(
         "value",
-        _transition_batch,
+        _transition_draw,
+        _gciql_layout,
         state=lambda env, q, cfg: np.zeros((env.num_states, env.num_states)),  # V(s, g)
     ),
-    "sgt": Method("logit", _subgoal_batch),
-    "coe": Method("logit", _subgoal_batch, state=_coe_state),
+    "sgt": Method("logit", _subgoal_draw, _sgt_layout),
+    "coe": Method("logit", _subgoal_draw, _coe_layout, state=_coe_state),
     "exact": Method("value"),
 }
 

@@ -1,5 +1,6 @@
-"""Test helpers for the lazy Polyak target: an eager reference, and ways to
-read or set a target's values in full."""
+"""Test helpers for the lazy Polyak target and the training loop: an eager
+reference target, ways to read or set a target's values in full, the
+update loop of ``harness.train_run``, and hand-built step batches."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import numpy as np
 from scipy.special import expit
 
 from gclab import learners
-from gclab.learners import METHODS, PolyakTarget, ValueTable
+from gclab.learners import METHODS, PolyakTarget, ValueTable, step_batches
 
 
 class EagerTarget:
@@ -21,8 +22,8 @@ class EagerTarget:
         self.lag = np.zeros_like(online.params)
         self.scale = 1.0
 
-    def values_at(self, idx) -> np.ndarray:
-        params = self.params[idx]
+    def values_flat(self, flat) -> np.ndarray:
+        params = self.params.reshape(-1)[flat]
         return expit(params) if self.online.space == "logit" else params
 
 
@@ -47,12 +48,20 @@ def run_steps(env, ds, cfg, make_target, sync):
     """``harness.train_run``'s update loop with a chosen target and sync;
     returns the online table and its target."""
     method = METHODS[cfg.method]
-    rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
     target = make_target(q)
     state = method.state(env, q, cfg)
     update = getattr(learners, f"{cfg.method}_update_step")
-    for _ in range(cfg.steps):
-        update(target, state, method.batch(ds, cfg, rng), cfg)
+    for _, batch in zip(range(cfg.steps), step_batches(ds, q.params.shape, cfg)):
+        update(target, state, batch, cfg)
         sync(target, cfg.tau_target)
     return q, target
+
+
+def step_batch(cfg, shape, **named):
+    """One step's batch of ``cfg.method`` for a table of ``shape``, from named
+    per-sample arrays: the keys of the method's draw (s_i, a_i, s_j, ... for
+    trl, mc and td_n; s, a, s2, g, ... for gciql, sgt and coe), laid out by
+    the method's own layout as a run's batches are."""
+    arrays = {key: np.asarray(value) for key, value in named.items()}
+    return METHODS[cfg.method].layout(shape, cfg, **arrays)

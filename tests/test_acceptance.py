@@ -10,7 +10,7 @@ import time
 import numpy as np
 from scipy.special import expit, logit
 
-from gclab.dataset import collect_dataset
+from gclab.dataset import collect_dataset, sample_index_pairs
 from gclab.env import GraphEnv, build_grid_env
 from gclab.harness import (
     evaluate_policy,
@@ -18,16 +18,17 @@ from gclab.harness import (
     spearman_to_oracle,
     train_run,
 )
+from gclab import learners
 from gclab.learners import (
     LearnerConfig,
     PolyakTarget,
-    _td_batch,
     ValueTable,
-    _bce_logit_terms,
+    _bce_loss,
     asymmetric_loss,
     expectile_weight,
     gciql_update_step,
     mc_update_step,
+    step_batches,
     target_sync,
     td_n_compute_targets,
     trl_update_step,
@@ -41,7 +42,7 @@ from gclab.oracle import (
 from gclab.policy import estimate_behavior_policy
 from env_helpers import random_graph_env
 from sweep_helpers import finite_diameter, run_transitive_fixed_point
-from target_helpers import target_params, target_with_params
+from target_helpers import step_batch, target_params, target_with_params
 
 
 @contextlib.contextmanager
@@ -111,7 +112,7 @@ def _expectile_bce(z, y, kappa):
     """Expectile BCE as the logit learners form it: loss and gradient wrt the
     logit z."""
     pred = expit(z)
-    loss, grad = _bce_logit_terms(pred, y)
+    loss, grad = _bce_loss(pred, y), pred - y
     w = expectile_weight(pred, y, kappa)
     return w * loss, w * grad
 
@@ -150,15 +151,10 @@ def _fit_expectile(kappa: float, gamma: float = 0.99, steps: int = 60_000) -> fl
     qt_params[3, 0, 2] = logit(gamma**3)
     qt = target_with_params(q, qt_params)
     cfg = LearnerConfig(method="trl", learning_rate=0.3, kappa=kappa)
-    batch = {
-        "s_i": np.array([0, 0]),
-        "a_i": np.array([0, 0]),
-        "s_j": np.array([2, 2]),
-        "s_k": np.array([1, 3]),
-        "a_k": np.array([0, 0]),
-        "gap_ik": np.array([2, 2]),
-        "gap_kj": np.array([2, 2]),
-    }
+    batch = step_batch(
+        cfg, q.params.shape, s_i=[0, 0], a_i=[0, 0], s_j=[2, 2], s_k=[1, 3], a_k=[0, 0],
+        gap_ik=[2, 2], gap_kj=[2, 2],
+    )
     for _ in range(steps):
         trl_update_step(qt, None, batch, cfg)
     return float(expit(q.params[0, 0, 2]))
@@ -257,8 +253,9 @@ def test_criterion_6_horizon_trend():
         assert trl_succ >= td_succ
 
 
-def _mc_full_batch(ds):
-    """Every (traj, i, j) with i <= j, exactly the uniform sampler's support."""
+def _mc_full_support(ds):
+    """Every (traj, i, j) with i <= j, exactly the uniform sampler's support,
+    as mc's named batch arrays."""
     s_i, a_i, s_j, gap = [], [], [], []
     for n in range(ds.num_traj):
         for i in range(ds.horizon):
@@ -267,15 +264,10 @@ def _mc_full_batch(ds):
                 a_i.append(ds.actions[n, i])
                 s_j.append(ds.states[n, j])
                 gap.append(j - i)
-    return {
-        "s_i": np.array(s_i),
-        "a_i": np.array(a_i),
-        "s_j": np.array(s_j),
-        "gap": np.array(gap),
-    }
+    return {"s_i": np.array(s_i), "a_i": np.array(a_i), "s_j": np.array(s_j), "gap": np.array(gap)}
 
 
-def test_criterion_7_fixed_point_residuals():
+def test_criterion_7_fixed_point_residuals(monkeypatch):
     with criterion(7, "MC matches enumerated means; gciql residuals <= 1e-6; td-n>=T == MC"):
         # MC: full-batch descent onto the closed-form minimizer.
         env = build_grid_env(3, 1)
@@ -283,15 +275,17 @@ def test_criterion_7_fixed_point_residuals():
         gamma = 0.99
         q = ValueTable.create(env.num_states, env.num_actions, gamma)
         cfg = LearnerConfig(method="mc", gamma=gamma, learning_rate=0.4)
-        batch = _mc_full_batch(ds)
+        support = _mc_full_support(ds)
+        batch = step_batch(cfg, q.params.shape, **support)
         qt = PolyakTarget(q)
         for _ in range(20_000):
             mc_update_step(qt, None, batch, cfg)
-        targets = np.power(gamma, batch["gap"])
+        targets = np.power(gamma, support["gap"])
+        entries = (support["s_i"], support["a_i"], support["s_j"])
         sums = np.zeros(q.params.shape)
         counts = np.zeros(q.params.shape)
-        np.add.at(sums, (batch["s_i"], batch["a_i"], batch["s_j"]), targets)
-        np.add.at(counts, (batch["s_i"], batch["a_i"], batch["s_j"]), 1.0)
+        np.add.at(sums, entries, targets)
+        np.add.at(counts, entries, 1.0)
         seen = counts > 0
         closed_form = sums[seen] / counts[seen]
         assert np.abs(q.values()[seen] - closed_form).max() <= 1e-3
@@ -306,12 +300,10 @@ def test_criterion_7_fixed_point_residuals():
             method="gciql", gamma=g_chain, learning_rate=0.25, kappa=0.5, tau_target=0.5
         )
         s_all, g_all = np.divmod(np.arange(16), 4)
-        gbatch = {
-            "s": s_all,
-            "a": np.zeros_like(s_all),
-            "s2": chain.transition[s_all, 0],
-            "g": g_all,
-        }
+        gbatch = step_batch(
+            cfg_g, qg.params.shape, s=s_all, a=np.zeros_like(s_all),
+            s2=chain.transition[s_all, 0], g=g_all,
+        )
         for _ in range(30_000):
             gciql_update_step(qt, v, gbatch, cfg_g)
             target_sync(qt, cfg_g.tau_target)
@@ -327,10 +319,18 @@ def test_criterion_7_fixed_point_residuals():
         q2 = ValueTable.create(env.num_states, env.num_actions, gamma)
         # poison: any bootstrap read would show up
         qt2 = target_with_params(q2, np.full_like(q2.params, 5.0))
-        rng = np.random.default_rng(0)
-        tdb = _td_batch(ds2, cfg_td, rng)
-        targets_td = td_n_compute_targets(qt2, tdb, cfg_td)
-        np.testing.assert_array_equal(targets_td, np.power(gamma, tdb["n_eff"]))
+        # The first batch a run draws; the pair sampler's draws give each gap.
+        pairs = []
+
+        def recorded(*args, **kwargs):
+            pairs.append(sample_index_pairs(*args, **kwargs))
+            return pairs[-1]
+
+        monkeypatch.setattr(learners, "sample_index_pairs", recorded)
+        tdb = next(step_batches(ds2, q2.params.shape, cfg_td))
+        i, j = pairs[0]
+        targets_td = td_n_compute_targets(qt2, tdb)
+        np.testing.assert_array_equal(targets_td, np.power(gamma, j[0] - i[0]))
         assert np.all(tdb["clipped"])
 
 

@@ -9,6 +9,7 @@ from gclab.dataset import (
     collect_dataset,
     load_dataset,
     sample_index_pairs,
+    sample_flat_states,
     sample_relabeled_goal_batch,
     sample_triplet_batch,
     save_dataset,
@@ -130,6 +131,31 @@ def test_triplet_bounds_property(T, seed):
     _, i, j, k = sample_triplet_batch(ds, 256, rng)
     assert np.all((0 <= i) & (i < j) & (j <= T - 1))
     assert np.all((i <= k) & (k <= j - 1))  # never k == j
+
+
+def test_samplers_keep_their_invariants_in_every_row_of_a_shape(grid_dataset):
+    """A (K, B) shape, as the learners draw CHUNK_STEPS steps at once, gives
+    (K, B) arrays whose every row keeps the sampler's invariants: i < j,
+    i <= k < j, and goals read from the dataset (with no random component,
+    a state of the anchor's own trajectory at or after the anchor)."""
+    ds, T = grid_dataset, grid_dataset.horizon
+    K, B = 16, 64
+    rng = np.random.default_rng(4)
+    traj, i, j, k = sample_triplet_batch(ds, (K, B), rng)
+    assert {x.shape for x in (traj, i, j, k)} == {(K, B)}
+    assert np.all((0 <= i) & (i < j) & (j <= T - 1)) and np.all((i <= k) & (k < j))
+    assert len({row.tobytes() for row in i}) == K  # each row its own draw
+    i2, j2 = sample_index_pairs(T, (K, B), rng, allow_equal=True)
+    assert i2.shape == j2.shape == (K, B)
+    assert np.all((0 <= i2) & (i2 <= j2) & (j2 <= T - 1))
+
+    t = rng.integers(0, T + 1, size=(K, B))
+    goals = sample_relabeled_goal_batch(ds, traj, t, RelabelRatios(0.2, 0.5, 0.3, 0.0), rng)
+    assert goals.shape == (K, B)
+    later = np.arange(T + 1) >= t[..., None]
+    assert ((ds.states[traj] == goals[..., None]) & later).any(axis=-1).all()
+    flat = sample_flat_states(ds, (K, B), rng)
+    assert flat.shape == (K, B) and np.isin(flat, ds.states).all()
 
 
 def test_mc_pairs_allow_equality():

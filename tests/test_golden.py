@@ -46,19 +46,19 @@ except ImportError:  # numpy < 2
 CAPTURED_ON = ("2.4.6", True, "x86_64")
 
 EXPECTED = {
-    "train.trl": "de31fee6c1b4e2a9030ece3b041421018b3f14ee043fa0baee3b90a147dfb1c8",
-    "train.mc": "ccabb795f0085ec1f9b338b06e9ae246aa0919e1eb6db88075bcc5c393a1481b",
-    "train.td_n": "18f2d3e7e9f7a0ac5d84a388cfe6fa7d7f66b9a29dd91f02b9b328458213d4d7",
-    "train.gciql": "092e469379851329913037ae08b4aee7a98fd854c41271405c8dfe7051e169df",
-    "train.sgt": "c6a9eb9936fb835f177960e482a3f5151ee8dc56b58dcd45e95f1a7eeb045661",
-    "train.coe": "fe801f57953e31865f4b16c54a8e24389e2693619f0ff8153d8cf886ba535cf0",
-    "train.trl_saturated": "b60afd12c4db1c62b242d2ec429fdbc7db574f5cf71b1bcad6a44f4dadfa0397",
-    "eval.greedy.trl": "31afc14a2b487e5e8b067cedcdc0be27390b891e4824e0693ac9fbf8d6b06bde",
-    "eval.rejection.trl": "cf1e0268278d76e9330d124df395adacf4f98d55e6f54baa62db494d694564ba",
-    "eval.greedy.gciql": "b192b437d3b45bee57f6a0568e5f27fb444fa1c377ffbdf019e11cafa3563f0d",
-    "eval.rejection.gciql": "90155dd8e28064a796d6ad31b5618cbac43e2f569b44649f310d1735457f8fe0",
-    "spearman.sgt": "820d29f7d274934b90e3a10be2ff31de9d4189136223b337ffa213cd73e949dd",
-    "spearman.coe": "6ee6b070e6135d95b576cab9b1a175d596e364d9f720a33108404c3d7bd67b9b",
+    "train.trl": "f4c134d477f0992ca667520d496da775b0ef3c1a2528c235716bc39dd95e881a",
+    "train.mc": "5b303ad7f64296e17c82ef5ddedf11dfe8b5ca84a89efc0d841ac32a18e4e913",
+    "train.td_n": "849d4abda6c8ed9b4c9bcc5ca14644b4e6e59c313f3e97c00a988ac261636d2e",
+    "train.gciql": "85f92a8057c889d86fab24c6a6cc9528930e1ad951868d31b3da2dc88d4aac29",
+    "train.sgt": "9c762a070e429df3aca96d853c4bef776b4ed1e840ad1d2822068ff2d14c4725",
+    "train.coe": "a671eb63f267ea8f0a8b088b55db2449eacc20c6c2ce827255f4d69b81f615c0",
+    "train.trl_saturated": "5349a86585e353849ae5a6f9d40274e9e80844678191c3a945edb97703df7eab",
+    "eval.greedy.trl": "ba5e5eaecca0caf15fd17253ac2414e90eb106bfa7490cce23907f26624c73b9",
+    "eval.rejection.trl": "eeb06b48e2c0741877f7bfdde0c91e0e965fc4c4ebbc950cf91664ca239aa65a",
+    "eval.greedy.gciql": "89f11867337eb6824329d7c73838f953ee0f36f2412d7cfd717ff212d634ffa3",
+    "eval.rejection.gciql": "b452b694caff93e188e84843eece3f237ec3b1e44b359637e2bce6beac305e97",
+    "spearman.sgt": "78974b4a0dd5579ccba7ce8c8b36b04cdf3d376b8e6e9041ab446debbc2bef1d",
+    "spearman.coe": "feaf598ed240701d058a06cccfbc55c3997e8dc3535d5e144cac859cbc0d68f5",
     "exact.train.grid8_walled": "3bc168feafc7b82c087df873c84b508fea3f916cc77c101450682ca648c1fc0f",
     "exact.train.one_way": "f0fec4de6b64429a6f4f7a36d0d448f01acdbe9a0e61de9e06d1f487d29b00dd",
     "exact.train.random_directed": "f1169c8fcae4496986edb4987ad41a2ed8d569197039f466fd09c69c12c42819",

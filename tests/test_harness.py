@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,31 @@ def test_train_run_calls_the_module_level_step(small_world, monkeypatch, method)
     monkeypatch.setattr(learners, name, counted)
     train_run(env, ds, LearnerConfig(method=method, steps=3, batch_size=8, learning_rate=0.1))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+def test_a_run_is_a_prefix_of_any_longer_run(small_world, method):
+    """Batches are drawn in whole chunks of CHUNK_STEPS steps, so a run's
+    random stream does not depend on its step count: logging every step,
+    a 20-step run's log is the first 20 rows of a 40-step run's."""
+    env, ds = small_world
+    cfg = LearnerConfig(method=method, steps=40, batch_size=16, learning_rate=0.1, M_subgoals=3)
+    _, log40 = train_run(env, ds, cfg, log_every=1)
+    _, log20 = train_run(env, ds, replace(cfg, steps=20), log_every=1)
+    assert len(log40) == 40
+    assert log20 == log40[:20]
+
+
+@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+def test_statistics_are_read_only_on_logged_steps_and_change_nothing(small_world, method):
+    """A step returns its statistics unevaluated; reading them on every step
+    or on the first and last only gives byte-identical tables and rows."""
+    env, ds = small_world
+    cfg = LearnerConfig(method=method, steps=37, batch_size=16, learning_rate=0.1, M_subgoals=3)
+    q_every, log_every = train_run(env, ds, cfg, log_every=1)
+    q_rare, log_rare = train_run(env, ds, cfg, log_every=10**6)
+    assert q_every.params.tobytes() == q_rare.params.tobytes()
+    assert log_rare == [log_every[0], log_every[-1]]
 
 
 def test_training_is_bit_deterministic(small_world):

@@ -18,7 +18,8 @@ from gclab.learners import (
     PolyakTarget,
     ValueTable,
     _apply_logit_updates,
-    _bce_logit_terms,
+    _bce_loss,
+    _flat,
     _sigmoid,
     asymmetric_loss,
     coe_update_step,
@@ -44,6 +45,7 @@ from target_helpers import (
     EagerTarget,
     eager_sync,
     run_steps,
+    step_batch,
     target_params,
     target_with_params,
 )
@@ -105,9 +107,8 @@ def expectile_bce(z, y, kappa):
     """Expectile BCE as the logit learners form it: loss and gradient wrt the
     logit z."""
     pred = expit(z)
-    loss, grad = _bce_logit_terms(pred, y)
     w = expectile_weight(pred, y, kappa)
-    return w * loss, w * grad
+    return w * _bce_loss(pred, y), w * (pred - y)
 
 
 def test_squared_loss_above_target():
@@ -192,16 +193,10 @@ def trl_single_sample(pred, target, lam=0.0):
     qt_params = ValueTable.create(3, 1, gamma).params
     qt_params[1, 0, 2] = logit(target / gamma)
     qt = target_with_params(q, qt_params)
-    batch = {
-        "s_i": np.array([0]),
-        "a_i": np.array([0]),
-        "s_k": np.array([1]),
-        "a_k": np.array([0]),
-        "s_j": np.array([2]),
-        "gap_ik": np.array([1]),
-        "gap_kj": np.array([5]),
-    }
     cfg = LearnerConfig(method="trl", gamma=gamma, kappa=0.7, lambda_reweight=lam)
+    batch = step_batch(
+        cfg, q.params.shape, s_i=[0], a_i=[0], s_k=[1], a_k=[0], s_j=[2], gap_ik=[1], gap_kj=[5]
+    )
     return q, qt, batch, cfg
 
 
@@ -214,7 +209,7 @@ def test_trl_single_sample_step(pred, target):
     w = reweight_factor(pred_read, cfg.gamma, cfg.lambda_reweight)
     weight = 1.0 - cfg.kappa if pred > target else cfg.kappa
     before = q.params.copy()
-    stats = trl_update_step(qt, None, batch, cfg)
+    stats = trl_update_step(qt, None, batch, cfg)()
     assert stats["max_target"] == target_read
     step = -cfg.learning_rate * w * weight * (pred_read - target_read)
     assert q.params[0, 0, 2] - before[0, 0, 2] == pytest.approx(step, rel=1e-12)
@@ -232,7 +227,7 @@ def test_trl_step_on_saturated_table(sign):
     q.params[:] = sign * LOGIT_CLAMP
     qt = target_with_params(q, np.full_like(q.params, sign * LOGIT_CLAMP))
     cfg.learning_rate = 100.0
-    stats = trl_update_step(qt, None, batch, cfg)
+    stats = trl_update_step(qt, None, batch, cfg)()
     assert np.isfinite(stats["loss"])
     assert np.all(np.abs(q.params) <= LOGIT_CLAMP)
 
@@ -340,16 +335,10 @@ def make_tables(num_states, num_actions, gamma=0.99, init=-3.0):
 def test_trl_double_base_case_target_is_exact():
     q, qt = make_tables(4, 2)
     cfg = LearnerConfig(method="trl", learning_rate=0.1, kappa=0.5)
-    batch = {
-        "s_i": np.array([0]),
-        "a_i": np.array([0]),
-        "s_j": np.array([2]),
-        "s_k": np.array([1]),
-        "a_k": np.array([1]),
-        "gap_ik": np.array([1]),
-        "gap_kj": np.array([1]),
-    }
-    stats = trl_update_step(qt, None, batch, cfg)
+    batch = step_batch(
+        cfg, q.params.shape, s_i=[0], a_i=[0], s_j=[2], s_k=[1], a_k=[1], gap_ik=[1], gap_kj=[1]
+    )
+    stats = trl_update_step(qt, None, batch, cfg)()
     assert stats["max_target"] == cfg.gamma * cfg.gamma
 
 
@@ -357,15 +346,9 @@ def test_trl_converges_to_constant_target():
     """kappa = 0.5 with a frozen target: the logit settles at the target's logit."""
     q, qt = make_tables(4, 2)
     cfg = LearnerConfig(method="trl", learning_rate=0.5, kappa=0.5, lambda_reweight=0.0)
-    batch = {
-        "s_i": np.array([0]),
-        "a_i": np.array([0]),
-        "s_j": np.array([2]),
-        "s_k": np.array([1]),
-        "a_k": np.array([1]),
-        "gap_ik": np.array([1]),
-        "gap_kj": np.array([1]),
-    }
+    batch = step_batch(
+        cfg, q.params.shape, s_i=[0], a_i=[0], s_j=[2], s_k=[1], a_k=[1], gap_ik=[1], gap_kj=[1]
+    )
     for _ in range(4000):
         trl_update_step(qt, None, batch, cfg)
     target = cfg.gamma**2
@@ -391,17 +374,12 @@ def expectile_fixed_point(targets, weights, kappa):
     return 0.5 * (lo + hi)
 
 
-def two_target_trl_batch(gamma):
+def two_target_trl_batch(cfg, shape):
     """One entry (0,0,2) trained against targets {gamma^2, gamma^5} alternately."""
-    return {
-        "s_i": np.array([0, 0]),
-        "a_i": np.array([0, 0]),
-        "s_j": np.array([2, 2]),
-        "s_k": np.array([1, 3]),
-        "a_k": np.array([0, 0]),
-        "gap_ik": np.array([2, 2]),  # both > 1: factors come from the target table
-        "gap_kj": np.array([2, 2]),
-    }
+    return step_batch(
+        cfg, shape, s_i=[0, 0], a_i=[0, 0], s_j=[2, 2], s_k=[1, 3], a_k=[0, 0],
+        gap_ik=[2, 2], gap_kj=[2, 2],  # both > 1: factors come from the target table
+    )
 
 
 def fit_trl_two_targets(kappa, gamma=0.99, steps=60_000):
@@ -414,7 +392,7 @@ def fit_trl_two_targets(kappa, gamma=0.99, steps=60_000):
     qt_params[3, 0, 2] = logit(gamma**3)
     qt = target_with_params(q, qt_params)
     cfg = LearnerConfig(method="trl", learning_rate=0.3, kappa=kappa)
-    batch = two_target_trl_batch(gamma)
+    batch = two_target_trl_batch(cfg, q.params.shape)
     for _ in range(steps):
         trl_update_step(qt, None, batch, cfg)
     return float(expit(q.params[0, 0, 2]))
@@ -440,16 +418,17 @@ def test_trl_targets_stay_in_unit_interval():
         i = rng.integers(0, 5, size=16)
         gap1 = rng.integers(0, 4, size=16)
         gap2 = rng.integers(1, 4, size=16)
-        batch = {
-            "s_i": rng.integers(0, 6, size=16),
-            "a_i": rng.integers(0, 3, size=16),
-            "s_j": rng.integers(0, 6, size=16),
-            "s_k": rng.integers(0, 6, size=16),
-            "a_k": rng.integers(0, 3, size=16),
-            "gap_ik": gap1,
-            "gap_kj": gap2,
-        }
-        stats = trl_update_step(qt, None, batch, cfg)
+        batch = step_batch(
+            cfg, q.params.shape,
+            s_i=rng.integers(0, 6, size=16),
+            a_i=rng.integers(0, 3, size=16),
+            s_j=rng.integers(0, 6, size=16),
+            s_k=rng.integers(0, 6, size=16),
+            a_k=rng.integers(0, 3, size=16),
+            gap_ik=gap1,
+            gap_kj=gap2,
+        )
+        stats = trl_update_step(qt, None, batch, cfg)()
         assert 0.0 < stats["max_target"] <= 1.0
 
 
@@ -460,12 +439,7 @@ def test_trl_targets_stay_in_unit_interval():
 def test_mc_single_target_convergence():
     q, qt = make_tables(8, 1)
     cfg = LearnerConfig(method="mc", learning_rate=0.5)
-    batch = {
-        "s_i": np.array([0]),
-        "a_i": np.array([0]),
-        "s_j": np.array([4]),
-        "gap": np.array([4]),
-    }
+    batch = step_batch(cfg, q.params.shape, s_i=[0], a_i=[0], s_j=[4], gap=[4])
     for _ in range(20_000):
         mc_update_step(qt, None, batch, cfg)
     assert expit(q.params[0, 0, 4]) == pytest.approx(0.99**4, abs=1e-6)
@@ -475,12 +449,7 @@ def test_mc_single_target_convergence():
 def test_mc_two_targets_converge_to_mean():
     q, qt = make_tables(8, 1)
     cfg = LearnerConfig(method="mc", learning_rate=0.5)
-    batch = {
-        "s_i": np.array([0, 0]),
-        "a_i": np.array([0, 0]),
-        "s_j": np.array([4, 4]),
-        "gap": np.array([2, 6]),
-    }
+    batch = step_batch(cfg, q.params.shape, s_i=[0, 0], a_i=[0, 0], s_j=[4, 4], gap=[2, 6])
     for _ in range(40_000):
         mc_update_step(qt, None, batch, cfg)
     expected = 0.5 * (0.99**2 + 0.99**6)
@@ -497,16 +466,11 @@ def test_td_n_fully_clipped_matches_mc_targets():
     qt = target_with_params(q, np.full_like(q.params, 3.0))
     cfg = LearnerConfig(method="td_n", n_step=10)
     gaps = np.array([1, 2, 3])
-    batch = {
-        "s_i": np.array([0, 0, 1]),
-        "a_i": np.array([0, 1, 0]),
-        "g": np.array([1, 2, 4]),
-        "s_b": np.array([1, 2, 4]),
-        "a_b": np.array([0, 0, 0]),
-        "n_eff": gaps,
-        "clipped": np.array([True, True, True]),
-    }
-    targets = td_n_compute_targets(qt, batch, cfg)
+    batch = step_batch(
+        cfg, q.params.shape, s_i=[0, 0, 1], a_i=[0, 1, 0], g=[1, 2, 4], s_b=[1, 2, 4],
+        a_b=[0, 0, 0], n_eff=gaps, clipped=[True, True, True],
+    )
+    targets = td_n_compute_targets(qt, batch)
     np.testing.assert_allclose(targets, np.power(cfg.gamma, gaps), rtol=0, atol=0)
 
 
@@ -522,15 +486,10 @@ def test_td_1_joint_fixed_point_reaches_gamma():
     cfg = LearnerConfig(
         method="td_n", gamma=gamma, n_step=1, learning_rate=0.5, kappa=0.5, tau_target=0.5
     )
-    batch = {
-        "s_i": np.array([0, 1]),
-        "a_i": np.array([0, 0]),
-        "g": np.array([1, 1]),
-        "s_b": np.array([1, 1]),
-        "a_b": np.array([0, 0]),
-        "n_eff": np.array([1, 1]),
-        "clipped": np.array([False, False]),
-    }
+    batch = step_batch(
+        cfg, q.params.shape, s_i=[0, 1], a_i=[0, 0], g=[1, 1], s_b=[1, 1], a_b=[0, 0],
+        n_eff=[1, 1], clipped=[False, False],
+    )
     for _ in range(20_000):
         td_n_update_step(qt, None, batch, cfg)
         target_sync(qt, cfg.tau_target)
@@ -538,8 +497,9 @@ def test_td_1_joint_fixed_point_reaches_gamma():
     assert expit(q.params[0, 0, 1]) == pytest.approx(gamma, abs=1e-3)
 
 
-def chain_td_batch(env, n_step):
+def chain_td_batch(env, cfg):
     """Every reachable (s, g) pair of the right-only chain as one fixed batch."""
+    n_step = cfg.n_step
     last = env.num_states - 1
     s_i, goals, s_b = [], [], []
     for s in range(env.num_states):
@@ -553,15 +513,11 @@ def chain_td_batch(env, n_step):
     s_i, goals, s_b = np.array(s_i), np.array(goals), np.array(s_b)
     n_eff = np.minimum(n_step, np.maximum(goals - s_i, 1))
     clipped = n_step > np.maximum(goals - s_i, 1)
-    return {
-        "s_i": s_i,
-        "a_i": np.zeros_like(s_i),
-        "g": goals,
-        "s_b": s_b,
-        "a_b": np.zeros_like(s_i),
-        "n_eff": n_eff,
-        "clipped": clipped,
-    }
+    shape = (env.num_states, env.num_actions, env.num_states)
+    return step_batch(
+        cfg, shape, s_i=s_i, a_i=np.zeros_like(s_i), g=goals, s_b=s_b,
+        a_b=np.zeros_like(s_i), n_eff=n_eff, clipped=clipped,
+    )
 
 
 def test_td_1_chain_fixed_point_matches_oracle():
@@ -571,7 +527,7 @@ def test_td_1_chain_fixed_point_matches_oracle():
     cfg = LearnerConfig(
         method="td_n", gamma=gamma, n_step=1, learning_rate=0.5, kappa=0.5, tau_target=0.5
     )
-    batch = chain_td_batch(env, 1)
+    batch = chain_td_batch(env, cfg)
     for _ in range(30_000):
         td_n_update_step(qt, None, batch, cfg)
         target_sync(qt, cfg.tau_target)
@@ -596,12 +552,7 @@ def test_gciql_indicator_targets():
     v = np.zeros((3, 3))
     q, qt = value_table_pair(3, 2)
     cfg = LearnerConfig(method="gciql", learning_rate=0.25, kappa=0.5)
-    batch = {
-        "s": np.array([1, 0]),
-        "a": np.array([0, 1]),
-        "s2": np.array([2, 1]),
-        "g": np.array([1, 2]),
-    }
+    batch = step_batch(cfg, q.params.shape, s=[1, 0], a=[0, 1], s2=[2, 1], g=[1, 2])
     gciql_update_step(qt, v, batch, cfg)
     # q step: q -= lr * 2 * (q - target) = 0.5 * (q - target); from 0 -> 0.5 * target.
     assert q.params[1, 0, 1] == pytest.approx(0.5 * 1.0)  # s == g, V(s', g) = 0
@@ -618,7 +569,9 @@ def test_gciql_residuals_vanish_on_single_policy_chain():
         method="gciql", gamma=gamma, learning_rate=0.25, kappa=0.5, tau_target=0.5
     )
     s_all, g_all = np.divmod(np.arange(n * n), n)
-    batch = {"s": s_all, "a": np.zeros_like(s_all), "s2": env.transition[s_all, 0], "g": g_all}
+    batch = step_batch(
+        cfg, q.params.shape, s=s_all, a=np.zeros_like(s_all), s2=env.transition[s_all, 0], g=g_all
+    )
     for _ in range(30_000):
         gciql_update_step(qt, v, batch, cfg)
         target_sync(qt, cfg.tau_target)
@@ -659,16 +612,11 @@ def test_sgt_single_candidate_target():
     q = ValueTable.create(5, 4, gamma)
     qt = oracle_target(q, oracle)
     cfg = LearnerConfig(method="sgt", M_subgoals=1, P_random_distance=500, learning_rate=0.1)
-    batch = {
-        "s": np.array([0]),
-        "a": np.array([3]),  # right
-        "s2": np.array([1]),
-        "g": np.array([4]),
-        "g_rand": np.array([2]),
-        "w_states": np.array([[2]]),
-        "w_actions": np.array([[3]]),
-    }
-    stats = sgt_update_step(qt, None, batch, cfg)
+    batch = step_batch(
+        cfg, q.params.shape, s=[0], a=[3], s2=[1], g=[4], g_rand=[2],  # a = 3: right
+        w_states=[[2]], w_actions=[[3]],
+    )
+    stats = sgt_update_step(qt, None, batch, cfg)()
     expected = oracle.params[0, 3, 2] * oracle.params[2, 3, 4]
     assert stats["max_target"] == pytest.approx(expected)
 
@@ -681,16 +629,12 @@ def test_sgt_midpoint_candidate_bounds_target():
     q = ValueTable.create(5, 4, gamma)
     qt = oracle_target(q, oracle_table(env, gamma))
     cfg = LearnerConfig(method="sgt", M_subgoals=3, learning_rate=0.1)
-    batch = {
-        "s": np.array([0]),
-        "a": np.array([3]),
-        "s2": np.array([1]),
-        "g": np.array([4]),
-        "g_rand": np.array([0]),
-        "w_states": np.array([[2, 0, 1]]),  # includes the shortest-path midpoint 2
-        "w_actions": np.array([[3, 3, 3]]),
-    }
-    stats = sgt_update_step(qt, None, batch, cfg)
+    batch = step_batch(
+        cfg, q.params.shape, s=[0], a=[3], s2=[1], g=[4], g_rand=[0],
+        w_states=[[2, 0, 1]],  # includes the shortest-path midpoint 2
+        w_actions=[[3, 3, 3]],
+    )
+    stats = sgt_update_step(qt, None, batch, cfg)()
     assert stats["max_target"] >= gamma**4
 
 
@@ -701,15 +645,11 @@ def test_sgt_random_goal_prior_value():
     env = build_grid_env(3, 1)
     q, qt = make_tables(3, 4, gamma)
     cfg = LearnerConfig(method="sgt", M_subgoals=1, P_random_distance=P, learning_rate=0.5)
-    batch = {
-        "s": np.array([0]),
-        "a": np.array([0]),
-        "s2": np.array([0]),  # self-loop: the one-step term is masked out
-        "g": np.array([1]),
-        "g_rand": np.array([2]),
-        "w_states": np.array([[1]]),
-        "w_actions": np.array([[0]]),
-    }
+    batch = step_batch(
+        cfg, q.params.shape, s=[0], a=[0],
+        s2=[0],  # self-loop: the one-step term is masked out
+        g=[1], g_rand=[2], w_states=[[1]], w_actions=[[0]],
+    )
     for _ in range(5000):
         sgt_update_step(qt, None, batch, cfg)
     assert expit(q.params[0, 0, 2]) == pytest.approx(target, abs=1e-5)
@@ -736,14 +676,10 @@ def test_coe_generator_picks_shortest_path_waypoint():
     qt = oracle_target(q, oracle)
     gen = np.zeros((7, 4, 7), dtype=np.int64)  # incumbent far from optimal
     cfg = LearnerConfig(method="coe", beta_goal_reg=0.0, learning_rate=0.1)
-    batch = {
-        "s": np.array([0]),
-        "a": np.array([3]),
-        "s2": np.array([1]),
-        "g": np.array([6]),
-        "g_rand": np.array([0]),
-        "cand_states": np.arange(7)[None, :],  # all states offered
-    }
+    batch = step_batch(
+        cfg, q.params.shape, s=[0], a=[3], s2=[1], g=[6], g_rand=[0],
+        w_states=np.arange(7)[None, :],  # all states offered
+    )
     coe_update_step(qt, (gen, greedy_policy_fn(oracle), env.state_coords), batch, cfg)
     w = int(gen[0, 3, 6])
     dist = all_pairs_distances(env)
@@ -759,14 +695,10 @@ def test_coe_huge_beta_prefers_candidate_near_random_goal():
     qt = oracle_target(q, oracle)
     gen = np.full((7, 4, 7), 6, dtype=np.int64)
     cfg = LearnerConfig(method="coe", beta_goal_reg=1e9, learning_rate=0.1)
-    batch = {
-        "s": np.array([0]),
-        "a": np.array([3]),
-        "s2": np.array([1]),
-        "g": np.array([6]),
-        "g_rand": np.array([2]),
-        "cand_states": np.array([[0, 2, 5]]),  # candidate 2 sits on the random goal
-    }
+    batch = step_batch(
+        cfg, q.params.shape, s=[0], a=[3], s2=[1], g=[6], g_rand=[2],
+        w_states=[[0, 2, 5]],  # candidate 2 sits on the random goal
+    )
     coe_update_step(qt, (gen, greedy_policy_fn(oracle), env.state_coords), batch, cfg)
     assert int(gen[0, 3, 6]) == 2
 
@@ -782,14 +714,9 @@ def test_coe_single_candidate_replaces_only_if_better():
 
     def run(incumbent, candidate):
         gen = np.full((5, 4, 5), incumbent, dtype=np.int64)
-        batch = {
-            "s": np.array([0]),
-            "a": np.array([3]),
-            "s2": np.array([1]),
-            "g": np.array([4]),
-            "g_rand": np.array([0]),
-            "cand_states": np.array([[candidate]]),
-        }
+        batch = step_batch(
+            cfg, q.params.shape, s=[0], a=[3], s2=[1], g=[4], g_rand=[0], w_states=[[candidate]]
+        )
         coe_update_step(qt, (gen, policy, env.state_coords), batch, cfg)
         return int(gen[0, 3, 4])
 
@@ -802,14 +729,7 @@ def test_coe_requires_coords_when_beta_positive():
     q, qt = make_tables(3, 2)
     gen = np.zeros((3, 2, 3), dtype=np.int64)
     cfg = LearnerConfig(method="coe", beta_goal_reg=1.0)
-    batch = {
-        "s": np.array([0]),
-        "a": np.array([0]),
-        "s2": np.array([1]),
-        "g": np.array([2]),
-        "g_rand": np.array([1]),
-        "cand_states": np.array([[1]]),
-    }
+    batch = step_batch(cfg, q.params.shape, s=[0], a=[0], s2=[1], g=[2], g_rand=[1], w_states=[[1]])
     with pytest.raises(ConfigError):
         coe_update_step(qt, (gen, greedy_policy_fn(q), None), batch, cfg)
 
@@ -872,7 +792,7 @@ TARGET_TOLERANCE = 1e-12
 
 @pytest.mark.parametrize("space", ["logit", "value"])
 def test_polyak_target_matches_eager_reference(space):
-    """Duplicate indices, clipped writes and renormalization keep values_at
+    """Duplicate indices, clipped writes and renormalization keep values_flat
     equal to the eager target; untouched entries stay as they were."""
     rng = np.random.default_rng(5)
     shape = (6, 3, 6)
@@ -880,6 +800,7 @@ def test_polyak_target_matches_eager_reference(space):
     qt = target_with_params(q, rng.uniform(-5.0, 5.0, size=shape))
     eager = EagerTarget(q)
     eager.params[...] = target_params(qt)
+    every = np.arange(q.params.size)
     renormalized = 0
     for tau in (0.5,) * 700 + (1.0, 0.05, 0.05):
         idx = tuple(rng.integers(0, n, size=24) for n in shape)
@@ -887,7 +808,8 @@ def test_polyak_target_matches_eager_reference(space):
         untouched = np.ones(shape, dtype=bool)
         untouched[idx] = False
         before = target_params(qt)
-        _apply_logit_updates(qt, idx, rng.normal(size=32), 40.0)  # often past the clamp
+        flat = _flat(shape, *idx)
+        _apply_logit_updates(qt, flat, rng.normal(size=32), 40.0)  # often past the clamp
         assert (target_params(qt)[untouched] == before[untouched]).all()
         np.testing.assert_allclose(target_params(qt), before, rtol=0, atol=TARGET_TOLERANCE)
         scale = qt.scale
@@ -895,7 +817,7 @@ def test_polyak_target_matches_eager_reference(space):
         eager_sync(eager, tau)
         renormalized += qt.scale > scale
         np.testing.assert_allclose(
-            qt.values_at(...), eager.values_at(...), rtol=0, atol=TARGET_TOLERANCE
+            qt.values_flat(every), eager.values_flat(every), rtol=0, atol=TARGET_TOLERANCE
         )
     if space == "logit":
         assert np.abs(q.params).max() == LOGIT_CLAMP
@@ -949,14 +871,13 @@ def test_mc_writes_through_its_target_as_a_direct_write_would():
     cfg = LearnerConfig(method="mc", steps=300, batch_size=32, learning_rate=500.0, seed=2)
     q_run, log_run = train_run(env, ds, cfg, log_every=50)
 
-    rng = np.random.default_rng(cfg.seed)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma)
     log = []
-    for step_idx in range(cfg.steps):
-        batch = learners.METHODS["mc"].batch(ds, cfg, rng)
-        idx = (batch["s_i"], batch["a_i"], batch["s_j"])
+    batches = learners.step_batches(ds, q.params.shape, cfg)
+    for step_idx, batch in zip(range(cfg.steps), batches):
+        idx = np.unravel_index(batch["ij"], q.params.shape)
         pred = expit(q.params[idx])
-        y = np.power(cfg.gamma, batch["gap"])
+        y = batch["target"]
         diff = pred - y
         grad_logit = 2.0 * diff * pred * (1.0 - pred)
         np.add.at(q.params, idx, -cfg.learning_rate * grad_logit)
@@ -983,35 +904,31 @@ def test_logit_methods_keep_values_bounded(seed, lr):
     cfg_trl = LearnerConfig(method="trl", learning_rate=lr)
     cfg_mc = LearnerConfig(method="mc", learning_rate=lr)
     cfg_td = LearnerConfig(method="td_n", learning_rate=lr, n_step=2)
+    shape = q.params.shape
     for _ in range(30):
         b = 8
-        idx = {k: rng.integers(0, S, size=b) for k in ("s_i", "s_j", "s_k")}
-        acts = {k: rng.integers(0, A, size=b) for k in ("a_i", "a_k")}
+        s_i, s_j, s_k = (rng.integers(0, S, size=b) for _ in range(3))
+        a_i, a_k = (rng.integers(0, A, size=b) for _ in range(2))
         gaps = rng.integers(0, 3, size=b)
         trl_update_step(
             qt,
             None,
-            {**idx, **acts, "gap_ik": gaps, "gap_kj": gaps + 1},
+            step_batch(
+                cfg_trl, shape, s_i=s_i, a_i=a_i, s_j=s_j, s_k=s_k, a_k=a_k,
+                gap_ik=gaps, gap_kj=gaps + 1,
+            ),
             cfg_trl,
         )
         mc_update_step(
-            qt,
-            None,
-            {"s_i": idx["s_i"], "a_i": acts["a_i"], "s_j": idx["s_j"], "gap": gaps},
-            cfg_mc,
+            qt, None, step_batch(cfg_mc, shape, s_i=s_i, a_i=a_i, s_j=s_j, gap=gaps), cfg_mc
         )
         td_n_update_step(
             qt,
             None,
-            {
-                "s_i": idx["s_i"],
-                "a_i": acts["a_i"],
-                "g": idx["s_j"],
-                "s_b": idx["s_k"],
-                "a_b": acts["a_k"],
-                "n_eff": gaps + 1,
-                "clipped": gaps == 0,
-            },
+            step_batch(
+                cfg_td, shape, s_i=s_i, a_i=a_i, g=s_j, s_b=s_k, a_b=a_k,
+                n_eff=gaps + 1, clipped=gaps == 0,
+            ),
             cfg_td,
         )
         target_sync(qt, 0.01)

@@ -1,5 +1,6 @@
-"""The sparse read path: learners and policies gather table entries through
-``ValueTable.values_at`` and never take the full-table ``values()`` pass."""
+"""The sparse read path: learners gather table entries at flat indices,
+policies through ``ValueTable.values_at``, and neither takes the full-table
+``values()`` pass."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gclab.learners import (
     PolyakTarget,
     ValueTable,
     _apply_logit_updates,
+    _flat,
 )
 from gclab.oracle import all_pairs_distances
 from gclab.policy import BehaviorPolicy, estimate_behavior_policy
@@ -63,7 +65,9 @@ def test_apply_logit_updates_clips_touched_entries_only():
     np.add.at(reference, idx, -1e3 * grads)
     np.clip(reference, -LOGIT_CLAMP, LOGIT_CLAMP, out=reference)
 
-    _apply_logit_updates(PolyakTarget(q), idx, grads, 1e3)
+    flat = np.ravel_multi_index(idx, q.params.shape)
+    assert (_flat(q.params.shape, *idx) == flat).all()
+    _apply_logit_updates(PolyakTarget(q), flat, grads, 1e3)
     assert q.params.tobytes() == reference.tobytes()
     assert (q.params == LOGIT_CLAMP).any() and (q.params == -LOGIT_CLAMP).any()
     untouched = np.ones(q.params.shape, dtype=bool)
