@@ -44,6 +44,8 @@ def _add_env_flags(parser):
 
 def _env_from_args(args):
     if args.env_file:
+        if args.width is not None or args.height is not None or args.walls:
+            raise ConfigError("--env-file takes no --width, --height or --walls")
         spec = {"kind": "file", "path": args.env_file}
     elif args.width is None or args.height is None:
         raise ConfigError("provide --width/--height or --env-file")

@@ -161,24 +161,18 @@ def sample_relabeled_goal_batch(
     future_t = t + rng.integers(0, T - t + 1)  # uniform over {t..T}, per element
     flat = rng.integers(0, ds.states.size, size=size)
 
-    states = ds.states.ravel()
     row = traj * (T + 1)
-    goals = states[row + t]  # fancy indexing copies; p_cur component by default
     c1 = ratios.p_cur
     c2 = c1 + ratios.p_geom
     c3 = c2 + ratios.p_traj
-
-    geom_mask = (u >= c1) & (u < c2)
-    if geom_mask.any():
-        idx = np.minimum(t[geom_mask] + geom_delta[geom_mask], T)
-        goals[geom_mask] = states[row[geom_mask] + idx]
-    traj_mask = (u >= c2) & (u < c3)
-    if traj_mask.any():
-        goals[traj_mask] = states[row[traj_mask] + future_t[traj_mask]]
-    rand_mask = u >= c3
-    if rand_mask.any():
-        goals[rand_mask] = states[flat[rand_mask]]
-    return goals
+    # Each goal's flat index: the current state, a geometric or a uniform
+    # future state of its trajectory, or a uniform state of the dataset.
+    idx = np.select(
+        (u < c1, u < c2, u < c3),
+        (row + t, row + np.minimum(t + geom_delta, T), row + future_t),
+        default=flat,
+    )
+    return ds.states.ravel()[idx]
 
 
 def sample_flat_states(ds: TrajectoryDataset, size, rng: np.random.Generator) -> np.ndarray:

@@ -273,7 +273,8 @@ def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int) -> EvalReport:
 # Experiment configs
 
 
-_ENV_KEYS = {"kind", "width", "height", "walls", "path"}
+# The keys each kind of environment reads besides its "kind".
+_ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 _TOP_KEYS = {
     "out_dir",
     "env",
@@ -397,23 +398,26 @@ def validate_experiment_config(config: dict) -> dict:
     for key in ("out_dir", "env", "dataset", "methods", "seeds"):
         if key not in config:
             raise ConfigError(f"missing config key {key!r}")
+    out_dir = config["out_dir"]
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"config key 'out_dir' must be a non-empty path, got {out_dir!r}")
 
     env_spec = config["env"]
     if not isinstance(env_spec, dict) or "kind" not in env_spec:
         raise ConfigError("config key 'env' must be an object with a 'kind'")
+    kind = env_spec["kind"]
+    if kind not in ("grid", "file"):
+        raise ConfigError(f"config key 'env.kind' must be 'grid' or 'file', got {kind!r}")
     for key in env_spec:
-        if key not in _ENV_KEYS:
-            raise ConfigError(f"unknown config key 'env.{key}'")
-    if env_spec["kind"] == "grid":
+        if key != "kind" and key not in _ENV_KEYS[kind]:
+            raise ConfigError(f"config key 'env.{key}' is not read by a {kind!r} environment")
+    if kind == "grid":
         if "width" not in env_spec or "height" not in env_spec:
             raise ConfigError("config keys 'env.width' and 'env.height' are required for grids")
         check_setting("env.width", env_spec["width"])
         check_setting("env.height", env_spec["height"])
-    elif env_spec["kind"] == "file":
-        if not isinstance(env_spec.get("path"), str):
-            raise ConfigError("config key 'env.path' must be a file path string")
-    else:
-        raise ConfigError(f"config key 'env.kind' must be 'grid' or 'file', got {env_spec['kind']!r}")
+    elif not isinstance(env_spec.get("path"), str):
+        raise ConfigError("config key 'env.path' must be a file path string")
 
     normalized = {"learner": {}, "n_values": [], "log_every": LOG_EVERY, **config}
     normalized["dataset"] = block_settings("dataset", config["dataset"])

@@ -8,9 +8,9 @@ goal states. One exact method runs full-table (min, +) sweeps over step
 counts instead of consuming data.
 
 Update convention: ``learning_rate`` is the per-sample step size (the
-classic tabular convention). Within one batch, all gradients are computed
-from the pre-step tables and accumulated in a fixed order, so runs are
-bit-reproducible.
+classic tabular convention). A step first reads everything it needs from
+the pre-step tables, then writes its Q entries in one call, every term's
+entries in a fixed order, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -301,8 +301,10 @@ def transitive_sweeps(env: GraphEnv):
 # Stochastic update steps (one gradient step per call)
 #
 # A step reads and writes the tables only at the flat indices its batch
-# carries (see the layouts below), and returns its statistics unevaluated:
-# a zero-argument callable that harness.train_run calls on logged steps only.
+# carries (see the layouts below). It reads first, all from the pre-step
+# tables, then writes its Q entries in one _apply_logit_updates call, and
+# returns its statistics unevaluated: a zero-argument callable that
+# harness.train_run calls on logged steps only.
 
 
 def _flat(shape, s, a, g):
@@ -312,9 +314,11 @@ def _flat(shape, s, a, g):
 
 
 def _apply_logit_updates(target: PolyakTarget, flat, grads, lr: float) -> None:
-    """Scatter-add the steps at the flat indices ``flat`` into the target's
-    online table, clip the touched entries of a logit table, and move the
-    lag so the target stays put.
+    """Scatter-add the steps at the 1-D flat indices ``flat`` into the
+    target's online table, clip the touched entries of a logit table, and
+    move the lag so the target stays put. A step makes one call with the
+    entries of all its terms, term after term: a shared entry sums its
+    steps in that order, then is clipped once.
 
     Untouched entries need no clip: training tables start inside the clamp
     (``ValueTable.create``) and only entries named by some ``flat`` move.
@@ -386,13 +390,12 @@ def td_n_compute_targets(target: PolyakTarget, batch: dict) -> np.ndarray:
 def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
     """n-step bootstrapped update: a plain BCE anchor at the current state
     (target gamma^0) plus an expectile BCE term toward the n-step target."""
-    online = batch["online"]  # the anchor (s_i, a_i, s_i) and the goal (s_i, a_i, g)
-    # Both online reads in one gather and one sigmoid call.
-    pred0, pred1 = _sigmoid(target.online.params.reshape(-1)[online])
+    online = batch["online"].reshape(-1)  # anchors (s_i, a_i, s_i), then goals (s_i, a_i, g)
+    pred0, pred1 = _sigmoid(target.online.params.reshape(-1)[online]).reshape(2, -1)
     y = td_n_compute_targets(target, batch)
     weight = expectile_weight(pred1, y, cfg.kappa)
-    _apply_logit_updates(target, online[0], pred0 - 1.0, cfg.learning_rate)
-    _apply_logit_updates(target, online[1], weight * (pred1 - y), cfg.learning_rate)
+    grads = np.concatenate((pred0 - 1.0, weight * (pred1 - y)))
+    _apply_logit_updates(target, online, grads, cfg.learning_rate)
     return lambda: {
         "loss": float(np.mean(_bce_loss(pred0, 1.0) + weight * _bce_loss(pred1, y))),
         "mean_q": float(np.mean(pred1)),
@@ -431,8 +434,8 @@ def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     random goals toward gamma^P, and the triangle term whose target is the
     best product of target-table halves over the candidate set.
     """
-    online = batch["online"]
-    pred0, pred1, predr, predg = _sigmoid(target.online.params.reshape(-1)[online])
+    online = batch["online"].reshape(-1)  # the four terms' entries, term after term
+    pred0, pred1, predr, predg = _sigmoid(target.online.params.reshape(-1)[online]).reshape(4, -1)
     # One-step base case applies to edges only; self-loop transitions in the
     # data would otherwise fight the gamma^0 anchor on the same entry.
     edge = batch["edge"]
@@ -440,8 +443,7 @@ def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     half_sw, half_wg = target.values_flat(batch["cand"])
     tri_target = (half_sw * half_wg).max(axis=1)
     grads = (pred0 - 1.0, edge * (pred1 - cfg.gamma), predr - prior, predg - tri_target)
-    for flat, grad in zip(online, grads):
-        _apply_logit_updates(target, flat, grad, cfg.learning_rate)
+    _apply_logit_updates(target, online, np.concatenate(grads), cfg.learning_rate)
 
     def stats():
         loss = _bce_loss(pred0, 1.0) + edge * _bce_loss(pred1, cfg.gamma)
@@ -459,42 +461,36 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     """Generator-guided triangle update; ``state`` is the
     ``(generator, policy_fn, coords)`` triple of :func:`_coe_state`.
 
-    The Q step sums the one-step edge term with a triangle term whose
-    subgoal comes from the generator table. The generator step is a
-    discrete hill-climb: score M sampled candidate subgoals (and the
-    incumbent) by the target-value product minus beta times the squared
-    coordinate distance to a random goal, and keep the best, replacing the
-    incumbent only on strict improvement.
+    The generator step is a discrete hill-climb: score the incumbent
+    subgoal w and M sampled candidates by the target-value product through
+    them (each subgoal's action from the greedy policy) minus beta times
+    the squared coordinate distance to a random goal, and keep the best,
+    replacing the incumbent only on strict improvement. The Q step sums the
+    one-step edge term with a triangle term toward the incumbent's product.
+    Both read the pre-step tables.
     """
     generator, policy_fn, coords = state
-    if cfg.beta_goal_reg > 0 and coords is None:
-        raise ConfigError("coe with beta_goal_reg > 0 requires grid coordinates")
     shape = target.online.params.shape
     online, sa, goal = batch["online"], batch["sa"], batch["g"]
     pred1, predg = _sigmoid(target.online.params.reshape(-1)[online])
     edge = batch["edge"]
 
-    # The generator shares the table's (s, a, g) layout.
+    # The generator shares the table's (s, a, g) layout. The incumbent in
+    # column 0 wins ties, so replacement happens only on strict improvement.
     gen_flat = generator.reshape(-1)
-    w = gen_flat[online[1]]
-    a_w = policy_fn(w, goal)
-    tri_target = target.values_flat(sa + w) * target.values_flat(_flat(shape, w, a_w, goal))
-    _apply_logit_updates(target, online[0], edge * (pred1 - cfg.gamma), cfg.learning_rate)
-    _apply_logit_updates(target, online[1], predg - tri_target, cfg.learning_rate)
-
-    # Generator hill-climb: incumbent in column 0 wins ties, so replacement
-    # happens only on strict improvement.
-    options = np.concatenate([w[:, None], batch["cand_states"]], axis=1)  # (B, M+1)
-    flat_goals = np.repeat(goal, options.shape[1]).reshape(options.shape)
-    opt_actions = policy_fn(options.ravel(), flat_goals.ravel()).reshape(options.shape)
+    options = np.concatenate([gen_flat[online[1]][:, None], batch["cand_states"]], axis=1)
+    goals = np.repeat(goal, options.shape[1]).reshape(options.shape)  # (B, M+1)
+    actions = policy_fn(options.ravel(), goals.ravel()).reshape(options.shape)
     scores = target.values_flat(sa[:, None] + options) * target.values_flat(
-        _flat(shape, options, opt_actions, flat_goals)
+        _flat(shape, options, actions, goals)
     )
+    tri_target = scores[:, 0]  # a view: the penalty below makes a new array
     if cfg.beta_goal_reg > 0:
         delta = coords[options] - coords[batch["g_rand"]][:, None, :]
         scores = scores - cfg.beta_goal_reg * np.sum(delta * delta, axis=-1)
-    best = scores.argmax(axis=1)
-    gen_flat[online[1]] = options[np.arange(options.shape[0]), best]
+    gen_flat[online[1]] = options[np.arange(options.shape[0]), scores.argmax(axis=1)]
+    grads = np.concatenate((edge * (pred1 - cfg.gamma), predg - tri_target))
+    _apply_logit_updates(target, online.reshape(-1), grads, cfg.learning_rate)
 
     def stats():
         loss = edge * _bce_loss(pred1, cfg.gamma) + _bce_loss(predg, tri_target)
@@ -724,7 +720,8 @@ class Method:
     ``shape``. Each step makes one update with this module's
     ``<name>_update_step(target, state, batch, cfg)``: ``target`` is the
     run's :class:`PolyakTarget`, whose online table the step reads as
-    ``target.online`` and writes through :func:`_apply_logit_updates`, and
+    ``target.online`` and then writes in one :func:`_apply_logit_updates`
+    call (after every read: the reads see the pre-step tables), and
     ``state(env, q, cfg)`` builds the run's extra tables once, raising
     ConfigError when the run cannot start. Trajectories need at least
     ``min_horizon`` actions.

@@ -115,6 +115,27 @@ def test_env_file_flag(tmp_path):
     assert header == "5,4"
 
 
+@pytest.mark.parametrize(
+    "command, grid_flag",
+    [("gen", ["--width", "4"]), ("gen", ["--height", "1"]), ("gen", ["--walls", "0,0"]),
+     ("train", ["--width", "3", "--height", "1"]), ("eval", ["--width", "3"])],
+)
+def test_env_file_with_grid_flags_exit_code(tmp_path, capsys, command, grid_flag):
+    """--env-file names the whole environment, so a grid flag beside it exits 2
+    before anything is read or written."""
+    env_path = tmp_path / "env.txt"
+    env_path.write_text("3 1\n1\n2\n2\n")
+    out = tmp_path / "out"
+    rest = {
+        "gen": ["--num-traj", "5", "--T", "4", "--seed", "1", "--out", str(out)],
+        "train": ["--dataset", "ds.csv", "--method", "mc", "--seed", "0", "--out-dir", str(out)],
+        "eval": ["--table", "table.bin", "--out", str(out)],
+    }[command]
+    assert run_cli(command, "--env-file", str(env_path), *grid_flag, *rest) == 2
+    assert "--env-file takes no --width, --height or --walls" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_file_bad_row_exit_code(tmp_path, capsys):
     env_path = tmp_path / "env.txt"
     env_path.write_text("3 1\n1\nx\n2\n")
@@ -261,8 +282,9 @@ def test_train_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("flag", ["--dataset", "--env-file"])
 def test_train_missing_input_file_exit_code(tmp_path, capsys, flag):
     missing = str(tmp_path / "missing.txt")
+    grid = ["--width", "3", "--height", "1"] if flag == "--dataset" else []
     code = run_cli(
-        "train", "--width", "3", "--height", "1", "--dataset", str(_gen_dataset(tmp_path)),
+        "train", *grid, "--dataset", str(_gen_dataset(tmp_path)),
         "--method", "mc", "--seed", "0", "--steps", "10", "--out-dir", str(tmp_path / "r"),
         flag, missing,
     )
@@ -393,7 +415,13 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"learner": {"method": "trl"}}, "learner.method"),
      ({"learner": {"seed": 7, "method": "trl"}, "methods": ["mc"]}, "learner.method"),
      ({"learner": {"seed": 7}}, "learner.seed"),
-     ({"methods": ["td_n"], "n_values": [1, 5], "learner": {"n_step": 3}}, "learner.n_step")],
+     ({"methods": ["td_n"], "n_values": [1, 5], "learner": {"n_step": 3}}, "learner.n_step"),
+     ({"env": {"kind": "grid", "width": 4, "height": 1, "path": "env.txt"}}, "env.path"),
+     ({"env": {"kind": "file", "path": "env.txt", "width": 4}}, "env.width"),
+     ({"env": {"kind": "file", "path": "env.txt", "height": 1}}, "env.height"),
+     ({"env": {"kind": "file", "path": "env.txt", "walls": [[9, 9]]}}, "env.walls"),
+     ({"out_dir": 5}, "out_dir"), ({"out_dir": None}, "out_dir"), ({"out_dir": [1]}, "out_dir"),
+     ({"out_dir": ""}, "out_dir")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"

@@ -250,6 +250,47 @@ def test_sampling_is_reproducible(grid_dataset):
     np.testing.assert_array_equal(ga, gb)
 
 
+def masked_relabel_reference(ds, traj, t, ratios, rng):
+    """The relabel sampler as a default goal overwritten component by
+    component through masks: the same draws in the same order."""
+    T = ds.horizon
+    u = rng.random(traj.shape)
+    geom_delta = rng.geometric(ratios.geom_param, size=traj.shape)
+    future_t = t + rng.integers(0, T - t + 1)
+    flat = rng.integers(0, ds.states.size, size=traj.shape)
+    states, row = ds.states.ravel(), traj * (T + 1)
+    c1 = ratios.p_cur
+    c2 = c1 + ratios.p_geom
+    c3 = c2 + ratios.p_traj
+    goals = states[row + t]
+    geom = (u >= c1) & (u < c2)
+    goals[geom] = states[row[geom] + np.minimum(t[geom] + geom_delta[geom], T)]
+    later = (u >= c2) & (u < c3)
+    goals[later] = states[row[later] + future_t[later]]
+    goals[u >= c3] = states[flat[u >= c3]]
+    return goals
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [(0.2, 0.5, 0.0, 0.3), (0.25, 0.25, 0.25, 0.25), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+     (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)],
+)
+def test_relabel_matches_the_masked_reference(grid_dataset, probs):
+    """Goals and the generator state after the draw are those of the masked
+    reference, on the mixture and on each pure component."""
+    ratios = RelabelRatios(*probs)
+    for seed in range(5):
+        anchors = np.random.default_rng([seed, 1])
+        traj = anchors.integers(0, grid_dataset.num_traj, size=(16, 64))
+        t = anchors.integers(0, grid_dataset.horizon, size=(16, 64))
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_relabeled_goal_batch(grid_dataset, traj, t, ratios, rngs[0])
+        want = masked_relabel_reference(grid_dataset, traj, t, ratios, rngs[1])
+        np.testing.assert_array_equal(got, want)
+        assert rngs[0].random() == rngs[1].random()
+
+
 def test_ratio_validation():
     with pytest.raises(ConfigError):
         RelabelRatios(0.5, 0.5, 0.5, -0.5)

@@ -48,10 +48,10 @@ CAPTURED_ON = ("2.4.6", True, "x86_64")
 EXPECTED = {
     "train.trl": "f4c134d477f0992ca667520d496da775b0ef3c1a2528c235716bc39dd95e881a",
     "train.mc": "5b303ad7f64296e17c82ef5ddedf11dfe8b5ca84a89efc0d841ac32a18e4e913",
-    "train.td_n": "849d4abda6c8ed9b4c9bcc5ca14644b4e6e59c313f3e97c00a988ac261636d2e",
+    "train.td_n": "15629dd5ca6b7a268ba8218f4a8280c497e0b7ffdcaa271193568eac3932332b",
     "train.gciql": "85f92a8057c889d86fab24c6a6cc9528930e1ad951868d31b3da2dc88d4aac29",
-    "train.sgt": "9c762a070e429df3aca96d853c4bef776b4ed1e840ad1d2822068ff2d14c4725",
-    "train.coe": "a671eb63f267ea8f0a8b088b55db2449eacc20c6c2ce827255f4d69b81f615c0",
+    "train.sgt": "51cad999e78ad6e122eb63022a334a31c0d3d40618db4ff3984eb8ec60f19141",
+    "train.coe": "160925c2c21ade84b7ee1dad92ca1c0f4831de6f286d20f903bbda13873c997b",
     "train.trl_saturated": "5349a86585e353849ae5a6f9d40274e9e80844678191c3a945edb97703df7eab",
     "eval.greedy.trl": "ba5e5eaecca0caf15fd17253ac2414e90eb106bfa7490cce23907f26624c73b9",
     "eval.rejection.trl": "eeb06b48e2c0741877f7bfdde0c91e0e965fc4c4ebbc950cf91664ca239aa65a",

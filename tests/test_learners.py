@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gclab.learners import (
     ValueTable,
     _apply_logit_updates,
     _bce_loss,
+    _coe_state,
     _flat,
     _sigmoid,
     asymmetric_loss,
@@ -726,12 +728,40 @@ def test_coe_single_candidate_replaces_only_if_better():
 
 
 def test_coe_requires_coords_when_beta_positive():
-    q, qt = make_tables(3, 2)
-    gen = np.zeros((3, 2, 3), dtype=np.int64)
-    cfg = LearnerConfig(method="coe", beta_goal_reg=1.0)
-    batch = step_batch(cfg, q.params.shape, s=[0], a=[0], s2=[1], g=[2], g_rand=[1], w_states=[[1]])
-    with pytest.raises(ConfigError):
-        coe_update_step(qt, (gen, greedy_policy_fn(q), None), batch, cfg)
+    """The run's state builder refuses beta > 0 on an environment without
+    grid coordinates; the step itself checks nothing."""
+    env = right_only_chain(3)
+    q, _ = make_tables(3, 1)
+    with pytest.raises(ConfigError, match="requires a grid environment"):
+        _coe_state(env, q, LearnerConfig(method="coe", beta_goal_reg=1.0))
+    _, _, coords = _coe_state(env, q, LearnerConfig(method="coe", beta_goal_reg=0.0))
+    assert coords is None
+
+
+def test_coe_hill_climb_reads_the_pre_step_tables():
+    """The generator's options take their actions from the greedy policy of
+    the table before the step's Q write: a policy frozen at the pre-step
+    table gives the same generator and the same table, byte for byte."""
+    env = build_grid_env(4, 1)
+    shape = (4, 4, 4)
+    cfg = LearnerConfig(method="coe", beta_goal_reg=0.0, learning_rate=50.0, M_subgoals=4)
+    rng = np.random.default_rng(3)
+    params = rng.uniform(-3.0, 3.0, size=shape)
+    named = {
+        "s": rng.integers(0, 4, size=32), "a": rng.integers(0, 4, size=32),
+        "s2": rng.integers(0, 4, size=32), "g": rng.integers(0, 4, size=32),
+        "g_rand": rng.integers(0, 4, size=32), "w_states": rng.integers(0, 4, size=(32, 4)),
+    }
+    results = []
+    for frozen in (False, True):
+        q = ValueTable(params.copy(), cfg.gamma)
+        generator, live_policy, coords = _coe_state(env, q, cfg)
+        policy = greedy_policy_fn(ValueTable(params.copy(), cfg.gamma)) if frozen else live_policy
+        coe_update_step(
+            PolyakTarget(q), (generator, policy, coords), step_batch(cfg, shape, **named), cfg
+        )
+        results.append((q.params.tobytes(), generator.tobytes()))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +852,76 @@ def test_polyak_target_matches_eager_reference(space):
     if space == "logit":
         assert np.abs(q.params).max() == LOGIT_CLAMP
     assert renormalized == 3  # two at tau = 0.5, one at tau = 1
+
+
+def per_term_writes(target, terms, lr):
+    """The reference for a step's one write: one ``_apply_logit_updates``
+    call per term, each with its own clip and lag move."""
+    for flat, grads in terms:
+        _apply_logit_updates(target, flat, grads, lr)
+
+
+def test_one_merged_write_matches_per_term_writes():
+    """One write of every term's entries, term after term, leaves the online
+    table byte for byte as the per-term writes do (no entry crosses the
+    clamp between two terms) and the lag within rounding. Entries repeat
+    within a term and across terms: term 1 starts with term 0's first
+    entries, as td_n's goal entry equals its anchor when g = s_i."""
+    rng = np.random.default_rng(11)
+    shape = (16, 4, 16)
+    for _ in range(20):
+        params = rng.uniform(-5.0, 5.0, size=shape)
+        lag = rng.normal(size=shape)
+        terms = [(rng.integers(0, 1024, size=256), rng.normal(size=256)) for _ in range(4)]
+        terms[1][0][:16] = terms[0][0][:16]
+        tables = []
+        for merged in (False, True):
+            qt = PolyakTarget(ValueTable(params.copy(), 0.99))
+            qt.lag[...] = lag
+            qt.scale = 0.37
+            if merged:
+                flat, grads = (np.concatenate(parts) for parts in zip(*terms))
+                _apply_logit_updates(qt, flat, grads, 0.5)
+            else:
+                per_term_writes(qt, terms, 0.5)
+            tables.append(qt)
+        assert np.abs(tables[0].online.params).max() < LOGIT_CLAMP
+        assert tables[1].online.params.tobytes() == tables[0].online.params.tobytes()
+        np.testing.assert_allclose(tables[1].lag, tables[0].lag, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+def test_every_step_writes_q_once(monkeypatch, method):
+    """Each learner's step makes exactly one _apply_logit_updates call, with
+    a 1-D index block; coe's step also asks its greedy policy once."""
+    env = build_grid_env(4, 4)
+    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
+    cfg = LearnerConfig(method=method, steps=20, batch_size=16, M_subgoals=4, n_step=3)
+    writes, policy_calls = [], []
+    write = learners._apply_logit_updates
+
+    def counting_write(target, flat, grads, lr):
+        writes.append(flat.ndim)
+        write(target, flat, grads, lr)
+
+    coe_state = learners._coe_state
+
+    def counting_coe_state(env, q, cfg):
+        generator, policy_fn, coords = coe_state(env, q, cfg)
+
+        def counting_policy(states, goals):
+            policy_calls.append(1)
+            return policy_fn(states, goals)
+
+        return generator, counting_policy, coords
+
+    monkeypatch.setattr(learners, "_apply_logit_updates", counting_write)
+    monkeypatch.setitem(
+        learners.METHODS, "coe", replace(learners.METHODS["coe"], state=counting_coe_state)
+    )
+    train_run(env, ds, cfg)
+    assert writes == [1] * cfg.steps
+    assert len(policy_calls) == (cfg.steps if method == "coe" else 0)
 
 
 @pytest.mark.parametrize(
