@@ -26,6 +26,7 @@ from .harness import (
     build_env_from_spec,
     evaluate_run,
     run_experiment,
+    select_tasks,
     train_and_save,
     write_eval_csv,
     write_recursion_csv,
@@ -103,7 +104,9 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{args.table}: table holds a non-finite entry")
     # Greedy extraction reads no behavior policy, so it never opens the dataset.
     beh = estimate_behavior_policy(load_dataset(args.dataset, env=env), env) if rejection else None
-    report = evaluate_run(env, q, beh, all_pairs_distances(env), eval_spec, args.seed)
+    dist = all_pairs_distances(env)
+    tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
+    report = evaluate_run(env, q, beh, dist, tasks, eval_spec, args.seed)
     write_eval_csv(args.out, report)
     print(f"wrote {args.out} (spearman={report.spearman_to_oracle:.4f})")
     return 0

@@ -134,7 +134,7 @@ def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = (
     for (x, y), s in index.items():
         for a, (dx, dy) in enumerate(_GRID_DELTAS):
             nxt = (x + dx, y + dy)
-            transition[s, a] = index.get(nxt, s) if nxt not in wall_set else s
+            transition[s, a] = index.get(nxt, s)
     coords = np.array(cells, dtype=np.int64)
     return GraphEnv(len(cells), 4, transition, coords)
 

@@ -83,10 +83,9 @@ def train_run(
     """Train one table and return it with its loss log. Deterministic given cfg.
 
     ``exact`` logs one row per (min, +) sweep (the loss is the number of
-    pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns the
-    distances into values as the oracle does: it reads gamma^d from a table
-    of the S powers made by ``optimal_value_table``, with 0 for no path, so
-    a sweep costs no S x S powers. Every other method runs
+    pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns each
+    sweep's distances into values with ``oracle.optimal_value_table``, as the
+    oracle's own tables are turned. Every other method runs
     cfg.steps calls of ``learners.<method>_update_step`` (looked up when the
     run starts, so rebinding the module attribute reaches every call) on the
     batches of ``learners.step_batches``, each followed by a target sync. It
@@ -96,12 +95,8 @@ def train_run(
     """
     log: list[dict] = []
     if cfg.method == "exact":
-        # Finite distances are below S and a sweep's no-path marker is not,
-        # so mode="clip" reads it as the last entry, 0.
-        steps = np.append(np.arange(env.num_states), UNREACHABLE)
-        powers = optimal_value_table(steps, cfg.gamma)
         for sweep, (d, shortened) in enumerate(transitive_sweeps(env)):
-            v = np.take(powers, d, mode="clip")
+            v = optimal_value_table(d, cfg.gamma)
             stats = {"loss": shortened, "mean_q": float(v.mean())}
             log.append({"step": sweep, "method": cfg.method, **stats})
         return ValueTable(q_table_from_values(env, v, cfg.gamma), cfg.gamma, space="value"), log
@@ -139,7 +134,10 @@ def select_tasks(d: np.ndarray, num_tasks: int, min_distance: int = 1) -> list[t
     goal) and take evenly spaced quantile positions."""
     starts, goals = np.nonzero((d != UNREACHABLE) & (d >= min_distance))
     if starts.size == 0:
-        raise ConfigError("environment has no reachable task pairs at the requested distance")
+        raise ConfigError(
+            f"config key 'eval.min_task_distance': no reachable pair is {min_distance} or more "
+            "steps apart"
+        )
     order = np.lexsort((goals, starts, d[starts, goals]))
     starts, goals = starts[order], goals[order]
     # A set, not np.unique, whose first call imports numpy.ma (16 ms).
@@ -248,12 +246,11 @@ def evaluate_policy(
     return EvalReport(rows, rho)
 
 
-def evaluate_run(env, q, beh, dist, eval_spec: dict, seed: int) -> EvalReport:
+def evaluate_run(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> EvalReport:
     """Evaluate ``q`` as a sweep run is evaluated (``eval_spec`` keys as in
-    the sweep config's ``eval``): the task set from :func:`select_tasks`, a
-    step budget of max_steps_factor times each task's distance (at least 1),
-    and rollouts drawn from rng [seed, 2025]."""
-    tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
+    the sweep config's ``eval``) on ``tasks``, the :func:`select_tasks` pairs
+    of ``dist``: a step budget of max_steps_factor times each task's
+    distance (at least 1), and rollouts drawn from rng [seed, 2025]."""
     budgets = [max(1, eval_spec["max_steps_factor"] * int(dist[s, g])) for s, g in tasks]
     return evaluate_policy(
         env,
@@ -441,6 +438,11 @@ def validate_experiment_config(config: dict) -> dict:
         if key in normalized["learner"] and normalized[source]:
             raise ConfigError(f"config key 'learner.{key}' is set per run by '{source}'")
     normalized["_runs"] = _run_configs(normalized, base)
+    if kind == "file" and "coe" in normalized["methods"] and base.beta_goal_reg > 0:
+        raise ConfigError(
+            "config key 'learner.beta_goal_reg' must be 0 for coe on a file environment, "
+            "which has no grid coordinates"
+        )
     return normalized
 
 
@@ -525,12 +527,13 @@ def run_single(
     beh: BehaviorPolicy,
     label: str,
     cfg: LearnerConfig,
+    tasks: list[tuple[int, int]],
     eval_spec: dict,
     run_dir: str,
     log_every: int,
 ) -> EvalReport:
     q, _ = train_and_save(env, ds, label, cfg, run_dir, log_every)
-    report = evaluate_run(env, q, beh, dist, eval_spec, cfg.seed)
+    report = evaluate_run(env, q, beh, dist, tasks, eval_spec, cfg.seed)
     write_eval_csv(os.path.join(run_dir, "eval.csv"), report)
     return report
 
@@ -574,7 +577,9 @@ def aggregate_summary(out_dir: str) -> str:
 
 def run_experiment(config_or_path) -> int:
     """Execute a (method x seed) matrix; returns 0, or 1 if any run was
-    refused (see :func:`train_run`). Partial results stay on disk."""
+    refused (see :func:`train_run`). Partial results stay on disk. A
+    ConfigError is raised, never counted as a refused run, and the config,
+    distances and task set are checked before ``out_dir`` is created."""
     if isinstance(config_or_path, str):
         with open_input(config_or_path) as fh:
             try:
@@ -586,12 +591,14 @@ def run_experiment(config_or_path) -> int:
     config = validate_experiment_config(config)
 
     env = build_env_from_spec(config["env"])
+    dist = all_pairs_distances(env)
+    eval_spec = config["eval"]
+    tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     ds_spec = config["dataset"]
     ds = collect_dataset(env, ds_spec["num_traj"], ds_spec["T"], ds_spec["seed"])
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
-    dist = all_pairs_distances(env)
     beh = estimate_behavior_policy(ds, env)
 
     failures = []
@@ -599,8 +606,10 @@ def run_experiment(config_or_path) -> int:
         run_dir = os.path.join(out_dir, "runs", f"{label}_seed{cfg.seed}")
         try:
             run_single(
-                env, ds, dist, beh, label, cfg, config["eval"], run_dir, config["log_every"]
+                env, ds, dist, beh, label, cfg, tasks, eval_spec, run_dir, config["log_every"]
             )
+        except ConfigError:
+            raise
         except (ValueError, RuntimeError) as exc:
             failures.append(f"{label} seed {cfg.seed}: {exc}")
 

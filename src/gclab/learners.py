@@ -29,11 +29,13 @@ from .dataset import (
     sample_triplet_batch,
 )
 from .env import ConfigError, GraphEnv, adjacency_matrix, check_number, open_input
+from .oracle import UNREACHABLE, optimal_value_table
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
 # (sigmoid(30) = 1 - 9.4e-14) while leaving room for implied distances of
 # several thousand steps at gamma = 0.99.
 LOGIT_CLAMP = 30.0
+_INIT_LOGIT = -3.0  # ValueTable.create's logit for every entry
 
 # PolyakTarget folds its scale into its lag once the scale falls below this.
 # At tau = 0.005 that happens about every 46 000 steps.
@@ -87,10 +89,9 @@ class ValueTable:
         num_actions: int,
         gamma: float,
         space: str = "logit",
-        init_logit: float = -3.0,
     ) -> "ValueTable":
-        """Pessimistic initialization: logit -3 puts Q near 0.047."""
-        params = np.full((num_states, num_actions, num_states), float(init_logit))
+        """Pessimistic initialization: logit _INIT_LOGIT puts Q near 0.047."""
+        params = np.full((num_states, num_actions, num_states), _INIT_LOGIT)
         if space == "value":  # the value that logit reads as
             params = _sigmoid(params)
         return cls(params, gamma, space)
@@ -275,10 +276,11 @@ def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
 
 def transitive_sweeps(env: GraphEnv):
     """Jacobi (min, +) sweeps from the base table (0 on the diagonal, 1 on
-    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` the
-    sweep's int16 table (_NO_PATH, which is at least S, for no path), and
-    stops after the first sweep that shortens no pair. More than _NO_PATH
-    states raise ConfigError before any S x S array.
+    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` an
+    int16 copy of the sweep's table in the oracle's convention (UNREACHABLE
+    for no path, as in ``oracle.all_pairs_distances``), and stops after the
+    first sweep that shortens no pair. More than _NO_PATH states raise
+    ConfigError before any S x S array.
 
     After k sweeps every pair at distance <= 2^k holds its distance, so a
     table of finite diameter D needs ceil(log2 D) sweeps plus the one that
@@ -292,7 +294,7 @@ def transitive_sweeps(env: GraphEnv):
     np.fill_diagonal(d, 0)
     while True:
         d, shortened = exact_transitive_sweep(d)
-        yield d, shortened
+        yield np.where(d == _NO_PATH, UNREACHABLE, d), shortened
         if shortened == 0:
             return
 
@@ -530,12 +532,6 @@ def target_sync(target: PolyakTarget, tau: float) -> None:
 CHUNK_STEPS = 16
 
 
-def _powers(gamma: float, k: np.ndarray) -> np.ndarray:
-    """np.power(gamma, k) for an array of integers k >= 0, read from the
-    table of powers 0..max(k): the same values for a fraction of the cost."""
-    return np.power(gamma, np.arange(k.max() + 1))[k]
-
-
 def _states_at(ds: TrajectoryDataset, traj, t):
     return ds.states.reshape(-1)[traj * (ds.horizon + 1) + t]
 
@@ -564,7 +560,7 @@ def _trl_layout(shape, cfg, s_i, a_i, s_j, s_k, a_k, gap_ik, gap_kj) -> dict:
         "ij": _flat(shape, s_i, a_i, s_j),
         "halves": np.stack(halves, axis=-2),
         "is_base": gaps <= 1,
-        "base": _powers(cfg.gamma, gaps),
+        "base": optimal_value_table(gaps, cfg.gamma),
     }
 
 
@@ -581,7 +577,7 @@ def _mc_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 
 def _mc_layout(shape, cfg, s_i, a_i, s_j, gap) -> dict:
-    return {"ij": _flat(shape, s_i, a_i, s_j), "target": _powers(cfg.gamma, gap)}
+    return {"ij": _flat(shape, s_i, a_i, s_j), "target": optimal_value_table(gap, cfg.gamma)}
 
 
 def _td_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
@@ -606,7 +602,7 @@ def _td_layout(shape, cfg, s_i, a_i, g, s_b, a_b, n_eff, clipped) -> dict:
     return {
         "online": np.stack((_flat(shape, s_i, a_i, s_i), _flat(shape, s_i, a_i, g)), axis=-2),
         "boot": _flat(shape, s_b, a_b, g),
-        "discount": _powers(cfg.gamma, n_eff),
+        "discount": optimal_value_table(n_eff, cfg.gamma),
         "clipped": clipped,
     }
 

@@ -63,10 +63,13 @@ def all_pairs_distances(env: GraphEnv) -> np.ndarray:
 
 
 def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
-    """Elementwise gamma ** d as float64, with UNREACHABLE pairs at 0."""
+    """Elementwise gamma ** d as float64 for an integer table ``d``, with
+    UNREACHABLE pairs at 0: each entry is read from the powers gamma ** 0 ..
+    gamma ** max(d) and a final 0, which UNREACHABLE (-1) indexes, so it
+    equals np.power's value at the cost of max(d) + 1 powers."""
     if not (0.0 < gamma < 1.0):
         raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
-    return np.power(gamma, d, out=np.zeros(d.shape), where=d != UNREACHABLE)
+    return np.append(np.power(gamma, np.arange(d.max(initial=0) + 1)), 0.0)[d]
 
 
 def q_table_from_values(env: GraphEnv, v: np.ndarray, gamma: float) -> np.ndarray:

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from gclab.learners import _NO_PATH, transitive_sweeps
+from gclab.learners import transitive_sweeps
 from gclab.oracle import UNREACHABLE
-
-
-def oracle_convention(d: np.ndarray) -> np.ndarray:
-    """A table of ``learners.transitive_sweeps`` with UNREACHABLE, as in
-    ``oracle.all_pairs_distances``, where the sweep marks no path."""
-    return np.where(d == _NO_PATH, UNREACHABLE, d)
 
 
 def run_transitive_fixed_point(env) -> tuple[np.ndarray, int]:
@@ -20,7 +14,7 @@ def run_transitive_fixed_point(env) -> tuple[np.ndarray, int]:
     changed = 0
     for d, shortened in transitive_sweeps(env):
         changed += shortened > 0
-    return oracle_convention(d), changed
+    return d, changed
 
 
 def naive_sweep(d: np.ndarray) -> np.ndarray:

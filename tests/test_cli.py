@@ -242,7 +242,7 @@ def _sweep_config(tmp_path, **eval_spec):
     "key, value",
     [("episodes", 0), ("num_tasks", 0), ("num_tasks", -1), ("max_steps_factor", 0),
      ("rejection_n", 0), ("min_task_distance", -1), ("episodes", 2.5),
-     ("extraction", "softmax")],
+     ("extraction", "softmax"), ("min_task_distance", 100)],
 )
 def test_sweep_bad_eval_setting_exit_code(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -421,7 +421,9 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"env": {"kind": "file", "path": "env.txt", "height": 1}}, "env.height"),
      ({"env": {"kind": "file", "path": "env.txt", "walls": [[9, 9]]}}, "env.walls"),
      ({"out_dir": 5}, "out_dir"), ({"out_dir": None}, "out_dir"), ({"out_dir": [1]}, "out_dir"),
-     ({"out_dir": ""}, "out_dir")],
+     ({"out_dir": ""}, "out_dir"),
+     ({"env": {"kind": "file", "path": "env.txt"}, "methods": ["trl", "coe"]},
+      "learner.beta_goal_reg")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"

@@ -39,6 +39,7 @@ from gclab.learners import (
     trl_update_step,
 )
 from gclab.oracle import (
+    UNREACHABLE,
     all_pairs_distances,
     oracle_q_table,
 )
@@ -268,7 +269,7 @@ def test_base_table_initialization():
     assert d[0, 0] == 0 and d[1, 1] == 0
     assert d[0, 1] == 1 and d[1, 2] == 1
     assert d[0, 2] == 2 and d[2, 4] == 2
-    assert d[0, 3] == _NO_PATH and d[1, 0] == _NO_PATH
+    assert d[0, 3] == UNREACHABLE and d[1, 0] == UNREACHABLE
     assert shortened == 3  # (0, 2), (1, 3), (2, 4)
 
 
@@ -279,7 +280,7 @@ def test_sweep_doubles_known_distance():
     assert shortened1 > 0
     assert d1[0, 2] == 2
     assert d1[1, 3] == 2
-    assert d1[0, 3] == _NO_PATH
+    assert d1[0, 3] == UNREACHABLE
     d2, _ = next(sweeps)
     assert d2[0, 3] == 3
 
@@ -299,8 +300,8 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
         prev = None
         for d, _ in transitive_sweeps(env):
             if prev is not None:  # a reached pair stays reached and never lengthens
-                reached = prev != _NO_PATH
-                assert (d[reached] != _NO_PATH).all()
+                reached = prev != UNREACHABLE
+                assert (d[reached] != UNREACHABLE).all()
                 assert (d[reached] <= prev[reached]).all()
             prev = d
         fp, sweeps = run_transitive_fixed_point(env)
@@ -309,6 +310,16 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
         diam = finite_diameter(dist)
         bound = int(np.ceil(np.log2(diam))) if diam > 1 else 0
         assert sweeps <= bound
+
+
+def test_sweeps_hand_out_unreachable_on_a_disconnected_graph():
+    """Two one-way chains with no edge between them: every yielded table
+    marks the pairs across them UNREACHABLE, never the kernel's _NO_PATH."""
+    env = GraphEnv(6, 1, np.array([[1], [2], [2], [4], [5], [5]]))
+    for d, _ in transitive_sweeps(env):
+        assert d.dtype == np.int16 and not (d == _NO_PATH).any()
+        assert (d[:3, 3:] == UNREACHABLE).all() and (d[3:, :3] == UNREACHABLE).all()
+    np.testing.assert_array_equal(d, all_pairs_distances(env))
 
 
 def test_sweeps_refuse_more_states_than_the_table_dtype_holds():
@@ -329,8 +340,8 @@ def test_sweeps_refuse_more_states_than_the_table_dtype_holds():
 # trl updates
 
 
-def make_tables(num_states, num_actions, gamma=0.99, init=-3.0):
-    q = ValueTable.create(num_states, num_actions, gamma, init_logit=init)
+def make_tables(num_states, num_actions, gamma=0.99):
+    q = ValueTable.create(num_states, num_actions, gamma)
     return q, PolyakTarget(q)
 
 

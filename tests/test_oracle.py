@@ -58,6 +58,34 @@ def one_way_corridor(n=3):
     return GraphEnv(n, 1, transition)
 
 
+def reference_value_table(d, gamma):
+    """gamma ** d by np.power over the whole table, 0 where d is UNREACHABLE."""
+    return np.power(gamma, d, out=np.zeros(d.shape), where=d != UNREACHABLE)
+
+
+# Grids, chains whose levels need up to eight binary digits, one-way and
+# sparse graphs with unreachable pairs, and sizes on both sides of the
+# 64-state word boundary of a bit row.
+ENVS = {
+    "grid5": build_grid_env(5, 5),
+    "grid4_walls": build_grid_env(4, 4, walls={(1, 1), (2, 2)}),
+    "grid5x4_split": build_grid_env(5, 4, walls={(2, y) for y in range(4)}),
+    "grid8_walled": build_grid_env(8, 8, {(3, y) for y in range(8)} | {(5, 2), (6, 5)}),
+    "grid16": build_grid_env(16, 16),
+    "grid24": build_grid_env(24, 24),
+    "corridor64": build_grid_env(64, 1),
+    "chain200": build_grid_env(200, 1),
+    "one_way6": one_way_corridor(6),
+    "one_way200": one_way_corridor(200),
+    "single_state": one_way_corridor(1),
+    "random300": random_graph_env(300, 2, 1),
+    **{f"one_way{n}": one_way_corridor(n) for n in (63, 64, 65, 129)},
+    **{f"random{n}_1": random_graph_env(n, 1, n) for n in (63, 64, 65, 129)},
+    **{f"random30_3_{seed}": random_graph_env(30, 3, seed) for seed in range(5)},
+    **{f"random40_1_{seed}": random_graph_env(40, 1, seed) for seed in range(5)},
+}
+
+
 def test_self_distances_are_zero():
     env = build_grid_env(4, 3, walls={(2, 1)})
     d = all_pairs_distances(env)
@@ -142,37 +170,31 @@ def test_triangle_equality_on_shortest_path():
 
 
 def test_bfs_matches_csgraph_and_floyd_warshall():
-    """Grids, chains whose levels need up to eight binary digits, one-way and
-    sparse graphs with unreachable pairs, and sizes on both sides of the
-    64-state word boundary of a bit row."""
-    envs = {
-        "grid5": build_grid_env(5, 5),
-        "grid4_walls": build_grid_env(4, 4, walls={(1, 1), (2, 2)}),
-        "grid5x4_split": build_grid_env(5, 4, walls={(2, y) for y in range(4)}),
-        "grid8_walled": build_grid_env(8, 8, {(3, y) for y in range(8)} | {(5, 2), (6, 5)}),
-        "grid16": build_grid_env(16, 16),
-        "grid24": build_grid_env(24, 24),
-        "corridor64": build_grid_env(64, 1),
-        "chain200": build_grid_env(200, 1),
-        "one_way6": one_way_corridor(6),
-        "one_way200": one_way_corridor(200),
-        "single_state": one_way_corridor(1),
-        "random300": random_graph_env(300, 2, 1),
-    }
-    for n in (63, 64, 65, 129):
-        envs[f"one_way{n}"] = one_way_corridor(n)
-        envs[f"random{n}_1"] = random_graph_env(n, 1, n)
-    envs.update({f"random30_3_{seed}": random_graph_env(30, 3, seed) for seed in range(5)})
-    envs.update({f"random40_1_{seed}": random_graph_env(40, 1, seed) for seed in range(5)})
     unreachable = 0
-    for name, env in envs.items():
+    for name, env in ENVS.items():
         d = all_pairs_distances(env)
         assert d.dtype == np.int64, name
         np.testing.assert_array_equal(d, csgraph_distances(env), err_msg=name)
         np.testing.assert_array_equal(d, floyd_warshall_distances(env), err_msg=name)
         unreachable += int((d == UNREACHABLE).sum())
-    assert all_pairs_distances(envs["chain200"])[0, 199] == 199
+    assert all_pairs_distances(ENVS["chain200"])[0, 199] == 199
     assert unreachable > 0
+
+
+def test_value_table_equals_np_power_bit_for_bit():
+    """The table read gives np.power's bits on every oracle table of ENVS
+    (single_state included), on an int16 table with unreachable pairs and
+    on an empty table."""
+    tables = {name: all_pairs_distances(env) for name, env in ENVS.items()}
+    tables["grid8_walled_int16"] = tables["grid8_walled"].astype(np.int16)
+    tables["empty"] = np.zeros((0, 0), dtype=np.int64)
+    assert (tables["grid8_walled_int16"] == UNREACHABLE).any()
+    for name, d in tables.items():
+        for gamma in (0.01, 0.5, 0.95, 0.99, 1 - 1e-9):
+            v = optimal_value_table(d, gamma)
+            assert v.dtype == np.float64 and v.shape == d.shape, name
+            expected = reference_value_table(d, gamma)
+            np.testing.assert_array_equal(v.view(np.uint64), expected.view(np.uint64), name)
 
 
 def test_bfs_matches_matrix_powers_on_larger_envs():
