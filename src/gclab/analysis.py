@@ -78,30 +78,46 @@ def c_sequence(n: int) -> float:
     return (3.0 * m + 1.0) / 2.0
 
 
+def split_points(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Uniform split points k = 1 + floor(u (size - 1)) in 1..size-1, as
+    float64, for uniforms ``u`` in [0, 1) and chunk sizes ``sizes`` >= 2.
+
+    u is a multiple of 2**-53, so each k's probability is 1 / (size - 1)
+    to within about 2**-53, a bias of at most about size * 2**-53 in all.
+    A float product u * m with u < 1 rounds below the integer m, so k never
+    reaches size.
+    """
+    k = u * (sizes - 1.0)
+    np.floor(k, out=k)
+    k += 1.0
+    return k
+
+
 def recursion_depths(n: int, trials: int, seed: int) -> np.ndarray:
-    """The depth of each of ``trials`` simulated recursions of size n, as an
-    int64 array.
+    """The depths of ``trials`` simulated recursions of size n, as an int64
+    array in ascending order.
 
     Each trial follows the recursion along its deepest branch: split the
     current chunk at a uniform point and keep the larger half (the branch
     whose expected depth dominates, B being nondecreasing), counting one
-    backup per split. Each step draws one split per unfinished trial, in
-    trial order, and touches no finished trial.
+    backup per split. Each level draws one uniform per unfinished trial in
+    a single ``rng.random`` call and splits at :func:`split_points`. The
+    trials are exchangeable, so only the unfinished chunk sizes are kept,
+    and the depths are the numbers of trials that finish at each level.
     """
     check_number("n", n, "int", 1)
     _check_sim_draws(trials, seed)
     rng = np.random.default_rng(seed)
-    depth = np.zeros(trials, dtype=np.int64)
-    # The unfinished trials, in their original order, and their chunk sizes.
-    live = np.arange(trials if n > 1 else 0)
-    sizes = np.full(live.size, n, dtype=np.int64)
-    while live.size:
-        k = rng.integers(1, sizes)  # uniform split point in 1..size-1
-        sizes = np.maximum(k, sizes - k)
-        depth[live] += 1
-        keep = sizes > 1
-        live, sizes = live[keep], sizes[keep]
-    return depth
+    sizes = np.full(trials if n > 1 else 0, float(n))  # the unfinished chunks
+    finished = [trials - sizes.size]  # finished[level]: trials of depth level
+    while sizes.size:
+        k = split_points(rng.random(sizes.size), sizes)
+        sizes -= k
+        np.maximum(sizes, k, out=sizes)
+        keep = sizes > 1.0
+        sizes = sizes[keep]
+        finished.append(keep.size - sizes.size)
+    return np.repeat(np.arange(len(finished), dtype=np.int64), finished)
 
 
 def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
@@ -135,17 +151,17 @@ def recursion_report_rows(
 ) -> list[dict]:
     """Rows for the analysis CSV: n, B_n, bound, C_n, sim_mean, sim_stderr.
 
-    Reported n values are 1..16, powers of two, n_max itself and every
-    simulated size; simulation columns are filled only for the simulated
-    sizes, which must lie in 1..n_max. Every simulation argument is checked
-    before the table is built.
+    Reported n values are 1..16, every power of two up to n_max, n_max
+    itself and every simulated size; simulation columns are filled only for
+    the simulated sizes, which must lie in 1..n_max. Every simulation
+    argument is checked before the table is built.
     """
     check_sim_sizes(n_max, sim_sizes)
     _check_sim_draws(trials, seed)
     b = expected_recursions(n_max)
     ns = sorted(
         {n for n in range(1, min(16, n_max) + 1)}
-        | {1 << p for p in range(0, 21) if (1 << p) <= n_max}
+        | {1 << p for p in range(int(n_max).bit_length())}
         | {n_max}
         | set(sim_sizes)
     )

@@ -130,19 +130,30 @@ def train_run(
 
 def select_tasks(d: np.ndarray, num_tasks: int, min_distance: int = 1) -> list[tuple[int, int]]:
     """Deterministic task pairs spread across the reachable distance range
-    of the distance table ``d``: sort candidate pairs by (distance, start,
-    goal) and take evenly spaced quantile positions."""
-    starts, goals = np.nonzero((d != UNREACHABLE) & (d >= min_distance))
-    if starts.size == 0:
+    of the distance table ``d``: order the candidate pairs by (distance,
+    start, goal) and take evenly spaced quantile positions.
+
+    The order is never formed: counting the pairs of each distance gives the
+    distance group of every position, and only those groups are read, each
+    in (start, goal) order."""
+    flat = d.reshape(-1)
+    # counts[v]: candidate pairs v steps apart (UNREACHABLE is negative).
+    counts = np.bincount(flat[flat >= max(min_distance, 0)])
+    ends = np.cumsum(counts)
+    if ends.size == 0:
         raise ConfigError(
             f"config key 'eval.min_task_distance': no reachable pair is {min_distance} or more "
             "steps apart"
         )
-    order = np.lexsort((goals, starts, d[starts, goals]))
-    starts, goals = starts[order], goals[order]
     # A set, not np.unique, whose first call imports numpy.ma (16 ms).
-    positions = sorted(set(np.round(np.linspace(0, starts.size - 1, num_tasks)).astype(int)))
-    return [(int(starts[p]), int(goals[p])) for p in positions]
+    positions = np.array(sorted(set(np.round(np.linspace(0, ends[-1] - 1, num_tasks)).astype(int))))
+    groups = np.searchsorted(ends, positions, side="right")  # the distance at each position
+    offsets = positions - (ends - counts)[groups]  # its rank within that distance
+    pairs = np.zeros(positions.size, dtype=np.int64)
+    for v in set(groups.tolist()):
+        here = groups == v
+        pairs[here] = np.flatnonzero(flat == v)[offsets[here]]
+    return [divmod(int(pair), d.shape[1]) for pair in pairs]
 
 
 def _rollout(env, q, beh, start, goal, max_steps, extraction, rejection_n, rng) -> bool:
@@ -173,24 +184,43 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _counted_ranks(x: np.ndarray) -> np.ndarray:
+    """:func:`_average_ranks` of a nonnegative integer array, by counting:
+    an entry's rank is the number of entries below it plus (the number
+    equal to it + 1) / 2, the same half-integers, with no sort."""
+    counts = np.bincount(x)
+    return (np.cumsum(counts) - counts + (counts + 1) / 2)[x]
+
+
+def _rank_correlation(a: np.ndarray, b: np.ndarray, rank_b) -> float:
+    """The rank correlation of two equal-length columns, ``b`` ranked by
+    ``rank_b``. NaN for fewer than two pairs, a constant column or a NaN."""
+    if a.size < 2 or (a == a[0]).all() or (b == b[0]).all():
+        return float("nan")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return float("nan")
+    ranked = np.column_stack((_average_ranks(a), rank_b(b)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
 def spearman_rho(a, b) -> float:
     """Spearman rank correlation of paired samples: the statistic of
     ``scipy.stats.spearmanr(a, b)``, bit for bit, without its p-value. NaN
     (and no warning) for fewer than two pairs, a constant input or a NaN."""
     ab = np.column_stack((a, b))  # one dtype for both, as spearmanr stacks them
-    if ab.shape[0] < 2 or (ab[0] == ab).all(axis=0).any() or np.isnan(ab).any():
-        return float("nan")
-    ranked = np.column_stack((_average_ranks(ab[:, 0]), _average_ranks(ab[:, 1])))
-    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+    return _rank_correlation(ab[:, 0], ab[:, 1], _average_ranks)
 
 
 def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
     """Rank correlation between greedy-action implied distances and the true
-    distances ``d`` over all reachable pairs."""
-    starts, goals = np.nonzero(d != UNREACHABLE)
+    distances ``d`` over all reachable pairs: :func:`spearman_rho` of the
+    two, bit for bit, with the integer distances ranked by counting."""
+    flat = d.reshape(-1)
+    pairs = np.flatnonzero(flat != UNREACHABLE)
+    starts, goals = np.divmod(pairs, d.shape[1])
     actions = greedy_action_batch(q, starts, goals)
     implied = q.implied_distances((starts, actions, goals))
-    rho = spearman_rho(implied, d[starts, goals])
+    rho = _rank_correlation(implied, flat[pairs], _counted_ranks)
     return rho if np.isfinite(rho) else 0.0
 
 

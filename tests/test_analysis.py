@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gclab.analysis import (
     _BLOCK,
@@ -11,6 +12,7 @@ from gclab.analysis import (
     recursion_depths,
     recursion_report_rows,
     simulate_recursions,
+    split_points,
 )
 from gclab.env import ConfigError
 
@@ -150,8 +152,9 @@ def test_simulation_matches_recurrence_midsize():
 
 
 def recursion_depths_all_trials(n: int, trials: int, seed: int) -> np.ndarray:
-    """The simulated depths, advancing every trial on each step, finished or
-    not, with a mask of the unfinished ones."""
+    """The simulated depths in trial order, advancing every trial on each
+    step, finished or not, with a mask of the unfinished ones, and the split
+    k = 1 + floor(u (size - 1)) in integers."""
     rng = np.random.default_rng(seed)
     sizes = np.full(trials, n, dtype=np.int64)
     depth = np.zeros(trials, dtype=np.int64)
@@ -160,7 +163,7 @@ def recursion_depths_all_trials(n: int, trials: int, seed: int) -> np.ndarray:
         if not active.any():
             break
         cur = sizes[active]
-        k = rng.integers(1, cur)
+        k = 1 + np.floor(rng.random(cur.size) * (cur - 1)).astype(np.int64)
         sizes[active] = np.maximum(k, cur - k)
         depth[active] += 1
     return depth
@@ -169,13 +172,46 @@ def recursion_depths_all_trials(n: int, trials: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 64, 1024, 65536])
 @pytest.mark.parametrize("trials", [1, 2, 10_000])
 def test_simulation_of_live_trials_matches_the_all_trials_loop(n, trials):
-    """Dropping finished trials changes neither the draws nor any trial's
-    depth, and the estimate is the mean and standard error of those depths."""
+    """Keeping only the unfinished sizes changes neither the draws nor the
+    depths (which come out sorted), and the estimate is the mean and
+    standard error of those depths."""
     new = recursion_depths(n, trials, seed=n + trials)
-    old = recursion_depths_all_trials(n, trials, seed=n + trials)
+    old = np.sort(recursion_depths_all_trials(n, trials, seed=n + trials))
     assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
     stderr = float(old.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     assert simulate_recursions(n, trials, seed=n + trials) == (float(old.mean()), stderr)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 17])
+def test_split_points_are_uniform(size):
+    """The first-level split of a size-``size`` chunk takes every value in
+    1..size-1, with counts that pass a chi-square test at the 0.1% level."""
+    draws = 200_000
+    k = split_points(np.random.default_rng(size).random(draws), np.full(draws, float(size)))
+    counts = np.bincount(k.astype(np.int64), minlength=size)
+    assert counts[0] == 0 and counts.size == size and (counts[1:] > 0).all()
+    if size > 2:
+        expected = draws / (size - 1)
+        chi2 = ((counts[1:] - expected) ** 2 / expected).sum()
+        assert chi2 < stats.chi2.ppf(0.999, size - 2), (size, counts)
+
+
+def test_split_points_stay_below_size():
+    """At the largest double below 1 the split is size - 1, not size, and at
+    0 it is 1, for chunk sizes up to 10^9."""
+    sizes = np.array(
+        [2, 3, 5, 17, 1000, 65536, 65537, 2**20 + 1, 999_999_937, 2**30 - 1, 10**9], dtype=float
+    )
+    top = split_points(np.full(sizes.size, np.nextafter(1.0, 0.0)), sizes)
+    assert (top == sizes - 1).all()
+    assert (split_points(np.zeros(sizes.size), sizes) == 1).all()
+
+
+@pytest.mark.parametrize("n, seed", [(1024, 3), (65536, 4)])
+def test_simulation_matches_recurrence_at_benchmark_sizes(n, seed):
+    b = expected_recursions(n)
+    mean, stderr = simulate_recursions(n, 100_000, seed=seed)
+    assert abs(mean - b[n]) < 4 * stderr, (n, mean, b[n], stderr)
 
 
 def test_simulation_seeded_determinism():
@@ -203,3 +239,10 @@ def test_report_rows_schema():
     assert by_n[8]["sim_mean"] is None
     for row in rows:
         assert row["B_n"] <= row["bound"] + 1e-12
+
+
+def test_report_rows_hold_every_power_of_two():
+    n_max = 3 * 2**20
+    ns = {row["n"] for row in recursion_report_rows(n_max, sim_sizes=(), trials=1, seed=0)}
+    assert {1 << p for p in range(22)} <= ns
+    assert 1 << 22 not in ns and n_max in ns

@@ -18,8 +18,9 @@ from gclab.harness import (
 )
 from gclab import learners
 from gclab.learners import LearnerConfig, ValueTable, load_table
-from gclab.oracle import all_pairs_distances, optimal_value_table, oracle_q_table
+from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
 from gclab.policy import estimate_behavior_policy
+from env_helpers import random_graph_env
 from sweep_helpers import run_transitive_fixed_point
 
 
@@ -167,6 +168,49 @@ def test_select_tasks_deterministic_and_spread():
     dists = [int(dist[s, g]) for s, g in tasks]
     assert min(dists) >= 1
     assert max(dists) == 7  # corridor diameter reached
+
+
+def select_tasks_by_sorting(d, num_tasks, min_distance):
+    """The task pairs as first defined: sort every candidate pair by
+    (distance, start, goal) and take evenly spaced quantile positions."""
+    starts, goals = np.nonzero((d != UNREACHABLE) & (d >= min_distance))
+    if starts.size == 0:
+        raise ConfigError("no candidate pair")
+    order = np.lexsort((goals, starts, d[starts, goals]))
+    starts, goals = starts[order], goals[order]
+    positions = sorted(set(np.round(np.linspace(0, starts.size - 1, num_tasks)).astype(int)))
+    return [(int(starts[p]), int(goals[p])) for p in positions]
+
+
+def two_component_env():
+    """A 5-state corridor beside a 4-state one-way ring: no pair across."""
+    transition = np.array([[0, 1], [0, 2], [1, 3], [2, 4], [3, 4], [6, 5], [7, 6], [8, 7], [5, 8]])
+    return GraphEnv(9, 2, transition)
+
+
+TASK_GRAPHS = {
+    "walled grid": lambda: build_grid_env(7, 6, walls=[(3, y) for y in range(5)] + [(5, 2)]),
+    "disconnected": two_component_env,
+    **{f"random {seed}": (lambda seed=seed: random_graph_env(40, 2, seed)) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("graph", list(TASK_GRAPHS))
+def test_select_tasks_equals_the_sorted_selection(graph):
+    d = all_pairs_distances(TASK_GRAPHS[graph]())
+    if graph != "walled grid":
+        assert (d == UNREACHABLE).any()
+    for min_distance in (0, 1, 5, int(d.max())):
+        for num_tasks in (1, 5, d.size + 3):
+            try:
+                expected = select_tasks_by_sorting(d, num_tasks, min_distance)
+            except ConfigError:
+                with pytest.raises(ConfigError, match="eval.min_task_distance"):
+                    select_tasks(d, num_tasks, min_distance)
+                continue
+            assert select_tasks(d, num_tasks, min_distance) == expected, (min_distance, num_tasks)
+    with pytest.raises(ConfigError, match="eval.min_task_distance"):
+        select_tasks(d, 5, int(d.max()) + 1)
 
 
 def test_evaluate_start_equals_goal(small_world):

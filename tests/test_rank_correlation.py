@@ -1,5 +1,6 @@
-"""The numpy rank correlation equals scipy.stats.spearmanr bit for bit, and
-importing the CLI loads no scipy module."""
+"""The numpy rank correlation equals scipy.stats.spearmanr bit for bit, the
+oracle agreement equals it over the reachable pairs, and importing the CLI
+loads no scipy module."""
 
 import os
 import subprocess
@@ -9,7 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from gclab.harness import spearman_rho
+from gclab.env import GraphEnv, build_grid_env
+from gclab.harness import spearman_rho, spearman_to_oracle
+from gclab.learners import ValueTable
+from gclab.oracle import UNREACHABLE, all_pairs_distances, oracle_q_table
+from gclab.policy import greedy_action_batch
 
 
 def scipy_rho(a, b) -> float:
@@ -50,6 +55,45 @@ def test_matches_scipy_spearmanr_bit_for_bit(name, a, b):
         got = spearman_rho(a, b)
     assert isinstance(got, float)
     assert np.array([got]).tobytes() == np.array([expected]).tobytes(), (got, expected)
+
+
+def spearman_to_oracle_by_nonzero(q, d) -> float:
+    """The oracle agreement as first defined: ``spearman_rho`` over the
+    ``np.nonzero`` pairs, 0.0 where it is not finite."""
+    starts, goals = np.nonzero(d != UNREACHABLE)
+    actions = greedy_action_batch(q, starts, goals)
+    implied = q.implied_distances((starts, actions, goals))
+    rho = spearman_rho(implied, d[starts, goals])
+    return rho if np.isfinite(rho) else 0.0
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(5)
+    grid = build_grid_env(9, 7, walls=[(4, y) for y in range(6)])
+    shape = (grid.num_states, grid.num_actions, grid.num_states)
+    yield "random logits", grid, ValueTable(rng.normal(0.0, 3.0, shape), 0.9)
+    yield "random values", grid, ValueTable(rng.uniform(0.01, 0.99, shape), 0.99, space="value")
+    yield "oracle values", grid, ValueTable(oracle_q_table(grid, 0.95), 0.95, space="value")
+    # A 3-state corridor beside a 3-state ring: no pair across.
+    split = GraphEnv(6, 2, np.array([[0, 1], [0, 2], [1, 2], [4, 5], [5, 3], [3, 4]]))
+    yield "disconnected", split, ValueTable(rng.normal(0.0, 2.0, (6, 2, 6)), 0.9)
+    nan = rng.normal(0.0, 2.0, shape)
+    nan[0, :, 1] = np.nan
+    yield "nan", grid, ValueTable(nan, 0.9)
+    yield "constant", grid, ValueTable(np.full(shape, 0.5), 0.9, space="value")
+    yield "one state", GraphEnv(1, 2, np.zeros((1, 2), dtype=np.int64)), ValueTable.create(1, 2, 0.9)
+
+
+@pytest.mark.parametrize("name, env, q", list(_oracle_cases()), ids=[c[0] for c in _oracle_cases()])
+def test_spearman_to_oracle_equals_the_nonzero_path(name, env, q):
+    d = all_pairs_distances(env)
+    got = spearman_to_oracle(q, d)
+    assert isinstance(got, float)
+    assert np.array([got]).tobytes() == np.array([spearman_to_oracle_by_nonzero(q, d)]).tobytes()
+    if name in ("nan", "constant", "one state"):
+        assert got == 0.0
+    else:
+        assert got != 0.0
 
 
 def test_import_cli_leaves_scipy_stats_out():
