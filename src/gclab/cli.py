@@ -24,7 +24,7 @@ from .harness import (
     aggregate_summary,
     block_settings,
     build_env_from_spec,
-    evaluate_run,
+    evaluate_policy,
     run_experiment,
     select_tasks,
     train_and_save,
@@ -106,7 +106,7 @@ def cmd_eval(args) -> int:
     beh = estimate_behavior_policy(load_dataset(args.dataset, env=env), env) if rejection else None
     dist = all_pairs_distances(env)
     tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
-    report = evaluate_run(env, q, beh, dist, tasks, eval_spec, args.seed)
+    report = evaluate_policy(env, q, beh, dist, tasks, eval_spec, args.seed)
     write_eval_csv(args.out, report)
     print(f"wrote {args.out} (spearman={report.spearman_to_oracle:.4f})")
     return 0

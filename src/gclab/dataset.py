@@ -90,10 +90,8 @@ class TrajectoryDataset:
 
 def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> TrajectoryDataset:
     """Roll out uniform-random actions from uniform-random start states."""
-    if num_traj < 1 or T < 1:
-        raise ConfigError("need num_traj >= 1 and T >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    for name, value, minimum in (("num_traj", num_traj, 1), ("T", T, 1), ("seed", seed, 0)):
+        check_number(name, value, "int", minimum)
     rng = np.random.default_rng(seed)
     states = np.empty((num_traj, T + 1), dtype=np.int64)
     actions = rng.integers(0, env.num_actions, size=(num_traj, T), dtype=np.int64)

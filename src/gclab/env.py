@@ -118,8 +118,8 @@ def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = (
     Free cells become the states, enumerated row-major ((x, y) -> index).
     Blocked moves (wall or boundary) are self-loops.
     """
-    if width < 1 or height < 1:
-        raise ConfigError("grid dimensions must be positive")
+    check_number("width", width, "int", 1)
+    check_number("height", height, "int", 1)
     wall_set = set((int(x), int(y)) for x, y in walls)
     for x, y in wall_set:
         if not (0 <= x < width and 0 <= y < height):

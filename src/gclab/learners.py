@@ -29,7 +29,7 @@ from .dataset import (
     sample_triplet_batch,
 )
 from .env import ConfigError, GraphEnv, adjacency_matrix, check_number, open_input
-from .oracle import UNREACHABLE, optimal_value_table
+from .oracle import UNREACHABLE, implied_distances, optimal_value_table
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
 # (sigmoid(30) = 1 - 9.4e-14) while leaving room for implied distances of
@@ -108,12 +108,6 @@ class ValueTable:
         cost that grows with the number of entries read, not with the table.
         """
         return _as_values(self.params[idx], self.space)
-
-    def implied_distances(self, idx) -> np.ndarray:
-        """log_gamma Q at ``params[idx]``, clamped below at 0 (values above 1
-        read as distance 0)."""
-        v = np.maximum(self.values_at(idx), 1e-300)
-        return np.maximum(np.log(v) / np.log(self.gamma), 0.0)
 
 
 class PolyakTarget:
@@ -232,8 +226,7 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
     """
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    dist = np.log(np.maximum(q_value, 1e-300)) / np.log(gamma)
-    dist = np.clip(dist, 0.0, 4.0 / (1.0 - gamma))
+    dist = np.minimum(implied_distances(q_value, gamma), 4.0 / (1.0 - gamma))
     return np.power(1.0 + dist, -lam)
 
 
@@ -428,20 +421,20 @@ def gciql_update_step(target: PolyakTarget, v: np.ndarray, batch: dict, cfg: Lea
     }
 
 
-def sgt_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
+def sgt_update_step(target: PolyakTarget, prior, batch: dict, cfg: LearnerConfig):
     """Subgoal-tree update with a hard max over M sampled candidates.
 
     Four summed terms: an anchor at the current state (gamma^0), a one-step
     term (gamma^1, restricted to genuine edges), a far-away prior pushing
-    random goals toward gamma^P, and the triangle term whose target is the
-    best product of target-table halves over the candidate set.
+    random goals toward ``prior`` = gamma^P (the run's state), and the
+    triangle term whose target is the best product of target-table halves
+    over the candidate set.
     """
     online = batch["online"].reshape(-1)  # the four terms' entries, term after term
     pred0, pred1, predr, predg = _sigmoid(target.online.params.reshape(-1)[online]).reshape(4, -1)
     # One-step base case applies to edges only; self-loop transitions in the
     # data would otherwise fight the gamma^0 anchor on the same entry.
     edge = batch["edge"]
-    prior = np.power(cfg.gamma, cfg.P_random_distance)
     half_sw, half_wg = target.values_flat(batch["cand"])
     tri_target = (half_sw * half_wg).max(axis=1)
     grads = (pred0 - 1.0, edge * (pred1 - cfg.gamma), predr - prior, predg - tri_target)
@@ -742,7 +735,12 @@ METHODS = {
         _gciql_layout,
         state=lambda env, q, cfg: np.zeros((env.num_states, env.num_states)),  # V(s, g)
     ),
-    "sgt": Method("logit", _subgoal_draw, _sgt_layout),
+    "sgt": Method(
+        "logit",
+        _subgoal_draw,
+        _sgt_layout,
+        state=lambda env, q, cfg: optimal_value_table(np.array(cfg.P_random_distance), cfg.gamma),
+    ),
     "coe": Method("logit", _subgoal_draw, _coe_layout, state=_coe_state),
     "exact": Method("value"),
 }

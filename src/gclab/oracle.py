@@ -72,6 +72,12 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     return np.append(np.power(gamma, np.arange(d.max(initial=0) + 1)), 0.0)[d]
 
 
+def implied_distances(values, gamma: float) -> np.ndarray:
+    """log_gamma of ``values``, the inverse of :func:`optimal_value_table`:
+    a value of 0 reads as log_gamma(1e-300), values of 1 or more as 0."""
+    return np.maximum(np.log(np.maximum(values, 1e-300)) / np.log(gamma), 0.0)
+
+
 def q_table_from_values(env: GraphEnv, v: np.ndarray, gamma: float) -> np.ndarray:
     """Action values from state-goal values under the hitting-time
     convention: Q[s, a, g] = 1 when s == g (goal already reached; the action

@@ -13,6 +13,7 @@ from scipy.special import expit, logit
 from gclab.dataset import collect_dataset, sample_index_pairs
 from gclab.env import GraphEnv, build_grid_env
 from gclab.harness import (
+    block_settings,
     evaluate_policy,
     run_experiment,
     spearman_to_oracle,
@@ -200,11 +201,8 @@ def test_criterion_5_policy_extraction():
         starts, goals = np.nonzero((dist != UNREACHABLE) & (dist >= 1))
         picks = rng.integers(0, starts.size, size=1000)
         tasks = [(int(starts[p]), int(goals[p])) for p in picks]
-        budgets = [4 * int(dist[s, g]) for s, g in tasks]
-        report = evaluate_policy(
-            env, q, beh, tasks, episodes=1, max_steps=budgets,
-            extraction="rejection", rng=rng, rejection_n=32, dist=dist,
-        )
+        spec = block_settings("eval", {"episodes": 1, "extraction": "rejection"})
+        report = evaluate_policy(env, q, beh, dist, tasks, spec, 99)
         rate = float(np.mean([row["success_rate"] for row in report.tasks]))
         assert rate >= 0.99, rate
 
@@ -232,7 +230,7 @@ def test_criterion_6_horizon_trend():
         beh = estimate_behavior_policy(ds, env)
         far_tasks = [(s, g) for s in (0, 8, 16) for g in range(64) if dist[s, g] >= 32]
         far_tasks = far_tasks[:: max(1, len(far_tasks) // 10)]
-        budgets = [4 * int(dist[s, g]) for s, g in far_tasks]
+        spec = block_settings("eval", {"episodes": 3})
 
         results = {}
         for method in ("trl", "td_n"):
@@ -240,10 +238,7 @@ def test_criterion_6_horizon_trend():
             for seed in range(4):
                 q, _ = train_run(env, ds, _horizon_cfg(method, seed))
                 rhos.append(spearman_to_oracle(q, dist))
-                report = evaluate_policy(
-                    env, q, beh, far_tasks, episodes=3, max_steps=budgets,
-                    rng=np.random.default_rng([seed, 6]), dist=dist,
-                )
+                report = evaluate_policy(env, q, beh, dist, far_tasks, spec, seed)
                 successes.append(np.mean([r["success_rate"] for r in report.tasks]))
             results[method] = (float(np.mean(rhos)), float(np.mean(successes)))
         (trl_rho, trl_succ), (td_rho, td_succ) = results["trl"], results["td_n"]

@@ -190,6 +190,18 @@ def _gen_dataset(tmp_path):
     return ds_path
 
 
+@pytest.mark.parametrize("flag, name", [("--num-traj", "num_traj"), ("--T", "T"),
+                                        ("--width", "width"), ("--height", "height")])
+def test_gen_bad_size_names_the_argument(tmp_path, capsys, flag, name):
+    sizes = {"--width": "3", "--height": "1", "--num-traj": "2", "--T": "4", flag: "0"}
+    out = tmp_path / "ds.csv"
+    argv = [token for pair in sizes.items() for token in pair]
+    assert run_cli("gen", *argv, "--seed", "0", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{name} must be >= 1, got 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "header, field",
     [("1000000000000,4", "num_traj"), ("-1,4", "num_traj"), ("2,-1", "T"),
@@ -709,3 +721,27 @@ def test_train_matches_the_sweep_run(tmp_path):
         assert set(meta) == {"config_hash", "method", "seed", "wall_time_s"}
         del meta["wall_time_s"]
     assert metas[0] == metas[1]
+
+
+@pytest.mark.parametrize("extraction", ["greedy", "rejection"])
+def test_eval_matches_the_sweep_run(tmp_path, extraction):
+    """`gclab eval` of a sweep run's table, on the sweep's dataset with the
+    run's seed and the sweep's eval block, writes the run's eval.csv byte
+    for byte."""
+    eval_spec = {"num_tasks": 4, "episodes": 3, "max_steps_factor": 2,
+                 "extraction": extraction, "rejection_n": 2, "min_task_distance": 1}
+    config = _sweep_config(tmp_path, **eval_spec)
+    config.update(seeds=[3], learner={"steps": 30, "batch_size": 8, "learning_rate": 0.5})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 0
+    swept = tmp_path / "exp" / "runs" / "mc_seed3"
+    flags = [token for key, value in eval_spec.items()
+             for token in ("--" + key.replace("_", "-"), str(value))]
+    out = tmp_path / "eval.csv"
+    assert run_cli(
+        "eval", "--width", "4", "--height", "1", "--table", str(swept / "table.bin"),
+        "--dataset", str(tmp_path / "exp" / "dataset.csv"), *flags, "--seed", "3",
+        "--out", str(out),
+    ) == 0
+    assert out.read_bytes() == (swept / "eval.csv").read_bytes()

@@ -32,7 +32,13 @@ import pytest
 from gclab.dataset import collect_dataset
 from gclab.analysis import expected_recursions
 from gclab.env import GraphEnv, build_grid_env
-from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
+from gclab.harness import (
+    block_settings,
+    evaluate_policy,
+    select_tasks,
+    spearman_to_oracle,
+    train_run,
+)
 from gclab.learners import LearnerConfig
 from gclab.oracle import all_pairs_distances, oracle_q_table
 from gclab.policy import estimate_behavior_policy
@@ -109,7 +115,6 @@ def golden_digests() -> dict[str, str]:
     dist = all_pairs_distances(env)
     beh = estimate_behavior_policy(ds, env)
     tasks = select_tasks(dist, 5)
-    budgets = [2 * int(dist[s, g]) for s, g in tasks]
 
     out, tables = {}, {}
     for name, cfg in RUNS.items():
@@ -118,9 +123,10 @@ def golden_digests() -> dict[str, str]:
         out[f"train.{name}"] = _sha(q.params.tobytes(), log)
     for name in ("trl", "gciql"):
         for extraction in ("greedy", "rejection"):
+            spec = {"episodes": 3, "max_steps_factor": 2, "extraction": extraction,
+                    "rejection_n": 2}
             report = evaluate_policy(
-                env, tables[name], beh, tasks, 3, budgets, extraction=extraction,
-                rng=np.random.default_rng([1, 2025]), rejection_n=2, dist=dist,
+                env, tables[name], beh, dist, tasks, block_settings("eval", spec), 1
             )
             out[f"eval.{extraction}.{name}"] = _sha(report.tasks, report.spearman_to_oracle)
     for name in ("sgt", "coe"):

@@ -9,6 +9,7 @@ from gclab.dataset import collect_dataset, load_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import (
     aggregate_summary,
+    block_settings,
     evaluate_policy,
     run_experiment,
     select_tasks,
@@ -217,7 +218,9 @@ def test_evaluate_start_equals_goal(small_world):
     env, ds = small_world
     q = oracle_table(env)
     beh = estimate_behavior_policy(ds, env)
-    report = evaluate_policy(env, q, beh, [(3, 3)], episodes=4, max_steps=5)
+    dist = all_pairs_distances(env)
+    spec = block_settings("eval", {"episodes": 4})
+    report = evaluate_policy(env, q, beh, dist, [(3, 3)], spec, 0)
     assert report.tasks[0]["success_rate"] == 1.0
 
 
@@ -227,8 +230,8 @@ def test_evaluate_oracle_greedy_all_tasks(small_world):
     beh = estimate_behavior_policy(ds, env)
     dist = all_pairs_distances(env)
     tasks = select_tasks(dist, 5)
-    budgets = [int(dist[s, g]) for s, g in tasks]
-    report = evaluate_policy(env, q, beh, tasks, episodes=3, max_steps=budgets, dist=dist)
+    spec = block_settings("eval", {"episodes": 3, "max_steps_factor": 1})
+    report = evaluate_policy(env, q, beh, dist, tasks, spec, 0)
     assert all(row["success_rate"] == 1.0 for row in report.tasks)
     assert report.spearman_to_oracle == pytest.approx(1.0, abs=1e-12)
 
@@ -237,7 +240,9 @@ def test_evaluate_unreachable_goal():
     transition = np.minimum(np.arange(3) + 1, 2).reshape(-1, 1)  # one-way chain
     env = GraphEnv(3, 1, transition)
     q = oracle_table(env)
-    report = evaluate_policy(env, q, None, [(2, 0)], episodes=3, max_steps=50)
+    dist = all_pairs_distances(env)
+    spec = block_settings("eval", {"episodes": 3})
+    report = evaluate_policy(env, q, None, dist, [(2, 0)], spec, 0)
     assert report.tasks[0]["success_rate"] == 0.0
 
 

@@ -251,6 +251,23 @@ def test_reweight_distance_three():
     assert reweight_factor(0.99**3, 0.99, 1.0) == pytest.approx(0.25)
 
 
+def inline_reweight_factor(q_value, gamma, lam):
+    """reweight_factor as first written, with its own log_gamma inline."""
+    dist = np.log(np.maximum(q_value, 1e-300)) / np.log(gamma)
+    dist = np.clip(dist, 0.0, 4.0 / (1.0 - gamma))
+    return np.power(1.0 + dist, -lam)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_reweight_equals_the_inline_formula_bit_for_bit(lam):
+    rng = np.random.default_rng(0)
+    edges = [0.0, 1e-320, 1e-300, 1e-10, 0.5, 1.0 - 1e-16, 1.0, 1.5, 3.0, np.nan]
+    q_value = np.concatenate((rng.random(100_000), edges))
+    for gamma in (0.5, 0.9, 0.99):
+        got = reweight_factor(q_value, gamma, lam)
+        assert got.tobytes() == inline_reweight_factor(q_value, gamma, lam).tobytes()
+
+
 def test_reweight_clamps_tiny_q():
     # Implied distance of q = 1e-300 would be astronomical; clamp at 4/(1-gamma).
     w = reweight_factor(1e-300, 0.9, 1.0)
@@ -618,6 +635,19 @@ def oracle_target(q, oracle):
     return target_with_params(q, logit(oracle.params))
 
 
+def sgt_prior(cfg):
+    """sgt's per-run state: the prior gamma^P its random goals move toward."""
+    return learners.METHODS["sgt"].state(None, None, cfg)
+
+
+def test_sgt_prior_is_the_scalar_power_within_one_ulp():
+    distances = range(1, 3000, 7)
+    for gamma in (0.9, 0.95, 0.99, 0.995, 0.999):
+        priors = [sgt_prior(LearnerConfig(gamma=gamma, P_random_distance=p)) for p in distances]
+        scalar = [np.power(gamma, p) for p in distances]
+        np.testing.assert_array_max_ulp(np.array(priors), np.array(scalar), maxulp=1)
+
+
 def test_sgt_single_candidate_target():
     env = build_grid_env(5, 1)
     gamma = 0.99
@@ -629,7 +659,7 @@ def test_sgt_single_candidate_target():
         cfg, q.params.shape, s=[0], a=[3], s2=[1], g=[4], g_rand=[2],  # a = 3: right
         w_states=[[2]], w_actions=[[3]],
     )
-    stats = sgt_update_step(qt, None, batch, cfg)()
+    stats = sgt_update_step(qt, sgt_prior(cfg), batch, cfg)()
     expected = oracle.params[0, 3, 2] * oracle.params[2, 3, 4]
     assert stats["max_target"] == pytest.approx(expected)
 
@@ -647,7 +677,7 @@ def test_sgt_midpoint_candidate_bounds_target():
         w_states=[[2, 0, 1]],  # includes the shortest-path midpoint 2
         w_actions=[[3, 3, 3]],
     )
-    stats = sgt_update_step(qt, None, batch, cfg)()
+    stats = sgt_update_step(qt, sgt_prior(cfg), batch, cfg)()
     assert stats["max_target"] >= gamma**4
 
 
@@ -664,7 +694,7 @@ def test_sgt_random_goal_prior_value():
         g=[1], g_rand=[2], w_states=[[1]], w_actions=[[0]],
     )
     for _ in range(5000):
-        sgt_update_step(qt, None, batch, cfg)
+        sgt_update_step(qt, sgt_prior(cfg), batch, cfg)
     assert expit(q.params[0, 0, 2]) == pytest.approx(target, abs=1e-5)
 
 

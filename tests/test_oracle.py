@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclab.env import ConfigError, GraphEnv, adjacency_matrix, build_grid_env
-from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
+from gclab.oracle import (
+    UNREACHABLE,
+    all_pairs_distances,
+    implied_distances,
+    optimal_value_table,
+    oracle_q_table,
+)
 from env_helpers import random_graph_env
 
 
@@ -195,6 +201,26 @@ def test_value_table_equals_np_power_bit_for_bit():
             assert v.dtype == np.float64 and v.shape == d.shape, name
             expected = reference_value_table(d, gamma)
             np.testing.assert_array_equal(v.view(np.uint64), expected.view(np.uint64), name)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99, 0.999])
+def test_implied_distances_inverts_the_value_table(gamma):
+    """Every distance whose gamma^d stays above the 1e-300 floor comes back
+    from its value to within rounding: up to 690 431 steps at gamma = 0.999."""
+    d = np.arange(int(np.log(1e-300) / np.log(gamma)) + 1)
+    values = optimal_value_table(d, gamma)
+    assert values[-1] > 1e-300
+    implied = implied_distances(values, gamma)
+    assert np.array_equal(np.round(implied), d)
+    assert np.abs(implied - d).max() < 1e-9
+
+
+def test_implied_distances_clamps_at_both_ends():
+    gamma = 0.9
+    floor = np.log(1e-300) / np.log(gamma)
+    assert implied_distances(0.0, gamma) == floor
+    assert implied_distances(np.array([0.0, 1e-320]), gamma).tolist() == [floor, floor]
+    assert implied_distances(np.array([1.0, 1.5, 3.0]), gamma).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_bfs_matches_matrix_powers_on_larger_envs():

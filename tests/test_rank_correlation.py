@@ -13,7 +13,7 @@ import pytest
 from gclab.env import GraphEnv, build_grid_env
 from gclab.harness import spearman_rho, spearman_to_oracle
 from gclab.learners import ValueTable
-from gclab.oracle import UNREACHABLE, all_pairs_distances, oracle_q_table
+from gclab.oracle import UNREACHABLE, all_pairs_distances, implied_distances, oracle_q_table
 from gclab.policy import greedy_action_batch
 
 
@@ -59,10 +59,11 @@ def test_matches_scipy_spearmanr_bit_for_bit(name, a, b):
 
 def spearman_to_oracle_by_nonzero(q, d) -> float:
     """The oracle agreement as first defined: ``spearman_rho`` over the
-    ``np.nonzero`` pairs, 0.0 where it is not finite."""
+    ``np.nonzero`` pairs of the greedy action's gathered value, 0.0 where
+    it is not finite."""
     starts, goals = np.nonzero(d != UNREACHABLE)
     actions = greedy_action_batch(q, starts, goals)
-    implied = q.implied_distances((starts, actions, goals))
+    implied = implied_distances(q.values_at((starts, actions, goals)), q.gamma)
     rho = spearman_rho(implied, d[starts, goals])
     return rho if np.isfinite(rho) else 0.0
 
@@ -82,6 +83,8 @@ def _oracle_cases():
     yield "nan", grid, ValueTable(nan, 0.9)
     yield "constant", grid, ValueTable(np.full(shape, 0.5), 0.9, space="value")
     yield "one state", GraphEnv(1, 2, np.zeros((1, 2), dtype=np.int64)), ValueTable.create(1, 2, 0.9)
+    # Values of 1 or more read as distance 0: the clamp ties many pairs.
+    yield "values above 1", grid, ValueTable(rng.uniform(0.0, 3.0, shape), 0.9, space="value")
 
 
 @pytest.mark.parametrize("name, env, q", list(_oracle_cases()), ids=[c[0] for c in _oracle_cases()])

@@ -7,7 +7,13 @@ import pytest
 
 from gclab.dataset import collect_dataset
 from gclab.env import build_grid_env
-from gclab.harness import evaluate_policy, select_tasks, spearman_to_oracle, train_run
+from gclab.harness import (
+    block_settings,
+    evaluate_policy,
+    select_tasks,
+    spearman_to_oracle,
+    train_run,
+)
 from gclab.learners import (
     LOGIT_CLAMP,
     LearnerConfig,
@@ -102,8 +108,8 @@ def test_training_and_eval_never_read_the_full_table(monkeypatch):
         )
         q, _ = train_run(env, ds, cfg)
         for extraction in ("greedy", "rejection"):
-            report = evaluate_policy(
-                env, q, beh, tasks, 2, 8, extraction=extraction, rejection_n=4, dist=dist
-            )
+            spec = block_settings("eval", {"episodes": 2, "max_steps_factor": 2,
+                                           "extraction": extraction, "rejection_n": 4})
+            report = evaluate_policy(env, q, beh, dist, tasks, spec, 0)
             assert len(report.tasks) == len(tasks)
         assert np.isfinite(spearman_to_oracle(q, dist))
