@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .env import ConfigError, check_number
+from .env import ConfigError
 
 # expected_recursions fills B in blocks [lo, hi) with hi <= 2 lo, so n // 2
 # lies below the block for every n in it, and hi - lo <= _BLOCK, so each
@@ -43,7 +43,6 @@ def expected_recursions(n_max: int) -> np.ndarray:
     The identity needs B nondecreasing below n, so a block that is not
     raises ArithmeticError.
     """
-    check_number("n_max", n_max, "int", 1)
     b, p = np.zeros(n_max + 1), np.zeros(n_max + 1)  # b[n] = B(n), p[n] = P(n)
     lo = 2
     while lo <= n_max:
@@ -105,8 +104,6 @@ def recursion_depths(n: int, trials: int, seed: int) -> np.ndarray:
     trials are exchangeable, so only the unfinished chunk sizes are kept,
     and the depths are the numbers of trials that finish at each level.
     """
-    check_number("n", n, "int", 1)
-    _check_sim_draws(trials, seed)
     rng = np.random.default_rng(seed)
     sizes = np.full(trials if n > 1 else 0, float(n))  # the unfinished chunks
     finished = [trials - sizes.size]  # finished[level]: trials of depth level
@@ -131,19 +128,11 @@ def simulate_recursions(n: int, trials: int, seed: int) -> tuple[float, float]:
 
 
 def check_sim_sizes(n_max: int, sim_sizes: Sequence[int]) -> None:
-    """Raise ConfigError unless every simulated size lies in 1..n_max and
-    none is given twice."""
-    for n in sim_sizes:
-        if not 1 <= n <= n_max:
-            raise ConfigError(f"simulation size {n} is outside 1..n_max ({n_max})")
-    if len(set(sim_sizes)) < len(sim_sizes):
-        raise ConfigError(f"a simulation size is given twice: {list(sim_sizes)}")
-
-
-def _check_sim_draws(trials: int, seed: int) -> None:
-    """Raise ConfigError unless the simulation's trials and seed are valid."""
-    check_number("trials", trials, "int", 1)
-    check_number("seed", seed, "int", 0)
+    """Raise ConfigError naming ``recursion.sim_sizes`` if a simulated size
+    exceeds n_max; the recursion block's rules check each setting alone."""
+    largest = max(sim_sizes, default=n_max)
+    if largest > n_max:
+        raise ConfigError(f"config key 'recursion.sim_sizes': {largest} is above n_max ({n_max})")
 
 
 def recursion_report_rows(
@@ -153,11 +142,9 @@ def recursion_report_rows(
 
     Reported n values are 1..16, every power of two up to n_max, n_max
     itself and every simulated size; simulation columns are filled only for
-    the simulated sizes, which must lie in 1..n_max. Every simulation
-    argument is checked before the table is built.
+    the simulated sizes, which must lie in 1..n_max. The arguments are
+    those of the ``recursion`` block as the harness checks it.
     """
-    check_sim_sizes(n_max, sim_sizes)
-    _check_sim_draws(trials, seed)
     b = expected_recursions(n_max)
     ns = sorted(
         {n for n in range(1, min(16, n_max) + 1)}

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .analysis import recursion_report_rows
+from .analysis import check_sim_sizes, recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
 from .env import ConfigError, check_number
 from .harness import (
@@ -78,9 +78,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
     env = _env_from_args(args)
     ds = load_dataset(args.dataset, env=env)
-    cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
     _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir, args.log_every)
     print(f"trained {cfg.method} ({len(log)} loss rows) -> {args.out_dir}")
     return 0
@@ -117,7 +117,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recursion(args) -> int:
-    rows = recursion_report_rows(**{name: getattr(args, name) for name in _BLOCKS["recursion"]})
+    spec = block_settings("recursion", {name: getattr(args, name) for name in _BLOCKS["recursion"]})
+    check_sim_sizes(spec["n_max"], spec["sim_sizes"])
+    rows = recursion_report_rows(**spec)
     write_recursion_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

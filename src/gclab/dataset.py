@@ -26,7 +26,8 @@ from .env import ConfigError, GraphEnv, check_number, open_input
 
 @dataclass
 class RelabelRatios:
-    """Mixture weights (p_cur, p_geom, p_traj, p_rand) for goal relabeling.
+    """Mixture weights (p_cur, p_geom, p_traj, p_rand) for goal relabeling,
+    each in [0, 1], summing to 1.
 
     geom_param is the success probability of the geometric offset; the
     conventional choice 1 - gamma matches the discount horizon. Offsets the
@@ -41,14 +42,12 @@ class RelabelRatios:
 
     def __post_init__(self):
         for f in fields(self):
-            check_number(f"relabel ratio '{f.name}'", getattr(self, f.name), "float")
+            interval = "(0, 1)" if f.name == "geom_param" else "[0, 1]"
+            label, value = f"relabel ratio '{f.name}'", getattr(self, f.name)
+            check_number(label, value, "float", interval=interval)
         probs = (self.p_cur, self.p_geom, self.p_traj, self.p_rand)
-        if min(probs) < 0:
-            raise ConfigError(f"relabel ratios must be nonnegative, got {probs}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError(f"relabel ratios must sum to 1, got {sum(probs)}")
-        if not (0.0 < self.geom_param < 1.0):
-            raise ConfigError(f"geom_param must lie in (0, 1), got {self.geom_param}")
 
 
 @dataclass
@@ -105,15 +104,14 @@ def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> Trajecto
 
 def sample_index_pairs(T: int, size, rng: np.random.Generator, allow_equal: bool = False):
     """Uniform (i, j) over {0..T-1}^2 with i < j (or i <= j when allow_equal),
-    one pair per entry of the shape ``size``.
+    one pair per entry of the shape ``size``. T is at least 2 (1 with
+    allow_equal), as each learner's ``min_horizon`` ensures.
 
     Uses the distinct-pair trick: draw a in [0, m), b in [0, m-1), bump b past
     a, and sort. With allow_equal the pair is drawn from m = T + 1 positions
     and mapped back through j -> j - 1, which is a bijection onto {i <= j}.
     """
     m = T + 1 if allow_equal else T
-    if m < 2:
-        raise ConfigError(f"horizon T={T} too short for pair sampling")
     a = rng.integers(0, m, size=size)
     b = rng.integers(0, m - 1, size=size)
     b = b + (b >= a)
@@ -126,9 +124,7 @@ def sample_index_pairs(T: int, size, rng: np.random.Generator, allow_equal: bool
 
 def sample_triplet_batch(ds: TrajectoryDataset, size, rng: np.random.Generator):
     """Vectorized triplet draw: (traj_ids, i, j, k) arrays of shape ``size``
-    with i < j and i <= k <= j-1 in every entry."""
-    if ds.horizon < 2:
-        raise ConfigError("triplet sampling needs T >= 2")
+    with i < j and i <= k <= j-1 in every entry; the horizon is at least 2."""
     traj = rng.integers(0, ds.num_traj, size=size)
     i, j = sample_index_pairs(ds.horizon, size, rng)
     k = i + rng.integers(0, j - i)  # per-element high; uniform over {i..j-1}
@@ -214,8 +210,7 @@ def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
         except ValueError as exc:
             raise ConfigError(f"bad dataset header in {path}: {header!r}") from exc
         for field, value in (("num_traj", num_traj), ("T", T)):
-            if value < 1:
-                raise ConfigError(f"{path}: header field {field} must be >= 1, got {value}")
+            check_number(f"{path}: header field {field}", value, "int", 1)
         states, actions = [], []
         for n in range(num_traj):
             srow = fh.readline().strip()

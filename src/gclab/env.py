@@ -26,18 +26,29 @@ class ConfigError(ValueError):
     """Raised for invalid configuration or construction arguments."""
 
 
-def check_number(label: str, value, kind: str, minimum=None) -> None:
+def check_number(label: str, value, kind: str, minimum=None, interval=None) -> None:
     """Raise ConfigError naming ``label`` unless ``value`` is an integer
-    (``kind`` "int") or a finite real (``kind`` "float"), never a bool, and
-    at least ``minimum`` if one is given."""
+    (``kind`` "int") or a real that converts to a finite float (``kind``
+    "float"), never a bool, at least ``minimum`` if one is given, and inside
+    ``interval`` if one is given: text such as "(0, 1]" or "[1, inf)",
+    where a bracket takes in its end and a parenthesis leaves it out."""
     wanted, name = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, wanted):
         raise ConfigError(f"{label} must be {name}, got {value!r}")
-    # An integer is finite, and math.isfinite cannot convert one above 1e308.
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range: fine for an int setting only
+        finite = kind == "int"
+    if not finite:
         raise ConfigError(f"{label} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{label} must be >= {minimum}, got {value!r}")
+    if interval is not None:
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        below = value < lo if interval[0] == "[" else value <= lo
+        above = value > hi if interval[-1] == "]" else value >= hi
+        if below or above:
+            raise ConfigError(f"{label} must lie in {interval}, got {value!r}")
 
 
 @contextlib.contextmanager
@@ -76,10 +87,8 @@ class GraphEnv:
 
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=np.int64)
-        if self.num_states < 1:
-            raise ConfigError("environment needs at least one state")
-        if self.num_actions < 1:
-            raise ConfigError("every state needs at least one action")
+        check_number("environment num_states", self.num_states, "int", 1)
+        check_number("environment num_actions", self.num_actions, "int", 1)
         if self.transition.shape != (self.num_states, self.num_actions):
             raise ConfigError(
                 f"transition table shape {self.transition.shape} does not match "

@@ -191,39 +191,26 @@ def _counted_ranks(x: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - counts + (counts + 1) / 2)[x]
 
 
-def _rank_correlation(a: np.ndarray, b: np.ndarray, rank_b) -> float:
-    """The rank correlation of two equal-length columns, ``b`` ranked by
-    ``rank_b``. NaN for fewer than two pairs, a constant column or a NaN."""
-    if a.size < 2 or (a == a[0]).all() or (b == b[0]).all():
-        return float("nan")
-    if np.isnan(a).any() or np.isnan(b).any():
-        return float("nan")
-    ranked = np.column_stack((_average_ranks(a), rank_b(b)))
-    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
-
-
-def spearman_rho(a, b) -> float:
-    """Spearman rank correlation of paired samples: the statistic of
-    ``scipy.stats.spearmanr(a, b)``, bit for bit, without its p-value. NaN
-    (and no warning) for fewer than two pairs, a constant input or a NaN."""
-    ab = np.column_stack((a, b))  # one dtype for both, as spearmanr stacks them
-    return _rank_correlation(ab[:, 0], ab[:, 1], _average_ranks)
-
-
 def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
-    """Rank correlation between greedy-action implied distances and the true
-    distances ``d`` over all reachable pairs: :func:`spearman_rho` of the
-    two, bit for bit, with the integer distances ranked by counting. Each
-    pair's action values are read once; their maximum is the greedy
-    action's value, whichever action a tie-break picks."""
+    """Spearman rank correlation between greedy-action implied distances and
+    the true distances ``d`` over all reachable pairs: the statistic of
+    ``scipy.stats.spearmanr``, bit for bit, with the integer distances
+    ranked by counting. 0.0, with no warning, for fewer than two pairs, a
+    constant column or a NaN. Each pair's action values are read once;
+    their maximum is the greedy action's value, whichever action a
+    tie-break picks."""
     flat = d.reshape(-1)
     pairs = np.flatnonzero(flat != UNREACHABLE)
     starts, goals = np.divmod(pairs, d.shape[1])
     # (actions, pairs): numpy's max along rows of A entries is about 20x slower.
     actions = np.arange(q.params.shape[1])[:, None]
-    best = q.values_at((starts, actions, goals)).max(axis=0)
-    rho = _rank_correlation(implied_distances(best, q.gamma), flat[pairs], _counted_ranks)
-    return rho if np.isfinite(rho) else 0.0
+    implied = implied_distances(q.values_at((starts, actions, goals)).max(axis=0), q.gamma)
+    true = flat[pairs]
+    constant = true.size < 2 or (implied == implied[0]).all() or (true == true[0]).all()
+    if constant or np.isnan(implied).any():
+        return 0.0
+    ranked = np.column_stack((_average_ranks(implied), _counted_ranks(true)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
 
 
 def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> EvalReport:
@@ -234,11 +221,13 @@ def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> Eva
     max_steps_factor times the task's distance, and at least 1 step.
 
     The env and the greedy policy are deterministic, so a greedy task is
-    rolled out once and that rollout decides every episode; rejection
-    sampling rolls out every episode, drawing from rng [seed, 2025]."""
+    rolled out once and that rollout decides every episode, and its budget
+    is at most S - 1 steps: a greedy walk that has not hit its goal by then
+    has revisited a state, so it never will. Rejection sampling rolls out
+    every episode, drawing from rng [seed, 2025]."""
     episodes = eval_spec["episodes"]
     if eval_spec["extraction"] == "greedy":
-        rollouts = 1
+        rollouts, longest = 1, env.num_states - 1
 
         def act(s, goal):
             return int(greedy_action_batch(q, np.array([s]), np.array([goal]))[0])
@@ -246,14 +235,14 @@ def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> Eva
     else:
         if beh is None:
             raise ConfigError("rejection sampling requires a behavior policy")
-        rollouts, rng = episodes, np.random.default_rng([seed, 2025])
+        rollouts, longest, rng = episodes, float("inf"), np.random.default_rng([seed, 2025])
 
         def act(s, goal):
             return rejection_sample_action(q, beh, s, goal, eval_spec["rejection_n"], rng)
 
     rows = []
     for task_id, (start, goal) in enumerate(tasks):
-        budget = max(1, eval_spec["max_steps_factor"] * int(dist[start, goal]))
+        budget = min(max(1, eval_spec["max_steps_factor"] * int(dist[start, goal])), longest)
         wins = sum(_rollout(env, act, start, goal, budget) for _ in range(rollouts))
         rows.append({"task_id": task_id, "start": start, "goal": goal,
                      "success_rate": wins / rollouts, "episodes": episodes})
@@ -420,10 +409,7 @@ def validate_experiment_config(config: dict) -> dict:
     normalized["eval"] = block_settings("eval", config.get("eval", {}))
     if "recursion" in config:
         rec = normalized["recursion"] = block_settings("recursion", config["recursion"])
-        try:
-            analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
-        except ConfigError as exc:
-            raise ConfigError(f"config key 'recursion.sim_sizes': {exc}") from None
+        analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
     try:
         base = LearnerConfig(**normalized["learner"])
     except TypeError as exc:
@@ -571,9 +557,11 @@ def aggregate_summary(out_dir: str) -> str:
 
 def run_experiment(config_or_path) -> int:
     """Execute a (method x seed) matrix; returns 0, or 1 if any run was
-    refused (see :func:`train_run`). Partial results stay on disk. A
-    ConfigError is raised, never counted as a refused run, and the config,
-    distances and task set are checked before ``out_dir`` is created."""
+    refused (see :func:`train_run`), after printing a FAILED line for each.
+    Partial results stay on disk, and the summary is written unless every
+    run was refused. A ConfigError is raised, never counted as a refused
+    run, and the config, distances and task set are checked before
+    ``out_dir`` is created."""
     if isinstance(config_or_path, str):
         with open_input(config_or_path) as fh:
             try:
@@ -611,9 +599,8 @@ def run_experiment(config_or_path) -> int:
         rows = analysis_mod.recursion_report_rows(**config["recursion"])
         write_recursion_csv(os.path.join(out_dir, "recursion.csv"), rows)
 
-    aggregate_summary(out_dir)
-    if failures:
-        for failure in failures:
-            print(f"FAILED {failure}")
-        return 1
-    return 0
+    for failure in failures:
+        print(f"FAILED {failure}")
+    if len(failures) < len(config["_runs"]):
+        aggregate_summary(out_dir)
+    return 1 if failures else 0

@@ -76,8 +76,7 @@ class ValueTable:
     def __post_init__(self):
         if self.space not in ("logit", "value"):
             raise ConfigError(f"unknown table space {self.space!r}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
+        check_number("gamma", self.gamma, "float", interval="(0, 1)")
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         if self.params.ndim != 3:
             raise ConfigError("value table must be (states, actions, goals)")
@@ -134,6 +133,24 @@ class PolyakTarget:
         return _as_values(params, self.online.space)
 
 
+# The range of each number in a LearnerConfig: every caller reads its fields
+# as checked here, when the config is built, and checks none again.
+_INTERVALS = {
+    "gamma": "(0, 1)",
+    "kappa": "[0.5, 1)",
+    "lambda_reweight": "[0, inf)",
+    "learning_rate": "(0, inf)",
+    "tau_target": "(0, 1]",
+    "batch_size": "[1, inf)",
+    "steps": "[0, inf)",
+    "n_step": "[1, inf)",
+    "M_subgoals": "[1, inf)",
+    "P_random_distance": "[1, inf)",
+    "beta_goal_reg": "[0, inf)",
+    "seed": "[0, inf)",
+}
+
+
 @dataclass
 class LearnerConfig:
     """Scalars governing a training run; defaults follow the standard recipe."""
@@ -156,29 +173,10 @@ class LearnerConfig:
     def __post_init__(self):
         for f in fields(self):  # annotations are strings: this module postpones them
             if f.type in ("int", "float"):
-                check_number(f"learner field '{f.name}'", getattr(self, f.name), f.type)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+                label, value = f"learner field '{f.name}'", getattr(self, f.name)
+                check_number(label, value, f.type, interval=_INTERVALS[f.name])
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not (0.5 <= self.kappa < 1.0):
-            raise ConfigError(f"kappa must lie in [0.5, 1), got {self.kappa}")
-        if self.lambda_reweight < 0:
-            raise ConfigError(f"lambda_reweight must be >= 0, got {self.lambda_reweight}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0.0 < self.tau_target <= 1.0):
-            raise ConfigError(f"tau_target must lie in (0, 1], got {self.tau_target}")
-        if self.batch_size < 1 or self.steps < 0:
-            raise ConfigError("need batch_size >= 1 and steps >= 0")
-        if self.n_step < 1:
-            raise ConfigError(f"n_step must be >= 1, got {self.n_step}")
-        if self.M_subgoals < 1 or self.P_random_distance < 1:
-            raise ConfigError("need M_subgoals >= 1 and P_random_distance >= 1")
-        if self.beta_goal_reg < 0:
-            raise ConfigError(f"beta_goal_reg must be >= 0, got {self.beta_goal_reg}")
         if isinstance(self.ratios, dict):
             self.ratios = RelabelRatios(**self.ratios)
         if not isinstance(self.ratios, RelabelRatios):
@@ -201,8 +199,6 @@ def asymmetric_loss(x_pred, y_target, kappa: float):
     """Expectile squared loss weight * (x - y)^2 and its gradient with
     respect to the prediction, elementwise: the value-space loss of gciql's
     V step. Returns (loss, dloss_dx)."""
-    if not (0.5 <= kappa < 1.0):
-        raise ConfigError(f"kappa must lie in [0.5, 1), got {kappa}")
     weight = expectile_weight(x_pred, y_target, kappa)
     diff = x_pred - y_target
     return weight * diff * diff, weight * 2.0 * diff
@@ -224,8 +220,6 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
     The implied distance is clamped to [0, 4 / (1 - gamma)] before use, so
     near-zero q early in training cannot zero the weight.
     """
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
     dist = np.minimum(implied_distances(q_value, gamma), 4.0 / (1.0 - gamma))
     return np.power(1.0 + dist, -lam)
 
@@ -773,8 +767,7 @@ def load_table(path: str) -> ValueTable:
             raise ConfigError(f"{path}: truncated value-table header")
         s, a, g, flag = (int(x) for x in np.frombuffer(head[:32], dtype=np.int64))
         for field, dim in (("states", s), ("actions", a), ("goals", g)):
-            if dim < 1:
-                raise ConfigError(f"{path}: header field {field} must be >= 1, got {dim}")
+            check_number(f"{path}: header field {field}", dim, "int", 1)
         if flag not in _SPACE_FLAGS:
             raise ConfigError(f"{path}: header field space flag must be 0 or 1, got {flag}")
         body = fh.read()

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .env import ConfigError, GraphEnv
+from .env import GraphEnv, check_number
 
 # Sentinel for "no path". Kept negative so any arithmetic misuse is loud.
 UNREACHABLE = -1
@@ -67,8 +67,7 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     UNREACHABLE pairs at 0: each entry is read from the powers gamma ** 0 ..
     gamma ** max(d) and a final 0, which UNREACHABLE (-1) indexes, so it
     equals np.power's value at the cost of max(d) + 1 powers."""
-    if not (0.0 < gamma < 1.0):
-        raise ConfigError(f"gamma must lie in (0, 1), got {gamma}")
+    check_number("gamma", gamma, "float", interval="(0, 1)")
     return np.append(np.power(gamma, np.arange(d.max(initial=0) + 1)), 0.0)[d]
 
 

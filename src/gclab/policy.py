@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import TrajectoryDataset
-from .env import ConfigError, GraphEnv
+from .env import GraphEnv
 from .learners import ValueTable
 
 
@@ -34,8 +34,6 @@ class BehaviorPolicy:
 
 def estimate_behavior_policy(ds: TrajectoryDataset, env: GraphEnv) -> BehaviorPolicy:
     """Count (state, action) visits over every stored transition."""
-    if ds.num_traj < 1:
-        raise ConfigError("cannot estimate a behavior policy from an empty dataset")
     counts = np.zeros((env.num_states, env.num_actions), dtype=np.int64)
     np.add.at(counts, (ds.states[:, :-1].ravel(), ds.actions.ravel()), 1)
     return BehaviorPolicy(counts)
@@ -53,10 +51,8 @@ def rejection_sample_action(
     N: int,
     rng: np.random.Generator,
 ) -> int:
-    """Best-of-N behavioral sample: draw N actions from the behavior policy
+    """Best-of-N behavioral sample: draw N >= 1 actions from the behavior policy
     at s, return the Q-argmax among the drawn set (ties -> lowest index)."""
-    if N < 1:
-        raise ConfigError(f"rejection sampling needs N >= 1, got {N}")
     probs = beh.row_probs(s)
     draws = rng.choice(probs.size, size=N, p=probs)
     drawn = np.zeros(probs.size, dtype=bool)

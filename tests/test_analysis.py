@@ -14,6 +14,7 @@ from gclab.analysis import (
     simulate_recursions,
     split_points,
 )
+from gclab.cli import main
 from gclab.env import ConfigError
 
 
@@ -220,13 +221,15 @@ def test_simulation_seeded_determinism():
     assert a == b
 
 
-def test_validation_errors():
-    with pytest.raises(ConfigError):
-        expected_recursions(0)
-    with pytest.raises(ConfigError):
-        simulate_recursions(4, 0, seed=0)
+def test_validation_errors(tmp_path, capsys):
+    """The recursion settings are checked where they enter, so `gclab
+    recursion` exits 2 naming the key; the bound keeps its domain guard."""
     with pytest.raises(ConfigError):
         recursion_bound(0)
+    for flag, key in (("--n-max", "recursion.n_max"), ("--trials", "recursion.trials")):
+        assert main(["recursion", flag, "0", "--out", str(tmp_path / "rec.csv")]) == 2
+        assert f"config key '{key}' must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "rec.csv").exists()
 
 
 def test_report_rows_schema():

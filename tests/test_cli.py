@@ -376,7 +376,8 @@ def test_recursion_sim_size_above_n_max_exit_code(tmp_path, capsys):
         "recursion", "--n-max", "64", "--sim", "100", "--out", str(tmp_path / "rec.csv"),
     )
     assert code == 2
-    assert "100" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'recursion.sim_sizes'" in err and "100 is above n_max (64)" in err
     assert not (tmp_path / "rec.csv").exists()
 
 
@@ -390,7 +391,7 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
         "--out", str(tmp_path / "rec.csv"),
     )
     assert code == 2
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "config key 'recursion.seed' must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -435,7 +436,11 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"out_dir": 5}, "out_dir"), ({"out_dir": None}, "out_dir"), ({"out_dir": [1]}, "out_dir"),
      ({"out_dir": ""}, "out_dir"),
      ({"env": {"kind": "file", "path": "env.txt"}, "methods": ["trl", "coe"]},
-      "learner.beta_goal_reg")],
+      "learner.beta_goal_reg"),
+     ({"learner": {"learning_rate": 10**400}}, "learning_rate"),
+     ({"learner": {"lambda_reweight": 10**400}}, "lambda_reweight"),
+     ({"learner": {"ratios": {"p_cur": 10**400}}}, "p_cur"),
+     ({"learner": {"kappa": 1.0}}, "kappa")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"
@@ -494,7 +499,7 @@ def test_recursion_duplicate_sim_size_exit_code(tmp_path, capsys):
         "--out", str(tmp_path / "rec.csv"),
     )
     assert code == 2
-    assert "given twice: [8, 8]" in capsys.readouterr().err
+    assert "'recursion.sim_sizes' has a duplicate entry: [8, 8]" in capsys.readouterr().err
     assert not (tmp_path / "rec.csv").exists()
 
 
@@ -564,6 +569,15 @@ def test_train_bad_log_every_exit_code(tmp_path, capsys):
     assert "log_every" in capsys.readouterr().err
 
 
+# How each command names its seed and the seed's bound.
+_SEED_RULES = {
+    "gen": "seed must be >= 0",
+    "train": "learner field 'seed' must lie in [0, inf)",
+    "eval": "--seed must be >= 0",
+    "recursion": "config key 'recursion.seed' must be >= 0",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gen", "--width", "3", "--height", "1", "--num-traj", "2", "--T", "4", "--out", "out.csv"],
@@ -580,7 +594,7 @@ def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch, argv):
     save_table(ValueTable.create(3, 4, 0.99), "table.bin")
     assert run_cli(*argv, "--seed", "-1") == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "seed must be >= 0, got -1" in err
+    assert "config error" in err and f"{_SEED_RULES[argv[0]]}, got -1" in err
 
 
 def test_greedy_eval_needs_no_dataset(tmp_path):
@@ -684,6 +698,18 @@ def test_sweep_names_a_diverged_run(tmp_path, capsys, nan_mc_step):
         assert (runs / "trl_seed0" / name).is_file()
     summary = (tmp_path / "exp" / "summary.csv").read_text()
     assert "\ntrl," in summary and "\nmc," not in summary
+
+
+def test_sweep_with_every_run_refused_exits_1(tmp_path, capsys, nan_mc_step):
+    """With no finished run there is nothing to aggregate: the sweep prints
+    its FAILED line, writes no summary and exits 1, not 2."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_sweep_config(tmp_path)))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAILED mc seed 0: ") and "config error" not in err
+    assert not (tmp_path / "exp" / "runs").exists()
+    assert not (tmp_path / "exp" / "summary.csv").exists()
 
 
 def test_train_refuses_a_diverged_table(tmp_path, capsys, nan_mc_step):

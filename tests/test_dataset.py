@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclab.cli import main
 from gclab.dataset import (
     RelabelRatios,
     TrajectoryDataset,
@@ -15,6 +18,8 @@ from gclab.dataset import (
     save_dataset,
 )
 from gclab.env import ConfigError, adjacency_matrix, build_grid_env
+from gclab.harness import train_run
+from gclab.learners import LearnerConfig
 
 
 def sample_triplet(ds, rng):
@@ -76,11 +81,19 @@ def test_triplet_T2_is_forced():
         assert (i, j, k) == (0, 1, 0)
 
 
-def test_triplet_requires_T_at_least_2():
+def test_triplet_requires_T_at_least_2(tmp_path, capsys):
+    """The sampler trusts its horizon: trl's ``min_horizon`` of 2 is checked
+    before a run starts, and a sweep exits 2 naming 'dataset.T'."""
     env = build_grid_env(2, 1)
     ds = collect_dataset(env, 2, 1, seed=0)
-    with pytest.raises(ConfigError):
-        sample_triplet(ds, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="T >= 2"):
+        train_run(env, ds, LearnerConfig(method="trl", steps=1))
+    config = {"out_dir": str(tmp_path / "exp"), "env": {"kind": "grid", "width": 2, "height": 1},
+              "dataset": {"num_traj": 2, "T": 1, "seed": 0}, "methods": ["trl"], "seeds": [0]}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "'dataset.T' must be >= 2 for method 'trl', got 1" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_triplet_T3_distribution():
@@ -301,7 +314,11 @@ def test_ratio_validation():
 
 
 @pytest.mark.parametrize("field", ["p_cur", "p_geom", "p_traj", "p_rand", "geom_param"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"),
+     pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+)
 def test_ratio_rejects_non_finite(field, value):
     with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
         RelabelRatios(**{field: value})

@@ -20,7 +20,7 @@ from gclab.harness import (
 from gclab import learners
 from gclab.learners import LearnerConfig, ValueTable, load_table
 from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
-from gclab.policy import estimate_behavior_policy
+from gclab.policy import estimate_behavior_policy, greedy_action_batch
 from env_helpers import random_graph_env
 from sweep_helpers import run_transitive_fixed_point
 
@@ -244,6 +244,37 @@ def test_evaluate_unreachable_goal():
     spec = block_settings("eval", {"episodes": 3})
     report = evaluate_policy(env, q, None, dist, [(2, 0)], spec, 0)
     assert report.tasks[0]["success_rate"] == 0.0
+
+
+def greedy_walk(env, q, start, goal) -> list[int]:
+    """The greedy walk from ``start`` until it stands on ``goal`` or on a
+    state it has visited before, after which it only cycles."""
+    path = [start]
+    while path[-1] != goal and path[-1] not in path[:-1]:
+        action = greedy_action_batch(q, np.array([path[-1]]), np.array([goal]))[0]
+        path.append(int(env.transition[path[-1], action]))
+    return path
+
+
+def test_greedy_budget_stops_at_S_minus_1(small_world):
+    """A greedy rollout's budget is capped at S - 1 steps: success is that
+    of the whole budget, and a factor of 10**400 ends at once."""
+    env, _ = small_world
+    dist = all_pairs_distances(env)
+    tasks = select_tasks(dist, 40)
+    rng = np.random.default_rng(0)
+    shape = (env.num_states, env.num_actions, env.num_states)
+    outcomes = set()
+    for q in [ValueTable(rng.normal(0.0, 3.0, shape), 0.9) for _ in range(4)]:
+        for factor in (1, 4, 10**400):
+            spec = block_settings("eval", {"max_steps_factor": factor})
+            report = evaluate_policy(env, q, None, dist, tasks, spec, 0)
+            for row, (start, goal) in zip(report.tasks, tasks):
+                budget = max(1, factor * int(dist[start, goal]))
+                want = float(goal in greedy_walk(env, q, start, goal)[: budget + 1])
+                assert row["success_rate"] == want
+                outcomes.add(want)
+    assert outcomes == {0.0, 1.0}
 
 
 def test_spearman_penalizes_scrambled_values(small_world):

@@ -1,6 +1,7 @@
+import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from gclab import learners
+from gclab.cli import main
 from gclab.dataset import collect_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import train_run
@@ -135,11 +137,60 @@ def test_bce_loss_frozen_value():
     assert loss == pytest.approx(0.3611918, abs=1e-6)
 
 
-def test_kappa_validation():
-    with pytest.raises(ConfigError):
-        asymmetric_loss(0.5, 0.4, kappa=0.4)
-    with pytest.raises(ConfigError):
-        asymmetric_loss(0.5, 0.4, kappa=1.0)
+def test_kappa_validation(tmp_path, capsys):
+    """kappa is checked where a config enters, not by the losses: outside
+    [0.5, 1) LearnerConfig raises, and `gclab train` exits 2 naming it
+    before it reads a file."""
+    for kappa in (0.4, 1.0):
+        with pytest.raises(ConfigError, match=re.escape("'kappa' must lie in [0.5, 1)")):
+            LearnerConfig(kappa=kappa)
+    argv = ["train", "--width", "2", "--height", "1", "--dataset", str(tmp_path / "none.csv"),
+            "--method", "gciql", "--seed", "0", "--kappa", "1.0", "--out-dir", str(tmp_path / "r")]
+    assert main(argv) == 2
+    assert "'kappa' must lie in [0.5, 1), got 1.0" in capsys.readouterr().err
+
+
+def _below(x: float) -> float:
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
+
+
+# Every entry of the LearnerConfig interval table: values just inside each
+# end, and just outside each finite end.
+_INTERVAL_CASES = [
+    ("gamma", "(0, 1)", [_above(0.0), _below(1.0)], [0.0, 1.0]),
+    ("kappa", "[0.5, 1)", [0.5, _below(1.0)], [_below(0.5), 1.0]),
+    ("lambda_reweight", "[0, inf)", [0.0, 1e308], [_below(0.0)]),
+    ("learning_rate", "(0, inf)", [_above(0.0), 1e308], [0.0]),
+    ("tau_target", "(0, 1]", [_above(0.0), 1.0], [0.0, _above(1.0)]),
+    ("batch_size", "[1, inf)", [1], [0]),
+    ("steps", "[0, inf)", [0], [-1]),
+    ("n_step", "[1, inf)", [1], [0]),
+    ("M_subgoals", "[1, inf)", [1], [0]),
+    ("P_random_distance", "[1, inf)", [1], [0]),
+    ("beta_goal_reg", "[0, inf)", [0.0, 1e308], [_below(0.0)]),
+    ("seed", "[0, inf)", [0], [-1]),
+]
+
+
+def test_interval_cases_cover_every_number_field():
+    numbers = {f.name for f in fields(LearnerConfig) if f.type in ("int", "float")}
+    assert {case[0] for case in _INTERVAL_CASES} == set(learners._INTERVALS) == numbers
+
+
+@pytest.mark.parametrize(
+    "field, interval, inside, outside", _INTERVAL_CASES, ids=[c[0] for c in _INTERVAL_CASES]
+)
+def test_config_interval_ends(field, interval, inside, outside):
+    for value in inside:
+        assert getattr(LearnerConfig(**{field: value}), field) == value
+    for value in outside:
+        message = f"learner field '{field}' must lie in {interval}, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            LearnerConfig(**{field: value})
 
 
 def test_gradients_match_central_differences():
@@ -849,7 +900,11 @@ def test_target_sync_tau_zero_rejected_by_config():
 @pytest.mark.parametrize(
     "field", ["gamma", "kappa", "lambda_reweight", "learning_rate", "tau_target", "beta_goal_reg"]
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"),
+     pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
+)
 def test_config_rejects_non_finite_floats(field, value):
     with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
         LearnerConfig(**{field: value})

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gclab.cli import main
 from gclab.dataset import TrajectoryDataset, collect_dataset
-from gclab.env import ConfigError, build_grid_env
+from gclab.env import build_grid_env
 from gclab.learners import ValueTable
 from gclab.oracle import UNREACHABLE, all_pairs_distances, oracle_q_table
 from gclab.policy import (
@@ -133,12 +134,14 @@ def test_rejection_selection_probability_monotone_in_N():
     assert rates == sorted(rates)
 
 
-def test_rejection_requires_positive_N():
-    env = build_grid_env(2, 1)
-    q = oracle_table(env)
-    beh = BehaviorPolicy(np.zeros((2, 4)))
-    with pytest.raises(ConfigError):
-        rejection_sample_action(q, beh, 0, 1, 0, np.random.default_rng(0))
+def test_rejection_requires_positive_N(tmp_path, capsys):
+    """N is checked where the eval settings enter: `gclab eval` exits 2
+    naming 'eval.rejection_n' before it reads a file."""
+    argv = ["eval", "--width", "2", "--height", "1", "--table", str(tmp_path / "none.bin"),
+            "--extraction", "rejection", "--rejection-n", "0", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 2
+    assert "config key 'eval.rejection_n' must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def greedy_rollout_length(env, q, start, goal, max_steps):
