@@ -81,7 +81,12 @@ def cmd_train(args) -> int:
     cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
     env = _env_from_args(args)
     ds = load_dataset(args.dataset, env=env)
-    _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir, args.log_every)
+    try:
+        _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir, args.log_every)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a refused run, named as a sweep's FAILED line names it
+        raise ValueError(f"{cfg.method} seed {cfg.seed}: {exc}") from exc
     print(f"trained {cfg.method} ({len(log)} loss rows) -> {args.out_dir}")
     return 0
 

@@ -26,29 +26,44 @@ class ConfigError(ValueError):
     """Raised for invalid configuration or construction arguments."""
 
 
-def check_number(label: str, value, kind: str, minimum=None, interval=None) -> None:
+# A refused value whose repr is longer than this is shown by its start and
+# its length: an integer of hundreds of digits would bury the message.
+_SHOWN_CHARS = 32
+
+
+def _shown(value) -> str:
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def check_number(label: str, value, kind: str, minimum=None, interval=None, maximum=None) -> None:
     """Raise ConfigError naming ``label`` unless ``value`` is an integer
     (``kind`` "int") or a real that converts to a finite float (``kind``
-    "float"), never a bool, at least ``minimum`` if one is given, and inside
-    ``interval`` if one is given: text such as "(0, 1]" or "[1, inf)",
-    where a bracket takes in its end and a parenthesis leaves it out."""
+    "float"), never a bool, at least ``minimum`` and at most ``maximum``
+    if they are given, and inside ``interval`` if one is given: text such
+    as "(0, 1]" or "[1, inf)", where a bracket takes in its end and a
+    parenthesis leaves it out. The message shows a long value shortened."""
     wanted, name = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, wanted):
-        raise ConfigError(f"{label} must be {name}, got {value!r}")
+        raise ConfigError(f"{label} must be {name}, got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer beyond the float range: fine for an int setting only
         finite = kind == "int"
     if not finite:
-        raise ConfigError(f"{label} must be finite, got {value!r}")
+        raise ConfigError(f"{label} must be finite, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{label} must be >= {minimum}, got {value!r}")
+        raise ConfigError(f"{label} must be >= {minimum}, got {_shown(value)}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{label} must be <= {maximum}, got {_shown(value)}")
     if interval is not None:
         lo, hi = (float(end) for end in interval[1:-1].split(","))
         below = value < lo if interval[0] == "[" else value <= lo
         above = value > hi if interval[-1] == "]" else value >= hi
         if below or above:
-            raise ConfigError(f"{label} must lie in {interval}, got {value!r}")
+            raise ConfigError(f"{label} must lie in {interval}, got {_shown(value)}")
 
 
 @contextlib.contextmanager

@@ -91,8 +91,8 @@ def train_run(
     run starts, so rebinding the module attribute reaches every call) on the
     batches of ``learners.step_batches``, each followed by a target sync. It
     evaluates a step's statistics only on the steps it logs: every
-    ``log_every`` steps and the last one. It raises ValueError, naming the
-    method and seed, if the trained table holds a non-finite entry.
+    ``log_every`` steps and the last one. It raises ValueError if the
+    trained table holds a non-finite entry; the caller names the run.
     """
     log: list[dict] = []
     if cfg.method == "exact":
@@ -121,7 +121,7 @@ def train_run(
         if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
             log.append({"step": step_idx, "method": cfg.method, **stats()})
     if not np.isfinite(q.params).all():
-        raise ValueError(f"{cfg.method} seed {cfg.seed}: training ended with a non-finite table")
+        raise ValueError("training ended with a non-finite table")
     return q, log
 
 
@@ -196,21 +196,23 @@ def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
     the true distances ``d`` over all reachable pairs: the statistic of
     ``scipy.stats.spearmanr``, bit for bit, with the integer distances
     ranked by counting. 0.0, with no warning, for fewer than two pairs, a
-    constant column or a NaN. Each pair's action values are read once;
-    their maximum is the greedy action's value, whichever action a
-    tie-break picks."""
+    constant column or a NaN. A pair's greedy value is the maximum of its
+    action values, whichever action a tie-break picks; it is taken one
+    action at a time, each pass reading that action's S x S values."""
+    # A running maximum from -inf writes into a new array, never into a
+    # value table that values_at hands out as a view; NaN passes through.
+    best = np.full(d.shape, -np.inf)
+    for a in range(q.params.shape[1]):
+        np.maximum(best, q.values_at((slice(None), a, slice(None))), out=best)
     flat = d.reshape(-1)
     pairs = np.flatnonzero(flat != UNREACHABLE)
-    starts, goals = np.divmod(pairs, d.shape[1])
-    # (actions, pairs): numpy's max along rows of A entries is about 20x slower.
-    actions = np.arange(q.params.shape[1])[:, None]
-    implied = implied_distances(q.values_at((starts, actions, goals)).max(axis=0), q.gamma)
+    implied = implied_distances(best.reshape(-1)[pairs], q.gamma)
     true = flat[pairs]
     constant = true.size < 2 or (implied == implied[0]).all() or (true == true[0]).all()
     if constant or np.isnan(implied).any():
         return 0.0
-    ranked = np.column_stack((_average_ranks(implied), _counted_ranks(true)))
-    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+    ranked = np.vstack((_average_ranks(implied), _counted_ranks(true)))
+    return float(np.corrcoef(ranked)[1, 0])
 
 
 def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> EvalReport:
@@ -303,6 +305,9 @@ _MINIMUMS = {
     "recursion.trials": 1,
     "recursion.seed": 0,
 }
+# Largest allowed value of an integer setting, by dotted key. A rejection
+# rollout keeps its whole budget of max_steps_factor * d steps.
+_MAXIMUMS = {"eval.max_steps_factor": 1000}
 # The string settings and the values each takes.
 _CHOICES = {"methods": tuple(METHODS), "eval.extraction": ("greedy", "rejection")}
 _LISTS = ("methods", "seeds", "n_values", "recursion.sim_sizes")
@@ -315,13 +320,16 @@ def check_setting(key: str, value) -> None:
     """Raise ConfigError naming ``key`` (dotted, as in the sweep config)
     unless ``value`` suits it. A list setting must be a list whose entries
     each suit the key, with no entry twice; any other setting is one of its
-    ``_CHOICES`` or an integer no smaller than its ``_MINIMUMS`` entry."""
+    ``_CHOICES`` or an integer no smaller than its ``_MINIMUMS`` entry and
+    no larger than its ``_MAXIMUMS`` entry, if it has one."""
     entries = value if key in _LISTS else [value]
     if not isinstance(entries, list):
         raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
     for entry in entries:
         if key not in _CHOICES:
-            check_number(f"config key '{key}'", entry, "int", _MINIMUMS[key])
+            check_number(
+                f"config key '{key}'", entry, "int", _MINIMUMS[key], maximum=_MAXIMUMS.get(key)
+            )
         elif entry not in _CHOICES[key]:
             raise ConfigError(f"config key '{key}' must be one of {_CHOICES[key]}, got {entry!r}")
     if len(set(entries)) < len(entries):

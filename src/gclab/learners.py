@@ -430,7 +430,7 @@ def sgt_update_step(target: PolyakTarget, prior, batch: dict, cfg: LearnerConfig
     # data would otherwise fight the gamma^0 anchor on the same entry.
     edge = batch["edge"]
     half_sw, half_wg = target.values_flat(batch["cand"])
-    tri_target = (half_sw * half_wg).max(axis=1)
+    tri_target = (half_sw * half_wg).max(axis=0)
     grads = (pred0 - 1.0, edge * (pred1 - cfg.gamma), predr - prior, predg - tri_target)
     _apply_logit_updates(target, online, np.concatenate(grads), cfg.learning_rate)
 
@@ -632,13 +632,15 @@ def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 def _sgt_layout(shape, cfg, s, a, s2, g, g_rand, w_states, w_actions) -> dict:
     """``online`` holds the anchor, one-step, random-goal and goal entries;
-    ``cand`` the two halves (s, a, w) and (w, a_w, g) of every candidate."""
+    ``cand`` the two halves (s, a, w) and (w, a_w, g) of every candidate,
+    candidate-major, (2, M, batch) per step: the maximum over candidates
+    then runs down the long axis."""
     sa = _flat(shape, s, a, 0)
     halves = (sa[..., None] + w_states, _flat(shape, w_states, w_actions, g[..., None]))
     return {
         "online": np.stack((sa + s, sa + s2, sa + g_rand, sa + g), axis=-2),
         "edge": (s2 != s).astype(np.float64),
-        "cand": np.stack(halves, axis=-3),
+        "cand": np.ascontiguousarray(np.stack(halves, axis=-3).swapaxes(-1, -2)),
     }
 
 

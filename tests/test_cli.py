@@ -253,6 +253,7 @@ def _sweep_config(tmp_path, **eval_spec):
 @pytest.mark.parametrize(
     "key, value",
     [("episodes", 0), ("num_tasks", 0), ("num_tasks", -1), ("max_steps_factor", 0),
+     ("max_steps_factor", 1001), ("max_steps_factor", 10**400),
      ("rejection_n", 0), ("min_task_distance", -1), ("episodes", 2.5),
      ("extraction", "softmax"), ("min_task_distance", 100)],
 )
@@ -448,6 +449,28 @@ def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"learner": {"learning_rate": 10**400}},
+      "learner field 'learning_rate' must be finite, got 1000000000000000000000000000000"
+      "0... (401 characters)"),
+     ({"eval": {"max_steps_factor": 10**400}},
+      "config key 'eval.max_steps_factor' must be <= 1000, got 100000000000000000000000000"
+      "00000... (401 characters)"),
+     ({"eval": {"episodes": "x" * 500}},
+      "config key 'eval.episodes' must be an integer, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
+      "... (502 characters)")],
+    ids=["learning_rate", "max_steps_factor", "episodes"],
+)
+def test_a_long_refused_value_is_shortened(tmp_path, capsys, overrides, message):
+    """The message keeps the key and the bound and shows the value's start
+    and length, not all of its digits."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -707,7 +730,8 @@ def test_sweep_with_every_run_refused_exits_1(tmp_path, capsys, nan_mc_step):
     cfg_path.write_text(json.dumps(_sweep_config(tmp_path)))
     assert run_cli("sweep", "--config", str(cfg_path)) == 1
     out, err = capsys.readouterr()
-    assert out.startswith("FAILED mc seed 0: ") and "config error" not in err
+    assert out == "FAILED mc seed 0: training ended with a non-finite table\n"
+    assert "config error" not in err
     assert not (tmp_path / "exp" / "runs").exists()
     assert not (tmp_path / "exp" / "summary.csv").exists()
 
@@ -719,7 +743,7 @@ def test_train_refuses_a_diverged_table(tmp_path, capsys, nan_mc_step):
         "--seed", "0", "--steps", "10", "--batch-size", "8", "--out-dir", str(tmp_path / "r"),
     )
     assert code == 1
-    assert "mc seed 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: mc seed 0: training ended with a non-finite table\n"
     assert not (tmp_path / "r" / "table.bin").exists()
 
 

@@ -8,6 +8,7 @@ import pytest
 from gclab.dataset import collect_dataset, load_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import (
+    _MAXIMUMS,
     aggregate_summary,
     block_settings,
     evaluate_policy,
@@ -258,7 +259,7 @@ def greedy_walk(env, q, start, goal) -> list[int]:
 
 def test_greedy_budget_stops_at_S_minus_1(small_world):
     """A greedy rollout's budget is capped at S - 1 steps: success is that
-    of the whole budget, and a factor of 10**400 ends at once."""
+    of the whole budget, and the largest factor allowed ends at once."""
     env, _ = small_world
     dist = all_pairs_distances(env)
     tasks = select_tasks(dist, 40)
@@ -266,7 +267,7 @@ def test_greedy_budget_stops_at_S_minus_1(small_world):
     shape = (env.num_states, env.num_actions, env.num_states)
     outcomes = set()
     for q in [ValueTable(rng.normal(0.0, 3.0, shape), 0.9) for _ in range(4)]:
-        for factor in (1, 4, 10**400):
+        for factor in (1, 4, _MAXIMUMS["eval.max_steps_factor"]):
             spec = block_settings("eval", {"max_steps_factor": factor})
             report = evaluate_policy(env, q, None, dist, tasks, spec, 0)
             for row, (start, goal) in zip(report.tasks, tasks):
@@ -286,6 +287,28 @@ def test_spearman_penalizes_scrambled_values(small_world):
     )
     rho_bad = spearman_to_oracle(scrambled, all_pairs_distances(env))
     assert rho_oracle > 0.99 > rho_bad
+
+
+@pytest.mark.parametrize("space", ["logit", "value"])
+def test_evaluation_leaves_the_table_as_it_was(small_world, space):
+    """A value table's values_at hands out views of its params: the oracle
+    agreement's running maximum and the rollouts must not write into them."""
+    env, ds = small_world
+    dist = all_pairs_distances(env)
+    tasks = select_tasks(dist, 5)
+    beh = estimate_behavior_policy(ds, env)
+    shape = (env.num_states, env.num_actions, env.num_states)
+    params = np.random.default_rng(3).normal(0.0, 2.0, shape)
+    if space == "value":
+        params = np.abs(params) / 4.0  # values above 1 too
+    q = ValueTable(params, 0.9, space=space)
+    before = q.params.tobytes()
+    spearman_to_oracle(q, dist)
+    assert q.params.tobytes() == before
+    for extraction in ("greedy", "rejection"):
+        spec = block_settings("eval", {"episodes": 3, "extraction": extraction})
+        evaluate_policy(env, q, beh, dist, tasks, spec, 0)
+        assert q.params.tobytes() == before
 
 
 def sweep_config(out_dir, **overrides):

@@ -97,6 +97,38 @@ def test_rejection_with_one_sample_is_the_behavior_policy():
     assert np.all(np.abs(freq - expected) < 3.5 * sigma)
 
 
+def rejection_by_choice(q, beh, s, g, N, rng):
+    """Reference: the draw by ``Generator.choice`` on the smoothed row."""
+    probs = beh.row_probs(s)
+    draws = rng.choice(probs.size, size=N, p=probs)
+    drawn = np.zeros(probs.size, dtype=bool)
+    drawn[draws] = True
+    return int(np.argmax(np.where(drawn, q.values_at((s, slice(None), g)), -np.inf)))
+
+
+@pytest.mark.parametrize("num_actions", [1, 2, 4])
+@pytest.mark.parametrize("N", [1, 2, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cdf_draw_equals_generator_choice(num_actions, N, seed):
+    """A draw from a state's CDF row is ``rng.choice(A, size=N, p=...)``,
+    draw for draw, and leaves the generator in the same state; all-zero
+    rows are the uniform policy."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 30, size=(7, num_actions))
+    counts[[1, 4]] = 0
+    beh = BehaviorPolicy(counts)
+    q = ValueTable(rng.normal(0.0, 1.0, (7, num_actions, 7)), 0.9)
+    ours, theirs = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
+    for s in np.random.default_rng(seed).integers(0, 7, size=60):
+        want = theirs.choice(num_actions, size=N, p=beh.row_probs(s))
+        assert beh.cdf[s].searchsorted(ours.random(N), side="right").tolist() == want.tolist()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    for s, g in np.random.default_rng(seed).integers(0, 7, size=(60, 2)):
+        got = rejection_sample_action(q, beh, s, g, N, ours)
+        assert got == rejection_by_choice(q, beh, s, g, N, theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_rejection_two_samples_enumeration():
     """2 actions, uniform behavior, Q(a1) > Q(a0), N = 2: picks a1 w.p. 3/4."""
     q = ValueTable(np.zeros((1, 2, 1)), 0.99, space="value")
@@ -141,6 +173,18 @@ def test_rejection_requires_positive_N(tmp_path, capsys):
             "--extraction", "rejection", "--rejection-n", "0", "--out", str(tmp_path / "e.csv")]
     assert main(argv) == 2
     assert "config key 'eval.rejection_n' must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_rejection_budget_has_a_bound(tmp_path, capsys):
+    """A rejection rollout keeps its whole budget, so the factor has a
+    largest value: one above it exits 2 naming the key, before a file is
+    read or written."""
+    argv = ["eval", "--width", "2", "--height", "1", "--table", str(tmp_path / "none.bin"),
+            "--extraction", "rejection", "--max-steps-factor", "1001",
+            "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 2
+    assert "config key 'eval.max_steps_factor' must be <= 1000, got 1001" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
 
 

@@ -51,6 +51,11 @@ def _oracle_cases():
     yield "one state", GraphEnv(1, 2, np.zeros((1, 2), dtype=np.int64)), ValueTable.create(1, 2, 0.9)
     # Values of 1 or more read as distance 0: the clamp ties many pairs.
     yield "values above 1", grid, ValueTable(rng.uniform(0.0, 3.0, shape), 0.9, space="value")
+    # 331 776 pairs: the rank products' sum is no longer exact in float64,
+    # so the summation order of the correlation could move its last bit.
+    big = build_grid_env(24, 24)
+    big_shape = (big.num_states, big.num_actions, big.num_states)
+    yield "24x24 random logits", big, ValueTable(rng.normal(0.0, 3.0, big_shape), 0.99)
 
 
 @pytest.mark.parametrize("name, env, q", list(_oracle_cases()), ids=[c[0] for c in _oracle_cases()])
