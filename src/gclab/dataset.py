@@ -87,10 +87,16 @@ class TrajectoryDataset:
             raise ValueError("dataset transitions are inconsistent with the environment")
 
 
+# The most states a collected dataset holds, num_traj * (T + 1). Its states
+# and actions take 16 bytes per state, 160 MB at the bound.
+MAX_DATASET_STATES = 10**7
+
+
 def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> TrajectoryDataset:
     """Roll out uniform-random actions from uniform-random start states."""
     for name, value, minimum in (("num_traj", num_traj, 1), ("T", T, 1), ("seed", seed, 0)):
         check_number(name, value, "int", minimum)
+    check_number("num_traj * (T + 1)", num_traj * (T + 1), "int", maximum=MAX_DATASET_STATES)
     rng = np.random.default_rng(seed)
     states = np.empty((num_traj, T + 1), dtype=np.int64)
     actions = rng.integers(0, env.num_actions, size=(num_traj, T), dtype=np.int64)

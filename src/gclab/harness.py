@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis as analysis_mod
 from . import learners
-from .dataset import TrajectoryDataset, collect_dataset, save_dataset
+from .dataset import MAX_DATASET_STATES, TrajectoryDataset, collect_dataset, save_dataset
 from .env import (
     ConfigError,
     GraphEnv,
@@ -306,8 +306,9 @@ _MINIMUMS = {
     "recursion.seed": 0,
 }
 # Largest allowed value of an integer setting, by dotted key. A rejection
-# rollout keeps its whole budget of max_steps_factor * d steps.
-_MAXIMUMS = {"eval.max_steps_factor": 1000}
+# rollout keeps its whole budget of max_steps_factor * d steps, and the task
+# choice lays out num_tasks positions before it drops repeats.
+_MAXIMUMS = {"eval.max_steps_factor": 1000, "eval.num_tasks": 100_000}
 # The string settings and the values each takes.
 _CHOICES = {"methods": tuple(METHODS), "eval.extraction": ("greedy", "rejection")}
 _LISTS = ("methods", "seeds", "n_values", "recursion.sim_sizes")
@@ -408,7 +409,13 @@ def validate_experiment_config(config: dict) -> dict:
         raise ConfigError("config key 'env.path' must be a file path string")
 
     normalized = {"learner": {}, "n_values": [], "log_every": LOG_EVERY, **config}
-    normalized["dataset"] = block_settings("dataset", config["dataset"])
+    ds_spec = normalized["dataset"] = block_settings("dataset", config["dataset"])
+    check_number(
+        "config keys 'dataset.num_traj' * ('dataset.T' + 1)",
+        ds_spec["num_traj"] * (ds_spec["T"] + 1),
+        "int",
+        maximum=MAX_DATASET_STATES,
+    )
     for key in ("methods", "seeds", "n_values", "log_every"):
         check_setting(key, normalized[key])
     for key in ("methods", "seeds"):
@@ -572,10 +579,11 @@ def run_experiment(config_or_path) -> int:
     ``out_dir`` is created."""
     if isinstance(config_or_path, str):
         with open_input(config_or_path) as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            text = fh.read()
+        try:
+            config = json.loads(text)
+        except ValueError as exc:  # bad JSON, or an integer of more than 4300 digits
+            raise ConfigError(f"config {config_or_path} is not valid JSON: {exc}") from exc
     else:
         config = config_or_path
     config = validate_experiment_config(config)

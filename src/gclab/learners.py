@@ -227,38 +227,45 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact (min, +) sweeps over step counts
 
-# Distances in the sweep table are int16. "No path yet" is above any distance
-# of a table of at most _NO_PATH states, and a sum of two of them still fits.
+# A sweep table holds step counts. Its "no path yet" marker is half its
+# dtype's maximum, so a sum of two markers still fits: 127 in uint8, where
+# every table starts, and 16383 in int16, the dtype of the yielded tables,
+# whose marker also bounds the number of states.
+_NARROW_DTYPE = np.uint8
 _DIST_DTYPE = np.int16
 _NO_PATH = np.iinfo(_DIST_DTYPE).max // 2
 # A sweep forms its sums in tiles of _TILE_ROWS rows s by _TILE_W rows w, so
-# one tile's temporary (8 x 32 x S int16, 0.3 MB at S = 576) stays in a
-# per-core L2 cache.
+# one tile's temporary (8 x 32 x S entries, 0.3 MB in int16 at S = 576) stays
+# in a per-core L2 cache.
 _TILE_ROWS = 8
 _TILE_W = 32
 
 
-def exact_transitive_sweep(d: np.ndarray) -> tuple[np.ndarray, int]:
-    """One Jacobi sweep of the (min, +) backup over an int16 distance table.
+def exact_transitive_sweep(left: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
+    """One Jacobi sweep of the (min, +) backup over a block of rows:
+    new[s, g] = min(left[s, g], min_w left[s, w] + d[w, g]).
 
-    Every entry of the result reads only the input table:
-    new[s, g] = min(d[s, g], min_w d[s, w] + d[w, g]). Integer sums and
+    ``left`` has d's dtype and columns (typically some of d's rows), and
+    every entry of both is non-negative and at most the no-path marker,
+    ``np.iinfo(d.dtype).max // 2``, so no sum overflows. Integer sums and
     minima are exact, so the tiling changes no entry, and neither does the
-    skip of a tile whose d[s, w] block holds no path (its sums are all at
-    least _NO_PATH). Returns the new table and the number of pairs it shortened.
+    skip of a tile whose left[s, w] block holds no path (its sums are all at
+    least the marker). Returns the new rows and the number of entries they
+    shortened.
     """
+    no_path = np.iinfo(d.dtype).max // 2
     n = d.shape[0]
-    new = d.copy()
-    for lo in range(0, n, _TILE_ROWS):
+    new = left.copy()
+    for lo in range(0, left.shape[0], _TILE_ROWS):
         rows = slice(lo, lo + _TILE_ROWS)
         for w_lo in range(0, n, _TILE_W):
             w = slice(w_lo, w_lo + _TILE_W)
-            blk = d[rows, w]
-            if blk.min() == _NO_PATH:
+            blk = left[rows, w]
+            if blk.min() == no_path:
                 continue
             sums = blk[:, :, None] + d[w]
             np.minimum(new[rows], sums.min(axis=1), out=new[rows])
-    return new, int(np.count_nonzero(new != d))
+    return new, int(np.count_nonzero(new != left))
 
 
 def transitive_sweeps(env: GraphEnv):
@@ -269,19 +276,38 @@ def transitive_sweeps(env: GraphEnv):
     first sweep that shortens no pair. More than _NO_PATH states raise
     ConfigError before any S x S array.
 
-    After k sweeps every pair at distance <= 2^k holds its distance, so a
-    table of finite diameter D needs ceil(log2 D) sweeps plus the one that
-    finds nothing to shorten. Every other sweep lowers a non-negative
-    integer table, so the loop needs no sweep limit.
+    Every edge has length 1, so after k sweeps an entry is finite exactly
+    when its pair lies within 2^k steps, and then it holds the distance: a
+    pair within 2^(k+1) steps has a midpoint within 2^k of both ends, and a
+    finite sum of two entries is a walk, so never shorter than the distance.
+    A table of finite diameter D thus needs ceil(log2 D) sweeps plus the one
+    that finds nothing to shorten, and a finite entry is final. Each sweep
+    therefore passes the kernel only the rows that still hold a no-path
+    entry: on a connected graph the last sweep forms no sum, and a row with
+    an unreachable pair stays open and is swept every time, which is still
+    exact.
+
+    The table is uint8 while twice its largest finite entry is below the
+    uint8 marker, so no sum of finite entries reaches the marker, and is
+    widened to int16 once that fails. The rule reads only the table.
     """
     if env.num_states > _NO_PATH:
         raise ConfigError(f"exact sweeps take at most {_NO_PATH} states, got {env.num_states}")
-    d = np.full((env.num_states, env.num_states), _NO_PATH, dtype=_DIST_DTYPE)
+    no_path = np.iinfo(_NARROW_DTYPE).max // 2
+    d = np.full((env.num_states, env.num_states), no_path, dtype=_NARROW_DTYPE)
     d[adjacency_matrix(env)] = 1
     np.fill_diagonal(d, 0)
     while True:
-        d, shortened = exact_transitive_sweep(d)
-        yield np.where(d == _NO_PATH, UNREACHABLE, d), shortened
+        missing = d == no_path
+        if d.dtype != _DIST_DTYPE and 2 * int(d.max(where=~missing, initial=0)) >= no_path:
+            d = d.astype(_DIST_DTYPE)  # widen first: a uint8 marker of 16383 would wrap
+            no_path = _NO_PATH
+            d[missing] = no_path
+        rows = np.flatnonzero(missing.any(axis=1))
+        d[rows], shortened = exact_transitive_sweep(d[rows], d)
+        table = d.astype(_DIST_DTYPE)
+        table[d == no_path] = UNREACHABLE
+        yield table, shortened
         if shortened == 0:
             return
 

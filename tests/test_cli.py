@@ -202,6 +202,20 @@ def test_gen_bad_size_names_the_argument(tmp_path, capsys, flag, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, states", [("--num-traj", 10**12, 5 * 10**12),
+                                                 ("--T", 10**7, 2 * (10**7 + 1))])
+def test_gen_refuses_a_dataset_past_the_state_bound(tmp_path, capsys, flag, value, states):
+    """num_traj * (T + 1) above its bound exits 2 before any array is
+    allocated, and writes nothing."""
+    sizes = {"--width": "3", "--height": "1", "--num-traj": "2", "--T": "4", flag: str(value)}
+    out = tmp_path / "ds.csv"
+    argv = [token for pair in sizes.items() for token in pair]
+    assert run_cli("gen", *argv, "--seed", "0", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: num_traj * (T + 1) must be <= 10000000, got {states}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "header, field",
     [("1000000000000,4", "num_traj"), ("-1,4", "num_traj"), ("2,-1", "T"),
@@ -255,7 +269,8 @@ def _sweep_config(tmp_path, **eval_spec):
     [("episodes", 0), ("num_tasks", 0), ("num_tasks", -1), ("max_steps_factor", 0),
      ("max_steps_factor", 1001), ("max_steps_factor", 10**400),
      ("rejection_n", 0), ("min_task_distance", -1), ("episodes", 2.5),
-     ("extraction", "softmax"), ("min_task_distance", 100)],
+     ("extraction", "softmax"), ("min_task_distance", 100), ("num_tasks", 100_001),
+     ("num_tasks", 10**400)],
 )
 def test_sweep_bad_eval_setting_exit_code(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -441,7 +456,9 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"learner": {"learning_rate": 10**400}}, "learning_rate"),
      ({"learner": {"lambda_reweight": 10**400}}, "lambda_reweight"),
      ({"learner": {"ratios": {"p_cur": 10**400}}}, "p_cur"),
-     ({"learner": {"kappa": 1.0}}, "kappa")],
+     ({"learner": {"kappa": 1.0}}, "kappa"),
+     ({"dataset": {"num_traj": 10**12, "T": 8, "seed": 0}}, "dataset.num_traj"),
+     ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     cfg_path = tmp_path / "cfg.json"
@@ -449,6 +466,18 @@ def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()  # rejected before any work
+
+
+def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
+    """Python's JSON parser refuses an integer of more than 4300 digits; the
+    refusal names the config file, and nothing is written."""
+    cfg_path = tmp_path / "cfg.json"
+    text = json.dumps(_sweep_config(tmp_path))
+    cfg_path.write_text(text.replace('"steps": 10', '"steps": 1' + "0" * 5000))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert f"config {cfg_path} is not valid JSON" in err and "4300 digits" in err
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.mark.parametrize(

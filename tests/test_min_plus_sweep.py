@@ -16,6 +16,10 @@ def one_way_corridor(n):
 
 ENVS = {
     "one_way_corridor": one_way_corridor(40),
+    # Diameter 129: the table is widened from uint8 to int16 before sweep 7.
+    "one_way_corridor_130": one_way_corridor(130),
+    "one_state": build_grid_env(1, 1),
+    "two_chains": GraphEnv(6, 1, np.array([[1], [2], [2], [4], [5], [5]])),
     "walled_grid": build_grid_env(10, 10, walls={(4, y) for y in range(1, 10)} | {(7, 3)}),
     **{f"random_{n}_{a}_{seed}": random_graph_env(n, a, seed)
        for n, a, seed in ((60, 2, 0), (60, 2, 1), (80, 3, 2), (50, 1, 3))},

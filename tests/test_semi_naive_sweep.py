@@ -15,7 +15,7 @@ def _sweep_to_fixed_point(d):
     point and the first sweep's count."""
     counts = []
     while True:
-        new, shortened = exact_transitive_sweep(d)
+        new, shortened = exact_transitive_sweep(d, d)
         ref = naive_sweep(d.astype(np.int64))
         assert new.dtype == _DIST_DTYPE
         np.testing.assert_array_equal(new, ref)
@@ -26,9 +26,10 @@ def _sweep_to_fixed_point(d):
             return d, counts[0]
 
 
-def _random_table(rng, n):
-    d = rng.integers(0, 3 * n, size=(n, n)).astype(_DIST_DTYPE)
-    d[rng.random((n, n)) < 0.3] = _NO_PATH
+def _random_table(rng, n, dtype=_DIST_DTYPE):
+    no_path = np.iinfo(dtype).max // 2
+    d = rng.integers(0, min(3 * n, no_path), size=(n, n)).astype(dtype)
+    d[rng.random((n, n)) < 0.3] = no_path
     return d
 
 
@@ -41,7 +42,7 @@ def test_semi_naive_matches_dense_reference_on_perturbed_tables():
     first_counts = []
     for _ in range(4):
         fixed, _ = _sweep_to_fixed_point(_random_table(rng, n))
-        same, shortened = exact_transitive_sweep(fixed)
+        same, shortened = exact_transitive_sweep(fixed, fixed)
         assert shortened == 0 and same.tobytes() == fixed.tobytes()
         rows, cols = rng.integers(0, n, size=(2, 6))
         fixed[rows, cols] = np.minimum(fixed[rows, cols], rng.integers(0, n, size=6))
@@ -53,12 +54,21 @@ def test_dense_tiles_cover_ragged_edges():
     """Sizes that are no multiple of either tile side (and one smaller than
     a tile) leave ragged edge tiles. The no-path entries check that a sum
     of two of them stays exact in the sweep's dtype (the reference adds in
-    int64)."""
+    int64). A strict block of rows, itself no multiple of a tile, sweeps to
+    the reference's rows, in uint8 as in int16."""
     rng = np.random.default_rng(1)
     for n in (3, 2 * _TILE_W + _TILE_ROWS + 1):
         assert n % _TILE_ROWS and n % _TILE_W
         for _ in range(4):
             _sweep_to_fixed_point(_random_table(rng, n))
+    block = slice(5, 5 + _TILE_ROWS + 3)
+    for dtype in (np.uint8, _DIST_DTYPE):
+        d = _random_table(rng, n, dtype)
+        new, shortened = exact_transitive_sweep(d[block], d)
+        ref = naive_sweep(d.astype(np.int64))[block]
+        assert new.dtype == dtype
+        np.testing.assert_array_equal(new, ref)
+        assert shortened == np.count_nonzero(ref != d[block])
 
 
 def test_block_sparse_tables_skip_empty_tiles():
