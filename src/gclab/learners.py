@@ -273,8 +273,8 @@ def transitive_sweeps(env: GraphEnv):
     one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` an
     int16 copy of the sweep's table in the oracle's convention (UNREACHABLE
     for no path, as in ``oracle.all_pairs_distances``), and stops after the
-    first sweep that shortens no pair. More than _NO_PATH states raise
-    ConfigError before any S x S array.
+    first sweep that shortens no pair. The environment has at most
+    _NO_PATH states, as ``harness.check_run`` checks before an exact run.
 
     Every edge has length 1, so after k sweeps an entry is finite exactly
     when its pair lies within 2^k steps, and then it holds the distance: a
@@ -291,8 +291,6 @@ def transitive_sweeps(env: GraphEnv):
     uint8 marker, so no sum of finite entries reaches the marker, and is
     widened to int16 once that fails. The rule reads only the table.
     """
-    if env.num_states > _NO_PATH:
-        raise ConfigError(f"exact sweeps take at most {_NO_PATH} states, got {env.num_states}")
     no_path = np.iinfo(_NARROW_DTYPE).max // 2
     d = np.full((env.num_states, env.num_states), no_path, dtype=_NARROW_DTYPE)
     d[adjacency_matrix(env)] = 1
@@ -707,9 +705,8 @@ def step_batches(ds: TrajectoryDataset, shape, cfg: LearnerConfig):
 def _coe_state(env: GraphEnv, q: ValueTable, cfg: LearnerConfig) -> tuple:
     """coe's generator table (every subgoal starts as the goal itself), the
     greedy policy of the online table and the grid coordinates its goal
-    regularizer reads."""
-    if cfg.beta_goal_reg > 0 and env.state_coords is None:
-        raise ConfigError("coe with beta_goal_reg > 0 requires a grid environment")
+    regularizer reads (``harness.check_run`` checks that a run with
+    beta_goal_reg > 0 has them)."""
     from . import policy  # policy imports this module
 
     def policy_fn(states, goals):
@@ -733,9 +730,8 @@ class Method:
     run's :class:`PolyakTarget`, whose online table the step reads as
     ``target.online`` and then writes in one :func:`_apply_logit_updates`
     call (after every read: the reads see the pre-step tables), and
-    ``state(env, q, cfg)`` builds the run's extra tables once, raising
-    ConfigError when the run cannot start. Trajectories need at least
-    ``min_horizon`` actions.
+    ``state(env, q, cfg)`` builds the run's extra tables once. Trajectories
+    need at least ``min_horizon`` actions.
     """
 
     space: str
@@ -795,7 +791,7 @@ def load_table(path: str) -> ValueTable:
             raise ConfigError(f"{path}: truncated value-table header")
         s, a, g, flag = (int(x) for x in np.frombuffer(head[:32], dtype=np.int64))
         for field, dim in (("states", s), ("actions", a), ("goals", g)):
-            check_number(f"{path}: header field {field}", dim, "int", 1)
+            check_number(f"{path}: header field {field}", dim, "int", "[1, inf)")
         if flag not in _SPACE_FLAGS:
             raise ConfigError(f"{path}: header field space flag must be 0 or 1, got {flag}")
         body = fh.read()

@@ -228,7 +228,7 @@ def test_validation_errors(tmp_path, capsys):
         recursion_bound(0)
     for flag, key in (("--n-max", "recursion.n_max"), ("--trials", "recursion.trials")):
         assert main(["recursion", flag, "0", "--out", str(tmp_path / "rec.csv")]) == 2
-        assert f"config key '{key}' must be >= 1, got 0" in capsys.readouterr().err
+        assert f"config key '{key}' must lie in [1, 10000000], got 0" in capsys.readouterr().err
         assert not (tmp_path / "rec.csv").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from gclab import analysis, learners
 from gclab.cli import main
-from gclab.harness import _MINIMUMS
+from gclab.harness import _INTERVALS
 from gclab.learners import ValueTable, save_table
 
 _CHILD = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
@@ -198,7 +198,7 @@ def test_gen_bad_size_names_the_argument(tmp_path, capsys, flag, name):
     argv = [token for pair in sizes.items() for token in pair]
     assert run_cli("gen", *argv, "--seed", "0", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{name} must be >= 1, got 0" in err
+    assert "config error" in err and f"{name} must lie in [1, inf), got 0" in err
     assert not out.exists()
 
 
@@ -212,7 +212,8 @@ def test_gen_refuses_a_dataset_past_the_state_bound(tmp_path, capsys, flag, valu
     argv = [token for pair in sizes.items() for token in pair]
     assert run_cli("gen", *argv, "--seed", "0", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"config error: num_traj * (T + 1) must be <= 10000000, got {states}" in err
+    bound = "config keys 'dataset.num_traj' * ('dataset.T' + 1) must lie in [1, 10000000]"
+    assert f"config error: {bound}, got {states}" in err
     assert not out.exists()
 
 
@@ -407,7 +408,7 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
         "--out", str(tmp_path / "rec.csv"),
     )
     assert code == 2
-    assert "config key 'recursion.seed' must be >= 0, got -1" in capsys.readouterr().err
+    assert "config key 'recursion.seed' must lie in [0, inf), got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -460,7 +461,9 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"dataset": {"num_traj": 10**12, "T": 8, "seed": 0}}, "dataset.num_traj"),
      ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T")],
 )
-def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, overrides, key):
+def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, overrides, key):
+    monkeypatch.chdir(tmp_path)  # a file env's "env.txt": a three-state chain
+    (tmp_path / "env.txt").write_text("3 1\n1\n2\n2\n")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
@@ -486,8 +489,8 @@ def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
       "learner field 'learning_rate' must be finite, got 1000000000000000000000000000000"
       "0... (401 characters)"),
      ({"eval": {"max_steps_factor": 10**400}},
-      "config key 'eval.max_steps_factor' must be <= 1000, got 100000000000000000000000000"
-      "00000... (401 characters)"),
+      "config key 'eval.max_steps_factor' must lie in [1, 1000], got 1000000000000000000"
+      "0000000000000... (401 characters)"),
      ({"eval": {"episodes": "x" * 500}},
       "config key 'eval.episodes' must be an integer, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
       "... (502 characters)")],
@@ -532,17 +535,79 @@ def _set_setting(config: dict, key: str, value) -> dict:
     return {**config, block: {**config.get(block, {}), name: value}}
 
 
-@pytest.mark.parametrize("key", sorted(_MINIMUMS))
+@pytest.mark.parametrize("key", sorted(_INTERVALS))
 @pytest.mark.parametrize("bad", ["below", "bool", "float"])
 def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, capsys, key, bad):
-    """Every integer setting with a smallest value, set one below it, to
-    true or to a float, exits 2 naming the key before anything is written."""
-    value = {"below": _MINIMUMS[key] - 1, "bool": True, "float": _MINIMUMS[key] + 0.5}[bad]
+    """Every integer setting, set one below the closed lower end of its
+    range, to true or to a float, exits 2 naming the key before anything is
+    written."""
+    minimum = int(_INTERVALS[key][1:].split(",")[0])
+    value = {"below": minimum - 1, "bool": True, "float": minimum + 0.5}[bad]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value)))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
+
+
+# Each rule of harness.check_run, and each bound on a size that sizes an
+# array, broken once through a sweep config and once through a command's
+# flags: (config change, the key or file its message names, the command).
+# Every command writes its last argument. "chain.txt" is a three-state file
+# env, "ds.csv" holds T = 8 and "ds1.csv" T = 1 walks on the 4 x 1 corridor,
+# and "chain.csv" walks on the chain.
+_GRID_TRAIN = ["train", "--width", "4", "--height", "1", "--seed", "0"]
+_ONE_CHECK_CASES = {
+    "min_horizon": ({"dataset": {"num_traj": 4, "T": 1, "seed": 0}, "methods": ["trl"]},
+                    "'dataset.T'",
+                    [*_GRID_TRAIN, "--dataset", "ds1.csv", "--method", "trl", "--out-dir", "run"]),
+    "coe_coordinates": ({"env": {"kind": "file", "path": "chain.txt"}, "methods": ["coe"]},
+                        "'learner.beta_goal_reg'",
+                        ["train", "--env-file", "chain.txt", "--dataset", "chain.csv", "--seed",
+                         "0", "--method", "coe", "--out-dir", "run"]),
+    "log_every": ({"log_every": 0}, "'log_every'",
+                  [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "mc", "--log-every", "0",
+                   "--out-dir", "run"]),
+    "exact_states": ({"methods": ["exact"]}, "method 'exact'",
+                     [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "exact", "--out-dir",
+                      "run"]),
+    "grid_table": ({"env": {"kind": "grid", "width": 10**11, "height": 1}}, "'env.width'",
+                   ["gen", "--width", str(10**11), "--height", "1", "--num-traj", "2", "--T", "4",
+                    "--seed", "0", "--out", "out.csv"]),
+    "file_table": ({"env": {"kind": "file", "path": "wide.txt"}}, "wide.txt",
+                   ["gen", "--env-file", "wide.txt", "--num-traj", "2", "--T", "4", "--seed",
+                    "0", "--out", "out.csv"]),
+    "recursion_n_max": ({"recursion": {"n_max": 10**12}}, "'recursion.n_max'",
+                        ["recursion", "--n-max", str(10**12), "--out", "out.csv"]),
+    "recursion_trials": ({"recursion": {"trials": 10**12}}, "'recursion.trials'",
+                         ["recursion", "--trials", str(10**12), "--out", "out.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_CHECK_CASES))
+def test_each_run_rule_and_size_bound_exits_2_before_writing(tmp_path, capsys, monkeypatch, case):
+    """A sweep exits 2 naming the key before out_dir exists, and so does the
+    command that breaks the same rule, writing nothing. The exact state cap
+    is lowered to 3 states, below the corridor's 4: a real environment past
+    it needs an oracle table of more than 2 GB."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.txt").write_text("3 1\n1\n2\n2\n")
+    (tmp_path / "wide.txt").write_text("3000 4\n")  # 36 * 10**6 table entries
+    grid = ["--width", "4", "--height", "1", "--num-traj", "4", "--seed", "0"]
+    for argv in ([*grid, "--T", "8", "--out", "ds.csv"], [*grid, "--T", "1", "--out", "ds1.csv"],
+                 ["--env-file", "chain.txt", "--num-traj", "4", "--T", "4", "--seed", "0",
+                  "--out", "chain.csv"]):
+        assert run_cli("gen", *argv) == 0
+    monkeypatch.setattr(learners, "_NO_PATH", 3)
+    overrides, named, argv = _ONE_CHECK_CASES[case]
+    (tmp_path / "cfg.json").write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", "cfg.json") == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+    assert run_cli(*argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / argv[-1]).exists()
 
 
 def test_recursion_duplicate_sim_size_exit_code(tmp_path, capsys):
@@ -623,10 +688,10 @@ def test_train_bad_log_every_exit_code(tmp_path, capsys):
 
 # How each command names its seed and the seed's bound.
 _SEED_RULES = {
-    "gen": "seed must be >= 0",
+    "gen": "seed must lie in [0, inf)",
     "train": "learner field 'seed' must lie in [0, inf)",
-    "eval": "--seed must be >= 0",
-    "recursion": "config key 'recursion.seed' must be >= 0",
+    "eval": "--seed must lie in [0, inf)",
+    "recursion": "config key 'recursion.seed' must lie in [0, inf)",
 }
 
 

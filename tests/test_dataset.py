@@ -86,13 +86,14 @@ def test_triplet_requires_T_at_least_2(tmp_path, capsys):
     before a run starts, and a sweep exits 2 naming 'dataset.T'."""
     env = build_grid_env(2, 1)
     ds = collect_dataset(env, 2, 1, seed=0)
-    with pytest.raises(ConfigError, match="T >= 2"):
+    with pytest.raises(ConfigError, match=r"'dataset.T' for method 'trl' must lie in \[2, inf\)"):
         train_run(env, ds, LearnerConfig(method="trl", steps=1))
     config = {"out_dir": str(tmp_path / "exp"), "env": {"kind": "grid", "width": 2, "height": 1},
               "dataset": {"num_traj": 2, "T": 1, "seed": 0}, "methods": ["trl"], "seeds": [0]}
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     assert main(["sweep", "--config", str(tmp_path / "cfg.json")]) == 2
-    assert "'dataset.T' must be >= 2 for method 'trl', got 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'dataset.T' for method 'trl' must lie in [2, inf), got 1" in err
     assert not (tmp_path / "exp").exists()
 
 

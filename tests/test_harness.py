@@ -8,11 +8,12 @@ import pytest
 from gclab.dataset import collect_dataset, load_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import (
-    _MAXIMUMS,
+    _INTERVALS,
     aggregate_summary,
     block_settings,
     evaluate_policy,
     run_experiment,
+    check_run,
     select_tasks,
     spearman_to_oracle,
     train_run,
@@ -147,12 +148,24 @@ def test_every_method_trains_without_blowup(small_world):
 
 
 def test_coe_requires_coordinates():
+    """check_run, the one check of the rule, refuses the run, and train_run
+    makes that check first."""
     transition = np.array([[1], [0]])
     env = GraphEnv(2, 1, transition)  # no coords
     ds = collect_dataset(env, 4, 4, seed=0)
     cfg = LearnerConfig(method="coe", beta_goal_reg=1.0, steps=10)
-    with pytest.raises(ConfigError):
-        train_run(env, ds, cfg)
+    for run in (check_run, train_run):
+        with pytest.raises(ConfigError, match="'learner.beta_goal_reg'"):
+            run(env, ds, cfg)
+
+
+def test_a_stochastic_method_needs_a_dataset():
+    """check_run refuses a run that would sample from no dataset; exact reads
+    none."""
+    env = build_grid_env(3, 1)
+    with pytest.raises(ConfigError, match="method 'mc' requires a dataset"):
+        train_run(env, None, LearnerConfig(method="mc", steps=1))
+    check_run(env, None, LearnerConfig(method="exact"))
 
 
 def test_trl_needs_horizon_two(small_world):
@@ -267,7 +280,8 @@ def test_greedy_budget_stops_at_S_minus_1(small_world):
     shape = (env.num_states, env.num_actions, env.num_states)
     outcomes = set()
     for q in [ValueTable(rng.normal(0.0, 3.0, shape), 0.9) for _ in range(4)]:
-        for factor in (1, 4, _MAXIMUMS["eval.max_steps_factor"]):
+        largest = int(_INTERVALS["eval.max_steps_factor"][:-1].split(",")[1])
+        for factor in (1, 4, largest):
             spec = block_settings("eval", {"max_steps_factor": factor})
             report = evaluate_policy(env, q, None, dist, tasks, spec, 0)
             for row, (start, goal) in zip(report.tasks, tasks):

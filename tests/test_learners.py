@@ -13,7 +13,7 @@ from gclab import learners
 from gclab.cli import main
 from gclab.dataset import collect_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
-from gclab.harness import train_run
+from gclab.harness import check_run, train_run
 from gclab.learners import (
     _NO_PATH,
     LOGIT_CLAMP,
@@ -392,12 +392,17 @@ def test_sweeps_hand_out_unreachable_on_a_disconnected_graph():
 
 def test_sweeps_refuse_more_states_than_the_table_dtype_holds():
     """One state more than _NO_PATH would let a distance reach the no-path
-    marker; the refusal comes before the S x S table (537 MB here) exists."""
+    marker. The sweeps' precondition is checked by harness.check_run, which
+    train_run calls before the S x S table (537 MB here) exists."""
     env = right_only_chain(_NO_PATH + 1)
+    cfg = LearnerConfig(method="exact")
+    refusal = r"states for method 'exact' must lie in \[1, 16383\], got 16384"
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match="at most 16383 states"):
-            next(transitive_sweeps(env))
+        with pytest.raises(ConfigError, match=refusal):
+            check_run(env, None, cfg)
+        with pytest.raises(ConfigError, match=refusal):
+            train_run(env, None, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -820,12 +825,14 @@ def test_coe_single_candidate_replaces_only_if_better():
 
 
 def test_coe_requires_coords_when_beta_positive():
-    """The run's state builder refuses beta > 0 on an environment without
-    grid coordinates; the step itself checks nothing."""
+    """harness.check_run refuses a coe run with beta > 0 on an environment
+    without grid coordinates; the state builder and the step check nothing."""
     env = right_only_chain(3)
+    ds = collect_dataset(env, 2, 4, seed=0)
+    with pytest.raises(ConfigError, match="'learner.beta_goal_reg' must be 0 for coe"):
+        check_run(env, ds, LearnerConfig(method="coe", beta_goal_reg=1.0))
+    check_run(env, ds, LearnerConfig(method="coe", beta_goal_reg=0.0))
     q, _ = make_tables(3, 1)
-    with pytest.raises(ConfigError, match="requires a grid environment"):
-        _coe_state(env, q, LearnerConfig(method="coe", beta_goal_reg=1.0))
     _, _, coords = _coe_state(env, q, LearnerConfig(method="coe", beta_goal_reg=0.0))
     assert coords is None
 
