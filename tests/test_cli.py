@@ -588,8 +588,8 @@ _ONE_CHECK_CASES = {
 def test_each_run_rule_and_size_bound_exits_2_before_writing(tmp_path, capsys, monkeypatch, case):
     """A sweep exits 2 naming the key before out_dir exists, and so does the
     command that breaks the same rule, writing nothing. The exact state cap
-    is lowered to 3 states, below the corridor's 4: a real environment past
-    it needs an oracle table of more than 2 GB."""
+    is lowered to 3 states, below the corridor's 4: a grid or file env past
+    the real cap of 16383 is refused by the table-size bound first."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain.txt").write_text("3 1\n1\n2\n2\n")
     (tmp_path / "wide.txt").write_text("3000 4\n")  # 36 * 10**6 table entries

@@ -11,9 +11,9 @@ from gclab.harness import (
     _INTERVALS,
     aggregate_summary,
     block_settings,
+    check_run,
     evaluate_policy,
     run_experiment,
-    check_run,
     select_tasks,
     spearman_to_oracle,
     train_run,
@@ -279,8 +279,8 @@ def test_greedy_budget_stops_at_S_minus_1(small_world):
     rng = np.random.default_rng(0)
     shape = (env.num_states, env.num_actions, env.num_states)
     outcomes = set()
+    largest = int(_INTERVALS["eval.max_steps_factor"][:-1].split(",")[1])
     for q in [ValueTable(rng.normal(0.0, 3.0, shape), 0.9) for _ in range(4)]:
-        largest = int(_INTERVALS["eval.max_steps_factor"][:-1].split(",")[1])
         for factor in (1, 4, largest):
             spec = block_settings("eval", {"max_steps_factor": factor})
             report = evaluate_policy(env, q, None, dist, tasks, spec, 0)
