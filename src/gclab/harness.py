@@ -87,13 +87,21 @@ def check_run(
     and a sweep makes it for every run before it writes anything.
 
     ``exact`` takes at most ``learners._NO_PATH`` states; every other method
-    needs a dataset of at least its ``min_horizon`` actions, and coe with a
-    goal regularizer needs the grid coordinates it reads."""
+    needs a dataset of at least its ``min_horizon`` actions, sgt and coe
+    draw at most ``learners.MAX_DRAW_ENTRIES`` candidates per chunk, and coe
+    with a goal regularizer needs the grid coordinates it reads."""
     check_setting("log_every", log_every)
     if cfg.method == "exact":
         check_number("environment states for method 'exact'", env.num_states, "int",
                      f"[1, {learners._NO_PATH}]")
         return
+    if cfg.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
+        check_number(
+            f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method {cfg.method!r}: "
+            f"candidates per draw {learners.CHUNK_STEPS} * batch_size * M_subgoals",
+            learners.CHUNK_STEPS * cfg.batch_size * cfg.M_subgoals, "int",
+            f"[1, {learners.MAX_DRAW_ENTRIES}]",
+        )
     if ds is None:
         raise ConfigError(f"method {cfg.method!r} requires a dataset")
     check_number(f"config key 'dataset.T' for method {cfg.method!r}", ds.horizon, "int",

@@ -4,8 +4,9 @@ All dataset-driven learners operate on dense tables Q[s, a, g]. Methods
 trained with the binary cross-entropy loss store logits and read values
 through a sigmoid, which keeps Q inside (0, 1); the squared-loss SARSA
 learner (gciql) stores raw values because its fixed point exceeds 1 at
-goal states. One exact method runs full-table (min, +) sweeps over step
-counts instead of consuming data.
+goal states. One exact method runs (min, +) sweeps over step counts
+instead of consuming data, each through the midpoint sphere of the
+distances it has already fixed.
 
 Update convention: ``learning_rate`` is the per-sample step size (the
 classic tabular convention). A step first reads everything it needs from
@@ -133,6 +134,17 @@ class PolyakTarget:
         return _as_values(params, self.online.space)
 
 
+# Steps per draw. A run draws whole chunks only, so its random stream does
+# not depend on cfg.steps: an n-step run is a prefix of any longer one.
+CHUNK_STEPS = 16
+# The most entries of one index array of a chunk draw: CHUNK_STEPS *
+# batch_size, and for the M_subgoals candidates per row of sgt and coe that
+# times M_subgoals (harness.check_run joins the two fields). A 1-step run at
+# the bound peaks at 171 MB RSS for trl at batch_size 65536, and at 123 MB
+# for sgt at batch_size 8192 with 8 candidates (16x16 grid, 2-vCPU Xeon,
+# numpy 2.4.6).
+MAX_DRAW_ENTRIES = 2**20
+
 # The range of each number in a LearnerConfig: every caller reads its fields
 # as checked here, when the config is built, and checks none again.
 _INTERVALS = {
@@ -141,7 +153,7 @@ _INTERVALS = {
     "lambda_reweight": "[0, inf)",
     "learning_rate": "(0, inf)",
     "tau_target": "(0, 1]",
-    "batch_size": "[1, inf)",
+    "batch_size": f"[1, {MAX_DRAW_ENTRIES // CHUNK_STEPS}]",
     "steps": "[0, inf)",
     "n_step": "[1, inf)",
     "M_subgoals": "[1, inf)",
@@ -228,43 +240,60 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
 # Exact (min, +) sweeps over step counts
 
 # A sweep table holds step counts. Its "no path yet" marker is half its
-# dtype's maximum, so a sum of two markers still fits: 127 in uint8, where
-# every table starts, and 16383 in int16, the dtype of the yielded tables,
-# whose marker also bounds the number of states.
+# dtype's maximum: 127 in uint8, where every table starts, and 16383 in
+# int16, the dtype of the yielded tables, whose marker also bounds the
+# number of states.
 _NARROW_DTYPE = np.uint8
 _DIST_DTYPE = np.int16
 _NO_PATH = np.iinfo(_DIST_DTYPE).max // 2
-# A sweep forms its sums in tiles of _TILE_ROWS rows s by _TILE_W rows w, so
-# one tile's temporary (8 x 32 x S entries, 0.3 MB in int16 at S = 576) stays
-# in a per-core L2 cache.
-_TILE_ROWS = 8
-_TILE_W = 32
+# The kernel gathers midpoint rows in blocks of at most this many bytes, so
+# each temporary stays in a typical per-core L2 cache, whatever the sphere size.
+_SWEEP_BYTES = 2**21
 
 
-def exact_transitive_sweep(left: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
-    """One Jacobi sweep of the (min, +) backup over a block of rows:
-    new[s, g] = min(left[s, g], min_w left[s, w] + d[w, g]).
+def exact_transitive_sweep(left: np.ndarray, d: np.ndarray, radius: int) -> tuple[np.ndarray, int]:
+    """One (min, +) sweep of a block of rows through the midpoint sphere:
+    new[s] = min(left[s], radius + min over {w : left[s, w] == radius} of d[w]).
 
-    ``left`` has d's dtype and columns (typically some of d's rows), and
-    every entry of both is non-negative and at most the no-path marker,
-    ``np.iinfo(d.dtype).max // 2``, so no sum overflows. Integer sums and
-    minima are exact, so the tiling changes no entry, and neither does the
-    skip of a tile whose left[s, w] block holds no path (its sums are all at
-    least the marker). Returns the new rows and the number of entries they
-    shortened.
+    ``d`` is the table after k sweeps of a unit-edge graph (see
+    :func:`transitive_sweeps`), ``radius`` is 2^k, and ``left`` holds some of
+    d's rows. Returns the new rows and the number of entries they shortened.
+
+    The rows equal those of the full sweep, min(left[s, g], min over every w
+    of left[s, w] + d[w, g]): a pair at distance t in (2^k, 2^(k+1)] has a
+    shortest-path vertex w with d(s, w) = 2^k exactly, and d(w, g) =
+    t - 2^k <= 2^k is already final in ``d``. Every finite sum is a walk, so
+    it is never shorter than the distance, and a pair beyond 2^(k+1) gets no
+    finite sum. None of this needs a symmetric, loop-free or connected
+    graph; a row with no midpoint is left as it is.
+
+    The midpoints come row by row from ``np.nonzero``; each row's list is
+    padded to the longest by repeating its first midpoint, which changes no
+    minimum. Sums are exact: the marker plus the radius fits the dtype (see
+    :func:`transitive_sweeps` for the bound on the radius).
     """
-    no_path = np.iinfo(d.dtype).max // 2
-    n = d.shape[0]
     new = left.copy()
-    for lo in range(0, left.shape[0], _TILE_ROWS):
-        rows = slice(lo, lo + _TILE_ROWS)
-        for w_lo in range(0, n, _TILE_W):
-            w = slice(w_lo, w_lo + _TILE_W)
-            blk = left[rows, w]
-            if blk.min() == no_path:
-                continue
-            sums = blk[:, :, None] + d[w]
-            np.minimum(new[rows], sums.min(axis=1), out=new[rows])
+    rows, mids = np.nonzero(left == radius)
+    if not rows.size:
+        return new, 0
+    counts = np.bincount(rows, minlength=left.shape[0])
+    open_rows = np.flatnonzero(counts)
+    counts = counts[open_rows]
+    width = int(counts.max())
+    pos = np.arange(width)
+    first = np.cumsum(counts) - counts
+    sphere = mids[first[:, None] + np.where(pos < counts[:, None], pos, 0)]
+    per_mid = d.shape[1] * d.itemsize
+    mid_step = max(1, min(width, _SWEEP_BYTES // per_mid))
+    row_step = max(1, _SWEEP_BYTES // (mid_step * per_mid))
+    for lo in range(0, open_rows.size, row_step):
+        block = sphere[lo:lo + row_step]
+        best = d[block[:, :mid_step]].min(axis=1)
+        for w_lo in range(mid_step, width, mid_step):
+            np.minimum(best, d[block[:, w_lo:w_lo + mid_step]].min(axis=1), out=best)
+        best += radius
+        r = open_rows[lo:lo + row_step]
+        new[r] = np.minimum(new[r], best)
     return new, int(np.count_nonzero(new != left))
 
 
@@ -277,24 +306,29 @@ def transitive_sweeps(env: GraphEnv):
     _NO_PATH states, as ``harness.check_run`` checks before an exact run.
 
     Every edge has length 1, so after k sweeps an entry is finite exactly
-    when its pair lies within 2^k steps, and then it holds the distance: a
-    pair within 2^(k+1) steps has a midpoint within 2^k of both ends, and a
-    finite sum of two entries is a walk, so never shorter than the distance.
-    A table of finite diameter D thus needs ceil(log2 D) sweeps plus the one
-    that finds nothing to shorten, and a finite entry is final. Each sweep
-    therefore passes the kernel only the rows that still hold a no-path
-    entry: on a connected graph the last sweep forms no sum, and a row with
-    an unreachable pair stays open and is swept every time, which is still
+    when its pair lies within 2^k steps, and then it holds the distance (the
+    argument is :func:`exact_transitive_sweep`'s). A table of finite diameter
+    D thus needs ceil(log2 D) sweeps plus the one that finds nothing to
+    shorten, and a finite entry is final. Each sweep therefore passes the
+    kernel, with radius 2^k, only the rows that still hold a no-path entry:
+    on a connected graph the last sweep forms no sum, and a row with an
+    unreachable pair stays open and is swept every time, which is still
     exact.
 
     The table is uint8 while twice its largest finite entry is below the
-    uint8 marker, so no sum of finite entries reaches the marker, and is
-    widened to int16 once that fails. The rule reads only the table.
+    uint8 marker, so no distance the sweep can find reaches the marker, and
+    is widened to int16 once that fails. The rule reads only the table. A
+    sweep of radius 2^k > 1 follows one that shortened a pair, so the table
+    holds a distance above 2^(k-1) and the radius is below twice the largest
+    entry: at most 64 in uint8 (127 + 64 < 255) and, with at most 16383
+    states, at most 2^14 in int16 (16383 + 16384 = 32767), so the kernel's
+    marker-plus-radius sums fit the dtype.
     """
     no_path = np.iinfo(_NARROW_DTYPE).max // 2
     d = np.full((env.num_states, env.num_states), no_path, dtype=_NARROW_DTYPE)
     d[adjacency_matrix(env)] = 1
     np.fill_diagonal(d, 0)
+    radius = 1
     while True:
         missing = d == no_path
         if d.dtype != _DIST_DTYPE and 2 * int(d.max(where=~missing, initial=0)) >= no_path:
@@ -302,7 +336,8 @@ def transitive_sweeps(env: GraphEnv):
             no_path = _NO_PATH
             d[missing] = no_path
         rows = np.flatnonzero(missing.any(axis=1))
-        d[rows], shortened = exact_transitive_sweep(d[rows], d)
+        d[rows], shortened = exact_transitive_sweep(d[rows], d, radius)
+        radius *= 2
         table = d.astype(_DIST_DTYPE)
         table[d == no_path] = UNREACHABLE
         yield table, shortened
@@ -537,11 +572,6 @@ def target_sync(target: PolyakTarget, tau: float) -> None:
 # draws and their order fix a run's random stream. A layout turns the named
 # arrays into what the step reads: flat table indices and every factor that
 # depends on the data alone, for any leading shape.
-
-# Steps per draw. A run draws whole chunks only, so its random stream does
-# not depend on cfg.steps: an n-step run is a prefix of any longer one.
-CHUNK_STEPS = 16
-
 
 def _states_at(ds: TrajectoryDataset, traj, t):
     return ds.states.reshape(-1)[traj * (ds.horizon + 1) + t]

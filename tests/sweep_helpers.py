@@ -18,7 +18,7 @@ def run_transitive_fixed_point(env) -> tuple[np.ndarray, int]:
 
 
 def naive_sweep(d: np.ndarray) -> np.ndarray:
-    """Reference (min, +) sweep: every sum d[s, w] + d[w, g] at once, no tiles."""
+    """Reference (min, +) sweep: every sum d[s, w] + d[w, g] at once."""
     return np.minimum(d, (d[:, :, None] + d[None, :, :]).min(axis=1))
 
 

@@ -577,6 +577,13 @@ _ONE_CHECK_CASES = {
     "file_table": ({"env": {"kind": "file", "path": "wide.txt"}}, "wide.txt",
                    ["gen", "--env-file", "wide.txt", "--num-traj", "2", "--T", "4", "--seed",
                     "0", "--out", "out.csv"]),
+    "batch_size": ({"learner": {"steps": 1, "batch_size": 10**12}}, "'batch_size'",
+                   [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "trl", "--batch-size",
+                    str(10**12), "--steps", "1", "--out-dir", "run"]),
+    "subgoal_draw": ({"methods": ["sgt"], "learner": {"steps": 1, "M_subgoals": 10**11}},
+                     "'learner.M_subgoals'",
+                     [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "sgt", "--M-subgoals",
+                      str(10**11), "--steps", "1", "--out-dir", "run"]),
     "recursion_n_max": ({"recursion": {"n_max": 10**12}}, "'recursion.n_max'",
                         ["recursion", "--n-max", str(10**12), "--out", "out.csv"]),
     "recursion_trials": ({"recursion": {"trials": 10**12}}, "'recursion.trials'",

@@ -166,7 +166,7 @@ _INTERVAL_CASES = [
     ("lambda_reweight", "[0, inf)", [0.0, 1e308], [_below(0.0)]),
     ("learning_rate", "(0, inf)", [_above(0.0), 1e308], [0.0]),
     ("tau_target", "(0, 1]", [_above(0.0), 1.0], [0.0, _above(1.0)]),
-    ("batch_size", "[1, inf)", [1], [0]),
+    ("batch_size", "[1, 65536]", [1, 65536], [0, 65537, 10**12]),
     ("steps", "[0, inf)", [0], [-1]),
     ("n_step", "[1, inf)", [1], [0]),
     ("M_subgoals", "[1, inf)", [1], [0]),

@@ -1,11 +1,11 @@
-"""The tiled (min, +) sweep matches a naive untiled reference, entry for entry."""
+"""The midpoint-sphere sweeps match the naive (min, +) sweep, entry for entry."""
 
 import numpy as np
 
 from gclab.env import GraphEnv, adjacency_matrix, build_grid_env
 from gclab.learners import transitive_sweeps
 from gclab.oracle import UNREACHABLE, all_pairs_distances
-from env_helpers import random_graph_env
+from env_helpers import random_graph_env, star_env
 from sweep_helpers import finite_diameter, naive_sweep
 
 
@@ -20,6 +20,8 @@ ENVS = {
     "one_way_corridor_130": one_way_corridor(130),
     "one_state": build_grid_env(1, 1),
     "two_chains": GraphEnv(6, 1, np.array([[1], [2], [2], [4], [5], [5]])),
+    # Every leaf's radius-2 sphere holds the other 39 leaves.
+    "star_40": star_env(40),
     "walled_grid": build_grid_env(10, 10, walls={(4, y) for y in range(1, 10)} | {(7, 3)}),
     **{f"random_{n}_{a}_{seed}": random_graph_env(n, a, seed)
        for n, a, seed in ((60, 2, 0), (60, 2, 1), (80, 3, 2), (50, 1, 3))},
