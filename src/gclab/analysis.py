@@ -9,10 +9,11 @@ needed to resolve a length-n chunk when the split point is uniform:
 Evaluated exactly in float64. While B is nondecreasing (checked per block,
 never assumed), max(B(k), B(n-k)) = B(max(k, n-k)), so B(n) needs only
 prefix sums of B up to n // 2. A block of n within [lo, 2 lo) thus reads
-only earlier blocks and is a few numpy calls: about 250 blocks up to 10^6.
-A Monte Carlo simulator of the underlying random process provides an
-independent estimate of the same expectations, and the closed-form
-companion sequence C(n) backs the logarithmic bound B(n) <= ln n / ln(4/3).
+only earlier blocks, through slices, and is a few in-place numpy passes:
+about 250 blocks up to 10^6. A Monte Carlo simulator of the underlying
+random process provides an independent estimate of the same expectations,
+updating one buffer per level in place, and the closed-form companion
+sequence C(n) backs the logarithmic bound B(n) <= ln n / ln(4/3).
 """
 
 from __future__ import annotations
@@ -47,13 +48,26 @@ def expected_recursions(n_max: int) -> np.ndarray:
     lo = 2
     while lo <= n_max:
         hi = min(2 * lo, lo + _BLOCK, n_max + 1)
-        n = np.arange(lo, hi)
-        half = n // 2
-        c = 1.0 - (2.0 * p[half] - np.where(n % 2 == 0, b[half], 0.0)) / (n - 1)
-        h = n * (n + 1.0)
-        p[lo:hi] = (p[lo - 1] / ((lo - 1) * lo) + np.cumsum(c / h)) * h
-        b[lo:hi] = 2.0 * p[lo - 1 : hi - 1] / (n - 1) + c
-        if np.any(np.diff(b[lo - 1 : hi]) < 0):
+        # One float arange gives n - 1 and n (n + 1), exact below 2^53. lo is
+        # 2, a power of two or a multiple of _BLOCK, so even: n = lo + 2i and
+        # lo + 2i + 1 share P(n // 2), and every other n is even.
+        a = np.arange(lo - 1, hi + 1, dtype=np.float64)
+        m, h = a[:-2], a[1:-1] * a[2:]  # n - 1 and n (n + 1)
+        c = np.repeat(p[lo // 2 : (hi + 1) // 2], 2)[: hi - lo]
+        c *= 2.0
+        c[::2] -= b[lo // 2 : lo // 2 + (hi - lo + 1) // 2]  # odd n: x - 0.0 == x
+        c /= m
+        np.subtract(1.0, c, out=c)
+        block_p = p[lo:hi]
+        np.divide(c, h, out=block_p)
+        np.cumsum(block_p, out=block_p)
+        block_p += p[lo - 1] / ((lo - 1) * lo)
+        block_p *= h
+        block_b = b[lo:hi]
+        np.multiply(p[lo - 1 : hi - 1], 2.0, out=block_b)
+        block_b /= m
+        block_b += c
+        if (block_b < b[lo - 1 : hi - 1]).any():
             raise ArithmeticError(f"B is not nondecreasing on [{lo}, {hi - 1}]")
         lo = hi
     return b
@@ -77,19 +91,19 @@ def c_sequence(n: int) -> float:
     return (3.0 * m + 1.0) / 2.0
 
 
-def split_points(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Uniform split points k = 1 + floor(u (size - 1)) in 1..size-1, as
-    float64, for uniforms ``u`` in [0, 1) and chunk sizes ``sizes`` >= 2.
+def split_points(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Uniform split offsets f = floor(u r) in 0..r-1, written into ``u``,
+    for uniforms ``u`` in [0, 1) and chunks of r + 1 >= 2 elements given as
+    float64 ``r``: the chunk splits at k = f + 1 in 1..r, into r - f and
+    f + 1 elements.
 
-    u is a multiple of 2**-53, so each k's probability is 1 / (size - 1)
-    to within about 2**-53, a bias of at most about size * 2**-53 in all.
-    A float product u * m with u < 1 rounds below the integer m, so k never
-    reaches size.
+    u is a multiple of 2**-53, so each f's probability is 1 / r to within
+    about 2**-53, a bias of at most about r * 2**-53 in all. A float
+    product u * r with u < 1 rounds below the integer r, so f never
+    reaches r.
     """
-    k = u * (sizes - 1.0)
-    np.floor(k, out=k)
-    k += 1.0
-    return k
+    u *= r
+    return np.floor(u, out=u)
 
 
 def recursion_depths(n: int, trials: int, seed: int) -> np.ndarray:
@@ -99,21 +113,25 @@ def recursion_depths(n: int, trials: int, seed: int) -> np.ndarray:
     Each trial follows the recursion along its deepest branch: split the
     current chunk at a uniform point and keep the larger half (the branch
     whose expected depth dominates, B being nondecreasing), counting one
-    backup per split. Each level draws one uniform per unfinished trial in
-    a single ``rng.random`` call and splits at :func:`split_points`. The
-    trials are exchangeable, so only the unfinished chunk sizes are kept,
+    backup per split. The trials are exchangeable, so only the unfinished
+    ones are kept, each as r = chunk size - 1, an exact integer in float64,
     and the depths are the numbers of trials that finish at each level.
+    Each level fills one buffer with a uniform per unfinished trial, splits
+    at :func:`split_points` in place and keeps r <- max(r - f - 1, f), the
+    larger half less one.
     """
     rng = np.random.default_rng(seed)
-    sizes = np.full(trials if n > 1 else 0, float(n))  # the unfinished chunks
-    finished = [trials - sizes.size]  # finished[level]: trials of depth level
-    while sizes.size:
-        k = split_points(rng.random(sizes.size), sizes)
-        sizes -= k
-        np.maximum(sizes, k, out=sizes)
-        keep = sizes > 1.0
-        sizes = sizes[keep]
-        finished.append(keep.size - sizes.size)
+    r = np.full(trials if n > 1 else 0, n - 1.0)  # the unfinished chunks, less one
+    u = np.empty(r.size)
+    finished = [trials - r.size]  # finished[level]: trials of depth level
+    while r.size:
+        f = split_points(rng.random(out=u[: r.size]), r)
+        r -= f
+        r -= 1.0
+        np.maximum(r, f, out=r)
+        keep = r > 0.0
+        r = r[keep]
+        finished.append(keep.size - r.size)
     return np.repeat(np.arange(len(finished), dtype=np.int64), finished)
 
 

@@ -203,25 +203,26 @@ def _rollout(env, act, start, goal, max_steps) -> bool:
     return False
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``; a run of tied entries shares the mean of its
-    positions. Every rank is a half-integer, exact in float64, so the sort
-    algorithm (stable or not) cannot change a bit of the result."""
+def _average_ranks(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the 1-based ranks of ``x`` into ``out``; a run of tied entries
+    shares the mean of its positions. Every rank is a half-integer, exact in
+    float64, so the sort algorithm (stable or not) cannot change a bit of
+    the result."""
     order = np.argsort(x)
     xs = x[order]
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     counts = np.diff(starts, append=x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
-    return ranks
+    out[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
 
 
-def _counted_ranks(x: np.ndarray) -> np.ndarray:
+def _counted_ranks(x: np.ndarray, out: np.ndarray) -> None:
     """:func:`_average_ranks` of a nonnegative integer array, by counting:
     an entry's rank is the number of entries below it plus (the number
     equal to it + 1) / 2, the same half-integers, with no sort."""
     counts = np.bincount(x)
-    return (np.cumsum(counts) - counts + (counts + 1) / 2)[x]
+    # Every x indexes the table, so "clip" never acts; it lets take write
+    # into out directly, where "raise" would buffer a copy.
+    np.take(np.cumsum(counts) - counts + (counts + 1) / 2, x, out=out, mode="clip")
 
 
 def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
@@ -241,10 +242,15 @@ def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
     pairs = np.flatnonzero(flat != UNREACHABLE)
     implied = implied_distances(best.reshape(-1)[pairs], q.gamma)
     true = flat[pairs]
+    del best, pairs  # each full-size array is dropped once it is read
     constant = true.size < 2 or (implied == implied[0]).all() or (true == true[0]).all()
     if constant or np.isnan(implied).any():
         return 0.0
-    ranked = np.vstack((_average_ranks(implied), _counted_ranks(true)))
+    ranked = np.empty((2, true.size))  # the learned ranks, then the oracle's
+    _average_ranks(implied, out=ranked[0])
+    del implied
+    _counted_ranks(true, out=ranked[1])
+    del true
     return float(np.corrcoef(ranked)[1, 0])
 
 

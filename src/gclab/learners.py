@@ -806,7 +806,7 @@ def save_table(table: ValueTable, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.float64(table.gamma).tobytes())
-        fh.write(np.ascontiguousarray(table.params).tobytes())
+        fh.write(np.ascontiguousarray(table.params))  # the table's own buffer, not a copy
 
 
 _SPACE_FLAGS = {0: "logit", 1: "value"}

@@ -2,7 +2,9 @@
 
 These tables are the ground truth every learned table is checked against.
 Unreachable pairs carry the sentinel :data:`UNREACHABLE` (never a large
-finite number), so the value-table conversion maps them to exactly 0.
+finite number), so the value-table conversion maps them to exactly 0. The
+distance table is assembled in the narrowest unsigned dtype that holds its
+levels and widened to int64 once, so no full-size int64 temporary is made.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ def all_pairs_distances(env: GraphEnv) -> np.ndarray:
     level is the union over actions a of ``frontier[transition[s, a]]``
     less the goals s has reached. A level costs O(S * A * S / 64) word
     operations, and the search ends after the largest finite distance. Each
-    pair's level is kept as binary-digit planes of bit sets, unpacked once.
+    pair's level is kept as binary-digit planes of bit sets. Each plane is
+    unpacked once, to one byte per pair, and ORed into the levels in the
+    narrowest unsigned dtype that holds len(planes) bits (uint8 up to level
+    255); the levels are widened to int64 at the end.
 
     Self-loop transitions add no goal, so d[s, s] = 0 always and no
     distance-1 self pairs appear.
@@ -55,9 +60,11 @@ def all_pairs_distances(env: GraphEnv) -> np.ndarray:
     def unpack(bits: np.ndarray) -> np.ndarray:
         return np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little")
 
-    d = np.zeros((n, n), dtype=np.int64)
+    # The planes are disjoint digits, so OR and + agree.
+    levels = np.zeros((n, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
     for bit, plane in enumerate(planes):
-        d += unpack(plane).astype(np.int64) << bit
+        levels |= unpack(plane).astype(levels.dtype, copy=False) << bit
+    d = levels.astype(np.int64)
     d[unpack(reached) == 0] = UNREACHABLE
     return d
 
@@ -73,8 +80,15 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
 
 def implied_distances(values, gamma: float) -> np.ndarray:
     """log_gamma of ``values``, the inverse of :func:`optimal_value_table`:
-    a value of 0 reads as log_gamma(1e-300), values of 1 or more as 0."""
-    return np.maximum(np.log(np.maximum(values, 1e-300)) / np.log(gamma), 0.0)
+    a value of 0 reads as log_gamma(1e-300), values of 1 or more as 0.
+    An array is converted in place in its first temporary; a scalar or 0-d
+    input gives a numpy scalar."""
+    x = np.maximum(values, 1e-300)
+    if np.ndim(x) == 0:
+        return np.maximum(np.log(x) / np.log(gamma), 0.0)
+    np.log(x, out=x)
+    x /= np.log(gamma)
+    return np.maximum(x, 0.0, out=x)
 
 
 def q_table_from_values(env: GraphEnv, v: np.ndarray, gamma: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from gclab.analysis import (
 )
 from gclab.cli import main
 from gclab.env import ConfigError
+from reference_helpers import expected_recursions_gathered, recursion_depths_of_sizes
 
 
 def expected_recursions_direct(n_max: int) -> np.ndarray:
@@ -85,6 +86,13 @@ def test_blocks_agree_with_direct_evaluation_at_block_edges():
         b = expected_recursions(n_max)
         assert b.shape == (n_max + 1,)
         assert np.abs(b - direct[: n_max + 1]).max() <= 1e-12, n_max
+
+
+@pytest.mark.parametrize("n_max", [2, 3, 4, 4097, 8193, 12289, 200_001, 10**6])
+def test_in_place_blocks_equal_the_gathered_blocks(n_max):
+    """Slices, np.repeat and in-place passes give the bits of the gathered
+    form, on tables that end just past a block edge and at 10^6."""
+    assert expected_recursions(n_max).tobytes() == expected_recursions_gathered(n_max).tobytes()
 
 
 @pytest.mark.parametrize("kahan_from, tol", [(100_000, 1e-11), (2, 1e-12)])
@@ -183,12 +191,22 @@ def test_simulation_of_live_trials_matches_the_all_trials_loop(n, trials):
     assert simulate_recursions(n, trials, seed=n + trials) == (float(old.mean()), stderr)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 1025, 65536])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_depths_over_r_equal_the_depths_over_sizes(n, seed):
+    """Tracking r = size - 1 in one reused buffer of uniforms draws the same
+    uniforms and gives the same depths as tracking the sizes."""
+    new = recursion_depths(n, 10_000, seed)
+    old = recursion_depths_of_sizes(n, 10_000, seed)
+    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
 @pytest.mark.parametrize("size", [2, 3, 5, 17])
 def test_split_points_are_uniform(size):
     """The first-level split of a size-``size`` chunk takes every value in
     1..size-1, with counts that pass a chi-square test at the 0.1% level."""
     draws = 200_000
-    k = split_points(np.random.default_rng(size).random(draws), np.full(draws, float(size)))
+    k = 1 + split_points(np.random.default_rng(size).random(draws), np.full(draws, size - 1.0))
     counts = np.bincount(k.astype(np.int64), minlength=size)
     assert counts[0] == 0 and counts.size == size and (counts[1:] > 0).all()
     if size > 2:
@@ -203,9 +221,9 @@ def test_split_points_stay_below_size():
     sizes = np.array(
         [2, 3, 5, 17, 1000, 65536, 65537, 2**20 + 1, 999_999_937, 2**30 - 1, 10**9], dtype=float
     )
-    top = split_points(np.full(sizes.size, np.nextafter(1.0, 0.0)), sizes)
+    top = 1 + split_points(np.full(sizes.size, np.nextafter(1.0, 0.0)), sizes - 1)
     assert (top == sizes - 1).all()
-    assert (split_points(np.zeros(sizes.size), sizes) == 1).all()
+    assert (1 + split_points(np.zeros(sizes.size), sizes - 1) == 1).all()
 
 
 @pytest.mark.parametrize("n, seed", [(1024, 3), (65536, 4)])

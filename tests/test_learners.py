@@ -54,6 +54,7 @@ from target_helpers import (
     target_params,
     target_with_params,
 )
+from reference_helpers import table_file_bytes
 from sweep_helpers import finite_diameter, run_transitive_fixed_point
 
 
@@ -1156,3 +1157,30 @@ def test_table_save_load_round_trip(tmp_path):
     loaded = load_table(str(path))
     assert loaded.space == "value"
     np.testing.assert_array_equal(loaded.params, v.params)
+
+
+@pytest.mark.parametrize("space", ["logit", "value"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_save_table_writes_the_tobytes_bytes(tmp_path, space, order):
+    """The file holds the header, gamma and the table's bytes in C order,
+    whether or not the table is stored C-contiguous."""
+    params = np.asarray(np.random.default_rng(2).normal(size=(5, 3, 7)), order=order)
+    table = ValueTable(params, 0.93, space=space)
+    path = tmp_path / "table.bin"
+    save_table(table, str(path))
+    assert path.read_bytes() == table_file_bytes(table)
+
+
+def test_save_table_makes_no_table_sized_copy(tmp_path):
+    """The table's own buffer goes to the file: the traced peak stays below
+    1% of the table (a tobytes() copy would be 100%)."""
+    table = ValueTable(np.random.default_rng(3).normal(size=(128, 4, 128)), 0.99)
+    path = str(tmp_path / "table.bin")
+    save_table(table, path)
+    tracemalloc.start()
+    try:
+        save_table(table, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.params.nbytes / 100

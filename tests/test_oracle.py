@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gclab.oracle import (
     oracle_q_table,
 )
 from env_helpers import random_graph_env
+from reference_helpers import all_pairs_distances_int64, implied_distances_copying
 
 
 def floyd_warshall_distances(env):
@@ -237,3 +240,57 @@ def test_oracle_q_table_shape_and_goal_rows():
     assert q[0, 3, 2] == pytest.approx(0.9 * 0.9)
     # Self-loop actions keep distance 2.
     assert q[0, 0, 2] == pytest.approx(0.9 * 0.9**2)
+
+
+# The walled grid, random graphs with unreachable pairs, and a one-way chain
+# whose levels run to 299, so its nine digit planes are summed in uint16.
+NARROW_CASES = {
+    "grid8_walled": ENVS["grid8_walled"],
+    "grid24": ENVS["grid24"],
+    "random129_1": ENVS["random129_1"],
+    "random300": ENVS["random300"],
+    **{f"random40_1_{seed}": ENVS[f"random40_1_{seed}"] for seed in range(5)},
+    "one_way300": one_way_corridor(300),
+}
+
+
+@pytest.mark.parametrize("name", list(NARROW_CASES))
+def test_narrow_digit_planes_equal_the_int64_planes(name):
+    env = NARROW_CASES[name]
+    d = all_pairs_distances(env)
+    assert d.dtype == np.int64 and d.tobytes() == all_pairs_distances_int64(env).tobytes()
+    if name == "one_way300":
+        assert d.max() == 299 and (d == UNREACHABLE).any()
+    if name.startswith("random"):
+        assert (d == UNREACHABLE).any()
+
+
+def test_distances_hold_no_full_size_int64_temporary():
+    """On 24x24 the traced peak is the int64 result (8 S^2 bytes) and three
+    one-byte S x S arrays: the levels, an unpacked plane and the unreached
+    mask, 12.0 S^2 bytes (3.99 MB) as measured. Unpacking each plane to
+    int64, as before, peaked at 18 S^2 (5.98 MB); the bound is 13 S^2."""
+    env = build_grid_env(24, 24)
+    all_pairs_distances(env)
+    tracemalloc.start()
+    try:
+        all_pairs_distances(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * env.num_states**2
+
+
+def test_implied_distances_in_place_equal_the_copying_form():
+    """Arrays keep their bits; a scalar or a 0-d array still gives a numpy
+    scalar, and the input array is left as it was."""
+    values = np.random.default_rng(4).uniform(-0.5, 1.5, 1000)
+    values[:3] = (0.0, np.nan, np.inf)
+    kept = values.copy()
+    got = implied_distances(values, 0.97)
+    assert np.array_equal(values, kept, equal_nan=True)
+    assert got.tobytes() == implied_distances_copying(values, 0.97).tobytes()
+    for x in (0.5, 0.0, 2.0, np.float64(0.25), np.array(0.75)):
+        scalar, expected = implied_distances(x, 0.9), implied_distances_copying(x, 0.9)
+        assert type(scalar) is type(expected) is np.float64
+        assert scalar == expected

@@ -14,6 +14,7 @@ from gclab.harness import spearman_to_oracle
 from gclab.learners import ValueTable
 from gclab.oracle import UNREACHABLE, all_pairs_distances, implied_distances, oracle_q_table
 from gclab.policy import greedy_action_batch
+from reference_helpers import spearman_to_oracle_stacked
 
 
 def scipy_rho(a, b) -> float:
@@ -70,6 +71,27 @@ def test_spearman_to_oracle_equals_the_nonzero_path(name, env, q):
         assert got == 0.0
     else:
         assert got != 0.0
+
+
+def _tied_cases():
+    """Rounded logits: long runs of ties among the learned values."""
+    rng = np.random.default_rng(8)
+    for w, h in ((9, 7), (24, 24)):
+        env = build_grid_env(w, h, walls=[(w // 2, y) for y in range(h - 1)])
+        shape = (env.num_states, env.num_actions, env.num_states)
+        yield f"tied {w}x{h}", env, ValueTable(np.round(rng.normal(0.0, 1.0, shape)), 0.95)
+
+
+REFERENCE_CASES = [*_oracle_cases(), *_tied_cases()]
+
+
+@pytest.mark.parametrize("name, env, q", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+def test_spearman_to_oracle_equals_the_stacked_copy(name, env, q):
+    """Ranks written straight into one (2, N) array, with each full-size
+    array dropped once read, give the bits of the np.vstack form."""
+    d = all_pairs_distances(env)
+    got = np.array([spearman_to_oracle(q, d)])
+    assert got.tobytes() == np.array([spearman_to_oracle_stacked(q, d)]).tobytes()
 
 
 def test_import_cli_leaves_scipy_stats_out():
