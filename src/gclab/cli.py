@@ -80,7 +80,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
     env = _env_from_args(args)
-    ds = load_dataset(args.dataset, env=env)
+    ds = None if args.dataset is None else load_dataset(args.dataset, env=env)
     try:
         _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir, args.log_every)
     except ConfigError:
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single value table")
     _add_env_flags(p)
     _add_flags(p, _LEARNER_DEFAULTS, required=("method", "seed"))
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", help="dataset of random walks; every method but exact reads one")
     p.add_argument("--log-every", type=int, default=LOG_EVERY)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_train)

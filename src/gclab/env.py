@@ -70,8 +70,8 @@ MAX_TABLE_ENTRIES = 2**25
 
 def _check_table_size(label: str, num_states: int, num_actions: int) -> None:
     """Raise ConfigError naming ``label`` unless the tables of an
-    environment of that size hold at most MAX_TABLE_ENTRIES entries; called
-    before anything is sized from the two numbers."""
+    environment of that size hold at most MAX_TABLE_ENTRIES entries: every
+    GraphEnv checks, and a grid or file env first, before it is sized."""
     entries = num_states * num_actions * num_states
     check_number(f"{label}: table entries states * actions * states", entries, "int",
                  f"[1, {MAX_TABLE_ENTRIES}]")
@@ -115,6 +115,7 @@ class GraphEnv:
         self.transition = np.asarray(self.transition, dtype=np.int64)
         check_number("environment num_states", self.num_states, "int", "[1, inf)")
         check_number("environment num_actions", self.num_actions, "int", "[1, inf)")
+        _check_table_size("environment", self.num_states, self.num_actions)
         if self.transition.shape != (self.num_states, self.num_actions):
             raise ConfigError(
                 f"transition table shape {self.transition.shape} does not match "

@@ -83,25 +83,14 @@ def check_run(
 ) -> None:
     """Raise ConfigError naming the key unless the run ``cfg`` can start on
     ``env`` and ``ds``: the one check of each rule that joins a run's
-    settings to its environment or data. :func:`train_run` makes it first,
-    and a sweep makes it for every run before it writes anything.
-
-    ``exact`` takes at most ``learners._NO_PATH`` states; every other method
-    needs a dataset of at least its ``min_horizon`` actions, sgt and coe
-    draw at most ``learners.MAX_DRAW_ENTRIES`` candidates per chunk, and coe
-    with a goal regularizer needs the grid coordinates it reads."""
+    settings to its environment or data (a rule on one side is checked where
+    that side is built). :func:`train_run` makes it first, and a sweep makes
+    it for every run before it writes anything. ``exact`` reads no data;
+    every other method needs a dataset of at least its ``min_horizon``
+    actions, and coe with a goal regularizer needs the grid coordinates."""
     check_setting("log_every", log_every)
     if cfg.method == "exact":
-        check_number("environment states for method 'exact'", env.num_states, "int",
-                     f"[1, {learners._NO_PATH}]")
         return
-    if cfg.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
-        check_number(
-            f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method {cfg.method!r}: "
-            f"candidates per draw {learners.CHUNK_STEPS} * batch_size * M_subgoals",
-            learners.CHUNK_STEPS * cfg.batch_size * cfg.M_subgoals, "int",
-            f"[1, {learners.MAX_DRAW_ENTRIES}]",
-        )
     if ds is None:
         raise ConfigError(f"method {cfg.method!r} requires a dataset")
     check_number(f"config key 'dataset.T' for method {cfg.method!r}", ds.horizon, "int",
@@ -325,11 +314,13 @@ _BLOCKS = {
 }
 # The range of each integer setting, by dotted key, in the form of
 # learners._INTERVALS; a list setting's entries are held to it. A rejection
-# rollout keeps its whole budget of max_steps_factor * d steps, and the task
-# choice lays out num_tasks positions before it drops repeats. The recursion
-# table takes 16 bytes per n up to n_max, and a simulated size a few float64
-# per trial: at both bounds `gclab recursion --sim 10000000` runs in 8.7 s at
-# 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
+# eval rolls out every episode, for up to max_steps_factor * d draws of
+# rejection_n uniforms (35 s at the episodes end on a 16x16 grid, 25 s at
+# the rejection_n end on a 4x4 grid), and the task choice lays out
+# num_tasks positions before it drops repeats. The recursion table takes 16
+# bytes per n up to n_max, and a simulated size a few float64 per trial: at
+# both bounds `gclab recursion --sim 10000000` runs in 8.7 s at 437 MB peak
+# RSS (2-vCPU Xeon, numpy 2.4.6).
 _INTERVALS = {
     "env.width": "[1, inf)",
     "env.height": "[1, inf)",
@@ -337,12 +328,12 @@ _INTERVALS = {
     "dataset.T": "[1, inf)",
     "dataset.seed": "[0, inf)",
     "seeds": "[0, inf)",
-    "n_values": "[1, inf)",
+    "n_values": learners._INTERVALS["n_step"],  # each entry is a run's learner.n_step
     "log_every": "[1, inf)",
     "eval.num_tasks": "[1, 100000]",
-    "eval.episodes": "[1, inf)",
+    "eval.episodes": "[1, 10000]",
     "eval.max_steps_factor": "[1, 1000]",
-    "eval.rejection_n": "[1, inf)",
+    "eval.rejection_n": "[1, 1000000]",
     "eval.min_task_distance": "[0, inf)",
     "recursion.n_max": "[1, 10000000]",
     "recursion.sim_sizes": "[1, inf)",

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import (
+    MAX_DATASET_STATES,
     RelabelRatios,
     TrajectoryDataset,
     sample_flat_states,
@@ -139,14 +140,16 @@ class PolyakTarget:
 CHUNK_STEPS = 16
 # The most entries of one index array of a chunk draw: CHUNK_STEPS *
 # batch_size, and for the M_subgoals candidates per row of sgt and coe that
-# times M_subgoals (harness.check_run joins the two fields). A 1-step run at
+# times M_subgoals (LearnerConfig checks the product). A 1-step run at
 # the bound peaks at 171 MB RSS for trl at batch_size 65536, and at 123 MB
 # for sgt at batch_size 8192 with 8 candidates (16x16 grid, 2-vCPU Xeon,
 # numpy 2.4.6).
 MAX_DRAW_ENTRIES = 2**20
 
 # The range of each number in a LearnerConfig: every caller reads its fields
-# as checked here, when the config is built, and checks none again.
+# as checked here, when the config is built, and checks none again. n_step's
+# end changes no run (td_n looks min(n_step, gap) < T steps ahead); sgt reads
+# gamma^0..gamma^P: 186 MB peak RSS in a 3-step run at P's end (4x4, 2-vCPU Xeon).
 _INTERVALS = {
     "gamma": "(0, 1)",
     "kappa": "[0.5, 1)",
@@ -155,9 +158,9 @@ _INTERVALS = {
     "tau_target": "(0, 1]",
     "batch_size": f"[1, {MAX_DRAW_ENTRIES // CHUNK_STEPS}]",
     "steps": "[0, inf)",
-    "n_step": "[1, inf)",
+    "n_step": f"[1, {MAX_DATASET_STATES}]",
     "M_subgoals": "[1, inf)",
-    "P_random_distance": "[1, inf)",
+    "P_random_distance": f"[1, {MAX_DATASET_STATES}]",
     "beta_goal_reg": "[0, inf)",
     "seed": "[0, inf)",
 }
@@ -189,6 +192,11 @@ class LearnerConfig:
                 check_number(label, value, f.type, interval=_INTERVALS[f.name])
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
+        if self.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
+            check_number(f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method "
+                         f"{self.method!r}: candidates per draw {CHUNK_STEPS} * batch_size * "
+                         "M_subgoals", CHUNK_STEPS * self.batch_size * self.M_subgoals, "int",
+                         f"[1, {MAX_DRAW_ENTRIES}]")
         if isinstance(self.ratios, dict):
             self.ratios = RelabelRatios(**self.ratios)
         if not isinstance(self.ratios, RelabelRatios):
@@ -241,8 +249,7 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
 
 # A sweep table holds step counts. Its "no path yet" marker is half its
 # dtype's maximum: 127 in uint8, where every table starts, and 16383 in
-# int16, the dtype of the yielded tables, whose marker also bounds the
-# number of states.
+# int16, the dtype of the yielded tables, above any distance of a GraphEnv.
 _NARROW_DTYPE = np.uint8
 _DIST_DTYPE = np.int16
 _NO_PATH = np.iinfo(_DIST_DTYPE).max // 2
@@ -302,8 +309,8 @@ def transitive_sweeps(env: GraphEnv):
     one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` an
     int16 copy of the sweep's table in the oracle's convention (UNREACHABLE
     for no path, as in ``oracle.all_pairs_distances``), and stops after the
-    first sweep that shortens no pair. The environment has at most
-    _NO_PATH states, as ``harness.check_run`` checks before an exact run.
+    first sweep that shortens no pair. A GraphEnv's table bound keeps its
+    states at most isqrt(env.MAX_TABLE_ENTRIES) = 5792, below _NO_PATH.
 
     Every edge has length 1, so after k sweeps an entry is finite exactly
     when its pair lies within 2^k steps, and then it holds the distance (the
@@ -320,8 +327,8 @@ def transitive_sweeps(env: GraphEnv):
     is widened to int16 once that fails. The rule reads only the table. A
     sweep of radius 2^k > 1 follows one that shortened a pair, so the table
     holds a distance above 2^(k-1) and the radius is below twice the largest
-    entry: at most 64 in uint8 (127 + 64 < 255) and, with at most 16383
-    states, at most 2^14 in int16 (16383 + 16384 = 32767), so the kernel's
+    entry: at most 64 in uint8 (127 + 64 < 255) and, with at most 5792
+    states, at most 2^13 in int16 (16383 + 8192 < 32767), so the kernel's
     marker-plus-radius sums fit the dtype.
     """
     no_path = np.iinfo(_NARROW_DTYPE).max // 2
@@ -824,12 +831,13 @@ def load_table(path: str) -> ValueTable:
             check_number(f"{path}: header field {field}", dim, "int", "[1, inf)")
         if flag not in _SPACE_FLAGS:
             raise ConfigError(f"{path}: header field space flag must be 0 or 1, got {flag}")
+        gamma = float(np.frombuffer(head[32:], dtype=np.float64)[0])
+        check_number(f"{path}: header field gamma", gamma, "float", _INTERVALS["gamma"])
         body = fh.read()
     if len(body) != 8 * s * a * g:
         raise ConfigError(
             f"{path}: expected {s * a * g} float64 entries ({8 * s * a * g} bytes), "
             f"found {len(body)} bytes"
         )
-    gamma = float(np.frombuffer(head[32:], dtype=np.float64)[0])
     data = np.frombuffer(body, dtype=np.float64).reshape(s, a, g).copy()
     return ValueTable(data, gamma, _SPACE_FLAGS[flag])

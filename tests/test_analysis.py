@@ -262,6 +262,18 @@ def test_report_rows_schema():
         assert row["B_n"] <= row["bound"] + 1e-12
 
 
+def test_report_rows_past_the_block_edges():
+    """A table that ends past the block edges at 4096 and 8192 keeps every
+    B(n) below its bound, and the rows simulated at 4097 and 8193 with the
+    default trials and seed lie within 4 standard errors of B(n)."""
+    rows = recursion_report_rows(8193, sim_sizes=(4097, 8193), trials=100_000, seed=0)
+    assert all(row["B_n"] <= row["bound"] for row in rows)
+    sims = [row for row in rows if row["sim_mean"] is not None]
+    assert [row["n"] for row in sims] == [4097, 8193]
+    for row in sims:
+        assert abs(row["sim_mean"] - row["B_n"]) < 4 * row["sim_stderr"], row
+
+
 def test_report_rows_hold_every_power_of_two():
     n_max = 3 * 2**20
     ns = {row["n"] for row in recursion_report_rows(n_max, sim_sizes=(), trials=1, seed=0)}

@@ -8,8 +8,11 @@ import pytest
 
 from gclab import analysis, learners
 from gclab.cli import main
+from gclab.env import load_env
 from gclab.harness import _INTERVALS
-from gclab.learners import ValueTable, save_table
+from gclab.learners import ValueTable, load_table, save_table
+from gclab.oracle import oracle_q_table
+from env_helpers import random_graph_env, save_env, star_env
 
 _CHILD = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
 
@@ -459,7 +462,8 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"learner": {"ratios": {"p_cur": 10**400}}}, "p_cur"),
      ({"learner": {"kappa": 1.0}}, "kappa"),
      ({"dataset": {"num_traj": 10**12, "T": 8, "seed": 0}}, "dataset.num_traj"),
-     ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T")],
+     ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T"),
+     ({"methods": ["td_n"], "n_values": [1, 10**21]}, "n_values")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, overrides, key):
     monkeypatch.chdir(tmp_path)  # a file env's "env.txt": a three-state chain
@@ -551,12 +555,15 @@ def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, c
 
 
 # Each rule of harness.check_run, and each bound on a size that sizes an
-# array, broken once through a sweep config and once through a command's
-# flags: (config change, the key or file its message names, the command).
-# Every command writes its last argument. "chain.txt" is a three-state file
-# env, "ds.csv" holds T = 8 and "ds1.csv" T = 1 walks on the 4 x 1 corridor,
-# and "chain.csv" walks on the chain.
+# array or a run's work, broken once through a sweep config and once through
+# a command's flags: (config change, the key or file its message names, the
+# command). Every command writes its last argument. "chain.txt" is a
+# three-state file env, "ds.csv" holds T = 8 and "ds1.csv" T = 1 walks on the
+# 4 x 1 corridor, "chain.csv" walks on the chain, and "table.bin" is a table
+# of the corridor.
 _GRID_TRAIN = ["train", "--width", "4", "--height", "1", "--seed", "0"]
+_REJECTION_EVAL = ["eval", "--width", "4", "--height", "1", "--table", "table.bin",
+                   "--extraction", "rejection", "--dataset", "ds.csv"]
 _ONE_CHECK_CASES = {
     "min_horizon": ({"dataset": {"num_traj": 4, "T": 1, "seed": 0}, "methods": ["trl"]},
                     "'dataset.T'",
@@ -568,9 +575,6 @@ _ONE_CHECK_CASES = {
     "log_every": ({"log_every": 0}, "'log_every'",
                   [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "mc", "--log-every", "0",
                    "--out-dir", "run"]),
-    "exact_states": ({"methods": ["exact"]}, "method 'exact'",
-                     [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "exact", "--out-dir",
-                      "run"]),
     "grid_table": ({"env": {"kind": "grid", "width": 10**11, "height": 1}}, "'env.width'",
                    ["gen", "--width", str(10**11), "--height", "1", "--num-traj", "2", "--T", "4",
                     "--seed", "0", "--out", "out.csv"]),
@@ -584,6 +588,22 @@ _ONE_CHECK_CASES = {
                      "'learner.M_subgoals'",
                      [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "sgt", "--M-subgoals",
                       str(10**11), "--steps", "1", "--out-dir", "run"]),
+    "n_step": ({"methods": ["td_n"], "learner": {"steps": 3, "n_step": 10**21}}, "'n_step'",
+               [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "td_n", "--n-step",
+                str(10**21), "--steps", "3", "--out-dir", "run"]),
+    "P_random_distance": ({"methods": ["sgt"],
+                           "learner": {"steps": 3, "P_random_distance": 10**21}},
+                          "'P_random_distance'",
+                          [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "sgt",
+                           "--P-random-distance", str(10**21), "--steps", "3", "--out-dir", "run"]),
+    "rejection_n": ({"eval": {"extraction": "rejection", "rejection_n": 10**12}},
+                    "'eval.rejection_n'",
+                    [*_REJECTION_EVAL, "--rejection-n", str(10**12), "--out", "out.csv"]),
+    "episodes": ({"eval": {"extraction": "rejection", "episodes": 10**4 + 1}}, "'eval.episodes'",
+                 [*_REJECTION_EVAL, "--episodes", str(10**4 + 1), "--out", "out.csv"]),
+    "max_steps_factor": ({"eval": {"extraction": "rejection", "max_steps_factor": 1001}},
+                         "'eval.max_steps_factor'",
+                         [*_REJECTION_EVAL, "--max-steps-factor", "1001", "--out", "out.csv"]),
     "recursion_n_max": ({"recursion": {"n_max": 10**12}}, "'recursion.n_max'",
                         ["recursion", "--n-max", str(10**12), "--out", "out.csv"]),
     "recursion_trials": ({"recursion": {"trials": 10**12}}, "'recursion.trials'",
@@ -594,9 +614,7 @@ _ONE_CHECK_CASES = {
 @pytest.mark.parametrize("case", sorted(_ONE_CHECK_CASES))
 def test_each_run_rule_and_size_bound_exits_2_before_writing(tmp_path, capsys, monkeypatch, case):
     """A sweep exits 2 naming the key before out_dir exists, and so does the
-    command that breaks the same rule, writing nothing. The exact state cap
-    is lowered to 3 states, below the corridor's 4: a grid or file env past
-    the real cap of 16383 is refused by the table-size bound first."""
+    command that breaks the same rule, writing nothing."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "chain.txt").write_text("3 1\n1\n2\n2\n")
     (tmp_path / "wide.txt").write_text("3000 4\n")  # 36 * 10**6 table entries
@@ -605,7 +623,7 @@ def test_each_run_rule_and_size_bound_exits_2_before_writing(tmp_path, capsys, m
                  ["--env-file", "chain.txt", "--num-traj", "4", "--T", "4", "--seed", "0",
                   "--out", "chain.csv"]):
         assert run_cli("gen", *argv) == 0
-    monkeypatch.setattr(learners, "_NO_PATH", 3)
+    save_table(ValueTable.create(4, 4, 0.99), "table.bin")
     overrides, named, argv = _ONE_CHECK_CASES[case]
     (tmp_path / "cfg.json").write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
     capsys.readouterr()
@@ -615,6 +633,54 @@ def test_each_run_rule_and_size_bound_exits_2_before_writing(tmp_path, capsys, m
     assert run_cli(*argv) == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / argv[-1]).exists()
+
+
+def test_exact_train_reads_no_dataset(tmp_path, capsys):
+    """exact reads no data: without --dataset it writes the loss log and the
+    table of the run with one. A method that reads data exits 2 without one,
+    naming the method, and writes nothing."""
+    ds_path = _gen_dataset(tmp_path)
+    grid = ["train", "--width", "3", "--height", "1", "--seed", "0"]
+    assert run_cli(*grid, "--method", "exact", "--dataset", str(ds_path),
+                   "--out-dir", str(tmp_path / "with")) == 0
+    assert run_cli(*grid, "--method", "exact", "--out-dir", str(tmp_path / "without")) == 0
+    for name in ("loss.csv", "table.bin"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+    assert run_cli(*grid, "--method", "trl", "--out-dir", str(tmp_path / "trl")) == 2
+    assert "config error: method 'trl' requires a dataset" in capsys.readouterr().err
+    assert not (tmp_path / "trl").exists()
+
+
+@pytest.mark.parametrize("graph", ["random", "star"])
+def test_exact_train_on_an_env_file_is_the_oracle_table(tmp_path, graph):
+    """The console commands on an env file: exact training writes the
+    oracle's table bit for bit, on a directed random graph and on a 41-state
+    star (every leaf's radius-2 sphere holds the other leaves), and its
+    greedy eval reaches every task."""
+    env_path = str(tmp_path / "env.txt")
+    save_env(random_graph_env(60, 2, 0) if graph == "random" else star_env(40), env_path)
+    run_dir = tmp_path / "exact"
+    assert run_cli("train", "--env-file", env_path, "--method", "exact", "--seed", "0",
+                   "--out-dir", str(run_dir)) == 0
+    q = load_table(str(run_dir / "table.bin"))
+    assert q.params.tobytes() == oracle_q_table(load_env(env_path), q.gamma).tobytes()
+    out = tmp_path / "eval.csv"
+    assert run_cli("eval", "--env-file", env_path, "--table", str(run_dir / "table.bin"),
+                   "--episodes", "2", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(row.split(",")[1] == "1.0" for row in rows)
+
+
+@pytest.mark.parametrize("gamma", [1.5, float("nan")])
+def test_eval_bad_table_gamma_names_the_file(tmp_path, capsys, gamma):
+    table_path = tmp_path / "table.bin"
+    header = np.array((3, 4, 3, 0), dtype=np.int64).tobytes() + np.float64(gamma).tobytes()
+    table_path.write_bytes(header + np.zeros(36).tobytes())
+    code = run_cli("eval", "--width", "3", "--height", "1", "--table", str(table_path),
+                   "--out", str(tmp_path / "eval.csv"))
+    assert code == 2
+    assert f"config error: {table_path}: header field gamma must" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
 
 
 def test_recursion_duplicate_sim_size_exit_code(tmp_path, capsys):

@@ -84,6 +84,10 @@ def test_graph_env_validation():
         GraphEnv(2, 1, np.array([[0], [5]]))
     with pytest.raises(ConfigError):
         GraphEnv(2, 0, np.zeros((2, 0), dtype=np.int64))
+    # An env built in code keeps the table bound S * A * S <= 2^25 too.
+    GraphEnv(5792, 1, np.zeros((5792, 1), dtype=np.int64))
+    with pytest.raises(ConfigError, match=r"environment: table entries .* got 33558849"):
+        GraphEnv(5793, 1, np.zeros((5793, 1), dtype=np.int64))
 
 
 def test_env_file_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from scipy.special import expit, logit
 from gclab import learners
 from gclab.cli import main
 from gclab.dataset import collect_dataset
-from gclab.env import ConfigError, GraphEnv, build_grid_env
+from gclab.env import MAX_TABLE_ENTRIES, ConfigError, GraphEnv, build_grid_env
 from gclab.harness import check_run, train_run
 from gclab.learners import (
     _NO_PATH,
@@ -169,9 +170,9 @@ _INTERVAL_CASES = [
     ("tau_target", "(0, 1]", [_above(0.0), 1.0], [0.0, _above(1.0)]),
     ("batch_size", "[1, 65536]", [1, 65536], [0, 65537, 10**12]),
     ("steps", "[0, inf)", [0], [-1]),
-    ("n_step", "[1, inf)", [1], [0]),
+    ("n_step", "[1, 10000000]", [1, 10**7], [0, 10**7 + 1, 10**21]),
     ("M_subgoals", "[1, inf)", [1], [0]),
-    ("P_random_distance", "[1, inf)", [1], [0]),
+    ("P_random_distance", "[1, 10000000]", [1, 10**7], [0, 10**7 + 1, 10**21]),
     ("beta_goal_reg", "[0, inf)", [0.0, 1e308], [_below(0.0)]),
     ("seed", "[0, inf)", [0], [-1]),
 ]
@@ -192,6 +193,19 @@ def test_config_interval_ends(field, interval, inside, outside):
         message = f"learner field '{field}' must lie in {interval}, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             LearnerConfig(**{field: value})
+
+
+def test_subgoal_draw_bound_joins_batch_size_and_candidates():
+    """sgt and coe draw 16 * batch_size * M_subgoals candidates per chunk, at
+    most 2^20: the config refuses more, naming both keys, and accepts the
+    bound itself; a method that draws no candidates takes the same fields."""
+    message = ("config keys 'learner.batch_size' and 'learner.M_subgoals' for method 'sgt': "
+               "candidates per draw 16 * batch_size * M_subgoals must lie in [1, 1048576], "
+               "got 1179648")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        LearnerConfig(method="sgt", batch_size=8192, M_subgoals=9)
+    for method, m in (("sgt", 8), ("coe", 8), ("trl", 9)):
+        LearnerConfig(method=method, batch_size=8192, M_subgoals=m)
 
 
 def test_gradients_match_central_differences():
@@ -393,21 +407,24 @@ def test_sweeps_hand_out_unreachable_on_a_disconnected_graph():
 
 def test_sweeps_refuse_more_states_than_the_table_dtype_holds():
     """One state more than _NO_PATH would let a distance reach the no-path
-    marker. The sweeps' precondition is checked by harness.check_run, which
-    train_run calls before the S x S table (537 MB here) exists."""
-    env = right_only_chain(_NO_PATH + 1)
-    cfg = LearnerConfig(method="exact")
-    refusal = r"states for method 'exact' must lie in \[1, 16383\], got 16384"
+    marker. The GraphEnv's table bound refuses that env when it is built,
+    before the S x S sweep table (537 MB here) could exist."""
+    refusal = (r"environment: table entries states \* actions \* states must lie in "
+               r"\[1, 33554432\], got 268435456")
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=refusal):
-            check_run(env, None, cfg)
-        with pytest.raises(ConfigError, match=refusal):
-            train_run(env, None, cfg)
+            right_only_chain(_NO_PATH + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_the_table_bound_keeps_every_env_below_the_no_path_marker():
+    """S * A * S <= MAX_TABLE_ENTRIES with A >= 1 keeps S at most the bound's
+    square root, so no distance of any GraphEnv reaches the int16 marker."""
+    assert math.isqrt(MAX_TABLE_ENTRIES) < _NO_PATH
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_rejection_requires_positive_N(tmp_path, capsys):
     argv = ["eval", "--width", "2", "--height", "1", "--table", str(tmp_path / "none.bin"),
             "--extraction", "rejection", "--rejection-n", "0", "--out", str(tmp_path / "e.csv")]
     assert main(argv) == 2
-    assert "config key 'eval.rejection_n' must lie in [1, inf), got 0" in capsys.readouterr().err
+    assert "config key 'eval.rejection_n' must lie in [1, 1000000], got 0" in capsys.readouterr().err
     assert not (tmp_path / "e.csv").exists()
 
 
