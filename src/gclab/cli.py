@@ -19,9 +19,9 @@ from .analysis import check_sim_sizes, recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
 from .env import ConfigError, check_number
 from .harness import (
-    _BLOCKS,
     LOG_EVERY,
     aggregate_summary,
+    block_defaults,
     block_settings,
     build_env_from_spec,
     evaluate_policy,
@@ -92,7 +92,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    eval_spec = block_settings("eval", {name: getattr(args, name) for name in _BLOCKS["eval"]})
+    eval_spec = block_settings("eval", {n: getattr(args, n) for n in block_defaults("eval")})
     check_number("--seed", args.seed, "int", "[0, inf)")
     rejection = eval_spec["extraction"] == "rejection"
     if rejection and args.dataset is None:
@@ -122,7 +122,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recursion(args) -> int:
-    spec = block_settings("recursion", {name: getattr(args, name) for name in _BLOCKS["recursion"]})
+    spec = block_settings("recursion", {n: getattr(args, n) for n in block_defaults("recursion")})
     check_sim_sizes(spec["n_max"], spec["sim_sizes"])
     rows = recursion_report_rows(**spec)
     write_recursion_csv(args.out, rows)
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--table", required=True)
     p.add_argument("--dataset", help="dataset of the behavior policy; rejection extraction only")
-    _add_flags(p, _BLOCKS["eval"])
+    _add_flags(p, block_defaults("eval"))
     p.add_argument("--seed", type=int, default=LearnerConfig.seed, help="the trained run's seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
@@ -170,9 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("recursion", help="emit the recursion-count analysis CSV")
-    _add_flags(p, {k: v for k, v in _BLOCKS["recursion"].items() if k != "sim_sizes"})
+    recursion = block_defaults("recursion")
+    _add_flags(p, {k: v for k, v in recursion.items() if k != "sim_sizes"})
     p.add_argument("--sim", dest="sim_sizes", type=int, action="append", metavar="N",
-                   default=_BLOCKS["recursion"]["sim_sizes"], help="a size to simulate (repeatable)")
+                   default=recursion["sim_sizes"], help="a size to simulate (repeatable)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_recursion)
 

@@ -130,18 +130,24 @@ class GraphEnv:
 
 
 def parse_walls(spec) -> set[tuple[int, int]]:
-    """Wall cells from ``'x,y;x,y'`` text or a list of ``[x, y]`` pairs.
+    """Wall cells from ``'x,y;x,y'`` text or a list of ``[x, y]`` pairs of
+    integers (never a bool, a string or an object).
 
     Raises ConfigError naming the first malformed cell.
     """
-    tokens = [t for t in spec.split(";") if t.strip()] if isinstance(spec, str) else spec
+    text = isinstance(spec, str)
+    tokens = [t for t in spec.split(";") if t.strip()] if text else spec
     if not isinstance(tokens, (list, tuple)):
         raise ConfigError(f"walls must be 'x,y;x,y' or a list of [x, y] pairs, got {spec!r}")
     walls = set()
     for token in tokens:
-        parts = token.split(",") if isinstance(token, str) else token
         try:
-            x, y = (int(p) if isinstance(p, str) else operator.index(p) for p in parts)
+            if text:
+                x, y = (int(p) for p in token.split(","))
+            elif isinstance(token, (list, tuple)) and not any(isinstance(p, bool) for p in token):
+                x, y = map(operator.index, token)
+            else:
+                raise TypeError
         except (TypeError, ValueError):
             raise ConfigError(f"bad wall cell {token!r}: expected two integers x,y") from None
         walls.add((x, y))

@@ -263,8 +263,6 @@ def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> Eva
             return int(greedy_action_batch(q, np.array([s]), np.array([goal]))[0])
 
     else:
-        if beh is None:
-            raise ConfigError("rejection sampling requires a behavior policy")
         rollouts, longest, rng = episodes, float("inf"), np.random.default_rng([seed, 2025])
 
         def act(s, goal):
@@ -285,82 +283,64 @@ def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> Eva
 
 # The keys each kind of environment reads besides its "kind".
 _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
-_TOP_KEYS = {
-    "out_dir",
-    "env",
-    "dataset",
-    "methods",
-    "seeds",
-    "n_values",
-    "learner",
-    "eval",
-    "recursion",
-    "log_every",
+# Every setting of a sweep config by dotted key: (default, rule). A None
+# default marks a required key, a list default a list setting whose entries
+# each follow the rule, none twice, and _NON_EMPTY a list that must be given
+# and hold an entry. A rule is the tuple of values a setting takes, or an
+# integer's range in the form of learners._INTERVALS. Upper ends bound work:
+# a rejection eval rolls out every episode, for up to max_steps_factor * d
+# draws of rejection_n uniforms (35 s at the episodes end on a 16x16 grid,
+# 25 s at the rejection_n end on a 4x4 grid); the task choice lays out
+# num_tasks positions before it drops repeats; the recursion table takes 16
+# bytes per n up to n_max, and at both bounds `gclab recursion --sim 10000000`
+# runs in 8.7 s at 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
+_NON_EMPTY = [None]
+_SETTINGS = {
+    "env.width": (None, "[1, inf)"),
+    "env.height": (None, "[1, inf)"),
+    "dataset.num_traj": (None, "[1, inf)"),
+    "dataset.T": (None, "[1, inf)"),
+    "dataset.seed": (None, "[0, inf)"),
+    "methods": (_NON_EMPTY, tuple(METHODS)),
+    "seeds": (_NON_EMPTY, "[0, inf)"),
+    "n_values": ([], learners._INTERVALS["n_step"]),  # each entry is a run's learner.n_step
+    "log_every": (LOG_EVERY, "[1, inf)"),
+    "eval.num_tasks": (5, "[1, 100000]"),
+    "eval.episodes": (15, "[1, 10000]"),
+    "eval.max_steps_factor": (4, "[1, 1000]"),
+    "eval.extraction": ("greedy", ("greedy", "rejection")),
+    "eval.rejection_n": (32, "[1, 1000000]"),
+    "eval.min_task_distance": (1, "[0, inf)"),
+    "recursion.n_max": (10**6, "[1, 10000000]"),
+    "recursion.sim_sizes": ([], "[1, inf)"),
+    "recursion.trials": (100_000, "[1, 10000000]"),
+    "recursion.seed": (0, "[0, inf)"),
 }
-# The keys of each block of a sweep config with their defaults; None marks a
-# required key. The eval and recursion blocks are also the flags of
-# `gclab eval` and `gclab recursion`.
-_BLOCKS = {
-    "dataset": {"num_traj": None, "T": None, "seed": None},
-    "eval": {
-        "num_tasks": 5,
-        "episodes": 15,
-        "max_steps_factor": 4,
-        "extraction": "greedy",
-        "rejection_n": 32,
-        "min_task_distance": 1,
-    },
-    "recursion": {"n_max": 10**6, "sim_sizes": [], "trials": 100_000, "seed": 0},
-}
-# The range of each integer setting, by dotted key, in the form of
-# learners._INTERVALS; a list setting's entries are held to it. A rejection
-# eval rolls out every episode, for up to max_steps_factor * d draws of
-# rejection_n uniforms (35 s at the episodes end on a 16x16 grid, 25 s at
-# the rejection_n end on a 4x4 grid), and the task choice lays out
-# num_tasks positions before it drops repeats. The recursion table takes 16
-# bytes per n up to n_max, and a simulated size a few float64 per trial: at
-# both bounds `gclab recursion --sim 10000000` runs in 8.7 s at 437 MB peak
-# RSS (2-vCPU Xeon, numpy 2.4.6).
-_INTERVALS = {
-    "env.width": "[1, inf)",
-    "env.height": "[1, inf)",
-    "dataset.num_traj": "[1, inf)",
-    "dataset.T": "[1, inf)",
-    "dataset.seed": "[0, inf)",
-    "seeds": "[0, inf)",
-    "n_values": learners._INTERVALS["n_step"],  # each entry is a run's learner.n_step
-    "log_every": "[1, inf)",
-    "eval.num_tasks": "[1, 100000]",
-    "eval.episodes": "[1, 10000]",
-    "eval.max_steps_factor": "[1, 1000]",
-    "eval.rejection_n": "[1, 1000000]",
-    "eval.min_task_distance": "[0, inf)",
-    "recursion.n_max": "[1, 10000000]",
-    "recursion.sim_sizes": "[1, inf)",
-    "recursion.trials": "[1, 10000000]",
-    "recursion.seed": "[0, inf)",
-}
-# The string settings and the values each takes.
-_CHOICES = {"methods": tuple(METHODS), "eval.extraction": ("greedy", "rejection")}
-_LISTS = ("methods", "seeds", "n_values", "recursion.sim_sizes")
+_TOP_KEYS = {"out_dir", "env", "learner", *(key.partition(".")[0] for key in _SETTINGS)}
 # Learner fields a sweep sets per run, and the list that sets them when it is
 # non-empty: the same field under 'learner' would be silently overwritten.
 _PER_RUN = {"method": "methods", "seed": "seeds", "n_step": "n_values"}
 
 
+def block_defaults(block: str) -> dict:
+    """Each key of a sweep config's ``block`` ("" for the top) with its default."""
+    return {key.rpartition(".")[2]: default for key, (default, _) in _SETTINGS.items()
+            if key.rpartition(".")[0] == block}
+
+
 def check_setting(key: str, value) -> None:
     """Raise ConfigError naming ``key`` (dotted, as in the sweep config)
-    unless ``value`` suits it. A list setting must be a list whose entries
-    each suit the key, with no entry twice; any other setting is one of its
-    ``_CHOICES`` or an integer in its ``_INTERVALS`` range."""
-    entries = value if key in _LISTS else [value]
+    unless ``value`` follows its rule in ``_SETTINGS``. A list setting must
+    be a list whose entries each follow the rule, with no entry twice."""
+    default, rule = _SETTINGS[key]
+    entries = value if isinstance(default, list) else [value]
     if not isinstance(entries, list):
         raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
     for entry in entries:
-        if key not in _CHOICES:
-            check_number(f"config key '{key}'", entry, "int", _INTERVALS[key])
-        elif entry not in _CHOICES[key]:
-            raise ConfigError(f"config key '{key}' must be one of {_CHOICES[key]}, got {entry!r}")
+        if isinstance(rule, str):
+            check_number(f"config key '{key}'", entry, "int", rule)
+        elif entry not in rule:
+            raise ConfigError(f"config key '{key}' must be one of {rule}, got {entry!r}")
     if len(set(entries)) < len(entries):
         raise ConfigError(f"config key '{key}' has a duplicate entry: {value!r}")
 
@@ -370,7 +350,7 @@ def block_settings(block: str, spec) -> dict:
     Raises ConfigError naming the first unknown, missing or bad key."""
     if not isinstance(spec, dict):
         raise ConfigError(f"config key '{block}' must be an object")
-    defaults = _BLOCKS[block]
+    defaults = block_defaults(block)
     for key in spec:
         if key not in defaults:
             raise ConfigError(f"unknown config key '{block}.{key}'")
@@ -406,7 +386,8 @@ def validate_experiment_config(config: dict) -> dict:
     for key in config:
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    for key in ("out_dir", "env", "dataset", "methods", "seeds"):
+    top = block_defaults("")
+    for key in ("out_dir", "env", "dataset", *(k for k, d in top.items() if d is _NON_EMPTY)):
         if key not in config:
             raise ConfigError(f"missing config key {key!r}")
     out_dir = config["out_dir"]
@@ -430,12 +411,13 @@ def validate_experiment_config(config: dict) -> dict:
     elif not isinstance(env_spec.get("path"), str):
         raise ConfigError("config key 'env.path' must be a file path string")
 
-    normalized = {"learner": {}, "n_values": [], "log_every": LOG_EVERY, **config}
+    normalized = {"learner": {}, **top, **config}
     normalized["dataset"] = block_settings("dataset", config["dataset"])
-    for key in ("methods", "seeds", "n_values"):
+    lists = [key for key, default in top.items() if isinstance(default, list)]
+    for key in lists:
         check_setting(key, normalized[key])
-    for key in ("methods", "seeds"):
-        if not normalized[key]:
+    for key in lists:
+        if top[key] is _NON_EMPTY and not normalized[key]:
             raise ConfigError(f"config key '{key}' must be a non-empty list")
     normalized["eval"] = block_settings("eval", config.get("eval", {}))
     if "recursion" in config:
@@ -588,7 +570,8 @@ def run_experiment(config_or_path) -> int:
     run was refused. A ConfigError is raised, never counted as a refused
     run, and the config, the dataset size, every run (:func:`check_run`),
     the distances and the task set are checked before ``out_dir`` is
-    created."""
+    created; so is ``out_dir`` itself, whose ``runs`` directory must be
+    missing or empty, since the summary reads every run under it."""
     if isinstance(config_or_path, str):
         with open_input(config_or_path) as fh:
             text = fh.read()
@@ -608,14 +591,16 @@ def run_experiment(config_or_path) -> int:
     dist = all_pairs_distances(env)
     eval_spec = config["eval"]
     tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
-    out_dir = config["out_dir"]
+    out_dir, runs_dir = config["out_dir"], os.path.join(config["out_dir"], "runs")
+    if os.path.isdir(runs_dir) and os.listdir(runs_dir):
+        raise ConfigError(f"config key 'out_dir': {runs_dir} already holds another sweep's runs")
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
     beh = estimate_behavior_policy(ds, env)
 
     failures = []
     for label, cfg in config["_runs"]:
-        run_dir = os.path.join(out_dir, "runs", f"{label}_seed{cfg.seed}")
+        run_dir = os.path.join(runs_dir, f"{label}_seed{cfg.seed}")
         try:
             run_single(
                 env, ds, dist, beh, label, cfg, tasks, eval_spec, run_dir, config["log_every"]

@@ -9,7 +9,7 @@ import pytest
 from gclab import analysis, learners
 from gclab.cli import main
 from gclab.env import load_env
-from gclab.harness import _INTERVALS
+from gclab.harness import _SETTINGS
 from gclab.learners import ValueTable, load_table, save_table
 from gclab.oracle import oracle_q_table
 from env_helpers import random_graph_env, save_env, star_env
@@ -84,6 +84,27 @@ def test_sweep_and_report(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(cfg_path)) == 0
     assert (out_dir / "summary.csv").is_file()
     assert run_cli("report", "--out-dir", str(out_dir)) == 0
+
+
+def test_sweep_into_an_out_dir_that_holds_runs_exit_code(tmp_path, capsys):
+    """A sweep never reports another sweep's runs: a second sweep into an
+    out_dir whose runs/ holds an entry exits 2 naming out_dir, and every file
+    of the first sweep keeps its bytes."""
+    out_dir = tmp_path / "out"
+    first = {"out_dir": str(out_dir), "env": {"kind": "grid", "width": 4, "height": 4},
+             "dataset": {"num_traj": 20, "T": 16, "seed": 0}, "methods": ["trl", "mc"],
+             "seeds": [0, 1], "learner": {"steps": 10}}
+    second = {**first, "dataset": {"num_traj": 20, "T": 16, "seed": 5}, "methods": ["trl"],
+              "seeds": [0], "learner": {"steps": 300}}
+    (tmp_path / "first.json").write_text(json.dumps(first))
+    (tmp_path / "second.json").write_text(json.dumps(second))
+    assert run_cli("sweep", "--config", str(tmp_path / "first.json")) == 0
+    before = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", str(tmp_path / "second.json")) == 2
+    err = capsys.readouterr().err
+    assert "config key 'out_dir'" in err and str(out_dir / "runs") in err
+    assert {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()} == before
 
 
 def test_sweep_bad_config_exit_code(tmp_path, capsys):
@@ -171,7 +192,8 @@ def test_gen_walls_flag(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("walls", [[[1]], [["a", "b"]], [[1, 1.5]], [1, 2], 7])
+@pytest.mark.parametrize("walls", [[[1]], [["a", "b"]], [[1, 1.5]], [1, 2], 7, [[1, True]],
+                                   [{"1": 0, "2": 0}], [["1", "2"]], ["1,2"]])
 def test_sweep_bad_walls_exit_code(tmp_path, capsys, walls):
     config = {
         "out_dir": str(tmp_path / "exp"),
@@ -184,6 +206,7 @@ def test_sweep_bad_walls_exit_code(tmp_path, capsys, walls):
     cfg_path.write_text(json.dumps(config))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert "wall" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 def _gen_dataset(tmp_path):
@@ -527,30 +550,60 @@ def test_sweep_bad_recursion_block_exit_code(tmp_path, capsys, recursion, key):
     assert not (tmp_path / "exp").exists()  # rejected before any training
 
 
-def _set_setting(config: dict, key: str, value) -> dict:
+def _set_setting(config: dict, key: str, value, entry=True) -> dict:
     """``config`` with the setting at dotted ``key`` set to ``value`` (the one
-    entry of a list setting)."""
-    from gclab.harness import _LISTS
-
-    value = [value] if key in _LISTS else value
+    entry of a list setting, unless ``entry`` is false)."""
+    value = [value] if entry and isinstance(_SETTINGS[key][0], list) else value
     block, _, name = key.rpartition(".")
     if not block:
-        return {**config, key: value, "methods": ["td_n"] if key == "n_values" else ["mc"]}
+        return {**config, "methods": ["td_n"] if key == "n_values" else ["mc"], key: value}
     return {**config, block: {**config.get(block, {}), name: value}}
 
 
-@pytest.mark.parametrize("key", sorted(_INTERVALS))
+def _keys(test) -> list[str]:
+    """The dotted keys of the sweep settings whose default and rule pass ``test``."""
+    return sorted(key for key, (default, rule) in _SETTINGS.items() if test(default, rule))
+
+
+@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(rule, str)))
 @pytest.mark.parametrize("bad", ["below", "bool", "float"])
 def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, capsys, key, bad):
     """Every integer setting, set one below the closed lower end of its
     range, to true or to a float, exits 2 naming the key before anything is
     written."""
-    minimum = int(_INTERVALS[key][1:].split(",")[0])
+    minimum = int(_SETTINGS[key][1][1:].split(",")[0])
     value = {"below": minimum - 1, "bool": True, "float": minimum + 0.5}[bad]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value)))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(rule, tuple)))
+def test_sweep_setting_outside_its_values_exit_code(tmp_path, capsys, key):
+    """Every setting that takes one of a tuple of values refuses any other,
+    naming the key, before anything is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, "bogus")))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert f"config key '{key}' must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(default, list)))
+@pytest.mark.parametrize("bad", ["not_a_list", "duplicate"])
+def test_list_setting_not_a_list_or_with_a_duplicate_exit_code(tmp_path, capsys, key, bad):
+    """Every list setting refuses one entry outside a list, and a list that
+    holds an entry twice, naming the key, before anything is written."""
+    rule = _SETTINGS[key][1]
+    entry = rule[0] if isinstance(rule, tuple) else int(rule[1:].split(",")[0])
+    value, message = {"not_a_list": (entry, "must be a list"),
+                      "duplicate": ([entry, entry], "has a duplicate entry")}[bad]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value, entry=False)))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert f"config key '{key}' {message}" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
 
 
@@ -721,7 +774,7 @@ def test_flags_follow_learner_config_and_eval_defaults():
     from dataclasses import fields
 
     from gclab.cli import build_parser
-    from gclab.harness import _BLOCKS
+    from gclab.harness import block_defaults
     from gclab.learners import LearnerConfig
 
     args = build_parser().parse_args(
@@ -736,9 +789,11 @@ def test_flags_follow_learner_config_and_eval_defaults():
     with pytest.raises(SystemExit):  # --seed stays required
         build_parser().parse_args(["train", "--dataset", "d", "--out-dir", "o", "--method", "mc"])
     args = build_parser().parse_args(["eval", "--table", "t", "--dataset", "d", "--out", "o"])
-    assert {key: getattr(args, key) for key in _BLOCKS["eval"]} == _BLOCKS["eval"]
+    defaults = block_defaults("eval")
+    assert {key: getattr(args, key) for key in defaults} == defaults
     args = build_parser().parse_args(["recursion", "--out", "o"])
-    assert {key: getattr(args, key) for key in _BLOCKS["recursion"]} == _BLOCKS["recursion"]
+    defaults = block_defaults("recursion")
+    assert {key: getattr(args, key) for key in defaults} == defaults
 
 
 def test_recursion_help_shows_the_defaults(capsys):

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclab.env import ConfigError, GraphEnv, adjacency_matrix, build_grid_env, load_env
+from gclab.env import (
+    ConfigError,
+    GraphEnv,
+    adjacency_matrix,
+    build_grid_env,
+    load_env,
+    parse_walls,
+)
 from env_helpers import random_graph_env, save_env
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -70,6 +77,13 @@ def test_all_cells_walled_is_an_error():
 def test_wall_outside_grid_is_an_error():
     with pytest.raises(ConfigError):
         build_grid_env(2, 2, walls={(5, 5)})
+
+
+@pytest.mark.parametrize("walls", [[[1, True]], [{"1": 0, "2": 0}], [["1", "2"]], ["1,2"]])
+def test_wall_cell_that_is_not_a_pair_of_integers_is_an_error(walls):
+    """A list cell is two JSON integers: a bool, a string or an object is refused."""
+    with pytest.raises(ConfigError, match="bad wall cell"):
+        parse_walls(walls)
 
 
 def test_state_coords_populated_row_major():

@@ -8,7 +8,7 @@ import pytest
 from gclab.dataset import collect_dataset, load_dataset
 from gclab.env import ConfigError, GraphEnv, build_grid_env
 from gclab.harness import (
-    _INTERVALS,
+    _SETTINGS,
     aggregate_summary,
     block_settings,
     check_run,
@@ -279,7 +279,7 @@ def test_greedy_budget_stops_at_S_minus_1(small_world):
     rng = np.random.default_rng(0)
     shape = (env.num_states, env.num_actions, env.num_states)
     outcomes = set()
-    largest = int(_INTERVALS["eval.max_steps_factor"][:-1].split(",")[1])
+    largest = int(_SETTINGS["eval.max_steps_factor"][1][:-1].split(",")[1])
     for q in [ValueTable(rng.normal(0.0, 3.0, shape), 0.9) for _ in range(4)]:
         for factor in (1, 4, largest):
             spec = block_settings("eval", {"max_steps_factor": factor})
