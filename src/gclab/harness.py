@@ -512,7 +512,7 @@ def run_single(
     env: GraphEnv,
     ds: TrajectoryDataset,
     dist: np.ndarray,
-    beh: BehaviorPolicy,
+    beh: BehaviorPolicy | None,
     label: str,
     cfg: LearnerConfig,
     tasks: list[tuple[int, int]],
@@ -596,7 +596,8 @@ def run_experiment(config_or_path) -> int:
         raise ConfigError(f"config key 'out_dir': {runs_dir} already holds another sweep's runs")
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
-    beh = estimate_behavior_policy(ds, env)
+    # Greedy extraction reads no behavior policy, so none is estimated for it.
+    beh = estimate_behavior_policy(ds, env) if eval_spec["extraction"] == "rejection" else None
 
     failures = []
     for label, cfg in config["_runs"]:

@@ -148,8 +148,8 @@ MAX_DRAW_ENTRIES = 2**20
 
 # The range of each number in a LearnerConfig: every caller reads its fields
 # as checked here, when the config is built, and checks none again. n_step's
-# end changes no run (td_n looks min(n_step, gap) < T steps ahead); sgt reads
-# gamma^0..gamma^P: 186 MB peak RSS in a 3-step run at P's end (4x4, 2-vCPU Xeon).
+# end changes no run (td_n looks min(n_step, gap) < T steps ahead); P's end
+# bounds no cost, since sgt reads gamma^P in constant memory.
 _INTERVALS = {
     "gamma": "(0, 1)",
     "kappa": "[0.5, 1)",
@@ -247,12 +247,6 @@ def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact (min, +) sweeps over step counts
 
-# A sweep table holds step counts. Its "no path yet" marker is half its
-# dtype's maximum: 127 in uint8, where every table starts, and 16383 in
-# int16, the dtype of the yielded tables, above any distance of a GraphEnv.
-_NARROW_DTYPE = np.uint8
-_DIST_DTYPE = np.int16
-_NO_PATH = np.iinfo(_DIST_DTYPE).max // 2
 # The kernel gathers midpoint rows in blocks of at most this many bytes, so
 # each temporary stays in a typical per-core L2 cache, whatever the sphere size.
 _SWEEP_BYTES = 2**21
@@ -262,9 +256,10 @@ def exact_transitive_sweep(left: np.ndarray, d: np.ndarray, radius: int) -> tupl
     """One (min, +) sweep of a block of rows through the midpoint sphere:
     new[s] = min(left[s], radius + min over {w : left[s, w] == radius} of d[w]).
 
-    ``d`` is the table after k sweeps of a unit-edge graph (see
-    :func:`transitive_sweeps`), ``radius`` is 2^k, and ``left`` holds some of
-    d's rows. Returns the new rows and the number of entries they shortened.
+    ``d`` is the table after k sweeps of a unit-edge graph in an unsigned
+    dtype whose maximum means no path (see :func:`transitive_sweeps`),
+    ``radius`` is 2^k, and ``left`` holds some of d's rows. Returns the new
+    rows and the number of entries they shortened.
 
     The rows equal those of the full sweep, min(left[s, g], min over every w
     of left[s, w] + d[w, g]): a pair at distance t in (2^k, 2^(k+1)] has a
@@ -276,8 +271,9 @@ def exact_transitive_sweep(left: np.ndarray, d: np.ndarray, radius: int) -> tupl
 
     The midpoints come row by row from ``np.nonzero``; each row's list is
     padded to the longest by repeating its first midpoint, which changes no
-    minimum. Sums are exact: the marker plus the radius fits the dtype (see
-    :func:`transitive_sweeps` for the bound on the radius).
+    minimum. A midpoint minimum is clamped at the dtype's maximum less the
+    radius before the radius is added, so no path stays the maximum and
+    never wraps; finite sums must fit the dtype below that.
     """
     new = left.copy()
     rows, mids = np.nonzero(left == radius)
@@ -298,6 +294,7 @@ def exact_transitive_sweep(left: np.ndarray, d: np.ndarray, radius: int) -> tupl
         best = d[block[:, :mid_step]].min(axis=1)
         for w_lo in range(mid_step, width, mid_step):
             np.minimum(best, d[block[:, w_lo:w_lo + mid_step]].min(axis=1), out=best)
+        np.minimum(best, np.iinfo(d.dtype).max - radius, out=best)
         best += radius
         r = open_rows[lo:lo + row_step]
         new[r] = np.minimum(new[r], best)
@@ -306,11 +303,11 @@ def exact_transitive_sweep(left: np.ndarray, d: np.ndarray, radius: int) -> tupl
 
 def transitive_sweeps(env: GraphEnv):
     """Jacobi (min, +) sweeps from the base table (0 on the diagonal, 1 on
-    one-step edges): yields ``(d, shortened)`` after each sweep, with ``d`` an
-    int16 copy of the sweep's table in the oracle's convention (UNREACHABLE
-    for no path, as in ``oracle.all_pairs_distances``), and stops after the
-    first sweep that shortens no pair. A GraphEnv's table bound keeps its
-    states at most isqrt(env.MAX_TABLE_ENTRIES) = 5792, below _NO_PATH.
+    one-step edges): yields ``(d, shortened)`` after each sweep and stops
+    after the first sweep that shortens no pair. ``d`` is the live table, in
+    the oracle's convention (UNREACHABLE for no path, as in
+    ``oracle.all_pairs_distances``); the next sweep overwrites it, so copy
+    it to keep it.
 
     Every edge has length 1, so after k sweeps an entry is finite exactly
     when its pair lies within 2^k steps, and then it holds the distance (the
@@ -322,32 +319,29 @@ def transitive_sweeps(env: GraphEnv):
     unreachable pair stays open and is swept every time, which is still
     exact.
 
-    The table is uint8 while twice its largest finite entry is below the
-    uint8 marker, so no distance the sweep can find reaches the marker, and
-    is widened to int16 once that fails. The rule reads only the table. A
-    sweep of radius 2^k > 1 follows one that shortened a pair, so the table
-    holds a distance above 2^(k-1) and the radius is below twice the largest
-    entry: at most 64 in uint8 (127 + 64 < 255) and, with at most 5792
-    states, at most 2^13 in int16 (16383 + 8192 < 32767), so the kernel's
-    marker-plus-radius sums fit the dtype.
+    The kernel reads the table through its unsigned view, where UNREACHABLE
+    (-1) is the dtype's maximum. The table is int8 while twice its largest
+    entry is at most 127, so every finite sum the kernel forms reads the
+    same signed, and is widened once to int16 after that (astype keeps -1);
+    the rule reads only the table. In int16 a GraphEnv's table bound keeps
+    its states at most isqrt(env.MAX_TABLE_ENTRIES) = 5792, so sums stay at
+    most 11582. A sweep
+    of radius 2^k > 1 follows one that shortened a pair, so the table holds
+    a distance above 2^(k-1) and the radius is below twice the largest
+    entry: at most 64 in int8 and 2^13 in int16.
     """
-    no_path = np.iinfo(_NARROW_DTYPE).max // 2
-    d = np.full((env.num_states, env.num_states), no_path, dtype=_NARROW_DTYPE)
+    d = np.full((env.num_states, env.num_states), UNREACHABLE, dtype=np.int8)
     d[adjacency_matrix(env)] = 1
     np.fill_diagonal(d, 0)
     radius = 1
     while True:
-        missing = d == no_path
-        if d.dtype != _DIST_DTYPE and 2 * int(d.max(where=~missing, initial=0)) >= no_path:
-            d = d.astype(_DIST_DTYPE)  # widen first: a uint8 marker of 16383 would wrap
-            no_path = _NO_PATH
-            d[missing] = no_path
-        rows = np.flatnonzero(missing.any(axis=1))
-        d[rows], shortened = exact_transitive_sweep(d[rows], d, radius)
+        if 2 * int(d.max()) > np.iinfo(np.int8).max:
+            d = d.astype(np.int16, copy=False)
+        u = d.view(f"u{d.itemsize}")
+        rows = np.flatnonzero((d == UNREACHABLE).any(axis=1))
+        u[rows], shortened = exact_transitive_sweep(u[rows], u, radius)
         radius *= 2
-        table = d.astype(_DIST_DTYPE)
-        table[d == no_path] = UNREACHABLE
-        yield table, shortened
+        yield d, shortened
         if shortened == 0:
             return
 
@@ -794,7 +788,9 @@ METHODS = {
         "logit",
         _subgoal_draw,
         _sgt_layout,
-        state=lambda env, q, cfg: optimal_value_table(np.array(cfg.P_random_distance), cfg.gamma),
+        # The prior gamma^P from the vector power loop over the one exponent P:
+        # the bits of optimal_value_table's gamma^P, in O(1) memory.
+        state=lambda env, q, cfg: np.power(cfg.gamma, np.full(1, cfg.P_random_distance))[0],
     ),
     "coe": Method("logit", _subgoal_draw, _coe_layout, state=_coe_state),
     "exact": Method("value"),

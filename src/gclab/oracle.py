@@ -75,7 +75,7 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     gamma ** max(d) and a final 0, which UNREACHABLE (-1) indexes, so it
     equals np.power's value at the cost of max(d) + 1 powers."""
     check_number("gamma", gamma, "float", interval="(0, 1)")
-    return np.append(np.power(gamma, np.arange(d.max(initial=0) + 1)), 0.0)[d]
+    return np.append(np.power(gamma, np.arange(int(d.max(initial=0)) + 1)), 0.0)[d]
 
 
 def implied_distances(values, gamma: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from gclab.harness import (
     train_run,
     validate_experiment_config,
 )
-from gclab import learners
+from gclab import harness, learners
 from gclab.learners import LearnerConfig, ValueTable, load_table
 from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
 from gclab.policy import estimate_behavior_policy, greedy_action_batch
@@ -376,6 +376,23 @@ def test_sweep_multi_seed_mean(tmp_path):
         per_run.append(float(eval_lines[0].split(",")[1]))
     summary_task0 = next(r for r in rows if r[1] == "0")
     assert float(summary_task0[2]) == pytest.approx(np.mean(per_run))
+
+
+def test_sweep_estimates_the_behavior_policy_for_rejection_only(tmp_path, monkeypatch):
+    """Greedy extraction reads no behavior policy, so a greedy sweep never
+    estimates one, as ``gclab eval`` does not; a rejection sweep does once."""
+    calls = []
+
+    def counted(ds, env):
+        calls.append(1)
+        return estimate_behavior_policy(ds, env)
+
+    monkeypatch.setattr(harness, "estimate_behavior_policy", counted)
+    assert run_experiment(sweep_config(tmp_path / "greedy", seeds=[0, 1])) == 0
+    assert calls == []
+    spec = {"num_tasks": 3, "episodes": 2, "extraction": "rejection"}
+    assert run_experiment(sweep_config(tmp_path / "rejection", seeds=[0, 1], eval=spec)) == 0
+    assert calls == [1]
 
 
 def test_td_n_sweep_labels(tmp_path):

@@ -16,7 +16,6 @@ from gclab.dataset import collect_dataset
 from gclab.env import MAX_TABLE_ENTRIES, ConfigError, GraphEnv, build_grid_env
 from gclab.harness import check_run, train_run
 from gclab.learners import (
-    _NO_PATH,
     LOGIT_CLAMP,
     LearnerConfig,
     PolyakTarget,
@@ -44,6 +43,7 @@ from gclab.learners import (
 from gclab.oracle import (
     UNREACHABLE,
     all_pairs_distances,
+    optimal_value_table,
     oracle_q_table,
 )
 from env_helpers import random_graph_env
@@ -386,7 +386,7 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
                 reached = prev != UNREACHABLE
                 assert (d[reached] != UNREACHABLE).all()
                 assert (d[reached] <= prev[reached]).all()
-            prev = d
+            prev = d.copy()  # the next sweep overwrites the yielded table
         fp, sweeps = run_transitive_fixed_point(env)
         dist = all_pairs_distances(env)
         np.testing.assert_array_equal(fp, dist)
@@ -397,34 +397,51 @@ def test_sweep_monotone_and_matches_oracle_on_random_graphs():
 
 def test_sweeps_hand_out_unreachable_on_a_disconnected_graph():
     """Two one-way chains with no edge between them: every yielded table
-    marks the pairs across them UNREACHABLE, never the kernel's _NO_PATH."""
+    is signed and marks the pairs across them UNREACHABLE."""
     env = GraphEnv(6, 1, np.array([[1], [2], [2], [4], [5], [5]]))
     for d, _ in transitive_sweeps(env):
-        assert d.dtype == np.int16 and not (d == _NO_PATH).any()
+        assert d.dtype == np.int8 and d.min() == UNREACHABLE
         assert (d[:3, 3:] == UNREACHABLE).all() and (d[3:, :3] == UNREACHABLE).all()
     np.testing.assert_array_equal(d, all_pairs_distances(env))
 
 
+@pytest.mark.parametrize("diameter, widened_at", [(63, None), (64, 6), (129, 6)])
+def test_sweeps_yield_one_live_table_widened_once(diameter, widened_at):
+    """A one-way chain's table stays int8 while twice its largest entry is
+    at most 127, and is widened to int16 once, before the sweep that
+    follows the first entry of 64. Between widenings every sweep yields
+    the same live table."""
+    tables = [d for d, _ in transitive_sweeps(right_only_chain(diameter + 1))]
+    dtypes = [d.dtype for d in tables]
+    narrow = len(tables) if widened_at is None else widened_at
+    assert dtypes == [np.int8] * narrow + [np.int16] * (len(tables) - narrow)
+    assert all(d is tables[0] for d in tables[:narrow])
+    assert all(d is tables[-1] for d in tables[narrow:])
+    assert int(tables[-1].max()) == diameter
+
+
 def test_sweeps_refuse_more_states_than_the_table_dtype_holds():
-    """One state more than _NO_PATH would let a distance reach the no-path
-    marker. The GraphEnv's table bound refuses that env when it is built,
-    before the S x S sweep table (537 MB here) could exist."""
+    """A chain of 16385 states would let a finite sum, twice its largest
+    distance, pass int16's maximum. The GraphEnv's table bound refuses that
+    env when it is built, before the S x S sweep table (268 MB here) could
+    exist."""
     refusal = (r"environment: table entries states \* actions \* states must lie in "
-               r"\[1, 33554432\], got 268435456")
+               r"\[1, 33554432\], got 268468225")
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=refusal):
-            right_only_chain(_NO_PATH + 1)
+            right_only_chain(2**14 + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_the_table_bound_keeps_every_env_below_the_no_path_marker():
+def test_the_table_bound_keeps_every_finite_sum_within_int16():
     """S * A * S <= MAX_TABLE_ENTRIES with A >= 1 keeps S at most the bound's
-    square root, so no distance of any GraphEnv reaches the int16 marker."""
-    assert math.isqrt(MAX_TABLE_ENTRIES) < _NO_PATH
+    square root, so twice any distance of a GraphEnv, the largest sum a
+    sweep forms, fits an int16 table below its sign bit."""
+    assert 2 * (math.isqrt(MAX_TABLE_ENTRIES) - 1) <= np.iinfo(np.int16).max
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +737,25 @@ def test_sgt_prior_is_the_scalar_power_within_one_ulp():
         priors = [sgt_prior(LearnerConfig(gamma=gamma, P_random_distance=p)) for p in distances]
         scalar = [np.power(gamma, p) for p in distances]
         np.testing.assert_array_max_ulp(np.array(priors), np.array(scalar), maxulp=1)
+
+
+def test_sgt_prior_has_the_oracle_tables_bits_in_constant_memory():
+    """The prior equals optimal_value_table's gamma^P bit for bit over a grid
+    of gamma and P, and at P's upper end it is read without a table of the
+    P + 1 powers (80 MB)."""
+    for gamma in np.linspace(0.5, 0.999, 40):
+        for p in (1, 2, 7, 8, 9, 100, 500, 1000, 12345):
+            prior = sgt_prior(LearnerConfig(gamma=float(gamma), P_random_distance=p))
+            table = optimal_value_table(np.array(p), float(gamma))
+            assert type(prior) is type(table) and prior.tobytes() == table.tobytes()
+    cfg = LearnerConfig(gamma=0.999999, P_random_distance=10**7)
+    tracemalloc.start()
+    try:
+        prior = sgt_prior(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16 and prior == pytest.approx(0.999999**10**7, rel=1e-9)
 
 
 def test_sgt_single_candidate_target():

@@ -16,8 +16,14 @@ def one_way_corridor(n):
 
 ENVS = {
     "one_way_corridor": one_way_corridor(40),
-    # Diameter 129: the table is widened from uint8 to int16 before sweep 7.
-    "one_way_corridor_130": one_way_corridor(130),
+    # Chains at the edge of the int8 range, which ends where the old uint8
+    # no-path marker sat (127): a table is int8 while twice its largest
+    # entry is at most 127, so diameter 63 stays int8 and from diameter 64
+    # on the table is widened to int16 before sweep 7.
+    **{f"one_way_chain_diameter_{n}": one_way_corridor(n + 1) for n in (63, 64, 126, 127, 128, 129)},
+    "two_one_way_chains_100": GraphEnv(
+        200, 2, np.vstack([one_way_corridor(100).transition, one_way_corridor(100).transition + 100])
+    ),
     "one_state": build_grid_env(1, 1),
     "two_chains": GraphEnv(6, 1, np.array([[1], [2], [2], [4], [5], [5]])),
     # Every leaf's radius-2 sphere holds the other 39 leaves.

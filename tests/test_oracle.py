@@ -150,6 +150,16 @@ def test_unreachable_value_is_exactly_zero():
     assert v[2, 0] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+def test_value_table_of_a_narrow_table_holding_its_dtype_maximum(dtype):
+    """int8 127, uint8 255 and int16 32767 each read the powers up to the
+    table's maximum: their count is formed as a Python int, so it cannot
+    wrap in the table's dtype."""
+    top = int(np.iinfo(dtype).max)
+    v = optimal_value_table(np.array([0, 1, top], dtype), 0.999)
+    assert v.tobytes() == np.power(0.999, np.arange(top + 1))[[0, 1, top]].tobytes()
+
+
 def test_gamma_validation():
     env = one_way_corridor(2)
     dist = all_pairs_distances(env)
