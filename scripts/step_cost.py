@@ -26,12 +26,13 @@ SIDES = (8, 16, 32)
 
 def ms_per_step(env, ds, method: str, steps: int, repeats: int) -> float:
     cfg = LearnerConfig(
-        method=method, steps=steps, learning_rate=0.5, kappa=0.9, tau_target=0.01, batch_size=256
+        method=method, steps=steps, log_every=steps, learning_rate=0.5, kappa=0.9,
+        tau_target=0.01, batch_size=256,
     )
     times = []
     for _ in range(repeats):
         started = time.perf_counter()
-        train_run(env, ds, cfg, log_every=steps)
+        train_run(env, ds, cfg)
         times.append(time.perf_counter() - started)
     return 1e3 * statistics.median(times) / steps
 

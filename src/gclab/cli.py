@@ -19,7 +19,6 @@ from .analysis import check_sim_sizes, recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
 from .env import ConfigError, check_number
 from .harness import (
-    LOG_EVERY,
     aggregate_summary,
     block_defaults,
     block_settings,
@@ -82,7 +81,7 @@ def cmd_train(args) -> int:
     env = _env_from_args(args)
     ds = None if args.dataset is None else load_dataset(args.dataset, env=env)
     try:
-        _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir, args.log_every)
+        _, log = train_and_save(env, ds, cfg.method, cfg, args.out_dir)
     except ConfigError:
         raise
     except ValueError as exc:  # a refused run, named as a sweep's FAILED line names it
@@ -152,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     _add_flags(p, _LEARNER_DEFAULTS, required=("method", "seed"))
     p.add_argument("--dataset", help="dataset of random walks; every method but exact reads one")
-    p.add_argument("--log-every", type=int, default=LOG_EVERY)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_train)
 

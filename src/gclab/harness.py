@@ -54,10 +54,6 @@ from .policy import (
     rejection_sample_action,
 )
 
-# Loss-log period of a stochastic run, in steps.
-LOG_EVERY = 1000
-
-
 @dataclass
 class EvalReport:
     """Per-task success rates plus the rank agreement with oracle distances."""
@@ -75,12 +71,7 @@ def config_hash(payload: dict) -> str:
 # Training
 
 
-def check_run(
-    env: GraphEnv,
-    ds: TrajectoryDataset | None,
-    cfg: LearnerConfig,
-    log_every: int = LOG_EVERY,
-) -> None:
+def check_run(env: GraphEnv, ds: TrajectoryDataset | None, cfg: LearnerConfig) -> None:
     """Raise ConfigError naming the key unless the run ``cfg`` can start on
     ``env`` and ``ds``: the one check of each rule that joins a run's
     settings to its environment or data (a rule on one side is checked where
@@ -88,7 +79,6 @@ def check_run(
     it for every run before it writes anything. ``exact`` reads no data;
     every other method needs a dataset of at least its ``min_horizon``
     actions, and coe with a goal regularizer needs the grid coordinates."""
-    check_setting("log_every", log_every)
     if cfg.method == "exact":
         return
     if ds is None:
@@ -103,10 +93,7 @@ def check_run(
 
 
 def train_run(
-    env: GraphEnv,
-    ds: TrajectoryDataset | None,
-    cfg: LearnerConfig,
-    log_every: int = LOG_EVERY,
+    env: GraphEnv, ds: TrajectoryDataset | None, cfg: LearnerConfig
 ) -> tuple[ValueTable, list[dict]]:
     """Train one table and return it with its loss log. Deterministic given cfg.
     :func:`check_run` checks the run first.
@@ -119,10 +106,10 @@ def train_run(
     run starts, so rebinding the module attribute reaches every call) on the
     batches of ``learners.step_batches``, each followed by a target sync. It
     evaluates a step's statistics only on the steps it logs: every
-    ``log_every`` steps and the last one. It raises ValueError if the
+    ``cfg.log_every`` steps and the last one. It raises ValueError if the
     trained table holds a non-finite entry; the caller names the run.
     """
-    check_run(env, ds, cfg, log_every)
+    check_run(env, ds, cfg)
     log: list[dict] = []
     if cfg.method == "exact":
         for sweep, (d, shortened) in enumerate(transitive_sweeps(env)):
@@ -137,6 +124,7 @@ def train_run(
     state = method.state(env, q, cfg)
     update = getattr(learners, f"{cfg.method}_update_step")
     batches = step_batches(ds, q.params.shape, cfg)
+    log_every = cfg.log_every
     for step_idx, batch in zip(range(cfg.steps), batches):
         stats = update(target, state, batch, cfg)
         target_sync(target, cfg.tau_target)
@@ -304,7 +292,6 @@ _SETTINGS = {
     "methods": (_NON_EMPTY, tuple(METHODS)),
     "seeds": (_NON_EMPTY, "[0, inf)"),
     "n_values": ([], learners._INTERVALS["n_step"]),  # each entry is a run's learner.n_step
-    "log_every": (LOG_EVERY, "[1, inf)"),
     "eval.num_tasks": (5, "[1, 100000]"),
     "eval.episodes": (15, "[1, 10000]"),
     "eval.max_steps_factor": (4, "[1, 1000]"),
@@ -419,6 +406,9 @@ def validate_experiment_config(config: dict) -> dict:
     for key in lists:
         if top[key] is _NON_EMPTY and not normalized[key]:
             raise ConfigError(f"config key '{key}' must be a non-empty list")
+    if normalized["n_values"] and "td_n" not in normalized["methods"]:
+        raise ConfigError("config key 'n_values' is read only by method 'td_n', "
+                          "which 'methods' does not list")
     normalized["eval"] = block_settings("eval", config.get("eval", {}))
     if "recursion" in config:
         rec = normalized["recursion"] = block_settings("recursion", config["recursion"])
@@ -486,14 +476,14 @@ def train_and_save(
     label: str,
     cfg: LearnerConfig,
     run_dir: str,
-    log_every: int,
 ) -> tuple[ValueTable, list[dict]]:
     """Train one run (see :func:`train_run`) and write its ``loss.csv``,
     ``table.bin`` and ``meta.json`` into ``run_dir``, which is created only
     once training has succeeded. ``meta.json`` holds the label, the seed, a
-    hash of the label and learner settings, and the training wall time."""
+    hash of the label and every learner setting (the log period among
+    them), and the training wall time."""
     started = time.time()
-    q, log = train_run(env, ds, cfg, log_every=log_every)
+    q, log = train_run(env, ds, cfg)
     meta = {
         "method": label,
         "seed": cfg.seed,
@@ -518,9 +508,8 @@ def run_single(
     tasks: list[tuple[int, int]],
     eval_spec: dict,
     run_dir: str,
-    log_every: int,
 ) -> EvalReport:
-    q, _ = train_and_save(env, ds, label, cfg, run_dir, log_every)
+    q, _ = train_and_save(env, ds, label, cfg, run_dir)
     report = evaluate_policy(env, q, beh, dist, tasks, eval_spec, cfg.seed)
     write_eval_csv(os.path.join(run_dir, "eval.csv"), report)
     return report
@@ -587,7 +576,7 @@ def run_experiment(config_or_path) -> int:
     ds_spec = config["dataset"]
     ds = collect_dataset(env, ds_spec["num_traj"], ds_spec["T"], ds_spec["seed"])
     for _, cfg in config["_runs"]:
-        check_run(env, ds, cfg, config["log_every"])
+        check_run(env, ds, cfg)
     dist = all_pairs_distances(env)
     eval_spec = config["eval"]
     tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
@@ -603,9 +592,7 @@ def run_experiment(config_or_path) -> int:
     for label, cfg in config["_runs"]:
         run_dir = os.path.join(runs_dir, f"{label}_seed{cfg.seed}")
         try:
-            run_single(
-                env, ds, dist, beh, label, cfg, tasks, eval_spec, run_dir, config["log_every"]
-            )
+            run_single(env, ds, dist, beh, label, cfg, tasks, eval_spec, run_dir)
         except ConfigError:
             raise
         except (ValueError, RuntimeError) as exc:

@@ -158,6 +158,7 @@ _INTERVALS = {
     "tau_target": "(0, 1]",
     "batch_size": f"[1, {MAX_DRAW_ENTRIES // CHUNK_STEPS}]",
     "steps": "[0, inf)",
+    "log_every": "[1, inf)",
     "n_step": f"[1, {MAX_DATASET_STATES}]",
     "M_subgoals": "[1, inf)",
     "P_random_distance": f"[1, {MAX_DATASET_STATES}]",
@@ -178,6 +179,7 @@ class LearnerConfig:
     tau_target: float = 0.005
     batch_size: int = 256
     steps: int = 200_000
+    log_every: int = 1000  # loss-log period of a stochastic run, in steps
     n_step: int = 1
     M_subgoals: int = 8
     P_random_distance: int = 500

@@ -1,14 +1,12 @@
-"""Test helpers for the lazy Polyak target and the training loop: an eager
-reference target, ways to read or set a target's values in full, the
-update loop of ``harness.train_run``, and hand-built step batches."""
+"""Test helpers for the lazy Polyak target: an eager reference target, ways
+to read or set a target's values in full, and hand-built step batches."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import expit
 
-from gclab import learners
-from gclab.learners import METHODS, PolyakTarget, ValueTable, step_batches
+from gclab.learners import METHODS, PolyakTarget, ValueTable
 
 
 class EagerTarget:
@@ -42,20 +40,6 @@ def target_with_params(q: ValueTable, params) -> PolyakTarget:
     target = PolyakTarget(q)
     target.lag[...] = params - q.params
     return target
-
-
-def run_steps(env, ds, cfg, make_target, sync):
-    """``harness.train_run``'s update loop with a chosen target and sync;
-    returns the online table and its target."""
-    method = METHODS[cfg.method]
-    q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma, space=method.space)
-    target = make_target(q)
-    state = method.state(env, q, cfg)
-    update = getattr(learners, f"{cfg.method}_update_step")
-    for _, batch in zip(range(cfg.steps), step_batches(ds, q.params.shape, cfg)):
-        update(target, state, batch, cfg)
-        sync(target, cfg.tau_target)
-    return q, target
 
 
 def step_batch(cfg, shape, **named):

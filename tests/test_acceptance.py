@@ -338,9 +338,10 @@ def test_criterion_8_sweep_determinism(tmp_path):
                 "dataset": {"num_traj": 30, "T": 10, "seed": 2},
                 "methods": ["trl", "mc"],
                 "seeds": [0, 1],
-                "learner": {"steps": 400, "batch_size": 64, "learning_rate": 0.25},
+                "learner": {
+                    "steps": 400, "batch_size": 64, "learning_rate": 0.25, "log_every": 100
+                },
                 "eval": {"num_tasks": 3, "episodes": 4},
-                "log_every": 100,
             }
 
         assert run_experiment(config(tmp_path / "a")) == 0

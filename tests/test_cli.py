@@ -441,8 +441,9 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
     "overrides, key",
     [({"methods": ["bogus"]}, "methods"), ({"methods": ["td_n"], "n_values": [0]}, "n_values"),
      ({"n_values": ["a"]}, "n_values"), ({"n_values": 0}, "n_values"),
-     ({"n_values": {}}, "n_values"), ({"log_every": 0}, "log_every"),
-     ({"log_every": 1.5}, "log_every"), ({"seeds": ["a"]}, "seeds"), ({"seeds": [-1]}, "seeds"),
+     ({"n_values": {}}, "n_values"), ({"learner": {"log_every": 0}}, "log_every"),
+     ({"learner": {"log_every": 1.5}}, "log_every"), ({"seeds": ["a"]}, "seeds"),
+     ({"seeds": [-1]}, "seeds"),
      ({"dataset": 5}, "dataset"),
      ({"dataset": {"num_traj": 4, "T": 8, "seed": 0, "n": 1}}, "dataset.n"),
      ({"dataset": {"num_traj": "a", "T": 8, "seed": 0}}, "dataset.num_traj"),
@@ -486,7 +487,10 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"learner": {"kappa": 1.0}}, "kappa"),
      ({"dataset": {"num_traj": 10**12, "T": 8, "seed": 0}}, "dataset.num_traj"),
      ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T"),
-     ({"methods": ["td_n"], "n_values": [1, 10**21]}, "n_values")],
+     ({"methods": ["td_n"], "n_values": [1, 10**21]}, "n_values"),
+     ({"log_every": 100}, "log_every"), ({"learner": {"log_every": True}}, "log_every"),
+     ({"methods": ["mc"], "n_values": [3]}, "n_values"),
+     ({"methods": ["mc"], "n_values": [3], "learner": {"n_step": 3}}, "n_values")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, overrides, key):
     monkeypatch.chdir(tmp_path)  # a file env's "env.txt": a three-state chain
@@ -496,6 +500,20 @@ def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, override
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()  # rejected before any work
+
+
+def test_n_values_without_td_n_is_blamed_before_learner_n_step(tmp_path, capsys):
+    """n_values sets td_n runs only: without td_n in methods the sweep
+    refuses it, naming n_values and not the learner.n_step that no run
+    would then have set per run, before writing."""
+    config = {**_sweep_config(tmp_path), "n_values": [3], "learner": {"n_step": 3}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert "config key 'n_values' is read only by method 'td_n'" in err
+    assert "learner" not in err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
@@ -625,7 +643,7 @@ _ONE_CHECK_CASES = {
                         "'learner.beta_goal_reg'",
                         ["train", "--env-file", "chain.txt", "--dataset", "chain.csv", "--seed",
                          "0", "--method", "coe", "--out-dir", "run"]),
-    "log_every": ({"log_every": 0}, "'log_every'",
+    "log_every": ({"learner": {"log_every": 0}}, "'log_every'",
                   [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "mc", "--log-every", "0",
                    "--out-dir", "run"]),
     "grid_table": ({"env": {"kind": "grid", "width": 10**11, "height": 1}}, "'env.width'",
@@ -974,8 +992,7 @@ def test_train_matches_the_sweep_run(tmp_path):
     sweep run's loss log and table, byte for byte, and the same meta.json
     but for the wall time."""
     config = _sweep_config(tmp_path)
-    config["learner"] = {"steps": 30, "batch_size": 8, "learning_rate": 0.25}
-    config["log_every"] = 7
+    config["learner"] = {"steps": 30, "batch_size": 8, "learning_rate": 0.25, "log_every": 7}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert run_cli("sweep", "--config", str(cfg_path)) == 0
@@ -993,6 +1010,25 @@ def test_train_matches_the_sweep_run(tmp_path):
         assert set(meta) == {"config_hash", "method", "seed", "wall_time_s"}
         del meta["wall_time_s"]
     assert metas[0] == metas[1]
+
+
+def test_log_period_changes_the_loss_log_and_the_config_hash_only(tmp_path):
+    """Two `gclab train` runs that differ only in --log-every write the same
+    table, different loss logs, and different config hashes in meta.json."""
+    ds_path = _gen_dataset(tmp_path)
+    runs = [tmp_path / "every5", tmp_path / "every7"]
+    for run, period in zip(runs, ("5", "7")):
+        assert run_cli(
+            "train", "--width", "3", "--height", "1", "--dataset", str(ds_path), "--method",
+            "mc", "--seed", "0", "--steps", "20", "--batch-size", "8", "--log-every", period,
+            "--out-dir", str(run),
+        ) == 0
+    a, b = ({name: (run / name).read_bytes() for name in ("table.bin", "loss.csv")}
+            for run in runs)
+    assert a["table.bin"] == b["table.bin"]
+    assert a["loss.csv"] != b["loss.csv"]
+    hashes = [json.loads((run / "meta.json").read_text())["config_hash"] for run in runs]
+    assert hashes[0] != hashes[1]
 
 
 @pytest.mark.parametrize("extraction", ["greedy", "rejection"])

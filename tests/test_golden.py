@@ -75,7 +75,7 @@ EXPECTED = {
 }
 
 BASE = LearnerConfig(
-    learning_rate=0.5, kappa=0.9, tau_target=0.01, batch_size=64, steps=40, seed=1
+    learning_rate=0.5, kappa=0.9, tau_target=0.01, batch_size=64, steps=40, log_every=10, seed=1
 )
 RUNS = {
     "trl": replace(BASE, method="trl"),
@@ -118,7 +118,7 @@ def golden_digests() -> dict[str, str]:
 
     out, tables = {}, {}
     for name, cfg in RUNS.items():
-        q, log = train_run(env, ds, cfg, log_every=10)
+        q, log = train_run(env, ds, cfg)
         tables[name] = q
         out[f"train.{name}"] = _sha(q.params.tobytes(), log)
     for name in ("trl", "gciql"):

@@ -109,9 +109,11 @@ def test_a_run_is_a_prefix_of_any_longer_run(small_world, method):
     random stream does not depend on its step count: logging every step,
     a 20-step run's log is the first 20 rows of a 40-step run's."""
     env, ds = small_world
-    cfg = LearnerConfig(method=method, steps=40, batch_size=16, learning_rate=0.1, M_subgoals=3)
-    _, log40 = train_run(env, ds, cfg, log_every=1)
-    _, log20 = train_run(env, ds, replace(cfg, steps=20), log_every=1)
+    cfg = LearnerConfig(
+        method=method, steps=40, log_every=1, batch_size=16, learning_rate=0.1, M_subgoals=3
+    )
+    _, log40 = train_run(env, ds, cfg)
+    _, log20 = train_run(env, ds, replace(cfg, steps=20))
     assert len(log40) == 40
     assert log20 == log40[:20]
 
@@ -122,8 +124,8 @@ def test_statistics_are_read_only_on_logged_steps_and_change_nothing(small_world
     or on the first and last only gives byte-identical tables and rows."""
     env, ds = small_world
     cfg = LearnerConfig(method=method, steps=37, batch_size=16, learning_rate=0.1, M_subgoals=3)
-    q_every, log_every = train_run(env, ds, cfg, log_every=1)
-    q_rare, log_rare = train_run(env, ds, cfg, log_every=10**6)
+    q_every, log_every = train_run(env, ds, replace(cfg, log_every=1))
+    q_rare, log_rare = train_run(env, ds, replace(cfg, log_every=10**6))
     assert q_every.params.tobytes() == q_rare.params.tobytes()
     assert log_rare == [log_every[0], log_every[-1]]
 
@@ -332,9 +334,8 @@ def sweep_config(out_dir, **overrides):
         "dataset": {"num_traj": 40, "T": 12, "seed": 1},
         "methods": ["trl"],
         "seeds": [0],
-        "learner": {"steps": 300, "batch_size": 64, "learning_rate": 0.25},
+        "learner": {"steps": 300, "batch_size": 64, "learning_rate": 0.25, "log_every": 100},
         "eval": {"num_tasks": 3, "episodes": 5},
-        "log_every": 100,
     }
     config.update(overrides)
     return config
@@ -452,7 +453,7 @@ def test_validate_config_defaults():
     config = validate_experiment_config(sweep_config("/tmp/unused"))
     assert config["eval"]["max_steps_factor"] == 4
     assert config["eval"]["episodes"] == 5  # explicit override kept
-    assert config["log_every"] == 100
+    assert [cfg.log_every for _, cfg in config["_runs"]] == [100]
 
 
 def test_learner_n_step_holds_without_n_values():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from gclab import learners
+from gclab import harness, learners
 from gclab.cli import main
 from gclab.dataset import collect_dataset
 from gclab.env import MAX_TABLE_ENTRIES, ConfigError, GraphEnv, build_grid_env
@@ -50,7 +50,6 @@ from env_helpers import random_graph_env
 from target_helpers import (
     EagerTarget,
     eager_sync,
-    run_steps,
     step_batch,
     target_params,
     target_with_params,
@@ -170,6 +169,7 @@ _INTERVAL_CASES = [
     ("tau_target", "(0, 1]", [_above(0.0), 1.0], [0.0, _above(1.0)]),
     ("batch_size", "[1, 65536]", [1, 65536], [0, 65537, 10**12]),
     ("steps", "[0, inf)", [0], [-1]),
+    ("log_every", "[1, inf)", [1], [0]),
     ("n_step", "[1, 10000000]", [1, 10**7], [0, 10**7 + 1, 10**21]),
     ("M_subgoals", "[1, inf)", [1], [0]),
     ("P_random_distance", "[1, 10000000]", [1, 10**7], [0, 10**7 + 1, 10**21]),
@@ -1086,36 +1086,39 @@ def test_every_step_writes_q_once(monkeypatch, method):
     [("trl", 0.005), ("td_n", 0.005), ("gciql", 0.005), ("sgt", 0.005), ("coe", 0.005),
      ("trl", 0.2), ("gciql", 0.2), ("td_n", 1.0), ("coe", 1.0)],
 )
-def test_lazy_target_training_matches_eager_sync(method, tau):
-    """2000 fixed-seed steps with the lazy target and with the eager sync give
-    the same online table and target within TARGET_TOLERANCE. tau = 0.2
-    renormalizes once in that run; tau = 1 renormalizes every step."""
+def test_lazy_target_training_matches_eager_sync(monkeypatch, method, tau):
+    """2000 fixed-seed steps of train_run with the lazy target and with the
+    eager sync give the same online table and target within
+    TARGET_TOLERANCE. tau = 0.2 renormalizes once in that run; tau = 1
+    renormalizes every step."""
     env = build_grid_env(4, 4)
     ds = collect_dataset(env, num_traj=20, T=16, seed=0)
     cfg = LearnerConfig(
         method=method, steps=2000, learning_rate=0.5, batch_size=32, M_subgoals=4,
         n_step=3, tau_target=tau, seed=1,
     )
-    q_lazy, t_lazy = run_steps(env, ds, cfg, PolyakTarget, target_sync)
-    q_eager, t_eager = run_steps(env, ds, cfg, EagerTarget, eager_sync)
+
+    def train(make_target):
+        """train_run building its target with ``make_target``; returns the
+        online table and that target."""
+        built = []
+
+        def capture(q):
+            built.append(make_target(q))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "PolyakTarget", capture)
+        q, _ = train_run(env, ds, cfg)
+        return q, built[0]
+
+    q_lazy, t_lazy = train(PolyakTarget)
+    monkeypatch.setattr(harness, "target_sync", eager_sync)
+    q_eager, t_eager = train(EagerTarget)
     atol = TARGET_TOLERANCE * max(1.0, np.abs(q_eager.params).max())
     np.testing.assert_allclose(q_lazy.params, q_eager.params, rtol=0, atol=atol)
     np.testing.assert_allclose(target_params(t_lazy), t_eager.params, rtol=0, atol=atol)
     renormalized = t_lazy.scale > 2 * (1 - tau) ** cfg.steps
     assert renormalized == (tau >= 0.2)
-
-
-@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
-def test_run_steps_is_the_train_run_loop(method):
-    """The loop the equivalence test drives is train_run's, byte for byte."""
-    env = build_grid_env(4, 4)
-    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
-    cfg = LearnerConfig(
-        method=method, steps=30, learning_rate=0.5, batch_size=32, M_subgoals=4, tau_target=0.5
-    )
-    q_lazy, _ = run_steps(env, ds, cfg, PolyakTarget, target_sync)
-    q_run, _ = train_run(env, ds, cfg)
-    assert q_run.params.tobytes() == q_lazy.params.tobytes()
 
 
 def test_mc_writes_through_its_target_as_a_direct_write_would():
@@ -1125,8 +1128,10 @@ def test_mc_writes_through_its_target_as_a_direct_write_would():
     The learning rate is large enough to drive entries onto the clamp."""
     env = build_grid_env(4, 4)
     ds = collect_dataset(env, num_traj=20, T=16, seed=0)
-    cfg = LearnerConfig(method="mc", steps=300, batch_size=32, learning_rate=500.0, seed=2)
-    q_run, log_run = train_run(env, ds, cfg, log_every=50)
+    cfg = LearnerConfig(
+        method="mc", steps=300, batch_size=32, learning_rate=500.0, log_every=50, seed=2
+    )
+    q_run, log_run = train_run(env, ds, cfg)
 
     q = ValueTable.create(env.num_states, env.num_actions, cfg.gamma)
     log = []

@@ -46,10 +46,10 @@ PATHS = [
     ("out_dir",), ("env",), ("env", "kind"), ("env", "width"), ("env", "height"),
     ("env", "walls"), ("env", "path"), ("dataset",), ("dataset", "num_traj"),
     ("dataset", "T"), ("dataset", "seed"), ("methods",), ("seeds",), ("n_values",),
-    ("log_every",), ("learner",), ("eval",), ("recursion",),
+    ("learner",), ("eval",), ("recursion",),
     *(("learner", key) for key in (
         "method", "gamma", "kappa", "lambda_reweight", "learning_rate", "tau_target",
-        "batch_size", "steps", "n_step", "M_subgoals", "P_random_distance",
+        "batch_size", "steps", "log_every", "n_step", "M_subgoals", "P_random_distance",
         "beta_goal_reg", "ratios", "seed")),
     *(("learner", "ratios", key) for key in ("p_cur", "p_geom", "p_traj", "p_rand", "geom_param")),
     *(("eval", key) for key in (
