@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from gclab import analysis, learners
 from gclab.cli import main
 from gclab.env import load_env
-from gclab.harness import _SETTINGS
+from gclab.harness import _PER_RUN, _SETTINGS
 from gclab.learners import ValueTable, load_table, save_table
 from gclab.oracle import oracle_q_table
 from env_helpers import random_graph_env, save_env, star_env
@@ -488,7 +489,7 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"dataset": {"num_traj": 10**12, "T": 8, "seed": 0}}, "dataset.num_traj"),
      ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T"),
      ({"methods": ["td_n"], "n_values": [1, 10**21]}, "n_values"),
-     ({"log_every": 100}, "log_every"), ({"learner": {"log_every": True}}, "log_every"),
+     ({"log_every": 100}, "log_every"),
      ({"methods": ["mc"], "n_values": [3]}, "n_values"),
      ({"methods": ["mc"], "n_values": [3], "learner": {"n_step": 3}}, "n_values")],
 )
@@ -583,16 +584,26 @@ def _keys(test) -> list[str]:
     return sorted(key for key, (default, rule) in _SETTINGS.items() if test(default, rule))
 
 
-@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(rule, str)))
+# The learner's integer fields that a sweep reads from its 'learner' block;
+# the others it sets per run.
+_LEARNER_INTS = sorted(f.name for f in fields(learners.LearnerConfig)
+                       if f.type == "int" and f.name not in _PER_RUN)
+
+
+@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(rule, str)) + _LEARNER_INTS)
 @pytest.mark.parametrize("bad", ["below", "bool", "float"])
 def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, capsys, key, bad):
-    """Every integer setting, set one below the closed lower end of its
-    range, to true or to a float, exits 2 naming the key before anything is
-    written."""
-    minimum = int(_SETTINGS[key][1][1:].split(",")[0])
+    """Every integer setting, and every integer learner field a sweep reads,
+    set one below the closed lower end of its range, to true or to a float,
+    exits 2 naming the key before anything is written."""
+    rule = _SETTINGS[key][1] if key in _SETTINGS else learners._INTERVALS[key]
+    minimum = int(rule[1:].split(",")[0])
     value = {"below": minimum - 1, "bool": True, "float": minimum + 0.5}[bad]
+    config = _sweep_config(tmp_path)
+    config = (_set_setting(config, key, value) if key in _SETTINGS
+              else {**config, "learner": {**config["learner"], key: value}})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value)))
+    cfg_path.write_text(json.dumps(config))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
@@ -789,8 +800,6 @@ def test_flags_follow_learner_config_and_eval_defaults():
     flag, typed and defaulted by the field; every eval and recursion setting
     is a `gclab eval` or `gclab recursion` flag defaulted by the sweep
     config's default."""
-    from dataclasses import fields
-
     from gclab.cli import build_parser
     from gclab.harness import block_defaults
     from gclab.learners import LearnerConfig
