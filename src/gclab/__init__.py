@@ -1,6 +1,6 @@
 """Tabular laboratory for offline goal-conditioned value learning."""
 
-from .dataset import RelabelRatios, TrajectoryDataset, collect_dataset
+from .dataset import TrajectoryDataset, collect_dataset
 from .env import GraphEnv, build_grid_env
 from .harness import EvalReport, evaluate_policy, run_experiment, train_run
 from .learners import LearnerConfig, ValueTable
@@ -13,7 +13,6 @@ __all__ = [
     "all_pairs_distances",
     "optimal_value_table",
     "TrajectoryDataset",
-    "RelabelRatios",
     "collect_dataset",
     "ValueTable",
     "LearnerConfig",

@@ -54,9 +54,7 @@ def _env_from_args(args):
     return build_env_from_spec(spec)
 
 
-# LearnerConfig defaults settable from `gclab train`; the relabel ratios are
-# set in sweep configs only.
-_LEARNER_DEFAULTS = {f.name: f.default for f in fields(LearnerConfig) if f.name != "ratios"}
+_LEARNER_DEFAULTS = {f.name: f.default for f in fields(LearnerConfig)}
 
 
 def _add_flags(parser, defaults: dict, required=()) -> None:

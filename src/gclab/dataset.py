@@ -17,37 +17,11 @@ call: the learners draw ``(steps, batch_size)`` at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .env import ConfigError, GraphEnv, check_number, open_input
-
-
-@dataclass
-class RelabelRatios:
-    """Mixture weights (p_cur, p_geom, p_traj, p_rand) for goal relabeling,
-    each in [0, 1], summing to 1.
-
-    geom_param is the success probability of the geometric offset; the
-    conventional choice 1 - gamma matches the discount horizon. Offsets the
-    geometric draw pushes past the trajectory end truncate to the final state.
-    """
-
-    p_cur: float = 0.2
-    p_geom: float = 0.5
-    p_traj: float = 0.0
-    p_rand: float = 0.3
-    geom_param: float = 0.01
-
-    def __post_init__(self):
-        for f in fields(self):
-            interval = "(0, 1)" if f.name == "geom_param" else "[0, 1]"
-            label, value = f"relabel ratio '{f.name}'", getattr(self, f.name)
-            check_number(label, value, "float", interval=interval)
-        probs = (self.p_cur, self.p_geom, self.p_traj, self.p_rand)
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ConfigError(f"relabel ratios must sum to 1, got {sum(probs)}")
 
 
 @dataclass
@@ -143,11 +117,17 @@ def sample_relabeled_goal_batch(
     ds: TrajectoryDataset,
     traj: np.ndarray,
     t: np.ndarray,
-    ratios: RelabelRatios,
+    cfg,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Vectorized hindsight goal relabeling for (traj, t) anchor points: one
     goal state per entry of ``traj`` and ``t``, two arrays of one shape.
+
+    Each goal is, with probability cfg.p_cur, the anchor's own state; with
+    cfg.p_geom, the state geometric(cfg.geom_param) steps later, truncated
+    at the trajectory's end; with cfg.p_traj, a uniform state of the
+    trajectory from the anchor on; with the rest, 1 - p_cur - p_geom -
+    p_traj, a uniform state of the whole dataset. ``cfg`` is a LearnerConfig.
 
     All random draws happen unconditionally in a fixed order so the stream
     of generator calls (and therefore the result) is reproducible. States
@@ -159,14 +139,14 @@ def sample_relabeled_goal_batch(
     T = ds.horizon
 
     u = rng.random(size)
-    geom_delta = rng.geometric(ratios.geom_param, size=size)
+    geom_delta = rng.geometric(cfg.geom_param, size=size)
     future_t = t + rng.integers(0, T - t + 1)  # uniform over {t..T}, per element
     flat = rng.integers(0, ds.states.size, size=size)
 
     row = traj * (T + 1)
-    c1 = ratios.p_cur
-    c2 = c1 + ratios.p_geom
-    c3 = c2 + ratios.p_traj
+    c1 = cfg.p_cur
+    c2 = c1 + cfg.p_geom
+    c3 = c2 + cfg.p_traj
     # Each goal's flat index: the current state, a geometric or a uniform
     # future state of its trajectory, or a uniform state of the dataset.
     idx = np.select(
@@ -204,9 +184,9 @@ def _parse_row(path: str, n: int, field: str, line: str, length: int) -> np.ndar
     return row
 
 
-def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
-    """Read a dataset saved by :func:`save_dataset`; validates against env if
-    given, raising ConfigError naming ``path`` if the two do not fit.
+def load_dataset(path: str, env: GraphEnv) -> TrajectoryDataset:
+    """Read a dataset saved by :func:`save_dataset` and validate it against
+    ``env``, raising ConfigError naming ``path`` if the two do not fit.
 
     Rows are checked against the header as they are read, so a bad header
     is a config error before anything is sized from it.
@@ -230,9 +210,8 @@ def load_dataset(path: str, env: GraphEnv | None = None) -> TrajectoryDataset:
             states.append(_parse_row(path, n, "states", srow, T + 1))
             actions.append(_parse_row(path, n, "actions", arow, T))
     ds = TrajectoryDataset(np.stack(states), np.stack(actions))
-    if env is not None:
-        try:
-            ds.validate_against(env)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: does not fit the environment: {exc}") from None
+    try:
+        ds.validate_against(env)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: does not fit the environment: {exc}") from None
     return ds

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -307,6 +307,7 @@ _TOP_KEYS = {"out_dir", "env", "learner", *(key.partition(".")[0] for key in _SE
 # Learner fields a sweep sets per run, and the list that sets them when it is
 # non-empty: the same field under 'learner' would be silently overwritten.
 _PER_RUN = {"method": "methods", "seed": "seeds", "n_step": "n_values"}
+_LEARNER_KEYS = {f.name for f in fields(LearnerConfig)}
 
 
 def block_defaults(block: str) -> dict:
@@ -413,12 +414,15 @@ def validate_experiment_config(config: dict) -> dict:
     if "recursion" in config:
         rec = normalized["recursion"] = block_settings("recursion", config["recursion"])
         analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
-    try:
-        base = LearnerConfig(**normalized["learner"])
-    except TypeError as exc:
-        raise ConfigError(f"bad config key under 'learner': {exc}") from exc
+    learner = normalized["learner"]
+    if not isinstance(learner, dict):
+        raise ConfigError("config key 'learner' must be an object")
+    for key in learner:
+        if key not in _LEARNER_KEYS:
+            raise ConfigError(f"unknown config key 'learner.{key}'")
+    base = LearnerConfig(**learner)
     for key, source in _PER_RUN.items():
-        if key in normalized["learner"] and normalized[source]:
+        if key in learner and normalized[source]:
             raise ConfigError(f"config key 'learner.{key}' is set per run by '{source}'")
     normalized["_runs"] = _run_configs(normalized, base)
     return normalized

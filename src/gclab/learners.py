@@ -16,14 +16,13 @@ entries in a fixed order, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .dataset import (
     MAX_DATASET_STATES,
-    RelabelRatios,
     TrajectoryDataset,
     sample_flat_states,
     sample_index_pairs,
@@ -163,6 +162,10 @@ _INTERVALS = {
     "M_subgoals": "[1, inf)",
     "P_random_distance": f"[1, {MAX_DATASET_STATES}]",
     "beta_goal_reg": "[0, inf)",
+    "p_cur": "[0, 1]",
+    "p_geom": "[0, 1]",
+    "p_traj": "[0, 1]",
+    "geom_param": "(0, 1)",
     "seed": "[0, inf)",
 }
 
@@ -184,7 +187,12 @@ class LearnerConfig:
     M_subgoals: int = 8
     P_random_distance: int = 500
     beta_goal_reg: float = 1.0
-    ratios: RelabelRatios = field(default_factory=RelabelRatios)
+    # The goal-relabel mixture of gciql, sgt and coe, as
+    # dataset.sample_relabeled_goal_batch draws it.
+    p_cur: float = 0.2
+    p_geom: float = 0.5
+    p_traj: float = 0.0
+    geom_param: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -192,17 +200,17 @@ class LearnerConfig:
             if f.type in ("int", "float"):
                 label, value = f"learner field '{f.name}'", getattr(self, f.name)
                 check_number(label, value, f.type, interval=_INTERVALS[f.name])
-        if self.method not in METHODS:
+        if self.method not in tuple(METHODS):  # a tuple: an unhashable value is no method
             raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
         if self.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
             check_number(f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method "
                          f"{self.method!r}: candidates per draw {CHUNK_STEPS} * batch_size * "
                          "M_subgoals", CHUNK_STEPS * self.batch_size * self.M_subgoals, "int",
                          f"[1, {MAX_DRAW_ENTRIES}]")
-        if isinstance(self.ratios, dict):
-            self.ratios = RelabelRatios(**self.ratios)
-        if not isinstance(self.ratios, RelabelRatios):
-            raise ConfigError(f"learner field 'ratios' must be an object, got {self.ratios!r}")
+        mixture = self.p_cur + self.p_geom + self.p_traj
+        if mixture > 1.0 + 1e-9:  # the slack takes float rounding: 0.34 + 0.56 + 0.1
+            raise ConfigError("config keys 'learner.p_cur' + 'learner.p_geom' + 'learner.p_traj' "
+                              f"must sum to at most 1, got {mixture!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +663,7 @@ def _transition_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     size = (CHUNK_STEPS, cfg.batch_size)
     traj = rng.integers(0, ds.num_traj, size=size)
     t = rng.integers(0, ds.horizon, size=size)
-    goals = sample_relabeled_goal_batch(ds, traj, t, cfg.ratios, rng)
+    goals = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
     return {
         "s": _states_at(ds, traj, t),
         "a": _actions_at(ds, traj, t),

@@ -438,6 +438,14 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
     assert "config key 'recursion.seed' must lie in [0, inf), got -1" in capsys.readouterr().err
 
 
+def blamed_keys(err: str) -> list[str]:
+    """The quoted names a config error blames: those of its subject, before
+    the verb that states the rule ("must", "is", "are" or "has"); an unknown
+    key's message is all subject."""
+    subject = re.split(r" (?:must|is|are|has) ", err.partition("config error: ")[2])[0]
+    return re.findall(r"'([^']*)'", subject)
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [({"methods": ["bogus"]}, "methods"), ({"methods": ["td_n"], "n_values": [0]}, "n_values"),
@@ -456,7 +464,7 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"learner": {"batch_size": True}}, "batch_size"), ({"learner": {"seed": 1.0}}, "seed"),
      ({"learner": {"learning_rate": float("inf")}}, "learning_rate"),
      ({"learner": {"beta_goal_reg": float("nan")}}, "beta_goal_reg"),
-     ({"learner": {"ratios": {"p_cur": float("nan")}}}, "p_cur"),
+     ({"learner": {"p_cur": float("nan")}}, "p_cur"),
      ({"env": {"kind": "grid", "width": "8", "height": 1}}, "env.width"),
      ({"env": {"kind": "grid", "width": 2.5, "height": 1}}, "env.width"),
      ({"env": {"kind": "grid", "width": True, "height": 1}}, "env.width"),
@@ -465,10 +473,10 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
      ({"methods": ["mc", "mc"]}, "methods"), ({"seeds": [0, 1, 0]}, "seeds"),
      ({"methods": ["mc", "mc"], "seeds": [0, 0]}, "methods"),
      ({"methods": ["td_n"], "n_values": [1, 5, 1]}, "n_values"),
-     ({"learner": {"ratios": 5}}, "ratios"),
-     ({"methods": ["gciql"], "learner": {"ratios": 5}}, "ratios"),
-     ({"learner": {"ratios": {"p_cur": True, "p_geom": 0.0, "p_rand": 0.0}}}, "p_cur"),
-     ({"learner": {"ratios": {"p_cur": "0.2"}}}, "p_cur"),
+     ({"learner": {"ratios": 5}}, "learner.ratios"),
+     ({"methods": ["gciql"], "learner": {"ratios": 5}}, "learner.ratios"),
+     ({"learner": {"p_cur": True, "p_geom": 0.0}}, "p_cur"),
+     ({"learner": {"p_cur": "0.2"}}, "p_cur"),
      ({"seeds": [[0]]}, "seeds"), ({"methods": [["mc"]]}, "methods"),
      ({"learner": {"method": "trl"}}, "learner.method"),
      ({"learner": {"seed": 7, "method": "trl"}, "methods": ["mc"]}, "learner.method"),
@@ -484,7 +492,7 @@ def test_recursion_checks_simulation_arguments_before_the_table(tmp_path, capsys
       "learner.beta_goal_reg"),
      ({"learner": {"learning_rate": 10**400}}, "learning_rate"),
      ({"learner": {"lambda_reweight": 10**400}}, "lambda_reweight"),
-     ({"learner": {"ratios": {"p_cur": 10**400}}}, "p_cur"),
+     ({"learner": {"p_cur": 10**400}}, "p_cur"),
      ({"learner": {"kappa": 1.0}}, "kappa"),
      ({"dataset": {"num_traj": 10**12, "T": 8, "seed": 0}}, "dataset.num_traj"),
      ({"dataset": {"num_traj": 1, "T": 10**7, "seed": 0}}, "dataset.T"),
@@ -499,8 +507,26 @@ def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, override
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    assert key in blamed_keys(capsys.readouterr().err)
     assert not (tmp_path / "exp").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("learner, key", [({"kappaa": 0.7}, "kappaa"),
+                                          ({"ratios": {"p_cur": 0.2}}, "ratios"),
+                                          ({"p_rand": 0.3}, "p_rand"), (5, None), ([1], None)],
+                         ids=["kappaa", "ratios", "p_rand", "number", "list"])
+def test_sweep_unknown_learner_key_or_block_exit_code(tmp_path, capsys, learner, key):
+    """A learner key that is no LearnerConfig field, among them the relabel
+    mixture's old nested 'ratios' and its dropped 'p_rand', is refused by
+    its dotted name, and a learner block that is not an object as such,
+    before anything is written."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), "learner": learner}))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    message = ("config key 'learner' must be an object" if key is None
+               else f"unknown config key 'learner.{key}'")
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "exp").exists()
 
 
 def test_n_values_without_td_n_is_blamed_before_learner_n_step(tmp_path, capsys):
@@ -605,7 +631,7 @@ def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, c
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    assert key in blamed_keys(capsys.readouterr().err)
     assert not (tmp_path / "exp").exists()
 
 
@@ -796,10 +822,9 @@ def test_sweep_empty_recursion_block_takes_every_default(tmp_path):
 
 
 def test_flags_follow_learner_config_and_eval_defaults():
-    """Every LearnerConfig field but the relabel ratios is a `gclab train`
-    flag, typed and defaulted by the field; every eval and recursion setting
-    is a `gclab eval` or `gclab recursion` flag defaulted by the sweep
-    config's default."""
+    """Every LearnerConfig field is a `gclab train` flag, typed and
+    defaulted by the field; every eval and recursion setting is a `gclab
+    eval` or `gclab recursion` flag defaulted by the sweep config's default."""
     from gclab.cli import build_parser
     from gclab.harness import block_defaults
     from gclab.learners import LearnerConfig
@@ -808,10 +833,9 @@ def test_flags_follow_learner_config_and_eval_defaults():
         ["train", "--dataset", "d", "--out-dir", "o", "--method", "mc", "--seed", "3"]
     )
     for f in fields(LearnerConfig):
-        if f.name in ("ratios", "method", "seed"):
+        if f.name in ("method", "seed"):
             continue
         assert getattr(args, f.name) == f.default and type(getattr(args, f.name)) is type(f.default)
-    assert not hasattr(args, "ratios")
     assert (args.method, args.seed) == ("mc", 3)
     with pytest.raises(SystemExit):  # --seed stays required
         build_parser().parse_args(["train", "--dataset", "d", "--out-dir", "o", "--method", "mc"])
@@ -1036,6 +1060,24 @@ def test_log_period_changes_the_loss_log_and_the_config_hash_only(tmp_path):
             for run in runs)
     assert a["table.bin"] == b["table.bin"]
     assert a["loss.csv"] != b["loss.csv"]
+    hashes = [json.loads((run / "meta.json").read_text())["config_hash"] for run in runs]
+    assert hashes[0] != hashes[1]
+
+
+def test_relabel_mixture_flags_change_the_gciql_table_and_the_config_hash(tmp_path):
+    """`gclab train --p-traj 0.1` moves a tenth of gciql's goals from
+    dataset states to later states of their own trajectory: its table and
+    its config hash differ from the default run's."""
+    ds_path = _gen_dataset(tmp_path)
+    runs = [tmp_path / "default", tmp_path / "traj"]
+    for run, extra in zip(runs, ([], ["--p-traj", "0.1"])):
+        assert run_cli(
+            "train", "--width", "3", "--height", "1", "--dataset", str(ds_path), "--method",
+            "gciql", "--seed", "0", "--steps", "20", "--batch-size", "8", *extra,
+            "--out-dir", str(run),
+        ) == 0
+    tables = [(run / "table.bin").read_bytes() for run in runs]
+    assert tables[0] != tables[1]
     hashes = [json.loads((run / "meta.json").read_text())["config_hash"] for run in runs]
     assert hashes[0] != hashes[1]
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from gclab.cli import main
 from gclab.dataset import (
-    RelabelRatios,
     TrajectoryDataset,
     collect_dataset,
     load_dataset,
@@ -28,9 +28,15 @@ def sample_triplet(ds, rng):
     return int(traj[0]), int(i[0]), int(j[0]), int(k[0])
 
 
-def sample_relabeled_goal(ds, traj, t, ratios, rng):
+def sample_relabeled_goal(ds, traj, t, cfg, rng):
     """Single relabeled goal for trajectory ``traj`` at timestep ``t``."""
-    return int(sample_relabeled_goal_batch(ds, np.array([traj]), np.array([t]), ratios, rng)[0])
+    return int(sample_relabeled_goal_batch(ds, np.array([traj]), np.array([t]), cfg, rng)[0])
+
+
+def mixture(p_cur, p_geom, p_traj, geom_param=0.01):
+    """A LearnerConfig holding the relabel mixture; the rest of the mass,
+    1 - p_cur - p_geom - p_traj, draws dataset states."""
+    return LearnerConfig(p_cur=p_cur, p_geom=p_geom, p_traj=p_traj, geom_param=geom_param)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +170,7 @@ def test_samplers_keep_their_invariants_in_every_row_of_a_shape(grid_dataset):
     assert np.all((0 <= i2) & (i2 <= j2) & (j2 <= T - 1))
 
     t = rng.integers(0, T + 1, size=(K, B))
-    goals = sample_relabeled_goal_batch(ds, traj, t, RelabelRatios(0.2, 0.5, 0.3, 0.0), rng)
+    goals = sample_relabeled_goal_batch(ds, traj, t, mixture(0.2, 0.5, 0.3), rng)
     assert goals.shape == (K, B)
     later = np.arange(T + 1) >= t[..., None]
     assert ((ds.states[traj] == goals[..., None]) & later).any(axis=-1).all()
@@ -185,20 +191,20 @@ def test_mc_pairs_allow_equality():
 
 def test_relabel_degenerate_current(grid_dataset):
     rng = np.random.default_rng(0)
-    ratios = RelabelRatios(1.0, 0.0, 0.0, 0.0)
+    cfg = mixture(1.0, 0.0, 0.0)
     for _ in range(20):
         t = int(rng.integers(0, grid_dataset.horizon))
         n = int(rng.integers(0, grid_dataset.num_traj))
-        g = sample_relabeled_goal(grid_dataset, n, t, ratios, rng)
+        g = sample_relabeled_goal(grid_dataset, n, t, cfg, rng)
         assert g == grid_dataset.states[n, t]
 
 
 def test_relabel_uniform_future_at_end_is_final_state(grid_dataset):
     rng = np.random.default_rng(0)
-    ratios = RelabelRatios(0.0, 0.0, 1.0, 0.0)
+    cfg = mixture(0.0, 0.0, 1.0)
     T = grid_dataset.horizon
     for n in range(10):
-        g = sample_relabeled_goal(grid_dataset, n, T, ratios, rng)
+        g = sample_relabeled_goal(grid_dataset, n, T, cfg, rng)
         assert g == grid_dataset.states[n, T]
 
 
@@ -215,12 +221,12 @@ def test_relabel_component_frequencies(grid_env):
     ring = GraphEnv(n_states, 1, transition)
     T = 12
     ds = collect_dataset(ring, num_traj=64, T=T, seed=5)
-    ratios = RelabelRatios(0.2, 0.5, 0.0, 0.3, geom_param=0.9)
+    cfg = mixture(0.2, 0.5, 0.0, geom_param=0.9)
     rng = np.random.default_rng(11)
     n = 100_000
     traj = rng.integers(0, ds.num_traj, size=n)
     t = np.full(n, 3)
-    goals = sample_relabeled_goal_batch(ds, traj, t, ratios, rng)
+    goals = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
 
     start = ds.states[traj, 0]
     cur = ds.states[traj, 3]
@@ -245,10 +251,10 @@ def test_relabel_component_frequencies(grid_env):
 def test_relabel_truncation_goes_to_final_state(grid_dataset):
     """geom_param tiny means nearly every draw truncates at s_T."""
     rng = np.random.default_rng(0)
-    ratios = RelabelRatios(0.0, 1.0, 0.0, 0.0, geom_param=1e-9)
+    cfg = mixture(0.0, 1.0, 0.0, geom_param=1e-9)
     T = grid_dataset.horizon
     traj = np.arange(20)
-    goals = sample_relabeled_goal_batch(grid_dataset, traj, np.zeros(20, dtype=int), ratios, rng)
+    goals = sample_relabeled_goal_batch(grid_dataset, traj, np.zeros(20, dtype=int), cfg, rng)
     np.testing.assert_array_equal(goals, grid_dataset.states[traj, T])
 
 
@@ -258,24 +264,24 @@ def test_sampling_is_reproducible(grid_dataset):
     b = sample_triplet_batch(grid_dataset, 500, r2)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-    ratios = RelabelRatios()
-    ga = sample_relabeled_goal_batch(grid_dataset, a[0], a[1], ratios, r1)
-    gb = sample_relabeled_goal_batch(grid_dataset, b[0], b[1], ratios, r2)
+    cfg = LearnerConfig()
+    ga = sample_relabeled_goal_batch(grid_dataset, a[0], a[1], cfg, r1)
+    gb = sample_relabeled_goal_batch(grid_dataset, b[0], b[1], cfg, r2)
     np.testing.assert_array_equal(ga, gb)
 
 
-def masked_relabel_reference(ds, traj, t, ratios, rng):
+def masked_relabel_reference(ds, traj, t, cfg, rng):
     """The relabel sampler as a default goal overwritten component by
     component through masks: the same draws in the same order."""
     T = ds.horizon
     u = rng.random(traj.shape)
-    geom_delta = rng.geometric(ratios.geom_param, size=traj.shape)
+    geom_delta = rng.geometric(cfg.geom_param, size=traj.shape)
     future_t = t + rng.integers(0, T - t + 1)
     flat = rng.integers(0, ds.states.size, size=traj.shape)
     states, row = ds.states.ravel(), traj * (T + 1)
-    c1 = ratios.p_cur
-    c2 = c1 + ratios.p_geom
-    c3 = c2 + ratios.p_traj
+    c1 = cfg.p_cur
+    c2 = c1 + cfg.p_geom
+    c3 = c2 + cfg.p_traj
     goals = states[row + t]
     geom = (u >= c1) & (u < c2)
     goals[geom] = states[row[geom] + np.minimum(t[geom] + geom_delta[geom], T)]
@@ -287,42 +293,47 @@ def masked_relabel_reference(ds, traj, t, ratios, rng):
 
 @pytest.mark.parametrize(
     "probs",
-    [(0.2, 0.5, 0.0, 0.3), (0.25, 0.25, 0.25, 0.25), (1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-     (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)],
+    [(0.2, 0.5, 0.0), (0.25, 0.25, 0.25), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+     (0.0, 0.0, 0.0)],
 )
 def test_relabel_matches_the_masked_reference(grid_dataset, probs):
     """Goals and the generator state after the draw are those of the masked
-    reference, on the mixture and on each pure component."""
-    ratios = RelabelRatios(*probs)
+    reference, on the mixture and on each pure component (the last draws
+    every goal from the dataset)."""
+    cfg = mixture(*probs)
     for seed in range(5):
         anchors = np.random.default_rng([seed, 1])
         traj = anchors.integers(0, grid_dataset.num_traj, size=(16, 64))
         t = anchors.integers(0, grid_dataset.horizon, size=(16, 64))
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_relabeled_goal_batch(grid_dataset, traj, t, ratios, rngs[0])
-        want = masked_relabel_reference(grid_dataset, traj, t, ratios, rngs[1])
+        got = sample_relabeled_goal_batch(grid_dataset, traj, t, cfg, rngs[0])
+        want = masked_relabel_reference(grid_dataset, traj, t, cfg, rngs[1])
         np.testing.assert_array_equal(got, want)
         assert rngs[0].random() == rngs[1].random()
 
 
 def test_ratio_validation():
-    with pytest.raises(ConfigError):
-        RelabelRatios(0.5, 0.5, 0.5, -0.5)
-    with pytest.raises(ConfigError):
-        RelabelRatios(0.5, 0.5, 0.1, 0.0)
-    with pytest.raises(ConfigError):
-        RelabelRatios(geom_param=0.0)
+    """Weights above 1 in sum, a negative weight and a geometric parameter
+    at 0 are refused, naming the keys."""
+    joint = "config keys 'learner.p_cur' + 'learner.p_geom' + 'learner.p_traj' must sum to at most 1"
+    for probs in ((0.5, 0.5, 0.5), (0.5, 0.5, 0.1)):
+        with pytest.raises(ConfigError, match=re.escape(joint)):
+            mixture(*probs)
+    with pytest.raises(ConfigError, match=re.escape("'p_traj' must lie in [0, 1]")):
+        mixture(0.5, 0.5, -0.5)
+    with pytest.raises(ConfigError, match=re.escape("'geom_param' must lie in (0, 1)")):
+        LearnerConfig(geom_param=0.0)
 
 
-@pytest.mark.parametrize("field", ["p_cur", "p_geom", "p_traj", "p_rand", "geom_param"])
+@pytest.mark.parametrize("field", ["p_cur", "p_geom", "p_traj", "geom_param"])
 @pytest.mark.parametrize(
     "value",
     [float("nan"), float("inf"), -float("inf"),
      pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
 )
 def test_ratio_rejects_non_finite(field, value):
-    with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
-        RelabelRatios(**{field: value})
+    with pytest.raises(ConfigError, match=f"learner field '{field}' must be finite"):
+        LearnerConfig(**{field: value})
 
 
 def test_save_load_round_trip(tmp_path, grid_env, grid_dataset):

@@ -174,6 +174,12 @@ _INTERVAL_CASES = [
     ("M_subgoals", "[1, inf)", [1], [0]),
     ("P_random_distance", "[1, 10000000]", [1, 10**7], [0, 10**7 + 1, 10**21]),
     ("beta_goal_reg", "[0, inf)", [0.0, 1e308], [_below(0.0)]),
+    # Each weight's inside ends keep the mixture's sum at most 1 beside the
+    # other two weights' defaults (0.2, 0.5, 0.0).
+    ("p_cur", "[0, 1]", [0.0, 0.5], [_below(0.0), _above(1.0)]),
+    ("p_geom", "[0, 1]", [0.0, 0.8], [_below(0.0), _above(1.0)]),
+    ("p_traj", "[0, 1]", [0.0, 0.3], [_below(0.0), _above(1.0)]),
+    ("geom_param", "(0, 1)", [_above(0.0), _below(1.0)], [0.0, 1.0]),
     ("seed", "[0, inf)", [0], [-1]),
 ]
 
@@ -206,6 +212,27 @@ def test_subgoal_draw_bound_joins_batch_size_and_candidates():
         LearnerConfig(method="sgt", batch_size=8192, M_subgoals=9)
     for method, m in (("sgt", 8), ("coe", 8), ("trl", 9)):
         LearnerConfig(method=method, batch_size=8192, M_subgoals=m)
+
+
+@pytest.mark.parametrize("method", ["nonsense", ["mc"], {"mc": 1}])
+def test_unknown_method_is_a_config_error(method):
+    """A method that is no name of METHODS, hashable or not, is refused as
+    a config error: a sweep no longer turns a TypeError into one."""
+    with pytest.raises(ConfigError, match=re.escape(f"unknown method {method!r}")):
+        LearnerConfig(method=method)
+
+
+def test_relabel_mixture_sums_to_at_most_one():
+    """The three weights may fill the whole mass, up to float rounding
+    (0.34 + 0.56 + 0.1 is 1.0000000000000002), and no more; the rest draws
+    dataset states. A larger sum is refused, naming the three keys."""
+    assert 0.34 + 0.56 + 0.1 == 1.0000000000000002
+    for probs in ((0.34, 0.56, 0.1), (0.1, 0.2, 0.7), (0.0, 0.0, 1.0)):
+        LearnerConfig(p_cur=probs[0], p_geom=probs[1], p_traj=probs[2])
+    message = ("config keys 'learner.p_cur' + 'learner.p_geom' + 'learner.p_traj' must sum "
+               "to at most 1, got 1.1")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        LearnerConfig(p_cur=0.6, p_geom=0.5)
 
 
 def test_gradients_match_central_differences():

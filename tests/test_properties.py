@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gclab.dataset import load_dataset
-from gclab.env import ConfigError, load_env
+from gclab.env import ConfigError, build_grid_env, load_env
 from gclab.harness import validate_experiment_config
 from gclab.learners import load_table
 
@@ -35,7 +35,7 @@ BASE = {
     "dataset": {"num_traj": 5, "T": 8, "seed": 0},
     "methods": ["trl", "exact"],
     "seeds": [0, 1],
-    "learner": {"steps": 10, "ratios": {"p_cur": 0.2, "p_geom": 0.5, "p_rand": 0.3}},
+    "learner": {"steps": 10, "p_cur": 0.2, "p_geom": 0.5},
     "eval": {"num_tasks": 3},
     "recursion": {"n_max": 64, "sim_sizes": [4], "trials": 10},
 }
@@ -50,8 +50,7 @@ PATHS = [
     *(("learner", key) for key in (
         "method", "gamma", "kappa", "lambda_reweight", "learning_rate", "tau_target",
         "batch_size", "steps", "log_every", "n_step", "M_subgoals", "P_random_distance",
-        "beta_goal_reg", "ratios", "seed")),
-    *(("learner", "ratios", key) for key in ("p_cur", "p_geom", "p_traj", "p_rand", "geom_param")),
+        "beta_goal_reg", "p_cur", "p_geom", "p_traj", "geom_param", "seed")),
     *(("eval", key) for key in (
         "num_tasks", "episodes", "max_steps_factor", "extraction", "rejection_n",
         "min_task_distance")),
@@ -131,7 +130,8 @@ FILE_BYTES = (
         st.binary(max_size=96),
     ).map(lambda h: np.array(h[0], dtype=np.int64).tobytes() + np.float64(h[1]).tobytes() + h[2])
 )
-LOADERS = {"load_dataset": load_dataset, "load_env": load_env, "load_table": load_table}
+LOADERS = {"load_dataset": lambda path: load_dataset(path, env=build_grid_env(4, 4)),
+           "load_env": load_env, "load_table": load_table}
 
 
 @pytest.mark.parametrize("loader", list(LOADERS))
