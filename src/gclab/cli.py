@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from .analysis import check_sim_sizes, recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
-from .env import ConfigError, check_number
+from .env import ConfigError
 from .harness import (
     aggregate_summary,
     block_defaults,
     block_settings,
     build_env_from_spec,
+    check_setting,
     evaluate_policy,
     run_experiment,
     select_tasks,
@@ -54,28 +54,27 @@ def _env_from_args(args):
     return build_env_from_spec(spec)
 
 
-_LEARNER_DEFAULTS = {f.name: f.default for f in fields(LearnerConfig)}
-
-
 def _add_flags(parser, defaults: dict, required=()) -> None:
     """One flag per setting, --name with dashes for underscores, typed and
-    defaulted by the setting's default, which its help shows."""
+    defaulted by the setting's default; a None default makes a required int."""
     for name, default in defaults.items():
-        kwargs = {"required": True} if name in required else {"default": default}
-        kwargs["help"] = "required" if name in required else "default: %(default)s"
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default), **kwargs)
+        needed = default is None or name in required
+        kwargs = {"required": True} if needed else {"default": default}
+        kwargs["help"] = "required" if needed else "default: %(default)s"
+        kind = int if default is None else type(default)
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, **kwargs)
 
 
 def cmd_gen(args) -> int:
-    env = _env_from_args(args)
-    ds = collect_dataset(env, args.num_traj, args.T, args.seed)
+    dataset = block_settings("dataset", {n: getattr(args, n) for n in block_defaults("dataset")})
+    ds = collect_dataset(_env_from_args(args), **dataset)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.num_traj} trajectories, T={ds.horizon}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = LearnerConfig(**{name: getattr(args, name) for name in _LEARNER_DEFAULTS})
+    cfg = LearnerConfig(**{name: getattr(args, name) for name in block_defaults("learner")})
     env = _env_from_args(args)
     ds = None if args.dataset is None else load_dataset(args.dataset, env=env)
     try:
@@ -90,7 +89,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     eval_spec = block_settings("eval", {n: getattr(args, n) for n in block_defaults("eval")})
-    check_number("--seed", args.seed, "int", "[0, inf)")
+    check_setting("learner.seed", args.seed)
     rejection = eval_spec["extraction"] == "rejection"
     if rejection and args.dataset is None:
         raise ConfigError("--extraction rejection needs --dataset for its behavior policy")
@@ -139,15 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random-walk dataset")
     _add_env_flags(p)
-    p.add_argument("--num-traj", type=int, required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _add_flags(p, block_defaults("dataset"))
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train a single value table")
     _add_env_flags(p)
-    _add_flags(p, _LEARNER_DEFAULTS, required=("method", "seed"))
+    _add_flags(p, block_defaults("learner"), required=("method", "seed"))
     p.add_argument("--dataset", help="dataset of random walks; every method but exact reads one")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_train)

@@ -68,9 +68,9 @@ MAX_DATASET_STATES = 10**7
 
 def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> TrajectoryDataset:
     """Roll out uniform-random actions from uniform-random start states."""
-    check_number("num_traj", num_traj, "int", "[1, inf)")
-    check_number("T", T, "int", "[1, inf)")
-    check_number("seed", seed, "int", "[0, inf)")
+    check_number("config key 'dataset.num_traj'", num_traj, "int", "[1, inf)")
+    check_number("config key 'dataset.T'", T, "int", "[1, inf)")
+    check_number("config key 'dataset.seed'", seed, "int", "[0, inf)")
     check_number("config keys 'dataset.num_traj' * ('dataset.T' + 1)", num_traj * (T + 1), "int",
                  f"[1, {MAX_DATASET_STATES}]")
     rng = np.random.default_rng(seed)

@@ -160,8 +160,8 @@ def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = (
     Free cells become the states, enumerated row-major ((x, y) -> index).
     Blocked moves (wall or boundary) are self-loops.
     """
-    check_number("width", width, "int", "[1, inf)")
-    check_number("height", height, "int", "[1, inf)")
+    check_number("config key 'env.width'", width, "int", "[1, inf)")
+    check_number("config key 'env.height'", height, "int", "[1, inf)")
     wall_set = set((int(x), int(y)) for x, y in walls)
     for x, y in wall_set:
         if not (0 <= x < width and 0 <= y < height):

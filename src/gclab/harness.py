@@ -106,8 +106,8 @@ def train_run(
     run starts, so rebinding the module attribute reaches every call) on the
     batches of ``learners.step_batches``, each followed by a target sync. It
     evaluates a step's statistics only on the steps it logs: every
-    ``cfg.log_every`` steps and the last one. It raises ValueError if the
-    trained table holds a non-finite entry; the caller names the run.
+    ``cfg.log_every`` steps and the last one. It raises ValueError at a
+    step that overflows or on a non-finite table; the caller names the run.
     """
     check_run(env, ds, cfg)
     log: list[dict] = []
@@ -125,11 +125,15 @@ def train_run(
     update = getattr(learners, f"{cfg.method}_update_step")
     batches = step_batches(ds, q.params.shape, cfg)
     log_every = cfg.log_every
-    for step_idx, batch in zip(range(cfg.steps), batches):
-        stats = update(target, state, batch, cfg)
-        target_sync(target, cfg.tau_target)
-        if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
-            log.append({"step": step_idx, "method": cfg.method, **stats()})
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for step_idx, batch in zip(range(cfg.steps), batches):
+                stats = update(target, state, batch, cfg)
+                target_sync(target, cfg.tau_target)
+                if step_idx % log_every == 0 or step_idx == cfg.steps - 1:
+                    log.append({"step": step_idx, "method": cfg.method, **stats()})
+    except FloatingPointError as exc:
+        raise ValueError(f"training overflowed at step {step_idx}: {exc}") from exc
     if not np.isfinite(q.params).all():
         raise ValueError("training ended with a non-finite table")
     return q, log
@@ -274,14 +278,14 @@ _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 # Every setting of a sweep config by dotted key: (default, rule). A None
 # default marks a required key, a list default a list setting whose entries
 # each follow the rule, none twice, and _NON_EMPTY a list that must be given
-# and hold an entry. A rule is the tuple of values a setting takes, or an
-# integer's range in the form of learners._INTERVALS. Upper ends bound work:
-# a rejection eval rolls out every episode, for up to max_steps_factor * d
-# draws of rejection_n uniforms (35 s at the episodes end on a 16x16 grid,
-# 25 s at the rejection_n end on a 4x4 grid); the task choice lays out
-# num_tasks positions before it drops repeats; the recursion table takes 16
-# bytes per n up to n_max, and at both bounds `gclab recursion --sim 10000000`
-# runs in 8.7 s at 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
+# and hold an entry. A rule is the tuple of values a setting takes, or a
+# number's range as learners._INTERVALS writes it, real for a float default.
+# Upper ends bound work: a rejection eval rolls out every episode, for up to
+# max_steps_factor * d draws of rejection_n uniforms (35 s at the episodes end
+# on a 16x16 grid, 25 s at the rejection_n end on a 4x4 grid); the task choice
+# lays out num_tasks positions before it drops repeats; the recursion table
+# takes 16 bytes per n up to n_max, and at both bounds `gclab recursion --sim
+# 10000000` runs in 8.7 s at 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
 _NON_EMPTY = [None]
 _SETTINGS = {
     "env.width": (None, "[1, inf)"),
@@ -290,7 +294,7 @@ _SETTINGS = {
     "dataset.T": (None, "[1, inf)"),
     "dataset.seed": (None, "[0, inf)"),
     "methods": (_NON_EMPTY, tuple(METHODS)),
-    "seeds": (_NON_EMPTY, "[0, inf)"),
+    "seeds": (_NON_EMPTY, learners._INTERVALS["seed"]),  # each entry is a run's learner.seed
     "n_values": ([], learners._INTERVALS["n_step"]),  # each entry is a run's learner.n_step
     "eval.num_tasks": (5, "[1, 100000]"),
     "eval.episodes": (15, "[1, 10000]"),
@@ -302,12 +306,13 @@ _SETTINGS = {
     "recursion.sim_sizes": ([], "[1, inf)"),
     "recursion.trials": (100_000, "[1, 10000000]"),
     "recursion.seed": (0, "[0, inf)"),
+    **{f"learner.{f.name}": (f.default, tuple(METHODS) if f.name == "method"
+                             else learners._INTERVALS[f.name]) for f in fields(LearnerConfig)},
 }
-_TOP_KEYS = {"out_dir", "env", "learner", *(key.partition(".")[0] for key in _SETTINGS)}
+_TOP_KEYS = {"out_dir", "env", *(key.partition(".")[0] for key in _SETTINGS)}
 # Learner fields a sweep sets per run, and the list that sets them when it is
 # non-empty: the same field under 'learner' would be silently overwritten.
 _PER_RUN = {"method": "methods", "seed": "seeds", "n_step": "n_values"}
-_LEARNER_KEYS = {f.name for f in fields(LearnerConfig)}
 
 
 def block_defaults(block: str) -> dict:
@@ -326,7 +331,8 @@ def check_setting(key: str, value) -> None:
         raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
     for entry in entries:
         if isinstance(rule, str):
-            check_number(f"config key '{key}'", entry, "int", rule)
+            kind = "float" if isinstance(default, float) else "int"
+            check_number(f"config key '{key}'", entry, kind, rule)
         elif entry not in rule:
             raise ConfigError(f"config key '{key}' must be one of {rule}, got {entry!r}")
     if len(set(entries)) < len(entries):
@@ -399,7 +405,7 @@ def validate_experiment_config(config: dict) -> dict:
     elif not isinstance(env_spec.get("path"), str):
         raise ConfigError("config key 'env.path' must be a file path string")
 
-    normalized = {"learner": {}, **top, **config}
+    normalized = {**top, **config}
     normalized["dataset"] = block_settings("dataset", config["dataset"])
     lists = [key for key, default in top.items() if isinstance(default, list)]
     for key in lists:
@@ -414,13 +420,8 @@ def validate_experiment_config(config: dict) -> dict:
     if "recursion" in config:
         rec = normalized["recursion"] = block_settings("recursion", config["recursion"])
         analysis_mod.check_sim_sizes(rec["n_max"], rec["sim_sizes"])
-    learner = normalized["learner"]
-    if not isinstance(learner, dict):
-        raise ConfigError("config key 'learner' must be an object")
-    for key in learner:
-        if key not in _LEARNER_KEYS:
-            raise ConfigError(f"unknown config key 'learner.{key}'")
-    base = LearnerConfig(**learner)
+    learner = config.get("learner", {})
+    base = LearnerConfig(**block_settings("learner", learner))
     for key, source in _PER_RUN.items():
         if key in learner and normalized[source]:
             raise ConfigError(f"config key 'learner.{key}' is set per run by '{source}'")
@@ -577,8 +578,7 @@ def run_experiment(config_or_path) -> int:
     config = validate_experiment_config(config)
 
     env = build_env_from_spec(config["env"])
-    ds_spec = config["dataset"]
-    ds = collect_dataset(env, ds_spec["num_traj"], ds_spec["T"], ds_spec["seed"])
+    ds = collect_dataset(env, **config["dataset"])
     for _, cfg in config["_runs"]:
         check_run(env, ds, cfg)
     dist = all_pairs_distances(env)

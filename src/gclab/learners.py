@@ -77,7 +77,7 @@ class ValueTable:
     def __post_init__(self):
         if self.space not in ("logit", "value"):
             raise ConfigError(f"unknown table space {self.space!r}")
-        check_number("gamma", self.gamma, "float", interval="(0, 1)")
+        check_number("gamma", self.gamma, "float", interval=_INTERVALS["gamma"])
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         if self.params.ndim != 3:
             raise ConfigError("value table must be (states, actions, goals)")
@@ -145,10 +145,11 @@ CHUNK_STEPS = 16
 # numpy 2.4.6).
 MAX_DRAW_ENTRIES = 2**20
 
-# The range of each number in a LearnerConfig: every caller reads its fields
-# as checked here, when the config is built, and checks none again. n_step's
-# end changes no run (td_n looks min(n_step, gap) < T steps ahead); P's end
-# bounds no cost, since sgt reads gamma^P in constant memory.
+# The range of each number in a LearnerConfig, and of its row in
+# harness._SETTINGS: every caller reads its fields as checked here, when the
+# config is built, and checks none again. n_step's end changes no run (td_n
+# looks min(n_step, gap) < T steps ahead); P's end bounds no cost, since sgt
+# reads gamma^P in constant memory.
 _INTERVALS = {
     "gamma": "(0, 1)",
     "kappa": "[0.5, 1)",
@@ -198,10 +199,11 @@ class LearnerConfig:
     def __post_init__(self):
         for f in fields(self):  # annotations are strings: this module postpones them
             if f.type in ("int", "float"):
-                label, value = f"learner field '{f.name}'", getattr(self, f.name)
-                check_number(label, value, f.type, interval=_INTERVALS[f.name])
+                check_number(f"config key 'learner.{f.name}'", getattr(self, f.name), f.type,
+                             interval=_INTERVALS[f.name])
         if self.method not in tuple(METHODS):  # a tuple: an unhashable value is no method
-            raise ConfigError(f"unknown method {self.method!r}; expected one of {tuple(METHODS)}")
+            raise ConfigError(f"config key 'learner.method' must be one of {tuple(METHODS)}, "
+                              f"got {self.method!r}")
         if self.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
             check_number(f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method "
                          f"{self.method!r}: candidates per draw {CHUNK_STEPS} * batch_size * "

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from gclab import analysis, learners
 from gclab.cli import main
 from gclab.env import load_env
-from gclab.harness import _PER_RUN, _SETTINGS
+from gclab.harness import _SETTINGS
 from gclab.learners import ValueTable, load_table, save_table
 from gclab.oracle import oracle_q_table
 from env_helpers import random_graph_env, save_env, star_env
@@ -217,15 +218,16 @@ def _gen_dataset(tmp_path):
     return ds_path
 
 
-@pytest.mark.parametrize("flag, name", [("--num-traj", "num_traj"), ("--T", "T"),
-                                        ("--width", "width"), ("--height", "height")])
-def test_gen_bad_size_names_the_argument(tmp_path, capsys, flag, name):
+@pytest.mark.parametrize("flag, key", [("--num-traj", "dataset.num_traj"), ("--T", "dataset.T"),
+                                       ("--width", "env.width"), ("--height", "env.height")],
+                         ids=lambda name: name.rpartition(".")[2])
+def test_gen_bad_size_names_the_argument(tmp_path, capsys, flag, key):
     sizes = {"--width": "3", "--height": "1", "--num-traj": "2", "--T": "4", flag: "0"}
     out = tmp_path / "ds.csv"
     argv = [token for pair in sizes.items() for token in pair]
     assert run_cli("gen", *argv, "--seed", "0", "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{name} must lie in [1, inf), got 0" in err
+    assert f"config error: config key '{key}' must lie in [1, inf), got 0" in err
     assert not out.exists()
 
 
@@ -331,7 +333,7 @@ def test_train_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
         "--seed", "0", "--steps", "10", flag, value, "--out-dir", str(tmp_path / "r"),
     )
     assert code == 2
-    assert f"'{flag[2:].replace('-', '_')}' must be finite" in capsys.readouterr().err
+    assert f"'learner.{flag[2:].replace('-', '_')}' must be finite" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
 
 
@@ -502,6 +504,10 @@ def blamed_keys(err: str) -> list[str]:
      ({"methods": ["mc"], "n_values": [3], "learner": {"n_step": 3}}, "n_values")],
 )
 def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, overrides, key):
+    """The message blames ``key``; a case whose ``key`` is a field it sets
+    in the learner block blames that field's dotted key, learner.<field>."""
+    learner = overrides.get("learner", {})
+    key = f"learner.{key}" if key in learner else key
     monkeypatch.chdir(tmp_path)  # a file env's "env.txt": a three-state chain
     (tmp_path / "env.txt").write_text("3 1\n1\n2\n2\n")
     cfg_path = tmp_path / "cfg.json"
@@ -558,8 +564,8 @@ def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [({"learner": {"learning_rate": 10**400}},
-      "learner field 'learning_rate' must be finite, got 1000000000000000000000000000000"
-      "0... (401 characters)"),
+      "config key 'learner.learning_rate' must be finite, got 100000000000000000000000"
+      "00000000... (401 characters)"),
      ({"eval": {"max_steps_factor": 10**400}},
       "config key 'eval.max_steps_factor' must lie in [1, 1000], got 1000000000000000000"
       "0000000000000... (401 characters)"),
@@ -610,29 +616,44 @@ def _keys(test) -> list[str]:
     return sorted(key for key, (default, rule) in _SETTINGS.items() if test(default, rule))
 
 
-# The learner's integer fields that a sweep reads from its 'learner' block;
-# the others it sets per run.
-_LEARNER_INTS = sorted(f.name for f in fields(learners.LearnerConfig)
-                       if f.type == "int" and f.name not in _PER_RUN)
+def _setting_id(key: str) -> str:
+    """A generated case's id: the dotted key, a learner row's by its field."""
+    return key.removeprefix("learner.")
 
 
-@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(rule, str)) + _LEARNER_INTS)
-@pytest.mark.parametrize("bad", ["below", "bool", "float"])
-def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, capsys, key, bad):
-    """Every integer setting, and every integer learner field a sweep reads,
-    set one below the closed lower end of its range, to true or to a float,
-    exits 2 naming the key before anything is written."""
-    rule = _SETTINGS[key][1] if key in _SETTINGS else learners._INTERVALS[key]
-    minimum = int(rule[1:].split(",")[0])
-    value = {"below": minimum - 1, "bool": True, "float": minimum + 0.5}[bad]
-    config = _sweep_config(tmp_path)
-    config = (_set_setting(config, key, value) if key in _SETTINGS
-              else {**config, "learner": {**config["learner"], key: value}})
+def _refused_before_writing(tmp_path, capsys, key, value) -> None:
+    """A sweep with the setting ``key`` set to ``value`` exits 2, blaming
+    ``key``, before anything is written."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value)))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert key in blamed_keys(capsys.readouterr().err)
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "key", _keys(lambda default, rule: isinstance(rule, str) and not isinstance(default, float)),
+    ids=_setting_id)
+@pytest.mark.parametrize("bad", ["below", "bool", "float"])
+def test_sweep_setting_below_its_minimum_or_not_an_integer_exit_code(tmp_path, capsys, key, bad):
+    """Every integer setting, learner fields among them, set one below the
+    closed lower end of its range, to true or to a float, exits 2 naming the
+    key before anything is written."""
+    minimum = int(_SETTINGS[key][1][1:].split(",")[0])
+    value = {"below": minimum - 1, "bool": True, "float": minimum + 0.5}[bad]
+    _refused_before_writing(tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(default, float)),
+                         ids=_setting_id)
+@pytest.mark.parametrize("bad", ["non_finite", "bool", "below"])
+def test_sweep_real_setting_non_finite_or_below_its_minimum_exit_code(tmp_path, capsys, key, bad):
+    """Every real setting (each a learner field) set to infinity, to true or
+    one below the lower end of its range exits 2 naming the key before
+    anything is written."""
+    minimum = float(_SETTINGS[key][1][1:].split(",")[0])
+    value = {"non_finite": float("inf"), "bool": True, "below": minimum - 1}[bad]
+    _refused_before_writing(tmp_path, capsys, key, value)
 
 
 @pytest.mark.parametrize("key", _keys(lambda default, rule: isinstance(rule, tuple)))
@@ -680,7 +701,7 @@ _ONE_CHECK_CASES = {
                         "'learner.beta_goal_reg'",
                         ["train", "--env-file", "chain.txt", "--dataset", "chain.csv", "--seed",
                          "0", "--method", "coe", "--out-dir", "run"]),
-    "log_every": ({"learner": {"log_every": 0}}, "'log_every'",
+    "log_every": ({"learner": {"log_every": 0}}, "'learner.log_every'",
                   [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "mc", "--log-every", "0",
                    "--out-dir", "run"]),
     "grid_table": ({"env": {"kind": "grid", "width": 10**11, "height": 1}}, "'env.width'",
@@ -689,19 +710,20 @@ _ONE_CHECK_CASES = {
     "file_table": ({"env": {"kind": "file", "path": "wide.txt"}}, "wide.txt",
                    ["gen", "--env-file", "wide.txt", "--num-traj", "2", "--T", "4", "--seed",
                     "0", "--out", "out.csv"]),
-    "batch_size": ({"learner": {"steps": 1, "batch_size": 10**12}}, "'batch_size'",
+    "batch_size": ({"learner": {"steps": 1, "batch_size": 10**12}}, "'learner.batch_size'",
                    [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "trl", "--batch-size",
                     str(10**12), "--steps", "1", "--out-dir", "run"]),
     "subgoal_draw": ({"methods": ["sgt"], "learner": {"steps": 1, "M_subgoals": 10**11}},
                      "'learner.M_subgoals'",
                      [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "sgt", "--M-subgoals",
                       str(10**11), "--steps", "1", "--out-dir", "run"]),
-    "n_step": ({"methods": ["td_n"], "learner": {"steps": 3, "n_step": 10**21}}, "'n_step'",
+    "n_step": ({"methods": ["td_n"], "learner": {"steps": 3, "n_step": 10**21}},
+               "'learner.n_step'",
                [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "td_n", "--n-step",
                 str(10**21), "--steps", "3", "--out-dir", "run"]),
     "P_random_distance": ({"methods": ["sgt"],
                            "learner": {"steps": 3, "P_random_distance": 10**21}},
-                          "'P_random_distance'",
+                          "'learner.P_random_distance'",
                           [*_GRID_TRAIN, "--dataset", "ds.csv", "--method", "sgt",
                            "--P-random-distance", str(10**21), "--steps", "3", "--out-dir", "run"]),
     "rejection_n": ({"eval": {"extraction": "rejection", "rejection_n": 10**12}},
@@ -855,6 +877,25 @@ def test_recursion_help_shows_the_defaults(capsys):
         assert re.search(rf"{flag} \S+ +default: {default}\n", out), flag
 
 
+def test_gen_help_shows_the_dataset_flags_as_required(capsys):
+    """`gclab gen` takes a sweep config's dataset settings as flags, each
+    required as its key is."""
+    with pytest.raises(SystemExit):
+        run_cli("gen", "--help")
+    out = capsys.readouterr().out
+    for flag in ("--num-traj", "--T", "--seed"):
+        assert re.search(rf"{flag} \S+ +required\n", out), flag
+
+
+def test_train_bad_width_names_the_env_key(tmp_path, capsys):
+    code = run_cli("train", "--width", "0", "--height", "1", "--method", "exact", "--seed", "0",
+                   "--out-dir", str(tmp_path / "r"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config key 'env.width' must lie in [1, inf), got 0\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_bad_log_every_exit_code(tmp_path, capsys):
     ds_path = _gen_dataset(tmp_path)
     code = run_cli(
@@ -865,13 +906,10 @@ def test_train_bad_log_every_exit_code(tmp_path, capsys):
     assert "log_every" in capsys.readouterr().err
 
 
-# How each command names its seed and the seed's bound.
-_SEED_RULES = {
-    "gen": "seed must lie in [0, inf)",
-    "train": "learner field 'seed' must lie in [0, inf)",
-    "eval": "--seed must lie in [0, inf)",
-    "recursion": "config key 'recursion.seed' must lie in [0, inf)",
-}
+# The setting each command's --seed sets: a dataset's, a run's, or the
+# recursion table's.
+_SEED_KEYS = {"gen": "dataset.seed", "train": "learner.seed", "eval": "learner.seed",
+              "recursion": "recursion.seed"}
 
 
 @pytest.mark.parametrize(
@@ -890,7 +928,7 @@ def test_negative_seed_exit_code(tmp_path, capsys, monkeypatch, argv):
     save_table(ValueTable.create(3, 4, 0.99), "table.bin")
     assert run_cli(*argv, "--seed", "-1") == 2
     err = capsys.readouterr().err
-    assert "config error" in err and f"{_SEED_RULES[argv[0]]}, got -1" in err
+    assert err == f"config error: config key '{_SEED_KEYS[argv[0]]}' must lie in [0, inf), got -1\n"
 
 
 def test_greedy_eval_needs_no_dataset(tmp_path):
@@ -1007,6 +1045,25 @@ def test_sweep_with_every_run_refused_exits_1(tmp_path, capsys, nan_mc_step):
     assert "config error" not in err
     assert not (tmp_path / "exp" / "runs").exists()
     assert not (tmp_path / "exp" / "summary.csv").exists()
+
+
+def test_a_diverging_sweep_is_refused_at_its_first_overflowing_step(tmp_path, capsys):
+    """gciql diverges on an 8x1 corridor at lr 1.0: the sweep stops the run
+    at its first overflowing step, prints a FAILED line naming that step,
+    emits no RuntimeWarning and exits 1."""
+    config = {"out_dir": str(tmp_path / "exp"), "env": {"kind": "grid", "width": 8, "height": 1},
+              "dataset": {"num_traj": 100, "T": 64, "seed": 0}, "methods": ["gciql"],
+              "seeds": [0], "learner": {"steps": 2000, "learning_rate": 1.0, "kappa": 0.9,
+                                        "tau_target": 0.01, "batch_size": 256}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("sweep", "--config", str(cfg_path)) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"FAILED gciql seed 0: training overflowed at step \d+: [^\n]+\n", out)
+    assert err == ""
 
 
 def test_train_refuses_a_diverged_table(tmp_path, capsys, nan_mc_step):

@@ -319,9 +319,9 @@ def test_ratio_validation():
     for probs in ((0.5, 0.5, 0.5), (0.5, 0.5, 0.1)):
         with pytest.raises(ConfigError, match=re.escape(joint)):
             mixture(*probs)
-    with pytest.raises(ConfigError, match=re.escape("'p_traj' must lie in [0, 1]")):
+    with pytest.raises(ConfigError, match=re.escape("'learner.p_traj' must lie in [0, 1]")):
         mixture(0.5, 0.5, -0.5)
-    with pytest.raises(ConfigError, match=re.escape("'geom_param' must lie in (0, 1)")):
+    with pytest.raises(ConfigError, match=re.escape("'learner.geom_param' must lie in (0, 1)")):
         LearnerConfig(geom_param=0.0)
 
 
@@ -332,7 +332,7 @@ def test_ratio_validation():
      pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
 )
 def test_ratio_rejects_non_finite(field, value):
-    with pytest.raises(ConfigError, match=f"learner field '{field}' must be finite"):
+    with pytest.raises(ConfigError, match=f"config key 'learner.{field}' must be finite"):
         LearnerConfig(**{field: value})
 
 

@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,32 @@ def test_every_method_trains_without_blowup(small_world):
         q, log = train_run(env, ds, cfg)
         assert np.isfinite(q.params).all(), method
         assert len(log) >= 1
+
+
+def test_a_diverging_run_is_refused_at_its_first_overflowing_step():
+    """gciql on a 4x1 corridor at lr 0.9 overflows within 200 steps: the run
+    is refused at that step, naming it and numpy's message, with no
+    RuntimeWarning."""
+    env = build_grid_env(4, 1)
+    ds = collect_dataset(env, 100, 64, seed=0)
+    cfg = LearnerConfig(method="gciql", learning_rate=0.9, kappa=0.9, tau_target=0.01,
+                        batch_size=256, steps=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^training overflowed at step \d+: overflow "):
+            train_run(env, ds, cfg)
+
+
+def test_every_learner_field_has_one_setting_row():
+    """Each LearnerConfig field is the one learner.* row of _SETTINGS, with
+    the field's default and its rule: learners._INTERVALS for a number, the
+    methods for method."""
+    rows = {key: row for key, row in _SETTINGS.items() if key.startswith("learner.")}
+    assert list(rows) == [f"learner.{f.name}" for f in fields(LearnerConfig)]
+    for f in fields(LearnerConfig):
+        rule = tuple(learners.METHODS) if f.name == "method" else learners._INTERVALS[f.name]
+        assert rows[f"learner.{f.name}"] == (f.default, rule)
+    assert LearnerConfig(**block_settings("learner", {})) == LearnerConfig()
 
 
 def test_coe_requires_coordinates():

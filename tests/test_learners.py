@@ -143,12 +143,12 @@ def test_kappa_validation(tmp_path, capsys):
     [0.5, 1) LearnerConfig raises, and `gclab train` exits 2 naming it
     before it reads a file."""
     for kappa in (0.4, 1.0):
-        with pytest.raises(ConfigError, match=re.escape("'kappa' must lie in [0.5, 1)")):
+        with pytest.raises(ConfigError, match=re.escape("'learner.kappa' must lie in [0.5, 1)")):
             LearnerConfig(kappa=kappa)
     argv = ["train", "--width", "2", "--height", "1", "--dataset", str(tmp_path / "none.csv"),
             "--method", "gciql", "--seed", "0", "--kappa", "1.0", "--out-dir", str(tmp_path / "r")]
     assert main(argv) == 2
-    assert "'kappa' must lie in [0.5, 1), got 1.0" in capsys.readouterr().err
+    assert "config key 'learner.kappa' must lie in [0.5, 1), got 1.0" in capsys.readouterr().err
 
 
 def _below(x: float) -> float:
@@ -196,7 +196,7 @@ def test_config_interval_ends(field, interval, inside, outside):
     for value in inside:
         assert getattr(LearnerConfig(**{field: value}), field) == value
     for value in outside:
-        message = f"learner field '{field}' must lie in {interval}, got {value!r}"
+        message = f"config key 'learner.{field}' must lie in {interval}, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             LearnerConfig(**{field: value})
 
@@ -218,7 +218,9 @@ def test_subgoal_draw_bound_joins_batch_size_and_candidates():
 def test_unknown_method_is_a_config_error(method):
     """A method that is no name of METHODS, hashable or not, is refused as
     a config error: a sweep no longer turns a TypeError into one."""
-    with pytest.raises(ConfigError, match=re.escape(f"unknown method {method!r}")):
+    methods = tuple(learners.METHODS)
+    message = f"config key 'learner.method' must be one of {methods}, got {method!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         LearnerConfig(method=method)
 
 
@@ -994,7 +996,7 @@ def test_target_sync_tau_zero_rejected_by_config():
      pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")],
 )
 def test_config_rejects_non_finite_floats(field, value):
-    with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+    with pytest.raises(ConfigError, match=f"config key 'learner.{field}' must be finite"):
         LearnerConfig(**{field: value})
 
 
