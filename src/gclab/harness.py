@@ -185,15 +185,28 @@ def _rollout(env, act, start, goal, max_steps) -> bool:
 
 
 def _average_ranks(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the 1-based ranks of ``x`` into ``out``; a run of tied entries
-    shares the mean of its positions. Every rank is a half-integer, exact in
-    float64, so the sort algorithm (stable or not) cannot change a bit of
-    the result."""
+    """Write the 1-based ranks of ``x`` into ``out``, using ``x`` as scratch;
+    a run of tied entries shares the mean of its positions. Every rank is a
+    half-integer, exact in float64, so the sort algorithm (stable or not)
+    cannot change a bit of the result.
+
+    Besides ``x`` and ``out`` it holds only the argsort order and one bool
+    mask: the sorted values go into ``out``, the 1-based positions into
+    ``x``, and a run's first and last positions spread over it by a running
+    maximum and a reversed running minimum; their mean is the run's rank."""
     order = np.argsort(x)
-    xs = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    counts = np.diff(starts, append=x.size)
-    out[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    # Every order entry indexes x, so "clip" never acts; "raise" would buffer.
+    np.take(x, order, out=out, mode="clip")
+    tied = out[1:] == out[:-1]  # tied[i]: sorted positions i and i + 1 share a run
+    np.cumsum(np.broadcast_to(1.0, x.size), out=x)
+    np.copyto(out, x)
+    np.copyto(out[1:], 0.0, where=tied)  # positions that start no run
+    np.maximum.accumulate(out, out=out)  # the first position of each run
+    np.copyto(x[:-1], np.inf, where=tied)  # positions that end no run
+    np.minimum.accumulate(x[::-1], out=x[::-1])  # the last position of each run
+    x += out
+    x *= 0.5
+    out[order] = x
 
 
 def _counted_ranks(x: np.ndarray, out: np.ndarray) -> None:
@@ -213,26 +226,41 @@ def spearman_to_oracle(q: ValueTable, d: np.ndarray) -> float:
     ranked by counting. 0.0, with no warning, for fewer than two pairs, a
     constant column or a NaN. A pair's greedy value is the maximum of its
     action values, whichever action a tie-break picks; it is taken one
-    action at a time, each pass reading that action's S x S values."""
+    action at a time, each pass reading that action's S x S values.
+
+    The only arrays as large as the pair count are one (2, n) rank array,
+    the argsort order and one-byte masks: the implied distances go into the
+    oracle's row, which the learned ranks use as scratch before the oracle
+    ranks overwrite it, and ``np.corrcoef``'s steps run on the ranks in
+    place."""
     # A running maximum from -inf writes into a new array, never into a
     # value table that values_at hands out as a view; NaN passes through.
     best = np.full(d.shape, -np.inf)
     for a in range(q.params.shape[1]):
         np.maximum(best, q.values_at((slice(None), a, slice(None))), out=best)
-    flat = d.reshape(-1)
-    pairs = np.flatnonzero(flat != UNREACHABLE)
-    implied = implied_distances(best.reshape(-1)[pairs], q.gamma)
-    true = flat[pairs]
-    del best, pairs  # each full-size array is dropped once it is read
-    constant = true.size < 2 or (implied == implied[0]).all() or (true == true[0]).all()
-    if constant or np.isnan(implied).any():
-        return 0.0
-    ranked = np.empty((2, true.size))  # the learned ranks, then the oracle's
-    _average_ranks(implied, out=ranked[0])
+    implied_distances(best, q.gamma, out=best)
+    implied, true = best.reshape(-1), d.reshape(-1)
+    reached = true != UNREACHABLE
+    n = int(np.count_nonzero(reached))
+    if n < true.size:
+        implied, true = implied[reached], true[reached]
+    del best, reached  # each full-size array is dropped once it is read
+    ranked = np.empty((2, n))  # the learned ranks, then the oracle's
+    ranked[1] = implied
     del implied
+    constant = n < 2 or (ranked[1] == ranked[1, 0]).all() or (true == true[0]).all()
+    if constant or np.isnan(ranked[1]).any():
+        return 0.0
+    _average_ranks(ranked[1], out=ranked[0])
     _counted_ranks(true, out=ranked[1])
-    del true
-    return float(np.corrcoef(ranked)[1, 0])
+    # np.corrcoef's steps, in place: it would copy the ranks twice.
+    ranked -= ranked.mean(axis=1)[:, None]
+    c = np.dot(ranked, ranked.T)
+    c *= np.true_divide(1, n - 1)
+    stddev = np.sqrt(np.diag(c))
+    c /= stddev[:, None]
+    c /= stddev[None, :]
+    return float(np.clip(c, -1, 1)[1, 0])
 
 
 def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> EvalReport:

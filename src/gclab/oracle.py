@@ -78,12 +78,12 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     return np.append(np.power(gamma, np.arange(int(d.max(initial=0)) + 1)), 0.0)[d]
 
 
-def implied_distances(values, gamma: float) -> np.ndarray:
+def implied_distances(values, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """log_gamma of ``values``, the inverse of :func:`optimal_value_table`:
     a value of 0 reads as log_gamma(1e-300), values of 1 or more as 0.
-    An array is converted in place in its first temporary; a scalar or 0-d
-    input gives a numpy scalar."""
-    x = np.maximum(values, 1e-300)
+    An array is converted in place in ``out``, or else in its first
+    temporary; a scalar or 0-d input gives a numpy scalar."""
+    x = np.maximum(values, 1e-300, out=out)
     if np.ndim(x) == 0:
         return np.maximum(np.log(x) / np.log(gamma), 0.0)
     np.log(x, out=x)
@@ -95,7 +95,8 @@ def q_table_from_values(env: GraphEnv, v: np.ndarray, gamma: float) -> np.ndarra
     """Action values from state-goal values under the hitting-time
     convention: Q[s, a, g] = 1 when s == g (goal already reached; the action
     is moot), otherwise gamma * v(transition[s, a], g)."""
-    q = gamma * v[env.transition, :]  # (S, A, S); v indexed by successor state
+    q = v[env.transition, :]  # (S, A, S); v indexed by successor state
+    q *= gamma
     q[np.arange(env.num_states), :, np.arange(env.num_states)] = 1.0
     return q
 

@@ -292,14 +292,17 @@ def test_distances_hold_no_full_size_int64_temporary():
 
 
 def test_implied_distances_in_place_equal_the_copying_form():
-    """Arrays keep their bits; a scalar or a 0-d array still gives a numpy
-    scalar, and the input array is left as it was."""
+    """Arrays keep their bits, also when converted into ``out`` in place; a
+    scalar or a 0-d array still gives a numpy scalar, and without ``out``
+    the input array is left as it was."""
     values = np.random.default_rng(4).uniform(-0.5, 1.5, 1000)
     values[:3] = (0.0, np.nan, np.inf)
     kept = values.copy()
     got = implied_distances(values, 0.97)
     assert np.array_equal(values, kept, equal_nan=True)
     assert got.tobytes() == implied_distances_copying(values, 0.97).tobytes()
+    assert implied_distances(kept, 0.97, out=kept) is kept
+    assert kept.tobytes() == got.tobytes()
     for x in (0.5, 0.0, 2.0, np.float64(0.25), np.array(0.75)):
         scalar, expected = implied_distances(x, 0.9), implied_distances_copying(x, 0.9)
         assert type(scalar) is type(expected) is np.float64
