@@ -1,14 +1,19 @@
 """Offline trajectory datasets and the sampling distributions learners consume.
 
 Data collection runs a uniform-random behavior policy from uniform-random
-start states. Two samplers are provided:
+start states. Four samplers are provided:
 
-* triplet sampling: (i, j) uniform over ordered index pairs with i < j,
-  then a subgoal index k uniform over {i, ..., j-1}. Pairs are drawn by
-  direct index arithmetic (two draws, no rejection).
-* hindsight goal relabeling: a four-way mixture over the current state, a
-  geometrically discounted future state, a uniform future state, and a
-  uniform random state from the whole dataset.
+* index pairs (``sample_index_pairs``): (i, j) uniform over ordered index
+  pairs with i < j (or i <= j), drawn by direct index arithmetic (two
+  draws, no rejection).
+* triplets (``sample_triplet_batch``): a trajectory, an index pair, and a
+  subgoal index k uniform over {i, ..., j-1}.
+* hindsight goal relabeling (``sample_relabeled_goal_batch``): a four-way
+  mixture over the current state, a geometrically discounted future
+  state, a uniform future state, and a uniform random state from the
+  whole dataset.
+* flat states (``sample_flat_states``): uniform states of the whole
+  dataset.
 
 Every sampler takes a ``size`` that is an int or a shape, as numpy's
 generators do, and draws each kind of index for the whole shape in one
@@ -65,12 +70,15 @@ class TrajectoryDataset:
 # and actions take 16 bytes per state, 160 MB at the bound.
 MAX_DATASET_STATES = 10**7
 
+# The range of each argument of collect_dataset, and of its dataset.* row in
+# harness._SETTINGS; a dataset file's header reads the num_traj and T rules.
+_INTERVALS = {"num_traj": "[1, inf)", "T": "[1, inf)", "seed": "[0, inf)"}
+
 
 def collect_dataset(env: GraphEnv, num_traj: int, T: int, seed: int) -> TrajectoryDataset:
     """Roll out uniform-random actions from uniform-random start states."""
-    check_number("config key 'dataset.num_traj'", num_traj, "int", "[1, inf)")
-    check_number("config key 'dataset.T'", T, "int", "[1, inf)")
-    check_number("config key 'dataset.seed'", seed, "int", "[0, inf)")
+    for name, value in (("num_traj", num_traj), ("T", T), ("seed", seed)):
+        check_number(f"config key 'dataset.{name}'", value, "int", _INTERVALS[name])
     check_number("config keys 'dataset.num_traj' * ('dataset.T' + 1)", num_traj * (T + 1), "int",
                  f"[1, {MAX_DATASET_STATES}]")
     rng = np.random.default_rng(seed)
@@ -198,7 +206,7 @@ def load_dataset(path: str, env: GraphEnv) -> TrajectoryDataset:
         except ValueError as exc:
             raise ConfigError(f"bad dataset header in {path}: {header!r}") from exc
         for field, value in (("num_traj", num_traj), ("T", T)):
-            check_number(f"{path}: header field {field}", value, "int", "[1, inf)")
+            check_number(f"{path}: header field {field}", value, "int", _INTERVALS[field])
         states, actions = [], []
         for n in range(num_traj):
             srow = fh.readline().strip()

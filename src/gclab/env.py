@@ -154,14 +154,18 @@ def parse_walls(spec) -> set[tuple[int, int]]:
     return walls
 
 
+# The range of each grid dimension, and of its env.* row in harness._SETTINGS.
+_INTERVALS = {"width": "[1, inf)", "height": "[1, inf)"}
+
+
 def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = ()) -> GraphEnv:
     """Build a 4-connected grid with the given walled cells removed.
 
     Free cells become the states, enumerated row-major ((x, y) -> index).
     Blocked moves (wall or boundary) are self-loops.
     """
-    check_number("config key 'env.width'", width, "int", "[1, inf)")
-    check_number("config key 'env.height'", height, "int", "[1, inf)")
+    for name, value in (("width", width), ("height", height)):
+        check_number(f"config key 'env.{name}'", value, "int", _INTERVALS[name])
     wall_set = set((int(x), int(y)) for x, y in walls)
     for x, y in wall_set:
         if not (0 <= x < width and 0 <= y < height):

@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import analysis as analysis_mod
+from . import dataset as dataset_mod
+from . import env as env_mod
 from . import learners
 from .dataset import TrajectoryDataset, collect_dataset, save_dataset
 from .env import (
@@ -308,6 +310,8 @@ _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 # each follow the rule, none twice, and _NON_EMPTY a list that must be given
 # and hold an entry. A rule is the tuple of values a setting takes, or a
 # number's range as learners._INTERVALS writes it, real for a float default.
+# The env.*, dataset.* and learner.* rows take their ranges from the
+# _INTERVALS of env, dataset and learners, whose checks read the same text.
 # Upper ends bound work: a rejection eval rolls out every episode, for up to
 # max_steps_factor * d draws of rejection_n uniforms (35 s at the episodes end
 # on a 16x16 grid, 25 s at the rejection_n end on a 4x4 grid); the task choice
@@ -316,11 +320,8 @@ _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 # 10000000` runs in 8.7 s at 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
 _NON_EMPTY = [None]
 _SETTINGS = {
-    "env.width": (None, "[1, inf)"),
-    "env.height": (None, "[1, inf)"),
-    "dataset.num_traj": (None, "[1, inf)"),
-    "dataset.T": (None, "[1, inf)"),
-    "dataset.seed": (None, "[0, inf)"),
+    **{f"env.{name}": (None, rule) for name, rule in env_mod._INTERVALS.items()},
+    **{f"dataset.{name}": (None, rule) for name, rule in dataset_mod._INTERVALS.items()},
     "methods": (_NON_EMPTY, tuple(METHODS)),
     "seeds": (_NON_EMPTY, learners._INTERVALS["seed"]),  # each entry is a run's learner.seed
     "n_values": ([], learners._INTERVALS["n_step"]),  # each entry is a run's learner.n_step
@@ -548,9 +549,36 @@ def run_single(
     return report
 
 
+def _read_eval_csv(path: str) -> list[tuple[str, float, float]]:
+    """(task_id, success_rate, spearman) of each row of a run's eval.csv,
+    raising ConfigError naming ``path`` when a column is missing, a row has
+    not the header's field count, or a value is not a number."""
+    columns = ("task_id", "success_rate", "spearman")
+    with open_input(path) as fh:
+        header = fh.readline().strip().split(",")
+        for column in columns:
+            if column not in header:
+                raise ConfigError(f"{path}: header has no column {column!r}")
+        task, rate, rho = (header.index(column) for column in columns)
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            values = line.strip().split(",")
+            if len(values) != len(header):
+                raise ConfigError(f"{path}: line {line_no} has {len(values)} fields, "
+                                  f"the header {len(header)}")
+            try:
+                rows.append((values[task], float(values[rate]), float(values[rho])))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {line_no}: {exc}") from None
+    return rows
+
+
 def aggregate_summary(out_dir: str) -> str:
     """Recompute the summary from per-run eval CSVs (the only code path that
-    produces summary.csv, so re-aggregation is trivially consistent)."""
+    produces summary.csv, so re-aggregation is trivially consistent). Every
+    eval CSV is read (:func:`_read_eval_csv`) before summary.csv is written."""
     runs_dir = os.path.join(out_dir, "runs")
     if not os.path.isdir(runs_dir):
         raise ConfigError(f"no runs directory under {out_dir}")
@@ -560,13 +588,11 @@ def aggregate_summary(out_dir: str) -> str:
         if not os.path.isfile(eval_path):
             continue
         label = run_name.rsplit("_seed", 1)[0]
-        with open(eval_path) as fh:
-            header = fh.readline().strip().split(",")
-            rows_in = [dict(zip(header, line.strip().split(","))) for line in fh if line.strip()]
-        for row in rows_in:
-            groups.setdefault((label, row["task_id"]), []).append(float(row["success_rate"]))
+        rows_in = _read_eval_csv(eval_path)
+        for task_id, success_rate, _ in rows_in:
+            groups.setdefault((label, task_id), []).append(success_rate)
         if rows_in:  # spearman is a run-level statistic repeated on every row
-            groups.setdefault((label, "spearman"), []).append(float(rows_in[0]["spearman"]))
+            groups.setdefault((label, "spearman"), []).append(rows_in[0][2])
     rows = []
     for (label, task_id), values in sorted(groups.items()):
         arr = np.array(values)

@@ -30,7 +30,7 @@ from .dataset import (
     sample_triplet_batch,
 )
 from .env import ConfigError, GraphEnv, adjacency_matrix, check_number, open_input
-from .oracle import UNREACHABLE, implied_distances, optimal_value_table
+from .oracle import GAMMA_INTERVAL, UNREACHABLE, implied_distances, optimal_value_table
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
 # (sigmoid(30) = 1 - 9.4e-14) while leaving room for implied distances of
@@ -147,11 +147,12 @@ MAX_DRAW_ENTRIES = 2**20
 
 # The range of each number in a LearnerConfig, and of its row in
 # harness._SETTINGS: every caller reads its fields as checked here, when the
-# config is built, and checks none again. n_step's end changes no run (td_n
-# looks min(n_step, gap) < T steps ahead); P's end bounds no cost, since sgt
-# reads gamma^P in constant memory.
+# config is built, and checks none again. gamma's rule is oracle's
+# GAMMA_INTERVAL, which ValueTable and load_table read from here too.
+# n_step's end changes no run (td_n looks min(n_step, gap) < T steps ahead);
+# P's end bounds no cost, since sgt reads gamma^P in constant memory.
 _INTERVALS = {
-    "gamma": "(0, 1)",
+    "gamma": GAMMA_INTERVAL,
     "kappa": "[0.5, 1)",
     "lambda_reweight": "[0, inf)",
     "learning_rate": "(0, inf)",

@@ -22,6 +22,10 @@ UNREACHABLE = -1
 # bit g % 64 of word g // 64, so a uint8 view unpacks in state order.
 _WORD = np.dtype("<u8")
 
+# The range of the discount gamma, for every reader of it: learners takes it
+# as its gamma rule, since oracle cannot import learners.
+GAMMA_INTERVAL = "(0, 1)"
+
 
 def all_pairs_distances(env: GraphEnv) -> np.ndarray:
     """Unit-weight shortest-path step counts d[s, g] as an int64 (S, S)
@@ -74,7 +78,7 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     UNREACHABLE pairs at 0: each entry is read from the powers gamma ** 0 ..
     gamma ** max(d) and a final 0, which UNREACHABLE (-1) indexes, so it
     equals np.power's value at the cost of max(d) + 1 powers."""
-    check_number("gamma", gamma, "float", interval="(0, 1)")
+    check_number("gamma", gamma, "float", interval=GAMMA_INTERVAL)
     return np.append(np.power(gamma, np.arange(int(d.max(initial=0)) + 1)), 0.0)[d]
 
 

@@ -10,10 +10,11 @@ import pytest
 
 from gclab import analysis, learners
 from gclab.cli import main
-from gclab.env import load_env
+from gclab.dataset import collect_dataset, load_dataset
+from gclab.env import ConfigError, build_grid_env, load_env
 from gclab.harness import _SETTINGS
-from gclab.learners import ValueTable, load_table, save_table
-from gclab.oracle import oracle_q_table
+from gclab.learners import LearnerConfig, ValueTable, load_table, save_table
+from gclab.oracle import optimal_value_table, oracle_q_table
 from env_helpers import random_graph_env, save_env, star_env
 
 _CHILD = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
@@ -86,6 +87,28 @@ def test_sweep_and_report(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(cfg_path)) == 0
     assert (out_dir / "summary.csv").is_file()
     assert run_cli("report", "--out-dir", str(out_dir)) == 0
+
+
+_EVAL_CSV = "task_id,success_rate,episodes,spearman\n0,1.0,15,0.5\n1,0.0,15,0.5\n"
+
+
+@pytest.mark.parametrize("text, problem", [
+    (b"task_id,success_rate\n0,1.0,15,0.5\n", "header has no column 'spearman'"),
+    (_EVAL_CSV.replace("0,1.0", "0,abc").encode(), "line 2: could not convert string to float"),
+    (_EVAL_CSV.encode() + b"\xff\n", "is not a text file"),
+    (_EVAL_CSV.encode() + b"2,1.0,15\n", "line 4 has 3 fields, the header 4"),
+], ids=["no_spearman_column", "not_a_number", "not_utf8", "short_row"])
+def test_report_bad_eval_csv_exit_code(tmp_path, capsys, text, problem):
+    """`gclab report` exits 2 naming a run's eval.csv that it cannot read,
+    and writes no summary.csv."""
+    runs = tmp_path / "exp" / "runs"
+    for run, body in (("mc_seed0", _EVAL_CSV.encode()), ("mc_seed1", text)):
+        (runs / run).mkdir(parents=True)
+        (runs / run / "eval.csv").write_bytes(body)
+    assert run_cli("report", "--out-dir", str(tmp_path / "exp")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {runs / 'mc_seed1' / 'eval.csv'}") and problem in err
+    assert not (tmp_path / "exp" / "summary.csv").exists()
 
 
 def test_sweep_into_an_out_dir_that_holds_runs_exit_code(tmp_path, capsys):
@@ -229,6 +252,73 @@ def test_gen_bad_size_names_the_argument(tmp_path, capsys, flag, key):
     err = capsys.readouterr().err
     assert f"config error: config key '{key}' must lie in [1, inf), got 0" in err
     assert not out.exists()
+
+
+def _refusal(call, *args) -> str:
+    """The message of the ConfigError that ``call(*args)`` raises."""
+    with pytest.raises(ConfigError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+# Each rule that env and dataset own, a value it refuses, and the refusal's
+# text, which every front end gives word for word.
+_OWNED_RULE_REFUSALS = {
+    "env.width": (0, "config key 'env.width' must lie in [1, inf), got 0"),
+    "env.height": (0, "config key 'env.height' must lie in [1, inf), got 0"),
+    "dataset.num_traj": (0, "config key 'dataset.num_traj' must lie in [1, inf), got 0"),
+    "dataset.T": (0, "config key 'dataset.T' must lie in [1, inf), got 0"),
+    "dataset.seed": (-1, "config key 'dataset.seed' must lie in [0, inf), got -1"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_OWNED_RULE_REFUSALS))
+def test_an_env_or_dataset_refusal_reads_the_same_from_every_front_end(tmp_path, capsys, key):
+    """The owning function, a sweep config and `gclab gen` refuse the value
+    with one message."""
+    value, message = _OWNED_RULE_REFUSALS[key]
+    block, _, name = key.partition(".")
+    args = {"width": 3, "height": 1, "num_traj": 2, "T": 4, "seed": 0, name: value}
+    if block == "env":
+        assert _refusal(build_grid_env, args["width"], args["height"]) == message
+    else:
+        assert _refusal(collect_dataset, build_grid_env(3, 1), args["num_traj"], args["T"],
+                        args["seed"]) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_set_setting(_sweep_config(tmp_path), key, value)))
+    argv = [token for flag, arg in args.items() for token in (f"--{flag.replace('_', '-')}", str(arg))]
+    for command in (["sweep", "--config", str(cfg_path)],
+                    ["gen", *argv, "--out", str(tmp_path / "ds.csv")]):
+        assert run_cli(*command) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "exp").exists() and not (tmp_path / "ds.csv").exists()
+
+
+@pytest.mark.parametrize("header, field, value", [("0,4", "num_traj", 0), ("2,0", "T", 0)])
+def test_a_dataset_header_refusal_reads_the_same_from_every_front_end(tmp_path, capsys, header,
+                                                                     field, value):
+    """load_dataset and `gclab train --dataset` refuse a header field out of
+    its dataset rule with one message naming the file."""
+    ds_path = _gen_dataset(tmp_path)
+    ds_path.write_text(header + "\n")
+    message = f"{ds_path}: header field {field} must lie in [1, inf), got {value}"
+    assert _refusal(load_dataset, str(ds_path), build_grid_env(3, 1)) == message
+    assert run_cli("train", "--width", "3", "--height", "1", "--dataset", str(ds_path),
+                   "--method", "mc", "--seed", "0", "--out-dir", str(tmp_path / "r")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_gamma_refusal_reads_the_same_from_every_reader(tmp_path):
+    """optimal_value_table, ValueTable, a table file's header and
+    LearnerConfig refuse a gamma of 1 with the one rule's text."""
+    rule = "must lie in (0, 1), got 1.0"
+    assert _refusal(optimal_value_table, np.zeros((2, 2), dtype=np.int64), 1.0) == f"gamma {rule}"
+    assert _refusal(ValueTable, np.zeros((1, 1, 1)), 1.0) == f"gamma {rule}"
+    table_path = tmp_path / "table.bin"
+    table_path.write_bytes(np.array([1, 1, 1, 0], dtype=np.int64).tobytes()
+                           + np.array([1.0, 0.0]).tobytes())
+    assert _refusal(load_table, str(table_path)) == f"{table_path}: header field gamma {rule}"
+    assert _refusal(LearnerConfig, "trl", 1.0) == f"config key 'learner.gamma' {rule}"
 
 
 @pytest.mark.parametrize("flag, value, states", [("--num-traj", 10**12, 5 * 10**12),

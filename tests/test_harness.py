@@ -20,7 +20,9 @@ from gclab.harness import (
     train_run,
     validate_experiment_config,
 )
-from gclab import harness, learners
+from gclab import dataset as dataset_mod
+from gclab import env as env_mod
+from gclab import harness, learners, oracle
 from gclab.learners import LearnerConfig, ValueTable, load_table
 from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, oracle_q_table
 from gclab.policy import estimate_behavior_policy, greedy_action_batch
@@ -174,6 +176,19 @@ def test_every_learner_field_has_one_setting_row():
         rule = tuple(learners.METHODS) if f.name == "method" else learners._INTERVALS[f.name]
         assert rows[f"learner.{f.name}"] == (f.default, rule)
     assert LearnerConfig(**block_settings("learner", {})) == LearnerConfig()
+
+
+def test_env_and_dataset_rows_and_gamma_read_their_owners_rules():
+    """Each env.* and dataset.* row of _SETTINGS is required and holds the
+    very rule its owner checks, in the owner's order, and learners' gamma
+    rule is oracle's: each of these rules is written once."""
+    for block, owner in (("env", env_mod), ("dataset", dataset_mod)):
+        rows = {key: row for key, row in _SETTINGS.items() if key.startswith(f"{block}.")}
+        assert list(rows) == [f"{block}.{name}" for name in owner._INTERVALS]
+        for name, rule in owner._INTERVALS.items():
+            default, row_rule = rows[f"{block}.{name}"]
+            assert default is None and row_rule is rule
+    assert learners._INTERVALS["gamma"] is oracle.GAMMA_INTERVAL
 
 
 def test_coe_requires_coordinates():
