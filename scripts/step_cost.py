@@ -1,6 +1,7 @@
 """Training-step cost against table size.
 
-Times ``harness.train_run`` for trl, td_n and sgt on square grids of
+Times ``harness.train_run`` for the six stochastic learners (trl, mc,
+td_n, gciql, sgt and coe) on square grids of
 S = 64, 256 and 1024 states (batch 256, 100 random walks of 64 steps) and
 prints the median milliseconds per step over a few repeats, one row per
 grid. The step count is fixed, so a step that touches the whole table shows
@@ -20,7 +21,7 @@ from gclab.env import build_grid_env
 from gclab.harness import train_run
 from gclab.learners import LearnerConfig
 
-METHODS = ("trl", "td_n", "sgt")
+METHODS = ("trl", "mc", "td_n", "gciql", "sgt", "coe")
 SIDES = (8, 16, 32)
 
 

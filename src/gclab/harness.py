@@ -552,7 +552,8 @@ def run_single(
 def _read_eval_csv(path: str) -> list[tuple[str, float, float]]:
     """(task_id, success_rate, spearman) of each row of a run's eval.csv,
     raising ConfigError naming ``path`` when a column is missing, a row has
-    not the header's field count, or a value is not a number."""
+    not the header's field count, a value is not a number, or a task_id
+    repeats (one run is one seed of each task)."""
     columns = ("task_id", "success_rate", "spearman")
     with open_input(path) as fh:
         header = fh.readline().strip().split(",")
@@ -560,7 +561,7 @@ def _read_eval_csv(path: str) -> list[tuple[str, float, float]]:
             if column not in header:
                 raise ConfigError(f"{path}: header has no column {column!r}")
         task, rate, rho = (header.index(column) for column in columns)
-        rows = []
+        rows, first_line = [], {}
         for line_no, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -568,6 +569,10 @@ def _read_eval_csv(path: str) -> list[tuple[str, float, float]]:
             if len(values) != len(header):
                 raise ConfigError(f"{path}: line {line_no} has {len(values)} fields, "
                                   f"the header {len(header)}")
+            if values[task] in first_line:
+                raise ConfigError(f"{path}: line {line_no} repeats task_id {values[task]!r} "
+                                  f"of line {first_line[values[task]]}")
+            first_line[values[task]] = line_no
             try:
                 rows.append((values[task], float(values[rate]), float(values[rho])))
             except ValueError as exc:
@@ -578,21 +583,28 @@ def _read_eval_csv(path: str) -> list[tuple[str, float, float]]:
 def aggregate_summary(out_dir: str) -> str:
     """Recompute the summary from per-run eval CSVs (the only code path that
     produces summary.csv, so re-aggregation is trivially consistent). Every
-    eval CSV is read (:func:`_read_eval_csv`) before summary.csv is written."""
+    eval CSV is read (:func:`_read_eval_csv`) before summary.csv is written,
+    and a ``runs`` directory in which no run holds one is refused. A sweep
+    writes the summary only after some run succeeded, and every successful
+    run has written its eval.csv."""
     runs_dir = os.path.join(out_dir, "runs")
     if not os.path.isdir(runs_dir):
         raise ConfigError(f"no runs directory under {out_dir}")
     groups: dict[tuple[str, str], list[float]] = {}
+    evaluated = 0
     for run_name in sorted(os.listdir(runs_dir)):
         eval_path = os.path.join(runs_dir, run_name, "eval.csv")
         if not os.path.isfile(eval_path):
             continue
+        evaluated += 1
         label = run_name.rsplit("_seed", 1)[0]
         rows_in = _read_eval_csv(eval_path)
         for task_id, success_rate, _ in rows_in:
             groups.setdefault((label, task_id), []).append(success_rate)
         if rows_in:  # spearman is a run-level statistic repeated on every row
             groups.setdefault((label, "spearman"), []).append(rows_in[0][2])
+    if not evaluated:
+        raise ConfigError(f"{runs_dir}: no run directory holds an eval.csv")
     rows = []
     for (label, task_id), values in sorted(groups.items()):
         arr = np.array(values)

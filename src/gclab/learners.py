@@ -10,8 +10,9 @@ distances it has already fixed.
 
 Update convention: ``learning_rate`` is the per-sample step size (the
 classic tabular convention). A step first reads everything it needs from
-the pre-step tables, then writes its Q entries in one call, every term's
-entries in a fixed order, so runs are bit-reproducible.
+the pre-step tables in one read and one sigmoid, then writes its Q entries
+in one call, every term's entries in a fixed order, so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -127,11 +128,18 @@ class PolyakTarget:
         self.lag = np.zeros_like(online.params)
         self.scale = 1.0
 
-    def values_flat(self, flat) -> np.ndarray:
-        """Target values at the flat indices ``flat`` of the table (see
-        :func:`_flat`), gathered first, then read like ``ValueTable.values_at``."""
-        params = self.online.params.reshape(-1)[flat] + self.scale * self.lag.reshape(-1)[flat]
-        return _as_values(params, self.online.space)
+    def read(self, flat, online: int) -> tuple[np.ndarray, np.ndarray]:
+        """A step's one read at the flat indices ``flat`` of the table (see
+        :func:`_flat`): the first ``online`` entries along flat's first axis
+        read the online table, the rest the target. Returns the logits (raw
+        values of a value table) and their values, after one gather, one
+        ``scale * lag`` add on the target entries and one sigmoid, as
+        ``ValueTable.values_at`` reads. The online logits are the ``before``
+        of the step's :func:`_apply_logit_updates` call."""
+        logits = self.online.params.reshape(-1)[flat]
+        if online < len(flat):
+            logits[online:] += self.scale * self.lag.reshape(-1)[flat[online:]]
+        return logits, _as_values(logits, self.online.space)
 
 
 # Steps per draw. A run draws whole chunks only, so its random stream does
@@ -363,10 +371,14 @@ def transitive_sweeps(env: GraphEnv):
 # Stochastic update steps (one gradient step per call)
 #
 # A step reads and writes the tables only at the flat indices its batch
-# carries (see the layouts below). It reads first, all from the pre-step
-# tables, then writes its Q entries in one _apply_logit_updates call, and
-# returns its statistics unevaluated: a zero-argument callable that
-# harness.train_run calls on logged steps only.
+# carries (see the layouts below), in one read and one write. The read
+# (PolyakTarget.read) gathers every entry the step reads, online entries
+# first and target entries after them, adds the target's scaled lag to the
+# target entries and runs one sigmoid; all of it sees the pre-step tables.
+# The write (_apply_logit_updates) takes the online logits the read already
+# holds, so no entry is gathered twice. A step returns its statistics
+# unevaluated: a zero-argument callable that harness.train_run calls on
+# logged steps only.
 
 
 def _flat(shape, s, a, g):
@@ -375,12 +387,14 @@ def _flat(shape, s, a, g):
     return (s * shape[1] + a) * shape[2] + g
 
 
-def _apply_logit_updates(target: PolyakTarget, flat, grads, lr: float) -> None:
-    """Scatter-add the steps at the 1-D flat indices ``flat`` into the
-    target's online table, clip the touched entries of a logit table, and
-    move the lag so the target stays put. A step makes one call with the
-    entries of all its terms, term after term: a shared entry sums its
-    steps in that order, then is clipped once.
+def _apply_logit_updates(target: PolyakTarget, flat, before, grads, lr: float) -> None:
+    """Scatter-add the steps ``-lr * grads`` at the 1-D flat indices ``flat``
+    into the target's online table, clip the touched entries of a logit
+    table, and move the lag so the target stays put. ``before`` holds the
+    online logits at ``flat`` that the step's read gathered; ``grads`` is
+    overwritten. A step makes one call with the entries of all its terms,
+    term after term: a shared entry sums its steps in that order, then is
+    clipped once.
 
     Untouched entries need no clip: training tables start inside the clamp
     (``ValueTable.create``) and only entries named by some ``flat`` move.
@@ -389,13 +403,15 @@ def _apply_logit_updates(target: PolyakTarget, flat, grads, lr: float) -> None:
     the steps.
     """
     params = target.online.params.reshape(-1)
-    before = params[flat]
-    np.add.at(params, flat, -lr * grads)
+    grads *= -lr
+    np.add.at(params, flat, grads)
     after = params[flat]
     if target.online.space == "logit":  # np.clip's bits at a third of its cost
         np.minimum(np.maximum(after, -LOGIT_CLAMP, out=after), LOGIT_CLAMP, out=after)
         params[flat] = after
-    target.lag.reshape(-1)[flat] -= (after - before) / target.scale
+    after -= before
+    after /= target.scale
+    target.lag.reshape(-1)[flat] -= after
 
 
 def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
@@ -407,15 +423,15 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     weight times the distance-based reweight factor; target factors are
     constants.
     """
-    ij = batch["ij"]
-    pred = _sigmoid(target.online.params.reshape(-1)[ij])
-    # Both target halves in one read: (s_i, a_i, s_k) and (s_k, a_k, s_j).
-    f1, f2 = np.where(batch["is_base"], batch["base"], target.values_flat(batch["halves"]))
+    reads = batch["reads"]  # (s_i, a_i, s_j), then the halves (s_i, a_i, s_k), (s_k, a_k, s_j)
+    logits, values = target.read(reads, 1)
+    pred = values[0]
+    f1, f2 = np.where(batch["is_base"], batch["base"], values[1:])
     y = f1 * f2
     w = expectile_weight(pred, y, cfg.kappa)
     if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
         w = reweight_factor(pred, cfg.gamma, cfg.lambda_reweight) * w
-    _apply_logit_updates(target, ij, w * (pred - y), cfg.learning_rate)
+    _apply_logit_updates(target, reads[0], logits[0], w * (pred - y), cfg.learning_rate)
     return lambda: {
         "loss": float(np.mean(w * _bce_loss(pred, y))),
         "mean_q": float(np.mean(pred)),
@@ -428,9 +444,9 @@ def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig)
     loss on the sigmoid output (chain rule through the logit). mc reads no
     target values; it writes through the target like every other learner."""
     ij, y = batch["ij"], batch["target"]
-    pred = _sigmoid(target.online.params.reshape(-1)[ij])
+    logits, pred = target.read(ij, len(ij))
     diff = pred - y
-    _apply_logit_updates(target, ij, 2.0 * diff * pred * (1.0 - pred), cfg.learning_rate)
+    _apply_logit_updates(target, ij, logits, 2.0 * diff * pred * (1.0 - pred), cfg.learning_rate)
     return lambda: {
         "loss": float(np.mean(diff * diff)),
         "mean_q": float(np.mean(pred)),
@@ -438,26 +454,28 @@ def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig)
     }
 
 
-def td_n_compute_targets(target: PolyakTarget, batch: dict) -> np.ndarray:
-    """n-step bootstrap target gamma^n_eff * Qbar(s_{i+n_eff}, a_{i+n_eff}, g).
+def td_n_compute_targets(boot: np.ndarray, batch: dict) -> np.ndarray:
+    """n-step bootstrap target gamma^n_eff * Qbar(s_{i+n_eff}, a_{i+n_eff}, g),
+    from the target values ``boot`` read at the batch's bootstrap entries.
 
     n_eff = min(n, j - i); when the unclipped n would overshoot j the
     bootstrap factor is replaced by 1, so the boundary target is exactly
     gamma^(j-i).
     """
-    boot = np.where(batch["clipped"], 1.0, target.values_flat(batch["boot"]))
-    return batch["discount"] * boot
+    return batch["discount"] * np.where(batch["clipped"], 1.0, boot)
 
 
 def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
     """n-step bootstrapped update: a plain BCE anchor at the current state
     (target gamma^0) plus an expectile BCE term toward the n-step target."""
-    online = batch["online"].reshape(-1)  # anchors (s_i, a_i, s_i), then goals (s_i, a_i, g)
-    pred0, pred1 = _sigmoid(target.online.params.reshape(-1)[online]).reshape(2, -1)
-    y = td_n_compute_targets(target, batch)
+    reads = batch["reads"]  # anchors (s_i, a_i, s_i), goals (s_i, a_i, g), bootstraps (s_b, a_b, g)
+    logits, (pred0, pred1, boot) = target.read(reads, 2)
+    y = td_n_compute_targets(boot, batch)
     weight = expectile_weight(pred1, y, cfg.kappa)
     grads = np.concatenate((pred0 - 1.0, weight * (pred1 - y)))
-    _apply_logit_updates(target, online, grads, cfg.learning_rate)
+    _apply_logit_updates(
+        target, reads[:2].reshape(-1), logits[:2].reshape(-1), grads, cfg.learning_rate
+    )
     return lambda: {
         "loss": float(np.mean(_bce_loss(pred0, 1.0) + weight * _bce_loss(pred1, y))),
         "mean_q": float(np.mean(pred1)),
@@ -473,14 +491,14 @@ def gciql_update_step(target: PolyakTarget, v: np.ndarray, batch: dict, cfg: Lea
     Q(s, a, g) chases I(s = g) + gamma * V(s', g) through a symmetric
     squared loss. Both gradients read the pre-step tables.
     """
-    sag, sg = batch["sag"], batch["sg"]
+    reads, sg = batch["reads"], batch["sg"]  # reads: Q(s, a, g), then Qbar(s, a, g)
+    (qv, qbar), _ = target.read(reads, 1)  # a value table: the logits are the values
     v_flat = v.reshape(-1)
-    loss_v, grad_v = asymmetric_loss(v_flat[sg], target.values_flat(sag), cfg.kappa)
-    qv = target.online.params.reshape(-1)[sag]
+    loss_v, grad_v = asymmetric_loss(v_flat[sg], qbar, cfg.kappa)
     y = batch["at_goal"] + cfg.gamma * v_flat[batch["s2g"]]
     diff = qv - y
     np.add.at(v_flat, sg, -cfg.learning_rate * grad_v)
-    _apply_logit_updates(target, sag, 2.0 * diff, cfg.learning_rate)
+    _apply_logit_updates(target, reads[0], qv, 2.0 * diff, cfg.learning_rate)
     return lambda: {
         "loss": float(np.mean(loss_v + diff * diff)),
         "mean_q": float(np.mean(qv)),
@@ -497,15 +515,18 @@ def sgt_update_step(target: PolyakTarget, prior, batch: dict, cfg: LearnerConfig
     triangle term whose target is the best product of target-table halves
     over the candidate set.
     """
-    online = batch["online"].reshape(-1)  # the four terms' entries, term after term
-    pred0, pred1, predr, predg = _sigmoid(target.online.params.reshape(-1)[online]).reshape(4, -1)
     # One-step base case applies to edges only; self-loop transitions in the
     # data would otherwise fight the gamma^0 anchor on the same entry.
-    edge = batch["edge"]
-    half_sw, half_wg = target.values_flat(batch["cand"])
+    reads, edge = batch["reads"], batch["edge"]
+    online = 4 * edge.size  # the four terms' entries, then the candidates' halves
+    logits, values = target.read(reads, online)
+    pred0, pred1, predr, predg = values[:online].reshape(4, -1)
+    half_sw, half_wg = values[online:].reshape(2, -1, edge.size)
     tri_target = (half_sw * half_wg).max(axis=0)
     grads = (pred0 - 1.0, edge * (pred1 - cfg.gamma), predr - prior, predg - tri_target)
-    _apply_logit_updates(target, online, np.concatenate(grads), cfg.learning_rate)
+    _apply_logit_updates(
+        target, reads[:online], logits[:online], np.concatenate(grads), cfg.learning_rate
+    )
 
     def stats():
         loss = _bce_loss(pred0, 1.0) + edge * _bce_loss(pred1, cfg.gamma)
@@ -534,7 +555,6 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     generator, policy_fn, coords = state
     shape = target.online.params.shape
     online, sa, goal = batch["online"], batch["sa"], batch["g"]
-    pred1, predg = _sigmoid(target.online.params.reshape(-1)[online])
     edge = batch["edge"]
 
     # The generator shares the table's (s, a, g) layout. The incumbent in
@@ -543,16 +563,24 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     options = np.concatenate([gen_flat[online[1]][:, None], batch["cand_states"]], axis=1)
     goals = np.repeat(goal, options.shape[1]).reshape(options.shape)  # (B, M+1)
     actions = policy_fn(options.ravel(), goals.ravel()).reshape(options.shape)
-    scores = target.values_flat(sa[:, None] + options) * target.values_flat(
-        _flat(shape, options, actions, goals)
-    )
+    # One read: the one-step and goal entries, then both halves (s, a, w) and
+    # (w, a_w, g) of every option.
+    halves = (sa[:, None] + options, _flat(shape, options, actions, goals))
+    n = online.size
+    reads = np.concatenate((online.reshape(-1), *(half.reshape(-1) for half in halves)))
+    logits, values = target.read(reads, n)
+    pred1, predg = values[:n].reshape(2, -1)
+    half_sw, half_wg = values[n:].reshape(2, *options.shape)
+    scores = half_sw * half_wg
     tri_target = scores[:, 0]  # a view: the penalty below makes a new array
     if cfg.beta_goal_reg > 0:
-        delta = coords[options] - coords[batch["g_rand"]][:, None, :]
-        scores = scores - cfg.beta_goal_reg * np.sum(delta * delta, axis=-1)
+        x, y = coords.T  # int64 columns: the squared distance is exact
+        dx = x[options] - x[batch["g_rand"]][:, None]
+        dy = y[options] - y[batch["g_rand"]][:, None]
+        scores = scores - cfg.beta_goal_reg * (dx * dx + dy * dy)
     gen_flat[online[1]] = options[np.arange(options.shape[0]), scores.argmax(axis=1)]
     grads = np.concatenate((edge * (pred1 - cfg.gamma), predg - tri_target))
-    _apply_logit_updates(target, online.reshape(-1), grads, cfg.learning_rate)
+    _apply_logit_updates(target, reads[:n], logits[:n], grads, cfg.learning_rate)
 
     def stats():
         loss = edge * _bce_loss(pred1, cfg.gamma) + _bce_loss(predg, tri_target)
@@ -609,11 +637,12 @@ def _trl_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 
 def _trl_layout(shape, cfg, s_i, a_i, s_j, s_k, a_k, gap_ik, gap_kj) -> dict:
+    """``reads`` holds the online entry (s_i, a_i, s_j), then the target
+    halves (s_i, a_i, s_k) and (s_k, a_k, s_j)."""
     gaps = np.stack((gap_ik, gap_kj), axis=-2)
-    halves = (_flat(shape, s_i, a_i, s_k), _flat(shape, s_k, a_k, s_j))
+    reads = (_flat(shape, s_i, a_i, s_j), _flat(shape, s_i, a_i, s_k), _flat(shape, s_k, a_k, s_j))
     return {
-        "ij": _flat(shape, s_i, a_i, s_j),
-        "halves": np.stack(halves, axis=-2),
+        "reads": np.stack(reads, axis=-2),
         "is_base": gaps <= 1,
         "base": optimal_value_table(gaps, cfg.gamma),
     }
@@ -654,9 +683,11 @@ def _td_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 
 def _td_layout(shape, cfg, s_i, a_i, g, s_b, a_b, n_eff, clipped) -> dict:
+    """``reads`` holds the online anchor (s_i, a_i, s_i) and goal
+    (s_i, a_i, g) entries, then the target's bootstrap (s_b, a_b, g)."""
+    reads = (_flat(shape, s_i, a_i, s_i), _flat(shape, s_i, a_i, g), _flat(shape, s_b, a_b, g))
     return {
-        "online": np.stack((_flat(shape, s_i, a_i, s_i), _flat(shape, s_i, a_i, g)), axis=-2),
-        "boot": _flat(shape, s_b, a_b, g),
+        "reads": np.stack(reads, axis=-2),
         "discount": optimal_value_table(n_eff, cfg.gamma),
         "clipped": clipped,
     }
@@ -676,9 +707,11 @@ def _transition_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 
 def _gciql_layout(shape, cfg, s, a, s2, g) -> dict:
-    """Flat indices of Q(s, a, g), V(s, g) and V(s2, g); V is (S, G)."""
+    """Flat indices of Q(s, a, g), online then target (``reads``), and of
+    V(s, g) and V(s2, g); V is (S, G)."""
+    sag = _flat(shape, s, a, g)
     return {
-        "sag": _flat(shape, s, a, g),
+        "reads": np.stack((sag, sag), axis=-2),
         "sg": s * shape[2] + g,
         "s2g": s2 * shape[2] + g,
         "at_goal": (s == g).astype(np.float64),
@@ -699,16 +732,18 @@ def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 
 def _sgt_layout(shape, cfg, s, a, s2, g, g_rand, w_states, w_actions) -> dict:
-    """``online`` holds the anchor, one-step, random-goal and goal entries;
-    ``cand`` the two halves (s, a, w) and (w, a_w, g) of every candidate,
-    candidate-major, (2, M, batch) per step: the maximum over candidates
-    then runs down the long axis."""
+    """``reads`` holds, flattened per step, the online anchor, one-step,
+    random-goal and goal entries, (4, batch), then the target halves
+    (s, a, w) and (w, a_w, g) of every candidate, candidate-major, (2, M,
+    batch): the maximum over candidates then runs down the long axis."""
     sa = _flat(shape, s, a, 0)
+    online = np.stack((sa + s, sa + s2, sa + g_rand, sa + g), axis=-2)
     halves = (sa[..., None] + w_states, _flat(shape, w_states, w_actions, g[..., None]))
+    cand = np.stack(halves, axis=-3).swapaxes(-1, -2)
+    lead = s.shape[:-1]
     return {
-        "online": np.stack((sa + s, sa + s2, sa + g_rand, sa + g), axis=-2),
+        "reads": np.concatenate((online.reshape(*lead, -1), cand.reshape(*lead, -1)), axis=-1),
         "edge": (s2 != s).astype(np.float64),
-        "cand": np.ascontiguousarray(np.stack(halves, axis=-3).swapaxes(-1, -2)),
     }
 
 
@@ -771,11 +806,11 @@ class Method:
     such arrays, of any leading shape, into a batch for a table of
     ``shape``. Each step makes one update with this module's
     ``<name>_update_step(target, state, batch, cfg)``: ``target`` is the
-    run's :class:`PolyakTarget`, whose online table the step reads as
-    ``target.online`` and then writes in one :func:`_apply_logit_updates`
-    call (after every read: the reads see the pre-step tables), and
-    ``state(env, q, cfg)`` builds the run's extra tables once. Trajectories
-    need at least ``min_horizon`` actions.
+    run's :class:`PolyakTarget`, whose online table and target the step
+    reads in one ``target.read`` and then writes in one
+    :func:`_apply_logit_updates` call (after the read, which sees the
+    pre-step tables), and ``state(env, q, cfg)`` builds the run's extra
+    tables once. Trajectories need at least ``min_horizon`` actions.
     """
 
     space: str

@@ -20,9 +20,12 @@ class EagerTarget:
         self.lag = np.zeros_like(online.params)
         self.scale = 1.0
 
-    def values_flat(self, flat) -> np.ndarray:
-        params = self.params.reshape(-1)[flat]
-        return expit(params) if self.online.space == "logit" else params
+    def read(self, flat, online: int) -> tuple[np.ndarray, np.ndarray]:
+        """``PolyakTarget.read`` from the online table and this full copy."""
+        logits = np.concatenate(
+            (self.online.params.reshape(-1)[flat[:online]], self.params.reshape(-1)[flat[online:]])
+        )
+        return logits, expit(logits) if self.online.space == "logit" else logits
 
 
 def eager_sync(target: EagerTarget, tau: float) -> None:

@@ -324,7 +324,7 @@ def test_criterion_7_fixed_point_residuals(monkeypatch):
         monkeypatch.setattr(learners, "sample_index_pairs", recorded)
         tdb = next(step_batches(ds2, q2.params.shape, cfg_td))
         i, j = pairs[0]
-        targets_td = td_n_compute_targets(qt2, tdb)
+        targets_td = td_n_compute_targets(qt2.read(tdb["reads"], 2)[1][2], tdb)
         np.testing.assert_array_equal(targets_td, np.power(gamma, j[0] - i[0]))
         assert np.all(tdb["clipped"])
 

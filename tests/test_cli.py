@@ -97,7 +97,8 @@ _EVAL_CSV = "task_id,success_rate,episodes,spearman\n0,1.0,15,0.5\n1,0.0,15,0.5\
     (_EVAL_CSV.replace("0,1.0", "0,abc").encode(), "line 2: could not convert string to float"),
     (_EVAL_CSV.encode() + b"\xff\n", "is not a text file"),
     (_EVAL_CSV.encode() + b"2,1.0,15\n", "line 4 has 3 fields, the header 4"),
-], ids=["no_spearman_column", "not_a_number", "not_utf8", "short_row"])
+    (_EVAL_CSV.encode() + b"0,0.0,15,0.5\n", "line 4 repeats task_id '0' of line 2"),
+], ids=["no_spearman_column", "not_a_number", "not_utf8", "short_row", "repeated_task"])
 def test_report_bad_eval_csv_exit_code(tmp_path, capsys, text, problem):
     """`gclab report` exits 2 naming a run's eval.csv that it cannot read,
     and writes no summary.csv."""
@@ -108,6 +109,16 @@ def test_report_bad_eval_csv_exit_code(tmp_path, capsys, text, problem):
     assert run_cli("report", "--out-dir", str(tmp_path / "exp")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {runs / 'mc_seed1' / 'eval.csv'}") and problem in err
+    assert not (tmp_path / "exp" / "summary.csv").exists()
+
+
+def test_report_without_any_eval_csv_exit_code(tmp_path, capsys):
+    """`gclab report` on a runs/ whose run directories hold no eval.csv exits
+    2 naming that runs/ directory, and writes no summary.csv."""
+    (tmp_path / "exp" / "runs" / "mc_seed0").mkdir(parents=True)
+    assert run_cli("report", "--out-dir", str(tmp_path / "exp")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {tmp_path / 'exp' / 'runs'}: no run directory holds")
     assert not (tmp_path / "exp" / "summary.csv").exists()
 
 

@@ -620,7 +620,7 @@ def test_td_n_fully_clipped_matches_mc_targets():
         cfg, q.params.shape, s_i=[0, 0, 1], a_i=[0, 1, 0], g=[1, 2, 4], s_b=[1, 2, 4],
         a_b=[0, 0, 0], n_eff=gaps, clipped=[True, True, True],
     )
-    targets = td_n_compute_targets(qt, batch)
+    targets = td_n_compute_targets(qt.read(batch["reads"], 2)[1][2], batch)
     np.testing.assert_allclose(targets, np.power(cfg.gamma, gaps), rtol=0, atol=0)
 
 
@@ -1025,7 +1025,8 @@ def test_polyak_target_matches_eager_reference(space):
         untouched[idx] = False
         before = target_params(qt)
         flat = _flat(shape, *idx)
-        _apply_logit_updates(qt, flat, rng.normal(size=32), 40.0)  # often past the clamp
+        logits = q.params.reshape(-1)[flat]
+        _apply_logit_updates(qt, flat, logits, rng.normal(size=32), 40.0)  # often past the clamp
         assert (target_params(qt)[untouched] == before[untouched]).all()
         np.testing.assert_allclose(target_params(qt), before, rtol=0, atol=TARGET_TOLERANCE)
         scale = qt.scale
@@ -1033,7 +1034,7 @@ def test_polyak_target_matches_eager_reference(space):
         eager_sync(eager, tau)
         renormalized += qt.scale > scale
         np.testing.assert_allclose(
-            qt.values_flat(every), eager.values_flat(every), rtol=0, atol=TARGET_TOLERANCE
+            qt.read(every, 0)[1], eager.read(every, 0)[1], rtol=0, atol=TARGET_TOLERANCE
         )
     if space == "logit":
         assert np.abs(q.params).max() == LOGIT_CLAMP
@@ -1044,7 +1045,8 @@ def per_term_writes(target, terms, lr):
     """The reference for a step's one write: one ``_apply_logit_updates``
     call per term, each with its own clip and lag move."""
     for flat, grads in terms:
-        _apply_logit_updates(target, flat, grads, lr)
+        before = target.online.params.reshape(-1)[flat]
+        _apply_logit_updates(target, flat, before, grads.copy(), lr)
 
 
 def test_one_merged_write_matches_per_term_writes():
@@ -1067,7 +1069,7 @@ def test_one_merged_write_matches_per_term_writes():
             qt.scale = 0.37
             if merged:
                 flat, grads = (np.concatenate(parts) for parts in zip(*terms))
-                _apply_logit_updates(qt, flat, grads, 0.5)
+                _apply_logit_updates(qt, flat, qt.online.params.reshape(-1)[flat], grads, 0.5)
             else:
                 per_term_writes(qt, terms, 0.5)
             tables.append(qt)
@@ -1078,17 +1080,27 @@ def test_one_merged_write_matches_per_term_writes():
 
 @pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
 def test_every_step_writes_q_once(monkeypatch, method):
-    """Each learner's step makes exactly one _apply_logit_updates call, with
-    a 1-D index block; coe's step also asks its greedy policy once."""
+    """Each learner's step makes exactly one PolyakTarget.read call, one
+    sigmoid call on a logit table (none on gciql's value table) and one
+    _apply_logit_updates call, with a 1-D index block; coe's step also asks
+    its greedy policy once, which reads the table through one sigmoid."""
     env = build_grid_env(4, 4)
     ds = collect_dataset(env, num_traj=20, T=16, seed=0)
     cfg = LearnerConfig(method=method, steps=20, batch_size=16, M_subgoals=4, n_step=3)
-    writes, policy_calls = [], []
-    write = learners._apply_logit_updates
+    reads, sigmoids, writes, policy_calls = [], [], [], []
+    read, sigmoid, write = PolyakTarget.read, learners._sigmoid, learners._apply_logit_updates
 
-    def counting_write(target, flat, grads, lr):
+    def counting_read(target, flat, online):
+        reads.append(1)
+        return read(target, flat, online)
+
+    def counting_sigmoid(x):
+        sigmoids.append(1)
+        return sigmoid(x)
+
+    def counting_write(target, flat, before, grads, lr):
         writes.append(flat.ndim)
-        write(target, flat, grads, lr)
+        write(target, flat, before, grads, lr)
 
     coe_state = learners._coe_state
 
@@ -1101,13 +1113,18 @@ def test_every_step_writes_q_once(monkeypatch, method):
 
         return generator, counting_policy, coords
 
+    monkeypatch.setattr(PolyakTarget, "read", counting_read)
+    monkeypatch.setattr(learners, "_sigmoid", counting_sigmoid)
     monkeypatch.setattr(learners, "_apply_logit_updates", counting_write)
     monkeypatch.setitem(
         learners.METHODS, "coe", replace(learners.METHODS["coe"], state=counting_coe_state)
     )
     train_run(env, ds, cfg)
+    assert len(reads) == cfg.steps
     assert writes == [1] * cfg.steps
     assert len(policy_calls) == (cfg.steps if method == "coe" else 0)
+    # gciql's one sigmoid makes its value table (ValueTable.create).
+    assert len(sigmoids) == (1 if method == "gciql" else cfg.steps) + len(policy_calls)
 
 
 @pytest.mark.parametrize(

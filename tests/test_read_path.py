@@ -2,9 +2,12 @@
 policies through ``ValueTable.values_at``, and neither takes the full-table
 ``values()`` pass."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gclab import harness, learners
 from gclab.dataset import collect_dataset
 from gclab.env import build_grid_env
 from gclab.harness import (
@@ -24,6 +27,8 @@ from gclab.learners import (
 )
 from gclab.oracle import all_pairs_distances
 from gclab.policy import BehaviorPolicy, estimate_behavior_policy
+import reference_helpers as ref
+from env_helpers import random_graph_env
 
 STOCHASTIC_METHODS = ("trl", "mc", "td_n", "gciql", "sgt", "coe")
 
@@ -73,7 +78,7 @@ def test_apply_logit_updates_clips_touched_entries_only():
 
     flat = np.ravel_multi_index(idx, q.params.shape)
     assert (_flat(q.params.shape, *idx) == flat).all()
-    _apply_logit_updates(PolyakTarget(q), flat, grads, 1e3)
+    _apply_logit_updates(PolyakTarget(q), flat, q.params.reshape(-1)[flat], grads, 1e3)
     assert q.params.tobytes() == reference.tobytes()
     assert (q.params == LOGIT_CLAMP).any() and (q.params == -LOGIT_CLAMP).any()
     untouched = np.ones(q.params.shape, dtype=bool)
@@ -113,3 +118,50 @@ def test_training_and_eval_never_read_the_full_table(monkeypatch):
             report = evaluate_policy(env, q, beh, dist, tasks, spec, 0)
             assert len(report.tasks) == len(tasks)
         assert np.isfinite(spearman_to_oracle(q, dist))
+
+
+# Each learner's step and layout as they read before every step made one
+# read (mc's and coe's layouts are unchanged).
+SEPARATE_READS = {
+    "trl": (ref.trl_update_step_separate_reads, ref.trl_layout_separate_reads),
+    "mc": (ref.mc_update_step_separate_reads, learners._mc_layout),
+    "td_n": (ref.td_n_update_step_separate_reads, ref.td_layout_separate_reads),
+    "gciql": (ref.gciql_update_step_separate_reads, ref.gciql_layout_separate_reads),
+    "sgt": (ref.sgt_update_step_separate_reads, ref.sgt_layout_separate_reads),
+    "coe": (ref.coe_update_step_separate_reads, learners._coe_layout),
+}
+
+
+@pytest.mark.parametrize("env_kind", ["grid", "random_graph"])
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
+def test_one_read_per_step_keeps_the_bits_of_the_separate_reads(monkeypatch, method, env_kind):
+    """40 steps of train_run with the one-read steps and with the earlier
+    steps, which read each block in its own call and gather the written
+    entries again (tests/reference_helpers.py): the online table, the
+    target's lag and scale and the loss log are byte for byte the same."""
+    if env_kind == "grid":
+        env, beta = build_grid_env(5, 5), 1.0
+    else:  # no grid coordinates: coe's goal regularizer is off
+        env, beta = random_graph_env(12, 3, seed=4), 0.0
+    ds = collect_dataset(env, num_traj=20, T=16, seed=0)
+    cfg = LearnerConfig(
+        method=method, steps=40, log_every=7, learning_rate=0.5, kappa=0.9, tau_target=0.2,
+        batch_size=32, M_subgoals=4, n_step=3, beta_goal_reg=beta, seed=1,
+    )
+
+    def train():
+        built = []
+
+        def capture(q):
+            built.append(PolyakTarget(q))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "PolyakTarget", capture)
+        q, log = train_run(env, ds, cfg)
+        return q.params.tobytes(), built[0].lag.tobytes(), built[0].scale, log
+
+    one_read = train()
+    step, layout = SEPARATE_READS[method]
+    monkeypatch.setattr(learners, f"{method}_update_step", step)
+    monkeypatch.setitem(learners.METHODS, method, replace(learners.METHODS[method], layout=layout))
+    assert one_read == train()
