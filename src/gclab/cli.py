@@ -38,20 +38,15 @@ from .policy import estimate_behavior_policy
 def _add_env_flags(parser):
     parser.add_argument("--width", type=int, help="grid width")
     parser.add_argument("--height", type=int, help="grid height")
-    parser.add_argument("--walls", default="", help="walled cells as 'x,y;x,y'")
+    parser.add_argument("--walls", help="walled cells as 'x,y;x,y'")
     parser.add_argument("--env-file", help="plain-text transition-table file")
 
 
 def _env_from_args(args):
-    if args.env_file:
-        if args.width is not None or args.height is not None or args.walls:
-            raise ConfigError("--env-file takes no --width, --height or --walls")
-        spec = {"kind": "file", "path": args.env_file}
-    elif args.width is None or args.height is None:
-        raise ConfigError("provide --width/--height or --env-file")
-    else:
-        spec = {"kind": "grid", "width": args.width, "height": args.height, "walls": args.walls}
-    return build_env_from_spec(spec)
+    """The env flags as a sweep's ``env`` block, each given flag on its key."""
+    spec = {"kind": "grid"} if args.env_file is None else {"kind": "file", "path": args.env_file}
+    given = {key: getattr(args, key) for key in ("width", "height", "walls")}
+    return build_env_from_spec({**spec, **{k: v for k, v in given.items() if v is not None}})
 
 
 def _add_flags(parser, defaults: dict, required=()) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import ConfigError, GraphEnv, check_number, open_input
+from .env import ConfigError, GraphEnv, _shown, check_number, open_input
 
 
 @dataclass
@@ -204,7 +204,7 @@ def load_dataset(path: str, env: GraphEnv) -> TrajectoryDataset:
         try:
             num_traj, T = (int(tok) for tok in header.split(","))
         except ValueError as exc:
-            raise ConfigError(f"bad dataset header in {path}: {header!r}") from exc
+            raise ConfigError(f"bad dataset header in {path}: {_shown(header)}") from exc
         for field, value in (("num_traj", num_traj), ("T", T)):
             check_number(f"{path}: header field {field}", value, "int", _INTERVALS[field])
         states, actions = [], []

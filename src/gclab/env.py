@@ -61,6 +61,12 @@ def check_number(label: str, value, kind: str, interval=None) -> None:
             raise ConfigError(f"{label} must lie in {interval}, got {_shown(value)}")
 
 
+def check_choice(label: str, value, choices: tuple) -> None:
+    """Raise ConfigError naming ``label`` unless ``value`` is one of ``choices``."""
+    if value not in choices:  # a tuple: an unhashable value is no choice, not a TypeError
+        raise ConfigError(f"{label} must be one of {choices}, got {_shown(value)}")
+
+
 # The most entries, states * actions * states, of a goal-conditioned table:
 # 256 MB of float64. A run holds a few arrays of that size (the table and its
 # target's lag), so a 1-step trl sweep on a 2896-cell corridor, the longest
@@ -133,12 +139,13 @@ def parse_walls(spec) -> set[tuple[int, int]]:
     """Wall cells from ``'x,y;x,y'`` text or a list of ``[x, y]`` pairs of
     integers (never a bool, a string or an object).
 
-    Raises ConfigError naming the first malformed cell.
+    Raises ConfigError naming ``env.walls`` and the first malformed cell.
     """
     text = isinstance(spec, str)
     tokens = [t for t in spec.split(";") if t.strip()] if text else spec
     if not isinstance(tokens, (list, tuple)):
-        raise ConfigError(f"walls must be 'x,y;x,y' or a list of [x, y] pairs, got {spec!r}")
+        raise ConfigError(f"{_WALLS}walls must be 'x,y;x,y' or a list of [x, y] pairs, "
+                          f"got {_shown(spec)}")
     walls = set()
     for token in tokens:
         try:
@@ -149,13 +156,15 @@ def parse_walls(spec) -> set[tuple[int, int]]:
             else:
                 raise TypeError
         except (TypeError, ValueError):
-            raise ConfigError(f"bad wall cell {token!r}: expected two integers x,y") from None
+            raise ConfigError(f"{_WALLS}bad wall cell {_shown(token)}: expected two integers "
+                              "x,y") from None
         walls.add((x, y))
     return walls
 
 
 # The range of each grid dimension, and of its env.* row in harness._SETTINGS.
 _INTERVALS = {"width": "[1, inf)", "height": "[1, inf)"}
+_WALLS = "config key 'env.walls': "  # the start of every wall refusal, --walls's too
 
 
 def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = ()) -> GraphEnv:
@@ -169,10 +178,11 @@ def build_grid_env(width: int, height: int, walls: Iterable[tuple[int, int]] = (
     wall_set = set((int(x), int(y)) for x, y in walls)
     for x, y in wall_set:
         if not (0 <= x < width and 0 <= y < height):
-            raise ConfigError(f"wall cell {(x, y)} outside the {width}x{height} grid")
+            raise ConfigError(f"{_WALLS}wall cell {_shown((x, y))} outside the "
+                              f"{_shown(width)}x{_shown(height)} grid")
     num_states = width * height - len(wall_set)
     if not num_states:
-        raise ConfigError("all cells are walled; no states remain")
+        raise ConfigError(f"{_WALLS}all cells are walled; no states remain")
     _check_table_size("config keys 'env.width' and 'env.height'", num_states, len(_GRID_DELTAS))
 
     cells = [(x, y) for y in range(height) for x in range(width) if (x, y) not in wall_set]
@@ -212,7 +222,7 @@ def load_env(path: str) -> GraphEnv:
     try:
         num_states, num_actions = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
-        raise ConfigError(f"bad header in {path}: {lines[0]!r}") from exc
+        raise ConfigError(f"bad header in {path}: {_shown(lines[0])}") from exc
     _check_table_size(path, num_states, num_actions)
     if len(lines) - 1 != num_states:
         raise ConfigError(
@@ -223,7 +233,7 @@ def load_env(path: str) -> GraphEnv:
         try:
             row = [int(tok) for tok in line.split()]
         except ValueError:
-            raise ConfigError(f"{path}: row {s} is not integers: {line!r}") from None
+            raise ConfigError(f"{path}: row {s} is not integers: {_shown(line)}") from None
         if len(row) != num_actions:
             raise ConfigError(f"{path}: row {s} has {len(row)} entries, expected {num_actions}")
         rows.append(row)

@@ -26,7 +26,9 @@ from .dataset import TrajectoryDataset, collect_dataset, save_dataset
 from .env import (
     ConfigError,
     GraphEnv,
+    _shown,
     build_grid_env,
+    check_choice,
     check_number,
     load_env,
     open_input,
@@ -357,15 +359,15 @@ def check_setting(key: str, value) -> None:
     default, rule = _SETTINGS[key]
     entries = value if isinstance(default, list) else [value]
     if not isinstance(entries, list):
-        raise ConfigError(f"config key '{key}' must be a list, got {value!r}")
+        raise ConfigError(f"config key '{key}' must be a list, got {_shown(value)}")
     for entry in entries:
         if isinstance(rule, str):
             kind = "float" if isinstance(default, float) else "int"
             check_number(f"config key '{key}'", entry, kind, rule)
-        elif entry not in rule:
-            raise ConfigError(f"config key '{key}' must be one of {rule}, got {entry!r}")
+        else:
+            check_choice(f"config key '{key}'", entry, rule)
     if len(set(entries)) < len(entries):
-        raise ConfigError(f"config key '{key}' has a duplicate entry: {value!r}")
+        raise ConfigError(f"config key '{key}' has a duplicate entry: {_shown(value)}")
 
 
 def block_settings(block: str, spec) -> dict:
@@ -376,7 +378,7 @@ def block_settings(block: str, spec) -> dict:
     defaults = block_defaults(block)
     for key in spec:
         if key not in defaults:
-            raise ConfigError(f"unknown config key '{block}.{key}'")
+            raise ConfigError(f"unknown config key {_shown(f'{block}.{key}')}")
     settings = {**defaults, **spec}
     for key, value in settings.items():
         if key not in spec and value is None:
@@ -400,41 +402,24 @@ def _run_configs(config: dict, base: LearnerConfig) -> list[tuple[str, LearnerCo
 def validate_experiment_config(config: dict) -> dict:
     """Normalize a sweep config, naming the offending key on any problem.
 
-    Every setting is checked, and every run config built, before the sweep
-    writes anything; the rules that join a run to its environment and data
-    are :func:`check_run`'s.
+    Every setting is checked, and the environment (``_env``, by
+    :func:`build_env_from_spec`) and every run config (``_runs``) built, before
+    the sweep writes anything; the rules that join them are :func:`check_run`'s.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     for key in config:
         if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {_shown(key)}")
     top = block_defaults("")
     for key in ("out_dir", "env", "dataset", *(k for k, d in top.items() if d is _NON_EMPTY)):
         if key not in config:
             raise ConfigError(f"missing config key {key!r}")
     out_dir = config["out_dir"]
     if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"config key 'out_dir' must be a non-empty path, got {out_dir!r}")
+        raise ConfigError(f"config key 'out_dir' must be a non-empty path, got {_shown(out_dir)}")
 
-    env_spec = config["env"]
-    if not isinstance(env_spec, dict) or "kind" not in env_spec:
-        raise ConfigError("config key 'env' must be an object with a 'kind'")
-    kind = env_spec["kind"]
-    if kind not in ("grid", "file"):
-        raise ConfigError(f"config key 'env.kind' must be 'grid' or 'file', got {kind!r}")
-    for key in env_spec:
-        if key != "kind" and key not in _ENV_KEYS[kind]:
-            raise ConfigError(f"config key 'env.{key}' is not read by a {kind!r} environment")
-    if kind == "grid":
-        if "width" not in env_spec or "height" not in env_spec:
-            raise ConfigError("config keys 'env.width' and 'env.height' are required for grids")
-        check_setting("env.width", env_spec["width"])
-        check_setting("env.height", env_spec["height"])
-    elif not isinstance(env_spec.get("path"), str):
-        raise ConfigError("config key 'env.path' must be a file path string")
-
-    normalized = {**top, **config}
+    normalized = {**top, **config, "_env": build_env_from_spec(config["env"])}
     normalized["dataset"] = block_settings("dataset", config["dataset"])
     lists = [key for key, default in top.items() if isinstance(default, list)]
     for key in lists:
@@ -459,10 +444,24 @@ def validate_experiment_config(config: dict) -> dict:
 
 
 def build_env_from_spec(env_spec: dict) -> GraphEnv:
-    if env_spec["kind"] == "grid":
-        walls = parse_walls(env_spec.get("walls", []))
-        return build_grid_env(env_spec["width"], env_spec["height"], walls)
-    return load_env(env_spec["path"])
+    """The environment of a sweep config's ``env`` block, or of the env flags of
+    ``gclab gen``, ``train`` and ``eval``; a ConfigError names the bad ``env.*`` key."""
+    if not isinstance(env_spec, dict) or "kind" not in env_spec:
+        raise ConfigError("config key 'env' must be an object with a 'kind'")
+    kind = env_spec["kind"]
+    check_choice("config key 'env.kind'", kind, tuple(_ENV_KEYS))
+    for key in env_spec:
+        if key != "kind" and key not in _ENV_KEYS[kind]:
+            raise ConfigError(f"config key {_shown(f'env.{key}')} is not read by a {kind!r} "
+                              "environment")
+    if kind == "file":
+        if not isinstance(env_spec.get("path"), str):
+            raise ConfigError("config key 'env.path' must be a file path string")
+        return load_env(env_spec["path"])
+    if "width" not in env_spec or "height" not in env_spec:
+        raise ConfigError("config keys 'env.width' and 'env.height' are required for grids")
+    walls = parse_walls(env_spec.get("walls", []))
+    return build_grid_env(env_spec["width"], env_spec["height"], walls)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +569,7 @@ def _read_eval_csv(path: str) -> list[tuple[str, float, float]]:
                 raise ConfigError(f"{path}: line {line_no} has {len(values)} fields, "
                                   f"the header {len(header)}")
             if values[task] in first_line:
-                raise ConfigError(f"{path}: line {line_no} repeats task_id {values[task]!r} "
+                raise ConfigError(f"{path}: line {line_no} repeats task_id {_shown(values[task])} "
                                   f"of line {first_line[values[task]]}")
             first_line[values[task]] = line_no
             try:
@@ -642,8 +641,7 @@ def run_experiment(config_or_path) -> int:
     else:
         config = config_or_path
     config = validate_experiment_config(config)
-
-    env = build_env_from_spec(config["env"])
+    env = config["_env"]
     ds = collect_dataset(env, **config["dataset"])
     for _, cfg in config["_runs"]:
         check_run(env, ds, cfg)

@@ -30,7 +30,7 @@ from .dataset import (
     sample_relabeled_goal_batch,
     sample_triplet_batch,
 )
-from .env import ConfigError, GraphEnv, adjacency_matrix, check_number, open_input
+from .env import ConfigError, GraphEnv, adjacency_matrix, check_choice, check_number, open_input
 from .oracle import GAMMA_INTERVAL, UNREACHABLE, implied_distances, optimal_value_table
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
@@ -76,8 +76,7 @@ class ValueTable:
     space: str = "logit"
 
     def __post_init__(self):
-        if self.space not in ("logit", "value"):
-            raise ConfigError(f"unknown table space {self.space!r}")
+        check_choice("table space", self.space, ("logit", "value"))
         check_number("gamma", self.gamma, "float", interval=_INTERVALS["gamma"])
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         if self.params.ndim != 3:
@@ -210,9 +209,7 @@ class LearnerConfig:
             if f.type in ("int", "float"):
                 check_number(f"config key 'learner.{f.name}'", getattr(self, f.name), f.type,
                              interval=_INTERVALS[f.name])
-        if self.method not in tuple(METHODS):  # a tuple: an unhashable value is no method
-            raise ConfigError(f"config key 'learner.method' must be one of {tuple(METHODS)}, "
-                              f"got {self.method!r}")
+        check_choice("config key 'learner.method'", self.method, tuple(METHODS))
         if self.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
             check_number(f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method "
                          f"{self.method!r}: candidates per draw {CHUNK_STEPS} * batch_size * "
@@ -873,8 +870,7 @@ def load_table(path: str) -> ValueTable:
         s, a, g, flag = (int(x) for x in np.frombuffer(head[:32], dtype=np.int64))
         for field, dim in (("states", s), ("actions", a), ("goals", g)):
             check_number(f"{path}: header field {field}", dim, "int", "[1, inf)")
-        if flag not in _SPACE_FLAGS:
-            raise ConfigError(f"{path}: header field space flag must be 0 or 1, got {flag}")
+        check_choice(f"{path}: header field space flag", flag, tuple(_SPACE_FLAGS))
         gamma = float(np.frombuffer(head[32:], dtype=np.float64)[0])
         check_number(f"{path}: header field gamma", gamma, "float", _INTERVALS["gamma"])
         body = fh.read()

@@ -12,7 +12,7 @@ from gclab import analysis, learners
 from gclab.cli import main
 from gclab.dataset import collect_dataset, load_dataset
 from gclab.env import ConfigError, build_grid_env, load_env
-from gclab.harness import _SETTINGS
+from gclab.harness import _SETTINGS, build_env_from_spec
 from gclab.learners import LearnerConfig, ValueTable, load_table, save_table
 from gclab.oracle import optimal_value_table, oracle_q_table
 from env_helpers import random_graph_env, save_env, star_env
@@ -98,7 +98,10 @@ _EVAL_CSV = "task_id,success_rate,episodes,spearman\n0,1.0,15,0.5\n1,0.0,15,0.5\
     (_EVAL_CSV.encode() + b"\xff\n", "is not a text file"),
     (_EVAL_CSV.encode() + b"2,1.0,15\n", "line 4 has 3 fields, the header 4"),
     (_EVAL_CSV.encode() + b"0,0.0,15,0.5\n", "line 4 repeats task_id '0' of line 2"),
-], ids=["no_spearman_column", "not_a_number", "not_utf8", "short_row", "repeated_task"])
+    (_EVAL_CSV.encode() + b"t" * 300 + b",1.0,15,0.5\n" + b"t" * 300 + b",0.0,15,0.5\n",
+     "line 5 repeats task_id 'ttttttttttttttttttttttttttttttt... (302 characters) of line 4"),
+], ids=["no_spearman_column", "not_a_number", "not_utf8", "short_row", "repeated_task",
+        "long_repeated_task"])
 def test_report_bad_eval_csv_exit_code(tmp_path, capsys, text, problem):
     """`gclab report` exits 2 naming a run's eval.csv that it cannot read,
     and writes no summary.csv."""
@@ -182,6 +185,7 @@ def test_env_file_flag(tmp_path):
 )
 def test_env_file_with_grid_flags_exit_code(tmp_path, capsys, command, grid_flag):
     """--env-file names the whole environment, so a grid flag beside it exits 2
+    naming the flag's env.* key, as a sweep's file env with that key does,
     before anything is read or written."""
     env_path = tmp_path / "env.txt"
     env_path.write_text("3 1\n1\n2\n2\n")
@@ -192,7 +196,8 @@ def test_env_file_with_grid_flags_exit_code(tmp_path, capsys, command, grid_flag
         "eval": ["--table", "table.bin", "--out", str(out)],
     }[command]
     assert run_cli(command, "--env-file", str(env_path), *grid_flag, *rest) == 2
-    assert "--env-file takes no --width, --height or --walls" in capsys.readouterr().err
+    message = f"config key 'env.{grid_flag[0][2:]}' is not read by a 'file' environment"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -208,15 +213,19 @@ def test_env_file_bad_row_exit_code(tmp_path, capsys):
     assert "config error" in err and str(env_path) in err and "row 1" in err
 
 
-@pytest.mark.parametrize("walls", ["1", "a,b", "1,2,3", "1,1;2"])
-def test_gen_bad_walls_exit_code(tmp_path, capsys, walls):
+@pytest.mark.parametrize("walls, problem", [
+    ("1", "bad wall cell"), ("a,b", "bad wall cell"), ("1,2,3", "bad wall cell"),
+    ("1,1;2", "bad wall cell"), ("9,9", "wall cell (9, 9) outside the 4x4 grid"),
+], ids=["1", "a,b", "1,2,3", "1,1;2", "9,9"])
+def test_gen_bad_walls_exit_code(tmp_path, capsys, walls, problem):
     code = run_cli(
         "gen", "--width", "4", "--height", "4", "--walls", walls, "--num-traj", "2",
         "--T", "4", "--seed", "0", "--out", str(tmp_path / "ds.csv"),
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "bad wall cell" in err
+    assert err.startswith("config error: config key 'env.walls': ") and problem in err
+    assert not (tmp_path / "ds.csv").exists()
 
 
 def test_gen_walls_flag(tmp_path, capsys):
@@ -229,7 +238,8 @@ def test_gen_walls_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("walls", [[[1]], [["a", "b"]], [[1, 1.5]], [1, 2], 7, [[1, True]],
-                                   [{"1": 0, "2": 0}], [["1", "2"]], ["1,2"]])
+                                   [{"1": 0, "2": 0}], [["1", "2"]], ["1,2"], [[9, 9]],
+                                   [[x, y] for x in range(4) for y in range(4)]])
 def test_sweep_bad_walls_exit_code(tmp_path, capsys, walls):
     config = {
         "out_dir": str(tmp_path / "exp"),
@@ -241,7 +251,7 @@ def test_sweep_bad_walls_exit_code(tmp_path, capsys, walls):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert run_cli("sweep", "--config", str(cfg_path)) == 2
-    assert "wall" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("config error: config key 'env.walls': ")
     assert not (tmp_path / "exp").exists()
 
 
@@ -303,6 +313,40 @@ def test_an_env_or_dataset_refusal_reads_the_same_from_every_front_end(tmp_path,
         assert run_cli(*command) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "exp").exists() and not (tmp_path / "ds.csv").exists()
+
+
+# An env spec that build_env_from_spec refuses, the env flags of `gclab gen`,
+# `train` and `eval` that map onto it, and the refusal every front end gives.
+_ENV_REFUSALS = {
+    "grid_key_beside_file": ({"kind": "file", "path": "env.txt", "width": 3},
+                             ["--env-file", "env.txt", "--width", "3"],
+                             "config key 'env.width' is not read by a 'file' environment"),
+    "missing_grid_dimension": ({"kind": "grid", "width": 3}, ["--width", "3"],
+                               "config keys 'env.width' and 'env.height' are required for grids"),
+    "bad_wall": ({"kind": "grid", "width": 3, "height": 1, "walls": "a,b"},
+                 ["--width", "3", "--height", "1", "--walls", "a,b"],
+                 "config key 'env.walls': bad wall cell 'a,b': expected two integers x,y"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENV_REFUSALS))
+def test_an_env_refusal_reads_the_same_from_every_front_end(tmp_path, capsys, monkeypatch, case):
+    """build_env_from_spec, a sweep config's env block and the env flags of
+    `gclab gen`, `train` and `eval` refuse one environment with one stderr
+    line, exit 2 and write nothing."""
+    spec, flags, message = _ENV_REFUSALS[case]
+    monkeypatch.chdir(tmp_path)  # "env.txt": a three-state chain
+    (tmp_path / "env.txt").write_text("3 1\n1\n2\n2\n")
+    assert _refusal(build_env_from_spec, spec) == message
+    (tmp_path / "cfg.json").write_text(json.dumps({**_sweep_config(tmp_path), "env": spec}))
+    for argv in (["sweep", "--config", "cfg.json"],
+                 ["gen", *flags, "--num-traj", "2", "--T", "4", "--seed", "0", "--out", "out"],
+                 ["train", *flags, "--dataset", "ds.csv", "--method", "mc", "--seed", "0",
+                  "--out-dir", "out"],
+                 ["eval", *flags, "--table", "table.bin", "--out", "out"]):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "env.txt"]
 
 
 @pytest.mark.parametrize("header, field, value", [("0,4", "num_traj", 0), ("2,0", "T", 0)])
@@ -662,6 +706,11 @@ def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+_LONG, _LONG_SHOWN = "x" * 5000, "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (5002 characters)"
+_METHOD, _METHOD_SHOWN = "m" * 300, "'mmmmmmmmmmmmmmmmmmmmmmmmmmmmmmm... (302 characters)"
+_ONE_OF_METHODS = "must be one of ('trl', 'mc', 'td_n', 'gciql', 'sgt', 'coe', 'exact'), got "
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [({"learner": {"learning_rate": 10**400}},
@@ -672,16 +721,48 @@ def test_sweep_config_integer_past_the_digit_limit_exit_code(tmp_path, capsys):
       "0000000000000... (401 characters)"),
      ({"eval": {"episodes": "x" * 500}},
       "config key 'eval.episodes' must be an integer, got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
-      "... (502 characters)")],
-    ids=["learning_rate", "max_steps_factor", "episodes"],
+      "... (502 characters)"),
+     ({_LONG: 1}, f"unknown config key {_LONG_SHOWN}"),
+     ({"learner": {_LONG: 1}},
+      "unknown config key 'learner.xxxxxxxxxxxxxxxxxxxxxxx... (5010 characters)"),
+     ({"methods": _LONG}, f"config key 'methods' must be a list, got {_LONG_SHOWN}"),
+     ({"methods": ["mc"] * 1000},
+      "config key 'methods' has a duplicate entry: ['mc', 'mc', 'mc', 'mc', 'mc', '"
+      "... (6000 characters)"),
+     ({"out_dir": [1] * 2000},
+      "config key 'out_dir' must be a non-empty path, got [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1"
+      "... (6000 characters)"),
+     ({"env": {"kind": "grid", "width": 4, "height": 1, "walls": _LONG}},
+      f"config key 'env.walls': bad wall cell {_LONG_SHOWN}: expected two integers x,y"),
+     ({"env": {"kind": "file", "path": "long.txt"}},
+      f"long.txt: row 0 is not integers: {_LONG_SHOWN}"),
+     ({"methods": [_METHOD]}, f"config key 'methods' {_ONE_OF_METHODS}{_METHOD_SHOWN}"),
+     ({"learner": {"method": _METHOD}},
+      f"config key 'learner.method' {_ONE_OF_METHODS}{_METHOD_SHOWN}"),
+     ({"eval": {"extraction": _METHOD}},
+      f"config key 'eval.extraction' must be one of ('greedy', 'rejection'), got {_METHOD_SHOWN}"),
+     ({"env": {"kind": _METHOD}},
+      f"config key 'env.kind' must be one of ('grid', 'file'), got {_METHOD_SHOWN}"),
+     (["train", "--width", "3", "--height", "1", "--method", _METHOD, "--seed", "0",
+       "--out-dir", "exp"], f"config key 'learner.method' {_ONE_OF_METHODS}{_METHOD_SHOWN}")],
+    ids=["learning_rate", "max_steps_factor", "episodes", "unknown_key", "unknown_learner_key",
+         "methods_not_a_list", "duplicate_entry", "out_dir_list", "walls_string", "env_file_row",
+         "methods_entry", "learner_method", "extraction", "env_kind", "train_method_flag"],
 )
-def test_a_long_refused_value_is_shortened(tmp_path, capsys, overrides, message):
+def test_a_long_refused_value_is_shortened(tmp_path, capsys, monkeypatch, overrides, message):
     """The message keeps the key and the bound and shows the value's start
-    and length, not all of its digits."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
-    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    and length, not all of it, from a sweep config (a dict of overrides) and
+    from a command's flags (a list) alike."""
+    monkeypatch.chdir(tmp_path)  # a file env's "long.txt": a row of 5000 characters
+    (tmp_path / "long.txt").write_text(f"1 1\n{_LONG}\n")
+    if isinstance(overrides, list):
+        assert run_cli(*overrides) == 2
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**_sweep_config(tmp_path), **overrides}))
+        assert run_cli("sweep", "--config", str(cfg_path)) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "exp").exists()
 
 
 @pytest.mark.parametrize(
