@@ -175,14 +175,14 @@ def select_tasks(d: np.ndarray, num_tasks: int, min_distance: int = 1) -> list[t
     return [divmod(int(pair), d.shape[1]) for pair in pairs]
 
 
-def _rollout(env, act, start, goal, max_steps) -> bool:
-    """Whether following ``act(s, goal)`` from ``start`` hits ``goal``
-    within ``max_steps`` steps."""
+def _rollout(step, start, goal, max_steps) -> bool:
+    """Whether the walk s -> step(s) from ``start`` hits ``goal`` within
+    ``max_steps`` steps."""
     s = start
     if s == goal:
         return True
     for _ in range(max_steps):
-        s = int(env.transition[s, act(s, goal)])
+        s = step(s)
         if s == goal:
             return True
     return False
@@ -277,25 +277,34 @@ def evaluate_policy(env, q, beh, dist, tasks, eval_spec: dict, seed: int) -> Eva
     The env and the greedy policy are deterministic, so a greedy task is
     rolled out once and that rollout decides every episode, and its budget
     is at most S - 1 steps: a greedy walk that has not hit its goal by then
-    has revisited a state, so it never will. Rejection sampling rolls out
-    every episode, drawing from rng [seed, 2025]."""
+    has revisited a state, so it never will. A greedy task asks the table
+    once: one ``greedy_action_batch`` call over all S states toward its goal
+    gives the successor column nxt[s] = transition[s, greedy action], which
+    the rollout walks in Python. Rejection sampling rolls out every
+    episode, drawing each step's action from rng [seed, 2025]."""
     episodes = eval_spec["episodes"]
     if eval_spec["extraction"] == "greedy":
         rollouts, longest = 1, env.num_states - 1
+        states = np.arange(env.num_states)
 
-        def act(s, goal):
-            return int(greedy_action_batch(q, np.array([s]), np.array([goal]))[0])
+        def successor(goal):
+            actions = greedy_action_batch(q, states, np.full_like(states, goal))
+            return env.transition[states, actions].tolist().__getitem__
 
     else:
         rollouts, longest, rng = episodes, float("inf"), np.random.default_rng([seed, 2025])
 
-        def act(s, goal):
-            return rejection_sample_action(q, beh, s, goal, eval_spec["rejection_n"], rng)
+        def successor(goal):
+            def step(s):
+                a = rejection_sample_action(q, beh, s, goal, eval_spec["rejection_n"], rng)
+                return int(env.transition[s, a])
+            return step
 
     rows = []
     for task_id, (start, goal) in enumerate(tasks):
         budget = min(max(1, eval_spec["max_steps_factor"] * int(dist[start, goal])), longest)
-        wins = sum(_rollout(env, act, start, goal, budget) for _ in range(rollouts))
+        step = successor(goal)
+        wins = sum(_rollout(step, start, goal, budget) for _ in range(rollouts))
         rows.append({"task_id": task_id, "start": start, "goal": goal,
                      "success_rate": wins / rollouts, "episodes": episodes})
     return EvalReport(rows, spearman_to_oracle(q, dist))

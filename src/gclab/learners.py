@@ -44,13 +44,14 @@ _INIT_LOGIT = -3.0  # ValueTable.create's logit for every entry
 _MIN_TARGET_SCALE = 1e-100
 
 
-@np.errstate(over="ignore")  # exp(-x) is inf below x = -709.78; 1 / inf is the exact 0
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) elementwise, into a new array.
 
     ``x`` is a float64 array, not a scalar, and may be a view of a table
     (``values_at`` with basic indices), so the negation makes the array
-    that exp, + 1 and the reciprocal then overwrite.
+    that exp, + 1 and the reciprocal then overwrite. Below x = -709.78,
+    exp(-x) overflows under the caller's errstate; :func:`_as_values` is
+    the guarded table read.
     """
     z = np.negative(x)
     np.exp(z, out=z)
@@ -58,7 +59,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(z, out=z)
 
 
+@np.errstate(over="ignore")  # exp(-x) is inf below x = -709.78; 1 / inf is the exact 0
 def _as_values(params: np.ndarray, space: str) -> np.ndarray:
+    """The values of a table's ``params``: a logit table's through the
+    sigmoid, which reads 0 with no warning where exp(-x) overflows, as a
+    table loaded from a file may hold any logit."""
     return _sigmoid(params) if space == "logit" else params
 
 
@@ -93,7 +98,7 @@ class ValueTable:
         """Pessimistic initialization: logit _INIT_LOGIT puts Q near 0.047."""
         params = np.full((num_states, num_actions, num_states), _INIT_LOGIT)
         if space == "value":  # the value that logit reads as
-            params = _sigmoid(params)
+            params = _as_values(params, "logit")
         return cls(params, gamma, space)
 
     def values(self) -> np.ndarray:
@@ -134,11 +139,18 @@ class PolyakTarget:
         values of a value table) and their values, after one gather, one
         ``scale * lag`` add on the target entries and one sigmoid, as
         ``ValueTable.values_at`` reads. The online logits are the ``before``
-        of the step's :func:`_apply_logit_updates` call."""
+        of the step's :func:`_apply_logit_updates` call; the values are the
+        step's own scratch.
+
+        The sigmoid runs under the training run's errstate, with no guard of
+        its own: every online logit starts at _INIT_LOGIT and is clipped to
+        LOGIT_CLAMP on every write, and a target logit is a Polyak mix of
+        online ones, so exp(-x) stays far from overflow. A read that did
+        overflow would raise, and the run would be refused at that step."""
         logits = self.online.params.reshape(-1)[flat]
         if online < len(flat):
             logits[online:] += self.scale * self.lag.reshape(-1)[flat[online:]]
-        return logits, _as_values(logits, self.online.space)
+        return logits, (_sigmoid(logits) if self.online.space == "logit" else logits)
 
 
 # Steps per draw. A run draws whole chunks only, so its random stream does
@@ -422,8 +434,8 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     """
     reads = batch["reads"]  # (s_i, a_i, s_j), then the halves (s_i, a_i, s_k), (s_k, a_k, s_j)
     logits, values = target.read(reads, 1)
-    pred = values[0]
-    f1, f2 = np.where(batch["is_base"], batch["base"], values[1:])
+    pred, f1, f2 = values
+    np.putmask(values[1:], batch["is_base"], batch["base"])  # the read's scratch: f1, f2 too
     y = f1 * f2
     w = expectile_weight(pred, y, cfg.kappa)
     if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
@@ -453,13 +465,16 @@ def mc_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig)
 
 def td_n_compute_targets(boot: np.ndarray, batch: dict) -> np.ndarray:
     """n-step bootstrap target gamma^n_eff * Qbar(s_{i+n_eff}, a_{i+n_eff}, g),
-    from the target values ``boot`` read at the batch's bootstrap entries.
+    from the target values ``boot`` read at the batch's bootstrap entries,
+    written into ``boot`` and returned.
 
     n_eff = min(n, j - i); when the unclipped n would overshoot j the
     bootstrap factor is replaced by 1, so the boundary target is exactly
     gamma^(j-i).
     """
-    return batch["discount"] * np.where(batch["clipped"], 1.0, boot)
+    np.putmask(boot, batch["clipped"], 1.0)
+    boot *= batch["discount"]
+    return boot
 
 
 def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig):
@@ -469,7 +484,11 @@ def td_n_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfi
     logits, (pred0, pred1, boot) = target.read(reads, 2)
     y = td_n_compute_targets(boot, batch)
     weight = expectile_weight(pred1, y, cfg.kappa)
-    grads = np.concatenate((pred0 - 1.0, weight * (pred1 - y)))
+    n = y.size
+    grads = np.empty(2 * n)  # the anchor block, then the goal block
+    np.subtract(pred0, 1.0, out=grads[:n])
+    goal_grads = np.subtract(pred1, y, out=grads[n:])
+    goal_grads *= weight
     _apply_logit_updates(
         target, reads[:2].reshape(-1), logits[:2].reshape(-1), grads, cfg.learning_rate
     )
@@ -612,22 +631,31 @@ def target_sync(target: PolyakTarget, tau: float) -> None:
 # arrays into what the step reads: flat table indices and every factor that
 # depends on the data alone, for any leading shape.
 
-def _states_at(ds: TrajectoryDataset, traj, t):
-    return ds.states.reshape(-1)[traj * (ds.horizon + 1) + t]
+def _traj_offsets(ds: TrajectoryDataset, traj):
+    """The flat offsets of the trajectories ``traj`` in ``ds.states`` and
+    ``ds.actions``, (traj * (T + 1), traj * T). A draw forms them once per
+    array of trajectories and reads every state and action of those
+    trajectories through them (:func:`_states_at`, :func:`_actions_at`)."""
+    return traj * (ds.horizon + 1), traj * ds.horizon
 
 
-def _actions_at(ds: TrajectoryDataset, traj, t):
-    return ds.actions.reshape(-1)[traj * ds.horizon + t]
+def _states_at(ds: TrajectoryDataset, state_offsets, t):
+    return ds.states.reshape(-1)[state_offsets + t]
+
+
+def _actions_at(ds: TrajectoryDataset, action_offsets, t):
+    return ds.actions.reshape(-1)[action_offsets + t]
 
 
 def _trl_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     traj, i, j, k = sample_triplet_batch(ds, (CHUNK_STEPS, cfg.batch_size), rng)
+    s0, a0 = _traj_offsets(ds, traj)
     return {
-        "s_i": _states_at(ds, traj, i),
-        "a_i": _actions_at(ds, traj, i),
-        "s_j": _states_at(ds, traj, j),
-        "s_k": _states_at(ds, traj, k),
-        "a_k": _actions_at(ds, traj, k),
+        "s_i": _states_at(ds, s0, i),
+        "a_i": _actions_at(ds, a0, i),
+        "s_j": _states_at(ds, s0, j),
+        "s_k": _states_at(ds, s0, k),
+        "a_k": _actions_at(ds, a0, k),
         "gap_ik": k - i,
         "gap_kj": j - k,
     }
@@ -637,7 +665,8 @@ def _trl_layout(shape, cfg, s_i, a_i, s_j, s_k, a_k, gap_ik, gap_kj) -> dict:
     """``reads`` holds the online entry (s_i, a_i, s_j), then the target
     halves (s_i, a_i, s_k) and (s_k, a_k, s_j)."""
     gaps = np.stack((gap_ik, gap_kj), axis=-2)
-    reads = (_flat(shape, s_i, a_i, s_j), _flat(shape, s_i, a_i, s_k), _flat(shape, s_k, a_k, s_j))
+    sa = _flat(shape, s_i, a_i, 0)
+    reads = (sa + s_j, sa + s_k, _flat(shape, s_k, a_k, s_j))
     return {
         "reads": np.stack(reads, axis=-2),
         "is_base": gaps <= 1,
@@ -649,10 +678,11 @@ def _mc_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     size = (CHUNK_STEPS, cfg.batch_size)
     traj = rng.integers(0, ds.num_traj, size=size)
     i, j = sample_index_pairs(ds.horizon, size, rng, allow_equal=True)
+    s0, a0 = _traj_offsets(ds, traj)
     return {
-        "s_i": _states_at(ds, traj, i),
-        "a_i": _actions_at(ds, traj, i),
-        "s_j": _states_at(ds, traj, j),
+        "s_i": _states_at(ds, s0, i),
+        "a_i": _actions_at(ds, a0, i),
+        "s_j": _states_at(ds, s0, j),
         "gap": j - i,
     }
 
@@ -668,12 +698,13 @@ def _td_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     gap = j - i
     n_eff = np.minimum(cfg.n_step, gap)
     b = i + n_eff
+    s0, a0 = _traj_offsets(ds, traj)
     return {
-        "s_i": _states_at(ds, traj, i),
-        "a_i": _actions_at(ds, traj, i),
-        "g": _states_at(ds, traj, j),
-        "s_b": _states_at(ds, traj, b),
-        "a_b": _actions_at(ds, traj, b),
+        "s_i": _states_at(ds, s0, i),
+        "a_i": _actions_at(ds, a0, i),
+        "g": _states_at(ds, s0, j),
+        "s_b": _states_at(ds, s0, b),
+        "a_b": _actions_at(ds, a0, b),
         "n_eff": n_eff,
         "clipped": cfg.n_step > gap,
     }
@@ -682,7 +713,8 @@ def _td_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 def _td_layout(shape, cfg, s_i, a_i, g, s_b, a_b, n_eff, clipped) -> dict:
     """``reads`` holds the online anchor (s_i, a_i, s_i) and goal
     (s_i, a_i, g) entries, then the target's bootstrap (s_b, a_b, g)."""
-    reads = (_flat(shape, s_i, a_i, s_i), _flat(shape, s_i, a_i, g), _flat(shape, s_b, a_b, g))
+    sa = _flat(shape, s_i, a_i, 0)
+    reads = (sa + s_i, sa + g, _flat(shape, s_b, a_b, g))
     return {
         "reads": np.stack(reads, axis=-2),
         "discount": optimal_value_table(n_eff, cfg.gamma),
@@ -695,10 +727,11 @@ def _transition_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     traj = rng.integers(0, ds.num_traj, size=size)
     t = rng.integers(0, ds.horizon, size=size)
     goals = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
+    s0, a0 = _traj_offsets(ds, traj)
     return {
-        "s": _states_at(ds, traj, t),
-        "a": _actions_at(ds, traj, t),
-        "s2": _states_at(ds, traj, t + 1),
+        "s": _states_at(ds, s0, t),
+        "a": _actions_at(ds, a0, t),
+        "s2": _states_at(ds, s0, t + 1),
         "g": goals,
     }
 
@@ -723,8 +756,11 @@ def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     size = (CHUNK_STEPS, cfg.batch_size, cfg.M_subgoals)
     traj = rng.integers(0, ds.num_traj, size=size)
     t = rng.integers(0, ds.horizon, size=size)
-    draw["w_states"] = _states_at(ds, traj, t)
-    draw["w_actions"] = _actions_at(ds, traj, t)
+    # Each candidate's trajectory is read once per array, so 2-D indexing,
+    # which forms no offset array, is the cheaper read here: at M times the
+    # entries of a transition draw it saves time and two arrays of peak memory.
+    draw["w_states"] = ds.states[traj, t]
+    draw["w_actions"] = ds.actions[traj, t]
     return draw
 
 

@@ -336,6 +336,57 @@ def test_greedy_budget_stops_at_S_minus_1(small_world):
     assert outcomes == {0.0, 1.0}
 
 
+def greedy_eval_tables(shape):
+    """Random logits; integer logits, whose rows tie; and logits with NaN
+    rows, whole and partial."""
+    rng = np.random.default_rng(5)
+    tied = rng.integers(0, 2, shape).astype(np.float64)
+    nan = rng.normal(0.0, 3.0, shape)
+    nan[np.broadcast_to(rng.random((shape[0], 1, shape[2])) < 0.3, shape)] = np.nan  # whole rows
+    nan[rng.random(shape) < 0.1] = np.nan  # single entries
+    return [ValueTable(rng.normal(0.0, 3.0, shape), 0.9), ValueTable(tied, 0.9), ValueTable(nan, 0.9)]
+
+
+@pytest.mark.parametrize("env", [
+    build_grid_env(5, 4, walls=[(1, 1), (2, 1), (3, 2), (1, 3)]),
+    random_graph_env(20, 3, seed=4),
+], ids=["walled_grid", "random_graph"])
+def test_greedy_eval_by_successor_column_equals_stepwise_rollout(env, monkeypatch):
+    """Every greedy eval row equals the walk that asks greedy_action_batch
+    one state per step (greedy_walk), on tied and NaN rows, at budgets 1 (factor 1 at
+    distance 0 or 1) and S - 1 (the largest factor), start == goal tasks
+    included; the eval makes exactly one greedy_action_batch call per task."""
+    dist = all_pairs_distances(env)
+    tasks = select_tasks(dist, 60, min_distance=0)
+    assert any(start == goal for start, goal in tasks)
+    calls = []
+
+    def counting_greedy(q, states, goals):
+        calls.append(1)
+        return greedy_action_batch(q, states, goals)
+
+    monkeypatch.setattr(harness, "greedy_action_batch", counting_greedy)
+    largest = int(_SETTINGS["eval.max_steps_factor"][1][:-1].split(",")[1])
+    budgets, outcomes = set(), set()
+    for q in greedy_eval_tables((env.num_states, env.num_actions, env.num_states)):
+        for factor in (1, 2, largest):
+            spec = block_settings("eval", {"max_steps_factor": factor, "episodes": 3})
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = evaluate_policy(env, q, None, dist, tasks, spec, 0)
+            assert len(calls) == len(tasks)
+            for row, (start, goal) in zip(report.tasks, tasks):
+                budget = min(max(1, factor * int(dist[start, goal])), env.num_states - 1)
+                want = float(goal in greedy_walk(env, q, start, goal)[: budget + 1])
+                assert (row["start"], row["goal"], row["episodes"]) == (start, goal, 3)
+                assert row["success_rate"] == want
+                budgets.add(budget)
+                outcomes.add(want)
+    assert {1, env.num_states - 1} <= budgets
+    assert outcomes == {0.0, 1.0}
+
+
 def test_spearman_penalizes_scrambled_values(small_world):
     env, _ = small_world
     q = oracle_table(env)

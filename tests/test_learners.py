@@ -12,10 +12,18 @@ from scipy.special import expit, logit
 
 from gclab import harness, learners
 from gclab.cli import main
-from gclab.dataset import collect_dataset
+from gclab.dataset import (
+    collect_dataset,
+    sample_flat_states,
+    sample_index_pairs,
+    sample_relabeled_goal_batch,
+    sample_triplet_batch,
+)
 from gclab.env import MAX_TABLE_ENTRIES, ConfigError, GraphEnv, build_grid_env
 from gclab.harness import check_run, train_run
 from gclab.learners import (
+    _MIN_TARGET_SCALE,
+    CHUNK_STEPS,
     LOGIT_CLAMP,
     LearnerConfig,
     PolyakTarget,
@@ -84,14 +92,65 @@ def test_sigmoid_within_one_ulp_of_scipy_expit():
 
 
 def test_sigmoid_exact_at_the_edges_without_a_warning():
+    """A table read (values_at) holds the overflow guard; the bare sigmoid
+    of a training read runs under the run's errstate."""
     x = np.array([0.0, -0.0, 30.0, -30.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _sigmoid(x)
+        got = ValueTable(x.reshape(1, 1, -1), 0.9).values_at((0, 0))
     want = expit(x)
     assert got[:-1].tobytes() == want[:-1].tobytes()
     assert list(got[:-1]) == [0.5, 0.5, want[2], want[3], 1.0, 0.0, 1.0, 0.0]
     assert np.isnan(got[-1])
+
+
+def test_training_read_cannot_overflow_and_the_table_read_keeps_its_guard():
+    """Online and target logits at +-LOGIT_CLAMP, a target folded below
+    _MIN_TARGET_SCALE among them: the training read's bare sigmoid raises
+    nothing under the run's errstate and gives values_at's bits. values_at
+    still reads logits of +-800 as exactly 1 and 0, with no warning."""
+    env = build_grid_env(3, 3)
+    shape = (env.num_states, env.num_actions, env.num_states)
+    edges = np.where(np.random.default_rng(0).random(shape) < 0.5, -LOGIT_CLAMP, LOGIT_CLAMP)
+    q = ValueTable(edges.copy(), 0.9)
+    target = PolyakTarget(q)
+    flat = np.arange(q.params.size)
+    # Move every online entry to the other end of the clamp, then sync until
+    # the scale folds: each target entry stays a Polyak mix of clamped logits.
+    grads = (edges / LOGIT_CLAMP) * 4 * LOGIT_CLAMP
+    _apply_logit_updates(target, flat, edges.reshape(-1).copy(), grads.reshape(-1), 1.0)
+    assert np.abs(q.params).max() == LOGIT_CLAMP
+    target_sync(target, 0.7)
+    syncs = 1
+    while target.scale != 1.0:  # until the scale falls below _MIN_TARGET_SCALE and folds
+        target_sync(target, 0.7)
+        syncs += 1
+    assert 0.3**syncs < _MIN_TARGET_SCALE and target.scale == 1.0
+    for _ in range(3):
+        target_sync(target, 0.7)
+    assert np.abs(target_params(target)).max() <= LOGIT_CLAMP + 1e-12
+    reads = np.concatenate((flat, flat))
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        logits, values = target.read(reads, flat.size)
+    want = ValueTable(logits.reshape(-1, *shape[1:]), 0.9).values_at(...)
+    assert values.tobytes() == want.tobytes()
+    loaded = ValueTable(np.array([800.0, -800.0]).reshape(1, 1, 2), 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert list(loaded.values_at((0, 0))) == [1.0, 0.0]
+
+
+def test_a_training_read_that_overflowed_is_refused(monkeypatch):
+    """Were a logit ever read below -709.78, the bare sigmoid would raise
+    under the run's errstate and the run would be refused at that step."""
+    env = build_grid_env(4, 1)
+    ds = collect_dataset(env, num_traj=5, T=4, seed=0)
+    monkeypatch.setattr(learners, "_INIT_LOGIT", -800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^training overflowed at step 0: overflow .* exp"):
+            train_run(env, ds, LearnerConfig(method="trl", steps=3, batch_size=4))
 
 
 def test_sigmoid_leaves_the_table_untouched_through_a_view():
@@ -1197,6 +1256,73 @@ def test_mc_writes_through_its_target_as_a_direct_write_would():
     assert (np.abs(q.params) == LOGIT_CLAMP).any()
     assert q_run.params.tobytes() == q.params.tobytes()
     assert log_run == log
+
+
+# ---------------------------------------------------------------------------
+# draws and layouts
+
+
+def replayed_indices(ds, shape, cfg) -> dict:
+    """The first chunk's table indices, by batch key, replayed from rng
+    cfg.seed with the dataset's samplers and read through 2-D (walk, step)
+    indexing of ds.states and ds.actions: what each method's draw and layout
+    must give, whatever strides they use."""
+    rng = np.random.default_rng(cfg.seed)
+    size = (CHUNK_STEPS, cfg.batch_size)
+    S, A = ds.states, ds.actions
+    if cfg.method == "trl":
+        traj, i, j, k = sample_triplet_batch(ds, size, rng)
+        reads = (_flat(shape, S[traj, i], A[traj, i], S[traj, j]),
+                 _flat(shape, S[traj, i], A[traj, i], S[traj, k]),
+                 _flat(shape, S[traj, k], A[traj, k], S[traj, j]))
+        return {"reads": np.stack(reads, axis=1)}
+    traj = rng.integers(0, ds.num_traj, size=size)
+    if cfg.method == "mc":
+        i, j = sample_index_pairs(ds.horizon, size, rng, allow_equal=True)
+        return {"ij": _flat(shape, S[traj, i], A[traj, i], S[traj, j])}
+    if cfg.method == "td_n":
+        i, j = sample_index_pairs(ds.horizon, size, rng)
+        b = i + np.minimum(cfg.n_step, j - i)
+        reads = (_flat(shape, S[traj, i], A[traj, i], S[traj, i]),
+                 _flat(shape, S[traj, i], A[traj, i], S[traj, j]),
+                 _flat(shape, S[traj, b], A[traj, b], S[traj, j]))
+        return {"reads": np.stack(reads, axis=1)}
+    t = rng.integers(0, ds.horizon, size=size)
+    g = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
+    s, a, s2 = S[traj, t], A[traj, t], S[traj, t + 1]
+    if cfg.method == "gciql":
+        sag = _flat(shape, s, a, g)
+        return {"reads": np.stack((sag, sag), axis=1), "sg": s * shape[2] + g,
+                "s2g": s2 * shape[2] + g}
+    # sgt: four online terms, then both halves of every candidate, candidate-major
+    g_rand = sample_flat_states(ds, size, rng)
+    traj_w = rng.integers(0, ds.num_traj, size=(*size, cfg.M_subgoals))
+    t_w = rng.integers(0, ds.horizon, size=traj_w.shape)
+    w, a_w = S[traj_w, t_w], A[traj_w, t_w]  # (K, B, M)
+    online = np.stack([_flat(shape, s, a, goal) for goal in (s, s2, g_rand, g)], axis=1)
+    halves = (_flat(shape, s[..., None], a[..., None], w), _flat(shape, w, a_w, g[..., None]))
+    cand = np.stack(halves, axis=1).swapaxes(2, 3)  # (K, 2, M, B)
+    return {"reads": np.concatenate((online.reshape(CHUNK_STEPS, -1),
+                                     cand.reshape(CHUNK_STEPS, -1)), axis=1)}
+
+
+@pytest.mark.parametrize("T", [2, 7])
+@pytest.mark.parametrize(
+    "method, n_step", [("trl", 1), ("td_n", 1), ("td_n", 10), ("mc", 1), ("gciql", 1), ("sgt", 1)]
+)
+def test_draws_and_layouts_keep_their_indices(method, n_step, T):
+    """One chunk per method from one seed, on a walled 5x3 grid, at T = 2
+    (trl's min_horizon) and T = 7: every table index its batches carry is
+    _flat of the states and actions at the draw's (walk, step) pairs. A
+    stride mix-up (T against T + 1) reads a neighbouring step or walk."""
+    env = build_grid_env(5, 3, walls=[(1, 1), (3, 0)])
+    ds = collect_dataset(env, num_traj=9, T=T, seed=3)
+    shape = (env.num_states, env.num_actions, env.num_states)
+    cfg = LearnerConfig(method=method, n_step=n_step, batch_size=16, M_subgoals=3, seed=5)
+    batches = learners.step_batches(ds, shape, cfg)
+    chunk = [next(batches) for _ in range(CHUNK_STEPS)]
+    for key, want in replayed_indices(ds, shape, cfg).items():
+        assert np.array_equal(np.stack([batch[key] for batch in chunk]), want), key
 
 
 # ---------------------------------------------------------------------------
