@@ -159,7 +159,7 @@ def sample_relabeled_goal_batch(
     # future state of its trajectory, or a uniform state of the dataset.
     idx = np.select(
         (u < c1, u < c2, u < c3),
-        (row + t, row + np.minimum(t + geom_delta, T), row + future_t),
+        (row + t, row + t + np.minimum(geom_delta, T - t), row + future_t),
         default=flat,
     )
     return ds.states.ravel()[idx]

@@ -31,7 +31,7 @@ from .dataset import (
     sample_triplet_batch,
 )
 from .env import ConfigError, GraphEnv, adjacency_matrix, check_choice, check_number, open_input
-from .oracle import GAMMA_INTERVAL, UNREACHABLE, implied_distances, optimal_value_table
+from .oracle import GAMMA_INTERVAL, UNREACHABLE, optimal_value_table
 
 # Logit clamp: keeps sigmoid outputs strictly inside (0, 1) in float64
 # (sigmoid(30) = 1 - 9.4e-14) while leaving room for implied distances of
@@ -170,10 +170,13 @@ MAX_DRAW_ENTRIES = 2**20
 # GAMMA_INTERVAL, which ValueTable and load_table read from here too.
 # n_step's end changes no run (td_n looks min(n_step, gap) < T steps ahead);
 # P's end bounds no cost, since sgt reads gamma^P in constant memory.
+# lambda_reweight is held at 0: trl has no distance reweight. The row stays only
+# because existing sweep configs name the key (their config_hash keeps its
+# bytes); any other value is refused, not ignored.
 _INTERVALS = {
     "gamma": GAMMA_INTERVAL,
     "kappa": "[0.5, 1)",
-    "lambda_reweight": "[0, inf)",
+    "lambda_reweight": "[0, 0]",
     "learning_rate": "(0, inf)",
     "tau_target": "(0, 1]",
     "batch_size": f"[1, {MAX_DRAW_ENTRIES // CHUNK_STEPS}]",
@@ -262,16 +265,6 @@ def _bce_loss(pred, target):
     pred must come from a clamped sigmoid, so logs stay finite.
     """
     return -(target * np.log(pred) + (1.0 - target) * np.log1p(-pred))
-
-
-def reweight_factor(q_value, gamma: float, lam: float) -> np.ndarray:
-    """Distance-based weight 1 / (1 + log_gamma q)^lam.
-
-    The implied distance is clamped to [0, 4 / (1 - gamma)] before use, so
-    near-zero q early in training cannot zero the weight.
-    """
-    dist = np.minimum(implied_distances(q_value, gamma), 4.0 / (1.0 - gamma))
-    return np.power(1.0 + dist, -lam)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +422,7 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
 
     Segments of length <= 1 substitute the exact base value gamma^len for
     the target factor. The BCE loss is weighted per sample by the expectile
-    weight times the distance-based reweight factor; target factors are
-    constants.
+    weight; target factors are constants.
     """
     reads = batch["reads"]  # (s_i, a_i, s_j), then the halves (s_i, a_i, s_k), (s_k, a_k, s_j)
     logits, values = target.read(reads, 1)
@@ -438,8 +430,6 @@ def trl_update_step(target: PolyakTarget, state, batch: dict, cfg: LearnerConfig
     np.putmask(values[1:], batch["is_base"], batch["base"])  # the read's scratch: f1, f2 too
     y = f1 * f2
     w = expectile_weight(pred, y, cfg.kappa)
-    if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
-        w = reweight_factor(pred, cfg.gamma, cfg.lambda_reweight) * w
     _apply_logit_updates(target, reads[0], logits[0], w * (pred - y), cfg.learning_rate)
     return lambda: {
         "loss": float(np.mean(w * _bce_loss(pred, y))),
@@ -750,7 +740,7 @@ def _gciql_layout(shape, cfg, s, a, s2, g) -> dict:
 
 def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     """A transition draw plus a random goal and M candidate subgoals
-    (``w_states``, ``w_actions``) per row."""
+    (``w_states``, and ``w_actions`` for sgt) per row."""
     draw = _transition_draw(ds, cfg, rng)
     draw["g_rand"] = sample_flat_states(ds, (CHUNK_STEPS, cfg.batch_size), rng)
     size = (CHUNK_STEPS, cfg.batch_size, cfg.M_subgoals)
@@ -760,7 +750,8 @@ def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     # which forms no offset array, is the cheaper read here: at M times the
     # entries of a transition draw it saves time and two arrays of peak memory.
     draw["w_states"] = ds.states[traj, t]
-    draw["w_actions"] = ds.actions[traj, t]
+    if cfg.method == "sgt":
+        draw["w_actions"] = ds.actions[traj, t]
     return draw
 
 
@@ -780,7 +771,7 @@ def _sgt_layout(shape, cfg, s, a, s2, g, g_rand, w_states, w_actions) -> dict:
     }
 
 
-def _coe_layout(shape, cfg, s, a, s2, g, g_rand, w_states, w_actions=None) -> dict:
+def _coe_layout(shape, cfg, s, a, s2, g, g_rand, w_states) -> dict:
     """``online`` holds the one-step and goal entries, ``sa`` the flat start
     (s * A + a) * G of every row; the candidates are states, whose actions
     coe's greedy policy picks."""

@@ -24,7 +24,6 @@ from gclab.learners import (
     _sigmoid,
     asymmetric_loss,
     expectile_weight,
-    reweight_factor,
 )
 from gclab.oracle import _WORD, UNREACHABLE, optimal_value_table
 
@@ -196,8 +195,7 @@ def trl_update_step_separate_reads(target: PolyakTarget, state, batch: dict, cfg
 
     Segments of length <= 1 substitute the exact base value gamma^len for
     the target factor. The BCE loss is weighted per sample by the expectile
-    weight times the distance-based reweight factor; target factors are
-    constants.
+    weight; target factors are constants.
     """
     ij = batch["ij"]
     pred = _sigmoid(target.online.params.reshape(-1)[ij])
@@ -205,8 +203,6 @@ def trl_update_step_separate_reads(target: PolyakTarget, state, batch: dict, cfg
     f1, f2 = np.where(batch["is_base"], batch["base"], target_values_flat(target, batch["halves"]))
     y = f1 * f2
     w = expectile_weight(pred, y, cfg.kappa)
-    if cfg.lambda_reweight != 0:  # the factor is exactly 1.0 at lambda = 0
-        w = reweight_factor(pred, cfg.gamma, cfg.lambda_reweight) * w
     apply_logit_updates_regathering(target, ij, w * (pred - y), cfg.learning_rate)
     return lambda: {
         "loss": float(np.mean(w * _bce_loss(pred, y))),

@@ -662,6 +662,28 @@ def test_sweep_bad_run_setting_exit_code(tmp_path, capsys, monkeypatch, override
     assert not (tmp_path / "exp").exists()  # rejected before any work
 
 
+def test_lambda_reweight_is_held_at_zero(tmp_path, capsys):
+    """trl has no distance reweight, so learner.lambda_reweight takes 0 only:
+    0.5 exits 2 naming the key, from a sweep config and from `gclab train`,
+    and neither writes anything."""
+    message = "config key 'learner.lambda_reweight' must lie in [0, 0], got 0.5"
+    config = _sweep_config(tmp_path)
+    config.update(methods=["trl"], learner={**config["learner"], "lambda_reweight": 0.5})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("sweep", "--config", str(cfg_path)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+    ds_path = tmp_path / "ds.csv"
+    assert run_cli("gen", "--width", "4", "--height", "1", "--num-traj", "4", "--T", "8",
+                   "--seed", "0", "--out", str(ds_path)) == 0
+    assert run_cli("train", "--width", "4", "--height", "1", "--dataset", str(ds_path),
+                   "--method", "trl", "--lambda-reweight", "0.5", "--steps", "1", "--seed", "0",
+                   "--out-dir", str(tmp_path / "run")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("learner, key", [({"kappaa": 0.7}, "kappaa"),
                                           ({"ratios": {"p_cur": 0.2}}, "ratios"),
                                           ({"p_rand": 0.3}, "p_rand"), (5, None), ([1], None)],

@@ -258,6 +258,20 @@ def test_relabel_truncation_goes_to_final_state(grid_dataset):
     np.testing.assert_array_equal(goals, grid_dataset.states[traj, T])
 
 
+@pytest.mark.parametrize("geom_param", [1e-300, 1e-19])
+def test_relabel_truncates_offsets_near_the_int64_end(grid_dataset, geom_param):
+    """Below geom_param of about 1e-18 the geometric draw reaches 2^63 - 1,
+    where t + offset would wrap negative: the offset is truncated at the
+    trajectory's end first, so every goal is still the final state."""
+    cfg = mixture(0.0, 1.0, 0.0, geom_param=geom_param)
+    T = grid_dataset.horizon
+    anchors = np.random.default_rng(4)
+    traj = anchors.integers(0, grid_dataset.num_traj, size=(16, 64))
+    t = anchors.integers(0, T, size=traj.shape)
+    goals = sample_relabeled_goal_batch(grid_dataset, traj, t, cfg, np.random.default_rng(0))
+    np.testing.assert_array_equal(goals, grid_dataset.states[traj, T])
+
+
 def test_sampling_is_reproducible(grid_dataset):
     r1, r2 = np.random.default_rng(123), np.random.default_rng(123)
     a = sample_triplet_batch(grid_dataset, 500, r1)
@@ -284,7 +298,7 @@ def masked_relabel_reference(ds, traj, t, cfg, rng):
     c3 = c2 + cfg.p_traj
     goals = states[row + t]
     geom = (u >= c1) & (u < c2)
-    goals[geom] = states[row[geom] + np.minimum(t[geom] + geom_delta[geom], T)]
+    goals[geom] = states[row[geom] + t[geom] + np.minimum(geom_delta[geom], T - t[geom])]
     later = (u >= c2) & (u < c3)
     goals[later] = states[row[later] + future_t[later]]
     goals[u >= c3] = states[flat[u >= c3]]

@@ -39,7 +39,6 @@ from gclab.learners import (
     gciql_update_step,
     load_table,
     mc_update_step,
-    reweight_factor,
     save_table,
     sgt_update_step,
     target_sync,
@@ -223,7 +222,7 @@ def _above(x: float) -> float:
 _INTERVAL_CASES = [
     ("gamma", "(0, 1)", [_above(0.0), _below(1.0)], [0.0, 1.0]),
     ("kappa", "[0.5, 1)", [0.5, _below(1.0)], [_below(0.5), 1.0]),
-    ("lambda_reweight", "[0, inf)", [0.0, 1e308], [_below(0.0)]),
+    ("lambda_reweight", "[0, 0]", [0.0], [_below(0.0), _above(0.0)]),
     ("learning_rate", "(0, inf)", [_above(0.0), 1e308], [0.0]),
     ("tau_target", "(0, 1]", [_above(0.0), 1.0], [0.0, _above(1.0)]),
     ("batch_size", "[1, 65536]", [1, 65536], [0, 65537, 10**12]),
@@ -339,7 +338,7 @@ def test_loss_nonnegative_and_weight_sides(x, y, kappa):
             assert grad <= 0
 
 
-def trl_single_sample(pred, target, lam=0.0):
+def trl_single_sample(pred, target):
     """Tables and a one-sample batch whose trl target is ``target`` (a
     length-1 segment s_i -> s_k supplies gamma, the target-table half
     Qbar(s_k, a_k, s_j) the rest) and whose online entry Q(0, 0, 2) reads
@@ -350,7 +349,7 @@ def trl_single_sample(pred, target, lam=0.0):
     qt_params = ValueTable.create(3, 1, gamma).params
     qt_params[1, 0, 2] = logit(target / gamma)
     qt = target_with_params(q, qt_params)
-    cfg = LearnerConfig(method="trl", gamma=gamma, kappa=0.7, lambda_reweight=lam)
+    cfg = LearnerConfig(method="trl", gamma=gamma, kappa=0.7)
     batch = step_batch(
         cfg, q.params.shape, s_i=[0], a_i=[0], s_k=[1], a_k=[0], s_j=[2], gap_ik=[1], gap_kj=[5]
     )
@@ -359,16 +358,15 @@ def trl_single_sample(pred, target, lam=0.0):
 
 @pytest.mark.parametrize("pred, target", [(0.8, 0.3), (0.2, 0.6)])
 def test_trl_single_sample_step(pred, target):
-    """One sample moves its logit by exactly -lr * w * weight * (pred - target)."""
-    q, qt, batch, cfg = trl_single_sample(pred, target, lam=1.0)
+    """One sample moves its logit by exactly -lr * weight * (pred - target)."""
+    q, qt, batch, cfg = trl_single_sample(pred, target)
     pred_read = expit(q.params[0, 0, 2])
     target_read = cfg.gamma * expit(target_params(qt)[1, 0, 2])
-    w = reweight_factor(pred_read, cfg.gamma, cfg.lambda_reweight)
     weight = 1.0 - cfg.kappa if pred > target else cfg.kappa
     before = q.params.copy()
     stats = trl_update_step(qt, None, batch, cfg)()
     assert stats["max_target"] == target_read
-    step = -cfg.learning_rate * w * weight * (pred_read - target_read)
+    step = -cfg.learning_rate * weight * (pred_read - target_read)
     assert q.params[0, 0, 2] - before[0, 0, 2] == pytest.approx(step, rel=1e-12)
     changed = q.params != before
     changed[0, 0, 2] = False
@@ -387,45 +385,6 @@ def test_trl_step_on_saturated_table(sign):
     stats = trl_update_step(qt, None, batch, cfg)()
     assert np.isfinite(stats["loss"])
     assert np.all(np.abs(q.params) <= LOGIT_CLAMP)
-
-
-# ---------------------------------------------------------------------------
-# reweight_factor
-
-
-def test_reweight_lambda_zero_is_one():
-    assert reweight_factor(0.3, 0.99, 0.0) == 1.0
-
-
-def test_reweight_zero_distance():
-    assert reweight_factor(1.0, 0.99, 1.7) == 1.0
-
-
-def test_reweight_distance_three():
-    assert reweight_factor(0.99**3, 0.99, 1.0) == pytest.approx(0.25)
-
-
-def inline_reweight_factor(q_value, gamma, lam):
-    """reweight_factor as first written, with its own log_gamma inline."""
-    dist = np.log(np.maximum(q_value, 1e-300)) / np.log(gamma)
-    dist = np.clip(dist, 0.0, 4.0 / (1.0 - gamma))
-    return np.power(1.0 + dist, -lam)
-
-
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
-def test_reweight_equals_the_inline_formula_bit_for_bit(lam):
-    rng = np.random.default_rng(0)
-    edges = [0.0, 1e-320, 1e-300, 1e-10, 0.5, 1.0 - 1e-16, 1.0, 1.5, 3.0, np.nan]
-    q_value = np.concatenate((rng.random(100_000), edges))
-    for gamma in (0.5, 0.9, 0.99):
-        got = reweight_factor(q_value, gamma, lam)
-        assert got.tobytes() == inline_reweight_factor(q_value, gamma, lam).tobytes()
-
-
-def test_reweight_clamps_tiny_q():
-    # Implied distance of q = 1e-300 would be astronomical; clamp at 4/(1-gamma).
-    w = reweight_factor(1e-300, 0.9, 1.0)
-    assert w == pytest.approx(1.0 / (1.0 + 40.0))
 
 
 # ---------------------------------------------------------------------------
