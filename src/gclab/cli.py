@@ -4,7 +4,16 @@ Subcommands: gen (dataset generation), train (single run), eval (evaluate a
 saved table), sweep (experiment matrix from a JSON config), recursion
 (recursion-count analysis), report (re-aggregate a sweep summary).
 
-Exit codes: 0 success, 1 validation failure, 2 bad configuration.
+Exit codes:
+
+* 0: success.
+* 1: a refused run (``training overflowed at step <n>: ...`` or
+  ``training ended with a non-finite table``; a sweep exits 1 when any of
+  its runs was refused), or any other ValueError, RuntimeError or OSError
+  that reaches :func:`main`, printed as ``error: ...``.
+* 2: a ConfigError, printed as ``config error: ...`` with the key or the
+  file named, or an argparse usage error (an unknown flag, a missing
+  required flag, a value of the wrong type).
 """
 
 from __future__ import annotations

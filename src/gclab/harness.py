@@ -6,6 +6,12 @@ executes a matrix of runs from a JSON config and aggregates a summary with
 normal-approximation confidence intervals over seeds. Everything downstream
 of the config is deterministic, so repeated executions produce
 byte-identical CSV artifacts.
+
+A sweep runs in a fresh process, where a full-size temporary costs its page
+faults as well as its pass. So the sweep path updates buffers in place,
+assembles a table in the narrowest dtype that holds it and widens it once,
+writes a table's own buffer (``learners.save_table``) and drops a full-size
+array once it is read (:func:`spearman_to_oracle`).
 """
 
 from __future__ import annotations
@@ -327,8 +333,14 @@ _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 # max_steps_factor * d draws of rejection_n uniforms (35 s at the episodes end
 # on a 16x16 grid, 25 s at the rejection_n end on a 4x4 grid); the task choice
 # lays out num_tasks positions before it drops repeats; the recursion table
-# takes 16 bytes per n up to n_max, and at both bounds `gclab recursion --sim
-# 10000000` runs in 8.7 s at 437 MB peak RSS (2-vCPU Xeon, numpy 2.4.6).
+# takes 16 bytes per n up to n_max (0.34 s at 187 MB peak RSS at that end),
+# and at both bounds `gclab recursion --sim 10000000` runs in 8.7 s at 437 MB
+# peak RSS (2-vCPU Xeon, numpy 2.4.6).
+# Each setting is checked once, where it enters: here, in LearnerConfig, in
+# build_env_from_spec, where a product of settings is first known
+# (collect_dataset, GraphEnv) and in check_run. The code behind reads it as
+# checked; only the functions the package root exports, and ValueTable, keep
+# their own checks.
 _NON_EMPTY = [None]
 _SETTINGS = {
     **{f"env.{name}": (None, rule) for name, rule in env_mod._INTERVALS.items()},

