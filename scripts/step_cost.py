@@ -1,7 +1,7 @@
 """Training-step cost against table size, and on the 64-cell corridor.
 
-Times ``harness.train_run`` for the six stochastic learners (trl, mc,
-td_n, gciql, sgt and coe) on square grids of
+Times ``harness.train_run`` for every learner that trains on drawn batches
+(each of ``learners.METHODS`` but exact) on square grids of
 S = 64, 256 and 1024 states (batch 256, 100 random walks of 64 steps) and
 prints the median milliseconds per step over a few repeats, one row per
 grid. The step count is fixed, so a step that touches the whole table shows
@@ -21,12 +21,13 @@ import argparse
 import statistics
 import time
 
+from gclab import learners
 from gclab.dataset import collect_dataset
 from gclab.env import build_grid_env
 from gclab.harness import train_run
 from gclab.learners import LearnerConfig
 
-METHODS = ("trl", "mc", "td_n", "gciql", "sgt", "coe")
+METHODS = tuple(name for name, method in learners.METHODS.items() if method.draw)
 SIDES = (8, 16, 32)
 # The corridor's runs by sweep label: the learner settings besides the README's.
 CORRIDOR_RUNS = {

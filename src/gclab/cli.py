@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import check_sim_sizes, recursion_report_rows
 from .dataset import collect_dataset, load_dataset, save_dataset
-from .env import ConfigError
+from .env import ConfigError, check_output
 from .harness import (
     aggregate_summary,
     block_defaults,
@@ -71,6 +71,7 @@ def _add_flags(parser, defaults: dict, required=()) -> None:
 
 def cmd_gen(args) -> int:
     dataset = block_settings("dataset", {n: getattr(args, n) for n in block_defaults("dataset")})
+    check_output("--out", args.out)
     ds = collect_dataset(_env_from_args(args), **dataset)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.num_traj} trajectories, T={ds.horizon}")
@@ -79,6 +80,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = LearnerConfig(**{name: getattr(args, name) for name in block_defaults("learner")})
+    check_output("--out-dir", args.out_dir, directory=True)
     env = _env_from_args(args)
     ds = None if args.dataset is None else load_dataset(args.dataset, env=env)
     try:
@@ -97,6 +99,7 @@ def cmd_eval(args) -> int:
     rejection = eval_spec["extraction"] == "rejection"
     if rejection and args.dataset is None:
         raise ConfigError("--extraction rejection needs --dataset for its behavior policy")
+    check_output("--out", args.out)
     env = _env_from_args(args)
     q = load_table(args.table)
     expected = (env.num_states, env.num_actions, env.num_states)
@@ -124,6 +127,7 @@ def cmd_sweep(args) -> int:
 def cmd_recursion(args) -> int:
     spec = block_settings("recursion", {n: getattr(args, n) for n in block_defaults("recursion")})
     check_sim_sizes(spec["n_max"], spec["sim_sizes"])
+    check_output("--out", args.out)
     rows = recursion_report_rows(**spec)
     write_recursion_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")

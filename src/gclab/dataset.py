@@ -123,13 +123,15 @@ def sample_triplet_batch(ds: TrajectoryDataset, size, rng: np.random.Generator):
 
 def sample_relabeled_goal_batch(
     ds: TrajectoryDataset,
-    traj: np.ndarray,
+    row: np.ndarray,
     t: np.ndarray,
     cfg,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized hindsight goal relabeling for (traj, t) anchor points: one
-    goal state per entry of ``traj`` and ``t``, two arrays of one shape.
+    """Vectorized hindsight goal relabeling for (trajectory, t) anchor points:
+    one goal state per entry of ``row`` and ``t``, two arrays of one shape.
+    ``row`` holds each anchor trajectory's flat offset traj * (T + 1) in
+    ``ds.states``, which the draw that chose the trajectories has formed.
 
     Each goal is, with probability cfg.p_cur, the anchor's own state; with
     cfg.p_geom, the state geometric(cfg.geom_param) steps later, truncated
@@ -139,11 +141,11 @@ def sample_relabeled_goal_batch(
 
     All random draws happen unconditionally in a fixed order so the stream
     of generator calls (and therefore the result) is reproducible. States
-    are read through flat indices traj * (T + 1) + step.
+    are read through flat indices row + step.
     """
-    traj = np.asarray(traj)
+    row = np.asarray(row)
     t = np.asarray(t)
-    size = traj.shape
+    size = row.shape
     T = ds.horizon
 
     u = rng.random(size)
@@ -151,7 +153,6 @@ def sample_relabeled_goal_batch(
     future_t = t + rng.integers(0, T - t + 1)  # uniform over {t..T}, per element
     flat = rng.integers(0, ds.states.size, size=size)
 
-    row = traj * (T + 1)
     c1 = cfg.p_cur
     c2 = c1 + cfg.p_geom
     c3 = c2 + cfg.p_traj

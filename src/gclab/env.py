@@ -13,6 +13,7 @@ import contextlib
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -69,7 +70,8 @@ def check_choice(label: str, value, choices: tuple) -> None:
 
 # The most entries, states * actions * states, of a goal-conditioned table:
 # 256 MB of float64. A run holds a few arrays of that size (the table and its
-# target's lag), so a 1-step trl sweep on a 2896-cell corridor, the longest
+# target's lag, and for coe its generator of states, in uint16 or narrower:
+# at most 64 MB), so a 1-step trl sweep on a 2896-cell corridor, the longest
 # at the bound, peaks at 885 MB RSS (2-vCPU Xeon, numpy 2.4.6).
 MAX_TABLE_ENTRIES = 2**25
 
@@ -97,6 +99,27 @@ def open_input(path: str, mode: str = "r"):
             yield fh
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not a text file: {exc}") from None
+
+
+def check_output(label: str, path: str, directory: bool = False) -> None:
+    """Raise ConfigError naming ``label`` and ``path`` unless an output can
+    go there: a non-empty path that, for a directory, names no existing
+    non-directory and lies under none, and, for a file, names no directory
+    and has an existing parent directory. A front end checks each output
+    path once, before its work."""
+    if not path:
+        raise ConfigError(f"{label} must be a non-empty path")
+    if directory:
+        head = path
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise ConfigError(f"{label}: cannot make directory {path}: {head} is not a directory")
+    elif os.path.isdir(path):
+        raise ConfigError(f"{label}: cannot write {path}: it is a directory")
+    elif not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise ConfigError(f"{label}: cannot write {path}: {os.path.dirname(path)} is not an "
+                          "existing directory")
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .env import (
     build_grid_env,
     check_choice,
     check_number,
+    check_output,
     load_env,
     open_input,
     parse_walls,
@@ -326,9 +327,10 @@ _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 # default marks a required key, a list default a list setting whose entries
 # each follow the rule, none twice, and _NON_EMPTY a list that must be given
 # and hold an entry. A rule is the tuple of values a setting takes, or a
-# number's range as learners._INTERVALS writes it, real for a float default.
-# The env.*, dataset.* and learner.* rows take their ranges from the
-# _INTERVALS of env, dataset and learners, whose checks read the same text.
+# number's range as env.check_number reads it, real for a float default.
+# The env.* and dataset.* rows take their ranges from the _INTERVALS of env
+# and dataset, and the learner.*, seeds and n_values rows from the declaration
+# of each LearnerConfig field (learners._setting): the checks read the same text.
 # Upper ends bound work: a rejection eval rolls out every episode, for up to
 # max_steps_factor * d draws of rejection_n uniforms (35 s at the episodes end
 # on a 16x16 grid, 25 s at the rejection_n end on a 4x4 grid); the task choice
@@ -342,12 +344,13 @@ _ENV_KEYS = {"grid": ("width", "height", "walls"), "file": ("path",)}
 # checked; only the functions the package root exports, and ValueTable, keep
 # their own checks.
 _NON_EMPTY = [None]
+_LEARNER_FIELDS = {f.name: f for f in fields(LearnerConfig)}
 _SETTINGS = {
     **{f"env.{name}": (None, rule) for name, rule in env_mod._INTERVALS.items()},
     **{f"dataset.{name}": (None, rule) for name, rule in dataset_mod._INTERVALS.items()},
     "methods": (_NON_EMPTY, tuple(METHODS)),
-    "seeds": (_NON_EMPTY, learners._INTERVALS["seed"]),  # each entry is a run's learner.seed
-    "n_values": ([], learners._INTERVALS["n_step"]),  # each entry is a run's learner.n_step
+    "seeds": (_NON_EMPTY, _LEARNER_FIELDS["seed"].metadata["interval"]),  # runs' learner.seed
+    "n_values": ([], _LEARNER_FIELDS["n_step"].metadata["interval"]),  # runs' learner.n_step
     "eval.num_tasks": (5, "[1, 100000]"),
     "eval.episodes": (15, "[1, 10000]"),
     "eval.max_steps_factor": (4, "[1, 1000]"),
@@ -358,8 +361,8 @@ _SETTINGS = {
     "recursion.sim_sizes": ([], "[1, inf)"),
     "recursion.trials": (100_000, "[1, 10000000]"),
     "recursion.seed": (0, "[0, inf)"),
-    **{f"learner.{f.name}": (f.default, tuple(METHODS) if f.name == "method"
-                             else learners._INTERVALS[f.name]) for f in fields(LearnerConfig)},
+    **{f"learner.{name}": (f.default, tuple(METHODS) if name == "method"
+                           else f.metadata["interval"]) for name, f in _LEARNER_FIELDS.items()},
 }
 _TOP_KEYS = {"out_dir", "env", *(key.partition(".")[0] for key in _SETTINGS)}
 # Learner fields a sweep sets per run, and the list that sets them when it is
@@ -650,8 +653,9 @@ def run_experiment(config_or_path) -> int:
     run was refused. A ConfigError is raised, never counted as a refused
     run, and the config, the dataset size, every run (:func:`check_run`),
     the distances and the task set are checked before ``out_dir`` is
-    created; so is ``out_dir`` itself, whose ``runs`` directory must be
-    missing or empty, since the summary reads every run under it."""
+    created. ``out_dir`` itself is checked first (``env.check_output``), and
+    its ``runs`` directory must be missing or empty, since the summary reads
+    every run under it."""
     if isinstance(config_or_path, str):
         with open_input(config_or_path) as fh:
             text = fh.read()
@@ -662,6 +666,10 @@ def run_experiment(config_or_path) -> int:
     else:
         config = config_or_path
     config = validate_experiment_config(config)
+    out_dir, runs_dir = config["out_dir"], os.path.join(config["out_dir"], "runs")
+    check_output("config key 'out_dir'", out_dir, directory=True)
+    if os.path.isdir(runs_dir) and os.listdir(runs_dir):
+        raise ConfigError(f"config key 'out_dir': {runs_dir} already holds another sweep's runs")
     env = config["_env"]
     ds = collect_dataset(env, **config["dataset"])
     for _, cfg in config["_runs"]:
@@ -669,9 +677,6 @@ def run_experiment(config_or_path) -> int:
     dist = all_pairs_distances(env)
     eval_spec = config["eval"]
     tasks = select_tasks(dist, eval_spec["num_tasks"], eval_spec["min_task_distance"])
-    out_dir, runs_dir = config["out_dir"], os.path.join(config["out_dir"], "runs")
-    if os.path.isdir(runs_dir) and os.listdir(runs_dir):
-        raise ConfigError(f"config key 'out_dir': {runs_dir} already holds another sweep's runs")
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(ds, os.path.join(out_dir, "dataset.csv"))
     # Greedy extraction reads no behavior policy, so none is estimated for it.

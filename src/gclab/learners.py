@@ -17,7 +17,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -87,7 +87,7 @@ class ValueTable:
 
     def __post_init__(self):
         check_choice("table space", self.space, ("logit", "value"))
-        check_number("gamma", self.gamma, "float", interval=_INTERVALS["gamma"])
+        check_number("gamma", self.gamma, "float", interval=GAMMA_INTERVAL)
         self.params = np.ascontiguousarray(self.params, dtype=np.float64)
         if self.params.ndim != 3:
             raise ConfigError("value table must be (states, actions, goals)")
@@ -174,66 +174,55 @@ CHUNK_STEPS = 16
 # 2-vCPU Xeon, numpy 2.4.6).
 MAX_DRAW_ENTRIES = 2**20
 
-# The range of each number in a LearnerConfig, and of its row in
-# harness._SETTINGS: every caller reads its fields as checked here, when the
-# config is built, and checks none again. gamma's rule is oracle's
-# GAMMA_INTERVAL, which ValueTable and load_table read from here too.
-# n_step's end changes no run (td_n looks min(n_step, gap) < T steps ahead);
-# P's end bounds no cost, since sgt reads gamma^P in constant memory.
-# lambda_reweight is held at 0: trl has no distance reweight. The row stays only
-# because existing sweep configs name the key (their config_hash keeps its
-# bytes); any other value is refused, not ignored.
-_INTERVALS = {
-    "gamma": GAMMA_INTERVAL,
-    "kappa": "[0.5, 1)",
-    "lambda_reweight": "[0, 0]",
-    "learning_rate": "(0, inf)",
-    "tau_target": "(0, 1]",
-    "batch_size": f"[1, {MAX_DRAW_ENTRIES // CHUNK_STEPS}]",
-    "steps": "[0, inf)",
-    "log_every": "[1, inf)",
-    "n_step": f"[1, {MAX_DATASET_STATES}]",
-    "M_subgoals": "[1, inf)",
-    "P_random_distance": f"[1, {MAX_DATASET_STATES}]",
-    "beta_goal_reg": "[0, inf)",
-    "p_cur": "[0, 1]",
-    "p_geom": "[0, 1]",
-    "p_traj": "[0, 1]",
-    "geom_param": "(0, 1)",
-    "seed": "[0, inf)",
-}
+
+def _setting(default, interval: str):
+    """A number field of LearnerConfig with its default and its range, text
+    such as "(0, 1]" as ``env.check_number`` reads it, kept in the field's
+    ``metadata["interval"]``: LearnerConfig checks that range, and the
+    field's row in harness._SETTINGS reads it."""
+    return field(default=default, metadata={"interval": interval})
 
 
 @dataclass
 class LearnerConfig:
-    """Scalars governing a training run; defaults follow the standard recipe."""
+    """Scalars governing a training run; defaults follow the standard recipe.
+
+    Each number field states its default and its range in one declaration
+    (:func:`_setting`). Every caller reads the fields as checked here, when
+    the config is built, and checks none again.
+    """
 
     method: str = "trl"
-    gamma: float = 0.99
-    kappa: float = 0.7
-    lambda_reweight: float = 0.0
-    learning_rate: float = 3e-4
-    tau_target: float = 0.005
-    batch_size: int = 256
-    steps: int = 200_000
-    log_every: int = 1000  # loss-log period of a stochastic run, in steps
-    n_step: int = 1
-    M_subgoals: int = 8
-    P_random_distance: int = 500
-    beta_goal_reg: float = 1.0
+    gamma: float = _setting(0.99, GAMMA_INTERVAL)
+    kappa: float = _setting(0.7, "[0.5, 1)")
+    # Held at 0: trl has no distance reweight. The field stays only because
+    # existing sweep configs name the key (their config_hash keeps its bytes);
+    # any other value is refused, not ignored.
+    lambda_reweight: float = _setting(0.0, "[0, 0]")
+    learning_rate: float = _setting(3e-4, "(0, inf)")
+    tau_target: float = _setting(0.005, "(0, 1]")
+    batch_size: int = _setting(256, f"[1, {MAX_DRAW_ENTRIES // CHUNK_STEPS}]")
+    steps: int = _setting(200_000, "[0, inf)")
+    log_every: int = _setting(1000, "[1, inf)")  # loss-log period of a stochastic run, in steps
+    # Its upper end changes no run: td_n looks min(n_step, gap) < T steps ahead.
+    n_step: int = _setting(1, f"[1, {MAX_DATASET_STATES}]")
+    M_subgoals: int = _setting(8, "[1, inf)")
+    # Its upper end bounds no cost: sgt reads gamma^P in constant memory.
+    P_random_distance: int = _setting(500, f"[1, {MAX_DATASET_STATES}]")
+    beta_goal_reg: float = _setting(1.0, "[0, inf)")
     # The goal-relabel mixture of gciql, sgt and coe, as
     # dataset.sample_relabeled_goal_batch draws it.
-    p_cur: float = 0.2
-    p_geom: float = 0.5
-    p_traj: float = 0.0
-    geom_param: float = 0.01
-    seed: int = 0
+    p_cur: float = _setting(0.2, "[0, 1]")
+    p_geom: float = _setting(0.5, "[0, 1]")
+    p_traj: float = _setting(0.0, "[0, 1]")
+    geom_param: float = _setting(0.01, "(0, 1)")
+    seed: int = _setting(0, "[0, inf)")
 
     def __post_init__(self):
         for f in fields(self):  # annotations are strings: this module postpones them
-            if f.type in ("int", "float"):
+            if "interval" in f.metadata:
                 check_number(f"config key 'learner.{f.name}'", getattr(self, f.name), f.type,
-                             interval=_INTERVALS[f.name])
+                             interval=f.metadata["interval"])
         check_choice("config key 'learner.method'", self.method, tuple(METHODS))
         if self.method in ("sgt", "coe"):  # the methods that draw M_subgoals candidates per row
             check_number(f"config keys 'learner.batch_size' and 'learner.M_subgoals' for method "
@@ -583,8 +572,8 @@ def coe_update_step(target: PolyakTarget, state: tuple, batch: dict, cfg: Learne
     # column 0 wins ties, so replacement happens only on strict improvement.
     gen_flat = generator.reshape(-1)
     options = np.concatenate([gen_flat[online[1]][:, None], batch["cand_states"]], axis=1)
-    goals = np.repeat(goal, options.shape[1]).reshape(options.shape)  # (B, M+1)
-    actions = policy_fn(options.ravel(), goals.ravel()).reshape(options.shape)
+    goals = goal[:, None]  # (B, 1): each row's goal, for its M + 1 options
+    actions = policy_fn(options, goals)
     # One read: the one-step and goal entries, then both halves (s, a, w) and
     # (w, a_w, g) of every option.
     halves = (sa[:, None] + options, _flat(shape, options, actions, goals))
@@ -734,8 +723,8 @@ def _transition_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     size = (CHUNK_STEPS, cfg.batch_size)
     traj = rng.integers(0, ds.num_traj, size=size)
     t = rng.integers(0, ds.horizon, size=size)
-    goals = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
     s0, a0 = _traj_offsets(ds, traj)
+    goals = sample_relabeled_goal_batch(ds, s0, t, cfg, rng)
     return {
         "s": _states_at(ds, s0, t),
         "a": _actions_at(ds, a0, t),
@@ -762,14 +751,14 @@ def _subgoal_draw(ds: TrajectoryDataset, cfg: LearnerConfig, rng) -> dict:
     draw = _transition_draw(ds, cfg, rng)
     draw["g_rand"] = sample_flat_states(ds, (CHUNK_STEPS, cfg.batch_size), rng)
     size = (CHUNK_STEPS, cfg.batch_size, cfg.M_subgoals)
-    traj = rng.integers(0, ds.num_traj, size=size)
+    # Only the offsets of the M candidates' trajectories are kept, not the
+    # trajectories: at M times a transition draw's entries, each array counts
+    # toward the sweep's peak memory.
+    s0, a0 = _traj_offsets(ds, rng.integers(0, ds.num_traj, size=size))
     t = rng.integers(0, ds.horizon, size=size)
-    # Each candidate's trajectory is read once per array, so 2-D indexing,
-    # which forms no offset array, is the cheaper read here: at M times the
-    # entries of a transition draw it saves time and two arrays of peak memory.
-    draw["w_states"] = ds.states[traj, t]
+    draw["w_states"] = _states_at(ds, s0, t)
     if cfg.method == "sgt":
-        draw["w_actions"] = ds.actions[traj, t]
+        draw["w_actions"] = _actions_at(ds, a0, t)
     return draw
 
 
@@ -834,7 +823,8 @@ def _coe_state(env: GraphEnv, q: ValueTable, cfg: LearnerConfig) -> tuple:
         return policy.greedy_action_batch(q, states, goals)
 
     s, a = env.num_states, env.num_actions
-    generator = np.broadcast_to(np.arange(s), (s, a, s)).copy()
+    # The narrowest unsigned dtype that holds a state: uint8 up to 256 states.
+    generator = np.broadcast_to(np.arange(s, dtype=np.min_scalar_type(s - 1)), (s, a, s)).copy()
     return generator, policy_fn, env.state_coords
 
 
@@ -913,11 +903,11 @@ def load_table(path: str) -> ValueTable:
         if len(head) != 5 * 8:
             raise ConfigError(f"{path}: truncated value-table header")
         s, a, g, flag = (int(x) for x in np.frombuffer(head[:32], dtype=np.int64))
-        for field, dim in (("states", s), ("actions", a), ("goals", g)):
-            check_number(f"{path}: header field {field}", dim, "int", "[1, inf)")
+        for name, dim in (("states", s), ("actions", a), ("goals", g)):
+            check_number(f"{path}: header field {name}", dim, "int", "[1, inf)")
         check_choice(f"{path}: header field space flag", flag, tuple(_SPACE_FLAGS))
         gamma = float(np.frombuffer(head[32:], dtype=np.float64)[0])
-        check_number(f"{path}: header field gamma", gamma, "float", _INTERVALS["gamma"])
+        check_number(f"{path}: header field gamma", gamma, "float", GAMMA_INTERVAL)
         body = fh.read()
     if len(body) != 8 * s * a * g:
         raise ConfigError(

@@ -52,7 +52,10 @@ def estimate_behavior_policy(ds: TrajectoryDataset, env: GraphEnv) -> BehaviorPo
 
 
 def greedy_action_batch(q: ValueTable, states: np.ndarray, goals: np.ndarray) -> np.ndarray:
-    return q.values_at((states, slice(None), goals)).argmax(axis=1)
+    """The greedy action of each (state, goal) pair of ``states`` and
+    ``goals``, index arrays that broadcast to one shape, which the result
+    takes: the argmax over the last axis of the values read there."""
+    return q.values_at((states, slice(None), goals)).argmax(axis=-1)
 
 
 def rejection_sample_action(

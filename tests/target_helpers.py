@@ -1,5 +1,6 @@
-"""Test helpers for the lazy Polyak target: an eager reference target, ways
-to read or set a target's values in full, and hand-built step batches."""
+"""Test helpers for the lazy Polyak target: the learners that train through
+it, an eager reference target, ways to read or set a target's values in full,
+and hand-built step batches."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ import numpy as np
 from scipy.special import expit
 
 from gclab.learners import METHODS, PolyakTarget, ValueTable
+
+# Every learner that trains on drawn batches, in METHODS order: each one but
+# the data-free exact method.
+STOCHASTIC_METHODS = tuple(name for name, method in METHODS.items() if method.draw)
 
 
 class EagerTarget:

@@ -10,7 +10,7 @@ import pytest
 
 from gclab import analysis, learners
 from gclab.cli import main
-from gclab.dataset import collect_dataset, load_dataset
+from gclab.dataset import collect_dataset, load_dataset, save_dataset
 from gclab.env import ConfigError, build_grid_env, load_env
 from gclab.harness import _SETTINGS, build_env_from_spec
 from gclab.learners import LearnerConfig, ValueTable, load_table, save_table
@@ -144,6 +144,55 @@ def test_sweep_into_an_out_dir_that_holds_runs_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config key 'out_dir'" in err and str(out_dir / "runs") in err
     assert {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()} == before
+
+
+_GRID = ["--width", "3", "--height", "1"]
+_GEN = ["gen", *_GRID, "--num-traj", "4", "--T", "4", "--seed", "0", "--out"]
+_TRAIN = ["train", *_GRID, "--dataset", "{tmp}/ds.csv", "--method", "trl", "--steps", "5",
+          "--seed", "0", "--out-dir"]
+_IS_A_DIR = "--out: cannot write {dir}: it is a directory"
+# Each front end with an output path that cannot take its output, and the
+# refusal: a directory where a file goes, a file where a directory goes, a
+# path under a missing parent or a file, or none. {file} is a file, {dir} a
+# directory.
+_BAD_OUTPUTS = {
+    "gen": ([*_GEN, "{dir}"], _IS_A_DIR),
+    "gen_empty": ([*_GEN, ""], "--out must be a non-empty path"),
+    "gen_missing_parent": ([*_GEN, "{tmp}/missing/ds.csv"], "--out: cannot write "
+                           "{tmp}/missing/ds.csv: {tmp}/missing is not an existing directory"),
+    "train": ([*_TRAIN, "{file}"], "--out-dir: cannot make directory {file}: {file} is not a "
+              "directory"),
+    "train_under_file": ([*_TRAIN, "{file}/run"], "--out-dir: cannot make directory "
+                         "{file}/run: {file} is not a directory"),
+    "train_empty": ([*_TRAIN, ""], "--out-dir must be a non-empty path"),
+    "eval": (["eval", *_GRID, "--table", "{tmp}/table.bin", "--out", "{dir}"], _IS_A_DIR),
+    "recursion": (["recursion", "--n-max", "64", "--sim", "4", "--out", "{dir}"], _IS_A_DIR),
+    "sweep": (["sweep", "--config", "{tmp}/sweep.json"], "config key 'out_dir': cannot make "
+              "directory {file}: {file} is not a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_OUTPUTS))
+def test_bad_output_path_exits_2_before_any_work(tmp_path, capsys, case):
+    """Every front end checks its output path before its work: a path that
+    cannot take the output exits 2, naming the path, and nothing is written
+    (each input would let the command run to its end)."""
+    env = build_grid_env(3, 1)
+    save_dataset(collect_dataset(env, 4, 4, seed=0), str(tmp_path / "ds.csv"))
+    save_table(ValueTable(oracle_q_table(env, 0.99), 0.99, space="value"),
+               str(tmp_path / "table.bin"))
+    names = {"tmp": tmp_path, "file": tmp_path / "taken", "dir": tmp_path / "adir"}
+    names["file"].write_text("kept\n")
+    names["dir"].mkdir()
+    (tmp_path / "sweep.json").write_text(json.dumps({
+        "out_dir": str(names["file"]), "env": {"kind": "grid", "width": 3, "height": 1},
+        "dataset": {"num_traj": 4, "T": 4, "seed": 0}, "methods": ["trl"], "seeds": [0],
+        "learner": {"steps": 5}}))
+    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+    argv, message = _BAD_OUTPUTS[case]
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(**names)}\n"
+    assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 def test_sweep_bad_config_exit_code(tmp_path, capsys):

@@ -19,7 +19,7 @@ from gclab.dataset import (
 )
 from gclab.env import ConfigError, adjacency_matrix, build_grid_env
 from gclab.harness import train_run
-from gclab.learners import LearnerConfig
+from gclab.learners import LearnerConfig, _traj_offsets
 
 
 def sample_triplet(ds, rng):
@@ -28,9 +28,15 @@ def sample_triplet(ds, rng):
     return int(traj[0]), int(i[0]), int(j[0]), int(k[0])
 
 
+def relabeled_goals(ds, traj, t, cfg, rng):
+    """``sample_relabeled_goal_batch`` at the anchors (traj, t), given the
+    trajectories' state offsets as a learner's draw forms them."""
+    return sample_relabeled_goal_batch(ds, _traj_offsets(ds, np.asarray(traj))[0], t, cfg, rng)
+
+
 def sample_relabeled_goal(ds, traj, t, cfg, rng):
     """Single relabeled goal for trajectory ``traj`` at timestep ``t``."""
-    return int(sample_relabeled_goal_batch(ds, np.array([traj]), np.array([t]), cfg, rng)[0])
+    return int(relabeled_goals(ds, np.array([traj]), np.array([t]), cfg, rng)[0])
 
 
 def mixture(p_cur, p_geom, p_traj, geom_param=0.01):
@@ -170,7 +176,7 @@ def test_samplers_keep_their_invariants_in_every_row_of_a_shape(grid_dataset):
     assert np.all((0 <= i2) & (i2 <= j2) & (j2 <= T - 1))
 
     t = rng.integers(0, T + 1, size=(K, B))
-    goals = sample_relabeled_goal_batch(ds, traj, t, mixture(0.2, 0.5, 0.3), rng)
+    goals = relabeled_goals(ds, traj, t, mixture(0.2, 0.5, 0.3), rng)
     assert goals.shape == (K, B)
     later = np.arange(T + 1) >= t[..., None]
     assert ((ds.states[traj] == goals[..., None]) & later).any(axis=-1).all()
@@ -226,7 +232,7 @@ def test_relabel_component_frequencies(grid_env):
     n = 100_000
     traj = rng.integers(0, ds.num_traj, size=n)
     t = np.full(n, 3)
-    goals = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
+    goals = relabeled_goals(ds, traj, t, cfg, rng)
 
     start = ds.states[traj, 0]
     cur = ds.states[traj, 3]
@@ -254,7 +260,7 @@ def test_relabel_truncation_goes_to_final_state(grid_dataset):
     cfg = mixture(0.0, 1.0, 0.0, geom_param=1e-9)
     T = grid_dataset.horizon
     traj = np.arange(20)
-    goals = sample_relabeled_goal_batch(grid_dataset, traj, np.zeros(20, dtype=int), cfg, rng)
+    goals = relabeled_goals(grid_dataset, traj, np.zeros(20, dtype=int), cfg, rng)
     np.testing.assert_array_equal(goals, grid_dataset.states[traj, T])
 
 
@@ -268,7 +274,7 @@ def test_relabel_truncates_offsets_near_the_int64_end(grid_dataset, geom_param):
     anchors = np.random.default_rng(4)
     traj = anchors.integers(0, grid_dataset.num_traj, size=(16, 64))
     t = anchors.integers(0, T, size=traj.shape)
-    goals = sample_relabeled_goal_batch(grid_dataset, traj, t, cfg, np.random.default_rng(0))
+    goals = relabeled_goals(grid_dataset, traj, t, cfg, np.random.default_rng(0))
     np.testing.assert_array_equal(goals, grid_dataset.states[traj, T])
 
 
@@ -279,8 +285,8 @@ def test_sampling_is_reproducible(grid_dataset):
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     cfg = LearnerConfig()
-    ga = sample_relabeled_goal_batch(grid_dataset, a[0], a[1], cfg, r1)
-    gb = sample_relabeled_goal_batch(grid_dataset, b[0], b[1], cfg, r2)
+    ga = relabeled_goals(grid_dataset, a[0], a[1], cfg, r1)
+    gb = relabeled_goals(grid_dataset, b[0], b[1], cfg, r2)
     np.testing.assert_array_equal(ga, gb)
 
 
@@ -320,7 +326,7 @@ def test_relabel_matches_the_masked_reference(grid_dataset, probs):
         traj = anchors.integers(0, grid_dataset.num_traj, size=(16, 64))
         t = anchors.integers(0, grid_dataset.horizon, size=(16, 64))
         rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_relabeled_goal_batch(grid_dataset, traj, t, cfg, rngs[0])
+        got = relabeled_goals(grid_dataset, traj, t, cfg, rngs[0])
         want = masked_relabel_reference(grid_dataset, traj, t, cfg, rngs[1])
         np.testing.assert_array_equal(got, want)
         assert rngs[0].random() == rngs[1].random()

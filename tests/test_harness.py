@@ -28,6 +28,7 @@ from gclab.oracle import UNREACHABLE, all_pairs_distances, optimal_value_table, 
 from gclab.policy import estimate_behavior_policy, greedy_action_batch
 from env_helpers import random_graph_env
 from sweep_helpers import run_transitive_fixed_point
+from target_helpers import STOCHASTIC_METHODS
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def test_exact_stop_rule_holds_at_small_gamma():
         np.testing.assert_array_equal(q.params, oracle_q_table(env, gamma))
 
 
-@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
 def test_train_run_calls_the_module_level_step(small_world, monkeypatch, method):
     """The method table looks each update function up in gclab.learners at
     call time, so rebinding the module attribute (as a tracer does) sees
@@ -106,7 +107,7 @@ def test_train_run_calls_the_module_level_step(small_world, monkeypatch, method)
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
 def test_a_run_is_a_prefix_of_any_longer_run(small_world, method):
     """Batches are drawn in whole chunks of CHUNK_STEPS steps, so a run's
     random stream does not depend on its step count: logging every step,
@@ -121,7 +122,7 @@ def test_a_run_is_a_prefix_of_any_longer_run(small_world, method):
     assert log20 == log40[:20]
 
 
-@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
 def test_statistics_are_read_only_on_logged_steps_and_change_nothing(small_world, method):
     """A step returns its statistics unevaluated; reading them on every step
     or on the first and last only gives byte-identical tables and rows."""
@@ -135,7 +136,7 @@ def test_statistics_are_read_only_on_logged_steps_and_change_nothing(small_world
 
 def test_training_is_bit_deterministic(small_world):
     env, ds = small_world
-    for method in ("trl", "mc", "td_n", "gciql", "sgt", "coe"):
+    for method in STOCHASTIC_METHODS:
         cfg = LearnerConfig(method=method, steps=40, batch_size=32, learning_rate=0.1, seed=3)
         q1, log1 = train_run(env, ds, cfg)
         q2, log2 = train_run(env, ds, cfg)
@@ -145,7 +146,7 @@ def test_training_is_bit_deterministic(small_world):
 
 def test_every_method_trains_without_blowup(small_world):
     env, ds = small_world
-    for method in ("trl", "mc", "td_n", "gciql", "sgt", "coe"):
+    for method in STOCHASTIC_METHODS:
         cfg = LearnerConfig(method=method, steps=200, batch_size=64, learning_rate=0.2, seed=0)
         q, log = train_run(env, ds, cfg)
         assert np.isfinite(q.params).all(), method
@@ -168,27 +169,31 @@ def test_a_diverging_run_is_refused_at_its_first_overflowing_step():
 
 def test_every_learner_field_has_one_setting_row():
     """Each LearnerConfig field is the one learner.* row of _SETTINGS, with
-    the field's default and its rule: learners._INTERVALS for a number, the
-    methods for method."""
+    the field's default and its rule: the range its declaration states for a
+    number, the methods for method."""
     rows = {key: row for key, row in _SETTINGS.items() if key.startswith("learner.")}
     assert list(rows) == [f"learner.{f.name}" for f in fields(LearnerConfig)]
     for f in fields(LearnerConfig):
-        rule = tuple(learners.METHODS) if f.name == "method" else learners._INTERVALS[f.name]
+        rule = tuple(learners.METHODS) if f.name == "method" else f.metadata["interval"]
         assert rows[f"learner.{f.name}"] == (f.default, rule)
     assert LearnerConfig(**block_settings("learner", {})) == LearnerConfig()
 
 
 def test_env_and_dataset_rows_and_gamma_read_their_owners_rules():
     """Each env.* and dataset.* row of _SETTINGS is required and holds the
-    very rule its owner checks, in the owner's order, and learners' gamma
-    rule is oracle's: each of these rules is written once."""
+    very rule its owner checks, in the owner's order; learners' gamma rule is
+    oracle's, and the seeds and n_values rows hold the rules that the seed and
+    n_step fields declare: each of these rules is written once."""
     for block, owner in (("env", env_mod), ("dataset", dataset_mod)):
         rows = {key: row for key, row in _SETTINGS.items() if key.startswith(f"{block}.")}
         assert list(rows) == [f"{block}.{name}" for name in owner._INTERVALS]
         for name, rule in owner._INTERVALS.items():
             default, row_rule = rows[f"{block}.{name}"]
             assert default is None and row_rule is rule
-    assert learners._INTERVALS["gamma"] is oracle.GAMMA_INTERVAL
+    declared = {f.name: f.metadata.get("interval") for f in fields(LearnerConfig)}
+    assert declared["gamma"] is oracle.GAMMA_INTERVAL
+    assert _SETTINGS["seeds"][1] is declared["seed"]
+    assert _SETTINGS["n_values"][1] is declared["n_step"]
 
 
 def test_coe_requires_coordinates():

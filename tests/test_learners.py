@@ -55,6 +55,7 @@ from gclab.oracle import (
 )
 from env_helpers import random_graph_env
 from target_helpers import (
+    STOCHASTIC_METHODS,
     EagerTarget,
     eager_sync,
     step_batch,
@@ -243,8 +244,12 @@ _INTERVAL_CASES = [
 
 
 def test_interval_cases_cover_every_number_field():
+    """One case per number field, each for the range the field declares."""
     numbers = {f.name for f in fields(LearnerConfig) if f.type in ("int", "float")}
-    assert {case[0] for case in _INTERVAL_CASES} == set(learners._INTERVALS) == numbers
+    declared = {f.name: f.metadata["interval"] for f in fields(LearnerConfig)
+                if "interval" in f.metadata}
+    assert {case[0]: case[1] for case in _INTERVAL_CASES} == declared
+    assert set(declared) == numbers
 
 
 @pytest.mark.parametrize(
@@ -863,7 +868,7 @@ def greedy_policy_fn(table):
     vals = table.values()
 
     def fn(states, goals):
-        return vals[states, :, goals].argmax(axis=1)
+        return vals[states, :, goals].argmax(axis=-1)
 
     return fn
 
@@ -1005,9 +1010,7 @@ def test_target_sync_tau_zero_rejected_by_config():
         LearnerConfig(tau_target=0.0)
 
 
-@pytest.mark.parametrize(
-    "field", ["gamma", "kappa", "lambda_reweight", "learning_rate", "tau_target", "beta_goal_reg"]
-)
+@pytest.mark.parametrize("field", [f.name for f in fields(LearnerConfig) if f.type == "float"])
 @pytest.mark.parametrize(
     "value",
     [float("nan"), float("inf"), -float("inf"),
@@ -1096,7 +1099,7 @@ def test_one_merged_write_matches_per_term_writes():
         np.testing.assert_allclose(tables[1].lag, tables[0].lag, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("method", ["trl", "mc", "td_n", "gciql", "sgt", "coe"])
+@pytest.mark.parametrize("method", STOCHASTIC_METHODS)
 def test_every_step_writes_q_once(monkeypatch, method):
     """Each learner's step makes exactly one PolyakTarget.read call, one
     sigmoid call on a logit table (none on gciql's value table) and one
@@ -1247,7 +1250,7 @@ def replayed_indices(ds, shape, cfg) -> dict:
                  _flat(shape, S[traj, b], A[traj, b], S[traj, j]))
         return {"reads": np.stack(reads, axis=1)}
     t = rng.integers(0, ds.horizon, size=size)
-    g = sample_relabeled_goal_batch(ds, traj, t, cfg, rng)
+    g = sample_relabeled_goal_batch(ds, traj * (ds.horizon + 1), t, cfg, rng)
     s, a, s2 = S[traj, t], A[traj, t], S[traj, t + 1]
     if cfg.method == "gciql":
         sag = _flat(shape, s, a, g)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from gclab.dataset import load_dataset
 from gclab.env import ConfigError, build_grid_env, load_env
+from gclab import harness
 from gclab.harness import validate_experiment_config
 from gclab.learners import load_table
 
@@ -41,21 +42,14 @@ BASE = {
 }
 
 # Every key a sweep config reads, as a path from the top, so that a mutation
-# reaches each check and not only the unknown-key refusal.
-PATHS = [
-    ("out_dir",), ("env",), ("env", "kind"), ("env", "width"), ("env", "height"),
-    ("env", "walls"), ("env", "path"), ("dataset",), ("dataset", "num_traj"),
-    ("dataset", "T"), ("dataset", "seed"), ("methods",), ("seeds",), ("n_values",),
-    ("learner",), ("eval",), ("recursion",),
-    *(("learner", key) for key in (
-        "method", "gamma", "kappa", "lambda_reweight", "learning_rate", "tau_target",
-        "batch_size", "steps", "log_every", "n_step", "M_subgoals", "P_random_distance",
-        "beta_goal_reg", "p_cur", "p_geom", "p_traj", "geom_param", "seed")),
-    *(("eval", key) for key in (
-        "num_tasks", "episodes", "max_steps_factor", "extraction", "rejection_n",
-        "min_task_distance")),
-    *(("recursion", key) for key in ("n_max", "sim_sizes", "trials", "seed")),
-]
+# reaches each check and not only the unknown-key refusal: each top-level key
+# and block, each env key of each kind, and each setting.
+PATHS = list(dict.fromkeys([
+    *((key,) for key in sorted(harness._TOP_KEYS)),
+    ("env", "kind"),
+    *(("env", key) for keys in harness._ENV_KEYS.values() for key in keys),
+    *(tuple(key.split(".")) for key in harness._SETTINGS),
+]))
 KEYS = sorted({key for path in PATHS for key in path} | {"unknown"})
 
 VALUES = st.recursive(

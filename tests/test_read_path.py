@@ -29,8 +29,7 @@ from gclab.oracle import all_pairs_distances
 from gclab.policy import BehaviorPolicy, estimate_behavior_policy
 import reference_helpers as ref
 from env_helpers import random_graph_env
-
-STOCHASTIC_METHODS = ("trl", "mc", "td_n", "gciql", "sgt", "coe")
+from target_helpers import STOCHASTIC_METHODS
 
 
 def random_table(space, seed=0, shape=(7, 4, 7)):
